@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from .core import DomainError, EvaluationError, InvariantViolation, SolverError
-from .geodesic import SolverConfig, write_result_csv
+from .geodesic import SolverConfig, solve_geodesic_constrained, write_result_csv
 from .harness import (
     MODEL_NAMES,
     ConfigError,
@@ -29,7 +29,6 @@ from .harness import (
     write_report_csv,
 )
 from .operators import OpConfig, discrete_exp, discrete_log, parallel_transport, write_traces_csv
-from .geodesic import solve_geodesic, solve_geodesic_constrained
 
 __all__ = ["main"]
 
@@ -145,10 +144,7 @@ def _cmd_geodesic(args) -> int:
     backend = build_backend(cfg.model)
     xa, xb = _point_pair(cfg)
     K = args.K or 16
-    if backend.constraint is None:
-        res = solve_geodesic(xa, xb, K, backend.model, cfg.solver)
-    else:
-        res = solve_geodesic_constrained(xa, xb, K, backend.model, backend.constraint, cfg.solver)
+    res = solve_geodesic_constrained(xa, xb, K, backend.model, backend.constraint, cfg.solver)
     print(
         f"geodesic model={cfg.model} K={K} converged={res.converged} "
         f"iterations={res.iterations} residual={res.residual:.3e} "
@@ -202,10 +198,7 @@ def _cmd_transport(args) -> int:
     backend = build_backend(cfg.model)
     xa, xb = _point_pair(cfg)
     K = args.K or 16
-    if backend.constraint is None:
-        res = solve_geodesic(xa, xb, K, backend.model, cfg.solver)
-    else:
-        res = solve_geodesic_constrained(xa, xb, K, backend.model, backend.constraint, cfg.solver)
+    res = solve_geodesic_constrained(xa, xb, K, backend.model, backend.constraint, cfg.solver)
     if not res.converged:
         raise SolverError("geodesic solve did not converge", residual=res.residual)
     w = np.asarray(cfg.w, dtype=float)

@@ -23,6 +23,7 @@ vector residuals in the Euclidean norm.
 
 from __future__ import annotations
 
+import io
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
@@ -115,6 +116,22 @@ class DiscretePath:
         return self.points[k]
 
 
+def _write_csv(target, header, rows) -> None:
+    """Write CSV lines ``header`` and ``index, values...`` for each (index, values) row.
+
+    Values are written in round-trip precision; ``target`` is an open text
+    stream or a file path.
+    """
+    lines = [",".join(header)]
+    lines += [f"{i}," + ",".join(repr(float(v)) for v in vals) for i, vals in rows]
+    text = "\n".join(lines) + "\n"
+    if isinstance(target, io.TextIOBase):
+        target.write(text)
+    else:
+        with open(target, "w", encoding="utf-8") as fh:
+            fh.write(text)
+
+
 def as_path(path) -> DiscretePath:
     if isinstance(path, DiscretePath):
         return path
@@ -132,7 +149,6 @@ class EnergyModel(ABC):
     """
 
     symmetric: bool = False
-    derivatives_analytic: bool = True
 
     @abstractmethod
     def w(self, x: np.ndarray, y: np.ndarray) -> float: ...
@@ -214,8 +230,6 @@ def fd_jacobian(func, x: np.ndarray, step: float) -> np.ndarray:
 
 class _FiniteDifferenceModel(EnergyModel):
     """Full derivative access for a model that only implements ``w``."""
-
-    derivatives_analytic = False
 
     def __init__(self, base, scheme: FdScheme):
         self._base = base

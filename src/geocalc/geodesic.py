@@ -1,26 +1,31 @@
-"""Discrete path energies and the geodesic boundary-value solver.
+"""Discrete path energies and the bordered Newton solver behind every operator.
 
 A discrete K-path (x_0, ..., x_K) carries the energy K * sum_k w(x_{k-1}, x_k)
 and the length sum_k sqrt(w(x_{k-1}, x_k)).  A discrete geodesic is a
 minimizer of the energy with fixed endpoints; its stationarity system
 
-    grad2(x_{k-1}, x_k) + grad1(x_k, x_{k+1}) = 0,    k = 1..K-1,
+    grad2(x_{k-1}, x_k) + grad1(x_k, x_{k+1}) - J_k^T mu_k = 0,
+    c_k(x_k) = 0,                                     k = 1..K-1,
 
-is solved by Newton iteration.  The Jacobian is block tridiagonal with
-blocks A_kk = hess22(x_{k-1}, x_k) + hess11(x_k, x_{k+1}),
-A_k,k-1 = hess21(x_{k-1}, x_k), A_k,k+1 = hess12(x_k, x_{k+1}); the linear
-solves use block Thomas elimination with dense d x d pivots.
+is solved by Newton iteration.  ``c_k`` are optional per-interior-point
+constraints with (c, d) Jacobians ``J_k`` and multipliers ``mu_k``: none
+(c = 0), a linear gauge G x_k = t_k removing exact null directions of
+translation-invariant energies (used by the rod models), or a level set
+d(x_k) = 0 holding interior points on an embedded hypersurface (c = 1).
+The Jacobian is block tridiagonal in (d + c)-blocks: the energy part has
+A_kk = hess22(x_{k-1}, x_k) + hess11(x_k, x_{k+1}) - sum_i mu_k,i hess c_i,
+A_k,k-1 = hess21(x_{k-1}, x_k), A_k,k+1 = hess12(x_k, x_{k+1}), bordered by
+J_k; the linear solves use block Thomas elimination with dense pivots.
 
-Two constrained variants exist: a level-set constraint d(x) = 0 holding
-interior points on an embedded hypersurface (one Lagrange multiplier per
-point), and a linear gauge constraint removing exact null directions of
-translation-invariant energies (used by the rod models).
+The same kernel at K = 2 is the two-point logarithm ``operators.log2``
+(whose endpoints may lie off the level set), and the single Newton loop
+here also drives the other inner solves of ``operators``.
 """
 
 from __future__ import annotations
 
-import io
 from abc import ABC, abstractmethod
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +35,7 @@ from .core import (
     DomainError,
     InvariantViolation,
     SolverError,
+    _write_csv,
     as_path,
     as_point,
     fd_jacobian,
@@ -50,6 +56,8 @@ __all__ = [
 ]
 
 _ARMIJO_C = 1e-4
+# Armijo halving stops below this step length and takes the step anyway
+_MIN_STEP = 1e-12
 
 
 @dataclass(frozen=True)
@@ -59,7 +67,6 @@ class SolverConfig:
     newton_tol: float = 1e-10
     max_iter: int = 50
     damping: str = "none"  # "none" | "armijo"
-    init: str = "linear"  # "linear" | "provided"
 
     def __post_init__(self):
         if self.newton_tol <= 0:
@@ -68,8 +75,6 @@ class SolverConfig:
             raise DomainError("max_iter must be at least 1")
         if self.damping not in ("none", "armijo"):
             raise DomainError(f"unknown damping mode {self.damping!r}")
-        if self.init not in ("linear", "provided"):
-            raise DomainError(f"unknown init mode {self.init!r}")
 
 
 class ConstraintModel(ABC):
@@ -153,16 +158,67 @@ def el_residual(path, model) -> np.ndarray:
     path = as_path(path)
     if path.step_count < 2:
         raise DomainError("residual needs K >= 2")
-    out = np.empty((path.step_count - 1, path.dim))
-    for k in range(1, path.step_count):
-        out[k - 1] = np.asarray(model.grad2(path[k - 1], path[k])) + np.asarray(
-            model.grad1(path[k], path[k + 1])
+    return _el_rows(model, path.points)
+
+
+def _el_rows(model, pts) -> np.ndarray:
+    K = len(pts) - 1
+    out = np.empty((K - 1, pts.shape[1]))
+    for k in range(1, K):
+        out[k - 1] = np.asarray(model.grad2(pts[k - 1], pts[k])) + np.asarray(
+            model.grad1(pts[k], pts[k + 1])
         )
     return out
 
 
 def _sup(a) -> float:
     return float(np.max(np.abs(a))) if np.size(a) else 0.0
+
+
+def _left_domain(context, err, res) -> SolverError:
+    return SolverError(f"{context}: an iterate left the model's domain ({err})", residual=res)
+
+
+def _newton(residual, step, z0, cfg: SolverConfig, context: str):
+    """Newton iteration for residual(z) = 0 from z0.
+
+    ``step(z, r)`` returns the Newton correction for r = residual(z).  With
+    ``cfg.damping == "armijo"`` the correction is halved until 0.5 |r|^2
+    decreases sufficiently.  The residual is evaluated once per iterate.
+    Returns (z, sup-norm residual, iterations, converged).  A singular
+    linear system, or a DomainError at an iterate the loop produced, raises
+    SolverError with the last residual; a DomainError at z0 (the caller's
+    input) propagates.
+    """
+    z, r = z0, residual(z0)
+    res = _sup(r)
+    iterations = 0
+    while res > cfg.newton_tol and iterations < cfg.max_iter:
+        try:
+            delta = step(z, r)
+        except np.linalg.LinAlgError as err:
+            raise SolverError(f"{context}: singular block pivot ({err})", residual=res) from err
+        except DomainError as err:
+            if iterations == 0:
+                raise
+            raise _left_domain(context, err, res) from err
+        t = 1.0
+        while True:
+            trial = z - t * delta
+            last = cfg.damping != "armijo" or t <= _MIN_STEP
+            try:
+                r_trial = residual(trial)
+            except DomainError as err:
+                if last:
+                    raise _left_domain(context, err, res) from err
+            else:
+                if last or np.sum(r_trial**2) <= (1.0 - 2.0 * _ARMIJO_C * t) * np.sum(r**2):
+                    break
+            t *= 0.5
+        z, r = trial, r_trial
+        res = _sup(r)
+        iterations += 1
+    return z, res, iterations, res <= cfg.newton_tol
 
 
 def _block_thomas(lower, diag, upper, rhs) -> np.ndarray:
@@ -175,16 +231,13 @@ def _block_thomas(lower, diag, upper, rhs) -> np.ndarray:
     b = rhs[0].shape[0]
     cprime = [None] * n
     dprime = [None] * n
-    try:
-        cprime[0] = np.linalg.solve(diag[0], upper[0]) if n > 1 else None
-        dprime[0] = np.linalg.solve(diag[0], rhs[0])
-        for i in range(1, n):
-            m = diag[i] - lower[i] @ cprime[i - 1]
-            if i < n - 1:
-                cprime[i] = np.linalg.solve(m, upper[i])
-            dprime[i] = np.linalg.solve(m, rhs[i] - lower[i] @ dprime[i - 1])
-    except np.linalg.LinAlgError as err:
-        raise SolverError(f"singular block pivot in tridiagonal solve: {err}") from err
+    cprime[0] = np.linalg.solve(diag[0], upper[0]) if n > 1 else None
+    dprime[0] = np.linalg.solve(diag[0], rhs[0])
+    for i in range(1, n):
+        m = diag[i] - lower[i] @ cprime[i - 1]
+        if i < n - 1:
+            cprime[i] = np.linalg.solve(m, upper[i])
+        dprime[i] = np.linalg.solve(m, rhs[i] - lower[i] @ dprime[i - 1])
     sol = np.empty((n, b))
     sol[n - 1] = dprime[n - 1]
     for i in range(n - 2, -1, -1):
@@ -192,19 +245,110 @@ def _block_thomas(lower, diag, upper, rhs) -> np.ndarray:
     return sol
 
 
-def _segment_blocks(model, pts):
-    """Hessian blocks (h11, h12, h21, h22) of every consecutive segment."""
-    return [model.hess_blocks(pts[j - 1], pts[j]) for j in range(1, len(pts))]
+@dataclass(frozen=True)
+class _Constraint:
+    """A constraint as the path kernel sees it at one interior point x_k.
+
+    ``values(k, x)`` has shape (c,), ``jac(x)`` shape (c, d), and
+    ``hess(x, mu)`` is sum_i mu_i hess c_i(x), or 0.0 where it vanishes.
+    """
+
+    c: int
+    values: Callable
+    jac: Callable
+    hess: Callable
 
 
-def _interior_residual(model, pts) -> np.ndarray:
-    K = len(pts) - 1
-    out = np.empty((K - 1, pts.shape[1]))
-    for k in range(1, K):
-        g2 = np.asarray(model.grad2(pts[k - 1], pts[k]))
-        g1 = np.asarray(model.grad1(pts[k], pts[k + 1]))
-        out[k - 1] = g2 + g1
+def _constraint_view(constraint, K: int, d: int) -> _Constraint:
+    """View of no constraint (c = 0), a LinearGauge, or a level set (c = 1)."""
+    if constraint is None:
+        empty = np.zeros((0, d))
+        return _Constraint(0, lambda k, x: empty[:, 0], lambda x: empty, lambda x, mu: 0.0)
+    if isinstance(constraint, LinearGauge):
+        g = np.asarray(constraint.matrix, dtype=float)
+        targets = np.asarray(constraint.targets, dtype=float)
+        if targets.shape != (K - 1, g.shape[0]):
+            raise DomainError("gauge targets must have shape (K-1, c)")
+        return _Constraint(
+            g.shape[0], lambda k, x: g @ x - targets[k - 1], lambda x: g, lambda x, mu: 0.0
+        )
+    return _Constraint(
+        1,
+        lambda k, x: np.array([float(constraint.d(x))]),
+        lambda x: np.asarray(constraint.grad_d(x), dtype=float).reshape(1, d),
+        lambda x, mu: mu[0] * np.asarray(constraint.hess_d(x)),
+    )
+
+
+def _bordered(a, left, right):
+    """Newton block [[a, -left^T], [right, 0]] for c = len(right) constraint rows."""
+    c = len(right)
+    if not c:
+        return a
+    d = len(a)
+    out = np.zeros((d + c, d + c))
+    out[:d, :d] = a
+    out[:d, d:] = -left.T
+    out[d:, :d] = right
     return out
+
+
+def _segment_blocks(model, pts):
+    """Hessian blocks (h11, h12, h21, h22) of every segment that the system reads.
+
+    Block Thomas reads only h22 of the first segment and h11 of the last, so
+    those two are evaluated alone and the other entries are None.
+    """
+    K = len(pts) - 1
+    return (
+        [(None, None, None, model.hess22(pts[0], pts[1]))]
+        + [model.hess_blocks(pts[j - 1], pts[j]) for j in range(2, K)]
+        + [(model.hess11(pts[K - 1], pts[K]), None, None, None)]
+    )
+
+
+def _solve_path(pts, model, constraint, cfg: SolverConfig, context: str):
+    """Newton solve for the interior points of ``pts`` (shape (K+1, d), K >= 2).
+
+    ``constraint`` is None, a LinearGauge, or a ConstraintModel; the
+    endpoints stay fixed and need not satisfy it.  Returns (points,
+    multipliers of shape (K-1, c), residual, iterations, converged).
+    """
+    K, d = len(pts) - 1, pts.shape[1]
+    view = _constraint_view(constraint, K, d)
+    c = view.c
+    zero = np.zeros((c, d))
+
+    # z holds the path and the multipliers, one row per point; Newton
+    # corrections of the endpoint rows are zero
+    def residual(z):
+        x = z[:, :d]
+        rows = _el_rows(model, x)
+        if not c:
+            return rows
+        out = np.empty((K - 1, d + c))
+        for k in range(1, K):
+            out[k - 1, :d] = rows[k - 1] - z[k, d:] @ view.jac(x[k])
+            out[k - 1, d:] = view.values(k, x[k])
+        return out
+
+    def step(z, r):
+        x = z[:, :d]
+        seg = _segment_blocks(model, x)
+        diag, lower, upper = [], [], []
+        for k in range(1, K):
+            a = np.asarray(seg[k - 1][3]) + np.asarray(seg[k][0]) - view.hess(x[k], z[k, d:])
+            jac = view.jac(x[k])
+            diag.append(_bordered(a, jac, jac))
+            lower.append(_bordered(seg[k - 1][2], zero, zero) if k > 1 else None)
+            upper.append(_bordered(seg[k][1], zero, zero) if k < K - 1 else None)
+        delta = np.zeros_like(z)
+        delta[1:K] = _block_thomas(lower, diag, upper, r)
+        return delta
+
+    z0 = np.hstack([pts, np.zeros((K + 1, c))])
+    z, res, iterations, converged = _newton(residual, step, z0, cfg, context)
+    return z[:, :d], z[1:K, d:], res, iterations, converged
 
 
 def _linear_init(xa, xb, K):
@@ -224,6 +368,38 @@ def _result(model, pts, residual, iterations, converged, multipliers=None):
     )
 
 
+def _solve(x_a, x_b, K, model, constraint, cfg, init_path) -> GeodesicResult:
+    """Body of both public solves; ``constraint`` is None, a gauge or a level set."""
+    cfg = cfg or SolverConfig()
+    xa = as_point(x_a)
+    xb = as_point(x_b)
+    if xa.size != xb.size:
+        raise DomainError("endpoint dimensions differ")
+    if K < 1:
+        raise DomainError("K must be at least 1")
+    level_set = isinstance(constraint, ConstraintModel)
+    if level_set:
+        for label, p in (("x_a", xa), ("x_b", xb)):
+            if abs(float(constraint.d(p))) > 1e-10:
+                raise DomainError(f"endpoint {label} is off the level set: d = {constraint.d(p)}")
+
+    if init_path is not None:
+        pts = np.array(as_path(init_path).points)
+        if pts.shape != (K + 1, xa.size):
+            raise DomainError("init path has wrong shape")
+        pts[0], pts[K] = xa, xb
+    else:
+        pts = _linear_init(xa, xb, K)
+        if level_set:
+            for k in range(1, K):
+                pts[k] = project_onto_level_set(pts[k], constraint)
+
+    if K == 1:
+        return _result(model, pts, 0.0, 0, True, np.zeros(0) if level_set else None)
+    pts, mu, res, iterations, converged = _solve_path(pts, model, constraint, cfg, "geodesic solve")
+    return _result(model, pts, res, iterations, converged, mu[:, 0] if level_set else None)
+
+
 def solve_geodesic(
     x_a,
     x_b,
@@ -239,96 +415,10 @@ def solve_geodesic(
     Endpoints are fixed; the K-1 interior points are found by Newton
     iteration on the stationarity system with block Thomas linear solves.
     Non-convergence is reported through ``converged=False`` on the result,
-    which then carries the last iterate.
+    which then carries the last iterate.  An iterate outside the model's
+    domain raises SolverError.
     """
-    cfg = cfg or SolverConfig()
-    xa = as_point(x_a)
-    xb = as_point(x_b)
-    if xa.size != xb.size:
-        raise DomainError("endpoint dimensions differ")
-    if K < 1:
-        raise DomainError("K must be at least 1")
-
-    if init_path is not None:
-        pts = np.array(as_path(init_path).points)
-        if pts.shape != (K + 1, xa.size):
-            raise DomainError("init path has wrong shape")
-        pts[0], pts[K] = xa, xb
-    else:
-        pts = _linear_init(xa, xb, K)
-
-    if K == 1:
-        return _result(model, pts, 0.0, 0, True)
-
-    d = xa.size
-    if gauge is not None:
-        g_mat = np.asarray(gauge.matrix, dtype=float)
-        g_tg = np.asarray(gauge.targets, dtype=float)
-        c = g_mat.shape[0]
-        if g_tg.shape != (K - 1, c):
-            raise DomainError("gauge targets must have shape (K-1, c)")
-        mu = np.zeros((K - 1, c))
-
-    def residual_rows():
-        r = _interior_residual(model, pts)
-        if gauge is None:
-            return r
-        stat = r - mu @ g_mat
-        cons = pts[1:K] @ g_mat.T - g_tg
-        return np.hstack([stat, cons])
-
-    res_rows = residual_rows()
-    res = _sup(res_rows)
-    iterations = 0
-    converged = res <= cfg.newton_tol
-
-    while not converged and iterations < cfg.max_iter:
-        seg = _segment_blocks(model, pts)
-        diag, lower, upper = [], [], []
-        for k in range(1, K):
-            a_kk = np.asarray(seg[k - 1][3]) + np.asarray(seg[k][0])
-            a_lo = np.asarray(seg[k - 1][2])
-            a_up = np.asarray(seg[k][1])
-            if gauge is not None:
-                z = np.zeros((d, c))
-                a_kk = np.block([[a_kk, -g_mat.T], [g_mat, np.zeros((c, c))]])
-                a_lo = np.block([[a_lo, z], [z.T, np.zeros((c, c))]])
-                a_up = np.block([[a_up, z], [z.T, np.zeros((c, c))]])
-            diag.append(a_kk)
-            lower.append(a_lo)
-            upper.append(a_up)
-        delta = _block_thomas(lower, diag, upper, res_rows)
-
-        step = 1.0
-        if cfg.damping == "armijo":
-            phi0 = 0.5 * float(np.sum(res_rows**2))
-            while step > 1e-12:
-                trial = np.array(pts)
-                trial[1:K] -= step * delta[:, :d]
-                if gauge is not None:
-                    trial_mu = mu - step * delta[:, d:]
-                try:
-                    r_trial = _interior_residual(model, trial)
-                    if gauge is not None:
-                        r_trial = np.hstack(
-                            [r_trial - trial_mu @ g_mat, trial[1:K] @ g_mat.T - g_tg]
-                        )
-                    phi = 0.5 * float(np.sum(r_trial**2))
-                except DomainError:
-                    phi = np.inf
-                if phi <= (1.0 - 2.0 * _ARMIJO_C * step) * phi0:
-                    break
-                step *= 0.5
-
-        pts[1:K] -= step * delta[:, :d]
-        if gauge is not None:
-            mu -= step * delta[:, d:]
-        iterations += 1
-        res_rows = residual_rows()
-        res = _sup(res_rows)
-        converged = res <= cfg.newton_tol
-
-    return _result(model, pts, res, iterations, converged)
+    return _solve(x_a, x_b, K, model, gauge, cfg, init_path)
 
 
 def project_onto_level_set(
@@ -352,7 +442,7 @@ def solve_geodesic_constrained(
     x_b,
     K: int,
     model,
-    constraint: ConstraintModel,
+    constraint: ConstraintModel | None,
     cfg: SolverConfig | None = None,
     *,
     init_path=None,
@@ -362,107 +452,13 @@ def solve_geodesic_constrained(
     The KKT system couples the stationarity residual, one multiplier per
     interior point, and the constraint values; it is solved by Newton with
     block Thomas elimination on (d+1)-blocks.  Endpoints must satisfy
-    |d| <= 1e-10.
+    |d| <= 1e-10.  With ``constraint=None`` this is ``solve_geodesic``.
     """
-    cfg = cfg or SolverConfig()
-    xa = as_point(x_a)
-    xb = as_point(x_b)
-    if xa.size != xb.size:
-        raise DomainError("endpoint dimensions differ")
-    if K < 1:
-        raise DomainError("K must be at least 1")
-    for label, p in (("x_a", xa), ("x_b", xb)):
-        if abs(float(constraint.d(p))) > 1e-10:
-            raise DomainError(f"endpoint {label} is off the level set: d = {constraint.d(p)}")
-
-    if init_path is not None:
-        pts = np.array(as_path(init_path).points)
-        if pts.shape != (K + 1, xa.size):
-            raise DomainError("init path has wrong shape")
-        pts[0], pts[K] = xa, xb
-    else:
-        pts = _linear_init(xa, xb, K)
-        for k in range(1, K):
-            pts[k] = project_onto_level_set(pts[k], constraint)
-
-    if K == 1:
-        return _result(model, pts, 0.0, 0, True, multipliers=np.zeros(0))
-
-    d = xa.size
-    lam = np.zeros(K - 1)
-
-    def residual_rows():
-        rows = np.empty((K - 1, d + 1))
-        for k in range(1, K):
-            g2 = np.asarray(model.grad2(pts[k - 1], pts[k]))
-            g1 = np.asarray(model.grad1(pts[k], pts[k + 1]))
-            gd = np.asarray(constraint.grad_d(pts[k]))
-            rows[k - 1, :d] = g2 + g1 - lam[k - 1] * gd
-            rows[k - 1, d] = float(constraint.d(pts[k]))
-        return rows
-
-    res_rows = residual_rows()
-    res = _sup(res_rows)
-    iterations = 0
-    converged = res <= cfg.newton_tol
-
-    while not converged and iterations < cfg.max_iter:
-        seg = _segment_blocks(model, pts)
-        diag, lower, upper = [], [], []
-        z = np.zeros((d, 1))
-        for k in range(1, K):
-            gd = np.asarray(constraint.grad_d(pts[k])).reshape(d, 1)
-            hd = np.asarray(constraint.hess_d(pts[k]))
-            a_kk = (
-                np.asarray(seg[k - 1][3])
-                + np.asarray(seg[k][0])
-                - lam[k - 1] * hd
-            )
-            diag.append(np.block([[a_kk, -gd], [gd.T, np.zeros((1, 1))]]))
-            lower.append(
-                np.block([[np.asarray(seg[k - 1][2]), z], [z.T, np.zeros((1, 1))]])
-            )
-            upper.append(np.block([[np.asarray(seg[k][1]), z], [z.T, np.zeros((1, 1))]]))
-        delta = _block_thomas(lower, diag, upper, res_rows)
-
-        step = 1.0
-        if cfg.damping == "armijo":
-            phi0 = 0.5 * float(np.sum(res_rows**2))
-            while step > 1e-12:
-                trial = np.array(pts)
-                trial[1:K] -= step * delta[:, :d]
-                trial_lam = lam - step * delta[:, d]
-                saved = pts.copy(), lam.copy()
-                pts[1:K], lam[:] = trial[1:K], trial_lam
-                try:
-                    phi = 0.5 * float(np.sum(residual_rows() ** 2))
-                except DomainError:
-                    phi = np.inf
-                pts[1:K], lam[:] = saved[0][1:K], saved[1]
-                if phi <= (1.0 - 2.0 * _ARMIJO_C * step) * phi0:
-                    break
-                step *= 0.5
-
-        pts[1:K] -= step * delta[:, :d]
-        lam -= step * delta[:, d]
-        iterations += 1
-        res_rows = residual_rows()
-        res = _sup(res_rows)
-        converged = res <= cfg.newton_tol
-
-    return _result(model, pts, res, iterations, converged, multipliers=lam.copy())
+    return _solve(x_a, x_b, K, model, constraint, cfg, init_path)
 
 
 def write_result_csv(result: GeodesicResult, target) -> None:
     """Write the solved path as CSV rows ``k, x_0, ..., x_{d-1}``."""
     path = result.path
-    header = "k," + ",".join(f"x_{i}" for i in range(path.dim))
-    lines = [header]
-    for k in range(len(path)):
-        lines.append(str(k) + "," + ",".join(repr(float(v)) for v in path[k]))
-    text = "\n".join(lines) + "\n"
-    if isinstance(target, io.TextIOBase):
-        target.write(text)
-    else:
-        with open(target, "w", encoding="utf-8") as fh:
-            fh.write(text)
+    header = ["k"] + [f"x_{i}" for i in range(path.dim)]
+    _write_csv(target, header, enumerate(path.points))

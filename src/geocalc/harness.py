@@ -24,12 +24,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import DomainError, SolverError, as_point, check_consistency
-from .geodesic import (
-    SolverConfig,
-    solve_geodesic,
-    solve_geodesic_constrained,
-)
+from .core import DomainError, SolverError, _write_csv, as_point, check_consistency
+from .geodesic import SolverConfig, solve_geodesic, solve_geodesic_constrained
 from .models import (
     CircleSdf,
     SphereSdf,
@@ -116,14 +112,14 @@ class StudyConfig:
         for key in ("xa", "xb", "w"):
             if key in kwargs:
                 kwargs[key] = tuple(float(v) for v in kwargs[key])
-        if "solver" in kwargs:
-            kwargs["solver"] = SolverConfig(**kwargs["solver"])
-        if "op_config" in kwargs:
-            sub = dict(kwargs["op_config"])
-            if "solver" in sub:
-                sub["solver"] = SolverConfig(**sub["solver"])
-            kwargs["op_config"] = OpConfig(**sub)
         try:
+            if "solver" in kwargs:
+                kwargs["solver"] = SolverConfig(**kwargs["solver"])
+            if "op_config" in kwargs:
+                sub = dict(kwargs["op_config"])
+                if "solver" in sub:
+                    sub["solver"] = SolverConfig(**sub["solver"])
+                kwargs["op_config"] = OpConfig(**sub)
             return cls(**kwargs)
         except TypeError as err:
             raise ConfigError(str(err)) from err
@@ -214,12 +210,7 @@ def fit_order(errors, ks) -> float:
 
 
 def _solve(backend, xa, xb, K, solver_cfg):
-    if backend.constraint is None:
-        res = solve_geodesic(xa, xb, K, backend.model, solver_cfg)
-    else:
-        res = solve_geodesic_constrained(
-            xa, xb, K, backend.model, backend.constraint, solver_cfg
-        )
+    res = solve_geodesic_constrained(xa, xb, K, backend.model, backend.constraint, solver_cfg)
     if not res.converged:
         raise SolverError(
             f"geodesic solve did not converge (K={K})", residual=res.residual
@@ -320,12 +311,8 @@ def run_convergence_study(cfg: StudyConfig) -> ConvergenceReport:
 
 
 def write_report_csv(report: ConvergenceReport, path) -> None:
-    lines = ["K,err_geo,err_log,err_exp,err_pt"]
-    for i, K in enumerate(report.ks):
-        vals = (report.err_geo[i], report.err_log[i], report.err_exp[i], report.err_pt[i])
-        lines.append(str(K) + "," + ",".join(repr(float(v)) for v in vals))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    cols = (report.err_geo, report.err_log, report.err_exp, report.err_pt)
+    _write_csv(path, ["K", "err_geo", "err_log", "err_exp", "err_pt"], zip(report.ks, zip(*cols)))
 
 
 def read_report_csv(path):
@@ -422,10 +409,7 @@ def run_rod_morph(
             save_rod_csv(RodCurve.from_coord(result.path[k]), path)
             written.append(path)
         summary = os.path.join(out_dir, "morph_summary.csv")
-        with open(summary, "w", encoding="utf-8") as fh:
-            fh.write("k,energy\n")
-            for k in range(1, K + 1):
-                seg = K * model.w(result.path[k - 1], result.path[k])
-                fh.write(f"{k},{repr(float(seg))}\n")
+        rows = ((k, [K * model.w(result.path[k - 1], result.path[k])]) for k in range(1, K + 1))
+        _write_csv(summary, ["k", "energy"], rows)
         written.append(summary)
     return result, written

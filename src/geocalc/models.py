@@ -45,7 +45,6 @@ class FlatEnergy(EnergyModel):
     """w(x, y) = |y - x|^2 with exact derivatives; any dimension."""
 
     symmetric = True
-    derivatives_analytic = True
 
     def w(self, x, y):
         diff = np.asarray(y, float) - np.asarray(x, float)
@@ -100,7 +99,6 @@ class SphereChartEnergy(EnergyModel):
     """
 
     symmetric = False
-    derivatives_analytic = True
 
     @staticmethod
     def _pair(x, y):

@@ -4,10 +4,15 @@ The two-point building blocks are
 
 * ``log2(x0, x2)``: the displacement to the interior point of the 2-step
   geodesic between x0 and x2, i.e. the minimizer of
-  w(x0, x1) + w(x1, x2), and
+  w(x0, x1) + w(x1, x2); it is the K = 2 call of the path kernel in
+  ``geodesic``, and
 * ``exp2(x, zeta)``: the inverse problem, the endpoint x2 for which
   x + zeta is that interior point; its stationarity equation is
   grad2(x, x+zeta) + grad1(x+zeta, x2) = 0.
+
+Every Newton solve here (exp2, its hypersurface variant, and the rung
+start of inverse transport) runs the one Newton loop of ``geodesic``, with
+``OpConfig.solver`` as its settings, damping included.
 
 On top of these sit the K-step logarithm (first increment of the solved
 boundary-value geodesic), the recursive exponential, a Schild's-ladder
@@ -23,17 +28,20 @@ path, which satisfies the same stationarity equations).
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import DiscretePath, DomainError, SolverError, as_path, as_point
+from .core import DiscretePath, DomainError, SolverError, _write_csv, as_path, as_point
 from .geodesic import (
     ConstraintModel,
     SolverConfig,
+    _bordered,
+    _constraint_view,
+    _newton,
+    _solve_path,
+    _sup,
     project_onto_level_set,
-    solve_geodesic,
     solve_geodesic_constrained,
 )
 
@@ -58,9 +66,10 @@ __all__ = [
 class OpConfig:
     """Settings for the embedded two-point solves.
 
-    ``method`` selects how exp2 is computed: Newton on the stationarity
-    equation (default) or the contraction x2 -> x2 + zeta - log2(x, x2)
-    iterated to ``fixed_point_tol``.
+    ``solver`` drives every inner Newton solve.  ``method`` selects how
+    exp2 is computed: Newton on the stationarity equation (default) or the
+    contraction x2 -> x2 + zeta - log2(x, x2) iterated to
+    ``fixed_point_tol``.
     """
 
     solver: SolverConfig = field(default_factory=SolverConfig)
@@ -86,75 +95,30 @@ class TransportTrace:
     zeta: np.ndarray
 
 
-def _sup(a) -> float:
-    return float(np.max(np.abs(a))) if np.size(a) else 0.0
-
-
-def _newton(fun, jac, z0, tol, max_iter, context):
-    """Dense Newton iteration for the small inner solves."""
-    z = np.array(z0, dtype=float)
-    res = _sup(fun(z))
-    for _ in range(max_iter):
-        if res <= tol:
-            return z
-        try:
-            step = np.linalg.solve(jac(z), fun(z))
-        except np.linalg.LinAlgError as err:
-            raise SolverError(f"{context}: singular Jacobian ({err})", residual=res) from err
-        z = z - step
-        res = _sup(fun(z))
-    if res <= tol:
-        return z
-    raise SolverError(f"{context}: no convergence, last residual {res:.3e}", residual=res)
+def _require(converged: bool, res: float, context: str) -> None:
+    if not converged:
+        raise SolverError(f"{context}: no convergence, last residual {res:.3e}", residual=res)
 
 
 def log2(x0, x2, model, cfg: OpConfig | None = None, constraint: ConstraintModel | None = None) -> np.ndarray:
     """Displacement zeta with x0 + zeta the midpoint of the 2-geodesic to x2.
 
-    Solves grad2(x0, x1) + grad1(x1, x2) = 0 for the interior point x1
-    (tangentially, with a multiplier, when a constraint is given; the
-    endpoints themselves are data and need not satisfy it).
+    This is the K = 2 path solve: grad2(x0, x1) + grad1(x1, x2) = 0 for the
+    interior point x1 (tangentially, with a multiplier, when a constraint is
+    given; the endpoints themselves are data and need not satisfy it),
+    started from the midpoint, projected onto the level set if there is one.
     """
     cfg = cfg or OpConfig()
     x0 = as_point(x0)
     x2 = as_point(x2)
-    sc = cfg.solver
-    d = x0.size
-
-    if constraint is None:
-
-        def fun(x1):
-            return np.asarray(model.grad2(x0, x1)) + np.asarray(model.grad1(x1, x2))
-
-        def jac(x1):
-            return np.asarray(model.hess22(x0, x1)) + np.asarray(model.hess11(x1, x2))
-
-        x1 = _newton(fun, jac, (x0 + x2) / 2.0, sc.newton_tol, sc.max_iter, "log2")
-        return x1 - x0
-
-    def fun(z):
-        x1, lam = z[:d], z[d]
-        gd = np.asarray(constraint.grad_d(x1))
-        stat = (
-            np.asarray(model.grad2(x0, x1))
-            + np.asarray(model.grad1(x1, x2))
-            - lam * gd
-        )
-        return np.concatenate([stat, [float(constraint.d(x1))]])
-
-    def jac(z):
-        x1, lam = z[:d], z[d]
-        gd = np.asarray(constraint.grad_d(x1)).reshape(d, 1)
-        h = (
-            np.asarray(model.hess22(x0, x1))
-            + np.asarray(model.hess11(x1, x2))
-            - lam * np.asarray(constraint.hess_d(x1))
-        )
-        return np.block([[h, -gd], [gd.T, np.zeros((1, 1))]])
-
-    z0 = np.concatenate([project_onto_level_set((x0 + x2) / 2.0, constraint), [0.0]])
-    z = _newton(fun, jac, z0, sc.newton_tol, sc.max_iter, "log2")
-    return z[:d] - x0
+    x1 = (x0 + x2) / 2.0
+    if constraint is not None:
+        x1 = project_onto_level_set(x1, constraint)
+    pts, _, res, _, converged = _solve_path(
+        np.stack([x0, x1, x2]), model, constraint, cfg.solver, "log2"
+    )
+    _require(converged, res, "log2")
+    return pts[1] - x0
 
 
 def exp2(x, zeta, model, cfg: OpConfig | None = None, constraint: ConstraintModel | None = None) -> np.ndarray:
@@ -165,56 +129,43 @@ def exp2(x, zeta, model, cfg: OpConfig | None = None, constraint: ConstraintMode
     if zeta.size != x.size:
         raise DomainError("displacement dimension differs from point dimension")
     x1 = x + zeta
-    sc = cfg.solver
     d = x.size
+    x2 = x + 2.0 * zeta
+    if constraint is not None:
+        x2 = project_onto_level_set(x2, constraint)
 
     if cfg.method == "fixed_point":
-        x2 = x + 2.0 * zeta
-        if constraint is not None:
-            x2 = project_onto_level_set(x2, constraint)
         for _ in range(500):
             x2_new = x2 + zeta - log2(x, x2, model, cfg, constraint)
             if constraint is not None:
                 x2_new = project_onto_level_set(x2_new, constraint)
-            if _sup(x2_new - x2) < cfg.fixed_point_tol:
+            change = _sup(x2_new - x2)
+            if change < cfg.fixed_point_tol:
                 return x2_new
             x2 = x2_new
         raise SolverError(
-            "exp2 fixed-point iteration did not converge",
-            residual=_sup(x2_new - x2),
+            f"exp2 fixed-point iteration did not converge, last step {change:.3e}",
+            residual=change,
         )
 
+    # unknowns: x2 and the multipliers of the constraint on x2, which act
+    # along the constraint gradient at x1
+    view = _constraint_view(constraint, 2, d)
     g2_fixed = np.asarray(model.grad2(x, x1))
+    jac1 = view.jac(x1)
 
-    if constraint is None:
-
-        def fun(x2):
-            return g2_fixed + np.asarray(model.grad1(x1, x2))
-
-        def jac(x2):
-            return np.asarray(model.hess12(x1, x2))
-
-        return _newton(fun, jac, x + 2.0 * zeta, sc.newton_tol, sc.max_iter, "exp2")
-
-    gd1 = np.asarray(constraint.grad_d(x1))
-
-    def fun(z):
-        x2, mu = z[:d], z[d]
-        stat = g2_fixed + np.asarray(model.grad1(x1, x2)) - mu * gd1
-        return np.concatenate([stat, [float(constraint.d(x2))]])
-
-    def jac(z):
+    def residual(z):
         x2 = z[:d]
-        gd2 = np.asarray(constraint.grad_d(x2)).reshape(d, 1)
-        return np.block(
-            [
-                [np.asarray(model.hess12(x1, x2)), -gd1.reshape(d, 1)],
-                [gd2.T, np.zeros((1, 1))],
-            ]
-        )
+        stat = g2_fixed + np.asarray(model.grad1(x1, x2)) - z[d:] @ jac1
+        return np.concatenate([stat, view.values(1, x2)])
 
-    z0 = np.concatenate([project_onto_level_set(x + 2.0 * zeta, constraint), [0.0]])
-    z = _newton(fun, jac, z0, sc.newton_tol, sc.max_iter, "exp2")
+    def step(z, r):
+        x2 = z[:d]
+        return np.linalg.solve(_bordered(np.asarray(model.hess12(x1, x2)), jac1, view.jac(x2)), r)
+
+    z0 = np.concatenate([x2, np.zeros(view.c)])
+    z, res, _, converged = _newton(residual, step, z0, cfg.solver, "exp2")
+    _require(converged, res, "exp2")
     return z[:d]
 
 
@@ -234,15 +185,15 @@ def exp2_hypersurface(x, zeta, model, constraint: ConstraintModel, cfg: OpConfig
     n = np.asarray(constraint.grad_d(x1), dtype=float)
     n = n / np.linalg.norm(n)
 
-    def fun(c):
+    def residual(c):
         return np.asarray([float(constraint.d(x1 + zeta - c[0] * n))])
 
-    def jac(c):
+    def step(c, r):
         g = np.asarray(constraint.grad_d(x1 + zeta - c[0] * n))
-        return np.asarray([[-float(g @ n)]])
+        return np.linalg.solve(np.asarray([[-float(g @ n)]]), r)
 
-    sc = cfg.solver
-    c = _newton(fun, jac, np.zeros(1), sc.newton_tol, sc.max_iter, "exp2 hypersurface")
+    c, res, _, converged = _newton(residual, step, np.zeros(1), cfg.solver, "exp2 hypersurface")
+    _require(converged, res, "exp2 hypersurface")
     return x1 + zeta - c[0] * n
 
 
@@ -264,10 +215,7 @@ def discrete_log(
     xb = as_point(x_b)
     if K == 1:
         return xb - xa
-    if constraint is None:
-        result = solve_geodesic(xa, xb, K, model, cfg.solver)
-    else:
-        result = solve_geodesic_constrained(xa, xb, K, model, constraint, cfg.solver)
+    result = solve_geodesic_constrained(xa, xb, K, model, constraint, cfg.solver)
     if not result.converged:
         raise SolverError(
             f"geodesic solve for the K={K} logarithm did not converge",
@@ -387,19 +335,18 @@ def _invert_rung(x_prev, x_next, zeta_next, model, cfg, context):
     coupled system is block triangular and is solved in two stages: first
     the midpoint, then the rung start point.
     """
-    sc = cfg.solver
     x_c = x_prev + log2(x_prev, x_next + zeta_next, model, cfg)
     g1_fixed = np.asarray(model.grad1(x_c, x_next))
 
-    def fun(y):
+    def residual(y):
         return np.asarray(model.grad2(y, x_c)) + g1_fixed
 
-    def jac(y):
-        return np.asarray(model.hess21(y, x_c))
+    def step(y, r):
+        return np.linalg.solve(np.asarray(model.hess21(y, x_c)), r)
 
-    y = _newton(
-        fun, jac, 2.0 * x_c - x_next, sc.newton_tol, sc.max_iter, f"{context}: rung start"
-    )
+    context = f"{context}: rung start"
+    y, res, _, converged = _newton(residual, step, 2.0 * x_c - x_next, cfg.solver, context)
+    _require(converged, res, context)
     return y - x_prev
 
 
@@ -462,19 +409,6 @@ def write_traces_csv(traces, target) -> None:
     if not traces:
         raise DomainError("no traces to write")
     d = traces[0].x_c.size
-    cols = (
-        ["k"]
-        + [f"xc_{i}" for i in range(d)]
-        + [f"xp_{i}" for i in range(d)]
-        + [f"zeta_{i}" for i in range(d)]
-    )
-    lines = [",".join(cols)]
-    for k, tr in enumerate(traces, start=1):
-        vals = list(tr.x_c) + list(tr.x_p) + list(tr.zeta)
-        lines.append(str(k) + "," + ",".join(repr(float(v)) for v in vals))
-    text = "\n".join(lines) + "\n"
-    if isinstance(target, io.TextIOBase):
-        target.write(text)
-    else:
-        with open(target, "w", encoding="utf-8") as fh:
-            fh.write(text)
+    header = ["k"] + [f"{name}_{i}" for name in ("xc", "xp", "zeta") for i in range(d)]
+    rows = ((k, [*tr.x_c, *tr.x_p, *tr.zeta]) for k, tr in enumerate(traces, start=1))
+    _write_csv(target, header, rows)

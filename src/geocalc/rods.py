@@ -173,7 +173,6 @@ class SimplifiedRodEnergy(EnergyModel):
     """
 
     symmetric = False
-    derivatives_analytic = False
 
     def __init__(self, n_nodes: int, delta: float = 0.1, fd_step: float = 1e-5):
         if n_nodes < 8:

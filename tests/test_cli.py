@@ -156,3 +156,11 @@ def test_rod_morph_cli(tmp_path, capsys):
     assert code == 0
     assert (tmp_path / "morph" / "morph_summary.csv").exists()
     assert main(["rod-morph", "--curve-a", str(a), "--curve-b", "missing.csv"]) == 3
+
+
+def test_unknown_nested_config_key_exits_3(tmp_path, capsys):
+    for nested in ({"solver": {"init": "linear"}}, {"op_config": {"solver": {"tol": 1e-9}}}):
+        path = tmp_path / "nested.json"
+        path.write_text(json.dumps({"model": "flat", **nested}), encoding="utf-8")
+        assert main(["converge", "--config", str(path), "--out", str(tmp_path)]) == 3
+        assert "unexpected keyword" in capsys.readouterr().err

@@ -267,3 +267,67 @@ def test_path_shape_validation():
         solve_geodesic([0.0], [1.0], 0, FLAT)
     with pytest.raises(DomainError):
         solve_geodesic(XA, XB, 4, CHART, init_path=DiscretePath(np.zeros((3, 2))))
+
+
+def test_iterate_outside_domain_is_solver_failure():
+    from geocalc import SolverError
+    from geocalc.models import FlatEnergy
+
+    class Banded(FlatEnergy):
+        """Flat energy undefined on the band |x_0 - 0.5| < 0.1."""
+
+        def _check(self, *pts):
+            if any(abs(float(p[0]) - 0.5) < 0.1 for p in pts):
+                raise DomainError("point inside the excluded band")
+
+        def w(self, x, y):
+            self._check(x, y)
+            return super().w(x, y)
+
+        def grad1(self, x, y):
+            self._check(x, y)
+            return super().grad1(x, y)
+
+        def grad2(self, x, y):
+            self._check(x, y)
+            return super().grad2(x, y)
+
+    # the first Newton step lands on the midpoint 0.5, inside the band
+    with pytest.raises(SolverError, match="left the model's domain") as err:
+        solve_geodesic([0.0], [1.0], 2, Banded(), init_path=[[0.0], [0.2], [1.0]])
+    assert err.value.residual > 0
+    # an inadmissible initial path is the caller's input, not a solver failure
+    with pytest.raises(DomainError, match="excluded band"):
+        solve_geodesic([0.0], [1.0], 2, Banded(), init_path=[[0.0], [0.45], [1.0]])
+
+
+def test_path_solve_evaluates_only_the_hessian_blocks_it_uses():
+    calls = []
+
+    class Counting(type(CHART)):
+        def hess11(self, x, y):
+            calls.append(("hess11", np.array(x), np.array(y)))
+            return super().hess11(x, y)
+
+        def hess12(self, x, y):
+            calls.append(("hess12", np.array(x), np.array(y)))
+            return super().hess12(x, y)
+
+        def hess21(self, x, y):
+            calls.append(("hess21", np.array(x), np.array(y)))
+            return super().hess21(x, y)
+
+        def hess22(self, x, y):
+            calls.append(("hess22", np.array(x), np.array(y)))
+            return super().hess22(x, y)
+
+    res = solve_geodesic(XA, XB, 2, Counting())
+    assert res.converged and res.iterations >= 2
+    assert len(calls) == 2 * res.iterations
+    for name, x, y in calls:
+        # segment 1 starts at XA and only its hess22 is read; segment 2
+        # ends at XB and only its hess11 is read
+        first = np.array_equal(x, XA)
+        assert name == ("hess22" if first else "hess11")
+        assert first or np.array_equal(y, XB)
+    assert sum(name == "hess22" for name, _, _ in calls) == res.iterations

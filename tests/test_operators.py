@@ -337,3 +337,21 @@ def test_traces_csv_layout():
     assert np.allclose(first[:2], traces[0].x_c)
     with pytest.raises(DomainError):
         write_traces_csv([], buf)
+
+
+def test_log2_is_the_two_step_path_solve():
+    # same system, start points equal up to rounding of the midpoint
+    x2 = np.array([-0.1, 0.6])
+    res = solve_geodesic(XA, x2, 2, CHART)
+    assert np.allclose(log2(XA, x2, CHART), res.path[1] - res.path[0], rtol=0.0, atol=1e-14)
+    model, sphere, xa, xb = _sphere_pair()
+    res = solve_geodesic_constrained(xa, xb, 2, model, sphere)
+    z = log2(xa, xb, model, constraint=sphere)
+    assert np.allclose(z, res.path[1] - res.path[0], rtol=0.0, atol=1e-14)
+
+
+def test_fixed_point_failure_reports_last_step():
+    cfg = OpConfig(method="fixed_point", fixed_point_tol=1e-300)
+    with pytest.raises(SolverError, match="fixed-point") as err:
+        exp2([0.5, 0.0], [0.1, 0.05], CHART, cfg)
+    assert err.value.residual > 0.0
