@@ -145,7 +145,7 @@ def _rot90(arr: np.ndarray) -> np.ndarray:
 
 def _speeds(nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     t = _d1(nodes)
-    ell = np.sqrt(np.einsum("ij,ij->i", t, t))
+    ell = np.sqrt(np.einsum("...j,...j->...", t, t))
     if np.any(ell <= _MIN_LENGTH):
         raise DomainError("degenerate segment: vanishing parametric speed")
     return t, ell
@@ -164,12 +164,28 @@ def rod_curvature(curve: RodCurve) -> np.ndarray:
     return _curvature_from_speeds(*_speeds(curve.nodes))
 
 
+def _rod_nodes(vec, n_nodes: int) -> np.ndarray:
+    """Validated (N, 2) node array of a flattened rod with n_nodes nodes."""
+    nodes = _as_nodes(vec)
+    if nodes.shape[0] != n_nodes:
+        raise DomainError(f"expected {n_nodes} nodes, got {nodes.shape[0]}")
+    return nodes
+
+
 class SimplifiedRodEnergy(EnergyModel):
     """Tangential stretching plus linearized bending, analytic gradients.
 
-    Hessians are central differences of the gradients with step
-    ``fd_step``; the induced metric has a closed form and is used by the
-    consistency checks.
+    Hessians are Richardson-extrapolated central differences of the
+    gradients with step ``fd_step``.  Every block is banded: the gradient
+    at node m reads nodes m-2..m+2 only, so the column of a coordinate of
+    node k is zero outside the rows of nodes k-2..k+2.  Columns whose
+    nodes are at least 5 apart (periodic distance) therefore never share
+    a row and are perturbed together.  The N nodes are split into
+    floor(N/5) contiguous arcs of at least 5 nodes each, and a node's
+    color is its position in its arc; a group is one color and one
+    coordinate.  That is at most 12 groups for N >= 20 (10 when 5 divides
+    N), and 2N groups only for N = 8, 9.  The induced metric has a closed
+    form and is used by the consistency checks.
     """
 
     symmetric = False
@@ -179,55 +195,75 @@ class SimplifiedRodEnergy(EnergyModel):
             raise DomainError("a rod needs at least 8 nodes")
         if delta <= 0:
             raise DomainError("thickness delta must be positive")
-        self.n_nodes = int(n_nodes)
+        self.n_nodes = n = int(n_nodes)
         self.delta = float(delta)
-        self.dim = 2 * self.n_nodes
+        self.dim = d = 2 * n
         self._h = float(FdScheme(step=fd_step).step)
 
-    def _nodes(self, vec) -> np.ndarray:
-        nodes = _as_nodes(np.asarray(vec, dtype=float))
-        if nodes.shape[0] != self.n_nodes:
-            raise DomainError(
-                f"expected {self.n_nodes} nodes, got {nodes.shape[0]}"
-            )
-        return nodes
+        # color of node k: its position in its arc; group of column 2k + a:
+        # (color, a)
+        node = np.arange(n)
+        arcs = n // 5
+        starts = node[:arcs] * n // arcs
+        color = node - starts[np.searchsorted(starts, node, side="right") - 1]
+        group = 2 * color[:, None] + np.arange(2)  # (node, coordinate)
+        n_groups = 2 * (int(color.max()) + 1)
+        # unit perturbation of each group, laid out like the sweep's batch
+        # of rods: (node, group, coordinate)
+        self._groups = np.zeros((n, n_groups, 2))
+        self._groups[node[:, None], group, np.arange(2)] = 1.0
+        # rows of column j = 2k + a: both coordinates of nodes k-2..k+2;
+        # entry (row, j) is the derivative of that row w.r.t. group[j]
+        near = (node[:, None] + np.arange(-2, 3)) % n
+        rows = np.repeat((2 * near[:, :, None] + np.arange(2)).reshape(n, 10), 2, axis=0)
+        self._band_dst = (rows * d + np.arange(d)[:, None]).reshape(-1)
+        self._band_src = (rows * n_groups + group.reshape(d, 1)).reshape(-1)
 
-    def _fields(self, x, y):
-        nx = self._nodes(x)
-        ny = self._nodes(y)
+    def _fields(self, nx, ny):
+        """Gradient ingredients of node arrays (N, 2) or (N, B, 2); the
+        node axis leads so that ``_d1``/``_d2`` serve one rod and a batch
+        alike."""
         t, ell = _speeds(nx)
         ty, _ = _speeds(ny)
-        ratio = np.einsum("ij,ij->i", ty, ty) / ell**2
+        ratio = np.einsum("...j,...j->...", ty, ty) / ell**2
         dc = _d2(ny) - _d2(nx)
-        return nx, ny, t, ell, ty, ratio, dc
+        return t, ell, ty, ratio, dc
 
     def w(self, x, y):
-        _, _, _, ell, _, ratio, dc = self._fields(x, y)
+        _, ell, _, ratio, dc = self._fields(
+            _rod_nodes(x, self.n_nodes), _rod_nodes(y, self.n_nodes)
+        )
         h = 1.0 / self.n_nodes
         d = self.delta
         tangential = 0.5 * d * np.sum((1.0 - ratio) ** 2 * ell)
         bending = d**3 * np.sum(np.einsum("ij,ij->i", dc, dc) * ell)
         return float(h * (tangential + bending))
 
-    def grads(self, x, y):
-        _, _, t, ell, ty, ratio, dc = self._fields(x, y)
+    def _grads(self, nx, ny):
+        """Both slot gradients as node arrays, for one rod pair or a batch
+        (shapes as in ``_fields``, broadcast against each other)."""
+        t, ell, ty, ratio, dc = self._fields(nx, ny)
         h = 1.0 / self.n_nodes
         d = self.delta
-        dc_sq = np.einsum("ij,ij->i", dc, dc)
+        dc_sq = np.einsum("...j,...j->...", dc, dc)
 
         # first-slot gradient through t = D1 x and c = D2 x
         p = (
             h
             * (0.5 * d * (1.0 - ratio) ** 2 + 2.0 * d * (1.0 - ratio) * ratio + d**3 * dc_sq)
-        )[:, None] * (t / ell[:, None])
-        q = -2.0 * h * d**3 * ell[:, None] * dc
-        g1 = (-_d1(p) + _d2(q)).reshape(-1)
+        )[..., None] * (t / ell[..., None])
+        q = -2.0 * h * d**3 * ell[..., None] * dc
+        g1 = -_d1(p) + _d2(q)
 
         # second-slot gradient through ty = D1 y and cy = D2 y
-        a = (-2.0 * h * d * (1.0 - ratio) / ell)[:, None] * ty
-        b = 2.0 * h * d**3 * ell[:, None] * dc
-        g2 = (-_d1(a) + _d2(b)).reshape(-1)
+        a = (-2.0 * h * d * (1.0 - ratio) / ell)[..., None] * ty
+        b = 2.0 * h * d**3 * ell[..., None] * dc
+        g2 = -_d1(a) + _d2(b)
         return g1, g2
+
+    def grads(self, x, y):
+        g1, g2 = self._grads(_rod_nodes(x, self.n_nodes), _rod_nodes(y, self.n_nodes))
+        return g1.reshape(-1), g2.reshape(-1)
 
     def grad1(self, x, y):
         return self.grads(x, y)[0]
@@ -239,27 +275,34 @@ class SimplifiedRodEnergy(EnergyModel):
         """Richardson-extrapolated FD Jacobians of both gradients w.r.t.
         one slot (the second-difference stencils amplify truncation error,
         so plain central differences would not reach the consistency
-        tolerances)."""
+        tolerances).
+
+        Each color group is perturbed by +-h and +-h/2 at once, and the
+        4 x groups perturbed rods go through ``_grads`` as one batch.  A
+        row within 2 nodes of a column's node reads only nodes within 4 of
+        it, where no other column of its group is perturbed, so that row
+        sees exactly the per-column perturbation: the banded entries equal
+        the per-column stencil's, and the rest of the block is zero."""
         h = self._h
-        base = np.asarray(x if first else y, dtype=float)
-        d = base.size
-        j1 = np.empty((d, d))
-        j2 = np.empty((d, d))
-
-        def at(offset):
-            p = base + offset
-            return self.grads(p, y) if first else self.grads(x, p)
-
-        for j in range(d):
-            e = np.zeros(d)
-            e[j] = 1.0
-            g1p, g2p = at(h * e)
-            g1m, g2m = at(-h * e)
-            g1p2, g2p2 = at(0.5 * h * e)
-            g1m2, g2m2 = at(-0.5 * h * e)
-            j1[:, j] = (4.0 * (g1p2 - g1m2) / h - (g1p - g1m) / (2.0 * h)) / 3.0
-            j2[:, j] = (4.0 * (g2p2 - g2m2) / h - (g2p - g2m) / (2.0 * h)) / 3.0
-        return j1, j2
+        n, d = self.n_nodes, self.dim
+        nx = _rod_nodes(x, n)
+        ny = _rod_nodes(y, n)
+        steps = np.array([h, -h, 0.5 * h, -0.5 * h])
+        base = nx if first else ny
+        batch = (base[:, None, None] + steps[:, None, None] * self._groups[:, None]).reshape(n, -1, 2)
+        if first:
+            grads = self._grads(batch, ny[:, None])
+        else:
+            grads = self._grads(nx[:, None], batch)
+        jacs = []
+        for g in grads:
+            # (step, row, group) with row = 2 * node + coordinate
+            gp, gm, gp2, gm2 = g.reshape(n, 4, -1, 2).transpose(1, 0, 3, 2).reshape(4, d, -1)
+            deriv = (4.0 * (gp2 - gm2) / h - (gp - gm) / (2.0 * h)) / 3.0
+            jac = np.zeros((d, d))
+            jac.reshape(-1)[self._band_dst] = deriv.reshape(-1)[self._band_src]
+            jacs.append(jac)
+        return tuple(jacs)
 
     def hess_blocks(self, x, y):
         h11, h21 = self._sweep(x, y, first=True)
@@ -281,7 +324,7 @@ class SimplifiedRodEnergy(EnergyModel):
     def metric(self, x):
         """Closed-form metric: 2 delta |v_s . tangent|^2 / |x_s| plus
         delta^3 |v_ss|^2 |x_s|, assembled as a dense matrix."""
-        nx = self._nodes(x)
+        nx = _rod_nodes(x, self.n_nodes)
         t, ell = _speeds(nx)
         unit = t / ell[:, None]
         n = self.n_nodes
@@ -325,15 +368,9 @@ class _FullRodDensity:
         self.n_nodes = int(n_nodes)
         self.delta = float(delta)
 
-    def _nodes(self, vec):
-        nodes = _as_nodes(np.asarray(vec, dtype=float))
-        if nodes.shape[0] != self.n_nodes:
-            raise DomainError(f"expected {self.n_nodes} nodes, got {nodes.shape[0]}")
-        return nodes
-
     def w(self, x, y):
-        nx = self._nodes(x)
-        ny = self._nodes(y)
+        nx = _rod_nodes(x, self.n_nodes)
+        ny = _rod_nodes(y, self.n_nodes)
         t, ell = _speeds(nx)
         ty, elly = _speeds(ny)
         ratio = np.einsum("ij,ij->i", ty, ty) / ell**2
@@ -383,20 +420,23 @@ def save_rod_csv(curve: RodCurve, path) -> None:
 
 
 def load_rod_csv(path) -> RodCurve:
-    """Read a rod; a leading non-numeric row is treated as a header."""
+    """Read a rod; a leading non-numeric row is treated as a header, and
+    every data row must have exactly two fields, x and y."""
     rows = []
     with open(path, "r", encoding="utf-8") as fh:
         for line in fh:
             line = line.strip()
             if not line:
                 continue
-            parts = line.split(",")
             try:
-                rows.append([float(parts[0]), float(parts[1])])
+                values = [float(part) for part in line.split(",")]
             except ValueError:
                 if rows:
                     raise DomainError(f"malformed rod row: {line!r}") from None
                 continue  # header
+            if len(values) != 2:
+                raise DomainError(f"rod row needs 2 fields, got {len(values)}: {line!r}")
+            rows.append(values)
     if not rows:
         raise DomainError("rod file contains no nodes")
     return RodCurve(np.asarray(rows))

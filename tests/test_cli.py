@@ -156,6 +156,10 @@ def test_rod_morph_cli(tmp_path, capsys):
     assert code == 0
     assert (tmp_path / "morph" / "morph_summary.csv").exists()
     assert main(["rod-morph", "--curve-a", str(a), "--curve-b", "missing.csv"]) == 3
+    bad = tmp_path / "bad.csv"
+    bad.write_text("x,y\n1.0,2.0\n3.0\n", encoding="utf-8")
+    assert main(["rod-morph", "--curve-a", str(a), "--curve-b", str(bad)]) == 3
+    assert "2 fields" in capsys.readouterr().err
 
 
 def test_unknown_nested_config_key_exits_3(tmp_path, capsys):

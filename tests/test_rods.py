@@ -158,6 +158,15 @@ def test_degenerate_rod_rejected():
         model.w(good, np.zeros(32))
     with pytest.raises(DomainError):
         rod_energy("cubic", 16, 0.1)
+    # valid rod whose speed at node 2 vanishes once node 3 moves by -fd_step
+    near = circle_rod(16).nodes.copy()
+    near[3] = near[1] + [1e-5, 0.0]
+    near = near.reshape(-1)
+    model.w(near, good)
+    with pytest.raises(DomainError):
+        model.hess_blocks(near, good)
+    with pytest.raises(DomainError):
+        model.hess_blocks(good, near)
 
 
 def test_rod_csv_round_trip(tmp_path):
@@ -176,6 +185,54 @@ def test_rod_csv_round_trip(tmp_path):
     broken.write_text("x,y\n1.0,2.0\noops,3\n", encoding="utf-8")
     with pytest.raises(DomainError):
         load_rod_csv(broken)
+
+
+def test_rod_csv_rejects_wrong_field_count(tmp_path):
+    for body in ("x,y\n1.0,2.0\n3.0\n", "1.0\n2.0,3.0\n", "x,y\n1.0,2.0,0.5\n"):
+        target = tmp_path / "bad.csv"
+        target.write_text(body, encoding="utf-8")
+        with pytest.raises(DomainError, match="2 fields"):
+            load_rod_csv(target)
+
+
+def _per_column_hessians(model, x, y, h):
+    """Dense reference: the Richardson stencil of both gradients, one
+    coordinate column at a time; returns (h11, h12, h21, h22)."""
+    d = x.size
+    out = {}
+    for slot in (1, 2):
+        base = x if slot == 1 else y
+        cols = []
+        for j in range(d):
+            g = []
+            for step in (h, -h, 0.5 * h, -0.5 * h):
+                p = base.copy()
+                p[j] += step
+                g.append(np.concatenate(model.grads(p, y) if slot == 1 else model.grads(x, p)))
+            gp, gm, gp2, gm2 = g
+            cols.append((4.0 * (gp2 - gm2) / h - (gp - gm) / (2.0 * h)) / 3.0)
+        jac = np.stack(cols, axis=1)
+        out[1, slot], out[2, slot] = jac[:d], jac[d:]
+    return out[1, 1], out[1, 2], out[2, 1], out[2, 2]
+
+
+def test_colored_hessian_matches_per_column_reference():
+    rng = np.random.default_rng(13)
+    for n in (8, 11, 19, 64, 128):
+        model = rod_energy("simplified", n, 0.1)
+        x = random_smooth_rod(n, rng).coord
+        y = random_smooth_rod(n, rng, base_radius=1.2, amplitude=0.1).coord
+        blocks = model.hess_blocks(x, y)
+        reference = _per_column_hessians(model, x, y, 1e-5)
+        scale = max(np.max(np.abs(r)) for r in reference)
+        node = np.arange(2 * n) // 2
+        gap = np.abs(node[:, None] - node[None, :])
+        outside = np.minimum(gap, n - gap) > 2
+        for block, ref in zip(blocks, reference):
+            assert np.max(np.abs(block - ref)) <= 1e-9 * scale
+            assert np.all(block[outside] == 0.0)
+        if n >= 64:
+            assert model._groups.shape[1] == 12
 
 
 def test_rod_gauge_pins_interior_means():
