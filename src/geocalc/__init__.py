@@ -64,6 +64,7 @@ from .operators import (
     write_traces_csv,
 )
 from .rods import (
+    FullRodEnergy,
     RodCurve,
     SimplifiedRodEnergy,
     circle_rod,

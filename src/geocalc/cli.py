@@ -257,7 +257,7 @@ def _cmd_consistency(args) -> int:
 
 
 def _cmd_rod_morph(args) -> int:
-    cfg = SolverConfig(newton_tol=args.tol) if args.tol else None
+    cfg = SolverConfig(newton_tol=args.tol) if args.tol is not None else None
     result, written = run_rod_morph(
         args.curve_a,
         args.curve_b,

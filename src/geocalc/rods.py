@@ -11,12 +11,14 @@ thickness delta:
 * simplified: tangential stretching plus linearized bending,
 
       int  delta/2 (1 - |y_s|^2/|x_s|^2)^2 |x_s|
-         + delta^3 |y_ss - x_ss|^2 |x_s|  ds,
+         + delta^3 |y_ss - x_ss|^2 |x_s|  ds;
 
-  with analytic first derivatives and finite-difference Hessians;
 * full: the same tangential density (1 - A)^2 / 2 together with the
-  squared curvature difference delta^3 (kappa[y] - kappa[x])^2 |x_s|,
-  with all derivatives by finite differences.
+  squared curvature difference delta^3 (kappa[y] - kappa[x])^2 |x_s|.
+
+Both have analytic first derivatives (the full rod's by reverse mode
+through the curvature) and Hessians by Richardson differences of the
+gradients, perturbing columns of far-apart nodes together.
 
 Curvature follows kappa = (x_s/|x_s|)_s . (D90 x_s) / |x_s|^2 with D90 the
 counterclockwise quarter turn, so a counterclockwise unit circle has
@@ -30,11 +32,12 @@ removes it.
 
 from __future__ import annotations
 
+from abc import abstractmethod
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DomainError, EnergyModel, FdScheme, as_point, fd_derivatives
+from .core import DomainError, EnergyModel, FdScheme, as_point
 from .geodesic import LinearGauge
 
 __all__ = [
@@ -43,6 +46,7 @@ __all__ = [
     "random_smooth_rod",
     "rod_curvature",
     "SimplifiedRodEnergy",
+    "FullRodEnergy",
     "rod_energy",
     "rod_gauge",
     "load_rod_csv",
@@ -138,8 +142,8 @@ def _d2(arr: np.ndarray) -> np.ndarray:
 
 def _rot90(arr: np.ndarray) -> np.ndarray:
     out = np.empty_like(arr)
-    out[:, 0] = -arr[:, 1]
-    out[:, 1] = arr[:, 0]
+    out[..., 0] = -arr[..., 1]
+    out[..., 1] = arr[..., 0]
     return out
 
 
@@ -152,9 +156,22 @@ def _speeds(nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _curvature_from_speeds(t: np.ndarray, ell: np.ndarray) -> np.ndarray:
-    unit = t / ell[:, None]
-    normal = _rot90(t) / ell[:, None]
-    return np.einsum("ij,ij->i", _d1(unit), normal) / ell
+    """kappa_i = (D1 u)_i . (R t_i) / ell_i^2 with u = t / ell, for speeds
+    of shape (N, 2) or, node axis leading, (N, B, 2)."""
+    unit = t / ell[..., None]
+    normal = _rot90(t) / ell[..., None]
+    return np.einsum("...j,...j->...", _d1(unit), normal) / ell
+
+
+def _curvature_pullback(t: np.ndarray, ell: np.ndarray, kappa: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Gradient of sum_i c_i kappa_i with respect to the speeds t (reverse
+    mode through ``_curvature_from_speeds``; D1^T = -D1 on the periodic
+    grid and R^T = -R)."""
+    unit = t / ell[..., None]
+    scaled = (c / ell**2)[..., None]
+    g_unit = -_d1(scaled * _rot90(t))
+    tangential = g_unit - np.einsum("...j,...j->...", g_unit, unit)[..., None] * unit
+    return tangential / ell[..., None] - scaled * (_rot90(_d1(unit)) + 2.0 * kappa[..., None] * t)
 
 
 def rod_curvature(curve: RodCurve) -> np.ndarray:
@@ -172,23 +189,32 @@ def _rod_nodes(vec, n_nodes: int) -> np.ndarray:
     return nodes
 
 
-class SimplifiedRodEnergy(EnergyModel):
-    """Tangential stretching plus linearized bending, analytic gradients.
+class _RodEnergy(EnergyModel):
+    """Derivatives shared by the rod energies.
 
-    Hessians are Richardson-extrapolated central differences of the
-    gradients with step ``fd_step``.  Every block is banded: the gradient
-    at node m reads nodes m-2..m+2 only, so the column of a coordinate of
-    node k is zero outside the rows of nodes k-2..k+2.  Columns whose
-    nodes are at least 5 apart (periodic distance) therefore never share
-    a row and are perturbed together.  The N nodes are split into
-    floor(N/5) contiguous arcs of at least 5 nodes each, and a node's
-    color is its position in its arc; a group is one color and one
-    coordinate.  That is at most 12 groups for N >= 20 (10 when 5 divides
-    N), and 2N groups only for N = 8, 9.  The induced metric has a closed
-    form and is used by the consistency checks.
+    A subclass supplies ``w``, the stacked gradient kernel ``_grads`` and
+    its gradient reach r: the gradient at node m reads nodes m-r..m+r
+    only.  Hessians are Richardson-extrapolated central differences of the
+    gradients with step ``fd_step``.  Every block is banded: the column of
+    a coordinate of node k is zero outside the rows of nodes k-r..k+r, so
+    columns whose nodes are at least 2r+1 apart (periodic distance) never
+    share a row and are perturbed together.  The N nodes are split into
+    floor(N/(2r+1)) contiguous arcs, at least one, and a node's color is
+    its position in its arc; a group is one color and one coordinate.
     """
 
     symmetric = False
+    _reach: int
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        # each rod class holds the shared methods in its own namespace, so
+        # that instrumentation patching one class's attributes (as
+        # perfbench/tracing.py does) sees every call and leaves the other
+        # rod class alone
+        for name in ("grads", "grad1", "grad2", "hess_blocks", "hess11", "hess12", "hess21", "hess22"):
+            if name not in vars(cls):
+                setattr(cls, name, vars(_RodEnergy)[name])
 
     def __init__(self, n_nodes: int, delta: float = 0.1, fd_step: float = 1e-5):
         if n_nodes < 8:
@@ -202,8 +228,10 @@ class SimplifiedRodEnergy(EnergyModel):
 
         # color of node k: its position in its arc; group of column 2k + a:
         # (color, a)
+        r = self._reach
+        span = 2 * r + 1
         node = np.arange(n)
-        arcs = n // 5
+        arcs = max(n // span, 1)
         starts = node[:arcs] * n // arcs
         color = node - starts[np.searchsorted(starts, node, side="right") - 1]
         group = 2 * color[:, None] + np.arange(2)  # (node, coordinate)
@@ -212,54 +240,20 @@ class SimplifiedRodEnergy(EnergyModel):
         # of rods: (node, group, coordinate)
         self._groups = np.zeros((n, n_groups, 2))
         self._groups[node[:, None], group, np.arange(2)] = 1.0
-        # rows of column j = 2k + a: both coordinates of nodes k-2..k+2;
-        # entry (row, j) is the derivative of that row w.r.t. group[j]
-        near = (node[:, None] + np.arange(-2, 3)) % n
-        rows = np.repeat((2 * near[:, :, None] + np.arange(2)).reshape(n, 10), 2, axis=0)
+        # rows of column j = 2k + a: both coordinates of nodes k-r..k+r (of
+        # every node once, if that window wraps onto itself); entry
+        # (row, j) is the derivative of that row w.r.t. group[j]
+        offsets = np.arange(-r, r + 1) if span <= n else node
+        near = (node[:, None] + offsets) % n
+        rows = np.repeat((2 * near[:, :, None] + np.arange(2)).reshape(n, -1), 2, axis=0)
         self._band_dst = (rows * d + np.arange(d)[:, None]).reshape(-1)
         self._band_src = (rows * n_groups + group.reshape(d, 1)).reshape(-1)
 
-    def _fields(self, nx, ny):
-        """Gradient ingredients of node arrays (N, 2) or (N, B, 2); the
-        node axis leads so that ``_d1``/``_d2`` serve one rod and a batch
-        alike."""
-        t, ell = _speeds(nx)
-        ty, _ = _speeds(ny)
-        ratio = np.einsum("...j,...j->...", ty, ty) / ell**2
-        dc = _d2(ny) - _d2(nx)
-        return t, ell, ty, ratio, dc
-
-    def w(self, x, y):
-        _, ell, _, ratio, dc = self._fields(
-            _rod_nodes(x, self.n_nodes), _rod_nodes(y, self.n_nodes)
-        )
-        h = 1.0 / self.n_nodes
-        d = self.delta
-        tangential = 0.5 * d * np.sum((1.0 - ratio) ** 2 * ell)
-        bending = d**3 * np.sum(np.einsum("ij,ij->i", dc, dc) * ell)
-        return float(h * (tangential + bending))
-
+    @abstractmethod
     def _grads(self, nx, ny):
-        """Both slot gradients as node arrays, for one rod pair or a batch
-        (shapes as in ``_fields``, broadcast against each other)."""
-        t, ell, ty, ratio, dc = self._fields(nx, ny)
-        h = 1.0 / self.n_nodes
-        d = self.delta
-        dc_sq = np.einsum("...j,...j->...", dc, dc)
-
-        # first-slot gradient through t = D1 x and c = D2 x
-        p = (
-            h
-            * (0.5 * d * (1.0 - ratio) ** 2 + 2.0 * d * (1.0 - ratio) * ratio + d**3 * dc_sq)
-        )[..., None] * (t / ell[..., None])
-        q = -2.0 * h * d**3 * ell[..., None] * dc
-        g1 = -_d1(p) + _d2(q)
-
-        # second-slot gradient through ty = D1 y and cy = D2 y
-        a = (-2.0 * h * d * (1.0 - ratio) / ell)[..., None] * ty
-        b = 2.0 * h * d**3 * ell[..., None] * dc
-        g2 = -_d1(a) + _d2(b)
-        return g1, g2
+        """Both slot gradients as node arrays, for one rod pair (N, 2) or a
+        batch (N, B, 2); the node axis leads so that ``_d1``/``_d2`` serve
+        both, and the two arguments broadcast against each other."""
 
     def grads(self, x, y):
         g1, g2 = self._grads(_rod_nodes(x, self.n_nodes), _rod_nodes(y, self.n_nodes))
@@ -279,7 +273,7 @@ class SimplifiedRodEnergy(EnergyModel):
 
         Each color group is perturbed by +-h and +-h/2 at once, and the
         4 x groups perturbed rods go through ``_grads`` as one batch.  A
-        row within 2 nodes of a column's node reads only nodes within 4 of
+        row within r nodes of a column's node reads only nodes within 2r of
         it, where no other column of its group is perturbed, so that row
         sees exactly the per-column perturbation: the banded entries equal
         the per-column stencil's, and the rest of the block is zero."""
@@ -321,6 +315,57 @@ class SimplifiedRodEnergy(EnergyModel):
     def hess22(self, x, y):
         return self._sweep(x, y, first=False)[1]
 
+
+class SimplifiedRodEnergy(_RodEnergy):
+    """Tangential stretching plus linearized bending, analytic gradients.
+
+    The gradient at node m reads nodes m-2..m+2, so Hessian columns of
+    nodes at least 5 apart are perturbed together: at most 12 groups for
+    N >= 20 (10 when 5 divides N), and 2N groups only for N = 8, 9.  The
+    induced metric has a closed form and is used by the consistency
+    checks.
+    """
+
+    _reach = 2
+
+    def _fields(self, nx, ny):
+        """Gradient ingredients of node arrays laid out as in ``_grads``."""
+        t, ell = _speeds(nx)
+        ty, _ = _speeds(ny)
+        ratio = np.einsum("...j,...j->...", ty, ty) / ell**2
+        dc = _d2(ny) - _d2(nx)
+        return t, ell, ty, ratio, dc
+
+    def w(self, x, y):
+        _, ell, _, ratio, dc = self._fields(
+            _rod_nodes(x, self.n_nodes), _rod_nodes(y, self.n_nodes)
+        )
+        h = 1.0 / self.n_nodes
+        d = self.delta
+        tangential = 0.5 * d * np.sum((1.0 - ratio) ** 2 * ell)
+        bending = d**3 * np.sum(np.einsum("ij,ij->i", dc, dc) * ell)
+        return float(h * (tangential + bending))
+
+    def _grads(self, nx, ny):
+        t, ell, ty, ratio, dc = self._fields(nx, ny)
+        h = 1.0 / self.n_nodes
+        d = self.delta
+        dc_sq = np.einsum("...j,...j->...", dc, dc)
+
+        # first-slot gradient through t = D1 x and c = D2 x
+        p = (
+            h
+            * (0.5 * d * (1.0 - ratio) ** 2 + 2.0 * d * (1.0 - ratio) * ratio + d**3 * dc_sq)
+        )[..., None] * (t / ell[..., None])
+        q = -2.0 * h * d**3 * ell[..., None] * dc
+        g1 = -_d1(p) + _d2(q)
+
+        # second-slot gradient through ty = D1 y and cy = D2 y
+        a = (-2.0 * h * d * (1.0 - ratio) / ell)[..., None] * ty
+        b = 2.0 * h * d**3 * ell[..., None] * dc
+        g2 = -_d1(a) + _d2(b)
+        return g1, g2
+
     def metric(self, x):
         """Closed-form metric: 2 delta |v_s . tangent|^2 / |x_s| plus
         delta^3 |v_ss|^2 |x_s|, assembled as a dense matrix."""
@@ -358,29 +403,56 @@ def _block_diag(blocks):
     return out
 
 
-class _FullRodDensity:
-    """Energy-only full rod model: exact tangential density plus squared
-    curvature difference; derivatives are added by finite differences."""
+class FullRodEnergy(_RodEnergy):
+    """Tangential stretching plus the squared curvature difference,
+    analytic gradients.
 
-    symmetric = False
+    Curvature at node i reads nodes i-2..i+2, so the gradient at node m
+    reads nodes m-4..m+4 and Hessian columns of nodes at least 9 apart are
+    perturbed together: 2N groups up to N = 17, fewer from N = 18 on (at
+    most 26, and 20 for N = 64, 128).  The metric is half the symmetrized
+    hess22 on the diagonal.
+    """
 
-    def __init__(self, n_nodes: int, delta: float):
-        self.n_nodes = int(n_nodes)
-        self.delta = float(delta)
+    _reach = 4
 
-    def w(self, x, y):
-        nx = _rod_nodes(x, self.n_nodes)
-        ny = _rod_nodes(y, self.n_nodes)
+    def _fields(self, nx, ny):
         t, ell = _speeds(nx)
         ty, elly = _speeds(ny)
-        ratio = np.einsum("ij,ij->i", ty, ty) / ell**2
+        ratio = np.einsum("...j,...j->...", ty, ty) / ell**2
         kx = _curvature_from_speeds(t, ell)
         ky = _curvature_from_speeds(ty, elly)
+        return t, ell, ty, elly, ratio, kx, ky
+
+    def w(self, x, y):
+        _, ell, _, _, ratio, kx, ky = self._fields(
+            _rod_nodes(x, self.n_nodes), _rod_nodes(y, self.n_nodes)
+        )
         h = 1.0 / self.n_nodes
         d = self.delta
         tangential = d * np.sum(0.5 * (1.0 - ratio) ** 2 * ell)
         bending = d**3 * np.sum((ky - kx) ** 2 * ell)
         return float(h * (tangential + bending))
+
+    def _grads(self, nx, ny):
+        t, ell, ty, elly, ratio, kx, ky = self._fields(nx, ny)
+        h = 1.0 / self.n_nodes
+        d = self.delta
+        dk = ky - kx
+
+        # first slot: the densities' dependence on ell = |t| as in the
+        # simplified rod, then kx's on t; g = D1^T (dW/dt) = -D1 (dW/dt)
+        p = (
+            h
+            * (0.5 * d * (1.0 - ratio) ** 2 + 2.0 * d * (1.0 - ratio) * ratio + d**3 * dk**2)
+        )[..., None] * (t / ell[..., None])
+        c = 2.0 * h * d**3 * dk * ell  # dW/dky = -dW/dkx
+        g1 = -_d1(p - _curvature_pullback(t, ell, kx, c))
+
+        # second slot: the tangential density through ty, then ky's on ty
+        a = (-2.0 * h * d * (1.0 - ratio) / ell)[..., None] * ty
+        g2 = -_d1(a + _curvature_pullback(ty, elly, ky, c))
+        return g1, g2
 
 
 def rod_energy(kind: str, n_nodes: int, delta: float = 0.1, fd_step: float = 1e-5) -> EnergyModel:
@@ -388,11 +460,7 @@ def rod_energy(kind: str, n_nodes: int, delta: float = 0.1, fd_step: float = 1e-
     if kind == "simplified":
         return SimplifiedRodEnergy(n_nodes, delta, fd_step)
     if kind == "full":
-        model = fd_derivatives(_FullRodDensity(n_nodes, delta), FdScheme(step=fd_step))
-        model.n_nodes = int(n_nodes)
-        model.delta = float(delta)
-        model.dim = 2 * int(n_nodes)
-        return model
+        return FullRodEnergy(n_nodes, delta, fd_step)
     raise DomainError(f"unknown rod energy kind {kind!r}")
 
 

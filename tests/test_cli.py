@@ -160,6 +160,12 @@ def test_rod_morph_cli(tmp_path, capsys):
     bad.write_text("x,y\n1.0,2.0\n3.0\n", encoding="utf-8")
     assert main(["rod-morph", "--curve-a", str(a), "--curve-b", str(bad)]) == 3
     assert "2 fields" in capsys.readouterr().err
+    for tol in ("0", "-1"):
+        assert main(["rod-morph", "--curve-a", str(a), "--curve-b", str(b), "--tol", tol]) == 3
+        assert "newton_tol must be positive" in capsys.readouterr().err
+    code = main(["rod-morph", "--curve-a", str(a), "--curve-b", str(b), "--K", "4", "--kind", "full"])
+    assert code == 0
+    assert "kind=full converged=True" in capsys.readouterr().out
 
 
 def test_unknown_nested_config_key_exits_3(tmp_path, capsys):

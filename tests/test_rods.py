@@ -14,7 +14,8 @@ from geocalc import (
     save_rod_csv,
     solve_geodesic,
 )
-from geocalc.core import fd_gradient
+from geocalc.core import FdScheme, fd_derivatives, fd_gradient
+from geocalc.harness import run_rod_morph
 
 
 def ellipse_rod(n, a, b):
@@ -119,6 +120,19 @@ def test_simplified_gradients_match_fd():
     assert np.max(np.abs(g2 - g2_fd)) <= 1e-8
 
 
+def test_full_gradients_match_fd():
+    rng = np.random.default_rng(53)
+    for n in (8, 16, 32):
+        model = rod_energy("full", n, 0.1)
+        x = random_smooth_rod(n, rng).coord
+        y = random_smooth_rod(n, rng, base_radius=1.2, amplitude=0.1).coord
+        g1, g2 = model.grads(x, y)
+        g1_fd = fd_gradient(lambda p: model.w(p, y), x, 1e-6)
+        g2_fd = fd_gradient(lambda p: model.w(x, p), y, 1e-6)
+        assert np.max(np.abs(g1 - g1_fd)) <= 1e-8
+        assert np.max(np.abs(g2 - g2_fd)) <= 1e-8
+
+
 def test_simplified_consistency_random_rods():
     model = rod_energy("simplified", 16, 0.1)
     rng = np.random.default_rng(61)
@@ -150,23 +164,24 @@ def test_full_random_consistency_bulk():
 
 
 def test_degenerate_rod_rejected():
-    model = rod_energy("simplified", 16, 0.1)
     good = circle_rod(16).coord
-    with pytest.raises(DomainError):
-        model.w(np.zeros(32), good)
-    with pytest.raises(DomainError):
-        model.w(good, np.zeros(32))
     with pytest.raises(DomainError):
         rod_energy("cubic", 16, 0.1)
     # valid rod whose speed at node 2 vanishes once node 3 moves by -fd_step
     near = circle_rod(16).nodes.copy()
     near[3] = near[1] + [1e-5, 0.0]
     near = near.reshape(-1)
-    model.w(near, good)
-    with pytest.raises(DomainError):
-        model.hess_blocks(near, good)
-    with pytest.raises(DomainError):
-        model.hess_blocks(good, near)
+    for kind in ("simplified", "full"):
+        model = rod_energy(kind, 16, 0.1)
+        with pytest.raises(DomainError):
+            model.w(np.zeros(32), good)
+        with pytest.raises(DomainError):
+            model.w(good, np.zeros(32))
+        model.w(near, good)
+        with pytest.raises(DomainError):
+            model.hess_blocks(near, good)
+        with pytest.raises(DomainError):
+            model.hess_blocks(good, near)
 
 
 def test_rod_csv_round_trip(tmp_path):
@@ -216,23 +231,44 @@ def _per_column_hessians(model, x, y, h):
     return out[1, 1], out[1, 2], out[2, 1], out[2, 2]
 
 
+def _colored_blocks_and_reference(kind, n, rng):
+    """Colored blocks and the per-column reference at random x != y; checks
+    that they agree and that entries outside the model's band are zero."""
+    model = rod_energy(kind, n, 0.1)
+    x = random_smooth_rod(n, rng).coord
+    y = random_smooth_rod(n, rng, base_radius=1.2, amplitude=0.1).coord
+    blocks = model.hess_blocks(x, y)
+    reference = _per_column_hessians(model, x, y, 1e-5)
+    scale = max(np.max(np.abs(r)) for r in reference)
+    node = np.arange(2 * n) // 2
+    gap = np.abs(node[:, None] - node[None, :])
+    outside = np.minimum(gap, n - gap) > model._reach
+    for block, ref in zip(blocks, reference):
+        assert np.max(np.abs(block - ref)) <= 1e-9 * scale
+        assert np.all(block[outside] == 0.0)
+    return model, x, y, blocks, scale
+
+
 def test_colored_hessian_matches_per_column_reference():
     rng = np.random.default_rng(13)
     for n in (8, 11, 19, 64, 128):
-        model = rod_energy("simplified", n, 0.1)
-        x = random_smooth_rod(n, rng).coord
-        y = random_smooth_rod(n, rng, base_radius=1.2, amplitude=0.1).coord
-        blocks = model.hess_blocks(x, y)
-        reference = _per_column_hessians(model, x, y, 1e-5)
-        scale = max(np.max(np.abs(r)) for r in reference)
-        node = np.arange(2 * n) // 2
-        gap = np.abs(node[:, None] - node[None, :])
-        outside = np.minimum(gap, n - gap) > 2
-        for block, ref in zip(blocks, reference):
-            assert np.max(np.abs(block - ref)) <= 1e-9 * scale
-            assert np.all(block[outside] == 0.0)
+        model, *_ = _colored_blocks_and_reference("simplified", n, rng)
         if n >= 64:
             assert model._groups.shape[1] == 12
+
+
+def test_full_colored_hessian_matches_per_column_reference():
+    rng = np.random.default_rng(17)
+    for n in (8, 9, 16, 18, 27, 32, 64):
+        model, x, y, blocks, scale = _colored_blocks_and_reference("full", n, rng)
+        n_groups = model._groups.shape[1]
+        assert n_groups == 2 * n if n <= 17 else n_groups < 2 * n
+        if n <= 9:
+            # the energy-only finite-difference scheme the full rod used to
+            # be differentiated with (O(d^2) calls of w, so small N only)
+            old = fd_derivatives(model, FdScheme(step=1e-5)).hess_blocks(x, y)
+            for block, ref in zip(blocks, old):
+                assert np.max(np.abs(block - ref)) <= 1e-6 * scale
 
 
 def test_rod_gauge_pins_interior_means():
@@ -257,5 +293,13 @@ def test_rod_morph_energy_equidistributes():
     b = circle_rod(32, 1.2).coord
     res = solve_geodesic(a, b, 4, model, gauge=rod_gauge(a, b, 4))
     assert res.converged
+    segments = [4 * model.w(res.path[k - 1], res.path[k]) for k in range(1, 5)]
+    assert max(segments) / min(segments) <= 1.1
+
+
+def test_full_rod_morph_converges_and_equidistributes():
+    res, _ = run_rod_morph(circle_rod(16), circle_rod(16, 1.2), 4, kind="full")
+    assert res.converged
+    model = rod_energy("full", 16, 0.1)
     segments = [4 * model.w(res.path[k - 1], res.path[k]) for k in range(1, 5)]
     assert max(segments) / min(segments) <= 1.1
