@@ -12,6 +12,7 @@ import json
 import os
 import re
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -124,13 +125,22 @@ def _study_config(args) -> StudyConfig:
         hi = args.k_max if args.k_max is not None else max(cfg.k_exponents)
         updates["k_exponents"] = tuple(range(lo, hi + 1))
     if getattr(args, "tol", None) is not None:
-        updates["solver"] = SolverConfig(newton_tol=args.tol)
-        updates["op_config"] = OpConfig(solver=SolverConfig(newton_tol=args.tol))
+        # override the tolerance alone; the config's other settings stand
+        updates["solver"] = replace(cfg.solver, newton_tol=args.tol)
+        updates["op_config"] = replace(
+            cfg.op_config, solver=replace(cfg.op_config.solver, newton_tol=args.tol)
+        )
     if updates:
-        from dataclasses import replace
-
         cfg = replace(cfg, **updates)
     return cfg
+
+
+def _steps(args) -> int:
+    """The --K step count, 16 when it is not given; below 1 is invalid input."""
+    K = 16 if args.K is None else args.K
+    if K < 1:
+        raise DomainError(f"K must be at least 1, got {K}")
+    return K
 
 
 def _point_pair(cfg):
@@ -143,7 +153,7 @@ def _cmd_geodesic(args) -> int:
         raise ConfigError("rod geodesics run through the rod-morph subcommand")
     backend = build_backend(cfg.model)
     xa, xb = _point_pair(cfg)
-    K = args.K or 16
+    K = _steps(args)
     res = solve_geodesic_constrained(xa, xb, K, backend.model, backend.constraint, cfg.solver)
     print(
         f"geodesic model={cfg.model} K={K} converged={res.converged} "
@@ -166,7 +176,7 @@ def _cmd_log(args) -> int:
         raise ConfigError("rod logarithms are not exposed on the CLI")
     backend = build_backend(cfg.model)
     xa, xb = _point_pair(cfg)
-    K = args.K or 16
+    K = _steps(args)
     zeta = discrete_log(xa, xb, K, backend.model, cfg.op_config, backend.constraint)
     print(f"log model={cfg.model} K={K}")
     print("zeta      = " + ",".join(repr(float(v)) for v in zeta))
@@ -182,7 +192,7 @@ def _cmd_exp(args) -> int:
         raise ConfigError("exp requires --zeta")
     backend = build_backend(cfg.model)
     xa = np.asarray(cfg.xa, dtype=float)
-    K = args.K or 16
+    K = _steps(args)
     endpoint = discrete_exp(
         xa, np.asarray(args.zeta, float), K, backend.model, cfg.op_config, backend.constraint
     )
@@ -197,7 +207,7 @@ def _cmd_transport(args) -> int:
         raise ConfigError("rod transport is not exposed on the CLI")
     backend = build_backend(cfg.model)
     xa, xb = _point_pair(cfg)
-    K = args.K or 16
+    K = _steps(args)
     res = solve_geodesic_constrained(xa, xb, K, backend.model, backend.constraint, cfg.solver)
     if not res.converged:
         raise SolverError("geodesic solve did not converge", residual=res.residual)

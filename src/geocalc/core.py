@@ -138,6 +138,14 @@ def as_path(path) -> DiscretePath:
     return DiscretePath(np.asarray(path, dtype=float))
 
 
+# each stacked method and the per-point methods it must agree with
+_STACKED = {
+    "w_stacked": ("w",),
+    "grads_stacked": ("grads", "grad1", "grad2"),
+    "hess_blocks_stacked": ("hess_blocks", "hess11", "hess12", "hess21", "hess22"),
+}
+
+
 class EnergyModel(ABC):
     """Two-point deformation energy with gradient and Hessian access.
 
@@ -146,9 +154,25 @@ class EnergyModel(ABC):
     than return NaN.  ``symmetric`` declares ``w(x, y) == w(y, x)``.
     Instances are immutable after construction and safe to evaluate
     concurrently.
+
+    Stacked evaluation: ``w_stacked``, ``grads_stacked`` and
+    ``hess_blocks_stacked`` take the starts ``xs`` and ends ``ys`` of n
+    segments, arrays of shape (n, d), and return what ``w``, ``grads`` and
+    ``hess_blocks`` return for each segment, stacked along a leading axis:
+    shape (n,), two arrays (n, d), and four arrays (n, d, d).  They check
+    the whole stack once.  The defaults here loop over the per-point
+    methods; a model overrides them with one array evaluation of the same
+    formulas.  A subclass that redefines a per-point method but not the
+    matching stacked one gets the loop back, so its override is honoured.
     """
 
     symmetric: bool = False
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        for stacked, per_point in _STACKED.items():
+            if stacked not in vars(cls) and any(name in vars(cls) for name in per_point):
+                setattr(cls, stacked, vars(EnergyModel)[stacked])
 
     @abstractmethod
     def w(self, x: np.ndarray, y: np.ndarray) -> float: ...
@@ -183,6 +207,27 @@ class EnergyModel(ABC):
             self.hess21(x, y),
             self.hess22(x, y),
         )
+
+    def w_stacked(self, xs, ys) -> np.ndarray:
+        """``w`` of each segment (xs[i], ys[i]), shape (n,)."""
+        return np.array([float(self.w(x, y)) for x, y in zip(xs, ys)])
+
+    def grads_stacked(self, xs, ys):
+        """``grads`` of each segment, two arrays of shape (n, d)."""
+        n, d = np.shape(xs)
+        g1, g2 = np.empty((n, d)), np.empty((n, d))
+        for i in range(n):
+            g1[i], g2[i] = self.grads(xs[i], ys[i])
+        return g1, g2
+
+    def hess_blocks_stacked(self, xs, ys):
+        """``hess_blocks`` of each segment, four arrays of shape (n, d, d)."""
+        n, d = np.shape(xs)
+        blocks = np.empty((4, n, d, d))
+        for i in range(n):
+            for out, h in zip(blocks, self.hess_blocks(xs[i], ys[i])):
+                out[i] = h
+        return tuple(blocks)
 
     def metric(self, x) -> np.ndarray:
         """Induced metric g_x; overridden by models with a closed form."""

@@ -17,6 +17,15 @@ A_kk = hess22(x_{k-1}, x_k) + hess11(x_k, x_{k+1}) - sum_i mu_k,i hess c_i,
 A_k,k-1 = hess21(x_{k-1}, x_k), A_k,k+1 = hess12(x_k, x_{k+1}), bordered by
 J_k; the linear solves use block Thomas elimination with dense pivots.
 
+The residual and the Jacobian are built from arrays: each Newton step
+makes one stacked ``grads_stacked`` call over all K segments per residual
+and one ``hess_blocks_stacked`` call over the K-2 inner segments, plus
+``hess22`` of the first segment and ``hess11`` of the last, the only blocks
+of the end segments the system reads.  Path energies and lengths come
+from one ``w_stacked`` call.  Models without native stacked methods, and
+subclasses that redefine a per-point method, are evaluated by the
+per-segment loop of ``core.EnergyModel``.
+
 The same kernel at K = 2 is the two-point logarithm ``operators.log2``
 (whose endpoints may lie off the level set), and the single Newton loop
 here also drives the other inner solves of ``operators``.
@@ -122,31 +131,40 @@ class GeodesicResult:
     multipliers: np.ndarray | None = None
 
 
+def _segment_w(model, pts) -> np.ndarray:
+    """w(x_{k-1}, x_k) of every segment k = 1..K of ``pts``, one stacked call.
+
+    On a DomainError the segments are evaluated one by one to name the
+    first inadmissible one.
+    """
+    try:
+        return np.asarray(model.w_stacked(pts[:-1], pts[1:]), dtype=float)
+    except DomainError:
+        for k in range(1, len(pts)):
+            try:
+                model.w(pts[k - 1], pts[k])
+            except DomainError as err:
+                raise DomainError(f"segment {k}: {err}") from err
+        raise
+
+
+def _length(ws) -> float:
+    negative = np.flatnonzero(ws < -1e-12)
+    if negative.size:
+        k = int(negative[0])
+        raise InvariantViolation(f"w < 0 on segment {k + 1}: {ws[k]}")
+    return float(np.sum(np.sqrt(np.maximum(ws, 0.0))))
+
+
 def discrete_energy(path, model) -> float:
     """Discrete path energy K * sum_k w(x_{k-1}, x_k)."""
     path = as_path(path)
-    total = 0.0
-    for k in range(1, len(path)):
-        try:
-            total += float(model.w(path[k - 1], path[k]))
-        except DomainError as err:
-            raise DomainError(f"segment {k}: {err}") from err
-    return path.step_count * total
+    return path.step_count * float(np.sum(_segment_w(model, path.points)))
 
 
 def discrete_length(path, model) -> float:
     """Discrete path length sum_k sqrt(w(x_{k-1}, x_k))."""
-    path = as_path(path)
-    total = 0.0
-    for k in range(1, len(path)):
-        try:
-            wk = float(model.w(path[k - 1], path[k]))
-        except DomainError as err:
-            raise DomainError(f"segment {k}: {err}") from err
-        if wk < -1e-12:
-            raise InvariantViolation(f"w < 0 on segment {k}: {wk}")
-        total += float(np.sqrt(max(wk, 0.0)))
-    return total
+    return _length(_segment_w(model, as_path(path).points))
 
 
 def el_residual(path, model) -> np.ndarray:
@@ -162,13 +180,8 @@ def el_residual(path, model) -> np.ndarray:
 
 
 def _el_rows(model, pts) -> np.ndarray:
-    K = len(pts) - 1
-    out = np.empty((K - 1, pts.shape[1]))
-    for k in range(1, K):
-        out[k - 1] = np.asarray(model.grad2(pts[k - 1], pts[k])) + np.asarray(
-            model.grad1(pts[k], pts[k + 1])
-        )
-    return out
+    g1, g2 = model.grads_stacked(pts[:-1], pts[1:])
+    return g2[:-1] + g1[1:]
 
 
 def _sup(a) -> float:
@@ -224,24 +237,25 @@ def _newton(residual, step, z0, cfg: SolverConfig, context: str):
 def _block_thomas(lower, diag, upper, rhs) -> np.ndarray:
     """Solve a block tridiagonal system by forward elimination.
 
-    ``lower[i]`` couples row i to block i-1 (ignored for i = 0), ``upper[i]``
-    couples row i to block i+1 (ignored for the last row).
+    ``diag`` has shape (n, b, b) and ``rhs`` (n, b); ``lower`` and ``upper``
+    have shape (n-1, b, b): ``lower[i]`` couples row i+1 to block i, and
+    ``upper[i]`` couples row i to block i+1.
     """
-    n = len(diag)
-    b = rhs[0].shape[0]
-    cprime = [None] * n
-    dprime = [None] * n
-    cprime[0] = np.linalg.solve(diag[0], upper[0]) if n > 1 else None
-    dprime[0] = np.linalg.solve(diag[0], rhs[0])
+    n, b = rhs.shape
+    # row i of the eliminated system reads x_i + C_i x_{i+1} = d_i, and
+    # cd[i] holds [C_i | d_i]; one solve per pivot gives both
+    cd = np.zeros((n, b, b + 1))
+    cd[:-1, :, :b] = upper
+    cd[:, :, b] = rhs
+    cd[0] = np.linalg.solve(diag[0], cd[0])
     for i in range(1, n):
-        m = diag[i] - lower[i] @ cprime[i - 1]
-        if i < n - 1:
-            cprime[i] = np.linalg.solve(m, upper[i])
-        dprime[i] = np.linalg.solve(m, rhs[i] - lower[i] @ dprime[i - 1])
+        coupled = lower[i - 1] @ cd[i - 1]
+        cd[i, :, b] -= coupled[:, b]
+        cd[i] = np.linalg.solve(diag[i] - coupled[:, :b], cd[i])
     sol = np.empty((n, b))
-    sol[n - 1] = dprime[n - 1]
+    sol[n - 1] = cd[n - 1, :, b]
     for i in range(n - 2, -1, -1):
-        sol[i] = dprime[i] - cprime[i] @ sol[i + 1]
+        sol[i] = cd[i, :, b] - cd[i, :, :b] @ sol[i + 1]
     return sol
 
 
@@ -280,33 +294,6 @@ def _constraint_view(constraint, K: int, d: int) -> _Constraint:
     )
 
 
-def _bordered(a, left, right):
-    """Newton block [[a, -left^T], [right, 0]] for c = len(right) constraint rows."""
-    c = len(right)
-    if not c:
-        return a
-    d = len(a)
-    out = np.zeros((d + c, d + c))
-    out[:d, :d] = a
-    out[:d, d:] = -left.T
-    out[d:, :d] = right
-    return out
-
-
-def _segment_blocks(model, pts):
-    """Hessian blocks (h11, h12, h21, h22) of every segment that the system reads.
-
-    Block Thomas reads only h22 of the first segment and h11 of the last, so
-    those two are evaluated alone and the other entries are None.
-    """
-    K = len(pts) - 1
-    return (
-        [(None, None, None, model.hess22(pts[0], pts[1]))]
-        + [model.hess_blocks(pts[j - 1], pts[j]) for j in range(2, K)]
-        + [(model.hess11(pts[K - 1], pts[K]), None, None, None)]
-    )
-
-
 def _solve_path(pts, model, constraint, cfg: SolverConfig, context: str):
     """Newton solve for the interior points of ``pts`` (shape (K+1, d), K >= 2).
 
@@ -317,7 +304,7 @@ def _solve_path(pts, model, constraint, cfg: SolverConfig, context: str):
     K, d = len(pts) - 1, pts.shape[1]
     view = _constraint_view(constraint, K, d)
     c = view.c
-    zero = np.zeros((c, d))
+    b = d + c
 
     # z holds the path and the multipliers, one row per point; Newton
     # corrections of the endpoint rows are zero
@@ -326,22 +313,37 @@ def _solve_path(pts, model, constraint, cfg: SolverConfig, context: str):
         rows = _el_rows(model, x)
         if not c:
             return rows
-        out = np.empty((K - 1, d + c))
+        out = np.empty((K - 1, b))
         for k in range(1, K):
             out[k - 1, :d] = rows[k - 1] - z[k, d:] @ view.jac(x[k])
             out[k - 1, d:] = view.values(k, x[k])
         return out
 
     def step(z, r):
+        # segment k joins x_{k-1} and x_k, and row k - 1 of the block arrays
+        # belongs to the interior point x_k.  Block Thomas reads only
+        # hess22 of the first segment and hess11 of the last, so those two
+        # are evaluated alone, and the K-2 inner segments in one stacked
+        # call.  The energy blocks fill the top left d x d of each block.
         x = z[:, :d]
-        seg = _segment_blocks(model, x)
-        diag, lower, upper = [], [], []
-        for k in range(1, K):
-            a = np.asarray(seg[k - 1][3]) + np.asarray(seg[k][0]) - view.hess(x[k], z[k, d:])
-            jac = view.jac(x[k])
-            diag.append(_bordered(a, jac, jac))
-            lower.append(_bordered(seg[k - 1][2], zero, zero) if k > 1 else None)
-            upper.append(_bordered(seg[k][1], zero, zero) if k < K - 1 else None)
+        diag = np.zeros((K - 1, b, b))
+        lower = np.zeros((K - 2, b, b))
+        upper = np.zeros((K - 2, b, b))
+        a = diag[:, :d, :d]
+        a[0] = model.hess22(x[0], x[1])
+        if K > 2:
+            h11, h12, h21, h22 = model.hess_blocks_stacked(x[1 : K - 1], x[2:K])
+            a[1:] = h22
+            a[:-1] += h11
+            lower[:, :d, :d] = h21
+            upper[:, :d, :d] = h12
+        a[-1] += model.hess11(x[K - 1], x[K])
+        if c:
+            for k in range(1, K):
+                jac = view.jac(x[k])
+                a[k - 1] -= view.hess(x[k], z[k, d:])
+                diag[k - 1, :d, d:] = -jac.T
+                diag[k - 1, d:, :d] = jac
         delta = np.zeros_like(z)
         delta[1:K] = _block_thomas(lower, diag, upper, r)
         return delta
@@ -357,10 +359,11 @@ def _linear_init(xa, xb, K):
 
 def _result(model, pts, residual, iterations, converged, multipliers=None):
     path = DiscretePath(pts)
+    ws = _segment_w(model, path.points)
     return GeodesicResult(
         path=path,
-        energy=discrete_energy(path, model),
-        length=discrete_length(path, model),
+        energy=path.step_count * float(np.sum(ws)),
+        length=_length(ws),
         residual=residual,
         iterations=iterations,
         converged=converged,

@@ -363,6 +363,8 @@ def run_consistency_audit(
     delta: float = 0.1,
 ) -> AuditReport:
     """check_consistency at random admissible points of a named backend."""
+    if samples < 1:
+        raise ConfigError(f"samples must be at least 1, got {samples}")
     backend = build_backend(model_name, n_nodes=n_nodes, delta=delta)
     if tol is None:
         tol = backend.default_tol

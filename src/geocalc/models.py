@@ -41,32 +41,68 @@ __all__ = [
 _POLE_TOL = 1e-8
 
 
+def _sq(v):
+    """|v|^2 over the last axis, kept as an axis of length 1."""
+    return (v * v).sum(-1, keepdims=True)
+
+
 class FlatEnergy(EnergyModel):
-    """w(x, y) = |y - x|^2 with exact derivatives; any dimension."""
+    """w(x, y) = |y - x|^2 with exact derivatives; any dimension.
+
+    The formulas take one point pair of shape (d,) or a stack of shape
+    (n, d); the per-point and the stacked methods share them.
+    """
 
     symmetric = True
 
+    @staticmethod
+    def _pair(x, y):
+        return np.asarray(x, float), np.asarray(y, float)
+
+    @staticmethod
+    def _w(x, y):
+        return _sq(y - x)[..., 0]
+
+    @staticmethod
+    def _grads(x, y):
+        g2 = 2.0 * (y - x)
+        return -g2, g2
+
+    @staticmethod
+    def _eye(x, scale):
+        """scale * I for each point of x, shape (..., d, d)."""
+        return scale * np.eye(x.shape[-1]) * np.ones(x.shape[:-1] + (1, 1))
+
     def w(self, x, y):
-        diff = np.asarray(y, float) - np.asarray(x, float)
-        return float(diff @ diff)
+        return float(self._w(*self._pair(x, y)))
 
     def grad1(self, x, y):
-        return -2.0 * (np.asarray(y, float) - np.asarray(x, float))
+        return self._grads(*self._pair(x, y))[0]
 
     def grad2(self, x, y):
-        return 2.0 * (np.asarray(y, float) - np.asarray(x, float))
+        return self._grads(*self._pair(x, y))[1]
 
     def hess11(self, x, y):
-        return 2.0 * np.eye(np.asarray(x).size)
+        return self._eye(self._pair(x, y)[0], 2.0)
 
     def hess22(self, x, y):
-        return 2.0 * np.eye(np.asarray(x).size)
+        return self._eye(self._pair(x, y)[0], 2.0)
 
     def hess12(self, x, y):
-        return -2.0 * np.eye(np.asarray(x).size)
+        return self._eye(self._pair(x, y)[0], -2.0)
 
     def hess21(self, x, y):
-        return -2.0 * np.eye(np.asarray(x).size)
+        return self._eye(self._pair(x, y)[0], -2.0)
+
+    def w_stacked(self, xs, ys):
+        return self._w(*self._pair(xs, ys))
+
+    def grads_stacked(self, xs, ys):
+        return self._grads(*self._pair(xs, ys))
+
+    def hess_blocks_stacked(self, xs, ys):
+        xs = self._pair(xs, ys)[0]
+        return self._eye(xs, 2.0), self._eye(xs, -2.0), self._eye(xs, -2.0), self._eye(xs, 2.0)
 
     def metric(self, x):
         return np.eye(np.asarray(x).size)
@@ -76,82 +112,125 @@ def flat_energy() -> FlatEnergy:
     return FlatEnergy()
 
 
+_EYE2 = np.eye(2)
+
+
+def _outer(a, b):
+    return a[..., :, None] * b[..., None, :]
+
+
 def _conformal_factor(x):
-    s = float(x @ x)
-    return 4.0 / (1.0 + s) ** 2
+    """c(x) = 4 / (1 + |x|^2)^2, with an axis of length 1."""
+    return 4.0 / (1.0 + _sq(x)) ** 2
 
 
-def _conformal_grad(x):
-    s = float(x @ x)
-    return -16.0 * x / (1.0 + s) ** 3
-
-
-def _conformal_hess(x):
-    s = float(x @ x)
-    q = 1.0 + s
-    return -16.0 * np.eye(x.size) / q**3 + 96.0 * np.outer(x, x) / q**4
+def _conformal(x):
+    """q = 1 + |x|^2, c(x) and grad c(x) = -16 x / q^3."""
+    q = 1.0 + _sq(x)
+    return q, 4.0 / q**2, -16.0 * x / q**3
 
 
 class SphereChartEnergy(EnergyModel):
     """Chart-quadratic energy w(x, y) = c(x) |y - x|^2, c(x) = 4/(1+|x|^2)^2.
 
-    Not symmetric: the metric is frozen at the first argument.
+    Not symmetric: the metric is frozen at the first argument.  The
+    formulas take one point pair of shape (2,) or a stack of shape (n, 2);
+    the per-point and the stacked methods share them.
     """
 
     symmetric = False
 
     @staticmethod
-    def _pair(x, y):
-        x = as_point(x)
-        y = as_point(y)
-        if x.size != 2 or y.size != 2:
+    def _pair(x, y, ndim=1):
+        """x, y as float arrays of one shape (2,) (ndim 1) or (n, 2) (ndim 2).
+
+        Shape and finiteness are checked once for the whole input, without
+        copying it.
+        """
+        x = np.asarray(x, dtype=float)
+        y = np.asarray(y, dtype=float)
+        if x.ndim != ndim or x.shape[-1] != 2 or y.shape != x.shape:
             raise DomainError("the sphere chart is two-dimensional")
+        if not (np.isfinite(x).all() and np.isfinite(y).all()):
+            raise DomainError("point has non-finite entries")
         return x, y
 
-    def w(self, x, y):
-        x, y = self._pair(x, y)
-        diff = y - x
-        return _conformal_factor(x) * float(diff @ diff)
+    @staticmethod
+    def _w(x, y):
+        return (_conformal_factor(x) * _sq(y - x))[..., 0]
 
-    def grad1(self, x, y):
-        x, y = self._pair(x, y)
+    @staticmethod
+    def _grad1(x, y):
         diff = y - x
-        return _conformal_grad(x) * float(diff @ diff) - 2.0 * _conformal_factor(x) * diff
+        _, c, gc = _conformal(x)
+        return gc * _sq(diff) - 2.0 * c * diff
 
-    def grad2(self, x, y):
-        x, y = self._pair(x, y)
+    @staticmethod
+    def _grad2(x, y):
         return 2.0 * _conformal_factor(x) * (y - x)
 
-    def hess11(self, x, y):
-        x, y = self._pair(x, y)
+    @staticmethod
+    def _hess11(x, y):
         diff = y - x
-        gc = _conformal_grad(x)
-        cross = np.outer(gc, diff)
+        q, c, gc = _conformal(x)
+        q = q[..., None]
+        hc = -16.0 * _EYE2 / q**3 + 96.0 * _outer(x, x) / q**4
+        cross = _outer(gc, diff)
         return (
-            _conformal_hess(x) * float(diff @ diff)
-            - 2.0 * (cross + cross.T)
-            + 2.0 * _conformal_factor(x) * np.eye(2)
+            hc * _sq(diff)[..., None]
+            - 2.0 * (cross + np.swapaxes(cross, -1, -2))
+            + 2.0 * c[..., None] * _EYE2
         )
 
+    @staticmethod
+    def _hess12(x, y):
+        _, c, gc = _conformal(x)
+        return 2.0 * _outer(gc, y - x) - 2.0 * c[..., None] * _EYE2
+
+    @staticmethod
+    def _hess21(x, y):
+        _, c, gc = _conformal(x)
+        return 2.0 * _outer(y - x, gc) - 2.0 * c[..., None] * _EYE2
+
+    @staticmethod
+    def _hess22(x, y):
+        return 2.0 * _conformal_factor(x)[..., None] * _EYE2
+
+    def w(self, x, y):
+        return float(self._w(*self._pair(x, y)))
+
+    def grad1(self, x, y):
+        return self._grad1(*self._pair(x, y))
+
+    def grad2(self, x, y):
+        return self._grad2(*self._pair(x, y))
+
+    def hess11(self, x, y):
+        return self._hess11(*self._pair(x, y))
+
     def hess12(self, x, y):
-        x, y = self._pair(x, y)
-        return 2.0 * np.outer(_conformal_grad(x), y - x) - 2.0 * _conformal_factor(
-            x
-        ) * np.eye(2)
+        return self._hess12(*self._pair(x, y))
 
     def hess21(self, x, y):
-        x, y = self._pair(x, y)
-        return 2.0 * np.outer(y - x, _conformal_grad(x)) - 2.0 * _conformal_factor(
-            x
-        ) * np.eye(2)
+        return self._hess21(*self._pair(x, y))
 
     def hess22(self, x, y):
-        x, y = self._pair(x, y)
-        return 2.0 * _conformal_factor(x) * np.eye(2)
+        return self._hess22(*self._pair(x, y))
+
+    def w_stacked(self, xs, ys):
+        return self._w(*self._pair(xs, ys, 2))
+
+    def grads_stacked(self, xs, ys):
+        xs, ys = self._pair(xs, ys, 2)
+        return self._grad1(xs, ys), self._grad2(xs, ys)
+
+    def hess_blocks_stacked(self, xs, ys):
+        xs, ys = self._pair(xs, ys, 2)
+        return self._hess11(xs, ys), self._hess12(xs, ys), self._hess21(xs, ys), self._hess22(xs, ys)
 
     def metric(self, x):
         x = as_point(x)
-        return _conformal_factor(x) * np.eye(2)
+        return float(_conformal_factor(x)[0]) * np.eye(2)
 
 
 def sphere_chart_energy() -> SphereChartEnergy:

@@ -36,7 +36,6 @@ from .core import DiscretePath, DomainError, SolverError, _write_csv, as_path, a
 from .geodesic import (
     ConstraintModel,
     SolverConfig,
-    _bordered,
     _constraint_view,
     _newton,
     _solve_path,
@@ -93,6 +92,19 @@ class TransportTrace:
     x_c: np.ndarray
     x_p: np.ndarray
     zeta: np.ndarray
+
+
+def _bordered(a, left, right):
+    """Newton block [[a, -left^T], [right, 0]] for c = len(right) constraint rows."""
+    c = len(right)
+    if not c:
+        return a
+    d = len(a)
+    out = np.zeros((d + c, d + c))
+    out[:d, :d] = a
+    out[:d, d:] = -left.T
+    out[d:, :d] = right
+    return out
 
 
 def _require(converged: bool, res: float, context: str) -> None:

@@ -174,3 +174,46 @@ def test_unknown_nested_config_key_exits_3(tmp_path, capsys):
         path.write_text(json.dumps({"model": "flat", **nested}), encoding="utf-8")
         assert main(["converge", "--config", str(path), "--out", str(tmp_path)]) == 3
         assert "unexpected keyword" in capsys.readouterr().err
+
+
+def test_step_count_below_one_exits_3(capsys):
+    base = {
+        "geodesic": ["--xb", "1,0"],
+        "log": ["--xb", "1,0"],
+        "exp": ["--zeta", "0.25,0"],
+        "transport": ["--xb", "1,1", "--w", "0.5,0"],
+    }
+    for command, extra in base.items():
+        for K in ("0", "-2"):
+            argv = [command, "--model", "flat", "--xa", "0,0", *extra, "--K", K]
+            assert main(argv) == 3, argv
+            assert "K must be at least 1" in capsys.readouterr().err
+
+
+def test_consistency_rejects_nonpositive_samples(capsys):
+    for samples in ("0", "-3"):
+        assert main(["consistency", "--model", "flat", "--samples", samples]) == 3
+        assert "samples must be at least 1" in capsys.readouterr().err
+
+
+def test_tol_overrides_only_the_tolerance_of_a_config(tmp_path):
+    from geocalc.cli import _build_parser, _study_config
+
+    cfg = {
+        "model": "flat",
+        "solver": {"damping": "armijo", "max_iter": 7},
+        "op_config": {
+            "method": "fixed_point",
+            "fixed_point_tol": 1e-11,
+            "solver": {"damping": "armijo", "max_iter": 9},
+        },
+    }
+    path = tmp_path / "study.json"
+    path.write_text(json.dumps(cfg), encoding="utf-8")
+    args = _build_parser().parse_args(["converge", "--config", str(path), "--tol", "1e-9"])
+    study = _study_config(args)
+    assert (study.solver.newton_tol, study.solver.damping, study.solver.max_iter) == (1e-9, "armijo", 7)
+    op = study.op_config
+    assert (op.method, op.fixed_point_tol) == ("fixed_point", 1e-11)
+    assert (op.solver.newton_tol, op.solver.damping, op.solver.max_iter) == (1e-9, "armijo", 9)
+    assert main(["converge", "--config", str(path), "--tol", "0"]) == 3

@@ -292,13 +292,36 @@ def test_iterate_outside_domain_is_solver_failure():
             self._check(x, y)
             return super().grad2(x, y)
 
-    # the first Newton step lands on the midpoint 0.5, inside the band
-    with pytest.raises(SolverError, match="left the model's domain") as err:
-        solve_geodesic([0.0], [1.0], 2, Banded(), init_path=[[0.0], [0.2], [1.0]])
-    assert err.value.residual > 0
+    # the first Newton step lands on the midpoint 0.5, inside the band; at
+    # K = 4 the inner segments go through the stacked methods, which must
+    # honour the per-point overrides
+    for init in ([[0.0], [0.2], [1.0]], [[0.0], [0.2], [0.3], [0.8], [1.0]]):
+        with pytest.raises(SolverError, match="left the model's domain") as err:
+            solve_geodesic([0.0], [1.0], len(init) - 1, Banded(), init_path=init)
+        assert err.value.residual > 0
     # an inadmissible initial path is the caller's input, not a solver failure
     with pytest.raises(DomainError, match="excluded band"):
         solve_geodesic([0.0], [1.0], 2, Banded(), init_path=[[0.0], [0.45], [1.0]])
+
+
+def test_stacked_path_solve_matches_per_segment_loop():
+    from geocalc.core import EnergyModel
+
+    class Looped(type(CHART)):
+        # redefining the per-point methods restores the per-segment loop
+        w = type(CHART).w
+        grads = EnergyModel.grads
+        hess_blocks = EnergyModel.hess_blocks
+
+    for name in ("w_stacked", "grads_stacked", "hess_blocks_stacked"):
+        assert getattr(Looped, name) is getattr(EnergyModel, name)
+    res = solve_geodesic(XA, XB, 1024, CHART)
+    ref = solve_geodesic(XA, XB, 1024, Looped())
+    assert res.converged and ref.converged
+    assert res.iterations == ref.iterations
+    assert np.max(np.abs(res.path.points - ref.path.points)) <= 1e-12
+    assert res.energy == pytest.approx(ref.energy, rel=1e-12)
+    assert res.length == pytest.approx(ref.length, rel=1e-12)
 
 
 def test_path_solve_evaluates_only_the_hessian_blocks_it_uses():

@@ -7,6 +7,7 @@ from geocalc import (
     EllipsoidSdf,
     SphereSdf,
     check_consistency,
+    discrete_energy,
     flat_energy,
     metric_from_energy,
     sdf_spring_model,
@@ -39,6 +40,68 @@ def test_chart_energy_rejects_wrong_dimension():
     sc = sphere_chart_energy()
     with pytest.raises(DomainError):
         sc.w(np.zeros(3), np.zeros(3))
+
+
+def _per_point(model, xs, ys):
+    """Per-point values of every segment, stacked like the stacked methods'."""
+    ws = np.array([model.w(x, y) for x, y in zip(xs, ys)])
+    grads = [np.array(g) for g in zip(*(model.grads(x, y) for x, y in zip(xs, ys)))]
+    blocks = [np.array(h) for h in zip(*(model.hess_blocks(x, y) for x, y in zip(xs, ys)))]
+    return ws, grads, blocks
+
+
+def test_stacked_evaluation_matches_per_point():
+    rng = np.random.default_rng(12)
+    for model, d in ((flat_energy(), 3), (sphere_chart_energy(), 2)):
+        xs = rng.normal(size=(9, d))
+        ys = xs + 0.3 * rng.normal(size=(9, d))
+        ws, grads, blocks = _per_point(model, xs, ys)
+        got_w = model.w_stacked(xs, ys)
+        got_g = model.grads_stacked(xs, ys)
+        got_h = model.hess_blocks_stacked(xs, ys)
+        assert got_w.shape == (9,)
+        assert [g.shape for g in got_g] == [(9, d)] * 2
+        assert [h.shape for h in got_h] == [(9, d, d)] * 4
+        for got, ref in zip((got_w, *got_g, *got_h), (ws, *grads, *blocks)):
+            assert np.max(np.abs(got - ref)) <= 1e-15 * max(1.0, np.max(np.abs(ref)))
+
+
+def test_stacked_chart_validates_the_whole_stack():
+    sc = sphere_chart_energy()
+    xs = np.zeros((4, 2))
+    with pytest.raises(DomainError, match="two-dimensional"):
+        sc.grads_stacked(np.zeros((4, 3)), np.zeros((4, 3)))
+    with pytest.raises(DomainError, match="two-dimensional"):
+        sc.w_stacked(xs, np.zeros((3, 2)))
+    bad = xs.copy()
+    bad[2, 1] = np.nan
+    with pytest.raises(DomainError, match="non-finite"):
+        sc.hess_blocks_stacked(xs, bad)
+    with pytest.raises(DomainError, match="non-finite"):
+        sc.w(np.array([np.inf, 0.0]), np.zeros(2))
+    # a stacked failure is traced back to the first inadmissible segment
+    with pytest.raises(DomainError, match="segment 1: the sphere chart"):
+        discrete_energy(np.zeros((3, 3)), sc)
+
+
+def test_redefined_per_point_method_gets_the_stacked_loop():
+    from geocalc.core import EnergyModel
+    from geocalc.rods import SimplifiedRodEnergy
+
+    chart = type(sphere_chart_energy())
+
+    class Doubled(chart):
+        def w(self, x, y):
+            return 2.0 * super().w(x, y)
+
+    rng = np.random.default_rng(3)
+    xs, ys = rng.normal(size=(5, 2)), rng.normal(size=(5, 2))
+    assert np.array_equal(Doubled().w_stacked(xs, ys), 2.0 * chart().w_stacked(xs, ys))
+    assert Doubled.w_stacked is EnergyModel.w_stacked
+    # the stacked forms of the methods it keeps stay native
+    assert Doubled.grads_stacked is chart.grads_stacked is not EnergyModel.grads_stacked
+    for name in ("w_stacked", "grads_stacked", "hess_blocks_stacked"):
+        assert getattr(SimplifiedRodEnergy, name) is getattr(EnergyModel, name)
 
 
 def test_chart_metric_value():
