@@ -28,7 +28,10 @@ per-segment loop of ``core.EnergyModel``.
 
 The same kernel at K = 2 is the two-point logarithm ``operators.log2``
 (whose endpoints may lie off the level set), and the single Newton loop
-here also drives the other inner solves of ``operators``.
+here also drives the other solves of ``operators``.  Its whole-path exp
+and ladder have block lower triangular Jacobians, which
+``_forward_substitution`` solves; they see a constraint through the same
+``_constraint_view`` as the path kernel.
 """
 
 from __future__ import annotations
@@ -259,12 +262,31 @@ def _block_thomas(lower, diag, upper, rhs) -> np.ndarray:
     return sol
 
 
+def _forward_substitution(diag, bands, rhs) -> np.ndarray:
+    """Solve a block lower triangular system by forward substitution.
+
+    ``diag`` has shape (n, b, b) and ``rhs`` (n, b); ``bands[m - 1]`` has
+    shape (n - m, b, b), and its block i couples row i + m to unknown i.
+    The diagonal blocks are inverted in one stacked call and the bands are
+    premultiplied by them, so each of the n steps is a few small matvecs.
+    """
+    inv = np.linalg.inv(diag)
+    sol = (inv @ rhs[..., None])[..., 0]
+    scaled = [inv[m:] @ band for m, band in enumerate(bands, start=1)]
+    for i in range(1, len(sol)):
+        for m, band in enumerate(scaled[:i], start=1):
+            sol[i] -= band[i - m] @ sol[i - m]
+    return sol
+
+
 @dataclass(frozen=True)
 class _Constraint:
-    """A constraint as the path kernel sees it at one interior point x_k.
+    """A constraint as the kernels see it on a stack x of n points, shape (n, d).
 
-    ``values(k, x)`` has shape (c,), ``jac(x)`` shape (c, d), and
-    ``hess(x, mu)`` is sum_i mu_i hess c_i(x), or 0.0 where it vanishes.
+    ``values(x)`` has shape (n, c), ``jac(x)`` shape (n, c, d), and
+    ``hess(x, mu)`` is sum_i mu[:, i] hess c_i(x), shape (n, d, d), or 0.0
+    where it vanishes.  A LinearGauge reads the stack as the K - 1 interior
+    points of a path; a level set is evaluated point by point.
     """
 
     c: int
@@ -276,22 +298,33 @@ class _Constraint:
 def _constraint_view(constraint, K: int, d: int) -> _Constraint:
     """View of no constraint (c = 0), a LinearGauge, or a level set (c = 1)."""
     if constraint is None:
-        empty = np.zeros((0, d))
-        return _Constraint(0, lambda k, x: empty[:, 0], lambda x: empty, lambda x, mu: 0.0)
+        return _Constraint(
+            0, lambda x: np.zeros((len(x), 0)), lambda x: np.zeros((len(x), 0, d)), lambda x, mu: 0.0
+        )
     if isinstance(constraint, LinearGauge):
         g = np.asarray(constraint.matrix, dtype=float)
         targets = np.asarray(constraint.targets, dtype=float)
         if targets.shape != (K - 1, g.shape[0]):
             raise DomainError("gauge targets must have shape (K-1, c)")
         return _Constraint(
-            g.shape[0], lambda k, x: g @ x - targets[k - 1], lambda x: g, lambda x, mu: 0.0
+            g.shape[0],
+            lambda x: x @ g.T - targets,
+            lambda x: np.broadcast_to(g, (len(x),) + g.shape),
+            lambda x, mu: 0.0,
         )
     return _Constraint(
         1,
-        lambda k, x: np.array([float(constraint.d(x))]),
-        lambda x: np.asarray(constraint.grad_d(x), dtype=float).reshape(1, d),
-        lambda x, mu: mu[0] * np.asarray(constraint.hess_d(x)),
+        lambda x: np.array([float(constraint.d(p)) for p in x]).reshape(len(x), 1),
+        lambda x: np.array([np.asarray(constraint.grad_d(p), dtype=float) for p in x]).reshape(len(x), 1, d),
+        lambda x, mu: np.array([m[0] * np.asarray(constraint.hess_d(p)) for p, m in zip(x, mu)]).reshape(
+            len(x), d, d
+        ),
     )
+
+
+def _multiplier_rows(mu, jac) -> np.ndarray:
+    """Rows mu_k^T J_k of a stack of multipliers (n, c) and Jacobians (n, c, d)."""
+    return np.einsum("nc,ncd->nd", mu, jac)
 
 
 def _solve_path(pts, model, constraint, cfg: SolverConfig, context: str):
@@ -313,11 +346,8 @@ def _solve_path(pts, model, constraint, cfg: SolverConfig, context: str):
         rows = _el_rows(model, x)
         if not c:
             return rows
-        out = np.empty((K - 1, b))
-        for k in range(1, K):
-            out[k - 1, :d] = rows[k - 1] - z[k, d:] @ view.jac(x[k])
-            out[k - 1, d:] = view.values(k, x[k])
-        return out
+        inner = x[1:K]
+        return np.hstack([rows - _multiplier_rows(z[1:K, d:], view.jac(inner)), view.values(inner)])
 
     def step(z, r):
         # segment k joins x_{k-1} and x_k, and row k - 1 of the block arrays
@@ -339,11 +369,10 @@ def _solve_path(pts, model, constraint, cfg: SolverConfig, context: str):
             upper[:, :d, :d] = h12
         a[-1] += model.hess11(x[K - 1], x[K])
         if c:
-            for k in range(1, K):
-                jac = view.jac(x[k])
-                a[k - 1] -= view.hess(x[k], z[k, d:])
-                diag[k - 1, :d, d:] = -jac.T
-                diag[k - 1, d:, :d] = jac
+            jac = view.jac(x[1:K])
+            a -= view.hess(x[1:K], z[1:K, d:])
+            diag[:, :d, d:] = -np.swapaxes(jac, 1, 2)
+            diag[:, d:, :d] = jac
         delta = np.zeros_like(z)
         delta[1:K] = _block_thomas(lower, diag, upper, r)
         return delta

@@ -219,12 +219,16 @@ def _solve(backend, xa, xb, K, solver_cfg):
 
 
 def _references(cfg: StudyConfig, backend: _Backend, xa, xb, w):
-    """Reference values: (geo(t), log_ref, exp_ref, pt_ref, description)."""
+    """Reference values: (geo, log_ref, exp_ref, pt_ref, description).
+
+    ``geo(ts)`` maps an array of n times in [0, 1] to the (n, d) reference
+    points.
+    """
     if cfg.model == "sphere-chart":
         orc = sphere_oracles()
         log_ref = orc.log(xa, xb)
         return (
-            lambda t: orc.geodesic(xa, xb, t),
+            lambda ts: orc.geodesic(xa, xb, ts),
             log_ref,
             orc.exp(xa, log_ref),
             orc.transport(xa, xb, w),
@@ -232,7 +236,7 @@ def _references(cfg: StudyConfig, backend: _Backend, xa, xb, w):
         )
     if cfg.model == "flat":
         return (
-            lambda t: xa + t * (xb - xa),
+            lambda ts: xa + ts[:, None] * (xb - xa),
             xb - xa,
             xb,
             w.copy(),
@@ -249,9 +253,8 @@ def _references(cfg: StudyConfig, backend: _Backend, xa, xb, w):
     )
     pt_ref = k_ref * zt
 
-    def geo_ref(t):
-        idx = int(round(t * k_ref))
-        return ref.path[idx]
+    def geo_ref(ts):
+        return ref.path.points[np.rint(ts * k_ref).astype(int)]
 
     return geo_ref, log_ref, exp_ref, pt_ref, f"discrete self-reference at K={k_ref}"
 
@@ -271,9 +274,8 @@ def run_convergence_study(cfg: StudyConfig) -> ConvergenceReport:
         K = 2**exponent
         try:
             res = _solve(backend, xa, xb, K, cfg.solver)
-            err_geo = max(
-                float(np.linalg.norm(res.path[k] - geo_ref(k / K))) for k in range(K + 1)
-            )
+            nodes = geo_ref(np.arange(K + 1) / K)
+            err_geo = float(np.max(np.linalg.norm(res.path.points - nodes, axis=1)))
             err_log = float(np.linalg.norm(K * (res.path[1] - res.path[0]) - log_ref))
             endpoint = discrete_exp(
                 xa, log_ref / K, K, backend.model, cfg.op_config, backend.constraint

@@ -251,10 +251,11 @@ class SphereOracles:
         return np.array([2.0 * x[0], 2.0 * x[1], s - 1.0]) / (1.0 + s)
 
     def to_chart(self, X) -> np.ndarray:
+        """Chart coordinates of one sphere point (3,) or of a stack (n, 3)."""
         X = np.asarray(X, dtype=float)
-        if X[2] > 1.0 - _POLE_TOL:
+        if np.any(X[..., 2] > 1.0 - _POLE_TOL):
             raise DomainError("point too close to the projection pole")
-        return X[:2] / (1.0 - X[2])
+        return X[..., :2] / (1.0 - X[..., 2:])
 
     def chart_jacobian(self, x) -> np.ndarray:
         """Differential of the chart map, shape (3, 2)."""
@@ -297,13 +298,17 @@ class SphereOracles:
         u = u / np.linalg.norm(u)
         return A, u, theta
 
-    def geodesic(self, x_a, x_b, t: float) -> np.ndarray:
-        """Constant-speed geodesic with value x_a at t=0 and x_b at t=1."""
+    def geodesic(self, x_a, x_b, t) -> np.ndarray:
+        """Constant-speed geodesic with value x_a at t=0 and x_b at t=1.
+
+        ``t`` is one time (result shape (2,)) or an array of n times
+        (result shape (n, 2)).
+        """
         A, u, theta = self._arc(x_a, x_b)
+        angle = (np.asarray(t, dtype=float) * theta)[..., None]
         if u is None:
-            return as_point(x_a)
-        point = np.cos(t * theta) * A + np.sin(t * theta) * u
-        return self.to_chart(point)
+            return np.tile(as_point(x_a), angle.shape[:-1] + (1,))
+        return self.to_chart(np.cos(angle) * A + np.sin(angle) * u)
 
     def log(self, x_a, x_b) -> np.ndarray:
         """Chart velocity of the connecting geodesic at t = 0."""

@@ -8,22 +8,36 @@ The two-point building blocks are
   ``geodesic``, and
 * ``exp2(x, zeta)``: the inverse problem, the endpoint x2 for which
   x + zeta is that interior point; its stationarity equation is
-  grad2(x, x+zeta) + grad1(x+zeta, x2) = 0.
-
-Every Newton solve here (exp2, its hypersurface variant, and the rung
-start of inverse transport) runs the one Newton loop of ``geodesic``, with
-``OpConfig.solver`` as its settings, damping included.
+  grad2(x, x+zeta) + grad1(x+zeta, x2) = 0, and it is the K = 2 call of
+  the exp kernel ``_solve_exp``.
 
 On top of these sit the K-step logarithm (first increment of the solved
-boundary-value geodesic), the recursive exponential, a Schild's-ladder
+boundary-value geodesic), the K-step exponential, a Schild's-ladder
 style parallel transport (one geodesic parallelogram per path segment),
 its inverse, and a finite-difference connection.
 
+The K-step exponential and the ladder are each one Newton solve over the
+whole path: ``_solve_exp`` solves the Euler-Lagrange rows for x_2 .. x_K
+(a block lower triangular system with two bands), and ``_solve_ladder``
+solves every rung's midpoint and corner together (one band).  Both make
+one stacked model call per residual and one per Jacobian and solve the
+linear systems by ``geodesic._forward_substitution``.  They are less
+robust than the step-by-step fold on long shots and coarse ladders; when
+one fails, or lands on a root the fold would not pick (``_near``), the
+operator runs the fold (``exp2`` or ``transport_step`` one step at a
+time), and the fold's errors are the ones raised.  Inverse transport
+without a constraint inverts one rung at a time.
+
+Every Newton solve here runs the one Newton loop of ``geodesic``, with
+``OpConfig.solver`` as its settings, damping included.
+
 All operators accept an optional level-set constraint; the inner solves
 then keep their variational points on the hypersurface via a Lagrange
-multiplier.  Inverse transport with a constraint additionally requires a
-symmetric energy (it is then the forward transport along the reversed
-path, which satisfies the same stationarity equations).
+multiplier, seen through ``geodesic._constraint_view``.  Inverse
+transport with a constraint additionally requires a symmetric energy (it
+is then the forward transport along the reversed path, which satisfies
+the same stationarity equations).  A displacement or point whose size
+differs from the base point's is a DomainError.
 """
 
 from __future__ import annotations
@@ -37,6 +51,9 @@ from .geodesic import (
     ConstraintModel,
     SolverConfig,
     _constraint_view,
+    _el_rows,
+    _forward_substitution,
+    _multiplier_rows,
     _newton,
     _solve_path,
     _sup,
@@ -63,12 +80,14 @@ __all__ = [
 
 @dataclass(frozen=True)
 class OpConfig:
-    """Settings for the embedded two-point solves.
+    """Settings for the operators' Newton solves.
 
-    ``solver`` drives every inner Newton solve.  ``method`` selects how
-    exp2 is computed: Newton on the stationarity equation (default) or the
-    contraction x2 -> x2 + zeta - log2(x, x2) iterated to
-    ``fixed_point_tol``.
+    ``solver`` drives every Newton solve, the whole-path ones included.
+    ``method`` selects how exp2 is computed: Newton on the stationarity
+    equation (default) or the contraction x2 -> x2 + zeta - log2(x, x2)
+    iterated to ``fixed_point_tol``.  It applies only to exp2 itself and
+    to the step-by-step fold that exp and transport fall back to; the
+    whole-path solves always use Newton.
     """
 
     solver: SolverConfig = field(default_factory=SolverConfig)
@@ -94,17 +113,16 @@ class TransportTrace:
     zeta: np.ndarray
 
 
-def _bordered(a, left, right):
-    """Newton block [[a, -left^T], [right, 0]] for c = len(right) constraint rows."""
-    c = len(right)
-    if not c:
-        return a
-    d = len(a)
-    out = np.zeros((d + c, d + c))
-    out[:d, :d] = a
-    out[:d, d:] = -left.T
-    out[d:, :d] = right
-    return out
+def _at_point(v, x) -> np.ndarray:
+    """``v`` (a displacement or point) as a vector beside the point x.
+
+    A size mismatch is a DomainError; numpy would otherwise broadcast a
+    size-1 vector silently.
+    """
+    v = as_point(v)
+    if v.size != x.size:
+        raise DomainError(f"vector of dimension {v.size} given at a point of dimension {x.size}")
+    return v
 
 
 def _require(converged: bool, res: float, context: str) -> None:
@@ -122,7 +140,7 @@ def log2(x0, x2, model, cfg: OpConfig | None = None, constraint: ConstraintModel
     """
     cfg = cfg or OpConfig()
     x0 = as_point(x0)
-    x2 = as_point(x2)
+    x2 = _at_point(x2, x0)
     x1 = (x0 + x2) / 2.0
     if constraint is not None:
         x1 = project_onto_level_set(x1, constraint)
@@ -133,20 +151,75 @@ def log2(x0, x2, model, cfg: OpConfig | None = None, constraint: ConstraintModel
     return pts[1] - x0
 
 
+def _exp_start(x, zeta, K, constraint):
+    """Start x_j = x + j zeta (j = 0..K) of the exp solve; x_2.. projected."""
+    pts = x + np.arange(K + 1)[:, None] * zeta
+    if constraint is not None:
+        for j in range(2, K + 1):
+            pts[j] = project_onto_level_set(pts[j], constraint)
+    return pts
+
+
+def _solve_exp(pts, model, constraint, cfg: SolverConfig, context: str):
+    """Newton solve for x_2 .. x_K of ``pts`` (shape (K+1, d), K >= 2).
+
+    x_0 and x_1 are data.  Row k = 1..K-1 is the Euler-Lagrange equation at
+    x_k, grad2(x_{k-1}, x_k) + grad1(x_k, x_{k+1}) - mu_k J(x_k) = 0, with
+    d(x_{k+1}) = 0 on a level set, and is solved for (x_{k+1}, mu_k).  The
+    Jacobian is block lower triangular: hess12(x_k, x_{k+1}) on the
+    diagonal, hess22(x_{k-1}, x_k) + hess11(x_k, x_{k+1}) - mu_k hess d(x_k)
+    one band below and hess21(x_{k-1}, x_k) two bands below; all blocks come
+    from one stacked call over the segments after the first.  Returns
+    (points, residual, iterations, converged).
+    """
+    K, d = len(pts) - 1, pts.shape[1]
+    view = _constraint_view(constraint, K, d)
+    c = view.c
+    b = d + c
+
+    # row j >= 2 of z holds x_j and the multipliers of the row solved for it
+    def residual(z):
+        x = z[:, :d]
+        rows = _el_rows(model, x)
+        if not c:
+            return rows
+        return np.hstack([rows - _multiplier_rows(z[2:, d:], view.jac(x[1:K])), view.values(x[2:])])
+
+    def step(z, r):
+        x = z[:, :d]
+        h11, h12, h21, h22 = model.hess_blocks_stacked(x[1:K], x[2:])
+        diag = np.zeros((K - 1, b, b))
+        near, far = np.zeros_like(diag[1:]), np.zeros_like(diag[2:])
+        diag[:, :d, :d] = h12
+        near[:, :d, :d] = h22[:-1] + h11[1:]
+        far[:, :d, :d] = h21[1:-1]
+        if c:
+            jac = view.jac(x[1:])
+            near[:, :d, :d] -= view.hess(x[2:K], z[3:, d:])
+            diag[:, :d, d:] = -np.swapaxes(jac[:-1], 1, 2)
+            diag[:, d:, :d] = jac[1:]
+        delta = np.zeros_like(z)
+        delta[2:] = _forward_substitution(diag, (near, far), r)
+        return delta
+
+    z0 = np.hstack([pts, np.zeros((K + 1, c))])
+    z, res, iterations, converged = _newton(residual, step, z0, cfg, context)
+    return z[:, :d], res, iterations, converged
+
+
 def exp2(x, zeta, model, cfg: OpConfig | None = None, constraint: ConstraintModel | None = None) -> np.ndarray:
-    """Endpoint x2 of the 2-geodesic whose midpoint displacement is zeta."""
+    """Endpoint x2 of the 2-geodesic whose midpoint displacement is zeta.
+
+    Newton runs the K = 2 exp solve from x + 2 zeta (projected onto the
+    level set if there is one); ``cfg.method == "fixed_point"`` iterates
+    x2 -> x2 + zeta - log2(x, x2) instead.
+    """
     cfg = cfg or OpConfig()
     x = as_point(x)
-    zeta = as_point(zeta)
-    if zeta.size != x.size:
-        raise DomainError("displacement dimension differs from point dimension")
-    x1 = x + zeta
-    d = x.size
-    x2 = x + 2.0 * zeta
-    if constraint is not None:
-        x2 = project_onto_level_set(x2, constraint)
-
+    zeta = _at_point(zeta, x)
+    pts = _exp_start(x, zeta, 2, constraint)
     if cfg.method == "fixed_point":
+        x2 = pts[2]
         for _ in range(500):
             x2_new = x2 + zeta - log2(x, x2, model, cfg, constraint)
             if constraint is not None:
@@ -159,26 +232,9 @@ def exp2(x, zeta, model, cfg: OpConfig | None = None, constraint: ConstraintMode
             f"exp2 fixed-point iteration did not converge, last step {change:.3e}",
             residual=change,
         )
-
-    # unknowns: x2 and the multipliers of the constraint on x2, which act
-    # along the constraint gradient at x1
-    view = _constraint_view(constraint, 2, d)
-    g2_fixed = np.asarray(model.grad2(x, x1))
-    jac1 = view.jac(x1)
-
-    def residual(z):
-        x2 = z[:d]
-        stat = g2_fixed + np.asarray(model.grad1(x1, x2)) - z[d:] @ jac1
-        return np.concatenate([stat, view.values(1, x2)])
-
-    def step(z, r):
-        x2 = z[:d]
-        return np.linalg.solve(_bordered(np.asarray(model.hess12(x1, x2)), jac1, view.jac(x2)), r)
-
-    z0 = np.concatenate([x2, np.zeros(view.c)])
-    z, res, _, converged = _newton(residual, step, z0, cfg.solver, "exp2")
+    pts, res, _, converged = _solve_exp(pts, model, constraint, cfg.solver, "exp2")
     _require(converged, res, "exp2")
-    return z[:d]
+    return pts[2]
 
 
 def exp2_hypersurface(x, zeta, model, constraint: ConstraintModel, cfg: OpConfig | None = None) -> np.ndarray:
@@ -192,7 +248,7 @@ def exp2_hypersurface(x, zeta, model, constraint: ConstraintModel, cfg: OpConfig
     if not model.symmetric:
         raise DomainError("the one-dimensional exp2 search requires the spring energy")
     x = as_point(x)
-    zeta = as_point(zeta)
+    zeta = _at_point(zeta, x)
     x1 = x + zeta
     n = np.asarray(constraint.grad_d(x1), dtype=float)
     n = n / np.linalg.norm(n)
@@ -224,7 +280,7 @@ def discrete_log(
     """
     cfg = cfg or OpConfig()
     xa = as_point(x_a)
-    xb = as_point(x_b)
+    xb = _at_point(x_b, xa)
     if K == 1:
         return xb - xa
     result = solve_geodesic_constrained(xa, xb, K, model, constraint, cfg.solver)
@@ -236,6 +292,31 @@ def discrete_log(
     return result.path[1] - result.path[0]
 
 
+def _near(points, starts, anchors) -> bool:
+    """Whether each solved point lies within |start - anchor| of its start.
+
+    ``starts`` are the points the rung-by-rung fold would start its inner
+    Newton solves from, given the whole solve's earlier points, and
+    ``anchors`` the points those starts are extrapolated from.  The fold's
+    roots pass; a whole solve that lands on another root of an inner
+    equation (for the sphere chart, the far root of the quadratic
+    grad1(x, .) at distance O(1) instead of O(1/K)) does not.
+    """
+    reach = np.linalg.norm(starts - anchors, axis=1)
+    return bool(np.all(np.linalg.norm(points - starts, axis=1) <= reach))
+
+
+def _exp_fold(x, zeta, k, model, cfg, constraint) -> DiscretePath:
+    """The exp path one exp2 step at a time, each seeded with the last increment."""
+    pts = [x, x + zeta]
+    for j in range(2, k + 1):
+        try:
+            pts.append(exp2(pts[j - 2], pts[j - 1] - pts[j - 2], model, cfg, constraint))
+        except SolverError as err:
+            raise SolverError(f"extension step {j} failed: {err}", residual=err.residual) from err
+    return DiscretePath(np.stack(pts))
+
+
 def discrete_exp_path(
     x,
     zeta,
@@ -244,23 +325,32 @@ def discrete_exp_path(
     cfg: OpConfig | None = None,
     constraint: ConstraintModel | None = None,
 ) -> DiscretePath:
-    """All points x_0 .. x_k of the recursively extended geodesic.
+    """All points x_0 .. x_k of the discrete geodesic shot from x with zeta.
 
-    x_0 = x, x_1 = x + zeta, and each further point solves the exp2
-    problem seeded with the previous increment.
+    x_0 = x, x_1 = x + zeta, and x_2 .. x_k solve the Euler-Lagrange rows
+    of the path energy together, in one Newton solve started from the
+    straight line x + j zeta.  If that solve fails (it is less robust than
+    the step-by-step extension on long or coarse shots), the path is
+    extended one exp2 step at a time instead, and that extension's errors
+    are the ones raised.
     """
     cfg = cfg or OpConfig()
     x = as_point(x)
-    zeta = as_point(zeta)
+    zeta = _at_point(zeta, x)
     if k < 1:
         raise DomainError("need k >= 1 for a path")
-    pts = [x, x + zeta]
-    for j in range(2, k + 1):
-        try:
-            pts.append(exp2(pts[j - 2], pts[j - 1] - pts[j - 2], model, cfg, constraint))
-        except SolverError as err:
-            raise SolverError(f"extension step {j} failed: {err}", residual=err.residual) from err
-    return DiscretePath(np.stack(pts))
+    if k == 1:
+        return DiscretePath(np.stack([x, x + zeta]))
+    # a diverging attempt may overflow before it fails; the fold then reruns it
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            pts = _exp_start(x, zeta, k, constraint)
+            pts, _, _, converged = _solve_exp(pts, model, constraint, cfg.solver, "exp path")
+    except (SolverError, DomainError):
+        converged = False
+    if not (converged and _near(pts[2:], 2.0 * pts[1:-1] - pts[:-2], pts[1:-1])):
+        return _exp_fold(x, zeta, k, model, cfg, constraint)
+    return DiscretePath(pts)
 
 
 def discrete_exp(
@@ -273,12 +363,13 @@ def discrete_exp(
 ) -> np.ndarray:
     """k-step discrete exponential of the displacement zeta at x."""
     x = as_point(x)
+    zeta = _at_point(zeta, x)
     if k < 0:
         raise DomainError("k must be nonnegative")
     if k == 0:
         return x
     if k == 1:
-        return x + as_point(zeta)
+        return x + zeta
     return discrete_exp_path(x, zeta, k, model, cfg, constraint)[k]
 
 
@@ -298,8 +389,8 @@ def transport_step(
     """
     cfg = cfg or OpConfig()
     x_prev = as_point(x_prev)
-    x_next = as_point(x_next)
-    zeta_prev = as_point(zeta_prev)
+    x_next = _at_point(x_next, x_prev)
+    zeta_prev = _at_point(zeta_prev, x_prev)
     x_p_prev = x_prev + zeta_prev
     try:
         x_c = x_p_prev + log2(x_p_prev, x_next, model, cfg, constraint)
@@ -314,22 +405,86 @@ def transport_step(
     return zeta_next, trace
 
 
-def parallel_transport(
-    path,
-    zeta_0,
-    model,
-    cfg: OpConfig | None = None,
-    constraint: ConstraintModel | None = None,
-):
-    """Fold the ladder rung over every segment of the path.
+def _solve_ladder(pts, zeta_0, model, constraint, cfg: SolverConfig, context: str):
+    """Newton solve for every rung of the ladder along ``pts`` at once.
 
-    Returns (zeta_K, traces); traces[k-1] documents the k-th rung.
+    Rung k = 1..K has the midpoint c_k and the corner p_k as unknowns (with
+    p_0 = x_0 + zeta_0), and the two equations of its inner solves,
+
+        grad2(p_{k-1}, c_k) + grad1(c_k, x_k) - mu_A J(c_k) = 0,  d(c_k) = 0,
+        grad2(x_{k-1}, c_k) + grad1(c_k, p_k) - mu_B J(c_k) = 0,  d(p_k) = 0,
+
+    the multipliers and constraint rows only on a level set.  Rung k depends
+    on the rung before only through hess21(p_{k-1}, c_k), so the Jacobian is
+    block lower bidiagonal in (2d + 2c)-blocks.  Residual and Jacobian come
+    from one stacked call each over the 4K segments (p_{k-1}, c_k),
+    (c_k, x_k), (x_{k-1}, c_k), (c_k, p_k).  The start is
+    p_k = x_k + zeta_0, c_k = (x_{k-1} + x_k) / 2 + zeta_0 / 2, projected
+    onto the level set if there is one.  Returns (midpoints, corners,
+    residual, iterations, converged).
     """
-    cfg = cfg or OpConfig()
-    path = as_path(path)
-    zeta = as_point(zeta_0)
-    if zeta.size != path.dim:
-        raise DomainError("displacement dimension differs from path dimension")
+    K, d = len(pts) - 1, pts.shape[1]
+    view = _constraint_view(constraint, K, d)
+    c = view.c
+    b = d + c
+    starts, ends = pts[:-1], pts[1:]
+    p_0 = starts[0] + zeta_0
+
+    # row k - 1 of z holds c_k, mu_A, p_k, mu_B
+    def segments(z):
+        mid, corner = z[:, :d], z[:, b : b + d]
+        prev = np.vstack([p_0, corner[:-1]])
+        return np.concatenate([prev, mid, starts, mid]), np.concatenate([mid, ends, mid, corner])
+
+    def residual(z):
+        g1, g2 = model.grads_stacked(*segments(z))
+        g1, g2 = g1.reshape(4, K, d), g2.reshape(4, K, d)
+        rows_a, rows_b = g2[0] + g1[1], g2[2] + g1[3]
+        if not c:
+            return np.hstack([rows_a, rows_b])
+        mid, corner = z[:, :d], z[:, b : b + d]
+        jac = view.jac(mid)
+        return np.hstack(
+            [
+                rows_a - _multiplier_rows(z[:, d:b], jac),
+                view.values(mid),
+                rows_b - _multiplier_rows(z[:, b + d :], jac),
+                view.values(corner),
+            ]
+        )
+
+    def step(z, r):
+        h11, h12, h21, h22 = (h.reshape(4, K, d, d) for h in model.hess_blocks_stacked(*segments(z)))
+        diag = np.zeros((K, 2 * b, 2 * b))
+        diag[:, :d, :d] = h22[0] + h11[1]
+        diag[:, b : b + d, :d] = h22[2] + h11[3]
+        diag[:, b : b + d, b : b + d] = h12[3]
+        below = np.zeros_like(diag[1:])
+        below[:, :d, b : b + d] = h21[0, 1:]
+        if c:
+            mid, corner = z[:, :d], z[:, b : b + d]
+            jac = view.jac(mid)
+            diag[:, :d, :d] -= view.hess(mid, z[:, d:b])
+            diag[:, b : b + d, :d] -= view.hess(mid, z[:, b + d :])
+            diag[:, :d, d:b] = diag[:, b : b + d, b + d :] = -np.swapaxes(jac, 1, 2)
+            diag[:, d:b, :d] = jac
+            diag[:, b + d :, b : b + d] = view.jac(corner)
+        return _forward_substitution(diag, (below,), r)
+
+    mid = (starts + ends) / 2.0 + zeta_0 / 2.0
+    corner = ends + zeta_0
+    if constraint is not None:
+        for k in range(K):
+            mid[k] = project_onto_level_set(mid[k], constraint)
+            corner[k] = project_onto_level_set(corner[k], constraint)
+    no_mu = np.zeros((K, c))
+    z0 = np.hstack([mid, no_mu, corner, no_mu])
+    z, res, iterations, converged = _newton(residual, step, z0, cfg, context)
+    return z[:, :d], z[:, b : b + d], res, iterations, converged
+
+
+def _transport_fold(path, zeta, model, cfg, constraint):
+    """The ladder one transport_step rung at a time."""
     traces = []
     for k in range(1, len(path)):
         try:
@@ -338,6 +493,44 @@ def parallel_transport(
             raise SolverError(f"transport step {k} failed: {err}", residual=err.residual) from err
         traces.append(trace)
     return zeta, traces
+
+
+def parallel_transport(
+    path,
+    zeta_0,
+    model,
+    cfg: OpConfig | None = None,
+    constraint: ConstraintModel | None = None,
+):
+    """Schild's-ladder transport of zeta_0 along every segment of the path.
+
+    All rungs are solved together in one Newton solve.  If that solve
+    fails (it is less robust than the rung-by-rung fold on coarse ladders),
+    the rungs are solved one ``transport_step`` at a time instead, and the
+    fold's errors are the ones raised.  Returns (zeta_K, traces);
+    traces[k-1] documents the k-th rung.
+    """
+    cfg = cfg or OpConfig()
+    path = as_path(path)
+    pts = path.points
+    zeta_0 = _at_point(zeta_0, pts[0])
+    # a diverging attempt may overflow before it fails; the fold then reruns it
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            mid, corner, _, _, converged = _solve_ladder(pts, zeta_0, model, constraint, cfg.solver, "ladder")
+    except (SolverError, DomainError):
+        converged = False
+    if converged:
+        corner_prev = np.vstack([pts[0] + zeta_0, corner[:-1]])
+        solved = np.vstack([mid, corner])
+        starts = np.vstack([(corner_prev + pts[1:]) / 2.0, 2.0 * mid - pts[:-1]])
+        converged = _near(solved, starts, np.vstack([pts[1:], mid]))
+    if not converged:
+        return _transport_fold(path, zeta_0, model, cfg, constraint)
+    zetas = corner - pts[1:]
+    p_prev = pts[:-1] + np.vstack([zeta_0, zetas[:-1]])
+    traces = [TransportTrace(*rung) for rung in zip(p_prev, mid, corner, zetas)]
+    return zetas[-1], traces
 
 
 def _invert_rung(x_prev, x_next, zeta_next, model, cfg, context):
@@ -372,13 +565,13 @@ def inverse_transport(
     """Pull a displacement at the path end back to the start.
 
     Solves the same rung equations as the forward transport, with the
-    unknowns swapped.  With a constraint the rung inversion is carried out
-    as forward transport along the reversed path, which requires a
-    symmetric energy.
+    unknowns swapped, one rung at a time from the end.  With a constraint
+    the rung inversion is carried out as forward transport along the
+    reversed path, which requires a symmetric energy.
     """
     cfg = cfg or OpConfig()
     path = as_path(path)
-    zeta = as_point(zeta_K)
+    zeta = _at_point(zeta_K, path[0])
     if constraint is not None:
         if not model.symmetric:
             raise DomainError(
@@ -409,10 +602,9 @@ def discrete_connection(
     Pulls eta1 (attached at x + xi) back to x and subtracts eta0.
     """
     x = as_point(x)
-    xi = as_point(xi)
+    xi, eta0, eta1 = (_at_point(v, x) for v in (xi, eta0, eta1))
     rung = DiscretePath(np.stack([x, x + xi]))
-    pulled = inverse_transport(rung, as_point(eta1), model, cfg, constraint)
-    return pulled - as_point(eta0)
+    return inverse_transport(rung, eta1, model, cfg, constraint) - eta0
 
 
 def write_traces_csv(traces, target) -> None:

@@ -179,3 +179,17 @@ def test_rod_morph_from_files(tmp_path):
     assert result.converged
     assert (tmp_path / "out" / "curve_000.csv").exists()
     assert (tmp_path / "out" / "curve_004.csv").exists()
+
+
+def test_err_geo_is_the_max_node_error_against_the_oracle():
+    from geocalc import solve_geodesic, sphere_chart_energy, sphere_oracles
+
+    cfg = StudyConfig(k_exponents=(1, 2, 3, 4))
+    report = run_convergence_study(cfg)
+    orc = sphere_oracles()
+    for K, err in zip(report.ks, report.err_geo):
+        path = solve_geodesic(cfg.xa, cfg.xb, K, sphere_chart_energy()).path
+        per_node = max(
+            float(np.linalg.norm(path[k] - orc.geodesic(cfg.xa, cfg.xb, k / K))) for k in range(K + 1)
+        )
+        assert err == pytest.approx(per_node, rel=1e-15, abs=0.0)

@@ -230,3 +230,17 @@ def test_sdf_spring_model_pairs_spring_with_surface():
     assert surface.d(np.array([1.0, 0.0, 0.0])) == 0.0
     report = check_consistency(model, np.array([1.0, 0.0, 0.0]), 1e-12)
     assert report.ok
+
+
+def test_oracle_geodesic_takes_an_array_of_times():
+    orc = sphere_oracles()
+    xa = np.array([0.5, 0.0])
+    xb = np.array([-0.5, 2.0])
+    ts = np.arange(17) / 16
+    nodes = orc.geodesic(xa, xb, ts)
+    assert nodes.shape == (17, 2)
+    assert np.array_equal(nodes, [orc.geodesic(xa, xb, t) for t in ts])
+    assert np.array_equal(orc.geodesic(xa, xa, ts), np.tile(xa, (17, 1)))
+    # the pole check covers every point of a stack
+    with pytest.raises(DomainError):
+        orc.to_chart(np.array([[0.0, 0.0, -1.0], [0.0, 0.0, 1.0]]))

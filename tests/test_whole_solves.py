@@ -1,0 +1,262 @@
+"""The whole-path exp and whole-ladder transport against the rung-by-rung fold.
+
+``discrete_exp_path`` and ``parallel_transport`` solve all their inner
+equations in one Newton solve and fall back to the fold (one ``exp2`` or
+``transport_step`` at a time) when that solve fails or lands on a root the
+fold would not pick.  These tests pin the kernels themselves
+(``operators._solve_exp``, ``operators._solve_ladder``), their agreement
+with the fold, the fallback, and the dimension checks of every operator.
+"""
+
+import numpy as np
+import pytest
+
+from geocalc import (
+    DiscretePath,
+    DomainError,
+    OpConfig,
+    SolverConfig,
+    SolverError,
+    discrete_connection,
+    discrete_exp,
+    discrete_exp_path,
+    el_residual,
+    exp2,
+    exp2_hypersurface,
+    flat_energy,
+    inverse_transport,
+    log2,
+    parallel_transport,
+    sdf_spring_model,
+    solve_geodesic_constrained,
+    sphere_chart_energy,
+    sphere_oracles,
+    transport_step,
+)
+from geocalc import operators as op
+from geocalc.cli import main
+from geocalc.models import SphereSdf
+
+CHART = sphere_chart_energy()
+ORACLE = sphere_oracles()
+XA = np.array([0.5, 0.0])
+XB = np.array([-0.5, 2.0])
+TIGHT = OpConfig(solver=SolverConfig(newton_tol=1e-13))
+
+
+def _sphere_case():
+    """Spring energy on the unit sphere: endpoints, exp velocity, transported vector."""
+    model, sphere = sdf_spring_model(SphereSdf())
+    a = np.array([1.0, 0.0, 0.0])
+    b = np.array([0.2, 0.9, 0.4]) / np.linalg.norm([0.2, 0.9, 0.4])
+    tangent = b - (b @ a) * a
+    v = np.arccos(a @ b) * tangent / np.linalg.norm(tangent)
+    w = 0.4 * np.cross(a, b) / np.linalg.norm(np.cross(a, b))
+    return model, sphere, a, b, v, w
+
+
+def _case(name):
+    if name == "chart":
+        return CHART, None, XA, XB, ORACLE.log(XA, XB), np.array([-0.4, 0.0])
+    return _sphere_case()
+
+
+def _whole_exp(x, zeta, K, model, cfg, constraint=None):
+    pts = op._exp_start(x, zeta, K, constraint)
+    return op._solve_exp(pts, model, constraint, cfg.solver, "exp path")
+
+
+def _whole_ladder(path, zeta, model, cfg, constraint=None):
+    return op._solve_ladder(np.asarray(path), zeta, model, constraint, cfg.solver, "ladder")
+
+
+@pytest.mark.parametrize("name", ["chart", "sdf-sphere"])
+@pytest.mark.parametrize("K", [8, 64, 256])
+def test_whole_solves_match_the_fold(name, K):
+    model, con, xa, xb, v, w = _case(name)
+    path = solve_geodesic_constrained(xa, xb, K, model, con).path
+
+    whole, _, _, converged = _whole_exp(xa, v / K, K, model, TIGHT, con)
+    assert converged
+    shot = discrete_exp_path(xa, v / K, K, model, TIGHT, con)
+    assert np.array_equal(shot.points, whole)  # the whole solve, no fallback
+    fold = op._exp_fold(xa, v / K, K, model, TIGHT, con)
+    assert np.max(np.abs(shot[K] - fold[K])) <= 1e-9
+
+    mid, corner, _, _, converged = _whole_ladder(path.points, w / K, model, TIGHT, con)
+    assert converged
+    zeta, traces = parallel_transport(path, w / K, model, TIGHT, con)
+    assert np.array_equal([tr.x_c for tr in traces], mid)
+    assert np.array_equal(zeta, corner[-1] - path[K])
+    zeta_fold, _ = op._transport_fold(path, w / K, model, TIGHT, con)
+    assert K * np.max(np.abs(zeta - zeta_fold)) <= 1e-8
+
+
+def _tangential(v, normal):
+    normal = normal / np.linalg.norm(normal)
+    return v - (v @ normal) * normal
+
+
+@pytest.mark.parametrize("name", ["chart", "sdf-sphere"])
+def test_results_satisfy_the_inner_equations(name):
+    model, con, xa, xb, v, w = _case(name)
+    K = 64
+    tol = OpConfig().solver.newton_tol
+    path = solve_geodesic_constrained(xa, xb, K, model, con).path
+    _, traces = parallel_transport(path, w / K, model, constraint=con)
+    for k, tr in enumerate(traces, start=1):
+        mid = model.grad2(tr.x_p_prev, tr.x_c) + model.grad1(tr.x_c, path[k])
+        completion = model.grad2(path[k - 1], tr.x_c) + model.grad1(tr.x_c, tr.x_p)
+        if con is not None:
+            normal = con.grad_d(tr.x_c)
+            mid, completion = _tangential(mid, normal), _tangential(completion, normal)
+            assert max(abs(con.d(tr.x_c)), abs(con.d(tr.x_p))) <= tol
+        assert np.max(np.abs(mid)) <= tol
+        assert np.max(np.abs(completion)) <= tol
+
+    shot = discrete_exp_path(xa, v / K, K, model, constraint=con)
+    rows = el_residual(shot, model)
+    if con is not None:
+        rows = np.array([_tangential(r, con.grad_d(p)) for r, p in zip(rows, shot.points[1:-1])])
+        assert max(abs(con.d(p)) for p in shot.points[2:]) <= tol
+    assert np.max(np.abs(rows)) <= tol
+
+
+def test_whole_solves_are_exact_in_flat_space():
+    flat = flat_energy()
+    rng = np.random.default_rng(40)
+    cfg = OpConfig()
+    for K in (2, 5, 17):
+        x = rng.normal(size=3)
+        zeta = 0.3 * rng.normal(size=3)
+        pts, _, _, converged = _whole_exp(x, zeta, K, flat, cfg)
+        assert converged
+        assert np.allclose(pts, x + np.arange(K + 1)[:, None] * zeta, rtol=0.0, atol=1e-12)
+
+        path = rng.normal(size=(K + 1, 3))
+        mid, corner, _, _, converged = _whole_ladder(path, zeta, flat, cfg)
+        assert converged
+        assert np.allclose(corner - path[1:], zeta, rtol=0.0, atol=1e-12)
+        assert np.allclose(mid, (path[:-1] + path[1:] + zeta) / 2.0, rtol=0.0, atol=1e-12)
+
+
+# long sphere-chart shots at K = 16 (1.96 and 2.95 rad) on which the whole
+# exp solve fails: the first diverges, the second converges, but its last
+# point is the far root of the quadratic grad1(x_15, .), 1.25 chart units
+# off the great circle
+LONG_SHOTS = [
+    ([0.7887720751836527, -0.8035873261938692], [0.31330782595414597, -2.231897291214583]),
+    ([0.47407781194451637, -1.5110872202763577], [1.4109623749794153, 2.891756748063982]),
+]
+
+
+def test_long_shot_falls_back_to_the_fold():
+    K = 16
+    cfg = OpConfig()
+    with pytest.raises(SolverError):
+        _whole_exp(np.array(LONG_SHOTS[0][0]), np.array(LONG_SHOTS[0][1]) / K, K, CHART, cfg)
+    x, v = (np.array(a) for a in LONG_SHOTS[1])
+    far, _, _, converged = _whole_exp(x, v / K, K, CHART, cfg)
+    assert converged
+    assert not op._near(far[2:], 2.0 * far[1:-1] - far[:-2], far[1:-1])
+    for x, v in LONG_SHOTS:
+        x, v = np.array(x), np.array(v)
+        shot = discrete_exp_path(x, v / K, K, CHART, cfg)
+        fold = op._exp_fold(x, v / K, K, CHART, cfg, None)
+        assert np.array_equal(shot.points, fold.points)
+        # first-order error of the K = 16 exp against the great circle
+        assert np.linalg.norm(shot[K] - ORACLE.exp(x, v)) <= 0.1
+
+
+# coarse two-rung ladders along sphere-chart geodesics: the whole solve
+# diverges on the first and lands on another root on the second
+COARSE_LADDERS = [
+    (
+        [[1.7358263343150797, -0.37463510651509796], [1.0775410358867987, 0.4632586673408311],
+         [0.2694148576766724, 0.4825489396662908]],
+        [0.29053252297293936, 0.12227046564107139],
+    ),
+    (
+        [[-0.6637090448921862, 0.9128411403546247], [1.0951560544158068, 0.6159842141204439],
+         [1.4635104512310284, -0.8311854356755214]],
+        [0.0405782580085793, -0.030583968743919752],
+    ),
+]
+
+
+def test_coarse_ladder_falls_back_to_the_fold():
+    cfg = OpConfig()
+    path, zeta = (np.array(a) for a in COARSE_LADDERS[0])
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(SolverError):
+        _whole_ladder(path, zeta, CHART, cfg)
+    path, zeta = (np.array(a) for a in COARSE_LADDERS[1])
+    mid, corner, _, _, converged = _whole_ladder(path, zeta, CHART, cfg)
+    assert converged
+    zeta_fold, _ = op._transport_fold(DiscretePath(path), zeta, CHART, cfg, None)
+    assert np.linalg.norm(corner[-1] - path[-1] - zeta_fold) > 0.1
+    for path, zeta in COARSE_LADDERS:
+        path, zeta = np.array(path), np.array(zeta)
+        got, traces = parallel_transport(path, zeta, CHART, cfg)
+        want, fold_traces = op._transport_fold(DiscretePath(path), zeta, CHART, cfg, None)
+        assert np.array_equal(got, want)
+        for tr, ft in zip(traces, fold_traces):
+            assert np.array_equal(tr.x_c, ft.x_c) and np.array_equal(tr.x_p, ft.x_p)
+
+
+def test_fold_errors_are_reported_when_both_fail():
+    strict = OpConfig(solver=SolverConfig(newton_tol=1e-30, max_iter=3))
+    path = solve_geodesic_constrained(XA, XB, 4, CHART, None).path
+    with pytest.raises(SolverError, match="transport step 1 failed: rung-midpoint"):
+        parallel_transport(path, np.array([-0.1, 0.0]), CHART, strict)
+    with pytest.raises(SolverError, match="extension step 2 failed: exp2"):
+        discrete_exp_path(XA, np.array([-0.1, 0.2]), 4, CHART, strict)
+
+
+# a displacement whose size differs from the point's is a DomainError, not a
+# silent numpy broadcast
+SHORT = np.array([0.1])
+
+
+@pytest.mark.parametrize("k", [0, 1, 3])
+def test_discrete_exp_rejects_a_short_displacement(k):
+    with pytest.raises(DomainError, match="dimension"):
+        discrete_exp(XA, SHORT, k, CHART)
+
+
+def test_discrete_exp_path_rejects_a_short_displacement():
+    with pytest.raises(DomainError, match="dimension"):
+        discrete_exp_path(XA, SHORT, 3, CHART)
+
+
+def test_transport_step_rejects_a_short_displacement():
+    with pytest.raises(DomainError, match="dimension"):
+        transport_step(XA, XB, SHORT, CHART)
+
+
+def test_inverse_transport_rejects_a_short_displacement():
+    with pytest.raises(DomainError, match="dimension"):
+        inverse_transport(np.stack([XA, XB]), SHORT, CHART)
+
+
+def test_discrete_connection_rejects_short_vectors():
+    for xi, eta0, eta1 in ((SHORT, XA, XA), (XA, SHORT, XA), (XA, XA, SHORT)):
+        with pytest.raises(DomainError, match="dimension"):
+            discrete_connection([0.0, 0.0], xi, eta0, eta1, CHART)
+
+
+def test_two_point_operators_reject_short_vectors():
+    model, sphere = sdf_spring_model(SphereSdf())
+    with pytest.raises(DomainError, match="dimension"):
+        exp2(XA, SHORT, CHART)
+    with pytest.raises(DomainError, match="dimension"):
+        log2(XA, SHORT, CHART)
+    with pytest.raises(DomainError, match="dimension"):
+        exp2_hypersurface([1.0, 0.0, 0.0], SHORT, model, sphere)
+    with pytest.raises(DomainError, match="dimension"):
+        parallel_transport(np.stack([XA, XB]), SHORT, CHART)
+
+
+def test_cli_exp_rejects_a_short_displacement(capsys):
+    code = main(["exp", "--model", "sphere-chart", "--xa", "0.5,0", "--zeta", "0.1", "--K", "3"])
+    assert code == 3
+    assert "dimension" in capsys.readouterr().err
