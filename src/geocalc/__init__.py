@@ -49,7 +49,6 @@ from .models import (
     sphere_oracles,
 )
 from .operators import (
-    OpConfig,
     TransportTrace,
     discrete_connection,
     discrete_exp,

@@ -29,7 +29,7 @@ from .harness import (
     write_orders_json,
     write_report_csv,
 )
-from .operators import OpConfig, discrete_exp, discrete_log, parallel_transport, write_traces_csv
+from .operators import discrete_exp, discrete_log, parallel_transport, write_traces_csv
 
 __all__ = ["main"]
 
@@ -127,9 +127,6 @@ def _study_config(args) -> StudyConfig:
     if getattr(args, "tol", None) is not None:
         # override the tolerance alone; the config's other settings stand
         updates["solver"] = replace(cfg.solver, newton_tol=args.tol)
-        updates["op_config"] = replace(
-            cfg.op_config, solver=replace(cfg.op_config.solver, newton_tol=args.tol)
-        )
     if updates:
         cfg = replace(cfg, **updates)
     return cfg
@@ -177,7 +174,7 @@ def _cmd_log(args) -> int:
     backend = build_backend(cfg.model)
     xa, xb = _point_pair(cfg)
     K = _steps(args)
-    zeta = discrete_log(xa, xb, K, backend.model, cfg.op_config, backend.constraint)
+    zeta = discrete_log(xa, xb, K, backend.model, cfg.solver, backend.constraint)
     print(f"log model={cfg.model} K={K}")
     print("zeta      = " + ",".join(repr(float(v)) for v in zeta))
     print("K * zeta  = " + ",".join(repr(float(v)) for v in K * zeta))
@@ -194,7 +191,7 @@ def _cmd_exp(args) -> int:
     xa = np.asarray(cfg.xa, dtype=float)
     K = _steps(args)
     endpoint = discrete_exp(
-        xa, np.asarray(args.zeta, float), K, backend.model, cfg.op_config, backend.constraint
+        xa, np.asarray(args.zeta, float), K, backend.model, cfg.solver, backend.constraint
     )
     print(f"exp model={cfg.model} K={K}")
     print("endpoint = " + ",".join(repr(float(v)) for v in endpoint))
@@ -213,7 +210,7 @@ def _cmd_transport(args) -> int:
         raise SolverError("geodesic solve did not converge", residual=res.residual)
     w = np.asarray(cfg.w, dtype=float)
     zeta, traces = parallel_transport(
-        res.path, w / K, backend.model, cfg.op_config, backend.constraint
+        res.path, w / K, backend.model, cfg.solver, backend.constraint
     )
     print(f"transport model={cfg.model} K={K}")
     print("zeta_K     = " + ",".join(repr(float(v)) for v in zeta))

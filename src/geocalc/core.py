@@ -239,13 +239,10 @@ class FdScheme:
     """Central finite-difference scheme of order 2 with step ``step``."""
 
     step: float = 1e-5
-    order: int = 2
 
     def __post_init__(self):
         if not (1e-8 <= self.step <= 1e-2):
             raise DomainError(f"fd step must lie in [1e-8, 1e-2], got {self.step}")
-        if self.order != 2:
-            raise DomainError("only order-2 central differences are supported")
 
 
 def fd_gradient(func, x: np.ndarray, step: float) -> np.ndarray:

@@ -81,8 +81,8 @@ class SolverConfig:
     damping: str = "none"  # "none" | "armijo"
 
     def __post_init__(self):
-        if self.newton_tol <= 0:
-            raise DomainError("newton_tol must be positive")
+        if not 0 < self.newton_tol < np.inf:
+            raise DomainError(f"newton_tol must be positive and finite, got {self.newton_tol}")
         if self.max_iter < 1:
             raise DomainError("max_iter must be at least 1")
         if self.damping not in ("none", "armijo"):
@@ -195,17 +195,18 @@ def _left_domain(context, err, res) -> SolverError:
     return SolverError(f"{context}: an iterate left the model's domain ({err})", residual=res)
 
 
-def _newton(residual, step, z0, cfg: SolverConfig, context: str):
+def _newton(residual, step, z0, cfg: SolverConfig | None, context: str):
     """Newton iteration for residual(z) = 0 from z0.
 
-    ``step(z, r)`` returns the Newton correction for r = residual(z).  With
-    ``cfg.damping == "armijo"`` the correction is halved until 0.5 |r|^2
-    decreases sufficiently.  The residual is evaluated once per iterate.
-    Returns (z, sup-norm residual, iterations, converged).  A singular
-    linear system, or a DomainError at an iterate the loop produced, raises
-    SolverError with the last residual; a DomainError at z0 (the caller's
-    input) propagates.
+    ``step(z, r)`` returns the Newton correction for r = residual(z); ``cfg``
+    None means the default SolverConfig.  With ``cfg.damping == "armijo"``
+    the correction is halved until 0.5 |r|^2 decreases sufficiently.  The
+    residual is evaluated once per iterate.  Returns (z, sup-norm residual,
+    iterations, converged).  A singular linear system, or a DomainError at
+    an iterate the loop produced, raises SolverError with the last
+    residual; a DomainError at z0 (the caller's input) propagates.
     """
+    cfg = cfg or SolverConfig()
     z, r = z0, residual(z0)
     res = _sup(r)
     iterations = 0
@@ -327,7 +328,7 @@ def _multiplier_rows(mu, jac) -> np.ndarray:
     return np.einsum("nc,ncd->nd", mu, jac)
 
 
-def _solve_path(pts, model, constraint, cfg: SolverConfig, context: str):
+def _solve_path(pts, model, constraint, cfg: SolverConfig | None, context: str):
     """Newton solve for the interior points of ``pts`` (shape (K+1, d), K >= 2).
 
     ``constraint`` is None, a LinearGauge, or a ConstraintModel; the
@@ -402,7 +403,6 @@ def _result(model, pts, residual, iterations, converged, multipliers=None):
 
 def _solve(x_a, x_b, K, model, constraint, cfg, init_path) -> GeodesicResult:
     """Body of both public solves; ``constraint`` is None, a gauge or a level set."""
-    cfg = cfg or SolverConfig()
     xa = as_point(x_a)
     xb = as_point(x_b)
     if xa.size != xb.size:
@@ -422,9 +422,7 @@ def _solve(x_a, x_b, K, model, constraint, cfg, init_path) -> GeodesicResult:
         pts[0], pts[K] = xa, xb
     else:
         pts = _linear_init(xa, xb, K)
-        if level_set:
-            for k in range(1, K):
-                pts[k] = project_onto_level_set(pts[k], constraint)
+        _project_rows(pts[1:K], constraint)
 
     if K == 1:
         return _result(model, pts, 0.0, 0, True, np.zeros(0) if level_set else None)
@@ -467,6 +465,16 @@ def project_onto_level_set(
     raise SolverError(
         f"level-set projection did not reach |d| <= {tol}", residual=abs(val)
     )
+
+
+def _project_rows(x, constraint) -> None:
+    """Project each row of the stack x onto the level set, in place.
+
+    Does nothing unless ``constraint`` is a ConstraintModel.
+    """
+    if isinstance(constraint, ConstraintModel):
+        for i, p in enumerate(x):
+            x[i] = project_onto_level_set(p, constraint)
 
 
 def solve_geodesic_constrained(

@@ -34,7 +34,7 @@ from .models import (
     sphere_chart_energy,
     sphere_oracles,
 )
-from .operators import OpConfig, discrete_exp, parallel_transport
+from .operators import discrete_exp, parallel_transport
 from .rods import RodCurve, load_rod_csv, random_smooth_rod, rod_energy, rod_gauge, save_rod_csv
 
 __all__ = [
@@ -77,7 +77,6 @@ class StudyConfig:
     w: tuple = (-0.4, 0.0)
     k_exponents: tuple = tuple(range(1, 11))
     solver: SolverConfig = field(default_factory=SolverConfig)
-    op_config: OpConfig = field(default_factory=OpConfig)
     output_dir: str | None = None
     seed: int = 0
 
@@ -98,7 +97,6 @@ class StudyConfig:
             "w",
             "k_exponents",
             "solver",
-            "op_config",
             "output_dir",
             "seed",
         }
@@ -115,11 +113,6 @@ class StudyConfig:
         try:
             if "solver" in kwargs:
                 kwargs["solver"] = SolverConfig(**kwargs["solver"])
-            if "op_config" in kwargs:
-                sub = dict(kwargs["op_config"])
-                if "solver" in sub:
-                    sub["solver"] = SolverConfig(**sub["solver"])
-                kwargs["op_config"] = OpConfig(**sub)
             return cls(**kwargs)
         except TypeError as err:
             raise ConfigError(str(err)) from err
@@ -246,10 +239,10 @@ def _references(cfg: StudyConfig, backend: _Backend, xa, xb, w):
     ref = _solve(backend, xa, xb, k_ref, cfg.solver)
     log_ref = k_ref * (ref.path[1] - ref.path[0])
     exp_ref = discrete_exp(
-        xa, log_ref / k_ref, k_ref, backend.model, cfg.op_config, backend.constraint
+        xa, log_ref / k_ref, k_ref, backend.model, cfg.solver, backend.constraint
     )
     zt, _ = parallel_transport(
-        ref.path, w / k_ref, backend.model, cfg.op_config, backend.constraint
+        ref.path, w / k_ref, backend.model, cfg.solver, backend.constraint
     )
     pt_ref = k_ref * zt
 
@@ -278,11 +271,11 @@ def run_convergence_study(cfg: StudyConfig) -> ConvergenceReport:
             err_geo = float(np.max(np.linalg.norm(res.path.points - nodes, axis=1)))
             err_log = float(np.linalg.norm(K * (res.path[1] - res.path[0]) - log_ref))
             endpoint = discrete_exp(
-                xa, log_ref / K, K, backend.model, cfg.op_config, backend.constraint
+                xa, log_ref / K, K, backend.model, cfg.solver, backend.constraint
             )
             err_exp = float(np.linalg.norm(endpoint - exp_ref))
             zt, _ = parallel_transport(
-                res.path, w / K, backend.model, cfg.op_config, backend.constraint
+                res.path, w / K, backend.model, cfg.solver, backend.constraint
             )
             err_pt = float(np.linalg.norm(K * zt - pt_ref))
         except SolverError as err:
@@ -370,6 +363,8 @@ def run_consistency_audit(
     backend = build_backend(model_name, n_nodes=n_nodes, delta=delta)
     if tol is None:
         tol = backend.default_tol
+    elif not tol >= 0:
+        raise ConfigError(f"tol must be nonnegative, got {tol}")
     rng = np.random.default_rng(seed)
     rows = []
     for i in range(int(samples)):

@@ -28,8 +28,9 @@ operator runs the fold (``exp2`` or ``transport_step`` one step at a
 time), and the fold's errors are the ones raised.  Inverse transport
 without a constraint inverts one rung at a time.
 
-Every Newton solve here runs the one Newton loop of ``geodesic``, with
-``OpConfig.solver`` as its settings, damping included.
+Every Newton solve here runs the one Newton loop of ``geodesic``.  Every
+operator takes, as its 4th argument, the ``SolverConfig`` the path solves
+take, and each of its inner solves runs with it, damping included.
 
 All operators accept an optional level-set constraint; the inner solves
 then keep their variational points on the hypersurface via a Lagrange
@@ -42,7 +43,7 @@ differs from the base point's is a DomainError.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -55,14 +56,12 @@ from .geodesic import (
     _forward_substitution,
     _multiplier_rows,
     _newton,
+    _project_rows,
     _solve_path,
-    _sup,
-    project_onto_level_set,
     solve_geodesic_constrained,
 )
 
 __all__ = [
-    "OpConfig",
     "TransportTrace",
     "log2",
     "exp2",
@@ -76,29 +75,6 @@ __all__ = [
     "discrete_connection",
     "write_traces_csv",
 ]
-
-
-@dataclass(frozen=True)
-class OpConfig:
-    """Settings for the operators' Newton solves.
-
-    ``solver`` drives every Newton solve, the whole-path ones included.
-    ``method`` selects how exp2 is computed: Newton on the stationarity
-    equation (default) or the contraction x2 -> x2 + zeta - log2(x, x2)
-    iterated to ``fixed_point_tol``.  It applies only to exp2 itself and
-    to the step-by-step fold that exp and transport fall back to; the
-    whole-path solves always use Newton.
-    """
-
-    solver: SolverConfig = field(default_factory=SolverConfig)
-    fixed_point_tol: float = 1e-12
-    method: str = "newton"
-
-    def __post_init__(self):
-        if self.fixed_point_tol <= 0:
-            raise DomainError("fixed_point_tol must be positive")
-        if self.method not in ("newton", "fixed_point"):
-            raise DomainError(f"unknown exp2 method {self.method!r}")
 
 
 @dataclass(frozen=True)
@@ -130,7 +106,7 @@ def _require(converged: bool, res: float, context: str) -> None:
         raise SolverError(f"{context}: no convergence, last residual {res:.3e}", residual=res)
 
 
-def log2(x0, x2, model, cfg: OpConfig | None = None, constraint: ConstraintModel | None = None) -> np.ndarray:
+def log2(x0, x2, model, cfg: SolverConfig | None = None, constraint: ConstraintModel | None = None) -> np.ndarray:
     """Displacement zeta with x0 + zeta the midpoint of the 2-geodesic to x2.
 
     This is the K = 2 path solve: grad2(x0, x1) + grad1(x1, x2) = 0 for the
@@ -138,15 +114,11 @@ def log2(x0, x2, model, cfg: OpConfig | None = None, constraint: ConstraintModel
     given; the endpoints themselves are data and need not satisfy it),
     started from the midpoint, projected onto the level set if there is one.
     """
-    cfg = cfg or OpConfig()
     x0 = as_point(x0)
     x2 = _at_point(x2, x0)
-    x1 = (x0 + x2) / 2.0
-    if constraint is not None:
-        x1 = project_onto_level_set(x1, constraint)
-    pts, _, res, _, converged = _solve_path(
-        np.stack([x0, x1, x2]), model, constraint, cfg.solver, "log2"
-    )
+    pts = np.stack([x0, (x0 + x2) / 2.0, x2])
+    _project_rows(pts[1:2], constraint)
+    pts, _, res, _, converged = _solve_path(pts, model, constraint, cfg, "log2")
     _require(converged, res, "log2")
     return pts[1] - x0
 
@@ -154,13 +126,11 @@ def log2(x0, x2, model, cfg: OpConfig | None = None, constraint: ConstraintModel
 def _exp_start(x, zeta, K, constraint):
     """Start x_j = x + j zeta (j = 0..K) of the exp solve; x_2.. projected."""
     pts = x + np.arange(K + 1)[:, None] * zeta
-    if constraint is not None:
-        for j in range(2, K + 1):
-            pts[j] = project_onto_level_set(pts[j], constraint)
+    _project_rows(pts[2:], constraint)
     return pts
 
 
-def _solve_exp(pts, model, constraint, cfg: SolverConfig, context: str):
+def _solve_exp(pts, model, constraint, cfg: SolverConfig | None, context: str):
     """Newton solve for x_2 .. x_K of ``pts`` (shape (K+1, d), K >= 2).
 
     x_0 and x_1 are data.  Row k = 1..K-1 is the Euler-Lagrange equation at
@@ -207,44 +177,30 @@ def _solve_exp(pts, model, constraint, cfg: SolverConfig, context: str):
     return z[:, :d], res, iterations, converged
 
 
-def exp2(x, zeta, model, cfg: OpConfig | None = None, constraint: ConstraintModel | None = None) -> np.ndarray:
+def exp2(x, zeta, model, cfg: SolverConfig | None = None, constraint: ConstraintModel | None = None) -> np.ndarray:
     """Endpoint x2 of the 2-geodesic whose midpoint displacement is zeta.
 
-    Newton runs the K = 2 exp solve from x + 2 zeta (projected onto the
-    level set if there is one); ``cfg.method == "fixed_point"`` iterates
-    x2 -> x2 + zeta - log2(x, x2) instead.
+    This is the K = 2 exp solve, started from x + 2 zeta (projected onto
+    the level set if there is one).
     """
-    cfg = cfg or OpConfig()
     x = as_point(x)
     zeta = _at_point(zeta, x)
     pts = _exp_start(x, zeta, 2, constraint)
-    if cfg.method == "fixed_point":
-        x2 = pts[2]
-        for _ in range(500):
-            x2_new = x2 + zeta - log2(x, x2, model, cfg, constraint)
-            if constraint is not None:
-                x2_new = project_onto_level_set(x2_new, constraint)
-            change = _sup(x2_new - x2)
-            if change < cfg.fixed_point_tol:
-                return x2_new
-            x2 = x2_new
-        raise SolverError(
-            f"exp2 fixed-point iteration did not converge, last step {change:.3e}",
-            residual=change,
-        )
-    pts, res, _, converged = _solve_exp(pts, model, constraint, cfg.solver, "exp2")
+    pts, res, _, converged = _solve_exp(pts, model, constraint, cfg, "exp2")
     _require(converged, res, "exp2")
     return pts[2]
 
 
-def exp2_hypersurface(x, zeta, model, constraint: ConstraintModel, cfg: OpConfig | None = None) -> np.ndarray:
+def exp2_hypersurface(
+    x, zeta, model, cfg: SolverConfig | None = None, *, constraint: ConstraintModel
+) -> np.ndarray:
     """Geometric exp2 for the spring energy on a hypersurface.
 
     For w = |y - x|^2 the stationarity condition says zeta and the closing
     displacement differ by a multiple of the normal at x + zeta, so the
     endpoint is x + 2 zeta - c n with the scalar c fixed by d(x2) = 0.
+    The constraint is required, so it is passed by keyword.
     """
-    cfg = cfg or OpConfig()
     if not model.symmetric:
         raise DomainError("the one-dimensional exp2 search requires the spring energy")
     x = as_point(x)
@@ -260,7 +216,7 @@ def exp2_hypersurface(x, zeta, model, constraint: ConstraintModel, cfg: OpConfig
         g = np.asarray(constraint.grad_d(x1 + zeta - c[0] * n))
         return np.linalg.solve(np.asarray([[-float(g @ n)]]), r)
 
-    c, res, _, converged = _newton(residual, step, np.zeros(1), cfg.solver, "exp2 hypersurface")
+    c, res, _, converged = _newton(residual, step, np.zeros(1), cfg, "exp2 hypersurface")
     _require(converged, res, "exp2 hypersurface")
     return x1 + zeta - c[0] * n
 
@@ -270,7 +226,7 @@ def discrete_log(
     x_b,
     K: int,
     model,
-    cfg: OpConfig | None = None,
+    cfg: SolverConfig | None = None,
     constraint: ConstraintModel | None = None,
 ) -> np.ndarray:
     """First increment x_1 - x_0 of the K-step geodesic from x_a to x_b.
@@ -278,12 +234,11 @@ def discrete_log(
     K times this displacement approximates the Riemannian logarithm.  For
     K = 1 it is the plain difference x_b - x_a.
     """
-    cfg = cfg or OpConfig()
     xa = as_point(x_a)
     xb = _at_point(x_b, xa)
     if K == 1:
         return xb - xa
-    result = solve_geodesic_constrained(xa, xb, K, model, constraint, cfg.solver)
+    result = solve_geodesic_constrained(xa, xb, K, model, constraint, cfg)
     if not result.converged:
         raise SolverError(
             f"geodesic solve for the K={K} logarithm did not converge",
@@ -322,7 +277,7 @@ def discrete_exp_path(
     zeta,
     k: int,
     model,
-    cfg: OpConfig | None = None,
+    cfg: SolverConfig | None = None,
     constraint: ConstraintModel | None = None,
 ) -> DiscretePath:
     """All points x_0 .. x_k of the discrete geodesic shot from x with zeta.
@@ -334,7 +289,6 @@ def discrete_exp_path(
     extended one exp2 step at a time instead, and that extension's errors
     are the ones raised.
     """
-    cfg = cfg or OpConfig()
     x = as_point(x)
     zeta = _at_point(zeta, x)
     if k < 1:
@@ -345,7 +299,7 @@ def discrete_exp_path(
     try:
         with np.errstate(over="ignore", invalid="ignore"):
             pts = _exp_start(x, zeta, k, constraint)
-            pts, _, _, converged = _solve_exp(pts, model, constraint, cfg.solver, "exp path")
+            pts, _, _, converged = _solve_exp(pts, model, constraint, cfg, "exp path")
     except (SolverError, DomainError):
         converged = False
     if not (converged and _near(pts[2:], 2.0 * pts[1:-1] - pts[:-2], pts[1:-1])):
@@ -358,7 +312,7 @@ def discrete_exp(
     zeta,
     k: int,
     model,
-    cfg: OpConfig | None = None,
+    cfg: SolverConfig | None = None,
     constraint: ConstraintModel | None = None,
 ) -> np.ndarray:
     """k-step discrete exponential of the displacement zeta at x."""
@@ -378,7 +332,7 @@ def transport_step(
     x_next,
     zeta_prev,
     model,
-    cfg: OpConfig | None = None,
+    cfg: SolverConfig | None = None,
     constraint: ConstraintModel | None = None,
 ):
     """One geodesic-parallelogram rung carrying zeta from x_prev to x_next.
@@ -387,7 +341,6 @@ def transport_step(
     solves are labeled rung-midpoint (the parallelogram center) and
     rung-completion (the opposite corner).
     """
-    cfg = cfg or OpConfig()
     x_prev = as_point(x_prev)
     x_next = _at_point(x_next, x_prev)
     zeta_prev = _at_point(zeta_prev, x_prev)
@@ -405,7 +358,7 @@ def transport_step(
     return zeta_next, trace
 
 
-def _solve_ladder(pts, zeta_0, model, constraint, cfg: SolverConfig, context: str):
+def _solve_ladder(pts, zeta_0, model, constraint, cfg: SolverConfig | None, context: str):
     """Newton solve for every rung of the ladder along ``pts`` at once.
 
     Rung k = 1..K has the midpoint c_k and the corner p_k as unknowns (with
@@ -473,10 +426,8 @@ def _solve_ladder(pts, zeta_0, model, constraint, cfg: SolverConfig, context: st
 
     mid = (starts + ends) / 2.0 + zeta_0 / 2.0
     corner = ends + zeta_0
-    if constraint is not None:
-        for k in range(K):
-            mid[k] = project_onto_level_set(mid[k], constraint)
-            corner[k] = project_onto_level_set(corner[k], constraint)
+    _project_rows(mid, constraint)
+    _project_rows(corner, constraint)
     no_mu = np.zeros((K, c))
     z0 = np.hstack([mid, no_mu, corner, no_mu])
     z, res, iterations, converged = _newton(residual, step, z0, cfg, context)
@@ -499,7 +450,7 @@ def parallel_transport(
     path,
     zeta_0,
     model,
-    cfg: OpConfig | None = None,
+    cfg: SolverConfig | None = None,
     constraint: ConstraintModel | None = None,
 ):
     """Schild's-ladder transport of zeta_0 along every segment of the path.
@@ -510,14 +461,13 @@ def parallel_transport(
     fold's errors are the ones raised.  Returns (zeta_K, traces);
     traces[k-1] documents the k-th rung.
     """
-    cfg = cfg or OpConfig()
     path = as_path(path)
     pts = path.points
     zeta_0 = _at_point(zeta_0, pts[0])
     # a diverging attempt may overflow before it fails; the fold then reruns it
     try:
         with np.errstate(over="ignore", invalid="ignore"):
-            mid, corner, _, _, converged = _solve_ladder(pts, zeta_0, model, constraint, cfg.solver, "ladder")
+            mid, corner, _, _, converged = _solve_ladder(pts, zeta_0, model, constraint, cfg, "ladder")
     except (SolverError, DomainError):
         converged = False
     if converged:
@@ -550,7 +500,7 @@ def _invert_rung(x_prev, x_next, zeta_next, model, cfg, context):
         return np.linalg.solve(np.asarray(model.hess21(y, x_c)), r)
 
     context = f"{context}: rung start"
-    y, res, _, converged = _newton(residual, step, 2.0 * x_c - x_next, cfg.solver, context)
+    y, res, _, converged = _newton(residual, step, 2.0 * x_c - x_next, cfg, context)
     _require(converged, res, context)
     return y - x_prev
 
@@ -559,7 +509,7 @@ def inverse_transport(
     path,
     zeta_K,
     model,
-    cfg: OpConfig | None = None,
+    cfg: SolverConfig | None = None,
     constraint: ConstraintModel | None = None,
 ) -> np.ndarray:
     """Pull a displacement at the path end back to the start.
@@ -569,7 +519,6 @@ def inverse_transport(
     the rung inversion is carried out as forward transport along the
     reversed path, which requires a symmetric energy.
     """
-    cfg = cfg or OpConfig()
     path = as_path(path)
     zeta = _at_point(zeta_K, path[0])
     if constraint is not None:
@@ -594,7 +543,7 @@ def discrete_connection(
     eta0,
     eta1,
     model,
-    cfg: OpConfig | None = None,
+    cfg: SolverConfig | None = None,
     constraint: ConstraintModel | None = None,
 ) -> np.ndarray:
     """Finite-difference covariant derivative from one-rung inverse transport.

@@ -471,6 +471,8 @@ def rod_gauge(x_a, x_b, K: int) -> LinearGauge:
     xb = as_point(x_b)
     if xa.size != xb.size or xa.size % 2:
         raise DomainError("rod coordinates must be flattened (N, 2) arrays")
+    if K < 1:
+        raise DomainError(f"K must be at least 1, got {K}")
     n = xa.size // 2
     g = np.kron(np.ones((1, n)) / n, np.eye(2))
     mean_a = g @ xa

@@ -160,32 +160,41 @@ def test_rod_morph_cli(tmp_path, capsys):
     bad.write_text("x,y\n1.0,2.0\n3.0\n", encoding="utf-8")
     assert main(["rod-morph", "--curve-a", str(a), "--curve-b", str(bad)]) == 3
     assert "2 fields" in capsys.readouterr().err
-    for tol in ("0", "-1"):
+    for tol in ("0", "-1", "nan", "inf"):
         assert main(["rod-morph", "--curve-a", str(a), "--curve-b", str(b), "--tol", tol]) == 3
-        assert "newton_tol must be positive" in capsys.readouterr().err
+        assert "newton_tol must be positive and finite" in capsys.readouterr().err
     code = main(["rod-morph", "--curve-a", str(a), "--curve-b", str(b), "--K", "4", "--kind", "full"])
     assert code == 0
     assert "kind=full converged=True" in capsys.readouterr().out
 
 
 def test_unknown_nested_config_key_exits_3(tmp_path, capsys):
-    for nested in ({"solver": {"init": "linear"}}, {"op_config": {"solver": {"tol": 1e-9}}}):
+    # the operators run with "solver" too; "op_config" is no config key
+    for nested, message in (
+        ({"solver": {"init": "linear"}}, "unexpected keyword"),
+        ({"op_config": {"solver": {"newton_tol": 1e-9}}}, "unknown config keys: ['op_config']"),
+    ):
         path = tmp_path / "nested.json"
         path.write_text(json.dumps({"model": "flat", **nested}), encoding="utf-8")
         assert main(["converge", "--config", str(path), "--out", str(tmp_path)]) == 3
-        assert "unexpected keyword" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
 
 
-def test_step_count_below_one_exits_3(capsys):
+def test_step_count_below_one_exits_3(tmp_path, capsys):
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    save_rod_csv(circle_rod(8), a)
+    save_rod_csv(circle_rod(8, 1.1), b)
+    flat = ["--model", "flat", "--xa", "0,0"]
     base = {
-        "geodesic": ["--xb", "1,0"],
-        "log": ["--xb", "1,0"],
-        "exp": ["--zeta", "0.25,0"],
-        "transport": ["--xb", "1,1", "--w", "0.5,0"],
+        "geodesic": [*flat, "--xb", "1,0"],
+        "log": [*flat, "--xb", "1,0"],
+        "exp": [*flat, "--zeta", "0.25,0"],
+        "transport": [*flat, "--xb", "1,1", "--w", "0.5,0"],
+        "rod-morph": ["--curve-a", str(a), "--curve-b", str(b)],
     }
     for command, extra in base.items():
         for K in ("0", "-2"):
-            argv = [command, "--model", "flat", "--xa", "0,0", *extra, "--K", K]
+            argv = [command, *extra, "--K", K]
             assert main(argv) == 3, argv
             assert "K must be at least 1" in capsys.readouterr().err
 
@@ -196,24 +205,23 @@ def test_consistency_rejects_nonpositive_samples(capsys):
         assert "samples must be at least 1" in capsys.readouterr().err
 
 
+def test_consistency_rejects_negative_or_nan_tol(capsys):
+    for tol in ("-1", "nan"):
+        assert main(["consistency", "--model", "flat", "--samples", "2", "--tol", tol]) == 3
+        assert "tol must be nonnegative" in capsys.readouterr().err
+
+
 def test_tol_overrides_only_the_tolerance_of_a_config(tmp_path):
     from geocalc.cli import _build_parser, _study_config
 
     cfg = {
         "model": "flat",
         "solver": {"damping": "armijo", "max_iter": 7},
-        "op_config": {
-            "method": "fixed_point",
-            "fixed_point_tol": 1e-11,
-            "solver": {"damping": "armijo", "max_iter": 9},
-        },
     }
     path = tmp_path / "study.json"
     path.write_text(json.dumps(cfg), encoding="utf-8")
     args = _build_parser().parse_args(["converge", "--config", str(path), "--tol", "1e-9"])
     study = _study_config(args)
     assert (study.solver.newton_tol, study.solver.damping, study.solver.max_iter) == (1e-9, "armijo", 7)
-    op = study.op_config
-    assert (op.method, op.fixed_point_tol) == ("fixed_point", 1e-11)
-    assert (op.solver.newton_tol, op.solver.damping, op.solver.max_iter) == (1e-9, "armijo", 9)
-    assert main(["converge", "--config", str(path), "--tol", "0"]) == 3
+    for tol in ("0", "nan", "inf"):
+        assert main(["converge", "--config", str(path), "--tol", tol]) == 3

@@ -68,8 +68,6 @@ def test_fd_scheme_bounds():
         FdScheme(step=1e-9)
     with pytest.raises(DomainError):
         FdScheme(step=0.1)
-    with pytest.raises(DomainError):
-        FdScheme(order=4)
 
 
 def test_metric_flat_is_identity():

@@ -4,7 +4,7 @@ import time
 import numpy as np
 import pytest
 
-from geocalc import SolverConfig, SolverError, circle_rod, save_rod_csv
+from geocalc import DomainError, SolverConfig, SolverError, circle_rod, save_rod_csv
 from geocalc.harness import (
     AuditReport,
     ConfigError,
@@ -46,11 +46,11 @@ def test_study_config_validation():
     assert cfg.k_exponents == (1, 2, 3)
     with pytest.raises(ConfigError):
         StudyConfig.from_dict({"modle": "flat"})
-    nested = StudyConfig.from_dict(
-        {"solver": {"newton_tol": 1e-9}, "op_config": {"method": "fixed_point"}}
-    )
-    assert nested.solver.newton_tol == 1e-9
-    assert nested.op_config.method == "fixed_point"
+    nested = StudyConfig.from_dict({"solver": {"newton_tol": 1e-9, "damping": "armijo"}})
+    assert (nested.solver.newton_tol, nested.solver.damping) == (1e-9, "armijo")
+    for tol in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(DomainError, match="newton_tol must be positive and finite"):
+            StudyConfig.from_dict({"solver": {"newton_tol": tol}})
 
 
 def test_smoke_study_is_small_and_fast():

@@ -5,7 +5,6 @@ import pytest
 
 from geocalc import (
     DomainError,
-    OpConfig,
     SolverConfig,
     SolverError,
     discrete_connection,
@@ -78,16 +77,6 @@ def test_exp2_second_order_deviation():
         assert 3.0 <= devs[j] / devs[j + 1] <= 5.0
 
 
-def test_exp2_methods_agree():
-    cfg_fp = OpConfig(method="fixed_point")
-    rng = np.random.default_rng(6)
-    for _ in range(5):
-        z = 0.2 * rng.normal(size=2)
-        newton = exp2(XA, z, CHART)
-        fixed = exp2(XA, z, CHART, cfg_fp)
-        assert np.linalg.norm(newton - fixed) <= 1e-9
-
-
 def test_exp2_inverts_log2():
     rng = np.random.default_rng(9)
     for _ in range(10):
@@ -103,7 +92,7 @@ def test_discrete_log_examples():
 
 
 def test_discrete_log_propagates_solver_failure():
-    cfg = OpConfig(solver=SolverConfig(max_iter=1))
+    cfg = SolverConfig(max_iter=1)
     with pytest.raises(SolverError):
         discrete_log(XA, XB, 32, CHART, cfg)
 
@@ -118,7 +107,7 @@ def test_discrete_exp_examples():
 
 
 def test_exp_log_round_trip_on_chart():
-    cfg = OpConfig()
+    cfg = SolverConfig()
     for K in (4, 16):
         z = discrete_log(XA, XB, K, CHART, cfg)
         bvp = solve_geodesic(XA, XB, K, CHART)
@@ -126,7 +115,7 @@ def test_exp_log_round_trip_on_chart():
         worst = max(
             float(np.linalg.norm(shoot[k] - bvp.path[k])) for k in range(K + 1)
         )
-        assert worst <= 10 * cfg.solver.newton_tol
+        assert worst <= 10 * cfg.newton_tol
 
 
 def test_transport_step_flat_closes_parallelogram():
@@ -292,18 +281,18 @@ def test_exp2_hypersurface_matches_generic():
         z = 0.05 * rng.normal(size=3)
         z -= (z @ xa) * xa
         generic = exp2(xa, z, model, constraint=sphere)
-        geometric = exp2_hypersurface(xa, z, model, sphere)
+        geometric = exp2_hypersurface(xa, z, model, constraint=sphere)
         assert np.linalg.norm(generic - geometric) <= 1e-9
         assert abs(sphere.d(generic)) <= 1e-9
 
 
 def test_exp2_hypersurface_requires_spring():
     with pytest.raises(DomainError):
-        exp2_hypersurface(XA, np.zeros(2), CHART, SphereSdf())
+        exp2_hypersurface(XA, np.zeros(2), CHART, constraint=SphereSdf())
 
 
 def test_solver_error_labels_stage():
-    strict = OpConfig(solver=SolverConfig(newton_tol=1e-14, max_iter=1))
+    strict = SolverConfig(newton_tol=1e-14, max_iter=1)
     with pytest.raises(SolverError, match="rung-midpoint") as err:
         transport_step(XA, XB, np.array([-0.1, 0.2]), CHART, strict)
     assert err.value.residual is not None
@@ -349,9 +338,3 @@ def test_log2_is_the_two_step_path_solve():
     z = log2(xa, xb, model, constraint=sphere)
     assert np.allclose(z, res.path[1] - res.path[0], rtol=0.0, atol=1e-14)
 
-
-def test_fixed_point_failure_reports_last_step():
-    cfg = OpConfig(method="fixed_point", fixed_point_tol=1e-300)
-    with pytest.raises(SolverError, match="fixed-point") as err:
-        exp2([0.5, 0.0], [0.1, 0.05], CHART, cfg)
-    assert err.value.residual > 0.0

@@ -14,7 +14,6 @@ import pytest
 from geocalc import (
     DiscretePath,
     DomainError,
-    OpConfig,
     SolverConfig,
     SolverError,
     discrete_connection,
@@ -41,7 +40,7 @@ CHART = sphere_chart_energy()
 ORACLE = sphere_oracles()
 XA = np.array([0.5, 0.0])
 XB = np.array([-0.5, 2.0])
-TIGHT = OpConfig(solver=SolverConfig(newton_tol=1e-13))
+TIGHT = SolverConfig(newton_tol=1e-13)
 
 
 def _sphere_case():
@@ -63,11 +62,11 @@ def _case(name):
 
 def _whole_exp(x, zeta, K, model, cfg, constraint=None):
     pts = op._exp_start(x, zeta, K, constraint)
-    return op._solve_exp(pts, model, constraint, cfg.solver, "exp path")
+    return op._solve_exp(pts, model, constraint, cfg, "exp path")
 
 
 def _whole_ladder(path, zeta, model, cfg, constraint=None):
-    return op._solve_ladder(np.asarray(path), zeta, model, constraint, cfg.solver, "ladder")
+    return op._solve_ladder(np.asarray(path), zeta, model, constraint, cfg, "ladder")
 
 
 @pytest.mark.parametrize("name", ["chart", "sdf-sphere"])
@@ -101,7 +100,7 @@ def _tangential(v, normal):
 def test_results_satisfy_the_inner_equations(name):
     model, con, xa, xb, v, w = _case(name)
     K = 64
-    tol = OpConfig().solver.newton_tol
+    tol = SolverConfig().newton_tol
     path = solve_geodesic_constrained(xa, xb, K, model, con).path
     _, traces = parallel_transport(path, w / K, model, constraint=con)
     for k, tr in enumerate(traces, start=1):
@@ -125,7 +124,7 @@ def test_results_satisfy_the_inner_equations(name):
 def test_whole_solves_are_exact_in_flat_space():
     flat = flat_energy()
     rng = np.random.default_rng(40)
-    cfg = OpConfig()
+    cfg = SolverConfig()
     for K in (2, 5, 17):
         x = rng.normal(size=3)
         zeta = 0.3 * rng.normal(size=3)
@@ -152,7 +151,7 @@ LONG_SHOTS = [
 
 def test_long_shot_falls_back_to_the_fold():
     K = 16
-    cfg = OpConfig()
+    cfg = SolverConfig()
     with pytest.raises(SolverError):
         _whole_exp(np.array(LONG_SHOTS[0][0]), np.array(LONG_SHOTS[0][1]) / K, K, CHART, cfg)
     x, v = (np.array(a) for a in LONG_SHOTS[1])
@@ -185,7 +184,7 @@ COARSE_LADDERS = [
 
 
 def test_coarse_ladder_falls_back_to_the_fold():
-    cfg = OpConfig()
+    cfg = SolverConfig()
     path, zeta = (np.array(a) for a in COARSE_LADDERS[0])
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(SolverError):
         _whole_ladder(path, zeta, CHART, cfg)
@@ -204,7 +203,7 @@ def test_coarse_ladder_falls_back_to_the_fold():
 
 
 def test_fold_errors_are_reported_when_both_fail():
-    strict = OpConfig(solver=SolverConfig(newton_tol=1e-30, max_iter=3))
+    strict = SolverConfig(newton_tol=1e-30, max_iter=3)
     path = solve_geodesic_constrained(XA, XB, 4, CHART, None).path
     with pytest.raises(SolverError, match="transport step 1 failed: rung-midpoint"):
         parallel_transport(path, np.array([-0.1, 0.0]), CHART, strict)
@@ -251,7 +250,7 @@ def test_two_point_operators_reject_short_vectors():
     with pytest.raises(DomainError, match="dimension"):
         log2(XA, SHORT, CHART)
     with pytest.raises(DomainError, match="dimension"):
-        exp2_hypersurface([1.0, 0.0, 0.0], SHORT, model, sphere)
+        exp2_hypersurface([1.0, 0.0, 0.0], SHORT, model, constraint=sphere)
     with pytest.raises(DomainError, match="dimension"):
         parallel_transport(np.stack([XA, XB]), SHORT, CHART)
 
