@@ -146,6 +146,20 @@ _STACKED = {
 }
 
 
+def _restore_stacked_loops(cls, base, stacked_methods) -> None:
+    """Give ``cls`` the looping stacked methods of ``base`` where it needs them.
+
+    ``stacked_methods`` maps each stacked method name to the per-point
+    methods it must agree with.  When ``cls`` redefines one of those
+    per-point methods but not the stacked method, the stacked method
+    becomes ``base``'s default, which loops over the per-point methods, so
+    that the override is honoured.
+    """
+    for stacked, per_point in stacked_methods.items():
+        if stacked not in vars(cls) and any(name in vars(cls) for name in per_point):
+            setattr(cls, stacked, vars(base)[stacked])
+
+
 class EnergyModel(ABC):
     """Two-point deformation energy with gradient and Hessian access.
 
@@ -170,9 +184,7 @@ class EnergyModel(ABC):
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
-        for stacked, per_point in _STACKED.items():
-            if stacked not in vars(cls) and any(name in vars(cls) for name in per_point):
-                setattr(cls, stacked, vars(EnergyModel)[stacked])
+        _restore_stacked_loops(cls, EnergyModel, _STACKED)
 
     @abstractmethod
     def w(self, x: np.ndarray, y: np.ndarray) -> float: ...

@@ -26,6 +26,14 @@ from one ``w_stacked`` call.  Models without native stacked methods, and
 subclasses that redefine a per-point method, are evaluated by the
 per-segment loop of ``core.EnergyModel``.
 
+A level set is evaluated the same way: each residual makes one
+``d_stacked`` and one ``grad_d_stacked`` call over the interior points,
+and each Jacobian one ``grad_d_stacked`` and one ``hess_d_stacked`` call,
+with the same looping default and fallback rule as the energy
+(``ConstraintModel``).  Start points are projected onto the level set by
+one masked Newton iteration over the whole stack (``_project_rows``), in
+which each row stops on its own.
+
 The same kernel at K = 2 is the two-point logarithm ``operators.log2``
 (whose endpoints may lie off the level set), and the single Newton loop
 here also drives the other solves of ``operators``.  Its whole-path exp
@@ -47,6 +55,7 @@ from .core import (
     DomainError,
     InvariantViolation,
     SolverError,
+    _restore_stacked_loops,
     _write_csv,
     as_path,
     as_point,
@@ -83,10 +92,16 @@ class SolverConfig:
     def __post_init__(self):
         if not 0 < self.newton_tol < np.inf:
             raise DomainError(f"newton_tol must be positive and finite, got {self.newton_tol}")
-        if self.max_iter < 1:
-            raise DomainError("max_iter must be at least 1")
+        n = self.max_iter
+        # bool is an int subclass, and NaN compares false with everything
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+            raise DomainError(f"max_iter must be an integer of at least 1, got {n!r}")
         if self.damping not in ("none", "armijo"):
             raise DomainError(f"unknown damping mode {self.damping!r}")
+
+
+# each stacked constraint method and the per-point method it must agree with
+_STACKED_D = {"d_stacked": ("d",), "grad_d_stacked": ("grad_d",), "hess_d_stacked": ("hess_d",)}
 
 
 class ConstraintModel(ABC):
@@ -94,9 +109,22 @@ class ConstraintModel(ABC):
 
     ``d`` should be (close to) a signed distance near the zero set, so that
     ``grad_d`` has norm about 1 there.
+
+    Stacked evaluation: ``d_stacked``, ``grad_d_stacked`` and
+    ``hess_d_stacked`` take a stack xs of n points, shape (n, d), and
+    return what ``d``, ``grad_d`` and ``hess_d`` return for each point,
+    stacked along a leading axis: shapes (n,), (n, d) and (n, d, d).  The
+    defaults here loop over the per-point methods; a model overrides them
+    with one array evaluation of the same formulas.  As for
+    ``core.EnergyModel``, a subclass that redefines a per-point method but
+    not the matching stacked one gets the loop back.
     """
 
     fd_step: float = 1e-6
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        _restore_stacked_loops(cls, ConstraintModel, _STACKED_D)
 
     @abstractmethod
     def d(self, x: np.ndarray) -> float: ...
@@ -107,6 +135,25 @@ class ConstraintModel(ABC):
     def hess_d(self, x: np.ndarray) -> np.ndarray:
         j = fd_jacobian(self.grad_d, np.asarray(x, dtype=float), self.fd_step)
         return (j + j.T) / 2.0
+
+    def d_stacked(self, xs) -> np.ndarray:
+        """``d`` at each point of xs, shape (n,)."""
+        return np.array([float(self.d(x)) for x in xs])
+
+    def grad_d_stacked(self, xs) -> np.ndarray:
+        """``grad_d`` at each point of xs, shape (n, d)."""
+        out = np.empty(np.shape(xs))
+        for i, x in enumerate(xs):
+            out[i] = self.grad_d(x)
+        return out
+
+    def hess_d_stacked(self, xs) -> np.ndarray:
+        """``hess_d`` at each point of xs, shape (n, d, d)."""
+        n, d = np.shape(xs)
+        out = np.empty((n, d, d))
+        for i, x in enumerate(xs):
+            out[i] = self.hess_d(x)
+        return out
 
 
 @dataclass(frozen=True)
@@ -287,7 +334,8 @@ class _Constraint:
     ``values(x)`` has shape (n, c), ``jac(x)`` shape (n, c, d), and
     ``hess(x, mu)`` is sum_i mu[:, i] hess c_i(x), shape (n, d, d), or 0.0
     where it vanishes.  A LinearGauge reads the stack as the K - 1 interior
-    points of a path; a level set is evaluated point by point.
+    points of a path; a level set is evaluated by one stacked call of its
+    ``d_stacked``, ``grad_d_stacked`` or ``hess_d_stacked``.
     """
 
     c: int
@@ -315,11 +363,9 @@ def _constraint_view(constraint, K: int, d: int) -> _Constraint:
         )
     return _Constraint(
         1,
-        lambda x: np.array([float(constraint.d(p)) for p in x]).reshape(len(x), 1),
-        lambda x: np.array([np.asarray(constraint.grad_d(p), dtype=float) for p in x]).reshape(len(x), 1, d),
-        lambda x, mu: np.array([m[0] * np.asarray(constraint.hess_d(p)) for p, m in zip(x, mu)]).reshape(
-            len(x), d, d
-        ),
+        lambda x: np.reshape(constraint.d_stacked(x), (len(x), 1)),
+        lambda x: np.reshape(constraint.grad_d_stacked(x), (len(x), 1, d)),
+        lambda x, mu: mu[:, 0, None, None] * constraint.hess_d_stacked(x),
     )
 
 
@@ -454,27 +500,55 @@ def solve_geodesic(
 def project_onto_level_set(
     x, constraint: ConstraintModel, tol: float = 1e-12, max_iter: int = 50
 ) -> np.ndarray:
-    """Newton projection of a point onto {d = 0} along grad_d."""
-    p = as_point(x)
-    for _ in range(max_iter):
-        val = float(constraint.d(p))
-        if abs(val) <= tol:
-            return p
-        g = np.asarray(constraint.grad_d(p), dtype=float)
-        p = p - val * g / float(g @ g)
-    raise SolverError(
-        f"level-set projection did not reach |d| <= {tol}", residual=abs(val)
-    )
+    """Newton projection of a point onto {d = 0} along grad_d.
+
+    The one-row case of ``_project_rows``, with its errors.
+    """
+    if not isinstance(constraint, ConstraintModel):
+        raise TypeError(f"expected a ConstraintModel, got {type(constraint).__name__}")
+    p = as_point(x)[None, :]
+    _project_rows(p, constraint, tol, max_iter)
+    return p[0]
 
 
-def _project_rows(x, constraint) -> None:
+def _stop_rows(x, rows, bad, reason, val) -> None:
+    """Raise SolverError naming the first of ``rows`` flagged in ``bad``."""
+    if bad.any():
+        j = int(np.flatnonzero(bad)[0])
+        i = int(rows[j])
+        raise SolverError(f"level-set projection: row {i} at {x[i]}: {reason}", residual=abs(float(val[j])))
+
+
+def _project_rows(x, constraint, tol: float = 1e-12, max_iter: int = 50) -> None:
     """Project each row of the stack x onto the level set, in place.
 
-    Does nothing unless ``constraint`` is a ConstraintModel.
+    Masked Newton along grad_d, p <- p - d(p) grad_d(p) / |grad_d(p)|^2,
+    over the rows still off the set: each iteration makes one
+    ``d_stacked`` and one ``grad_d_stacked`` call, and each row stops on
+    its own once |d| <= tol, after the iterations it alone needs.  A row
+    where d or grad_d is not finite, or grad_d vanishes, has no projection
+    along grad_d and raises SolverError at once, as does a row still off
+    the set after ``max_iter`` evaluations of d.  Does nothing unless
+    ``constraint`` is a ConstraintModel.
     """
-    if isinstance(constraint, ConstraintModel):
-        for i, p in enumerate(x):
-            x[i] = project_onto_level_set(p, constraint)
+    if not isinstance(constraint, ConstraintModel):
+        return
+    rows = np.arange(len(x))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for _ in range(max_iter):
+            val = np.asarray(constraint.d_stacked(x[rows]), dtype=float)
+            _stop_rows(x, rows, ~np.isfinite(val), "d is not finite", val)
+            off = np.abs(val) > tol
+            rows, val = rows[off], val[off]
+            if not rows.size:
+                return
+            g = np.asarray(constraint.grad_d_stacked(x[rows]), dtype=float)
+            gg = np.einsum("ni,ni->n", g, g)
+            _stop_rows(x, rows, ~(np.isfinite(gg) & (gg > 0.0)), "grad_d is zero or not finite", val)
+            x[rows] -= val[:, None] * g / gg[:, None]
+    raise SolverError(
+        f"level-set projection did not reach |d| <= {tol}", residual=float(np.max(np.abs(val)))
+    )
 
 
 def solve_geodesic_constrained(

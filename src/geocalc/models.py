@@ -372,20 +372,47 @@ def sphere_oracles() -> SphereOracles:
 
 
 class CircleSdf(ConstraintModel):
-    """Signed distance to the unit circle in the plane."""
+    """Signed distance to the unit circle in the plane.
+
+    The formulas take one point of shape (d,) or a stack of shape (n, d);
+    the per-point and the stacked methods share them.
+    """
+
+    @staticmethod
+    def _radius(x):
+        """x as a float array and |x| over the last axis, kept as an axis of length 1."""
+        x = np.asarray(x, dtype=float)
+        return x, np.sqrt(np.einsum("...i,...i->...", x, x))[..., None]
+
+    def _d(self, x):
+        return self._radius(x)[1][..., 0] - 1.0
+
+    def _grad_d(self, x):
+        x, r = self._radius(x)
+        return x / r
+
+    def _hess_d(self, x):
+        x, r = self._radius(x)
+        u = x / r
+        return (np.eye(x.shape[-1]) - _outer(u, u)) / r[..., None]
 
     def d(self, x):
-        return float(np.linalg.norm(np.asarray(x, float))) - 1.0
+        return float(self._d(x))
 
     def grad_d(self, x):
-        x = np.asarray(x, dtype=float)
-        return x / np.linalg.norm(x)
+        return self._grad_d(x)
 
     def hess_d(self, x):
-        x = np.asarray(x, dtype=float)
-        r = np.linalg.norm(x)
-        u = x / r
-        return (np.eye(x.size) - np.outer(u, u)) / r
+        return self._hess_d(x)
+
+    def d_stacked(self, xs):
+        return self._d(xs)
+
+    def grad_d_stacked(self, xs):
+        return self._grad_d(xs)
+
+    def hess_d_stacked(self, xs):
+        return self._hess_d(xs)
 
 
 class SphereSdf(CircleSdf):

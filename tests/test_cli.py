@@ -180,6 +180,15 @@ def test_unknown_nested_config_key_exits_3(tmp_path, capsys):
         assert message in capsys.readouterr().err
 
 
+def test_non_integer_max_iter_in_a_config_exits_3(tmp_path, capsys):
+    # json reads NaN as a float; True is a bool, which Python counts as an int
+    for max_iter in ("NaN", "2.5", "true"):
+        path = tmp_path / "study.json"
+        path.write_text(f'{{"model": "sphere-chart", "solver": {{"max_iter": {max_iter}}}}}', encoding="utf-8")
+        assert main(["geodesic", "--config", str(path), "--K", "8"]) == 3, max_iter
+        assert "max_iter must be an integer of at least 1" in capsys.readouterr().err
+
+
 def test_step_count_below_one_exits_3(tmp_path, capsys):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     save_rod_csv(circle_rod(8), a)

@@ -151,6 +151,13 @@ def test_solver_reports_non_convergence():
     assert res.path.step_count == 32
 
 
+def test_solver_config_rejects_a_non_integer_max_iter():
+    for bad in (float("nan"), 2.5, True, 0, -3, "7"):
+        with pytest.raises(DomainError, match="max_iter must be an integer of at least 1"):
+            SolverConfig(max_iter=bad)
+    assert SolverConfig(max_iter=np.int64(3)).max_iter == 3
+
+
 def test_armijo_damping_still_converges():
     res = solve_geodesic(XA, XB, 16, CHART, SolverConfig(damping="armijo"))
     assert res.converged
