@@ -21,7 +21,9 @@ whole path: ``_solve_exp`` solves the Euler-Lagrange rows for x_2 .. x_K
 (a block lower triangular system with two bands), and ``_solve_ladder``
 solves every rung's midpoint and corner together (one band).  Both make
 one stacked model call per residual and one per Jacobian and solve the
-linear systems by ``geodesic._forward_substitution``.  They are less
+linear systems by ``geodesic._forward_substitution``, in about log2(K)
+stacked levels for the small blocks of surfaces and charts.  A diverging
+attempt ends in a SolverError from the Newton loop.  They are less
 robust than the step-by-step fold on long shots and coarse ladders; when
 one fails, or lands on a root the fold would not pick (``_near``), the
 operator runs the fold (``exp2`` or ``transport_step`` one step at a
@@ -295,11 +297,9 @@ def discrete_exp_path(
         raise DomainError("need k >= 1 for a path")
     if k == 1:
         return DiscretePath(np.stack([x, x + zeta]))
-    # a diverging attempt may overflow before it fails; the fold then reruns it
     try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            pts = _exp_start(x, zeta, k, constraint)
-            pts, _, _, converged = _solve_exp(pts, model, constraint, cfg, "exp path")
+        pts = _exp_start(x, zeta, k, constraint)
+        pts, _, _, converged = _solve_exp(pts, model, constraint, cfg, "exp path")
     except (SolverError, DomainError):
         converged = False
     if not (converged and _near(pts[2:], 2.0 * pts[1:-1] - pts[:-2], pts[1:-1])):
@@ -464,10 +464,8 @@ def parallel_transport(
     path = as_path(path)
     pts = path.points
     zeta_0 = _at_point(zeta_0, pts[0])
-    # a diverging attempt may overflow before it fails; the fold then reruns it
     try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            mid, corner, _, _, converged = _solve_ladder(pts, zeta_0, model, constraint, cfg, "ladder")
+        mid, corner, _, _, converged = _solve_ladder(pts, zeta_0, model, constraint, cfg, "ladder")
     except (SolverError, DomainError):
         converged = False
     if converged:

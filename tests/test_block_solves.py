@@ -1,0 +1,109 @@
+"""The block linear solves of the Newton steps against dense references.
+
+``geodesic._block_thomas`` (block tridiagonal, the path solves) and
+``geodesic._forward_substitution`` (block lower triangular, the whole exp
+and ladder) reduce level by level when the (regrouped) block size is at
+most ``geodesic._REDUCE_MAX_BLOCK`` and run the sequential loop otherwise.
+These tests check both on random block diagonally dominant systems on both
+sides of that threshold, against a dense solve of the assembled matrix
+where it fits in memory and against the sequential loop plus the block
+residual where it does not.
+"""
+
+import numpy as np
+import pytest
+
+from geocalc import geodesic
+
+SIZES = [1, 2, 3, 4, 5, 8, 9, 33, 1023]
+BLOCKS = [1, 2, 4, 8, 16, 17, 40]
+# largest assembled system solved densely (32 MB)
+DENSE_MAX = 2048
+
+
+def _blocks(rng, count, b):
+    # entries in [-1/b, 1/b]: every off-diagonal block row sums to at most 1
+    return rng.uniform(-1.0, 1.0, size=(count, b, b)) / b
+
+
+def _system(seed, n, b, offsets):
+    """Diagonal blocks, off-diagonal blocks at the given row offsets, and rhs.
+
+    The diagonal entries lie within 1/b of 4 and the other entries of a row
+    sum to less than 3 in absolute value, so the system is strictly
+    diagonally dominant.
+    """
+    rng = np.random.default_rng(seed)
+    diag = _blocks(rng, n, b) + 4.0 * np.eye(b)
+    bands = {m: _blocks(rng, max(n - abs(m), 0), b) for m in offsets}
+    return diag, bands, rng.normal(size=(n, b))
+
+
+def _block_product(diag, bands, x):
+    """A x for the block matrix with ``bands[m][i]`` at block (i + max(m, 0), i - min(m, 0))."""
+    out = (diag @ x[..., None])[..., 0]
+    for m, band in bands.items():
+        if m > 0:
+            out[m:] += (band @ x[:-m, :, None])[..., 0]
+        else:
+            out[:m] += (band @ x[-m:, :, None])[..., 0]
+    return out
+
+
+def _dense(diag, bands):
+    n, b = diag.shape[:2]
+    a = np.zeros((n * b, n * b))
+    for i in range(n):
+        a[i * b : (i + 1) * b, i * b : (i + 1) * b] = diag[i]
+    for m, band in bands.items():
+        for i, block in enumerate(band):
+            row, col = i + max(m, 0), i - min(m, 0)
+            a[row * b : (row + 1) * b, col * b : (col + 1) * b] = block
+    return a
+
+
+def _check(solve, diag, bands, rhs, monkeypatch):
+    x = solve()
+    n, b = rhs.shape
+    scale = np.max(np.abs(x))
+    assert x.shape == rhs.shape
+    residual = _block_product(diag, bands, x) - rhs
+    assert np.max(np.abs(residual)) <= 1e-12 * 8.0 * scale
+    if n * b <= DENSE_MAX:
+        ref = np.linalg.solve(_dense(diag, bands), rhs.ravel()).reshape(n, b)
+    else:
+        monkeypatch.setattr(geodesic, "_REDUCE_MAX_BLOCK", 0)
+        ref = solve()
+        monkeypatch.undo()
+    assert np.max(np.abs(x - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("b", BLOCKS)
+@pytest.mark.parametrize("n", SIZES)
+def test_block_tridiagonal_solve_matches_a_dense_solve(n, b, monkeypatch):
+    diag, bands, rhs = _system(10 * n + b, n, b, (1, -1))
+
+    def solve():
+        return geodesic._block_thomas(bands[1], diag, bands[-1], rhs)
+
+    _check(solve, diag, bands, rhs, monkeypatch)
+
+
+@pytest.mark.parametrize("count", [1, 2])
+@pytest.mark.parametrize("b", BLOCKS)
+@pytest.mark.parametrize("n", SIZES)
+def test_block_lower_triangular_solve_matches_a_dense_solve(n, b, count, monkeypatch):
+    offsets = tuple(range(1, count + 1))
+    diag, bands, rhs = _system(20 * n + b + count, n, b, offsets)
+
+    def solve():
+        return geodesic._forward_substitution(diag, [bands[m] for m in offsets], rhs)
+
+    _check(solve, diag, bands, rhs, monkeypatch)
+
+
+@pytest.mark.parametrize("b", [17, 40])
+def test_large_blocks_run_the_sequential_loop_bit_for_bit(b):
+    diag, bands, rhs = _system(b, 64, b, (1, -1))
+    got = geodesic._block_thomas(bands[1], diag, bands[-1], rhs)
+    assert np.array_equal(got, geodesic._thomas_loop(bands[1], diag, bands[-1], rhs))

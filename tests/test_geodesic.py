@@ -139,8 +139,16 @@ def test_singular_pivot_raises_solver_error():
 
         hess12 = hess21 = hess22 = hess11
 
-    with pytest.raises(SolverError, match="singular block pivot"):
-        solve_geodesic([0.0, 0.0], [1.0, 0.0], 4, Degenerate())
+    # K = 64: 63 rows of 2 x 2 blocks, so the singular pivots are met by the
+    # first stacked solve of the cyclic reduction, not by the sequential loop
+    for K in (4, 64):
+        with pytest.raises(SolverError, match="singular block pivot") as err:
+            solve_geodesic([0.0, 0.0], [1.0, 0.0], K, Degenerate())
+    tb, frames = err.value.__cause__.__traceback__, []
+    while tb is not None:
+        frames.append(tb.tb_frame.f_code.co_name)
+        tb = tb.tb_next
+    assert "_cyclic_reduction" in frames
 
 
 def test_solver_reports_non_convergence():
@@ -361,3 +369,67 @@ def test_path_solve_evaluates_only_the_hessian_blocks_it_uses():
         assert name == ("hess22" if first else "hess11")
         assert first or np.array_equal(y, XB)
     assert sum(name == "hess22" for name, _, _ in calls) == res.iterations
+
+
+def test_newton_reports_a_non_finite_residual_as_divergence():
+    from geocalc import SolverError
+    from geocalc.geodesic import _newton
+
+    # Newton for log z = 0 from z = 3 overshoots to z = -0.296, where the
+    # residual is NaN; `while nan > tol` is false, so this used to return
+    # silently with converged=False and residual NaN
+    with pytest.raises(SolverError, match="stub: diverged, the residual of iteration 1") as err:
+        _newton(np.log, lambda z, r: z * r, np.array([3.0]), None, "stub")
+    assert err.value.residual == pytest.approx(np.log(3.0))
+
+
+def test_newton_reports_a_non_finite_correction_as_divergence():
+    from geocalc import SolverError
+    from geocalc.geodesic import _newton
+
+    # Newton for arctan z = 0 from z = 2 diverges, |z| roughly squaring per
+    # step, until the correction (1 + z^2) arctan z overflows
+    with pytest.raises(SolverError, match="stub: diverged, the Newton correction of iteration 10"):
+        _newton(np.arctan, lambda z, r: (1.0 + z * z) * r, np.array([2.0]), None, "stub")
+
+
+def test_solve_reports_divergence_of_a_model_that_leaks_nan():
+    from geocalc import SolverError
+    from geocalc.core import EnergyModel
+
+    class Overshooting(EnergyModel):
+        """w = (y - x)^2 on [-1, 1], NaN outside instead of a DomainError,
+        with Hessians 1000 times too small, so Newton steps overshoot."""
+
+        symmetric = True
+
+        def _check(self, *points):
+            return np.nan if np.max(np.abs(points)) > 1.0 else 1.0
+
+        def w(self, x, y):
+            return self._check(x, y) * float(np.sum((y - x) ** 2))
+
+        def grad1(self, x, y):
+            return self._check(x, y) * 2.0 * (x - y)
+
+        def grad2(self, x, y):
+            return self._check(x, y) * 2.0 * (y - x)
+
+        def hess11(self, x, y):
+            return np.full((1, 1), 2e-3)
+
+        def hess12(self, x, y):
+            return np.full((1, 1), -2e-3)
+
+        hess21, hess22 = hess12, hess11
+
+    for K in (2, 64):
+        init = np.zeros((K + 1, 1))
+        init[1:K] = 0.2
+        with pytest.raises(SolverError, match="geodesic solve: diverged") as err:
+            solve_geodesic([0.0], [0.0], K, Overshooting(), init_path=init)
+        assert np.isfinite(err.value.residual)
+        # a start outside [-1, 1] is not finite before any iteration
+        init[1:K] = 2.0
+        with pytest.raises(SolverError, match="residual at the start point is not finite"):
+            solve_geodesic([0.0], [0.0], K, Overshooting(), init_path=init)

@@ -32,6 +32,7 @@ from geocalc import (
     sphere_oracles,
     transport_step,
 )
+from geocalc import geodesic
 from geocalc import operators as op
 from geocalc.cli import main
 from geocalc.models import SphereSdf
@@ -259,3 +260,40 @@ def test_cli_exp_rejects_a_short_displacement(capsys):
     code = main(["exp", "--model", "sphere-chart", "--xa", "0.5,0", "--zeta", "0.1", "--K", "3"])
     assert code == 3
     assert "dimension" in capsys.readouterr().err
+
+
+def _sequential(monkeypatch):
+    """Make the block solves run their sequential loop at every block size."""
+    monkeypatch.setattr(geodesic, "_REDUCE_MAX_BLOCK", 0)
+
+
+def test_reduced_path_solve_matches_the_sequential_loop(monkeypatch):
+    res = solve_geodesic_constrained(XA, XB, 1024, CHART, None)
+    _sequential(monkeypatch)
+    ref = solve_geodesic_constrained(XA, XB, 1024, CHART, None)
+    assert res.converged and ref.converged
+    assert res.iterations == ref.iterations
+    assert np.max(np.abs(res.path.points - ref.path.points)) <= 1e-12
+
+
+@pytest.mark.parametrize("name", ["chart", "sdf-sphere"])
+def test_reduced_exp_and_ladder_match_the_sequential_loop(name, monkeypatch):
+    model, con, xa, xb, v, w = _case(name)
+    K = 256
+    path = solve_geodesic_constrained(xa, xb, K, model, con).path
+    cfg = SolverConfig()
+
+    def solves():
+        exp = _whole_exp(xa, v / K, K, model, cfg, con)
+        ladder = _whole_ladder(path.points, w / K, model, cfg, con)
+        return exp, ladder
+
+    got_exp, got_ladder = solves()
+    _sequential(monkeypatch)
+    ref_exp, ref_ladder = solves()
+    assert got_exp[3] and got_ladder[4]
+    # iteration counts, then points
+    assert got_exp[2] == ref_exp[2] and got_ladder[3] == ref_ladder[3]
+    assert np.max(np.abs(got_exp[0] - ref_exp[0])) <= 1e-12
+    for got, ref in zip(got_ladder[:2], ref_ladder[:2]):
+        assert np.max(np.abs(got - ref)) <= 1e-12
