@@ -265,17 +265,18 @@ def _cmd_consistency(args) -> int:
 
 def _cmd_rod_morph(args) -> int:
     cfg = SolverConfig(newton_tol=args.tol) if args.tol is not None else None
+    K = _steps(args)
     result, written = run_rod_morph(
         args.curve_a,
         args.curve_b,
-        K=args.K,
+        K=K,
         kind=args.kind,
         out_dir=args.out,
         delta=args.delta,
         cfg=cfg,
     )
     print(
-        f"rod-morph K={args.K} kind={args.kind} converged={result.converged} "
+        f"rod-morph K={K} kind={args.kind} converged={result.converged} "
         f"iterations={result.iterations} energy={result.energy!r}"
     )
     for path in written:

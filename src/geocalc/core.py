@@ -68,6 +68,17 @@ class SolverError(RuntimeError):
         self.residual = residual
 
 
+def _as_count(name: str, n, least: int) -> int:
+    """``n`` as an int: a step count or iteration cap of at least ``least``.
+
+    Anything else is a DomainError, a bool included; numpy integers pass.
+    """
+    # bool is an int subclass, and NaN compares false with everything
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < least:
+        raise DomainError(f"{name} must be an integer of at least {least}, got {n!r}")
+    return int(n)
+
+
 def as_point(x) -> np.ndarray:
     """Coerce to a finite 1-d float vector (a chart point or displacement)."""
     p = np.asarray(x, dtype=float)

@@ -1,51 +1,48 @@
 """Discrete path energies and the bordered Newton solver behind every operator.
 
 A discrete K-path (x_0, ..., x_K) carries the energy K * sum_k w(x_{k-1}, x_k)
-and the length sum_k sqrt(w(x_{k-1}, x_k)).  A discrete geodesic is a
-minimizer of the energy with fixed endpoints; its stationarity system
+and the length sum_k sqrt(w(x_{k-1}, x_k)).  The discrete geodesic (x_0
+and x_K given) and the discrete exponential (x_0 and x_1 given) both
+solve the Euler-Lagrange rows
 
-    grad2(x_{k-1}, x_k) + grad1(x_k, x_{k+1}) - J_k^T mu_k = 0,
-    c_k(x_k) = 0,                                     k = 1..K-1,
+    grad2(x_{k-1}, x_k) + grad1(x_k, x_{k+1}) - J_k^T mu_k = 0,   k = 1..K-1,
 
-is solved by Newton iteration.  ``c_k`` are optional per-interior-point
-constraints with (c, d) Jacobians ``J_k`` and multipliers ``mu_k``: none
+with a constraint row for each of the K-1 unknown points.  ``_solve_path``
+solves them by Newton iteration for either window of unknowns: x_1 ..
+x_{K-1} (the geodesic, and ``operators.log2`` at K = 2) or x_2 .. x_K
+(``discrete_exp_path``, and ``exp2`` at K = 2).  The constraint is none
 (c = 0), a linear gauge G x_k = t_k removing exact null directions of
-translation-invariant energies (used by the rod models), or a level set
-d(x_k) = 0 holding interior points on an embedded hypersurface (c = 1).
-The Jacobian is block tridiagonal in (d + c)-blocks: the energy part has
-A_kk = hess22(x_{k-1}, x_k) + hess11(x_k, x_{k+1}) - sum_i mu_k,i hess c_i,
-A_k,k-1 = hess21(x_{k-1}, x_k), A_k,k+1 = hess12(x_k, x_{k+1}), bordered by
-J_k.  The linear solves (``_block_thomas``) use block cyclic reduction for
-blocks of size at most 16: each of about log2(K) levels solves all its
-pivots in one stacked call.  Larger blocks (the rods) use sequential block
-Thomas elimination with dense pivots, which is faster there.
+translation-invariant energies (the rods), or a level set d(x) = 0 holding
+the points on an embedded hypersurface (c = 1), with (c, d) Jacobians
+``J_k`` and multipliers ``mu_k``.  Row k has three (d + c)-block bands,
+hess21(x_{k-1}, x_k), hess22(x_{k-1}, x_k) + hess11(x_k, x_{k+1}) -
+sum_i mu_k,i hess c_i(x_k), and hess12(x_k, x_{k+1}); the band on the
+row's own unknown is bordered by the Jacobians (``_border``).
 
-The residual and the Jacobian are built from arrays: each Newton step
-makes one stacked ``grads_stacked`` call over all K segments per residual
-and one ``hess_blocks_stacked`` call over the K-2 inner segments, plus
-``hess22`` of the first segment and ``hess11`` of the last, the only blocks
-of the end segments the system reads.  Path energies and lengths come
-from one ``w_stacked`` call.  Models without native stacked methods, and
-subclasses that redefine a per-point method, are evaluated by the
-per-segment loop of ``core.EnergyModel``.
+For the interior window the system is block tridiagonal.
+``_block_thomas`` solves it by block cyclic reduction for blocks of size
+at most 16, each of about log2(K) levels one stacked pivot solve, and by
+sequential block Thomas elimination, faster there, for larger blocks (the
+rods).  For the shifted window it is block lower triangular, as is the
+ladder of ``operators``; ``_forward_substitution`` scales it by the
+stacked diagonal inverse and halves the regrouped recurrence level by
+level for blocks of size at most 16, and solves it row by row otherwise.
 
-A level set is evaluated the same way: each residual makes one
-``d_stacked`` and one ``grad_d_stacked`` call over the interior points,
-and each Jacobian one ``grad_d_stacked`` and one ``hess_d_stacked`` call,
-with the same looping default and fallback rule as the energy
-(``ConstraintModel``).  Start points are projected onto the level set by
-one masked Newton iteration over the whole stack (``_project_rows``), in
-which each row stops on its own.
+Each Newton step makes one stacked ``grads_stacked`` call over all K
+segments per residual and one ``hess_blocks_stacked`` call per Jacobian,
+over the segments whose blocks the rows read: the K-2 inner ones for the
+interior, plus ``hess22`` of the first segment and ``hess11`` of the
+last, evaluated alone; segments 2..K for the shifted window.  Path
+energies and lengths come from one ``w_stacked`` call.  Models without
+native stacked methods, and subclasses that redefine a per-point method,
+are evaluated by the per-segment loop of ``core.EnergyModel``.
 
-The same kernel at K = 2 is the two-point logarithm ``operators.log2``
-(whose endpoints may lie off the level set), and the single Newton loop
-here also drives the other solves of ``operators``.  Its whole-path exp
-and ladder have block lower triangular Jacobians, which
-``_forward_substitution`` solves: after scaling by the stacked diagonal
-inverse, the bands are regrouped into a block lower bidiagonal recurrence
-that is halved level by level when its blocks have size at most 16, and
-solved row by row otherwise.  They see a constraint through the same
-``_constraint_view`` as the path kernel.
+A level set is evaluated the same way: one ``d_stacked`` and one
+``grad_d_stacked`` call per residual, one ``grad_d_stacked`` and one
+``hess_d_stacked`` call per Jacobian, with the same looping default and
+fallback rule as the energy (``ConstraintModel``).  Start points are
+projected onto the level set by one masked Newton iteration over the
+whole stack (``_project_rows``), in which each row stops on its own.
 """
 
 from __future__ import annotations
@@ -61,6 +58,7 @@ from .core import (
     DomainError,
     InvariantViolation,
     SolverError,
+    _as_count,
     _restore_stacked_loops,
     _write_csv,
     as_path,
@@ -98,10 +96,7 @@ class SolverConfig:
     def __post_init__(self):
         if not 0 < self.newton_tol < np.inf:
             raise DomainError(f"newton_tol must be positive and finite, got {self.newton_tol}")
-        n = self.max_iter
-        # bool is an int subclass, and NaN compares false with everything
-        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
-            raise DomainError(f"max_iter must be an integer of at least 1, got {n!r}")
+        _as_count("max_iter", self.max_iter, 1)
         if self.damping not in ("none", "armijo"):
             raise DomainError(f"unknown damping mode {self.damping!r}")
 
@@ -490,59 +485,71 @@ def _multiplier_rows(mu, jac) -> np.ndarray:
     return np.einsum("nc,ncd->nd", mu, jac)
 
 
-def _solve_path(pts, model, constraint, cfg: SolverConfig | None, context: str):
-    """Newton solve for the interior points of ``pts`` (shape (K+1, d), K >= 2).
+def _border(blocks, jac_rows, jac_values) -> None:
+    """Border stacked (d + c)-blocks in place: -J^T of ``jac_rows`` (n, c, d)
+    in the multiplier columns, ``jac_values`` (n, c, d) in the constraint rows."""
+    d = jac_rows.shape[2]
+    blocks[:, :d, d:] = -np.swapaxes(jac_rows, 1, 2)
+    blocks[:, d:, :d] = jac_values
 
-    ``constraint`` is None, a LinearGauge, or a ConstraintModel; the
-    endpoints stay fixed and need not satisfy it.  Returns (points,
-    multipliers of shape (K-1, c), residual, iterations, converged).
+
+def _solve_path(pts, model, constraint, cfg: SolverConfig | None, context: str, shot: bool = False):
+    """Newton solve of the rows k = 1..K-1 of ``pts`` (shape (K+1, d), K >= 2).
+
+    The unknowns are x_1 .. x_{K-1} (s = 0), or x_2 .. x_K with ``shot``
+    (s = 1); row k constrains x_{k+s}.  ``constraint`` is None, a
+    LinearGauge (s = 0 only) or a ConstraintModel; the given points need
+    not satisfy it.  Returns (points, multipliers of shape (K-1, c),
+    residual, iterations, converged).
     """
     K, d = len(pts) - 1, pts.shape[1]
+    s = int(shot)
     view = _constraint_view(constraint, K, d)
     c = view.c
     b = d + c
 
-    # z holds the path and the multipliers, one row per point; Newton
-    # corrections of the endpoint rows are zero
+    # z holds the path and the multipliers, one row per point (row k + s
+    # those of row k); corrections of the given points are zero
     def residual(z):
         x = z[:, :d]
         rows = _el_rows(model, x)
         if not c:
             return rows
-        inner = x[1:K]
-        return np.hstack([rows - _multiplier_rows(z[1:K, d:], view.jac(inner)), view.values(inner)])
+        mu = z[1 + s : K + s, d:]
+        return np.hstack([rows - _multiplier_rows(mu, view.jac(x[1:K])), view.values(x[1 + s : K + s])])
 
     def step(z, r):
-        # segment k joins x_{k-1} and x_k, and row k - 1 of the block arrays
-        # belongs to the interior point x_k.  The system reads only
-        # hess22 of the first segment and hess11 of the last, so those two
-        # are evaluated alone, and the K-2 inner segments in one stacked
-        # call.  The energy blocks fill the top left d x d of each block.
+        # bands[j, k - 1] couples row k to x_{k-1+j}, in its top left d x d.
+        # Segment m joins x_{m-1} and x_m: the rows read every block of
+        # segments 2 .. K-1+s (one stacked call), and for s = 0 only hess22
+        # of segment 1 and hess11 of segment K
         x = z[:, :d]
-        diag = np.zeros((K - 1, b, b))
-        lower = np.zeros((K - 2, b, b))
-        upper = np.zeros((K - 2, b, b))
-        a = diag[:, :d, :d]
-        a[0] = model.hess22(x[0], x[1])
-        if K > 2:
-            h11, h12, h21, h22 = model.hess_blocks_stacked(x[1 : K - 1], x[2:K])
-            a[1:] = h22
-            a[:-1] += h11
-            lower[:, :d, :d] = h21
-            upper[:, :d, :d] = h12
-        a[-1] += model.hess11(x[K - 1], x[K])
+        bands = np.zeros((3, K - 1, b, b))
+        e = bands[:, :, :d, :d]
+        if not s:
+            e[1, 0] = model.hess22(x[0], x[1])
+        if K + s > 2:
+            h11, h12, h21, h22 = model.hess_blocks_stacked(x[1 : K - 1 + s], x[2 : K + s])
+            e[0, 1:] = h21[: K - 2]
+            e[1, 1:] = h22[: K - 2]
+            e[1, : K - 2 + s] += h11
+            e[2, : K - 2 + s] = h12
+        if not s:
+            e[1, -1] += model.hess11(x[K - 1], x[K])
         if c:
-            jac = view.jac(x[1:K])
-            a -= view.hess(x[1:K], z[1:K, d:])
-            diag[:, :d, d:] = -np.swapaxes(jac, 1, 2)
-            diag[:, d:, :d] = jac
+            jac = view.jac(x[1 : K + s])
+            e[1, s:] -= view.hess(x[1 + s : K], z[1 + 2 * s : K + s, d:])
+            _border(bands[1 + s], jac[: K - 1], jac[s:])
         delta = np.zeros_like(z)
-        delta[1:K] = _block_thomas(lower, diag, upper, r)
+        if s:
+            delta[2:] = _forward_substitution(bands[2], (bands[1, 1:], bands[0, 2:]), r)
+        else:
+            delta[1:K] = _block_thomas(bands[0, 1:], bands[1], bands[2, :-1], r)
         return delta
 
     z0 = np.hstack([pts, np.zeros((K + 1, c))])
     z, res, iterations, converged = _newton(residual, step, z0, cfg, context)
-    return z[:, :d], z[1:K, d:], res, iterations, converged
+    return z[:, :d], z[1 + s : K + s, d:], res, iterations, converged
 
 
 def _linear_init(xa, xb, K):
@@ -569,8 +576,7 @@ def _solve(x_a, x_b, K, model, constraint, cfg, init_path) -> GeodesicResult:
     xb = as_point(x_b)
     if xa.size != xb.size:
         raise DomainError("endpoint dimensions differ")
-    if K < 1:
-        raise DomainError("K must be at least 1")
+    K = _as_count("K", K, 1)
     level_set = isinstance(constraint, ConstraintModel)
     if level_set:
         for label, p in (("x_a", xa), ("x_b", xb)):
@@ -623,8 +629,10 @@ def project_onto_level_set(
     """
     if not isinstance(constraint, ConstraintModel):
         raise TypeError(f"expected a ConstraintModel, got {type(constraint).__name__}")
+    if not tol > 0:
+        raise DomainError(f"tol must be positive, got {tol!r}")
     p = as_point(x)[None, :]
-    _project_rows(p, constraint, tol, max_iter)
+    _project_rows(p, constraint, tol, _as_count("max_iter", max_iter, 1))
     return p[0]
 
 

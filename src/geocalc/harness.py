@@ -67,6 +67,14 @@ class ConfigError(Exception):
     """Invalid study or CLI configuration."""
 
 
+def _list_of(value, types) -> bool:
+    """Whether a JSON value is a list (or tuple) of ``types``; a bool, an int
+    subclass, never counts."""
+    return isinstance(value, (list, tuple)) and all(
+        isinstance(v, types) and not isinstance(v, bool) for v in value
+    )
+
+
 @dataclass(frozen=True)
 class StudyConfig:
     """Settings of one convergence study; mirrors the JSON config keys."""
@@ -105,10 +113,14 @@ class StudyConfig:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         kwargs = dict(data)
         if "k_exponents" in kwargs:
-            lo, hi = kwargs["k_exponents"]
-            kwargs["k_exponents"] = tuple(range(int(lo), int(hi) + 1))
+            pair = kwargs["k_exponents"]
+            if not (_list_of(pair, int) and len(pair) == 2):
+                raise ConfigError(f"k_exponents must be a pair of integers [lo, hi], got {pair!r}")
+            kwargs["k_exponents"] = tuple(range(pair[0], pair[1] + 1))
         for key in ("xa", "xb", "w"):
             if key in kwargs:
+                if not _list_of(kwargs[key], (int, float)):
+                    raise ConfigError(f"{key} must be a list of numbers, got {kwargs[key]!r}")
                 kwargs[key] = tuple(float(v) for v in kwargs[key])
         try:
             if "solver" in kwargs:

@@ -245,8 +245,16 @@ class SphereOracles:
     the north pole and from antipodal configurations.
     """
 
+    @staticmethod
+    def _chart_vector(v) -> np.ndarray:
+        """``v`` as a chart point or chart vector; any size but 2 is a DomainError."""
+        v = as_point(v)
+        if v.size != 2:
+            raise DomainError(f"sphere-chart vectors have 2 coordinates, got {v.size}")
+        return v
+
     def to_sphere(self, x) -> np.ndarray:
-        x = as_point(x)
+        x = self._chart_vector(x)
         s = float(x @ x)
         return np.array([2.0 * x[0], 2.0 * x[1], s - 1.0]) / (1.0 + s)
 
@@ -259,7 +267,7 @@ class SphereOracles:
 
     def chart_jacobian(self, x) -> np.ndarray:
         """Differential of the chart map, shape (3, 2)."""
-        x = as_point(x)
+        x = self._chart_vector(x)
         q = 1.0 + float(x @ x)
         j = np.empty((3, 2))
         j[0] = [2.0 / q - 4.0 * x[0] * x[0] / q**2, -4.0 * x[0] * x[1] / q**2]
@@ -319,9 +327,9 @@ class SphereOracles:
 
     def exp(self, x, v) -> np.ndarray:
         """Endpoint at t = 1 of the geodesic leaving x with chart velocity v."""
-        x = as_point(x)
+        x = self._chart_vector(x)
         X = self.to_sphere(x)
-        V = self.chart_jacobian(x) @ as_point(v)
+        V = self.chart_jacobian(x) @ self._chart_vector(v)
         speed = float(np.linalg.norm(V))
         if speed < 1e-15:
             return x
@@ -331,7 +339,7 @@ class SphereOracles:
     def transport(self, x_a, x_b, w) -> np.ndarray:
         """Parallel transport of the chart vector w along the geodesic."""
         A, u, theta = self._arc(x_a, x_b)
-        W = self.chart_jacobian(x_a) @ as_point(w)
+        W = self.chart_jacobian(x_a) @ self._chart_vector(w)
         if u is None:
             return as_point(w)
         along = float(W @ u)
@@ -341,7 +349,7 @@ class SphereOracles:
 
     def christoffel(self, x) -> np.ndarray:
         """Christoffel symbols Gamma[k, i, j] of the conformal chart metric."""
-        x = as_point(x)
+        x = self._chart_vector(x)
         phi_grad = -2.0 * x / (1.0 + float(x @ x))
         gamma = np.zeros((2, 2, 2))
         for k in range(2):
@@ -360,8 +368,7 @@ class SphereOracles:
         ``eta_value`` is the field at x, ``eta_jacobian`` its Euclidean
         Jacobian there.
         """
-        x = as_point(x)
-        theta = as_point(theta)
+        theta = self._chart_vector(theta)
         gamma = self.christoffel(x)
         correction = np.einsum("kij,i,j->k", gamma, theta, np.asarray(eta_value, float))
         return np.asarray(eta_jacobian, float) @ theta + correction

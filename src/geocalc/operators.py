@@ -1,34 +1,29 @@
 """Discrete logarithm, exponential, parallel transport, and connection.
 
-The two-point building blocks are
+The discrete logarithm and exponential are two windows of one Newton
+kernel, ``geodesic._solve_path``, which solves the Euler-Lagrange rows
+grad2(x_{k-1}, x_k) + grad1(x_k, x_{k+1}) = 0, k = 1..K-1:
 
-* ``log2(x0, x2)``: the displacement to the interior point of the 2-step
-  geodesic between x0 and x2, i.e. the minimizer of
-  w(x0, x1) + w(x1, x2); it is the K = 2 call of the path kernel in
-  ``geodesic``, and
-* ``exp2(x, zeta)``: the inverse problem, the endpoint x2 for which
-  x + zeta is that interior point; its stationarity equation is
-  grad2(x, x+zeta) + grad1(x+zeta, x2) = 0, and it is the K = 2 call of
-  the exp kernel ``_solve_exp``.
+* ``discrete_log``: the first increment of the boundary-value geodesic,
+  solved for x_1 .. x_{K-1}; ``log2(x0, x2)``, the displacement to the
+  midpoint of the 2-step geodesic, is its K = 2 call;
+* ``discrete_exp_path``: the initial-value path from x_0 and
+  x_1 = x_0 + zeta, solved for x_2 .. x_K in one Newton solve; ``exp2``,
+  the endpoint x2 of the 2-step geodesic whose midpoint is x + zeta, is
+  its K = 2 call.
 
-On top of these sit the K-step logarithm (first increment of the solved
-boundary-value geodesic), the K-step exponential, a Schild's-ladder
-style parallel transport (one geodesic parallelogram per path segment),
-its inverse, and a finite-difference connection.
-
-The K-step exponential and the ladder are each one Newton solve over the
-whole path: ``_solve_exp`` solves the Euler-Lagrange rows for x_2 .. x_K
-(a block lower triangular system with two bands), and ``_solve_ladder``
-solves every rung's midpoint and corner together (one band).  Both make
-one stacked model call per residual and one per Jacobian and solve the
-linear systems by ``geodesic._forward_substitution``, in about log2(K)
-stacked levels for the small blocks of surfaces and charts.  A diverging
-attempt ends in a SolverError from the Newton loop.  They are less
-robust than the step-by-step fold on long shots and coarse ladders; when
-one fails, or lands on a root the fold would not pick (``_near``), the
-operator runs the fold (``exp2`` or ``transport_step`` one step at a
-time), and the fold's errors are the ones raised.  Inverse transport
-without a constraint inverts one rung at a time.
+On top of these sit a Schild's-ladder style parallel transport (one
+geodesic parallelogram per path segment), its inverse, and a
+finite-difference connection.  The ladder is one Newton solve over every
+rung's midpoint and corner together (``_solve_ladder``, one band).  The
+whole exp and the ladder solve their block lower triangular systems by
+``geodesic._forward_substitution``, in about log2(K) stacked levels for
+the small blocks of surfaces and charts.  They are less robust than the
+step-by-step fold on long shots and coarse ladders; when one fails, or
+lands on a root the fold would not pick (``_near``), the operator runs
+the fold (``exp2`` or ``transport_step`` one step at a time), and the
+fold's errors are the ones raised.  Inverse transport without a
+constraint inverts one rung at a time.
 
 Every Newton solve here runs the one Newton loop of ``geodesic``.  Every
 operator takes, as its 4th argument, the ``SolverConfig`` the path solves
@@ -49,12 +44,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DiscretePath, DomainError, SolverError, _write_csv, as_path, as_point
+from .core import DiscretePath, DomainError, SolverError, _as_count, _write_csv, as_path, as_point
 from .geodesic import (
     ConstraintModel,
     SolverConfig,
+    _border,
     _constraint_view,
-    _el_rows,
     _forward_substitution,
     _multiplier_rows,
     _newton,
@@ -132,63 +127,16 @@ def _exp_start(x, zeta, K, constraint):
     return pts
 
 
-def _solve_exp(pts, model, constraint, cfg: SolverConfig | None, context: str):
-    """Newton solve for x_2 .. x_K of ``pts`` (shape (K+1, d), K >= 2).
-
-    x_0 and x_1 are data.  Row k = 1..K-1 is the Euler-Lagrange equation at
-    x_k, grad2(x_{k-1}, x_k) + grad1(x_k, x_{k+1}) - mu_k J(x_k) = 0, with
-    d(x_{k+1}) = 0 on a level set, and is solved for (x_{k+1}, mu_k).  The
-    Jacobian is block lower triangular: hess12(x_k, x_{k+1}) on the
-    diagonal, hess22(x_{k-1}, x_k) + hess11(x_k, x_{k+1}) - mu_k hess d(x_k)
-    one band below and hess21(x_{k-1}, x_k) two bands below; all blocks come
-    from one stacked call over the segments after the first.  Returns
-    (points, residual, iterations, converged).
-    """
-    K, d = len(pts) - 1, pts.shape[1]
-    view = _constraint_view(constraint, K, d)
-    c = view.c
-    b = d + c
-
-    # row j >= 2 of z holds x_j and the multipliers of the row solved for it
-    def residual(z):
-        x = z[:, :d]
-        rows = _el_rows(model, x)
-        if not c:
-            return rows
-        return np.hstack([rows - _multiplier_rows(z[2:, d:], view.jac(x[1:K])), view.values(x[2:])])
-
-    def step(z, r):
-        x = z[:, :d]
-        h11, h12, h21, h22 = model.hess_blocks_stacked(x[1:K], x[2:])
-        diag = np.zeros((K - 1, b, b))
-        near, far = np.zeros_like(diag[1:]), np.zeros_like(diag[2:])
-        diag[:, :d, :d] = h12
-        near[:, :d, :d] = h22[:-1] + h11[1:]
-        far[:, :d, :d] = h21[1:-1]
-        if c:
-            jac = view.jac(x[1:])
-            near[:, :d, :d] -= view.hess(x[2:K], z[3:, d:])
-            diag[:, :d, d:] = -np.swapaxes(jac[:-1], 1, 2)
-            diag[:, d:, :d] = jac[1:]
-        delta = np.zeros_like(z)
-        delta[2:] = _forward_substitution(diag, (near, far), r)
-        return delta
-
-    z0 = np.hstack([pts, np.zeros((K + 1, c))])
-    z, res, iterations, converged = _newton(residual, step, z0, cfg, context)
-    return z[:, :d], res, iterations, converged
-
-
 def exp2(x, zeta, model, cfg: SolverConfig | None = None, constraint: ConstraintModel | None = None) -> np.ndarray:
     """Endpoint x2 of the 2-geodesic whose midpoint displacement is zeta.
 
-    This is the K = 2 exp solve, started from x + 2 zeta (projected onto
-    the level set if there is one).
+    This is the K = 2 shot of the path kernel, solved for x2 from
+    x + 2 zeta (projected onto the level set if there is one).
     """
     x = as_point(x)
     zeta = _at_point(zeta, x)
     pts = _exp_start(x, zeta, 2, constraint)
-    pts, res, _, converged = _solve_exp(pts, model, constraint, cfg, "exp2")
+    pts, _, res, _, converged = _solve_path(pts, model, constraint, cfg, "exp2", shot=True)
     _require(converged, res, "exp2")
     return pts[2]
 
@@ -238,6 +186,7 @@ def discrete_log(
     """
     xa = as_point(x_a)
     xb = _at_point(x_b, xa)
+    K = _as_count("K", K, 1)
     if K == 1:
         return xb - xa
     result = solve_geodesic_constrained(xa, xb, K, model, constraint, cfg)
@@ -293,13 +242,12 @@ def discrete_exp_path(
     """
     x = as_point(x)
     zeta = _at_point(zeta, x)
-    if k < 1:
-        raise DomainError("need k >= 1 for a path")
+    k = _as_count("k", k, 1)
     if k == 1:
         return DiscretePath(np.stack([x, x + zeta]))
     try:
         pts = _exp_start(x, zeta, k, constraint)
-        pts, _, _, converged = _solve_exp(pts, model, constraint, cfg, "exp path")
+        pts, _, _, _, converged = _solve_path(pts, model, constraint, cfg, "exp path", shot=True)
     except (SolverError, DomainError):
         converged = False
     if not (converged and _near(pts[2:], 2.0 * pts[1:-1] - pts[:-2], pts[1:-1])):
@@ -318,8 +266,7 @@ def discrete_exp(
     """k-step discrete exponential of the displacement zeta at x."""
     x = as_point(x)
     zeta = _at_point(zeta, x)
-    if k < 0:
-        raise DomainError("k must be nonnegative")
+    k = _as_count("k", k, 0)
     if k == 0:
         return x
     if k == 1:
@@ -419,9 +366,8 @@ def _solve_ladder(pts, zeta_0, model, constraint, cfg: SolverConfig | None, cont
             jac = view.jac(mid)
             diag[:, :d, :d] -= view.hess(mid, z[:, d:b])
             diag[:, b : b + d, :d] -= view.hess(mid, z[:, b + d :])
-            diag[:, :d, d:b] = diag[:, b : b + d, b + d :] = -np.swapaxes(jac, 1, 2)
-            diag[:, d:b, :d] = jac
-            diag[:, b + d :, b : b + d] = view.jac(corner)
+            _border(diag[:, :b, :b], jac, jac)
+            _border(diag[:, b:, b:], jac, view.jac(corner))
         return _forward_substitution(diag, (below,), r)
 
     mid = (starts + ends) / 2.0 + zeta_0 / 2.0

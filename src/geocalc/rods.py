@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DomainError, EnergyModel, FdScheme, as_point
+from .core import DomainError, EnergyModel, FdScheme, _as_count, as_point
 from .geodesic import LinearGauge
 
 __all__ = [
@@ -471,8 +471,7 @@ def rod_gauge(x_a, x_b, K: int) -> LinearGauge:
     xb = as_point(x_b)
     if xa.size != xb.size or xa.size % 2:
         raise DomainError("rod coordinates must be flattened (N, 2) arrays")
-    if K < 1:
-        raise DomainError(f"K must be at least 1, got {K}")
+    K = _as_count("K", K, 1)
     n = xa.size // 2
     g = np.kron(np.ones((1, n)) / n, np.eye(2))
     mean_a = g @ xa

@@ -90,6 +90,12 @@ def test_invalid_inputs_exit_3(tmp_path, capsys):
     unknown_key = tmp_path / "unknown.json"
     unknown_key.write_text(json.dumps({"modle": "flat"}), encoding="utf-8")
     assert main(["converge", "--config", str(unknown_key)]) == 3
+    # a k_exponents that is not a pair of integers, a non-numeric point, and
+    # a 1-d point handed to the 2-d sphere-chart oracles
+    for config in ({"k_exponents": [1]}, {"k_exponents": 5}, {"xa": "ab"}, {"xa": [0.1]}):
+        bad = tmp_path / "bad_study.json"
+        bad.write_text(json.dumps(config), encoding="utf-8")
+        assert main(["converge", "--config", str(bad), "--out", str(tmp_path / "out")]) == 3, config
     # endpoints off the constraint surface
     assert main(["geodesic", "--model", "sdf-sphere", "--xa", "1.5,0,0", "--xb", "0,1,0"]) == 3
 

@@ -9,10 +9,14 @@ from geocalc import (
     InvariantViolation,
     SolverConfig,
     discrete_energy,
+    discrete_exp,
+    discrete_exp_path,
     discrete_length,
+    discrete_log,
     el_residual,
     flat_energy,
     project_onto_level_set,
+    rod_gauge,
     sdf_spring_model,
     solve_geodesic,
     solve_geodesic_constrained,
@@ -164,6 +168,48 @@ def test_solver_config_rejects_a_non_integer_max_iter():
         with pytest.raises(DomainError, match="max_iter must be an integer of at least 1"):
             SolverConfig(max_iter=bad)
     assert SolverConfig(max_iter=np.int64(3)).max_iter == 3
+
+
+# every entry point taking a step count or iteration cap, called with a bad
+# value of it, and the start of its DomainError message
+_COUNT_ENTRIES = {
+    "solve_geodesic": (lambda n: solve_geodesic(XA, XB, n, CHART), "K must be an integer"),
+    "solve_constrained": (lambda n: solve_geodesic_constrained(XA, XB, n, CHART, None), "K must be an integer"),
+    "discrete_log": (lambda n: discrete_log(XA, XB, n, CHART), "K must be an integer"),
+    "discrete_exp": (lambda n: discrete_exp(XA, XB - XA, n, CHART), "k must be an integer"),
+    "discrete_exp_path": (lambda n: discrete_exp_path(XA, XB - XA, n, CHART), "k must be an integer"),
+    "rod_gauge": (lambda n: rod_gauge(np.zeros(4), np.ones(4), n), "K must be an integer"),
+    "project_max_iter": (
+        lambda n: project_onto_level_set([2.0, 0.0, 0.0], SphereSdf(), max_iter=n),
+        "max_iter must be an integer",
+    ),
+    "project_tol": (lambda n: project_onto_level_set([2.0, 0.0, 0.0], SphereSdf(), tol=n), "tol must be positive"),
+}
+
+
+@pytest.mark.parametrize(
+    "name, value",
+    [
+        ("solve_geodesic", 2.5),
+        ("solve_geodesic", True),
+        ("solve_constrained", 0),
+        ("discrete_log", 2.5),
+        ("discrete_log", True),
+        ("discrete_exp", 2.5),
+        ("discrete_exp", -1),
+        ("discrete_exp_path", 3.0),
+        ("discrete_exp_path", True),
+        ("rod_gauge", 2.5),
+        ("project_max_iter", 0),
+        ("project_max_iter", 1.0),
+        ("project_tol", -1.0),
+        ("project_tol", float("nan")),
+    ],
+)
+def test_bad_step_counts_and_caps_are_domain_errors(name, value):
+    entry, message = _COUNT_ENTRIES[name]
+    with pytest.raises(DomainError, match=message):
+        entry(value)
 
 
 def test_armijo_damping_still_converges():

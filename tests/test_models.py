@@ -190,6 +190,17 @@ def test_oracle_domain_errors():
     with pytest.raises(DomainError):
         # antipodal pair: origin maps to the south pole, its antipode is the pole
         orc.dist(np.zeros(2), np.array([1e9, 0.0]))
+    # chart points and chart vectors have 2 coordinates
+    x, v = np.array([0.1, 0.2]), np.array([0.3, -0.1])
+    for call in (
+        lambda: orc.log(np.array([0.1]), x),
+        lambda: orc.exp(x, np.array([1.0, 0.0, 0.0])),
+        lambda: orc.transport(x, x + v, np.array([0.3])),
+        lambda: orc.christoffel(np.zeros(3)),
+        lambda: orc.covariant_derivative(x, np.array([1.0]), v, np.eye(2)),
+    ):
+        with pytest.raises(DomainError, match="sphere-chart vectors have 2 coordinates"):
+            call()
 
 
 def test_circle_and_sphere_sdf_are_normalized():

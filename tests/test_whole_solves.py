@@ -3,9 +3,10 @@
 ``discrete_exp_path`` and ``parallel_transport`` solve all their inner
 equations in one Newton solve and fall back to the fold (one ``exp2`` or
 ``transport_step`` at a time) when that solve fails or lands on a root the
-fold would not pick.  These tests pin the kernels themselves
-(``operators._solve_exp``, ``operators._solve_ladder``), their agreement
-with the fold, the fallback, and the dimension checks of every operator.
+fold would not pick.  These tests pin the kernels themselves (the shot
+window of ``geodesic._solve_path`` and ``operators._solve_ladder``), their
+agreement with the fold, the fallback, and the dimension checks of every
+operator.
 """
 
 import numpy as np
@@ -62,8 +63,10 @@ def _case(name):
 
 
 def _whole_exp(x, zeta, K, model, cfg, constraint=None):
+    """The whole exp solve: (points, residual, iterations, converged)."""
     pts = op._exp_start(x, zeta, K, constraint)
-    return op._solve_exp(pts, model, constraint, cfg, "exp path")
+    pts, _, res, iterations, converged = geodesic._solve_path(pts, model, constraint, cfg, "exp path", shot=True)
+    return pts, res, iterations, converged
 
 
 def _whole_ladder(path, zeta, model, cfg, constraint=None):
@@ -297,3 +300,37 @@ def test_reduced_exp_and_ladder_match_the_sequential_loop(name, monkeypatch):
     assert np.max(np.abs(got_exp[0] - ref_exp[0])) <= 1e-12
     for got, ref in zip(got_ladder[:2], ref_ladder[:2]):
         assert np.max(np.abs(got - ref)) <= 1e-12
+
+
+@pytest.mark.parametrize("shot", [False, True], ids=["interior", "shot"])
+@pytest.mark.parametrize("name, steps", [("chart", 1), ("sdf-sphere", 2)])
+def test_path_kernel_contracts_quadratically(name, steps, shot):
+    """Newton from a perturbed solution: a tenfold smaller start error cuts
+    the residual about 100-fold, for both windows of unknowns.
+
+    A misplaced band or border leaves Newton converging, only linearly;
+    the ratio then drops to about 10.  The sdf sphere takes 2 steps because
+    its multipliers start at zero, an O(1) error that the first step cuts
+    to O(eps).
+    """
+    model, con, xa, xb, v, _ = _case(name)
+    K = 8
+    if shot:
+        pts = op._exp_start(xa, v / K, K, con)
+    else:
+        pts = geodesic._linear_init(xa, xb, K)
+        geodesic._project_rows(pts[1:K], con)
+    tight = SolverConfig(newton_tol=1e-14)
+    pts, _, _, _, converged = geodesic._solve_path(pts, model, con, tight, "path", shot=shot)
+    assert converged
+    window = slice(2, K + 1) if shot else slice(1, K)
+    noise = np.random.default_rng(7).normal(size=pts[window].shape)
+    fixed = SolverConfig(newton_tol=1e-300, max_iter=steps)
+    residuals = []
+    for eps in (1e-3, 1e-4):
+        start = pts.copy()
+        start[window] += eps * noise
+        _, _, res, iterations, _ = geodesic._solve_path(start, model, con, fixed, "path", shot=shot)
+        assert iterations == steps
+        residuals.append(res)
+    assert residuals[0] >= 50.0 * residuals[1]
