@@ -590,7 +590,7 @@ def _solve(x_a, x_b, K, model, constraint, cfg, init_path) -> GeodesicResult:
         pts[0], pts[K] = xa, xb
     else:
         pts = _linear_init(xa, xb, K)
-        _project_rows(pts[1:K], constraint)
+    _project_rows(pts[1:K], constraint)
 
     if K == 1:
         return _result(model, pts, 0.0, 0, True, np.zeros(0) if level_set else None)
@@ -691,7 +691,9 @@ def solve_geodesic_constrained(
     The KKT system couples the stationarity residual, one multiplier per
     interior point, and the constraint values; it is solved by Newton with
     block tridiagonal linear solves on (d+1)-blocks.  Endpoints must satisfy
-    |d| <= 1e-10.  With ``constraint=None`` this is ``solve_geodesic``.
+    |d| <= 1e-10.  The interior of the start, the straight line or
+    ``init_path``, is projected onto the level set first.  With
+    ``constraint=None`` this is ``solve_geodesic``.
     """
     return _solve(x_a, x_b, K, model, constraint, cfg, init_path)
 

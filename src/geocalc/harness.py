@@ -8,23 +8,28 @@ range of exponents and measures four errors per K against a reference:
 * err_exp: |EXP^K(v/K) - exp_ref| for v = log_ref,
 * err_pt:  |K * P(w/K) - transport_ref| along the solved path,
 
-all in the Euclidean norm of the coordinates.  The sphere chart and flat
-space have closed-form references; other backends fall back to a
-Richardson-style self-reference, the discrete solution at 4 times the
-largest K (self-convergence, not true error).  Fitted orders are
-least-squares slopes of log(err) against log(1/K).
+all in the Euclidean norm of the coordinates.  Each K starts from the
+K/2 solution prolonged (old nodes kept, midpoints inserted) when K/2 is
+a level too: nested iteration.  The sphere chart and flat space have
+closed-form references; other backends are measured against the 2K
+level (successive differences, self-convergence), with v the discrete
+log of the finest level, 2 K_max.  Fitted orders are least-squares
+slopes of log(err) against log(1/K) over the errors above
+``FLOOR_FACTOR`` times the Newton tolerance; with fewer than three the
+order is undefined (None).
 """
 
 from __future__ import annotations
 
 import json
+import numbers
 import os
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import DomainError, SolverError, _write_csv, as_point, check_consistency
+from .core import DiscretePath, DomainError, SolverError, _write_csv, as_point, check_consistency
 from .geodesic import SolverConfig, solve_geodesic, solve_geodesic_constrained
 from .models import (
     CircleSdf,
@@ -34,7 +39,7 @@ from .models import (
     sphere_chart_energy,
     sphere_oracles,
 )
-from .operators import discrete_exp, parallel_transport
+from .operators import _shoot, _transport, discrete_exp_path
 from .rods import RodCurve, load_rod_csv, random_smooth_rod, rod_energy, rod_gauge, save_rod_csv
 
 __all__ = [
@@ -67,17 +72,23 @@ class ConfigError(Exception):
     """Invalid study or CLI configuration."""
 
 
+def _is_number(v, types) -> bool:
+    """Whether v is an instance of ``types``; a bool, an int subclass, never is."""
+    return isinstance(v, types) and not isinstance(v, bool)
+
+
 def _list_of(value, types) -> bool:
-    """Whether a JSON value is a list (or tuple) of ``types``; a bool, an int
-    subclass, never counts."""
-    return isinstance(value, (list, tuple)) and all(
-        isinstance(v, types) and not isinstance(v, bool) for v in value
-    )
+    """Whether a value is a list, tuple, range or 1-d array of ``types``."""
+    return isinstance(value, (list, tuple, range, np.ndarray)) and all(_is_number(v, types) for v in value)
 
 
 @dataclass(frozen=True)
 class StudyConfig:
-    """Settings of one convergence study; mirrors the JSON config keys."""
+    """Settings of one convergence study; mirrors the JSON config keys.
+
+    Every field is checked on construction, also through
+    ``dataclasses.replace``: an invalid one is a ConfigError.
+    """
 
     model: str = "sphere-chart"
     xa: tuple = (0.5, 0.0)
@@ -91,10 +102,23 @@ class StudyConfig:
     def __post_init__(self):
         if self.model not in MODEL_NAMES:
             raise ConfigError(f"unknown model {self.model!r}; choose from {MODEL_NAMES}")
-        ks = tuple(int(e) for e in self.k_exponents)
-        if not ks or any(e < 0 for e in ks):
-            raise ConfigError("k_exponents must be a nonempty range of nonnegative ints")
-        object.__setattr__(self, "k_exponents", tuple(sorted(set(ks))))
+        ks = self.k_exponents
+        if not (_list_of(ks, numbers.Integral) and len(ks) and min(ks) >= 0):
+            raise ConfigError(f"k_exponents must be a nonempty range of nonnegative ints, got {ks!r}")
+        object.__setattr__(self, "k_exponents", tuple(sorted({int(e) for e in ks})))
+        for key in ("xa", "xb", "w"):
+            value = getattr(self, key)
+            if not (_list_of(value, numbers.Real) and len(value)):
+                raise ConfigError(f"{key} must be a nonempty list of numbers, got {value!r}")
+            object.__setattr__(self, key, tuple(float(v) for v in value))
+        if len(self.xa) != len(self.xb):
+            raise ConfigError(f"xa and xb differ in dimension: {len(self.xa)} and {len(self.xb)}")
+        if not isinstance(self.solver, SolverConfig):
+            raise ConfigError(f"solver must be a SolverConfig, got {self.solver!r}")
+        if not (self.output_dir is None or isinstance(self.output_dir, str)):
+            raise ConfigError(f"output_dir must be a path or None, got {self.output_dir!r}")
+        if not _is_number(self.seed, numbers.Integral):
+            raise ConfigError(f"seed must be an integer, got {self.seed!r}")
 
     @classmethod
     def from_dict(cls, data: dict) -> "StudyConfig":
@@ -117,17 +141,12 @@ class StudyConfig:
             if not (_list_of(pair, int) and len(pair) == 2):
                 raise ConfigError(f"k_exponents must be a pair of integers [lo, hi], got {pair!r}")
             kwargs["k_exponents"] = tuple(range(pair[0], pair[1] + 1))
-        for key in ("xa", "xb", "w"):
-            if key in kwargs:
-                if not _list_of(kwargs[key], (int, float)):
-                    raise ConfigError(f"{key} must be a list of numbers, got {kwargs[key]!r}")
-                kwargs[key] = tuple(float(v) for v in kwargs[key])
-        try:
-            if "solver" in kwargs:
+        if isinstance(kwargs.get("solver"), dict):
+            try:
                 kwargs["solver"] = SolverConfig(**kwargs["solver"])
-            return cls(**kwargs)
-        except TypeError as err:
-            raise ConfigError(str(err)) from err
+            except TypeError as err:
+                raise ConfigError(str(err)) from err
+        return cls(**kwargs)
 
 
 @dataclass(frozen=True)
@@ -192,44 +211,73 @@ def build_backend(name: str, n_nodes: int = 64, delta: float = 0.1) -> _Backend:
     raise ConfigError(f"unknown model {name!r}; choose from {MODEL_NAMES}")
 
 
-def fit_order(errors, ks) -> float:
+# errors at most FLOOR_FACTOR * newton_tol are at the solver's floor: a solve
+# stops once its residual is under newton_tol, and the exact discrete
+# geodesic of sdf-circle and sdf-sphere then still differs from its
+# reference by 1.3e-10 at K = 4 and 8 with newton_tol 1e-10
+FLOOR_FACTOR = 10.0
+
+
+def fit_order(errors, ks, floor: float = 0.0) -> float:
     """Least-squares slope of log(err) versus log(1/K).
 
-    Nonpositive errors are excluded with a warning; at least three
-    positive entries must remain.
+    Errors at or below ``floor`` (nonpositive ones, by default) are
+    excluded with a warning; at least three must remain, otherwise the
+    order is undefined and ConfigError is raised.
     """
     errors = np.asarray(errors, dtype=float)
     ks = np.asarray(ks, dtype=float)
     if errors.shape != ks.shape:
         raise ConfigError("errors and Ks must have equal length")
-    mask = errors > 0
+    mask = errors > max(floor, 0.0)
     if not np.all(mask):
         warnings.warn(
-            f"excluding {int(np.sum(~mask))} nonpositive error(s) from the order fit",
+            f"excluding {int(np.sum(~mask))} nonpositive or floor-level (<= {floor:g}) error(s)"
+            " from the order fit",
             stacklevel=2,
         )
     if int(np.sum(mask)) < 3:
-        raise ConfigError("need at least 3 positive errors to fit an order")
+        raise ConfigError(f"need at least 3 errors above {floor:g} to fit an order")
     slope = np.polyfit(np.log(1.0 / ks[mask]), np.log(errors[mask]), 1)[0]
     return float(slope)
 
 
-def _solve(backend, xa, xb, K, solver_cfg):
-    res = solve_geodesic_constrained(xa, xb, K, backend.model, backend.constraint, solver_cfg)
-    if not res.converged:
-        raise SolverError(
-            f"geodesic solve did not converge (K={K})", residual=res.residual
-        )
-    return res
+def _prolong(rows) -> np.ndarray:
+    """Rows (n + 1, ...) of a level refined to 2n + 1: the old rows at the
+    even indices and the midpoints of neighbours at the odd ones.
+
+    The solves the prolonged rows start project them onto the level set,
+    if there is one.
+    """
+    out = np.empty((2 * len(rows) - 1,) + rows.shape[1:])
+    out[::2] = rows
+    out[1::2] = (rows[:-1] + rows[1:]) / 2.0
+    return out
 
 
-def _references(cfg: StudyConfig, backend: _Backend, xa, xb, w):
-    """Reference values: (geo, log_ref, exp_ref, pt_ref, description).
+def _cascade(Ks, solve) -> dict:
+    """``solve(K, coarse)`` for each K in turn, as a dict K -> result.
+
+    ``coarse`` is the result at K / 2 when that is one of the Ks (they
+    increase), else None.  A SolverError names the K it failed at.
+    """
+    out = {}
+    for K in Ks:
+        try:
+            out[K] = solve(K, out.get(K // 2))
+        except SolverError as err:
+            raise SolverError(f"study failed at K={K}: {err}", residual=err.residual) from err
+    return out
+
+
+def _oracle(model: str, xa, xb, w):
+    """Closed-form (geo, log, exp, pt, description) references, or None for
+    a backend without one.
 
     ``geo(ts)`` maps an array of n times in [0, 1] to the (n, d) reference
-    points.
+    points; exp is the exact exp of log.
     """
-    if cfg.model == "sphere-chart":
+    if model == "sphere-chart":
         orc = sphere_oracles()
         log_ref = orc.log(xa, xb)
         return (
@@ -239,81 +287,91 @@ def _references(cfg: StudyConfig, backend: _Backend, xa, xb, w):
             orc.transport(xa, xb, w),
             "analytic great-circle oracle",
         )
-    if cfg.model == "flat":
-        return (
-            lambda ts: xa + ts[:, None] * (xb - xa),
-            xb - xa,
-            xb,
-            w.copy(),
-            "closed flat-space forms",
-        )
-    k_ref = 4 * (2 ** cfg.k_exponents[-1])
-    ref = _solve(backend, xa, xb, k_ref, cfg.solver)
-    log_ref = k_ref * (ref.path[1] - ref.path[0])
-    exp_ref = discrete_exp(
-        xa, log_ref / k_ref, k_ref, backend.model, cfg.solver, backend.constraint
-    )
-    zt, _ = parallel_transport(
-        ref.path, w / k_ref, backend.model, cfg.solver, backend.constraint
-    )
-    pt_ref = k_ref * zt
-
-    def geo_ref(ts):
-        return ref.path.points[np.rint(ts * k_ref).astype(int)]
-
-    return geo_ref, log_ref, exp_ref, pt_ref, f"discrete self-reference at K={k_ref}"
+    if model == "flat":
+        return (lambda ts: xa + ts[:, None] * (xb - xa), xb - xa, xb, w, "closed flat-space forms")
+    return None
 
 
 def run_convergence_study(cfg: StudyConfig) -> ConvergenceReport:
-    """Measure the four operator errors over K = 2^k and fit their orders."""
+    """Measure the four operator errors over K = 2^k and fit their orders.
+
+    The levels are solved in increasing K, each started from the
+    prolonged K/2 solution when K/2 is a level too.
+    """
     if cfg.model.startswith("rod"):
         raise ConfigError("rod models use the rod-morph runner, not the study")
     backend = build_backend(cfg.model)
+    model, constraint, solver = backend.model, backend.constraint, cfg.solver
     xa = as_point(cfg.xa)
     xb = as_point(cfg.xb)
     w = as_point(cfg.w)
-    geo_ref, log_ref, exp_ref, pt_ref, reference = _references(cfg, backend, xa, xb, w)
+    oracle = _oracle(cfg.model, xa, xb, w)
+    ks = [2**e for e in cfg.k_exponents]
+    # without an oracle each K is measured against 2K, so every 2K is solved
+    levels = ks if oracle else sorted(set(ks) | {2 * K for K in ks})
 
-    ks, e_geo, e_log, e_exp, e_pt = [], [], [], [], []
-    for exponent in cfg.k_exponents:
-        K = 2**exponent
-        try:
-            res = _solve(backend, xa, xb, K, cfg.solver)
-            nodes = geo_ref(np.arange(K + 1) / K)
-            err_geo = float(np.max(np.linalg.norm(res.path.points - nodes, axis=1)))
-            err_log = float(np.linalg.norm(K * (res.path[1] - res.path[0]) - log_ref))
-            endpoint = discrete_exp(
-                xa, log_ref / K, K, backend.model, cfg.solver, backend.constraint
-            )
-            err_exp = float(np.linalg.norm(endpoint - exp_ref))
-            zt, _ = parallel_transport(
-                res.path, w / K, backend.model, cfg.solver, backend.constraint
-            )
-            err_pt = float(np.linalg.norm(K * zt - pt_ref))
-        except SolverError as err:
-            raise SolverError(f"study failed at K={K}: {err}", residual=err.residual) from err
-        ks.append(K)
-        e_geo.append(err_geo)
-        e_log.append(err_log)
-        e_exp.append(err_exp)
-        e_pt.append(err_pt)
+    def geodesic(K, coarse):
+        init = None if coarse is None else _prolong(coarse)
+        res = solve_geodesic_constrained(xa, xb, K, model, constraint, solver, init_path=init)
+        if not res.converged:
+            raise SolverError(f"geodesic solve did not converge (K={K})", residual=res.residual)
+        return res.path.points
 
+    paths = _cascade(levels, geodesic)
+    # the reference log: the closed form, or the finest level's discrete log
+    v = oracle[1] if oracle else levels[-1] * (paths[levels[-1]][1] - xa)
+
+    def shoot(K, coarse):
+        if coarse is None:
+            return discrete_exp_path(xa, v / K, K, model, solver, constraint).points
+        start = _prolong(coarse)
+        start[1] = xa + v / K
+        return _shoot(xa, v / K, start, model, solver, constraint).points
+
+    def transport(K, coarse):
+        # transported displacements at nodes 0..K; the coarse ones, for the
+        # doubled step, are halved
+        zetas = None if coarse is None else _prolong(coarse)[1:] / 2.0
+        _, traces = _transport(DiscretePath(paths[K]), w / K, zetas, model, solver, constraint)
+        return np.vstack([w / K] + [t.zeta for t in traces])
+
+    exps = _cascade(levels, shoot)
+    zetas = _cascade(levels, transport)
+
+    def measured(K):
+        """(nodes, log, exp endpoint, transported w) at level K."""
+        return paths[K], K * (paths[K][1] - xa), exps[K][-1], K * zetas[K][-1]
+
+    def reference(K):
+        """What level K is measured against, in the order of ``measured``."""
+        if oracle:
+            return (oracle[0](np.arange(K + 1) / K),) + oracle[1:4]
+        nodes, *rest = measured(2 * K)
+        return (nodes[::2], *rest)
+
+    # the node error is the max over nodes; the other three are one vector
+    cols = {"geo": [], "log": [], "exp": [], "pt": []}
+    for K in ks:
+        for col, got, ref in zip(cols.values(), measured(K), reference(K)):
+            col.append(float(np.max(np.linalg.norm(got - ref, axis=-1))))
+
+    floor = FLOOR_FACTOR * solver.newton_tol
     orders = {}
-    for name, col in (("geo", e_geo), ("log", e_log), ("exp", e_exp), ("pt", e_pt)):
+    for name, col in cols.items():
         try:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
-                orders[name] = fit_order(col, ks)
+                orders[name] = fit_order(col, ks, floor)
         except ConfigError:
             orders[name] = None
     return ConvergenceReport(
         ks=tuple(ks),
-        err_geo=tuple(e_geo),
-        err_log=tuple(e_log),
-        err_exp=tuple(e_exp),
-        err_pt=tuple(e_pt),
+        err_geo=tuple(cols["geo"]),
+        err_log=tuple(cols["log"]),
+        err_exp=tuple(cols["exp"]),
+        err_pt=tuple(cols["pt"]),
         orders=orders,
-        reference=reference,
+        reference=oracle[4] if oracle else "successive differences against the 2K level (self-convergence)",
     )
 
 

@@ -70,8 +70,12 @@ class FlatEnergy(EnergyModel):
 
     @staticmethod
     def _eye(x, scale):
-        """scale * I for each point of x, shape (..., d, d)."""
-        return scale * np.eye(x.shape[-1]) * np.ones(x.shape[:-1] + (1, 1))
+        """scale * I for each point of x, shape (..., d, d): one zeroed
+        allocation with its diagonal set through a flat view."""
+        d = x.shape[-1]
+        out = np.zeros(x.shape[:-1] + (d, d))
+        out.reshape(-1, d * d)[:, :: d + 1] = scale
+        return out
 
     def w(self, x, y):
         return float(self._w(*self._pair(x, y)))
@@ -261,6 +265,8 @@ class SphereOracles:
     def to_chart(self, X) -> np.ndarray:
         """Chart coordinates of one sphere point (3,) or of a stack (n, 3)."""
         X = np.asarray(X, dtype=float)
+        if X.ndim not in (1, 2) or X.shape[-1] != 3:
+            raise DomainError(f"sphere points have 3 coordinates, got shape {X.shape}")
         if np.any(X[..., 2] > 1.0 - _POLE_TOL):
             raise DomainError("point too close to the projection pole")
         return X[..., :2] / (1.0 - X[..., 2:])
@@ -277,7 +283,9 @@ class SphereOracles:
 
     def pullback(self, X, V) -> np.ndarray:
         """Chart representation of a tangent vector V at the sphere point X."""
-        X = np.asarray(X, dtype=float)
+        X, V = np.asarray(X, dtype=float), np.asarray(V, dtype=float)
+        if X.shape != (3,) or V.shape != (3,):
+            raise DomainError(f"pullback takes a 3-d sphere point and vector, got shapes {X.shape}, {V.shape}")
         if X[2] > 1.0 - _POLE_TOL:
             raise DomainError("point too close to the projection pole")
         r = 1.0 - X[2]

@@ -22,8 +22,11 @@ the small blocks of surfaces and charts.  They are less robust than the
 step-by-step fold on long shots and coarse ladders; when one fails, or
 lands on a root the fold would not pick (``_near``), the operator runs
 the fold (``exp2`` or ``transport_step`` one step at a time), and the
-fold's errors are the ones raised.  Inverse transport without a
-constraint inverts one rung at a time.
+fold's errors are the ones raised.  The public operators start the whole
+solves from the straight line; ``_shoot`` and ``_transport`` take another
+start (the convergence study's prolonged coarser level), with the same
+fold and root test.  Inverse transport without a constraint inverts one
+rung at a time.
 
 Every Newton solve here runs the one Newton loop of ``geodesic``.  Every
 operator takes, as its 4th argument, the ``SolverConfig`` the path solves
@@ -245,13 +248,25 @@ def discrete_exp_path(
     k = _as_count("k", k, 1)
     if k == 1:
         return DiscretePath(np.stack([x, x + zeta]))
+    return _shoot(x, zeta, _exp_start(x, zeta, k, None), model, cfg, constraint)
+
+
+def _shoot(x, zeta, start, model, cfg, constraint) -> DiscretePath:
+    """The whole exp solve of ``discrete_exp_path`` from the path ``start``.
+
+    ``start`` has shape (k + 1, d), k >= 2, with start[0] = x and start[1]
+    = x + zeta; its points x_2 .. x_k are projected onto the level set if
+    there is one.  The fold and the ``_near`` root test are those of
+    ``discrete_exp_path``, whatever the start.
+    """
     try:
-        pts = _exp_start(x, zeta, k, constraint)
+        pts = np.array(start, dtype=float)
+        _project_rows(pts[2:], constraint)
         pts, _, _, _, converged = _solve_path(pts, model, constraint, cfg, "exp path", shot=True)
     except (SolverError, DomainError):
         converged = False
     if not (converged and _near(pts[2:], 2.0 * pts[1:-1] - pts[:-2], pts[1:-1])):
-        return _exp_fold(x, zeta, k, model, cfg, constraint)
+        return _exp_fold(x, zeta, len(start) - 1, model, cfg, constraint)
     return DiscretePath(pts)
 
 
@@ -305,7 +320,7 @@ def transport_step(
     return zeta_next, trace
 
 
-def _solve_ladder(pts, zeta_0, model, constraint, cfg: SolverConfig | None, context: str):
+def _solve_ladder(pts, zeta_0, model, constraint, cfg: SolverConfig | None, context: str, zetas=None):
     """Newton solve for every rung of the ladder along ``pts`` at once.
 
     Rung k = 1..K has the midpoint c_k and the corner p_k as unknowns (with
@@ -319,9 +334,10 @@ def _solve_ladder(pts, zeta_0, model, constraint, cfg: SolverConfig | None, cont
     block lower bidiagonal in (2d + 2c)-blocks.  Residual and Jacobian come
     from one stacked call each over the 4K segments (p_{k-1}, c_k),
     (c_k, x_k), (x_{k-1}, c_k), (c_k, p_k).  The start is
-    p_k = x_k + zeta_0, c_k = (x_{k-1} + x_k) / 2 + zeta_0 / 2, projected
-    onto the level set if there is one.  Returns (midpoints, corners,
-    residual, iterations, converged).
+    p_k = x_k + zeta_k, c_k = (x_{k-1} + x_k) / 2 + zeta_{k-1} / 2, projected
+    onto the level set if there is one, with the guesses ``zetas`` (K, d) of
+    zeta_1 .. zeta_K, or zeta_k = zeta_0 throughout when they are None.
+    Returns (midpoints, corners, residual, iterations, converged).
     """
     K, d = len(pts) - 1, pts.shape[1]
     view = _constraint_view(constraint, K, d)
@@ -370,8 +386,10 @@ def _solve_ladder(pts, zeta_0, model, constraint, cfg: SolverConfig | None, cont
             _border(diag[:, b:, b:], jac, view.jac(corner))
         return _forward_substitution(diag, (below,), r)
 
-    mid = (starts + ends) / 2.0 + zeta_0 / 2.0
-    corner = ends + zeta_0
+    if zetas is None:
+        zetas = np.broadcast_to(zeta_0, (K, d))
+    mid = (starts + ends) / 2.0 + np.vstack([zeta_0, zetas[:-1]]) / 2.0
+    corner = ends + zetas
     _project_rows(mid, constraint)
     _project_rows(corner, constraint)
     no_mu = np.zeros((K, c))
@@ -408,10 +426,19 @@ def parallel_transport(
     traces[k-1] documents the k-th rung.
     """
     path = as_path(path)
+    return _transport(path, _at_point(zeta_0, path[0]), None, model, cfg, constraint)
+
+
+def _transport(path, zeta_0, zetas, model, cfg, constraint):
+    """``parallel_transport`` of zeta_0 along the DiscretePath ``path``, its
+    whole ladder started from the guesses ``zetas`` of ``_solve_ladder``.
+
+    The fold and the ``_near`` root test are those of
+    ``parallel_transport``, whatever the start.
+    """
     pts = path.points
-    zeta_0 = _at_point(zeta_0, pts[0])
     try:
-        mid, corner, _, _, converged = _solve_ladder(pts, zeta_0, model, constraint, cfg, "ladder")
+        mid, corner, _, _, converged = _solve_ladder(pts, zeta_0, model, constraint, cfg, "ladder", zetas)
     except (SolverError, DomainError):
         converged = False
     if converged:

@@ -1,10 +1,12 @@
+import collections
+import dataclasses
 import json
 import time
 
 import numpy as np
 import pytest
 
-from geocalc import DomainError, SolverConfig, SolverError, circle_rod, save_rod_csv
+from geocalc import DomainError, SolverConfig, SolverError, circle_rod, geodesic, operators, save_rod_csv
 from geocalc.harness import (
     AuditReport,
     ConfigError,
@@ -37,6 +39,27 @@ def test_fit_order_excludes_nonpositive():
         fit_order([0.1, 0.2], [1, 2, 4])
 
 
+def test_fit_order_excludes_errors_at_the_floor():
+    errors = [1e-3, 5e-4, 2.5e-4, 1e-12, 5e-13]
+    with pytest.warns(UserWarning, match="floor"):
+        assert fit_order(errors, [2, 4, 8, 16, 32], floor=1e-9) == pytest.approx(1.0)
+    with pytest.raises(ConfigError, match="above"):
+        with pytest.warns(UserWarning):
+            fit_order([1e-3, 3e-12, 7e-13], [2, 4, 8], floor=1e-9)
+
+
+def test_exact_columns_have_an_undefined_order():
+    # the discrete geodesic between points of a circle is exact: its errors
+    # sit at the solver's floor, and no order is fitted from them
+    cfg = StudyConfig(model="sdf-circle", xa=(1, 0), xb=(0, 1), w=(0, 0.3), k_exponents=(1, 2, 3, 4, 5))
+    report = run_convergence_study(cfg)
+    assert max(report.err_geo) <= 10 * cfg.solver.newton_tol
+    assert report.orders["geo"] is None
+    assert report.orders["log"] == pytest.approx(1.0, abs=0.1)
+    flat = run_convergence_study(StudyConfig(model="flat", k_exponents=(1, 2, 3, 4)))
+    assert set(flat.orders.values()) == {None}
+
+
 def test_study_config_validation():
     with pytest.raises(ConfigError):
         StudyConfig(model="torus")
@@ -51,6 +74,35 @@ def test_study_config_validation():
     for tol in (0.0, -1.0, float("nan"), float("inf")):
         with pytest.raises(DomainError, match="newton_tol must be positive and finite"):
             StudyConfig.from_dict({"solver": {"newton_tol": tol}})
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {"k_exponents": (1.5, 3.9)},
+        {"k_exponents": (True, 2)},
+        {"k_exponents": (-1, 2)},
+        {"xa": (0.1,)},
+        {"xb": ("a", 1.0)},
+        {"w": ()},
+        {"solver": "armijo"},
+        {"seed": 1.5},
+        {"output_dir": 3},
+    ],
+)
+def test_study_config_checks_every_construction(fields):
+    # direct construction and dataclasses.replace check like from_dict
+    with pytest.raises(ConfigError):
+        StudyConfig(**fields)
+    with pytest.raises(ConfigError):
+        dataclasses.replace(StudyConfig(), **fields)
+    with pytest.raises(ConfigError):
+        StudyConfig.from_dict({k: list(v) if isinstance(v, tuple) else v for k, v in fields.items()})
+
+
+def test_study_config_normalizes_its_fields():
+    cfg = StudyConfig(xa=np.array([1, 0]), xb=[0.0, 1.0], w=(np.float64(0.5), 0), k_exponents=range(3, 0, -1))
+    assert (cfg.xa, cfg.xb, cfg.w, cfg.k_exponents) == ((1.0, 0.0), (0.0, 1.0), (0.5, 0.0), (1, 2, 3))
 
 
 def test_smoke_study_is_small_and_fast():
@@ -90,12 +142,61 @@ def test_study_aborts_on_solver_failure():
         run_convergence_study(cfg)
 
 
+def _count_newton(monkeypatch):
+    """Count the Newton iterations of every solve, by its context."""
+    counts = collections.Counter()
+    newton = geodesic._newton
+
+    def counting(residual, step, z0, cfg, context):
+        out = newton(residual, step, z0, cfg, context)
+        counts[context.split(":")[0]] += out[2]
+        return out
+
+    monkeypatch.setattr(geodesic, "_newton", counting)
+    monkeypatch.setattr(operators, "_newton", counting)
+    return counts
+
+
+def test_nested_study_matches_a_study_from_scratch(monkeypatch):
+    # K = 2..128; a one-level study solves its K from the straight line
+    exponents = tuple(range(1, 8))
+    counts = _count_newton(monkeypatch)
+    nested = run_convergence_study(StudyConfig(k_exponents=exponents))
+    nested_counts = dict(counts)
+    counts.clear()
+    levels = [run_convergence_study(StudyConfig(k_exponents=(e,))) for e in exponents]
+    assert sum(counts.values()) > sum(nested_counts.values())
+    for whole_solve in ("geodesic solve", "exp path", "ladder"):
+        assert counts[whole_solve] > nested_counts[whole_solve]
+    ks = [2**e for e in exponents]
+    assert nested.ks == tuple(ks)
+    for col in ("geo", "log", "exp", "pt"):
+        scratch = [level.column(col)[0] for level in levels]
+        np.testing.assert_allclose(nested.column(col), scratch, rtol=1e-6, atol=0.0)
+        assert nested.orders[col] == pytest.approx(fit_order(scratch, ks), abs=1e-6)
+
+
+def test_successive_differences_converge_at_first_order_on_sdf_sphere():
+    cfg = StudyConfig(
+        model="sdf-sphere", xa=(1, 0, 0), xb=(0, 0.6, 0.8), w=(0, 0.3, -0.1), k_exponents=tuple(range(1, 7))
+    )
+    report = run_convergence_study(cfg)
+    assert report.reference.startswith("successive differences")
+    # the spring geodesic on a sphere is the exact great circle
+    assert report.orders["geo"] is None
+    for col in ("log", "pt"):
+        vals = report.column(col)
+        assert all(vals[i + 1] < vals[i] for i in range(len(vals) - 1))
+        assert report.orders[col] == pytest.approx(1.0, abs=0.1)
+    assert report.orders["exp"] >= 0.9
+
+
 def test_richardson_fallback_on_sdf_circle():
     cfg = StudyConfig(
         model="sdf-circle", xa=(1, 0), xb=(0, 1), w=(0, 0.3), k_exponents=(1, 2, 3)
     )
     report = run_convergence_study(cfg)
-    assert "self-reference" in report.reference
+    assert report.reference.startswith("successive differences against the 2K level")
     assert len(report.ks) == 3
 
 
@@ -187,8 +288,13 @@ def test_err_geo_is_the_max_node_error_against_the_oracle():
     cfg = StudyConfig(k_exponents=(1, 2, 3, 4))
     report = run_convergence_study(cfg)
     orc = sphere_oracles()
+    init = None
     for K, err in zip(report.ks, report.err_geo):
-        path = solve_geodesic(cfg.xa, cfg.xb, K, sphere_chart_energy()).path
+        # the study starts each K from the K/2 path with midpoints inserted
+        path = solve_geodesic(cfg.xa, cfg.xb, K, sphere_chart_energy(), init_path=init).path
+        init = np.empty((2 * K + 1, 2))
+        init[::2] = path.points
+        init[1::2] = (path.points[:-1] + path.points[1:]) / 2.0
         per_node = max(
             float(np.linalg.norm(path[k] - orc.geodesic(cfg.xa, cfg.xb, k / K))) for k in range(K + 1)
         )

@@ -224,3 +224,16 @@ def test_sdf_sphere_operators_match_the_per_point_constraint(monkeypatch):
     assert len(stacked_iterations) == 6
     for name, value in stacked.items():
         np.testing.assert_allclose(value, looped[name], rtol=0, atol=1e-12, err_msg=name)
+
+
+def test_off_set_init_path_is_projected_before_the_solve():
+    model, sphere = sdf_spring_model(SphereSdf())
+    a, b, K = np.array([1.0, 0.0, 0.0]), np.array([0.0, 0.6, 0.8]), 8
+    off = 1.3 * (a + np.linspace(0.0, 1.0, K + 1)[:, None] * (b - a))
+    projected = off.copy()
+    _project_rows(projected[1:K], sphere)
+    from_off = solve_geodesic_constrained(a, b, K, model, sphere, init_path=off)
+    from_projected = solve_geodesic_constrained(a, b, K, model, sphere, init_path=projected)
+    assert from_off.converged
+    assert from_off.iterations == from_projected.iterations
+    assert np.array_equal(from_off.path.points, from_projected.path.points)

@@ -201,6 +201,32 @@ def test_oracle_domain_errors():
     ):
         with pytest.raises(DomainError, match="sphere-chart vectors have 2 coordinates"):
             call()
+    # sphere points and vectors have 3
+    for call in (
+        lambda: orc.to_chart([0.5]),
+        lambda: orc.to_chart(np.zeros((2, 2))),
+        lambda: orc.pullback([1.0, 0.0], [0.0, 1.0]),
+        lambda: orc.pullback([0.0, 1.0, 0.0], [1.0]),
+        lambda: orc.pullback(np.eye(3), np.eye(3)),
+    ):
+        with pytest.raises(DomainError):
+            call()
+
+
+def test_flat_hessian_blocks_are_fresh_scaled_identities():
+    flat = flat_energy()
+    x, y = np.zeros(3), np.ones(3)
+    assert np.array_equal(flat.hess11(x, y), 2.0 * np.eye(3))
+    assert np.array_equal(flat.hess12(x, y), -2.0 * np.eye(3))
+    xs = np.zeros((4, 3))
+    blocks = flat.hess_blocks_stacked(xs, xs + 1.0)
+    for block, scale in zip(blocks, (2.0, -2.0, -2.0, 2.0)):
+        assert block.shape == (4, 3, 3)
+        assert np.array_equal(block, scale * np.broadcast_to(np.eye(3), (4, 3, 3)))
+    # each call returns its own writable array
+    blocks[0][0, 0, 0] = 7.0
+    assert flat.hess_blocks_stacked(xs, xs)[0][0, 0, 0] == 2.0
+    assert flat.hess_blocks_stacked(np.zeros((0, 3)), np.zeros((0, 3)))[0].shape == (0, 3, 3)
 
 
 def test_circle_and_sphere_sdf_are_normalized():
