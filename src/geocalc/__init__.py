@@ -55,7 +55,6 @@ from .operators import (
     discrete_exp_path,
     discrete_log,
     exp2,
-    exp2_hypersurface,
     inverse_transport,
     log2,
     parallel_transport,

@@ -332,8 +332,7 @@ def run_convergence_study(cfg: StudyConfig) -> ConvergenceReport:
         # transported displacements at nodes 0..K; the coarse ones, for the
         # doubled step, are halved
         zetas = None if coarse is None else _prolong(coarse)[1:] / 2.0
-        _, traces = _transport(DiscretePath(paths[K]), w / K, zetas, model, solver, constraint)
-        return np.vstack([w / K] + [t.zeta for t in traces])
+        return np.vstack([w / K, _transport(DiscretePath(paths[K]), w / K, zetas, model, solver, constraint)[3]])
 
     exps = _cascade(levels, shoot)
     zetas = _cascade(levels, transport)

@@ -65,7 +65,6 @@ __all__ = [
     "TransportTrace",
     "log2",
     "exp2",
-    "exp2_hypersurface",
     "discrete_log",
     "discrete_exp",
     "discrete_exp_path",
@@ -142,36 +141,6 @@ def exp2(x, zeta, model, cfg: SolverConfig | None = None, constraint: Constraint
     pts, _, res, _, converged = _solve_path(pts, model, constraint, cfg, "exp2", shot=True)
     _require(converged, res, "exp2")
     return pts[2]
-
-
-def exp2_hypersurface(
-    x, zeta, model, cfg: SolverConfig | None = None, *, constraint: ConstraintModel
-) -> np.ndarray:
-    """Geometric exp2 for the spring energy on a hypersurface.
-
-    For w = |y - x|^2 the stationarity condition says zeta and the closing
-    displacement differ by a multiple of the normal at x + zeta, so the
-    endpoint is x + 2 zeta - c n with the scalar c fixed by d(x2) = 0.
-    The constraint is required, so it is passed by keyword.
-    """
-    if not model.symmetric:
-        raise DomainError("the one-dimensional exp2 search requires the spring energy")
-    x = as_point(x)
-    zeta = _at_point(zeta, x)
-    x1 = x + zeta
-    n = np.asarray(constraint.grad_d(x1), dtype=float)
-    n = n / np.linalg.norm(n)
-
-    def residual(c):
-        return np.asarray([float(constraint.d(x1 + zeta - c[0] * n))])
-
-    def step(c, r):
-        g = np.asarray(constraint.grad_d(x1 + zeta - c[0] * n))
-        return np.linalg.solve(np.asarray([[-float(g @ n)]]), r)
-
-    c, res, _, converged = _newton(residual, step, np.zeros(1), cfg, "exp2 hypersurface")
-    _require(converged, res, "exp2 hypersurface")
-    return x1 + zeta - c[0] * n
 
 
 def discrete_log(
@@ -426,15 +395,17 @@ def parallel_transport(
     traces[k-1] documents the k-th rung.
     """
     path = as_path(path)
-    return _transport(path, _at_point(zeta_0, path[0]), None, model, cfg, constraint)
+    rungs = _transport(path, _at_point(zeta_0, path[0]), None, model, cfg, constraint)
+    return rungs[3][-1], [TransportTrace(*rung) for rung in zip(*rungs)]
 
 
 def _transport(path, zeta_0, zetas, model, cfg, constraint):
     """``parallel_transport`` of zeta_0 along the DiscretePath ``path``, its
     whole ladder started from the guesses ``zetas`` of ``_solve_ladder``.
 
-    The fold and the ``_near`` root test are those of
-    ``parallel_transport``, whatever the start.
+    Returns the fields of the K traces as four (K, d) arrays, in the order
+    of ``TransportTrace``.  The fold and the ``_near`` root test are those
+    of ``parallel_transport``, whatever the start.
     """
     pts = path.points
     try:
@@ -447,11 +418,10 @@ def _transport(path, zeta_0, zetas, model, cfg, constraint):
         starts = np.vstack([(corner_prev + pts[1:]) / 2.0, 2.0 * mid - pts[:-1]])
         converged = _near(solved, starts, np.vstack([pts[1:], mid]))
     if not converged:
-        return _transport_fold(path, zeta_0, model, cfg, constraint)
+        _, traces = _transport_fold(path, zeta_0, model, cfg, constraint)
+        return np.array([[t.x_p_prev, t.x_c, t.x_p, t.zeta] for t in traces]).transpose(1, 0, 2)
     zetas = corner - pts[1:]
-    p_prev = pts[:-1] + np.vstack([zeta_0, zetas[:-1]])
-    traces = [TransportTrace(*rung) for rung in zip(p_prev, mid, corner, zetas)]
-    return zetas[-1], traces
+    return pts[:-1] + np.vstack([zeta_0, zetas[:-1]]), mid, corner, zetas
 
 
 def _invert_rung(x_prev, x_next, zeta_next, model, cfg, context):
@@ -498,8 +468,7 @@ def inverse_transport(
                 "inverse transport on a hypersurface needs a symmetric energy"
             )
         reversed_path = DiscretePath(np.array(path.points[::-1]))
-        z0, _ = parallel_transport(reversed_path, zeta, model, cfg, constraint)
-        return z0
+        return _transport(reversed_path, zeta, None, model, cfg, constraint)[3][-1]
     for k in range(len(path) - 1, 0, -1):
         try:
             zeta = _invert_rung(path[k - 1], path[k], zeta, model, cfg, f"inverse rung {k}")

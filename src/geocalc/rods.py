@@ -17,8 +17,11 @@ thickness delta:
   squared curvature difference delta^3 (kappa[y] - kappa[x])^2 |x_s|.
 
 Both have analytic first derivatives (the full rod's by reverse mode
-through the curvature) and Hessians by Richardson differences of the
-gradients, perturbing columns of far-apart nodes together.
+through the curvature), Hessians by Richardson differences of the
+gradients, perturbing columns of far-apart nodes together, and a
+closed-form metric.  Gradients and Hessians of a whole stack of segments
+(``grads_stacked``, ``hess_blocks_stacked``) are one array evaluation per
+slot; the per-point methods run the same code on a stack of one.
 
 Curvature follows kappa = (x_s/|x_s|)_s . (D90 x_s) / |x_s|^2 with D90 the
 counterclockwise quarter turn, so a counterclockwise unit circle has
@@ -189,18 +192,34 @@ def _rod_nodes(vec, n_nodes: int) -> np.ndarray:
     return nodes
 
 
+def _rod_stack(xs, n_nodes: int) -> np.ndarray:
+    """Validated nodes of a stack (m, 2N) of flattened rods with N = n_nodes
+    nodes, node axis leading: shape (N, m, 2)."""
+    arr = np.asarray(xs, dtype=float)
+    if arr.ndim != 2 or arr.shape[1] != 2 * n_nodes:
+        raise DomainError(f"expected rods of {n_nodes} nodes stacked as (m, {2 * n_nodes}), got {arr.shape}")
+    if not np.all(np.isfinite(arr)):
+        raise DomainError("rod nodes have non-finite entries")
+    return arr.reshape(len(arr), n_nodes, 2).transpose(1, 0, 2)
+
+
 class _RodEnergy(EnergyModel):
     """Derivatives shared by the rod energies.
 
-    A subclass supplies ``w``, the stacked gradient kernel ``_grads`` and
-    its gradient reach r: the gradient at node m reads nodes m-r..m+r
-    only.  Hessians are Richardson-extrapolated central differences of the
-    gradients with step ``fd_step``.  Every block is banded: the column of
-    a coordinate of node k is zero outside the rows of nodes k-r..k+r, so
-    columns whose nodes are at least 2r+1 apart (periodic distance) never
-    share a row and are perturbed together.  The N nodes are split into
-    floor(N/(2r+1)) contiguous arcs, at least one, and a node's color is
-    its position in its arc; a group is one color and one coordinate.
+    A subclass supplies ``w``, the stacked gradient kernel ``_grads``, its
+    gradient reach r (the gradient at node m reads nodes m-r..m+r only)
+    and the Jacobian of its bending term for the metric.  Hessians are
+    Richardson-extrapolated central differences of the gradients with step
+    ``fd_step``.  Every block is banded: the column of a coordinate of node
+    k is zero outside the rows of nodes k-r..k+r, so columns whose nodes
+    are at least 2r+1 apart (periodic distance) never share a row and are
+    perturbed together.  The N nodes are split into floor(N/(2r+1))
+    contiguous arcs, at least one, and a node's color is its position in
+    its arc; a group is one color and one coordinate.
+
+    The stacked methods evaluate every segment of a stack in one ``_grads``
+    call per slot; the per-point methods are the same code on a stack of
+    one segment.
     """
 
     symmetric = False
@@ -212,16 +231,17 @@ class _RodEnergy(EnergyModel):
         # that instrumentation patching one class's attributes (as
         # perfbench/tracing.py does) sees every call and leaves the other
         # rod class alone
-        for name in ("grads", "grad1", "grad2", "hess_blocks", "hess11", "hess12", "hess21", "hess22"):
+        for name in (
+            "grads", "grad1", "grad2", "hess_blocks", "hess11", "hess12", "hess21", "hess22",
+            "grads_stacked", "hess_blocks_stacked", "metric",
+        ):
             if name not in vars(cls):
                 setattr(cls, name, vars(_RodEnergy)[name])
 
     def __init__(self, n_nodes: int, delta: float = 0.1, fd_step: float = 1e-5):
-        if n_nodes < 8:
-            raise DomainError("a rod needs at least 8 nodes")
-        if delta <= 0:
-            raise DomainError("thickness delta must be positive")
-        self.n_nodes = n = int(n_nodes)
+        self.n_nodes = n = _as_count("n_nodes", n_nodes, 8)
+        if not 0.0 < delta < np.inf:  # NaN compares false
+            raise DomainError(f"thickness delta must be finite and positive, got {delta!r}")
         self.delta = float(delta)
         self.dim = d = 2 * n
         self._h = float(FdScheme(step=fd_step).step)
@@ -252,11 +272,23 @@ class _RodEnergy(EnergyModel):
     @abstractmethod
     def _grads(self, nx, ny):
         """Both slot gradients as node arrays, for one rod pair (N, 2) or a
-        batch (N, B, 2); the node axis leads so that ``_d1``/``_d2`` serve
+        batch (N, ..., 2); the node axis leads so that ``_d1``/``_d2`` serve
         both, and the two arguments broadcast against each other."""
 
+    @abstractmethod
+    def _bending_jacobian(self, t, ell):
+        """Jacobian B of the bending term's per-node quantity w.r.t. the
+        flattened nodes, shape (N, rows per node, 2N), from the speeds."""
+
+    def _pair(self, xs, ys):
+        return _rod_stack(xs, self.n_nodes), _rod_stack(ys, self.n_nodes)
+
+    def _rows(self, x, y):
+        """Node arrays of the single segment (x, y) as a stack of one."""
+        return self._pair(np.reshape(x, (1, -1)), np.reshape(y, (1, -1)))
+
     def grads(self, x, y):
-        g1, g2 = self._grads(_rod_nodes(x, self.n_nodes), _rod_nodes(y, self.n_nodes))
+        g1, g2 = self._grads(*self._rows(x, y))
         return g1.reshape(-1), g2.reshape(-1)
 
     def grad1(self, x, y):
@@ -265,55 +297,80 @@ class _RodEnergy(EnergyModel):
     def grad2(self, x, y):
         return self.grads(x, y)[1]
 
-    def _sweep(self, x, y, first: bool):
+    def grads_stacked(self, xs, ys):
+        g1, g2 = self._grads(*self._pair(xs, ys))
+        m = g1.shape[1]
+        return g1.transpose(1, 0, 2).reshape(m, -1), g2.transpose(1, 0, 2).reshape(m, -1)
+
+    def _sweep(self, nx, ny, first: bool):
         """Richardson-extrapolated FD Jacobians of both gradients w.r.t.
-        one slot (the second-difference stencils amplify truncation error,
-        so plain central differences would not reach the consistency
-        tolerances).
+        one slot, for the node arrays (N, m, 2) of m segments: two arrays
+        (m, 2N, 2N) (the second-difference stencils amplify truncation
+        error, so plain central differences would not reach the
+        consistency tolerances).
 
         Each color group is perturbed by +-h and +-h/2 at once, and the
-        4 x groups perturbed rods go through ``_grads`` as one batch.  A
-        row within r nodes of a column's node reads only nodes within 2r of
-        it, where no other column of its group is perturbed, so that row
-        sees exactly the per-column perturbation: the banded entries equal
-        the per-column stencil's, and the rest of the block is zero."""
+        4 x groups perturbed rods of every segment go through ``_grads`` as
+        one batch (node, segment, 4 x groups, 2), with the other slot
+        broadcast as (node, segment, 1, 2) so that its fields are computed
+        once per segment.  A row within r nodes of a column's node reads
+        only nodes within 2r of it, where no other column of its group is
+        perturbed, so that row sees exactly the per-column perturbation:
+        the banded entries equal the per-column stencil's, and the rest of
+        the block is zero."""
         h = self._h
-        n, d = self.n_nodes, self.dim
-        nx = _rod_nodes(x, n)
-        ny = _rod_nodes(y, n)
+        n, m, _ = nx.shape
+        d = self.dim
         steps = np.array([h, -h, 0.5 * h, -0.5 * h])
         base = nx if first else ny
-        batch = (base[:, None, None] + steps[:, None, None] * self._groups[:, None]).reshape(n, -1, 2)
+        batch = (base[:, :, None, None] + steps[:, None, None] * self._groups[:, None, None]).reshape(n, m, -1, 2)
         if first:
-            grads = self._grads(batch, ny[:, None])
+            grads = self._grads(batch, ny[:, :, None])
         else:
-            grads = self._grads(nx[:, None], batch)
+            grads = self._grads(nx[:, :, None], batch)
         jacs = []
         for g in grads:
-            # (step, row, group) with row = 2 * node + coordinate
-            gp, gm, gp2, gm2 = g.reshape(n, 4, -1, 2).transpose(1, 0, 3, 2).reshape(4, d, -1)
+            # (step, segment, row, group) with row = 2 * node + coordinate
+            gp, gm, gp2, gm2 = g.reshape(n, m, 4, -1, 2).transpose(2, 1, 0, 4, 3).reshape(4, m, d, -1)
             deriv = (4.0 * (gp2 - gm2) / h - (gp - gm) / (2.0 * h)) / 3.0
-            jac = np.zeros((d, d))
-            jac.reshape(-1)[self._band_dst] = deriv.reshape(-1)[self._band_src]
-            jacs.append(jac)
-        return tuple(jacs)
+            jac = np.zeros((m, d * d))
+            jac[:, self._band_dst] = deriv.reshape(m, -1)[:, self._band_src]
+            jacs.append(jac.reshape(m, d, d))
+        return jacs
 
-    def hess_blocks(self, x, y):
-        h11, h21 = self._sweep(x, y, first=True)
-        h12, h22 = self._sweep(x, y, first=False)
+    def hess_blocks_stacked(self, xs, ys):
+        nx, ny = self._pair(xs, ys)
+        h11, h21 = self._sweep(nx, ny, first=True)
+        h12, h22 = self._sweep(nx, ny, first=False)
         return h11, h12, h21, h22
 
+    def hess_blocks(self, x, y):
+        blocks = self.hess_blocks_stacked(np.reshape(x, (1, -1)), np.reshape(y, (1, -1)))
+        return tuple(block[0] for block in blocks)
+
     def hess11(self, x, y):
-        return self._sweep(x, y, first=True)[0]
+        return self._sweep(*self._rows(x, y), first=True)[0][0]
 
     def hess21(self, x, y):
-        return self._sweep(x, y, first=True)[1]
+        return self._sweep(*self._rows(x, y), first=True)[1][0]
 
     def hess12(self, x, y):
-        return self._sweep(x, y, first=False)[0]
+        return self._sweep(*self._rows(x, y), first=False)[0][0]
 
     def hess22(self, x, y):
-        return self._sweep(x, y, first=False)[1]
+        return self._sweep(*self._rows(x, y), first=False)[1][0]
+
+    def metric(self, x):
+        """Closed-form metric h [2 delta A^T diag(1/ell) A + delta^3 B^T
+        diag(ell) B], the second-order term of w(x, x + v) in v: A has the
+        rows u_i . (D1 v)_i of the tangential density, with u = t / ell the
+        unit tangent, and B is the subclass's bending Jacobian."""
+        n, d = self.n_nodes, self.dim
+        t, ell = _speeds(_rod_nodes(x, n))
+        a = np.einsum("ij,ijp->ip", t / ell[:, None], _d1(np.eye(d).reshape(n, 2, d)))
+        b = self._bending_jacobian(t, ell)
+        bend = b.reshape(-1, d).T @ (ell[:, None, None] * b).reshape(-1, d)
+        return (2.0 * self.delta * a.T @ (a / ell[:, None]) + self.delta**3 * bend) / n
 
 
 class SimplifiedRodEnergy(_RodEnergy):
@@ -322,8 +379,7 @@ class SimplifiedRodEnergy(_RodEnergy):
     The gradient at node m reads nodes m-2..m+2, so Hessian columns of
     nodes at least 5 apart are perturbed together: at most 12 groups for
     N >= 20 (10 when 5 divides N), and 2N groups only for N = 8, 9.  The
-    induced metric has a closed form and is used by the consistency
-    checks.
+    bending Jacobian of the metric is D2 (x) I_2.
     """
 
     _reach = 2
@@ -366,41 +422,10 @@ class SimplifiedRodEnergy(_RodEnergy):
         g2 = -_d1(a) + _d2(b)
         return g1, g2
 
-    def metric(self, x):
-        """Closed-form metric: 2 delta |v_s . tangent|^2 / |x_s| plus
-        delta^3 |v_ss|^2 |x_s|, assembled as a dense matrix."""
-        nx = _rod_nodes(x, self.n_nodes)
-        t, ell = _speeds(nx)
-        unit = t / ell[:, None]
+    def _bending_jacobian(self, t, ell):
+        # D2 of the identity, node axis leading: D2 (x) I_2 as (N, 2, 2N)
         n = self.n_nodes
-        h = 1.0 / n
-        d1 = np.zeros((n, n))
-        d2 = np.zeros((n, n))
-        idx = np.arange(n)
-        d1[idx, (idx + 1) % n] = n / 2.0
-        d1[idx, (idx - 1) % n] = -n / 2.0
-        d2[idx, idx] = -2.0 * n**2
-        d2[idx, (idx + 1) % n] = float(n) ** 2
-        d2[idx, (idx - 1) % n] = float(n) ** 2
-        d1f = np.kron(d1, np.eye(2))
-        d2f = np.kron(d2, np.eye(2))
-        b_blocks = [np.outer(unit[i], unit[i]) / ell[i] for i in range(n)]
-        l_blocks = [ell[i] * np.eye(2) for i in range(n)]
-        b_mat = _block_diag(b_blocks)
-        l_mat = _block_diag(l_blocks)
-        return (
-            2.0 * self.delta * h * d1f.T @ b_mat @ d1f
-            + self.delta**3 * h * d2f.T @ l_mat @ d2f
-        )
-
-
-def _block_diag(blocks):
-    n = len(blocks)
-    size = blocks[0].shape[0]
-    out = np.zeros((n * size, n * size))
-    for i, b in enumerate(blocks):
-        out[i * size : (i + 1) * size, i * size : (i + 1) * size] = b
-    return out
+        return _d2(np.eye(2 * n).reshape(n, 2, 2 * n))
 
 
 class FullRodEnergy(_RodEnergy):
@@ -410,8 +435,8 @@ class FullRodEnergy(_RodEnergy):
     Curvature at node i reads nodes i-2..i+2, so the gradient at node m
     reads nodes m-4..m+4 and Hessian columns of nodes at least 9 apart are
     perturbed together: 2N groups up to N = 17, fewer from N = 18 on (at
-    most 26, and 20 for N = 64, 128).  The metric is half the symmetrized
-    hess22 on the diagonal.
+    most 26, and 20 for N = 64, 128).  The bending Jacobian of the metric
+    is the curvature's, D kappa, from one reverse sweep per node.
     """
 
     _reach = 4
@@ -453,6 +478,14 @@ class FullRodEnergy(_RodEnergy):
         a = (-2.0 * h * d * (1.0 - ratio) / ell)[..., None] * ty
         g2 = -_d1(a + _curvature_pullback(ty, elly, ky, c))
         return g1, g2
+
+    def _bending_jacobian(self, t, ell):
+        # c = I: batch column j pulls kappa_j back to the speeds, and
+        # D1^T = -D1 carries that on to the nodes
+        n = self.n_nodes
+        kappa = _curvature_from_speeds(t, ell)
+        dk = -_d1(_curvature_pullback(t[:, None], ell[:, None], kappa[:, None], np.eye(n)))
+        return dk.transpose(1, 0, 2).reshape(n, 1, 2 * n)
 
 
 def rod_energy(kind: str, n_nodes: int, delta: float = 0.1, fd_step: float = 1e-5) -> EnergyModel:

@@ -12,7 +12,6 @@ from geocalc import (
     discrete_exp_path,
     discrete_log,
     exp2,
-    exp2_hypersurface,
     flat_energy,
     inverse_transport,
     log2,
@@ -274,21 +273,21 @@ def test_log2_orthogonality_on_sphere():
     assert np.linalg.norm((xa + z) - mid) <= 0.05  # near the arc midpoint
 
 
-def test_exp2_hypersurface_matches_generic():
+def test_exp2_on_a_level_set_matches_the_closed_form():
+    # spring energy: zeta and the closing displacement differ by a multiple
+    # of the normal n at x + zeta, so x2 = x + 2 zeta - c n with d(x2) = 0;
+    # on the unit sphere c is the near root of |x + 2 zeta - c n| = 1
     model, sphere, xa, _ = _sphere_pair()
     rng = np.random.default_rng(21)
     for _ in range(5):
         z = 0.05 * rng.normal(size=3)
         z -= (z @ xa) * xa
-        generic = exp2(xa, z, model, constraint=sphere)
-        geometric = exp2_hypersurface(xa, z, model, constraint=sphere)
-        assert np.linalg.norm(generic - geometric) <= 1e-9
-        assert abs(sphere.d(generic)) <= 1e-9
-
-
-def test_exp2_hypersurface_requires_spring():
-    with pytest.raises(DomainError):
-        exp2_hypersurface(XA, np.zeros(2), CHART, constraint=SphereSdf())
+        n = (xa + z) / np.linalg.norm(xa + z)
+        p = xa + 2.0 * z
+        c = p @ n - np.sqrt((p @ n) ** 2 - p @ p + 1.0)
+        x2 = exp2(xa, z, model, constraint=sphere)
+        assert np.linalg.norm(x2 - (p - c * n)) <= 1e-9
+        assert abs(sphere.d(x2)) <= 1e-9
 
 
 def test_solver_error_labels_stage():

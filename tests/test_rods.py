@@ -303,3 +303,84 @@ def test_full_rod_morph_converges_and_equidistributes():
     model = rod_energy("full", 16, 0.1)
     segments = [4 * model.w(res.path[k - 1], res.path[k]) for k in range(1, 5)]
     assert max(segments) / min(segments) <= 1.1
+
+
+def _segment_stack(n, rng, m=3):
+    """m segments of random rods with x != y, as (m, 2n) stacks."""
+    xs = np.stack([random_smooth_rod(n, rng).coord for _ in range(m)])
+    ys = np.stack([random_smooth_rod(n, rng, base_radius=1.2, amplitude=0.1).coord for _ in range(m)])
+    return xs, ys
+
+
+def test_stacked_blocks_and_grads_equal_the_per_point_ones():
+    rng = np.random.default_rng(23)
+    for kind in ("simplified", "full"):
+        for n in (8, 9, 16, 64):
+            model = rod_energy(kind, n, 0.1)
+            xs, ys = _segment_stack(n, rng)
+            g1, g2 = model.grads_stacked(xs, ys)
+            blocks = model.hess_blocks_stacked(xs, ys)
+            assert g1.shape == g2.shape == xs.shape
+            for i, (x, y) in enumerate(zip(xs, ys)):
+                for got, want in zip((g1[i], g2[i]), model.grads(x, y)):
+                    np.testing.assert_array_equal(got, want)
+                for got, want in zip(blocks, model.hess_blocks(x, y)):
+                    np.testing.assert_array_equal(got[i], want)
+                for got, name in zip(blocks, ("hess11", "hess12", "hess21", "hess22")):
+                    np.testing.assert_array_equal(got[i], getattr(model, name)(x, y))
+
+
+def test_closed_form_metrics_match_half_the_symmetrized_hess22():
+    rng = np.random.default_rng(29)
+    for kind in ("simplified", "full"):
+        for n in (8, 16, 32):
+            model = rod_energy(kind, n, 0.1)
+            x = random_smooth_rod(n, rng).coord
+            g = model.metric(x)
+            h22 = model.hess22(x, x)
+            assert np.max(np.abs(g - (h22 + h22.T) / 4.0)) <= 1e-9 * np.max(np.abs(g))
+
+
+def test_a_bad_row_in_a_stack_is_a_domain_error():
+    rng = np.random.default_rng(37)
+    for kind in ("simplified", "full"):
+        model = rod_energy(kind, 16, 0.1)
+        xs, ys = _segment_stack(16, rng)
+        degenerate = ys.copy()
+        degenerate[1] = 0.0  # every node of the middle rod coincides
+        nonfinite = ys.copy()
+        nonfinite[2, 5] = np.nan
+        for bad in (degenerate, nonfinite, ys[:, :-2], ys[0]):
+            for method in (model.grads_stacked, model.hess_blocks_stacked):
+                with pytest.raises(DomainError):
+                    method(xs, bad)
+                with pytest.raises(DomainError):
+                    method(bad, xs)
+
+
+def test_rod_energy_rejects_a_bad_delta_or_node_count():
+    for kind in ("simplified", "full"):
+        for delta in (0.0, -0.1, float("nan"), float("inf")):
+            with pytest.raises(DomainError, match="delta"):
+                rod_energy(kind, 16, delta)
+        for n in (16.7, 7, True, "16"):
+            with pytest.raises(DomainError, match="n_nodes"):
+                rod_energy(kind, n, 0.1)
+        assert rod_energy(kind, np.int64(16), 0.1).n_nodes == 16
+
+
+def test_cli_rejects_a_bad_delta(tmp_path, capsys):
+    from geocalc.cli import main
+
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    save_rod_csv(circle_rod(16), a)
+    save_rod_csv(circle_rod(16, 1.1), b)
+    for delta in ("nan", "inf", "0", "-1"):
+        for kind in ("full", "simplified"):
+            argv = ["consistency", "--model", f"rod-{kind}", "--samples", "1", "--delta", delta]
+            assert main(argv) == 3, argv
+            assert "delta must be finite and positive" in capsys.readouterr().err
+        argv = ["rod-morph", "--curve-a", str(a), "--curve-b", str(b), "--delta", delta]
+        assert main(argv) == 3, argv
+        captured = capsys.readouterr()
+        assert "delta must be finite and positive" in captured.err

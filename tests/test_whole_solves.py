@@ -22,7 +22,6 @@ from geocalc import (
     discrete_exp_path,
     el_residual,
     exp2,
-    exp2_hypersurface,
     flat_energy,
     inverse_transport,
     log2,
@@ -254,7 +253,7 @@ def test_two_point_operators_reject_short_vectors():
     with pytest.raises(DomainError, match="dimension"):
         log2(XA, SHORT, CHART)
     with pytest.raises(DomainError, match="dimension"):
-        exp2_hypersurface([1.0, 0.0, 0.0], SHORT, model, constraint=sphere)
+        exp2([1.0, 0.0, 0.0], SHORT, model, constraint=sphere)
     with pytest.raises(DomainError, match="dimension"):
         parallel_transport(np.stack([XA, XB]), SHORT, CHART)
 
