@@ -477,7 +477,7 @@ def run_rod_morph(
             save_rod_csv(RodCurve.from_coord(result.path[k]), path)
             written.append(path)
         summary = os.path.join(out_dir, "morph_summary.csv")
-        rows = ((k, [K * model.w(result.path[k - 1], result.path[k])]) for k in range(1, K + 1))
-        _write_csv(summary, ["k", "energy"], rows)
+        energies = K * model.w_stacked(result.path.points[:-1], result.path.points[1:])
+        _write_csv(summary, ["k", "energy"], enumerate(energies[:, None], start=1))
         written.append(summary)
     return result, written

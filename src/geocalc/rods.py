@@ -17,11 +17,12 @@ thickness delta:
   squared curvature difference delta^3 (kappa[y] - kappa[x])^2 |x_s|.
 
 Both have analytic first derivatives (the full rod's by reverse mode
-through the curvature), Hessians by Richardson differences of the
-gradients, perturbing columns of far-apart nodes together, and a
-closed-form metric.  Gradients and Hessians of a whole stack of segments
-(``grads_stacked``, ``hess_blocks_stacked``) are one array evaluation per
-slot; the per-point methods run the same code on a stack of one.
+through the curvature) and a closed-form metric.  The simplified rod's
+Hessian blocks are closed-form too; the full rod's are Richardson
+differences of its gradients, perturbing columns of far-apart nodes
+together.  Energies, gradients and Hessians of a whole stack of segments
+(``w_stacked``, ``grads_stacked``, ``hess_blocks_stacked``) are one array
+evaluation; the per-point methods run the same code on a stack of one.
 
 Curvature follows kappa = (x_s/|x_s|)_s . (D90 x_s) / |x_s|^2 with D90 the
 counterclockwise quarter turn, so a counterclockwise unit circle has
@@ -150,6 +151,10 @@ def _rot90(arr: np.ndarray) -> np.ndarray:
     return out
 
 
+def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return a[..., :, None] * b[..., None, :]
+
+
 def _speeds(nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     t = _d1(nodes)
     ell = np.sqrt(np.einsum("...j,...j->...", t, t))
@@ -184,14 +189,6 @@ def rod_curvature(curve: RodCurve) -> np.ndarray:
     return _curvature_from_speeds(*_speeds(curve.nodes))
 
 
-def _rod_nodes(vec, n_nodes: int) -> np.ndarray:
-    """Validated (N, 2) node array of a flattened rod with n_nodes nodes."""
-    nodes = _as_nodes(vec)
-    if nodes.shape[0] != n_nodes:
-        raise DomainError(f"expected {n_nodes} nodes, got {nodes.shape[0]}")
-    return nodes
-
-
 def _rod_stack(xs, n_nodes: int) -> np.ndarray:
     """Validated nodes of a stack (m, 2N) of flattened rods with N = n_nodes
     nodes, node axis leading: shape (N, m, 2)."""
@@ -204,26 +201,18 @@ def _rod_stack(xs, n_nodes: int) -> np.ndarray:
 
 
 class _RodEnergy(EnergyModel):
-    """Derivatives shared by the rod energies.
+    """Energies and derivatives shared by the rod energies.
 
-    A subclass supplies ``w``, the stacked gradient kernel ``_grads``, its
-    gradient reach r (the gradient at node m reads nodes m-r..m+r only)
-    and the Jacobian of its bending term for the metric.  Hessians are
-    Richardson-extrapolated central differences of the gradients with step
-    ``fd_step``.  Every block is banded: the column of a coordinate of node
-    k is zero outside the rows of nodes k-r..k+r, so columns whose nodes
-    are at least 2r+1 apart (periodic distance) never share a row and are
-    perturbed together.  The N nodes are split into floor(N/(2r+1))
-    contiguous arcs, at least one, and a node's color is its position in
-    its arc; a group is one color and one coordinate.
-
-    The stacked methods evaluate every segment of a stack in one ``_grads``
-    call per slot; the per-point methods are the same code on a stack of
-    one segment.
+    A subclass supplies the per-node |y_s|^2/|x_s|^2, |x_s| and squared
+    bending difference (``_densities``), the stacked gradient kernel
+    ``_grads``, the Jacobian of its bending term for the metric, and its
+    Hessian blocks: ``hess_blocks_stacked`` and ``_slot``, the two blocks
+    of one slot.  The stacked methods evaluate every segment of a stack in
+    one array pass; the per-point methods are the same code on a stack of
+    one.
     """
 
     symmetric = False
-    _reach: int
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
@@ -232,18 +221,196 @@ class _RodEnergy(EnergyModel):
         # perfbench/tracing.py does) sees every call and leaves the other
         # rod class alone
         for name in (
-            "grads", "grad1", "grad2", "hess_blocks", "hess11", "hess12", "hess21", "hess22",
-            "grads_stacked", "hess_blocks_stacked", "metric",
+            "w", "grads", "grad1", "grad2", "hess_blocks", "hess11", "hess12", "hess21", "hess22",
+            "w_stacked", "grads_stacked", "hess_blocks_stacked", "metric",
         ):
             if name not in vars(cls):
-                setattr(cls, name, vars(_RodEnergy)[name])
+                setattr(cls, name, getattr(cls, name))
 
-    def __init__(self, n_nodes: int, delta: float = 0.1, fd_step: float = 1e-5):
-        self.n_nodes = n = _as_count("n_nodes", n_nodes, 8)
+    def __init__(self, n_nodes: int, delta: float = 0.1):
+        self.n_nodes = _as_count("n_nodes", n_nodes, 8)
         if not 0.0 < delta < np.inf:  # NaN compares false
             raise DomainError(f"thickness delta must be finite and positive, got {delta!r}")
         self.delta = float(delta)
-        self.dim = d = 2 * n
+        self.dim = 2 * self.n_nodes
+
+    @abstractmethod
+    def _grads(self, nx, ny):
+        """Both slot gradients as node arrays, for one rod pair (N, 2) or a
+        batch (N, ..., 2); the node axis leads so that ``_d1``/``_d2`` serve
+        both, and the two arguments broadcast against each other."""
+
+    @abstractmethod
+    def _bending_jacobian(self, t, ell):
+        """Jacobian B of the bending term's per-node quantity w.r.t. the
+        flattened nodes, shape (N, rows per node, 2N), from the speeds."""
+
+    def _pair(self, xs, ys):
+        return _rod_stack(xs, self.n_nodes), _rod_stack(ys, self.n_nodes)
+
+    def _rows(self, x, y):
+        """Node arrays of the single segment (x, y) as a stack of one."""
+        return self._pair(np.reshape(x, (1, -1)), np.reshape(y, (1, -1)))
+
+    def w(self, x, y):
+        return float(self.w_stacked(np.reshape(x, (1, -1)), np.reshape(y, (1, -1)))[0])
+
+    def w_stacked(self, xs, ys):
+        # segment axis leading, so that each row sums like a lone segment
+        ratio, ell, bend = (np.ascontiguousarray(a.T) for a in self._densities(*self._pair(xs, ys)))
+        h, d = 1.0 / self.n_nodes, self.delta
+        tangential = 0.5 * d * np.sum((1.0 - ratio) ** 2 * ell, axis=-1)
+        return h * (tangential + d**3 * np.sum(bend * ell, axis=-1))
+
+    def grads(self, x, y):
+        g1, g2 = self._grads(*self._rows(x, y))
+        return g1.reshape(-1), g2.reshape(-1)
+
+    def grad1(self, x, y):
+        return self.grads(x, y)[0]
+
+    def grad2(self, x, y):
+        return self.grads(x, y)[1]
+
+    def grads_stacked(self, xs, ys):
+        g1, g2 = self._grads(*self._pair(xs, ys))
+        m = g1.shape[1]
+        return g1.transpose(1, 0, 2).reshape(m, -1), g2.transpose(1, 0, 2).reshape(m, -1)
+
+    def hess_blocks(self, x, y):
+        blocks = self.hess_blocks_stacked(np.reshape(x, (1, -1)), np.reshape(y, (1, -1)))
+        return tuple(block[0] for block in blocks)
+
+    def hess11(self, x, y):
+        return self._slot(x, y, first=True)[0]
+
+    def hess21(self, x, y):
+        return self._slot(x, y, first=True)[1]
+
+    def hess12(self, x, y):
+        return self._slot(x, y, first=False)[0]
+
+    def hess22(self, x, y):
+        return self._slot(x, y, first=False)[1]
+
+    def metric(self, x):
+        """Closed-form metric h [2 delta A^T diag(1/ell) A + delta^3 B^T
+        diag(ell) B], the second-order term of w(x, x + v) in v: A has the
+        rows u_i . (D1 v)_i of the tangential density, with u = t / ell the
+        unit tangent, and B is the subclass's bending Jacobian."""
+        n, d = self.n_nodes, self.dim
+        t, ell = _speeds(_rod_stack(np.reshape(x, (1, -1)), n)[:, 0])
+        a = np.einsum("ij,ijp->ip", t / ell[:, None], _d1(np.eye(d).reshape(n, 2, d)))
+        b = self._bending_jacobian(t, ell)
+        bend = b.reshape(-1, d).T @ (ell[:, None, None] * b).reshape(-1, d)
+        return (2.0 * self.delta * a.T @ (a / ell[:, None]) + self.delta**3 * bend) / n
+
+
+class SimplifiedRodEnergy(_RodEnergy):
+    """Tangential stretching plus linearized bending, analytic gradients
+    and closed-form Hessian blocks.
+
+    With the density f = delta/2 (1 - rho)^2 |t| + delta^3 |c|^2 |t| of a
+    node, t = D1 x, s = D1 y, c = D2 y - D2 x and rho = |s|^2/|t|^2, block
+    XY is h L_X^T F L_Y: F holds each node's second derivatives of f in
+    (t, s, c), L_X the stencils by which slot X enters them.  The blocks
+    are banded to +-2 nodes; the metric's bending Jacobian is D2 (x) I_2.
+    """
+
+    def __init__(self, n_nodes: int, delta: float = 0.1):
+        super().__init__(n_nodes, delta)
+        n = self.n_nodes
+        p = np.array([-0.5, 0.0, 0.5]) * n  # D1 at node offsets -1, 0, 1
+        q = np.array([1.0, -2.0, 1.0]) * n**2  # D2
+        stencils = np.array([[p, 0.0 * p, -q], [0.0 * p, p, q]])  # L_x, L_y
+        # h L_X[a]^T L_Y[b] per block (11, 12, 22) and pair of (t, s, c)
+        self._coef = np.einsum("xva,ywb->xyvwab", stencils, stencils)[[0, 0, 1], [0, 1, 1]] / n
+        self._near = (np.arange(n)[:, None] + np.arange(-2, 3)) % n  # nodes j-2..j+2 of row j
+
+    def _fields(self, nx, ny):
+        """Gradient ingredients of node arrays laid out as in ``_grads``."""
+        t, ell = _speeds(nx)
+        ty, _ = _speeds(ny)
+        ratio = np.einsum("...j,...j->...", ty, ty) / ell**2
+        dc = _d2(ny) - _d2(nx)
+        return t, ell, ty, ratio, dc
+
+    def _densities(self, nx, ny):
+        _, ell, _, ratio, dc = self._fields(nx, ny)
+        return ratio, ell, np.einsum("...j,...j->...", dc, dc)
+
+    def hess_blocks_stacked(self, xs, ys):
+        t, ell, s, rho, c = self._fields(*self._pair(xs, ys))
+        d, eye = self.delta, np.eye(2)
+        u, l, r = t / ell[..., None], ell[..., None, None], rho[..., None, None]
+        phi = 0.5 * d * (1.0 - r) ** 2 + 2.0 * d * r * (1.0 - r) + d**3 * np.sum(c * c, axis=-1)[..., None, None]
+        tt = (phi * eye - (phi + 2.0 * d * r * (1.0 - 3.0 * r)) * _outer(u, u)) / l
+        ts = 2.0 * d * (1.0 - 3.0 * r) / l**2 * _outer(u, s)
+        tc = 2.0 * d**3 * _outer(u, c)
+        ss = -2.0 * d * (1.0 - r) / l * eye + 4.0 * d / l**3 * _outer(s, s)
+        zero = np.zeros_like(tt)
+        f = np.array([[tt, ts, tc], [ts.swapaxes(-1, -2), ss, zero], [tc.swapaxes(-1, -2), zero, 2.0 * d**3 * l * eye]])
+        # (block, a, b, node, segment, 2, 2): node j - a of each product
+        # feeds entry (j, j + b - a); the band is (block, b - a, node, ...)
+        prods = np.tensordot(self._coef, f, axes=([1, 2], [0, 1]))
+        band = np.zeros((3, 5) + prods.shape[3:])
+        for a in range(3):
+            band[:, 2 - a:5 - a] += np.roll(prods[:, a], a - 1, axis=2)
+        n, m = ell.shape
+        dense = np.zeros((3, m, n, 2, n, 2))
+        dense[:, :, np.arange(n)[:, None], :, self._near, :] = band.transpose(2, 1, 0, 3, 4, 5)
+        h11, h12, h22 = dense.reshape(3, m, self.dim, self.dim)
+        return h11, h12, np.ascontiguousarray(h12.transpose(0, 2, 1)), h22
+
+    def _slot(self, x, y, first: bool):
+        blocks = self.hess_blocks(x, y)
+        return blocks[0::2] if first else blocks[1::2]
+
+    def _grads(self, nx, ny):
+        t, ell, ty, ratio, dc = self._fields(nx, ny)
+        h = 1.0 / self.n_nodes
+        d = self.delta
+        dc_sq = np.einsum("...j,...j->...", dc, dc)
+
+        # first-slot gradient through t = D1 x and c = D2 x
+        phi = 0.5 * d * (1.0 - ratio) ** 2 + 2.0 * d * (1.0 - ratio) * ratio + d**3 * dc_sq
+        p = (h * phi)[..., None] * (t / ell[..., None])
+        q = -2.0 * h * d**3 * ell[..., None] * dc
+        g1 = -_d1(p) + _d2(q)
+
+        # second-slot gradient through ty = D1 y and cy = D2 y
+        a = (-2.0 * h * d * (1.0 - ratio) / ell)[..., None] * ty
+        b = 2.0 * h * d**3 * ell[..., None] * dc
+        g2 = -_d1(a) + _d2(b)
+        return g1, g2
+
+    def _bending_jacobian(self, t, ell):
+        # D2 of the identity, node axis leading: D2 (x) I_2 as (N, 2, 2N)
+        n = self.n_nodes
+        return _d2(np.eye(2 * n).reshape(n, 2, 2 * n))
+
+
+class FullRodEnergy(_RodEnergy):
+    """Tangential stretching plus the squared curvature difference,
+    analytic gradients.
+
+    Hessians are Richardson differences of the gradients with step
+    ``fd_step``.  Curvature at node i reads nodes i-2..i+2, so the gradient
+    at node m reads nodes m-r..m+r, r = 4: the column of a coordinate of
+    node k is zero outside the rows of nodes k-r..k+r, and columns of nodes
+    at least 2r+1 apart (periodic distance) are perturbed together.  The N
+    nodes are split into floor(N/(2r+1)) contiguous arcs, at least one; a
+    node's color is its position in its arc, and a group is one color and
+    one coordinate: 2N groups up to N = 17, at most 26 from N = 18 on (20
+    for N = 64, 128).  The metric's bending Jacobian is the curvature's,
+    D kappa, from one reverse sweep per node.
+    """
+
+    _reach = 4
+
+    def __init__(self, n_nodes: int, delta: float = 0.1, fd_step: float = 1e-5):
+        super().__init__(n_nodes, delta)
+        n, d = self.n_nodes, self.dim
         self._h = float(FdScheme(step=fd_step).step)
 
         # color of node k: its position in its arc; group of column 2k + a:
@@ -268,39 +435,6 @@ class _RodEnergy(EnergyModel):
         rows = np.repeat((2 * near[:, :, None] + np.arange(2)).reshape(n, -1), 2, axis=0)
         self._band_dst = (rows * d + np.arange(d)[:, None]).reshape(-1)
         self._band_src = (rows * n_groups + group.reshape(d, 1)).reshape(-1)
-
-    @abstractmethod
-    def _grads(self, nx, ny):
-        """Both slot gradients as node arrays, for one rod pair (N, 2) or a
-        batch (N, ..., 2); the node axis leads so that ``_d1``/``_d2`` serve
-        both, and the two arguments broadcast against each other."""
-
-    @abstractmethod
-    def _bending_jacobian(self, t, ell):
-        """Jacobian B of the bending term's per-node quantity w.r.t. the
-        flattened nodes, shape (N, rows per node, 2N), from the speeds."""
-
-    def _pair(self, xs, ys):
-        return _rod_stack(xs, self.n_nodes), _rod_stack(ys, self.n_nodes)
-
-    def _rows(self, x, y):
-        """Node arrays of the single segment (x, y) as a stack of one."""
-        return self._pair(np.reshape(x, (1, -1)), np.reshape(y, (1, -1)))
-
-    def grads(self, x, y):
-        g1, g2 = self._grads(*self._rows(x, y))
-        return g1.reshape(-1), g2.reshape(-1)
-
-    def grad1(self, x, y):
-        return self.grads(x, y)[0]
-
-    def grad2(self, x, y):
-        return self.grads(x, y)[1]
-
-    def grads_stacked(self, xs, ys):
-        g1, g2 = self._grads(*self._pair(xs, ys))
-        m = g1.shape[1]
-        return g1.transpose(1, 0, 2).reshape(m, -1), g2.transpose(1, 0, 2).reshape(m, -1)
 
     def _sweep(self, nx, ny, first: bool):
         """Richardson-extrapolated FD Jacobians of both gradients w.r.t.
@@ -344,102 +478,8 @@ class _RodEnergy(EnergyModel):
         h12, h22 = self._sweep(nx, ny, first=False)
         return h11, h12, h21, h22
 
-    def hess_blocks(self, x, y):
-        blocks = self.hess_blocks_stacked(np.reshape(x, (1, -1)), np.reshape(y, (1, -1)))
-        return tuple(block[0] for block in blocks)
-
-    def hess11(self, x, y):
-        return self._sweep(*self._rows(x, y), first=True)[0][0]
-
-    def hess21(self, x, y):
-        return self._sweep(*self._rows(x, y), first=True)[1][0]
-
-    def hess12(self, x, y):
-        return self._sweep(*self._rows(x, y), first=False)[0][0]
-
-    def hess22(self, x, y):
-        return self._sweep(*self._rows(x, y), first=False)[1][0]
-
-    def metric(self, x):
-        """Closed-form metric h [2 delta A^T diag(1/ell) A + delta^3 B^T
-        diag(ell) B], the second-order term of w(x, x + v) in v: A has the
-        rows u_i . (D1 v)_i of the tangential density, with u = t / ell the
-        unit tangent, and B is the subclass's bending Jacobian."""
-        n, d = self.n_nodes, self.dim
-        t, ell = _speeds(_rod_nodes(x, n))
-        a = np.einsum("ij,ijp->ip", t / ell[:, None], _d1(np.eye(d).reshape(n, 2, d)))
-        b = self._bending_jacobian(t, ell)
-        bend = b.reshape(-1, d).T @ (ell[:, None, None] * b).reshape(-1, d)
-        return (2.0 * self.delta * a.T @ (a / ell[:, None]) + self.delta**3 * bend) / n
-
-
-class SimplifiedRodEnergy(_RodEnergy):
-    """Tangential stretching plus linearized bending, analytic gradients.
-
-    The gradient at node m reads nodes m-2..m+2, so Hessian columns of
-    nodes at least 5 apart are perturbed together: at most 12 groups for
-    N >= 20 (10 when 5 divides N), and 2N groups only for N = 8, 9.  The
-    bending Jacobian of the metric is D2 (x) I_2.
-    """
-
-    _reach = 2
-
-    def _fields(self, nx, ny):
-        """Gradient ingredients of node arrays laid out as in ``_grads``."""
-        t, ell = _speeds(nx)
-        ty, _ = _speeds(ny)
-        ratio = np.einsum("...j,...j->...", ty, ty) / ell**2
-        dc = _d2(ny) - _d2(nx)
-        return t, ell, ty, ratio, dc
-
-    def w(self, x, y):
-        _, ell, _, ratio, dc = self._fields(
-            _rod_nodes(x, self.n_nodes), _rod_nodes(y, self.n_nodes)
-        )
-        h = 1.0 / self.n_nodes
-        d = self.delta
-        tangential = 0.5 * d * np.sum((1.0 - ratio) ** 2 * ell)
-        bending = d**3 * np.sum(np.einsum("ij,ij->i", dc, dc) * ell)
-        return float(h * (tangential + bending))
-
-    def _grads(self, nx, ny):
-        t, ell, ty, ratio, dc = self._fields(nx, ny)
-        h = 1.0 / self.n_nodes
-        d = self.delta
-        dc_sq = np.einsum("...j,...j->...", dc, dc)
-
-        # first-slot gradient through t = D1 x and c = D2 x
-        p = (
-            h
-            * (0.5 * d * (1.0 - ratio) ** 2 + 2.0 * d * (1.0 - ratio) * ratio + d**3 * dc_sq)
-        )[..., None] * (t / ell[..., None])
-        q = -2.0 * h * d**3 * ell[..., None] * dc
-        g1 = -_d1(p) + _d2(q)
-
-        # second-slot gradient through ty = D1 y and cy = D2 y
-        a = (-2.0 * h * d * (1.0 - ratio) / ell)[..., None] * ty
-        b = 2.0 * h * d**3 * ell[..., None] * dc
-        g2 = -_d1(a) + _d2(b)
-        return g1, g2
-
-    def _bending_jacobian(self, t, ell):
-        # D2 of the identity, node axis leading: D2 (x) I_2 as (N, 2, 2N)
-        n = self.n_nodes
-        return _d2(np.eye(2 * n).reshape(n, 2, 2 * n))
-
-
-class FullRodEnergy(_RodEnergy):
-    """Tangential stretching plus the squared curvature difference,
-    analytic gradients.
-
-    Curvature at node i reads nodes i-2..i+2, so the gradient at node m
-    reads nodes m-4..m+4 and Hessian columns of nodes at least 9 apart are
-    perturbed together: 2N groups up to N = 17, fewer from N = 18 on (at
-    most 26, and 20 for N = 64, 128).  The bending Jacobian of the metric
-    is the curvature's, D kappa, from one reverse sweep per node.
-    """
-
-    _reach = 4
+    def _slot(self, x, y, first: bool):
+        return [jac[0] for jac in self._sweep(*self._rows(x, y), first)]
 
     def _fields(self, nx, ny):
         t, ell = _speeds(nx)
@@ -449,15 +489,9 @@ class FullRodEnergy(_RodEnergy):
         ky = _curvature_from_speeds(ty, elly)
         return t, ell, ty, elly, ratio, kx, ky
 
-    def w(self, x, y):
-        _, ell, _, _, ratio, kx, ky = self._fields(
-            _rod_nodes(x, self.n_nodes), _rod_nodes(y, self.n_nodes)
-        )
-        h = 1.0 / self.n_nodes
-        d = self.delta
-        tangential = d * np.sum(0.5 * (1.0 - ratio) ** 2 * ell)
-        bending = d**3 * np.sum((ky - kx) ** 2 * ell)
-        return float(h * (tangential + bending))
+    def _densities(self, nx, ny):
+        _, ell, _, _, ratio, kx, ky = self._fields(nx, ny)
+        return ratio, ell, (ky - kx) ** 2
 
     def _grads(self, nx, ny):
         t, ell, ty, elly, ratio, kx, ky = self._fields(nx, ny)
@@ -467,10 +501,8 @@ class FullRodEnergy(_RodEnergy):
 
         # first slot: the densities' dependence on ell = |t| as in the
         # simplified rod, then kx's on t; g = D1^T (dW/dt) = -D1 (dW/dt)
-        p = (
-            h
-            * (0.5 * d * (1.0 - ratio) ** 2 + 2.0 * d * (1.0 - ratio) * ratio + d**3 * dk**2)
-        )[..., None] * (t / ell[..., None])
+        phi = 0.5 * d * (1.0 - ratio) ** 2 + 2.0 * d * (1.0 - ratio) * ratio + d**3 * dk**2
+        p = (h * phi)[..., None] * (t / ell[..., None])
         c = 2.0 * h * d**3 * dk * ell  # dW/dky = -dW/dkx
         g1 = -_d1(p - _curvature_pullback(t, ell, kx, c))
 
@@ -488,12 +520,15 @@ class FullRodEnergy(_RodEnergy):
         return dk.transpose(1, 0, 2).reshape(n, 1, 2 * n)
 
 
-def rod_energy(kind: str, n_nodes: int, delta: float = 0.1, fd_step: float = 1e-5) -> EnergyModel:
-    """Build a rod energy model; ``kind`` is 'simplified' or 'full'."""
+def rod_energy(kind: str, n_nodes: int, delta: float = 0.1, fd_step: float | None = None) -> EnergyModel:
+    """Build a rod energy model; ``kind`` is 'simplified' or 'full'.  Only
+    the full rod takes ``fd_step``, its Hessian sweep's step (default 1e-5)."""
     if kind == "simplified":
-        return SimplifiedRodEnergy(n_nodes, delta, fd_step)
+        if fd_step is not None:
+            raise DomainError("the simplified rod's Hessians are closed-form; it takes no fd_step")
+        return SimplifiedRodEnergy(n_nodes, delta)
     if kind == "full":
-        return FullRodEnergy(n_nodes, delta, fd_step)
+        return FullRodEnergy(n_nodes, delta, 1e-5 if fd_step is None else fd_step)
     raise DomainError(f"unknown rod energy kind {kind!r}")
 
 

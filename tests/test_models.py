@@ -100,9 +100,8 @@ def test_redefined_per_point_method_gets_the_stacked_loop():
     assert Doubled.w_stacked is EnergyModel.w_stacked
     # the stacked forms of the methods it keeps stay native
     assert Doubled.grads_stacked is chart.grads_stacked is not EnergyModel.grads_stacked
-    # the rods evaluate gradient and Hessian stacks natively, w loops
-    assert SimplifiedRodEnergy.w_stacked is EnergyModel.w_stacked
-    for name in ("grads_stacked", "hess_blocks_stacked"):
+    # the rods evaluate energy, gradient and Hessian stacks natively
+    for name in ("w_stacked", "grads_stacked", "hess_blocks_stacked"):
         assert getattr(SimplifiedRodEnergy, name) is vars(SimplifiedRodEnergy)[name]
         assert getattr(SimplifiedRodEnergy, name) is not getattr(EnergyModel, name)
 

@@ -142,6 +142,16 @@ def test_simplified_consistency_random_rods():
         assert report.ok, report.residuals
 
 
+def test_simplified_consistency_holds_to_rounding_with_closed_form_hessians():
+    # finite-difference Hessians left residuals of ~4e-8 here
+    rng = np.random.default_rng(67)
+    for n in (16, 32):
+        model = rod_energy("simplified", n, 0.1)
+        for _ in range(5):
+            report = check_consistency(model, random_smooth_rod(n, rng).coord, 1e-10)
+            assert report.ok, report.residuals
+
+
 def test_full_energy_values_and_consistency():
     model = rod_energy("full", 16, 0.1)
     x = circle_rod(16).coord
@@ -178,10 +188,16 @@ def test_degenerate_rod_rejected():
         with pytest.raises(DomainError):
             model.w(good, np.zeros(32))
         model.w(near, good)
-        with pytest.raises(DomainError):
-            model.hess_blocks(near, good)
-        with pytest.raises(DomainError):
-            model.hess_blocks(good, near)
+        if kind == "full":
+            # the finite-difference sweep steps onto the degenerate rod
+            with pytest.raises(DomainError):
+                model.hess_blocks(near, good)
+            with pytest.raises(DomainError):
+                model.hess_blocks(good, near)
+        else:
+            # closed-form blocks evaluate at the valid rod itself
+            for pair in ((near, good), (good, near)):
+                assert all(np.all(np.isfinite(block)) for block in model.hess_blocks(*pair))
 
 
 def test_rod_csv_round_trip(tmp_path):
@@ -231,9 +247,10 @@ def _per_column_hessians(model, x, y, h):
     return out[1, 1], out[1, 2], out[2, 1], out[2, 2]
 
 
-def _colored_blocks_and_reference(kind, n, rng):
-    """Colored blocks and the per-column reference at random x != y; checks
-    that they agree and that entries outside the model's band are zero."""
+def _blocks_and_reference(kind, n, rng):
+    """Hessian blocks and the per-column reference at random x != y; checks
+    that they agree and that entries outside the model's band (+-2 nodes
+    for the simplified rod, +-4 for the full rod) are zero."""
     model = rod_energy(kind, n, 0.1)
     x = random_smooth_rod(n, rng).coord
     y = random_smooth_rod(n, rng, base_radius=1.2, amplitude=0.1).coord
@@ -242,25 +259,24 @@ def _colored_blocks_and_reference(kind, n, rng):
     scale = max(np.max(np.abs(r)) for r in reference)
     node = np.arange(2 * n) // 2
     gap = np.abs(node[:, None] - node[None, :])
-    outside = np.minimum(gap, n - gap) > model._reach
+    outside = np.minimum(gap, n - gap) > {"simplified": 2, "full": 4}[kind]
     for block, ref in zip(blocks, reference):
         assert np.max(np.abs(block - ref)) <= 1e-9 * scale
         assert np.all(block[outside] == 0.0)
     return model, x, y, blocks, scale
 
 
-def test_colored_hessian_matches_per_column_reference():
+def test_closed_form_hessian_matches_per_column_reference():
     rng = np.random.default_rng(13)
-    for n in (8, 11, 19, 64, 128):
-        model, *_ = _colored_blocks_and_reference("simplified", n, rng)
-        if n >= 64:
-            assert model._groups.shape[1] == 12
+    for n in (8, 9, 16, 64, 128):
+        _, h12, h21, _ = _blocks_and_reference("simplified", n, rng)[3]
+        np.testing.assert_array_equal(h21, h12.T)
 
 
 def test_full_colored_hessian_matches_per_column_reference():
     rng = np.random.default_rng(17)
     for n in (8, 9, 16, 18, 27, 32, 64):
-        model, x, y, blocks, scale = _colored_blocks_and_reference("full", n, rng)
+        model, x, y, blocks, scale = _blocks_and_reference("full", n, rng)
         n_groups = model._groups.shape[1]
         assert n_groups == 2 * n if n <= 17 else n_groups < 2 * n
         if n <= 9:
@@ -318,10 +334,13 @@ def test_stacked_blocks_and_grads_equal_the_per_point_ones():
         for n in (8, 9, 16, 64):
             model = rod_energy(kind, n, 0.1)
             xs, ys = _segment_stack(n, rng)
+            ws = model.w_stacked(xs, ys)
             g1, g2 = model.grads_stacked(xs, ys)
             blocks = model.hess_blocks_stacked(xs, ys)
+            assert ws.shape == (len(xs),)
             assert g1.shape == g2.shape == xs.shape
             for i, (x, y) in enumerate(zip(xs, ys)):
+                assert ws[i] == model.w(x, y)
                 for got, want in zip((g1[i], g2[i]), model.grads(x, y)):
                     np.testing.assert_array_equal(got, want)
                 for got, want in zip(blocks, model.hess_blocks(x, y)):
@@ -351,7 +370,7 @@ def test_a_bad_row_in_a_stack_is_a_domain_error():
         nonfinite = ys.copy()
         nonfinite[2, 5] = np.nan
         for bad in (degenerate, nonfinite, ys[:, :-2], ys[0]):
-            for method in (model.grads_stacked, model.hess_blocks_stacked):
+            for method in (model.w_stacked, model.grads_stacked, model.hess_blocks_stacked):
                 with pytest.raises(DomainError):
                     method(xs, bad)
                 with pytest.raises(DomainError):
@@ -367,6 +386,20 @@ def test_rod_energy_rejects_a_bad_delta_or_node_count():
             with pytest.raises(DomainError, match="n_nodes"):
                 rod_energy(kind, n, 0.1)
         assert rod_energy(kind, np.int64(16), 0.1).n_nodes == 16
+
+
+def test_only_the_full_rod_takes_an_fd_step():
+    from geocalc.rods import SimplifiedRodEnergy
+
+    with pytest.raises(DomainError, match="fd_step"):
+        rod_energy("simplified", 16, 0.1, fd_step=1e-5)
+    with pytest.raises(TypeError):
+        SimplifiedRodEnergy(16, 0.1, 1e-5)
+    assert not hasattr(rod_energy("simplified", 16, 0.1), "_groups")
+    assert rod_energy("full", 16, 0.1)._h == 1e-5
+    assert rod_energy("full", 16, 0.1, fd_step=1e-4)._h == 1e-4
+    with pytest.raises(DomainError, match="fd step"):
+        rod_energy("full", 16, 0.1, fd_step=1.0)
 
 
 def test_cli_rejects_a_bad_delta(tmp_path, capsys):
