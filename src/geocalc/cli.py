@@ -17,7 +17,7 @@ from dataclasses import replace
 import numpy as np
 
 from .core import DomainError, EvaluationError, InvariantViolation, SolverError
-from .geodesic import SolverConfig, solve_geodesic_constrained, write_result_csv
+from .geodesic import SolverConfig, solve_geodesic, write_result_csv
 from .harness import (
     MODEL_NAMES,
     ConfigError,
@@ -151,7 +151,7 @@ def _cmd_geodesic(args) -> int:
     backend = build_backend(cfg.model)
     xa, xb = _point_pair(cfg)
     K = _steps(args)
-    res = solve_geodesic_constrained(xa, xb, K, backend.model, backend.constraint, cfg.solver)
+    res = solve_geodesic(xa, xb, K, backend.model, cfg.solver, constraint=backend.constraint)
     print(
         f"geodesic model={cfg.model} K={K} converged={res.converged} "
         f"iterations={res.iterations} residual={res.residual:.3e} "
@@ -205,7 +205,7 @@ def _cmd_transport(args) -> int:
     backend = build_backend(cfg.model)
     xa, xb = _point_pair(cfg)
     K = _steps(args)
-    res = solve_geodesic_constrained(xa, xb, K, backend.model, backend.constraint, cfg.solver)
+    res = solve_geodesic(xa, xb, K, backend.model, cfg.solver, constraint=backend.constraint)
     if not res.converged:
         raise SolverError("geodesic solve did not converge", residual=res.residual)
     w = np.asarray(cfg.w, dtype=float)

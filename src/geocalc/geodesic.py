@@ -11,10 +11,11 @@ with a constraint row for each of the K-1 unknown points.  ``_solve_path``
 solves them by Newton iteration for either window of unknowns: x_1 ..
 x_{K-1} (the geodesic, and ``operators.log2`` at K = 2) or x_2 .. x_K
 (``discrete_exp_path``, and ``exp2`` at K = 2).  The constraint is none
-(c = 0), a linear gauge G x_k = t_k removing exact null directions of
-translation-invariant energies (the rods), or a level set d(x) = 0 holding
-the points on an embedded hypersurface (c = 1), with (c, d) Jacobians
-``J_k`` and multipliers ``mu_k``.  Row k has three (d + c)-block bands,
+(c = 0), a linear gauge G x_k = t_k, t_k where a flat path puts G x_k,
+removing exact null directions of translation-invariant energies (the
+rods), or a level set d(x) = 0 holding the points on an embedded
+hypersurface (c = 1), with (c, d) Jacobians ``J_k`` and multipliers
+``mu_k``.  Row k has three (d + c)-block bands,
 hess21(x_{k-1}, x_k), hess22(x_{k-1}, x_k) + hess11(x_k, x_{k+1}) -
 sum_i mu_k,i hess c_i(x_k), and hess12(x_k, x_{k+1}); the band on the
 row's own unknown is bordered by the Jacobians (``_border``).
@@ -30,12 +31,11 @@ level for blocks of size at most 16, and solves it row by row otherwise.
 
 Each Newton step makes one stacked ``grads_stacked`` call over all K
 segments per residual and one ``hess_blocks_stacked`` call per Jacobian,
-over the segments whose blocks the rows read: the K-2 inner ones for the
-interior, plus ``hess22`` of the first segment and ``hess11`` of the
-last, evaluated alone; segments 2..K for the shifted window.  Path
-energies and lengths come from one ``w_stacked`` call.  Models without
-native stacked methods, and subclasses that redefine a per-point method,
-are evaluated by the per-segment loop of ``core.EnergyModel``.
+over the segments whose blocks the rows read: all K for the interior,
+segments 2..K for the shifted window.  Path energies and lengths come
+from one ``w_stacked`` call.  Models without native stacked methods, and
+subclasses that redefine a per-point method, are evaluated by the
+per-segment loop of ``core.EnergyModel``.
 
 A level set is evaluated the same way: one ``d_stacked`` and one
 ``grad_d_stacked`` call per residual, one ``grad_d_stacked`` and one
@@ -159,14 +159,14 @@ class ConstraintModel(ABC):
 
 @dataclass(frozen=True)
 class LinearGauge:
-    """Per-interior-point linear constraints G x_k = targets[k-1].
+    """Linear constraints G x = t on every unknown point of a solve.
 
-    ``matrix`` has shape (c, d); ``targets`` has shape (K-1, c).  Used to pin
-    energy-neutral directions (e.g. node-average position of a rod).
+    ``matrix`` G has shape (c, d), its rows energy-neutral directions (e.g.
+    the node-average position of a rod).  Each solve sets the targets t
+    from its given points, where a flat-space solve would put G x.
     """
 
     matrix: np.ndarray
-    targets: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -444,8 +444,8 @@ class _Constraint:
 
     ``values(x)`` has shape (n, c), ``jac(x)`` shape (n, c, d), and
     ``hess(x, mu)`` is sum_i mu[:, i] hess c_i(x), shape (n, d, d), or 0.0
-    where it vanishes.  A LinearGauge reads the stack as the K - 1 interior
-    points of a path; a level set is evaluated by one stacked call of its
+    where it vanishes.  A LinearGauge reads the stack as the points its
+    targets belong to; a level set is evaluated by one stacked call of its
     ``d_stacked``, ``grad_d_stacked`` or ``hess_d_stacked``.
     """
 
@@ -455,20 +455,28 @@ class _Constraint:
     hess: Callable
 
 
-def _constraint_view(constraint, K: int, d: int) -> _Constraint:
-    """View of no constraint (c = 0), a LinearGauge, or a level set (c = 1)."""
+def _check_constraint(constraint) -> None:
+    if constraint is not None and not isinstance(constraint, (LinearGauge, ConstraintModel)):
+        raise TypeError(f"constraint must be None, a LinearGauge or a ConstraintModel, got {type(constraint).__name__}")
+
+
+def _constraint_view(constraint, targets: Callable, d: int) -> _Constraint:
+    """View of no constraint (c = 0), a LinearGauge, or a level set (c = 1).
+
+    ``targets(g)`` gives a gauge's targets G x = t from its matrix g, one
+    row per point of the stacks the view will see.
+    """
+    _check_constraint(constraint)
     if constraint is None:
         return _Constraint(
             0, lambda x: np.zeros((len(x), 0)), lambda x: np.zeros((len(x), 0, d)), lambda x, mu: 0.0
         )
     if isinstance(constraint, LinearGauge):
         g = np.asarray(constraint.matrix, dtype=float)
-        targets = np.asarray(constraint.targets, dtype=float)
-        if targets.shape != (K - 1, g.shape[0]):
-            raise DomainError("gauge targets must have shape (K-1, c)")
+        t = targets(g)
         return _Constraint(
             g.shape[0],
-            lambda x: x @ g.T - targets,
+            lambda x: x @ g.T - t,
             lambda x: np.broadcast_to(g, (len(x),) + g.shape),
             lambda x, mu: 0.0,
         )
@@ -498,13 +506,16 @@ def _solve_path(pts, model, constraint, cfg: SolverConfig | None, context: str, 
 
     The unknowns are x_1 .. x_{K-1} (s = 0), or x_2 .. x_K with ``shot``
     (s = 1); row k constrains x_{k+s}.  ``constraint`` is None, a
-    LinearGauge (s = 0 only) or a ConstraintModel; the given points need
-    not satisfy it.  Returns (points, multipliers of shape (K-1, c),
-    residual, iterations, converged).
+    LinearGauge or a ConstraintModel; the given points need not satisfy
+    it.  A gauge's targets lie on the line through G x_0 and G x_K, at
+    t = k/K (s = 0), or through G x_0 and G x_1, at t = k (s = 1).  Returns
+    (points, multipliers of shape (K-1, c), residual, iterations,
+    converged).
     """
     K, d = len(pts) - 1, pts.shape[1]
     s = int(shot)
-    view = _constraint_view(constraint, K, d)
+    t, end = (np.arange(2.0, K + 1), pts[1]) if s else (np.linspace(0.0, 1.0, K + 1)[1:K], pts[K])
+    view = _constraint_view(constraint, lambda g: np.outer(1.0 - t, g @ pts[0]) + np.outer(t, g @ end), d)
     c = view.c
     b = d + c
 
@@ -520,22 +531,16 @@ def _solve_path(pts, model, constraint, cfg: SolverConfig | None, context: str, 
 
     def step(z, r):
         # bands[j, k - 1] couples row k to x_{k-1+j}, in its top left d x d.
-        # Segment m joins x_{m-1} and x_m: the rows read every block of
-        # segments 2 .. K-1+s (one stacked call), and for s = 0 only hess22
-        # of segment 1 and hess11 of segment K
+        # Segment m joins x_{m-1} and x_m; the rows read segments 1+s .. K,
+        # block i of the stacked call being segment i+1+s
         x = z[:, :d]
         bands = np.zeros((3, K - 1, b, b))
         e = bands[:, :, :d, :d]
-        if not s:
-            e[1, 0] = model.hess22(x[0], x[1])
-        if K + s > 2:
-            h11, h12, h21, h22 = model.hess_blocks_stacked(x[1 : K - 1 + s], x[2 : K + s])
-            e[0, 1:] = h21[: K - 2]
-            e[1, 1:] = h22[: K - 2]
-            e[1, : K - 2 + s] += h11
-            e[2, : K - 2 + s] = h12
-        if not s:
-            e[1, -1] += model.hess11(x[K - 1], x[K])
+        h11, h12, h21, h22 = model.hess_blocks_stacked(x[s:K], x[1 + s : K + 1])
+        e[0, 1:] = h21[1 - s : K - 1 - s]
+        e[1, s:] = h22[: K - 1 - s]
+        e[1] += h11[1 - s : K - s]
+        e[2, : K - 2 + s] = h12[1 - s : K - 1]
         if c:
             jac = view.jac(x[1 : K + s])
             e[1, s:] -= view.hess(x[1 + s : K], z[1 + 2 * s : K + s, d:])
@@ -571,12 +576,13 @@ def _result(model, pts, residual, iterations, converged, multipliers=None):
 
 
 def _solve(x_a, x_b, K, model, constraint, cfg, init_path) -> GeodesicResult:
-    """Body of both public solves; ``constraint`` is None, a gauge or a level set."""
+    """Body of ``solve_geodesic`` and its alias ``solve_geodesic_constrained``."""
     xa = as_point(x_a)
     xb = as_point(x_b)
     if xa.size != xb.size:
         raise DomainError("endpoint dimensions differ")
     K = _as_count("K", K, 1)
+    _check_constraint(constraint)
     level_set = isinstance(constraint, ConstraintModel)
     if level_set:
         for label, p in (("x_a", xa), ("x_b", xb)):
@@ -605,19 +611,28 @@ def solve_geodesic(
     model,
     cfg: SolverConfig | None = None,
     *,
+    constraint: ConstraintModel | LinearGauge | None = None,
     init_path=None,
-    gauge: LinearGauge | None = None,
 ) -> GeodesicResult:
     """Solve the discrete geodesic boundary-value problem.
 
     Endpoints are fixed; the K-1 interior points are found by Newton
     iteration on the stationarity system with block tridiagonal linear
-    solves.  Non-convergence is reported through ``converged=False`` on the
-    result, which then carries the last iterate.  An iterate outside the
-    model's domain, a singular pivot or divergence (an iterate whose
-    residual or correction is not finite) raises SolverError.
+    solves.  ``constraint`` is None, a LinearGauge or a level set {d = 0},
+    which the endpoints must satisfy to 1e-10 and onto which the start's
+    interior (the line or ``init_path``) is projected; the result then
+    carries one multiplier per interior point.  Non-convergence is
+    reported through ``converged=False`` on the result, which then carries
+    the last iterate.  An iterate outside the model's domain, a singular
+    pivot or divergence (an iterate whose residual or correction is not
+    finite) raises SolverError.
     """
-    return _solve(x_a, x_b, K, model, gauge, cfg, init_path)
+    return _solve(x_a, x_b, K, model, constraint, cfg, init_path)
+
+
+def solve_geodesic_constrained(x_a, x_b, K: int, model, constraint, cfg=None, *, init_path=None) -> GeodesicResult:
+    """Deprecated alias of ``solve_geodesic(..., constraint=constraint)``."""
+    return _solve(x_a, x_b, K, model, constraint, cfg, init_path)
 
 
 def project_onto_level_set(
@@ -674,28 +689,6 @@ def _project_rows(x, constraint, tol: float = 1e-12, max_iter: int = 50) -> None
     raise SolverError(
         f"level-set projection did not reach |d| <= {tol}", residual=float(np.max(np.abs(val)))
     )
-
-
-def solve_geodesic_constrained(
-    x_a,
-    x_b,
-    K: int,
-    model,
-    constraint: ConstraintModel | None,
-    cfg: SolverConfig | None = None,
-    *,
-    init_path=None,
-) -> GeodesicResult:
-    """Discrete geodesic between points of the hypersurface {d = 0}.
-
-    The KKT system couples the stationarity residual, one multiplier per
-    interior point, and the constraint values; it is solved by Newton with
-    block tridiagonal linear solves on (d+1)-blocks.  Endpoints must satisfy
-    |d| <= 1e-10.  The interior of the start, the straight line or
-    ``init_path``, is projected onto the level set first.  With
-    ``constraint=None`` this is ``solve_geodesic``.
-    """
-    return _solve(x_a, x_b, K, model, constraint, cfg, init_path)
 
 
 def write_result_csv(result: GeodesicResult, target) -> None:

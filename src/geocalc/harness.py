@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import DiscretePath, DomainError, SolverError, _write_csv, as_point, check_consistency
-from .geodesic import SolverConfig, solve_geodesic, solve_geodesic_constrained
+from .geodesic import SolverConfig, solve_geodesic
 from .models import (
     CircleSdf,
     SphereSdf,
@@ -312,7 +312,7 @@ def run_convergence_study(cfg: StudyConfig) -> ConvergenceReport:
 
     def geodesic(K, coarse):
         init = None if coarse is None else _prolong(coarse)
-        res = solve_geodesic_constrained(xa, xb, K, model, constraint, solver, init_path=init)
+        res = solve_geodesic(xa, xb, K, model, solver, constraint=constraint, init_path=init)
         if not res.converged:
             raise SolverError(f"geodesic solve did not converge (K={K})", residual=res.residual)
         return res.path.points
@@ -462,8 +462,7 @@ def run_rod_morph(
     if a.n_nodes != b.n_nodes:
         raise DomainError("rod endpoints must share the node count")
     model = rod_energy(kind, a.n_nodes, delta)
-    gauge = rod_gauge(a.coord, b.coord, K)
-    result = solve_geodesic(a.coord, b.coord, K, model, cfg, gauge=gauge)
+    result = solve_geodesic(a.coord, b.coord, K, model, cfg, constraint=rod_gauge(a.n_nodes))
     if not result.converged:
         raise SolverError(
             f"rod morph did not converge (K={K}, residual {result.residual:.3e})",

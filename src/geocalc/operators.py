@@ -32,9 +32,8 @@ Every Newton solve here runs the one Newton loop of ``geodesic``.  Every
 operator takes, as its 4th argument, the ``SolverConfig`` the path solves
 take, and each of its inner solves runs with it, damping included.
 
-All operators accept an optional level-set constraint; the inner solves
-then keep their variational points on the hypersurface via a Lagrange
-multiplier, seen through ``geodesic._constraint_view``.  Inverse
+All operators take the path solve's optional constraint, a level set or
+a ``LinearGauge``, seen through ``geodesic._constraint_view``.  Inverse
 transport with a constraint additionally requires a symmetric energy (it
 is then the forward transport along the reversed path, which satisfies
 the same stationarity equations).  A displacement or point whose size
@@ -50,6 +49,7 @@ import numpy as np
 from .core import DiscretePath, DomainError, SolverError, _as_count, _write_csv, as_path, as_point
 from .geodesic import (
     ConstraintModel,
+    LinearGauge,
     SolverConfig,
     _border,
     _constraint_view,
@@ -58,7 +58,7 @@ from .geodesic import (
     _newton,
     _project_rows,
     _solve_path,
-    solve_geodesic_constrained,
+    solve_geodesic,
 )
 
 __all__ = [
@@ -105,7 +105,9 @@ def _require(converged: bool, res: float, context: str) -> None:
         raise SolverError(f"{context}: no convergence, last residual {res:.3e}", residual=res)
 
 
-def log2(x0, x2, model, cfg: SolverConfig | None = None, constraint: ConstraintModel | None = None) -> np.ndarray:
+def log2(
+    x0, x2, model, cfg: SolverConfig | None = None, constraint: ConstraintModel | LinearGauge | None = None
+) -> np.ndarray:
     """Displacement zeta with x0 + zeta the midpoint of the 2-geodesic to x2.
 
     This is the K = 2 path solve: grad2(x0, x1) + grad1(x1, x2) = 0 for the
@@ -129,7 +131,9 @@ def _exp_start(x, zeta, K, constraint):
     return pts
 
 
-def exp2(x, zeta, model, cfg: SolverConfig | None = None, constraint: ConstraintModel | None = None) -> np.ndarray:
+def exp2(
+    x, zeta, model, cfg: SolverConfig | None = None, constraint: ConstraintModel | LinearGauge | None = None
+) -> np.ndarray:
     """Endpoint x2 of the 2-geodesic whose midpoint displacement is zeta.
 
     This is the K = 2 shot of the path kernel, solved for x2 from
@@ -149,7 +153,7 @@ def discrete_log(
     K: int,
     model,
     cfg: SolverConfig | None = None,
-    constraint: ConstraintModel | None = None,
+    constraint: ConstraintModel | LinearGauge | None = None,
 ) -> np.ndarray:
     """First increment x_1 - x_0 of the K-step geodesic from x_a to x_b.
 
@@ -161,7 +165,7 @@ def discrete_log(
     K = _as_count("K", K, 1)
     if K == 1:
         return xb - xa
-    result = solve_geodesic_constrained(xa, xb, K, model, constraint, cfg)
+    result = solve_geodesic(xa, xb, K, model, cfg, constraint=constraint)
     if not result.converged:
         raise SolverError(
             f"geodesic solve for the K={K} logarithm did not converge",
@@ -201,7 +205,7 @@ def discrete_exp_path(
     k: int,
     model,
     cfg: SolverConfig | None = None,
-    constraint: ConstraintModel | None = None,
+    constraint: ConstraintModel | LinearGauge | None = None,
 ) -> DiscretePath:
     """All points x_0 .. x_k of the discrete geodesic shot from x with zeta.
 
@@ -245,7 +249,7 @@ def discrete_exp(
     k: int,
     model,
     cfg: SolverConfig | None = None,
-    constraint: ConstraintModel | None = None,
+    constraint: ConstraintModel | LinearGauge | None = None,
 ) -> np.ndarray:
     """k-step discrete exponential of the displacement zeta at x."""
     x = as_point(x)
@@ -264,7 +268,7 @@ def transport_step(
     zeta_prev,
     model,
     cfg: SolverConfig | None = None,
-    constraint: ConstraintModel | None = None,
+    constraint: ConstraintModel | LinearGauge | None = None,
 ):
     """One geodesic-parallelogram rung carrying zeta from x_prev to x_next.
 
@@ -298,22 +302,25 @@ def _solve_ladder(pts, zeta_0, model, constraint, cfg: SolverConfig | None, cont
         grad2(p_{k-1}, c_k) + grad1(c_k, x_k) - mu_A J(c_k) = 0,  d(c_k) = 0,
         grad2(x_{k-1}, c_k) + grad1(c_k, p_k) - mu_B J(c_k) = 0,  d(p_k) = 0,
 
-    the multipliers and constraint rows only on a level set.  Rung k depends
-    on the rung before only through hess21(p_{k-1}, c_k), so the Jacobian is
-    block lower bidiagonal in (2d + 2c)-blocks.  Residual and Jacobian come
-    from one stacked call each over the 4K segments (p_{k-1}, c_k),
-    (c_k, x_k), (x_{k-1}, c_k), (c_k, p_k).  The start is
+    the multipliers and constraint rows only with a constraint (a gauge's
+    rows: G c_k = G(x_{k-1} + x_k + zeta_0)/2, G p_k = G(x_k + zeta_0)).
+    Rung k depends on the rung before only through hess21(p_{k-1}, c_k), so
+    the Jacobian is block lower bidiagonal in (2d + 2c)-blocks.  Residual
+    and Jacobian come from one stacked call each over the 4K segments
+    (p_{k-1}, c_k), (c_k, x_k), (x_{k-1}, c_k), (c_k, p_k).  The start is
     p_k = x_k + zeta_k, c_k = (x_{k-1} + x_k) / 2 + zeta_{k-1} / 2, projected
     onto the level set if there is one, with the guesses ``zetas`` (K, d) of
     zeta_1 .. zeta_K, or zeta_k = zeta_0 throughout when they are None.
     Returns (midpoints, corners, residual, iterations, converged).
     """
     K, d = len(pts) - 1, pts.shape[1]
-    view = _constraint_view(constraint, K, d)
-    c = view.c
-    b = d + c
     starts, ends = pts[:-1], pts[1:]
     p_0 = starts[0] + zeta_0
+    view = _constraint_view(
+        constraint, lambda g: np.vstack([(starts + ends + zeta_0) / 2.0, ends + zeta_0]) @ g.T, d
+    )
+    c = view.c
+    b = d + c
 
     # row k - 1 of z holds c_k, mu_A, p_k, mu_B
     def segments(z):
@@ -329,12 +336,13 @@ def _solve_ladder(pts, zeta_0, model, constraint, cfg: SolverConfig | None, cont
             return np.hstack([rows_a, rows_b])
         mid, corner = z[:, :d], z[:, b : b + d]
         jac = view.jac(mid)
+        values = view.values(np.vstack([mid, corner]))
         return np.hstack(
             [
                 rows_a - _multiplier_rows(z[:, d:b], jac),
-                view.values(mid),
+                values[:K],
                 rows_b - _multiplier_rows(z[:, b + d :], jac),
-                view.values(corner),
+                values[K:],
             ]
         )
 
@@ -384,7 +392,7 @@ def parallel_transport(
     zeta_0,
     model,
     cfg: SolverConfig | None = None,
-    constraint: ConstraintModel | None = None,
+    constraint: ConstraintModel | LinearGauge | None = None,
 ):
     """Schild's-ladder transport of zeta_0 along every segment of the path.
 
@@ -451,7 +459,7 @@ def inverse_transport(
     zeta_K,
     model,
     cfg: SolverConfig | None = None,
-    constraint: ConstraintModel | None = None,
+    constraint: ConstraintModel | LinearGauge | None = None,
 ) -> np.ndarray:
     """Pull a displacement at the path end back to the start.
 
@@ -464,9 +472,7 @@ def inverse_transport(
     zeta = _at_point(zeta_K, path[0])
     if constraint is not None:
         if not model.symmetric:
-            raise DomainError(
-                "inverse transport on a hypersurface needs a symmetric energy"
-            )
+            raise DomainError("inverse transport with a constraint needs a symmetric energy")
         reversed_path = DiscretePath(np.array(path.points[::-1]))
         return _transport(reversed_path, zeta, None, model, cfg, constraint)[3][-1]
     for k in range(len(path) - 1, 0, -1):
@@ -484,7 +490,7 @@ def discrete_connection(
     eta1,
     model,
     cfg: SolverConfig | None = None,
-    constraint: ConstraintModel | None = None,
+    constraint: ConstraintModel | LinearGauge | None = None,
 ) -> np.ndarray:
     """Finite-difference covariant derivative from one-rung inverse transport.
 

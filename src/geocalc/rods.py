@@ -30,8 +30,8 @@ kappa = +1.
 
 Both energies are invariant under translating either rod on its own, so
 interior-point Hessians of path solves have a two-dimensional null space
-per point; ``rod_gauge`` builds the mean-position gauge constraint that
-removes it.
+per point; ``rod_gauge(n)`` is the mean-position gauge that removes it,
+for any solve or operator on rods of n nodes.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DomainError, EnergyModel, FdScheme, _as_count, as_point
+from .core import DomainError, EnergyModel, FdScheme, _as_count
 from .geodesic import LinearGauge
 
 __all__ = [
@@ -532,21 +532,11 @@ def rod_energy(kind: str, n_nodes: int, delta: float = 0.1, fd_step: float | Non
     raise DomainError(f"unknown rod energy kind {kind!r}")
 
 
-def rod_gauge(x_a, x_b, K: int) -> LinearGauge:
-    """Mean-position gauge: pins node averages of the interior rods to the
-    linear interpolation of the endpoint averages."""
-    xa = as_point(x_a)
-    xb = as_point(x_b)
-    if xa.size != xb.size or xa.size % 2:
-        raise DomainError("rod coordinates must be flattened (N, 2) arrays")
-    K = _as_count("K", K, 1)
-    n = xa.size // 2
-    g = np.kron(np.ones((1, n)) / n, np.eye(2))
-    mean_a = g @ xa
-    mean_b = g @ xb
-    ts = np.linspace(0.0, 1.0, K + 1)[1:K]
-    targets = np.outer(1.0 - ts, mean_a) + np.outer(ts, mean_b)
-    return LinearGauge(matrix=g, targets=targets)
+def rod_gauge(n_nodes: int) -> LinearGauge:
+    """Mean-position gauge of rods of ``n_nodes`` nodes: G x is the node
+    average of the rod x, which each solve pins where flat space puts it."""
+    n = _as_count("n_nodes", n_nodes, 1)
+    return LinearGauge(matrix=np.kron(np.ones((1, n)) / n, np.eye(2)))
 
 
 def save_rod_csv(curve: RodCurve, path) -> None:

@@ -21,7 +21,6 @@ from geocalc import (
     parallel_transport,
     sdf_spring_model,
     solve_geodesic,
-    solve_geodesic_constrained,
     sphere_chart_energy,
     sphere_oracles,
 )
@@ -151,10 +150,7 @@ def test_exact_flat_space_suite():
 def _structural_identities(model, constraint, xa, xb):
     K = 16
     tol = 10.0 * NEWTON_TOL
-    if constraint is None:
-        bvp = solve_geodesic(xa, xb, K, model)
-    else:
-        bvp = solve_geodesic_constrained(xa, xb, K, model, constraint)
+    bvp = solve_geodesic(xa, xb, K, model, constraint=constraint)
     assert bvp.converged
 
     zeta = discrete_log(xa, xb, K, model, constraint=constraint)

@@ -174,11 +174,14 @@ def test_solver_config_rejects_a_non_integer_max_iter():
 # value of it, and the start of its DomainError message
 _COUNT_ENTRIES = {
     "solve_geodesic": (lambda n: solve_geodesic(XA, XB, n, CHART), "K must be an integer"),
-    "solve_constrained": (lambda n: solve_geodesic_constrained(XA, XB, n, CHART, None), "K must be an integer"),
+    "solve_constrained": (
+        lambda n: solve_geodesic([1.0, 0.0], [0.0, 1.0], n, CHART, constraint=CircleSdf()),
+        "K must be an integer",
+    ),
     "discrete_log": (lambda n: discrete_log(XA, XB, n, CHART), "K must be an integer"),
     "discrete_exp": (lambda n: discrete_exp(XA, XB - XA, n, CHART), "k must be an integer"),
     "discrete_exp_path": (lambda n: discrete_exp_path(XA, XB - XA, n, CHART), "k must be an integer"),
-    "rod_gauge": (lambda n: rod_gauge(np.zeros(4), np.ones(4), n), "K must be an integer"),
+    "rod_gauge": (rod_gauge, "n_nodes must be an integer"),
     "project_max_iter": (
         lambda n: project_onto_level_set([2.0, 0.0, 0.0], SphereSdf(), max_iter=n),
         "max_iter must be an integer",
@@ -200,6 +203,7 @@ _COUNT_ENTRIES = {
         ("discrete_exp_path", 3.0),
         ("discrete_exp_path", True),
         ("rod_gauge", 2.5),
+        ("rod_gauge", 0),
         ("project_max_iter", 0),
         ("project_max_iter", 1.0),
         ("project_tol", -1.0),
@@ -228,7 +232,7 @@ def test_cauchy_schwarz_and_constant_speed():
     model, sphere = sdf_spring_model(SphereSdf())
     xb = np.array([0.2, 0.9, 0.4])
     xb /= np.linalg.norm(xb)
-    res_sph = solve_geodesic_constrained([1.0, 0.0, 0.0], xb, 8, model, sphere)
+    res_sph = solve_geodesic([1.0, 0.0, 0.0], xb, 8, model, constraint=sphere)
     assert abs(res_sph.length**2 / res_sph.energy - 1.0) <= 1e-9
     # the chart-frozen energy equalizes segment energies only as K grows
     defects = []
@@ -271,7 +275,7 @@ def test_equidistribution_of_segments():
 
 def test_constrained_circle_midpoint():
     model, circle = sdf_spring_model(CircleSdf())
-    res = solve_geodesic_constrained([1.0, 0.0], [0.0, 1.0], 2, model, circle)
+    res = solve_geodesic([1.0, 0.0], [0.0, 1.0], 2, model, constraint=circle)
     assert res.converged
     assert np.allclose(res.path[1], [np.sqrt(2) / 2, np.sqrt(2) / 2], atol=1e-12)
 
@@ -281,7 +285,7 @@ def test_constrained_sphere_equidistribution():
     xa = np.array([1.0, 0.0, 0.0])
     xb = np.array([0.2, 0.9, 0.4])
     xb /= np.linalg.norm(xb)
-    res = solve_geodesic_constrained(xa, xb, 8, model, sphere)
+    res = solve_geodesic(xa, xb, 8, model, constraint=sphere)
     assert res.converged
     for k in range(9):
         assert abs(sphere.d(res.path[k])) <= 1e-10
@@ -293,7 +297,7 @@ def test_constrained_sphere_equidistribution():
 def test_constrained_identical_endpoints():
     model, sphere = sdf_spring_model(SphereSdf())
     xa = np.array([0.0, 0.0, 1.0])
-    res = solve_geodesic_constrained(xa, xa, 4, model, sphere)
+    res = solve_geodesic(xa, xa, 4, model, constraint=sphere)
     assert res.converged
     assert np.max(np.abs(res.path.points - xa)) <= 1e-12
     assert np.max(np.abs(res.multipliers)) <= 1e-12
@@ -302,7 +306,7 @@ def test_constrained_identical_endpoints():
 def test_constrained_requires_on_surface_endpoints():
     model, sphere = sdf_spring_model(SphereSdf())
     with pytest.raises(DomainError, match="level set"):
-        solve_geodesic_constrained([1.1, 0.0, 0.0], [0.0, 1.0, 0.0], 4, model, sphere)
+        solve_geodesic([1.1, 0.0, 0.0], [0.0, 1.0, 0.0], 4, model, constraint=sphere)
 
 
 def test_projection_onto_level_set():
@@ -389,32 +393,29 @@ def test_path_solve_evaluates_only_the_hessian_blocks_it_uses():
     calls = []
 
     class Counting(type(CHART)):
-        def hess11(self, x, y):
-            calls.append(("hess11", np.array(x), np.array(y)))
-            return super().hess11(x, y)
+        def hess_blocks_stacked(self, xs, ys):
+            calls.append((np.array(xs), np.array(ys)))
+            return super().hess_blocks_stacked(xs, ys)
 
-        def hess12(self, x, y):
-            calls.append(("hess12", np.array(x), np.array(y)))
-            return super().hess12(x, y)
+    # one stacked call per Jacobian, over the segments 1+s .. K whose
+    # blocks the rows read: all K of the geodesic (s = 0), 2 .. K of the
+    # exp's shifted window (s = 1); the first call sees the start
+    for K in (2, 3, 8):
+        calls.clear()
+        res = solve_geodesic(XA, XB, K, Counting())
+        assert res.converged and res.iterations >= 2
+        assert len(calls) == res.iterations
+        line = XA + np.linspace(0.0, 1.0, K + 1)[:, None] * (XB - XA)
+        np.testing.assert_array_equal(calls[0][0], line[:K])
+        np.testing.assert_array_equal(calls[0][1], line[1:])
 
-        def hess21(self, x, y):
-            calls.append(("hess21", np.array(x), np.array(y)))
-            return super().hess21(x, y)
-
-        def hess22(self, x, y):
-            calls.append(("hess22", np.array(x), np.array(y)))
-            return super().hess22(x, y)
-
-    res = solve_geodesic(XA, XB, 2, Counting())
-    assert res.converged and res.iterations >= 2
-    assert len(calls) == 2 * res.iterations
-    for name, x, y in calls:
-        # segment 1 starts at XA and only its hess22 is read; segment 2
-        # ends at XB and only its hess11 is read
-        first = np.array_equal(x, XA)
-        assert name == ("hess22" if first else "hess11")
-        assert first or np.array_equal(y, XB)
-    assert sum(name == "hess22" for name, _, _ in calls) == res.iterations
+        calls.clear()
+        zeta = res.path[1] - res.path[0]
+        discrete_exp_path(XA, zeta, K, Counting())
+        assert len(calls) >= 1
+        ray = XA + np.arange(K + 1.0)[:, None] * zeta
+        np.testing.assert_array_equal(calls[0][0], ray[1:K])
+        np.testing.assert_array_equal(calls[0][1], ray[2:])
 
 
 def test_newton_reports_a_non_finite_residual_as_divergence():
@@ -479,3 +480,30 @@ def test_solve_reports_divergence_of_a_model_that_leaks_nan():
         init[1:K] = 2.0
         with pytest.raises(SolverError, match="residual at the start point is not finite"):
             solve_geodesic([0.0], [0.0], K, Overshooting(), init_path=init)
+
+
+def test_solve_geodesic_constrained_is_an_alias_of_solve_geodesic():
+    model, sphere = sdf_spring_model(SphereSdf())
+    xa, xb = [1.0, 0.0, 0.0], [0.0, 0.6, 0.8]
+    init = solve_geodesic(XA, XB, 8, CHART, SolverConfig(max_iter=1)).path
+    pairs = [
+        (solve_geodesic_constrained(xa, xb, 8, model, sphere), solve_geodesic(xa, xb, 8, model, constraint=sphere)),
+        (
+            solve_geodesic_constrained(XA, XB, 8, CHART, None, SolverConfig(damping="armijo"), init_path=init),
+            solve_geodesic(XA, XB, 8, CHART, SolverConfig(damping="armijo"), init_path=init),
+        ),
+    ]
+    for got, want in pairs:
+        np.testing.assert_array_equal(got.path.points, want.path.points)
+        assert (got.iterations, got.residual, got.energy) == (want.iterations, want.residual, want.energy)
+    np.testing.assert_array_equal(pairs[0][0].multipliers, pairs[0][1].multipliers)
+    # a matrix is not a constraint: a TypeError, not an AttributeError from the kernel
+    with pytest.raises(TypeError, match="constraint must be None, a LinearGauge or a ConstraintModel, got"):
+        solve_geodesic_constrained(XA, XB, 4, CHART, np.eye(2))
+
+
+@pytest.mark.parametrize("K", [1, 4])
+@pytest.mark.parametrize("bad", ["sphere", np.eye(2)], ids=["str", "matrix"])
+def test_other_constraint_types_are_type_errors(K, bad):
+    with pytest.raises(TypeError, match="constraint must be None, a LinearGauge or a ConstraintModel, got"):
+        solve_geodesic(XA, XB, K, CHART, constraint=bad)

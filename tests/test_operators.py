@@ -7,6 +7,7 @@ from geocalc import (
     DomainError,
     SolverConfig,
     SolverError,
+    circle_rod,
     discrete_connection,
     discrete_exp,
     discrete_exp_path,
@@ -16,9 +17,10 @@ from geocalc import (
     inverse_transport,
     log2,
     parallel_transport,
+    rod_energy,
+    rod_gauge,
     sdf_spring_model,
     solve_geodesic,
-    solve_geodesic_constrained,
     sphere_chart_energy,
     sphere_oracles,
     transport_step,
@@ -205,7 +207,7 @@ def test_reverse_path_transport_defect_for_asymmetric_energy():
 
 def test_inverse_transport_symmetric_round_trip_on_sphere():
     model, sphere, xa, xb = _sphere_pair()
-    res = solve_geodesic_constrained(xa, xb, 16, model, sphere)
+    res = solve_geodesic(xa, xb, 16, model, constraint=sphere)
     tangent = np.array([0.0, 0.05, -0.02])
     tangent -= (tangent @ xa) * xa
     tip = (xa + tangent) / np.linalg.norm(xa + tangent)
@@ -219,6 +221,35 @@ def test_inverse_transport_constraint_needs_symmetry():
     model, sphere, xa, xb = _sphere_pair()
     with pytest.raises(DomainError, match="symmetric"):
         inverse_transport(np.stack([XA, XB]), np.zeros(2), CHART, constraint=sphere)
+
+
+def test_inverse_transport_with_a_gauge_needs_symmetry_too():
+    # the rod energies are not symmetric, and a gauge, not a hypersurface,
+    # is what reaches the reversed-path transport here
+    model = rod_energy("simplified", 8)
+    path = np.stack([circle_rod(8).coord, circle_rod(8, 1.1).coord])
+    with pytest.raises(DomainError, match="inverse transport with a constraint needs a symmetric energy"):
+        inverse_transport(path, np.zeros(16), model, constraint=rod_gauge(8))
+
+
+@pytest.mark.parametrize("bad", ["sphere", np.eye(2)], ids=["str", "matrix"])
+def test_operators_reject_other_constraint_types(bad):
+    """Anything but None, a LinearGauge or a ConstraintModel is a TypeError
+    naming the three, not an AttributeError from inside a kernel."""
+    zeta = np.array([0.1, 0.2])
+    path = np.stack([XA, XA + zeta, XA + 2 * zeta])
+    calls = [
+        lambda: log2(XA, XB, CHART, constraint=bad),
+        lambda: exp2(XA, zeta, CHART, constraint=bad),
+        lambda: discrete_log(XA, XB, 4, CHART, constraint=bad),
+        lambda: discrete_exp_path(XA, zeta, 4, CHART, constraint=bad),
+        lambda: discrete_exp(XA, zeta, 4, CHART, constraint=bad),
+        lambda: parallel_transport(path, zeta, CHART, constraint=bad),
+        lambda: transport_step(XA, XB, zeta, CHART, constraint=bad),
+    ]
+    for call in calls:
+        with pytest.raises(TypeError, match="constraint must be None, a LinearGauge or a ConstraintModel"):
+            call()
 
 
 def test_connection_flat_difference():
@@ -333,7 +364,7 @@ def test_log2_is_the_two_step_path_solve():
     res = solve_geodesic(XA, x2, 2, CHART)
     assert np.allclose(log2(XA, x2, CHART), res.path[1] - res.path[0], rtol=0.0, atol=1e-14)
     model, sphere, xa, xb = _sphere_pair()
-    res = solve_geodesic_constrained(xa, xb, 2, model, sphere)
+    res = solve_geodesic(xa, xb, 2, model, constraint=sphere)
     z = log2(xa, xb, model, constraint=sphere)
     assert np.allclose(z, res.path[1] - res.path[0], rtol=0.0, atol=1e-14)
 

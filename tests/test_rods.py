@@ -6,7 +6,9 @@ from geocalc import (
     RodCurve,
     check_consistency,
     circle_rod,
+    discrete_exp_path,
     load_rod_csv,
+    parallel_transport,
     random_smooth_rod,
     rod_curvature,
     rod_energy,
@@ -14,6 +16,7 @@ from geocalc import (
     save_rod_csv,
     solve_geodesic,
 )
+from geocalc import geodesic, operators
 from geocalc.core import FdScheme, fd_derivatives, fd_gradient
 from geocalc.harness import run_rod_morph
 
@@ -289,25 +292,57 @@ def test_full_colored_hessian_matches_per_column_reference():
 
 def test_rod_gauge_pins_interior_means():
     a = circle_rod(16).coord
-    b = (circle_rod(16).nodes + np.array([1.0, 0.5])).reshape(-1)
-    gauge = rod_gauge(a, b, 4)
+    shift = np.array([1.0, 0.5])
+    b = (circle_rod(16).nodes + shift).reshape(-1)
+    gauge = rod_gauge(16)
     assert gauge.matrix.shape == (2, 32)
-    assert gauge.targets.shape == (3, 2)
-    assert np.allclose(gauge.targets[1], [0.5, 0.25], atol=1e-12)
+    np.testing.assert_allclose(gauge.matrix @ b, shift, rtol=0, atol=1e-12)  # G x is the node average
 
     model = rod_energy("simplified", 16, 0.1)
-    res = solve_geodesic(a, b, 4, model, gauge=gauge)
+    res = solve_geodesic(a, b, 4, model, constraint=gauge)
     assert res.converged
     for k in range(1, 4):
         mean = RodCurve.from_coord(res.path[k]).nodes.mean(axis=0)
-        assert np.allclose(mean, gauge.targets[k - 1], atol=1e-9)
+        assert np.allclose(mean, k / 4 * shift, atol=1e-9)
+
+
+def test_gauged_rod_exp_and_ladder_are_whole_solves():
+    """The gauge reaches the exp and the ladder: on the N = 16, K = 4 morph
+    both converge as one Newton solve, where the translation null space
+    makes the ungauged whole exp diverge and the whole ladder's pivots
+    singular."""
+    K = 4
+    res, _ = run_rod_morph(circle_rod(16), circle_rod(16, 1.2), K)
+    path = res.path.points
+    model, gauge = rod_energy("simplified", 16, 0.1), rod_gauge(16)
+    zeta = path[1] - path[0]
+
+    start = operators._exp_start(path[0], zeta, K, None)
+    pts, _, _, _, converged = geodesic._solve_path(start, model, gauge, None, "exp path", shot=True)
+    assert converged
+    assert np.max(np.abs(pts[K] - path[K])) <= 1e-10
+    shot = discrete_exp_path(path[0], zeta, K, model, constraint=gauge)
+    np.testing.assert_array_equal(shot.points, pts)  # the whole solve, no fold
+
+    _, _, _, _, converged = operators._solve_ladder(path, zeta, model, gauge, None, "ladder")
+    assert converged
+    # a shape change (not the path's own increment, whose degenerate rungs
+    # the root test sends to the fold) goes through the public transport whole
+    w = (random_smooth_rod(16, np.random.default_rng(0), amplitude=0.1).coord - path[0]) / K
+    mid, corner, _, _, converged = operators._solve_ladder(path, w, model, gauge, None, "ladder")
+    assert converged
+    w_K, traces = parallel_transport(res.path, w, model, constraint=gauge)
+    np.testing.assert_array_equal([tr.x_c for tr in traces], mid)
+    np.testing.assert_array_equal(w_K, corner[-1] - path[K])
+    # each corner's node average sits where flat space puts it, x_k + w
+    np.testing.assert_allclose(corner @ gauge.matrix.T, (path[1:] + w) @ gauge.matrix.T, rtol=0, atol=1e-12)
 
 
 def test_rod_morph_energy_equidistributes():
     model = rod_energy("simplified", 32, 0.1)
     a = circle_rod(32).coord
     b = circle_rod(32, 1.2).coord
-    res = solve_geodesic(a, b, 4, model, gauge=rod_gauge(a, b, 4))
+    res = solve_geodesic(a, b, 4, model, constraint=rod_gauge(32))
     assert res.converged
     segments = [4 * model.w(res.path[k - 1], res.path[k]) for k in range(1, 5)]
     assert max(segments) / min(segments) <= 1.1

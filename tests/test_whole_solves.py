@@ -15,6 +15,7 @@ import pytest
 from geocalc import (
     DiscretePath,
     DomainError,
+    LinearGauge,
     SolverConfig,
     SolverError,
     discrete_connection,
@@ -27,7 +28,7 @@ from geocalc import (
     log2,
     parallel_transport,
     sdf_spring_model,
-    solve_geodesic_constrained,
+    solve_geodesic,
     sphere_chart_energy,
     sphere_oracles,
     transport_step,
@@ -76,7 +77,7 @@ def _whole_ladder(path, zeta, model, cfg, constraint=None):
 @pytest.mark.parametrize("K", [8, 64, 256])
 def test_whole_solves_match_the_fold(name, K):
     model, con, xa, xb, v, w = _case(name)
-    path = solve_geodesic_constrained(xa, xb, K, model, con).path
+    path = solve_geodesic(xa, xb, K, model, constraint=con).path
 
     whole, _, _, converged = _whole_exp(xa, v / K, K, model, TIGHT, con)
     assert converged
@@ -104,7 +105,7 @@ def test_results_satisfy_the_inner_equations(name):
     model, con, xa, xb, v, w = _case(name)
     K = 64
     tol = SolverConfig().newton_tol
-    path = solve_geodesic_constrained(xa, xb, K, model, con).path
+    path = solve_geodesic(xa, xb, K, model, constraint=con).path
     _, traces = parallel_transport(path, w / K, model, constraint=con)
     for k, tr in enumerate(traces, start=1):
         mid = model.grad2(tr.x_p_prev, tr.x_c) + model.grad1(tr.x_c, path[k])
@@ -140,6 +141,41 @@ def test_whole_solves_are_exact_in_flat_space():
         assert converged
         assert np.allclose(corner - path[1:], zeta, rtol=0.0, atol=1e-12)
         assert np.allclose(mid, (path[:-1] + path[1:] + zeta) / 2.0, rtol=0.0, atol=1e-12)
+
+
+def test_a_gauge_keeps_the_flat_operators_exact():
+    """Under a random 2 x 4 gauge every solve pins G x where flat space puts
+    it, so the flat geodesic, log2, exp path, ladder and inverse transport
+    stay exact; each starts off its solution, so Newton has to move."""
+    flat = flat_energy()
+    rng = np.random.default_rng(41)
+    gauge = LinearGauge(rng.normal(size=(2, 4)))
+    xa, xb, zeta = rng.normal(size=4), rng.normal(size=4), 0.3 * rng.normal(size=4)
+    K, cfg = 5, SolverConfig()
+    steps = np.arange(K + 1.0)[:, None]
+
+    line = xa + steps / K * (xb - xa)
+    init = line + 0.1 * rng.normal(size=line.shape)
+    res = solve_geodesic(xa, xb, K, flat, constraint=gauge, init_path=init)
+    assert res.converged and res.iterations >= 1
+    np.testing.assert_allclose(res.path.points, line, rtol=0.0, atol=1e-14)
+    np.testing.assert_allclose(log2(xa, xb, flat, constraint=gauge), (xb - xa) / 2.0, rtol=0.0, atol=1e-14)
+
+    ray = xa + steps * zeta
+    start = ray + 0.1 * rng.normal(size=ray.shape)
+    start[:2] = ray[:2]
+    pts, _, _, iterations, converged = geodesic._solve_path(start, flat, gauge, cfg, "exp path", shot=True)
+    assert converged and iterations >= 1
+    np.testing.assert_allclose(pts, ray, rtol=0.0, atol=1e-14)
+    np.testing.assert_allclose(discrete_exp_path(xa, zeta, K, flat, constraint=gauge).points, ray, rtol=0.0, atol=1e-14)
+
+    path = rng.normal(size=(K + 1, 4))
+    guesses = zeta + 0.1 * rng.normal(size=(K, 4))
+    mid, corner, _, iterations, converged = op._solve_ladder(path, zeta, flat, gauge, cfg, "ladder", guesses)
+    assert converged and iterations >= 1
+    np.testing.assert_allclose(corner - path[1:], np.tile(zeta, (K, 1)), rtol=0.0, atol=1e-14)
+    np.testing.assert_allclose(mid, (path[:-1] + path[1:] + zeta) / 2.0, rtol=0.0, atol=1e-14)
+    np.testing.assert_allclose(inverse_transport(path, zeta, flat, constraint=gauge), zeta, rtol=0.0, atol=1e-14)
 
 
 # long sphere-chart shots at K = 16 (1.96 and 2.95 rad) on which the whole
@@ -207,7 +243,7 @@ def test_coarse_ladder_falls_back_to_the_fold():
 
 def test_fold_errors_are_reported_when_both_fail():
     strict = SolverConfig(newton_tol=1e-30, max_iter=3)
-    path = solve_geodesic_constrained(XA, XB, 4, CHART, None).path
+    path = solve_geodesic(XA, XB, 4, CHART).path
     with pytest.raises(SolverError, match="transport step 1 failed: rung-midpoint"):
         parallel_transport(path, np.array([-0.1, 0.0]), CHART, strict)
     with pytest.raises(SolverError, match="extension step 2 failed: exp2"):
@@ -270,9 +306,9 @@ def _sequential(monkeypatch):
 
 
 def test_reduced_path_solve_matches_the_sequential_loop(monkeypatch):
-    res = solve_geodesic_constrained(XA, XB, 1024, CHART, None)
+    res = solve_geodesic(XA, XB, 1024, CHART)
     _sequential(monkeypatch)
-    ref = solve_geodesic_constrained(XA, XB, 1024, CHART, None)
+    ref = solve_geodesic(XA, XB, 1024, CHART)
     assert res.converged and ref.converged
     assert res.iterations == ref.iterations
     assert np.max(np.abs(res.path.points - ref.path.points)) <= 1e-12
@@ -282,7 +318,7 @@ def test_reduced_path_solve_matches_the_sequential_loop(monkeypatch):
 def test_reduced_exp_and_ladder_match_the_sequential_loop(name, monkeypatch):
     model, con, xa, xb, v, w = _case(name)
     K = 256
-    path = solve_geodesic_constrained(xa, xb, K, model, con).path
+    path = solve_geodesic(xa, xb, K, model, constraint=con).path
     cfg = SolverConfig()
 
     def solves():
