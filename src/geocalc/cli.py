@@ -59,7 +59,6 @@ def _add_common(sub):
     sub.add_argument("--K", type=int, default=None, help="number of time steps")
     sub.add_argument("--out", default=None, help="output directory")
     sub.add_argument("--config", default=None, help="JSON config mirroring the study fields")
-    sub.add_argument("--seed", type=int, default=None)
     sub.add_argument("--tol", type=float, default=None, help="Newton / audit tolerance")
 
 
@@ -84,6 +83,7 @@ def _build_parser():
     cons = subs.add_parser("consistency")
     _add_common(cons)
     cons.add_argument("--samples", type=int, default=100)
+    cons.add_argument("--seed", type=int, default=0)
     cons.add_argument("--n-nodes", type=int, default=32)
     cons.add_argument("--delta", type=float, default=0.1)
 
@@ -116,8 +116,6 @@ def _study_config(args) -> StudyConfig:
         updates["xb"] = args.xb
     if getattr(args, "w", None):
         updates["w"] = args.w
-    if getattr(args, "seed", None) is not None:
-        updates["seed"] = args.seed
     if getattr(args, "out", None):
         updates["output_dir"] = args.out
     if getattr(args, "k_min", None) is not None or getattr(args, "k_max", None) is not None:
@@ -249,7 +247,7 @@ def _cmd_consistency(args) -> int:
         model,
         samples=args.samples,
         tol=args.tol,
-        seed=args.seed if args.seed is not None else 0,
+        seed=args.seed,
         n_nodes=args.n_nodes,
         delta=args.delta,
     )

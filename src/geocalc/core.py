@@ -6,7 +6,10 @@ points: ``w(x, x) = 0``, both gradients vanish on the diagonal, and half
 the second derivative in the second slot defines a Riemannian metric,
 ``g_x = 1/2 * hess22(x, x)``.  Everything downstream (path energies,
 two-point solves, parallel transport) consumes concrete models only
-through the :class:`EnergyModel` interface defined here.
+through the :class:`EnergyModel` interface defined here.  A model
+implements that interface once, over stacks of segments
+(``w_stacked``, ``grads_stacked``, ``hess_blocks_stacked``); the
+per-point methods are views of a stack of one.
 
 Derivative layout used throughout the package:
 
@@ -149,26 +152,9 @@ def as_path(path) -> DiscretePath:
     return DiscretePath(np.asarray(path, dtype=float))
 
 
-# each stacked method and the per-point methods it must agree with
-_STACKED = {
-    "w_stacked": ("w",),
-    "grads_stacked": ("grads", "grad1", "grad2"),
-    "hess_blocks_stacked": ("hess_blocks", "hess11", "hess12", "hess21", "hess22"),
-}
-
-
-def _restore_stacked_loops(cls, base, stacked_methods) -> None:
-    """Give ``cls`` the looping stacked methods of ``base`` where it needs them.
-
-    ``stacked_methods`` maps each stacked method name to the per-point
-    methods it must agree with.  When ``cls`` redefines one of those
-    per-point methods but not the stacked method, the stacked method
-    becomes ``base``'s default, which loops over the per-point methods, so
-    that the override is honoured.
-    """
-    for stacked, per_point in stacked_methods.items():
-        if stacked not in vars(cls) and any(name in vars(cls) for name in per_point):
-            setattr(cls, stacked, vars(base)[stacked])
+def _one(x) -> np.ndarray:
+    """The point x as a stack of one, shape (1, d)."""
+    return np.reshape(np.asarray(x, dtype=float), (1, -1))
 
 
 class EnergyModel(ABC):
@@ -180,77 +166,56 @@ class EnergyModel(ABC):
     Instances are immutable after construction and safe to evaluate
     concurrently.
 
-    Stacked evaluation: ``w_stacked``, ``grads_stacked`` and
-    ``hess_blocks_stacked`` take the starts ``xs`` and ends ``ys`` of n
-    segments, arrays of shape (n, d), and return what ``w``, ``grads`` and
-    ``hess_blocks`` return for each segment, stacked along a leading axis:
-    shape (n,), two arrays (n, d), and four arrays (n, d, d).  They check
-    the whole stack once.  The defaults here loop over the per-point
-    methods; a model overrides them with one array evaluation of the same
-    formulas.  A subclass that redefines a per-point method but not the
-    matching stacked one gets the loop back, so its override is honoured.
+    A model implements stacked evaluation only: ``w_stacked``,
+    ``grads_stacked`` and ``hess_blocks_stacked`` take the starts ``xs``
+    and ends ``ys`` of n segments, arrays of shape (n, d), and return the
+    energy, both gradients and the four Hessian blocks of each segment,
+    stacked along a leading axis: shape (n,), two arrays (n, d), and four
+    arrays (n, d, d).  They check the whole stack once.  The per-point
+    methods (``w``, ``grads``, ``grad1`` ... ``hess22``) are views of a
+    stack of one.
     """
 
     symmetric: bool = False
 
-    def __init_subclass__(cls, **kwargs):
-        super().__init_subclass__(**kwargs)
-        _restore_stacked_loops(cls, EnergyModel, _STACKED)
-
     @abstractmethod
-    def w(self, x: np.ndarray, y: np.ndarray) -> float: ...
-
-    @abstractmethod
-    def grad1(self, x: np.ndarray, y: np.ndarray) -> np.ndarray: ...
-
-    @abstractmethod
-    def grad2(self, x: np.ndarray, y: np.ndarray) -> np.ndarray: ...
-
-    @abstractmethod
-    def hess11(self, x: np.ndarray, y: np.ndarray) -> np.ndarray: ...
-
-    @abstractmethod
-    def hess12(self, x: np.ndarray, y: np.ndarray) -> np.ndarray: ...
-
-    @abstractmethod
-    def hess21(self, x: np.ndarray, y: np.ndarray) -> np.ndarray: ...
-
-    @abstractmethod
-    def hess22(self, x: np.ndarray, y: np.ndarray) -> np.ndarray: ...
-
-    def grads(self, x, y):
-        """Both gradients at once; override when they share intermediates."""
-        return self.grad1(x, y), self.grad2(x, y)
-
-    def hess_blocks(self, x, y):
-        """All four Hessian blocks at once; override to share work."""
-        return (
-            self.hess11(x, y),
-            self.hess12(x, y),
-            self.hess21(x, y),
-            self.hess22(x, y),
-        )
-
     def w_stacked(self, xs, ys) -> np.ndarray:
         """``w`` of each segment (xs[i], ys[i]), shape (n,)."""
-        return np.array([float(self.w(x, y)) for x, y in zip(xs, ys)])
 
+    @abstractmethod
     def grads_stacked(self, xs, ys):
-        """``grads`` of each segment, two arrays of shape (n, d)."""
-        n, d = np.shape(xs)
-        g1, g2 = np.empty((n, d)), np.empty((n, d))
-        for i in range(n):
-            g1[i], g2[i] = self.grads(xs[i], ys[i])
-        return g1, g2
+        """(grad1, grad2) of each segment, two arrays of shape (n, d)."""
 
+    @abstractmethod
     def hess_blocks_stacked(self, xs, ys):
-        """``hess_blocks`` of each segment, four arrays of shape (n, d, d)."""
-        n, d = np.shape(xs)
-        blocks = np.empty((4, n, d, d))
-        for i in range(n):
-            for out, h in zip(blocks, self.hess_blocks(xs[i], ys[i])):
-                out[i] = h
-        return tuple(blocks)
+        """(hess11, hess12, hess21, hess22) of each segment, four arrays of shape (n, d, d)."""
+
+    def w(self, x, y) -> float:
+        return float(self.w_stacked(_one(x), _one(y))[0])
+
+    def grads(self, x, y):
+        return tuple(g[0] for g in self.grads_stacked(_one(x), _one(y)))
+
+    def grad1(self, x, y) -> np.ndarray:
+        return self.grads(x, y)[0]
+
+    def grad2(self, x, y) -> np.ndarray:
+        return self.grads(x, y)[1]
+
+    def hess_blocks(self, x, y):
+        return tuple(h[0] for h in self.hess_blocks_stacked(_one(x), _one(y)))
+
+    def hess11(self, x, y) -> np.ndarray:
+        return self.hess_blocks(x, y)[0]
+
+    def hess12(self, x, y) -> np.ndarray:
+        return self.hess_blocks(x, y)[1]
+
+    def hess21(self, x, y) -> np.ndarray:
+        return self.hess_blocks(x, y)[2]
+
+    def hess22(self, x, y) -> np.ndarray:
+        return self.hess_blocks(x, y)[3]
 
     def metric(self, x) -> np.ndarray:
         """Induced metric g_x; overridden by models with a closed form."""
@@ -294,20 +259,20 @@ def fd_jacobian(func, x: np.ndarray, step: float) -> np.ndarray:
 
 
 class _FiniteDifferenceModel(EnergyModel):
-    """Full derivative access for a model that only implements ``w``."""
+    """Full derivative access for a model that only implements ``w``.
+
+    The base model has no stacked evaluation, so the stacked methods loop
+    over the segments, each one a set of central-difference stencils.
+    """
 
     def __init__(self, base, scheme: FdScheme):
         self._base = base
         self._h = scheme.step
         self.symmetric = bool(getattr(base, "symmetric", False))
 
-    def w(self, x, y):
-        return float(self._base.w(x, y))
-
-    def grad1(self, x, y):
-        return fd_gradient(lambda p: self._base.w(p, y), x, self._h)
-
-    def grad2(self, x, y):
+    def _grad(self, x, y, first: bool):
+        if first:
+            return fd_gradient(lambda p: self._base.w(p, y), x, self._h)
         return fd_gradient(lambda p: self._base.w(x, p), y, self._h)
 
     def _hess_same(self, x, y, first: bool):
@@ -335,13 +300,7 @@ class _FiniteDifferenceModel(EnergyModel):
                 out[j, i] = val
         return out
 
-    def hess11(self, x, y):
-        return self._hess_same(x, y, first=True)
-
-    def hess22(self, x, y):
-        return self._hess_same(x, y, first=False)
-
-    def hess12(self, x, y):
+    def _hess12(self, x, y):
         h = self._h
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
@@ -361,14 +320,23 @@ class _FiniteDifferenceModel(EnergyModel):
                 ) / (4.0 * h * h)
         return out
 
-    def hess21(self, x, y):
-        # same stencil with the roles of the slots swapped
-        return self.hess12(x, y).T
+    def w_stacked(self, xs, ys):
+        return np.array([float(self._base.w(x, y)) for x, y in zip(xs, ys)])
 
-    def hess_blocks(self, x, y):
-        # the two mixed blocks share one stencil
-        h12 = self.hess12(x, y)
-        return self.hess11(x, y), h12, h12.T, self.hess22(x, y)
+    def grads_stacked(self, xs, ys):
+        g1, g2 = np.empty(np.shape(xs)), np.empty(np.shape(xs))
+        for i, (x, y) in enumerate(zip(xs, ys)):
+            g1[i], g2[i] = self._grad(x, y, True), self._grad(x, y, False)
+        return g1, g2
+
+    def hess_blocks_stacked(self, xs, ys):
+        n, d = np.shape(xs)
+        blocks = np.empty((4, n, d, d))
+        for i, (x, y) in enumerate(zip(xs, ys)):
+            # the two mixed blocks share one stencil, with the slots swapped
+            h12 = self._hess12(x, y)
+            blocks[:, i] = self._hess_same(x, y, True), h12, h12.T, self._hess_same(x, y, False)
+        return tuple(blocks)
 
 
 def fd_derivatives(model, scheme: FdScheme | None = None) -> EnergyModel:

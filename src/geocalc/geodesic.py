@@ -33,15 +33,13 @@ Each Newton step makes one stacked ``grads_stacked`` call over all K
 segments per residual and one ``hess_blocks_stacked`` call per Jacobian,
 over the segments whose blocks the rows read: all K for the interior,
 segments 2..K for the shifted window.  Path energies and lengths come
-from one ``w_stacked`` call.  Models without native stacked methods, and
-subclasses that redefine a per-point method, are evaluated by the
-per-segment loop of ``core.EnergyModel``.
+from one ``w_stacked`` call.  The stacked methods are the only ones a
+model implements (``core.EnergyModel``).
 
 A level set is evaluated the same way: one ``d_stacked`` and one
 ``grad_d_stacked`` call per residual, one ``grad_d_stacked`` and one
-``hess_d_stacked`` call per Jacobian, with the same looping default and
-fallback rule as the energy (``ConstraintModel``).  Start points are
-projected onto the level set by one masked Newton iteration over the
+``hess_d_stacked`` call per Jacobian (``ConstraintModel``).  Start points
+are projected onto the level set by one masked Newton iteration over the
 whole stack (``_project_rows``), in which each row stops on its own.
 """
 
@@ -59,11 +57,10 @@ from .core import (
     InvariantViolation,
     SolverError,
     _as_count,
-    _restore_stacked_loops,
+    _one,
     _write_csv,
     as_path,
     as_point,
-    fd_jacobian,
 )
 
 __all__ = [
@@ -101,60 +98,54 @@ class SolverConfig:
             raise DomainError(f"unknown damping mode {self.damping!r}")
 
 
-# each stacked constraint method and the per-point method it must agree with
-_STACKED_D = {"d_stacked": ("d",), "grad_d_stacked": ("grad_d",), "hess_d_stacked": ("hess_d",)}
-
-
 class ConstraintModel(ABC):
     """Level-set description of a hypersurface M = {d = 0}.
 
     ``d`` should be (close to) a signed distance near the zero set, so that
     ``grad_d`` has norm about 1 there.
 
-    Stacked evaluation: ``d_stacked``, ``grad_d_stacked`` and
-    ``hess_d_stacked`` take a stack xs of n points, shape (n, d), and
-    return what ``d``, ``grad_d`` and ``hess_d`` return for each point,
-    stacked along a leading axis: shapes (n,), (n, d) and (n, d, d).  The
-    defaults here loop over the per-point methods; a model overrides them
-    with one array evaluation of the same formulas.  As for
-    ``core.EnergyModel``, a subclass that redefines a per-point method but
-    not the matching stacked one gets the loop back.
+    A model implements stacked evaluation only: ``d_stacked`` and
+    ``grad_d_stacked`` take a stack xs of n points, shape (n, d), and
+    return d and its gradient at each point, stacked along a leading axis:
+    shapes (n,) and (n, d).  ``hess_d_stacked``, shape (n, d, d), defaults
+    to central differences of ``grad_d_stacked`` over the whole stack with
+    step ``fd_step``, symmetrized.  The per-point methods ``d``, ``grad_d``
+    and ``hess_d`` are views of a stack of one.
     """
 
     fd_step: float = 1e-6
 
-    def __init_subclass__(cls, **kwargs):
-        super().__init_subclass__(**kwargs)
-        _restore_stacked_loops(cls, ConstraintModel, _STACKED_D)
-
     @abstractmethod
-    def d(self, x: np.ndarray) -> float: ...
-
-    @abstractmethod
-    def grad_d(self, x: np.ndarray) -> np.ndarray: ...
-
-    def hess_d(self, x: np.ndarray) -> np.ndarray:
-        j = fd_jacobian(self.grad_d, np.asarray(x, dtype=float), self.fd_step)
-        return (j + j.T) / 2.0
-
     def d_stacked(self, xs) -> np.ndarray:
-        """``d`` at each point of xs, shape (n,)."""
-        return np.array([float(self.d(x)) for x in xs])
+        """d at each point of xs, shape (n,)."""
 
+    @abstractmethod
     def grad_d_stacked(self, xs) -> np.ndarray:
-        """``grad_d`` at each point of xs, shape (n, d)."""
-        out = np.empty(np.shape(xs))
-        for i, x in enumerate(xs):
-            out[i] = self.grad_d(x)
-        return out
+        """grad_d at each point of xs, shape (n, d)."""
 
     def hess_d_stacked(self, xs) -> np.ndarray:
-        """``hess_d`` at each point of xs, shape (n, d, d)."""
-        n, d = np.shape(xs)
-        out = np.empty((n, d, d))
-        for i, x in enumerate(xs):
-            out[i] = self.hess_d(x)
-        return out
+        """hess_d at each point of xs, shape (n, d, d): 2d stacked calls of
+        ``grad_d_stacked``, column j differentiating along x_j."""
+        xs = np.asarray(xs, dtype=float)
+        n, d = xs.shape
+        jac = np.empty((n, d, d))
+        for j in range(d):
+            e = np.zeros(d)
+            e[j] = self.fd_step
+            jac[:, :, j] = (
+                np.asarray(self.grad_d_stacked(xs + e), dtype=float)
+                - np.asarray(self.grad_d_stacked(xs - e), dtype=float)
+            ) / (2.0 * self.fd_step)
+        return (jac + np.swapaxes(jac, 1, 2)) / 2.0
+
+    def d(self, x) -> float:
+        return float(self.d_stacked(_one(x))[0])
+
+    def grad_d(self, x) -> np.ndarray:
+        return self.grad_d_stacked(_one(x))[0]
+
+    def hess_d(self, x) -> np.ndarray:
+        return self.hess_d_stacked(_one(x))[0]
 
 
 @dataclass(frozen=True)

@@ -97,7 +97,6 @@ class StudyConfig:
     k_exponents: tuple = tuple(range(1, 11))
     solver: SolverConfig = field(default_factory=SolverConfig)
     output_dir: str | None = None
-    seed: int = 0
 
     def __post_init__(self):
         if self.model not in MODEL_NAMES:
@@ -117,21 +116,10 @@ class StudyConfig:
             raise ConfigError(f"solver must be a SolverConfig, got {self.solver!r}")
         if not (self.output_dir is None or isinstance(self.output_dir, str)):
             raise ConfigError(f"output_dir must be a path or None, got {self.output_dir!r}")
-        if not _is_number(self.seed, numbers.Integral):
-            raise ConfigError(f"seed must be an integer, got {self.seed!r}")
 
     @classmethod
     def from_dict(cls, data: dict) -> "StudyConfig":
-        known = {
-            "model",
-            "xa",
-            "xb",
-            "w",
-            "k_exponents",
-            "solver",
-            "output_dir",
-            "seed",
-        }
+        known = {"model", "xa", "xb", "w", "k_exponents", "solver", "output_dir"}
         unknown = set(data) - known
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")

@@ -12,6 +12,11 @@ Shipped backends:
 * signed-distance surfaces (circle, sphere, ellipsoid) for constrained
   geodesics with the spring energy.
 
+Each model implements only the stacked methods of ``core.EnergyModel`` or
+``geodesic.ConstraintModel``, one array evaluation over a whole stack
+(``EllipsoidSdf`` runs its closest-point Newton row by row), and inherits
+the per-point methods as views of a stack of one.
+
 ``sphere_oracles`` exposes the closed-form great-circle geometry pulled
 back through the chart: distance, constant-speed geodesic, logarithm,
 exponential, parallel transport, and the chart Christoffel symbols.  The
@@ -47,26 +52,9 @@ def _sq(v):
 
 
 class FlatEnergy(EnergyModel):
-    """w(x, y) = |y - x|^2 with exact derivatives; any dimension.
-
-    The formulas take one point pair of shape (d,) or a stack of shape
-    (n, d); the per-point and the stacked methods share them.
-    """
+    """w(x, y) = |y - x|^2 with exact derivatives; any dimension."""
 
     symmetric = True
-
-    @staticmethod
-    def _pair(x, y):
-        return np.asarray(x, float), np.asarray(y, float)
-
-    @staticmethod
-    def _w(x, y):
-        return _sq(y - x)[..., 0]
-
-    @staticmethod
-    def _grads(x, y):
-        g2 = 2.0 * (y - x)
-        return -g2, g2
 
     @staticmethod
     def _eye(x, scale):
@@ -77,35 +65,15 @@ class FlatEnergy(EnergyModel):
         out.reshape(-1, d * d)[:, :: d + 1] = scale
         return out
 
-    def w(self, x, y):
-        return float(self._w(*self._pair(x, y)))
-
-    def grad1(self, x, y):
-        return self._grads(*self._pair(x, y))[0]
-
-    def grad2(self, x, y):
-        return self._grads(*self._pair(x, y))[1]
-
-    def hess11(self, x, y):
-        return self._eye(self._pair(x, y)[0], 2.0)
-
-    def hess22(self, x, y):
-        return self._eye(self._pair(x, y)[0], 2.0)
-
-    def hess12(self, x, y):
-        return self._eye(self._pair(x, y)[0], -2.0)
-
-    def hess21(self, x, y):
-        return self._eye(self._pair(x, y)[0], -2.0)
-
     def w_stacked(self, xs, ys):
-        return self._w(*self._pair(xs, ys))
+        return _sq(np.asarray(ys, float) - np.asarray(xs, float))[..., 0]
 
     def grads_stacked(self, xs, ys):
-        return self._grads(*self._pair(xs, ys))
+        g2 = 2.0 * (np.asarray(ys, float) - np.asarray(xs, float))
+        return -g2, g2
 
     def hess_blocks_stacked(self, xs, ys):
-        xs = self._pair(xs, ys)[0]
+        xs = np.asarray(xs, float)
         return self._eye(xs, 2.0), self._eye(xs, -2.0), self._eye(xs, -2.0), self._eye(xs, 2.0)
 
     def metric(self, x):
@@ -137,100 +105,48 @@ def _conformal(x):
 class SphereChartEnergy(EnergyModel):
     """Chart-quadratic energy w(x, y) = c(x) |y - x|^2, c(x) = 4/(1+|x|^2)^2.
 
-    Not symmetric: the metric is frozen at the first argument.  The
-    formulas take one point pair of shape (2,) or a stack of shape (n, 2);
-    the per-point and the stacked methods share them.
+    Not symmetric: the metric is frozen at the first argument.
     """
 
     symmetric = False
 
     @staticmethod
-    def _pair(x, y, ndim=1):
-        """x, y as float arrays of one shape (2,) (ndim 1) or (n, 2) (ndim 2).
+    def _pair(xs, ys):
+        """xs, ys as float arrays of one shape (n, 2).
 
-        Shape and finiteness are checked once for the whole input, without
+        Shape and finiteness are checked once for the whole stack, without
         copying it.
         """
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        if x.ndim != ndim or x.shape[-1] != 2 or y.shape != x.shape:
+        xs = np.asarray(xs, dtype=float)
+        ys = np.asarray(ys, dtype=float)
+        if xs.ndim != 2 or xs.shape[-1] != 2 or ys.shape != xs.shape:
             raise DomainError("the sphere chart is two-dimensional")
-        if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        if not (np.isfinite(xs).all() and np.isfinite(ys).all()):
             raise DomainError("point has non-finite entries")
-        return x, y
+        return xs, ys
 
-    @staticmethod
-    def _w(x, y):
+    def w_stacked(self, xs, ys):
+        x, y = self._pair(xs, ys)
         return (_conformal_factor(x) * _sq(y - x))[..., 0]
 
-    @staticmethod
-    def _grad1(x, y):
+    def grads_stacked(self, xs, ys):
+        x, y = self._pair(xs, ys)
         diff = y - x
         _, c, gc = _conformal(x)
-        return gc * _sq(diff) - 2.0 * c * diff
+        g2 = 2.0 * c * diff
+        return gc * _sq(diff) - g2, g2
 
-    @staticmethod
-    def _grad2(x, y):
-        return 2.0 * _conformal_factor(x) * (y - x)
-
-    @staticmethod
-    def _hess11(x, y):
+    def hess_blocks_stacked(self, xs, ys):
+        x, y = self._pair(xs, ys)
         diff = y - x
         q, c, gc = _conformal(x)
         q = q[..., None]
+        h22 = 2.0 * c[..., None] * _EYE2
         hc = -16.0 * _EYE2 / q**3 + 96.0 * _outer(x, x) / q**4
         cross = _outer(gc, diff)
-        return (
-            hc * _sq(diff)[..., None]
-            - 2.0 * (cross + np.swapaxes(cross, -1, -2))
-            + 2.0 * c[..., None] * _EYE2
-        )
-
-    @staticmethod
-    def _hess12(x, y):
-        _, c, gc = _conformal(x)
-        return 2.0 * _outer(gc, y - x) - 2.0 * c[..., None] * _EYE2
-
-    @staticmethod
-    def _hess21(x, y):
-        _, c, gc = _conformal(x)
-        return 2.0 * _outer(y - x, gc) - 2.0 * c[..., None] * _EYE2
-
-    @staticmethod
-    def _hess22(x, y):
-        return 2.0 * _conformal_factor(x)[..., None] * _EYE2
-
-    def w(self, x, y):
-        return float(self._w(*self._pair(x, y)))
-
-    def grad1(self, x, y):
-        return self._grad1(*self._pair(x, y))
-
-    def grad2(self, x, y):
-        return self._grad2(*self._pair(x, y))
-
-    def hess11(self, x, y):
-        return self._hess11(*self._pair(x, y))
-
-    def hess12(self, x, y):
-        return self._hess12(*self._pair(x, y))
-
-    def hess21(self, x, y):
-        return self._hess21(*self._pair(x, y))
-
-    def hess22(self, x, y):
-        return self._hess22(*self._pair(x, y))
-
-    def w_stacked(self, xs, ys):
-        return self._w(*self._pair(xs, ys, 2))
-
-    def grads_stacked(self, xs, ys):
-        xs, ys = self._pair(xs, ys, 2)
-        return self._grad1(xs, ys), self._grad2(xs, ys)
-
-    def hess_blocks_stacked(self, xs, ys):
-        xs, ys = self._pair(xs, ys, 2)
-        return self._hess11(xs, ys), self._hess12(xs, ys), self._hess21(xs, ys), self._hess22(xs, ys)
+        cross_t = np.swapaxes(cross, -1, -2)
+        h11 = hc * _sq(diff)[..., None] - 2.0 * (cross + cross_t) + h22
+        return h11, 2.0 * cross - h22, 2.0 * cross_t - h22, h22
 
     def metric(self, x):
         x = as_point(x)
@@ -387,47 +303,25 @@ def sphere_oracles() -> SphereOracles:
 
 
 class CircleSdf(ConstraintModel):
-    """Signed distance to the unit circle in the plane.
-
-    The formulas take one point of shape (d,) or a stack of shape (n, d);
-    the per-point and the stacked methods share them.
-    """
+    """Signed distance to the unit circle in the plane."""
 
     @staticmethod
-    def _radius(x):
-        """x as a float array and |x| over the last axis, kept as an axis of length 1."""
-        x = np.asarray(x, dtype=float)
-        return x, np.sqrt(np.einsum("...i,...i->...", x, x))[..., None]
-
-    def _d(self, x):
-        return self._radius(x)[1][..., 0] - 1.0
-
-    def _grad_d(self, x):
-        x, r = self._radius(x)
-        return x / r
-
-    def _hess_d(self, x):
-        x, r = self._radius(x)
-        u = x / r
-        return (np.eye(x.shape[-1]) - _outer(u, u)) / r[..., None]
-
-    def d(self, x):
-        return float(self._d(x))
-
-    def grad_d(self, x):
-        return self._grad_d(x)
-
-    def hess_d(self, x):
-        return self._hess_d(x)
+    def _radius(xs):
+        """xs as a float array and |x| over the last axis, kept as an axis of length 1."""
+        xs = np.asarray(xs, dtype=float)
+        return xs, np.sqrt(np.einsum("...i,...i->...", xs, xs))[..., None]
 
     def d_stacked(self, xs):
-        return self._d(xs)
+        return self._radius(xs)[1][..., 0] - 1.0
 
     def grad_d_stacked(self, xs):
-        return self._grad_d(xs)
+        xs, r = self._radius(xs)
+        return xs / r
 
     def hess_d_stacked(self, xs):
-        return self._hess_d(xs)
+        xs, r = self._radius(xs)
+        u = xs / r
+        return (np.eye(xs.shape[-1]) - _outer(u, u)) / r[..., None]
 
 
 class SphereSdf(CircleSdf):
@@ -438,8 +332,9 @@ class EllipsoidSdf(ConstraintModel):
     """Local signed distance to an axis-aligned ellipsoid.
 
     The closest point p(x) is found by damped Newton on the standard
-    one-parameter projection equation; the gradient is the unit outward
-    normal at p.  Intended for points near the surface.
+    one-parameter projection equation, one point of a stack at a time; the
+    gradient is the unit outward normal at p.  Intended for points near
+    the surface.
     """
 
     def __init__(self, semi_axes):
@@ -470,15 +365,20 @@ class EllipsoidSdf(ConstraintModel):
     def _level(self, x):
         return float(np.sum(np.asarray(x, float) ** 2 / self.semi_axes**2)) - 1.0
 
-    def d(self, x):
-        x = np.asarray(x, dtype=float)
-        p = self._closest_point(x)
-        return float(np.sign(self._level(x)) * np.linalg.norm(x - p))
+    def _distance(self, x):
+        return np.sign(self._level(x)) * np.linalg.norm(x - self._closest_point(x))
 
-    def grad_d(self, x):
-        p = self._closest_point(x)
-        n = 2.0 * p / self.semi_axes**2
+    def _normal(self, x):
+        n = 2.0 * self._closest_point(x) / self.semi_axes**2
         return n / np.linalg.norm(n)
+
+    def d_stacked(self, xs):
+        xs = np.asarray(xs, dtype=float)
+        return np.array([self._distance(x) for x in xs])
+
+    def grad_d_stacked(self, xs):
+        xs = np.asarray(xs, dtype=float)
+        return np.array([self._normal(x) for x in xs]).reshape(xs.shape)
 
 
 def sdf_spring_model(surface: ConstraintModel):

@@ -52,6 +52,7 @@ from .geodesic import (
     LinearGauge,
     SolverConfig,
     _border,
+    _check_constraint,
     _constraint_view,
     _forward_substitution,
     _multiplier_rows,
@@ -163,6 +164,7 @@ def discrete_log(
     xa = as_point(x_a)
     xb = _at_point(x_b, xa)
     K = _as_count("K", K, 1)
+    _check_constraint(constraint)
     if K == 1:
         return xb - xa
     result = solve_geodesic(xa, xb, K, model, cfg, constraint=constraint)
@@ -182,10 +184,13 @@ def _near(points, starts, anchors) -> bool:
     ``anchors`` the points those starts are extrapolated from.  The fold's
     roots pass; a whole solve that lands on another root of an inner
     equation (for the sphere chart, the far root of the quadratic
-    grad1(x, .) at distance O(1) instead of O(1/K)) does not.
+    grad1(x, .) at distance O(1) instead of O(1/K)) does not.  The reach
+    is at least 64 eps (1 + |anchor|): that of a degenerate rung (p_0 =
+    x_1) is about 0, which rounding error alone would exceed.
     """
     reach = np.linalg.norm(starts - anchors, axis=1)
-    return bool(np.all(np.linalg.norm(points - starts, axis=1) <= reach))
+    floor = 64.0 * np.finfo(float).eps * (1.0 + np.linalg.norm(anchors, axis=1))
+    return bool(np.all(np.linalg.norm(points - starts, axis=1) <= np.maximum(reach, floor)))
 
 
 def _exp_fold(x, zeta, k, model, cfg, constraint) -> DiscretePath:
@@ -219,6 +224,7 @@ def discrete_exp_path(
     x = as_point(x)
     zeta = _at_point(zeta, x)
     k = _as_count("k", k, 1)
+    _check_constraint(constraint)
     if k == 1:
         return DiscretePath(np.stack([x, x + zeta]))
     return _shoot(x, zeta, _exp_start(x, zeta, k, None), model, cfg, constraint)
@@ -255,6 +261,7 @@ def discrete_exp(
     x = as_point(x)
     zeta = _at_point(zeta, x)
     k = _as_count("k", k, 0)
+    _check_constraint(constraint)
     if k == 0:
         return x
     if k == 1:
@@ -470,6 +477,7 @@ def inverse_transport(
     """
     path = as_path(path)
     zeta = _at_point(zeta_K, path[0])
+    _check_constraint(constraint)
     if constraint is not None:
         if not model.symmetric:
             raise DomainError("inverse transport with a constraint needs a symmetric energy")

@@ -22,7 +22,8 @@ Hessian blocks are closed-form too; the full rod's are Richardson
 differences of its gradients, perturbing columns of far-apart nodes
 together.  Energies, gradients and Hessians of a whole stack of segments
 (``w_stacked``, ``grads_stacked``, ``hess_blocks_stacked``) are one array
-evaluation; the per-point methods run the same code on a stack of one.
+evaluation; the per-point methods are the base class's views of a stack
+of one.
 
 Curvature follows kappa = (x_s/|x_s|)_s . (D90 x_s) / |x_s|^2 with D90 the
 counterclockwise quarter turn, so a counterclockwise unit circle has
@@ -204,28 +205,13 @@ class _RodEnergy(EnergyModel):
     """Energies and derivatives shared by the rod energies.
 
     A subclass supplies the per-node |y_s|^2/|x_s|^2, |x_s| and squared
-    bending difference (``_densities``), the stacked gradient kernel
-    ``_grads``, the Jacobian of its bending term for the metric, and its
-    Hessian blocks: ``hess_blocks_stacked`` and ``_slot``, the two blocks
-    of one slot.  The stacked methods evaluate every segment of a stack in
-    one array pass; the per-point methods are the same code on a stack of
-    one.
+    bending difference (``_densities``), the gradient kernel ``_grads``,
+    the Jacobian of its bending term for the metric, and its stacked
+    Hessian blocks ``hess_blocks_stacked``.  Each stacked method evaluates
+    every segment of a stack in one array pass.
     """
 
     symmetric = False
-
-    def __init_subclass__(cls, **kwargs):
-        super().__init_subclass__(**kwargs)
-        # each rod class holds the shared methods in its own namespace, so
-        # that instrumentation patching one class's attributes (as
-        # perfbench/tracing.py does) sees every call and leaves the other
-        # rod class alone
-        for name in (
-            "w", "grads", "grad1", "grad2", "hess_blocks", "hess11", "hess12", "hess21", "hess22",
-            "w_stacked", "grads_stacked", "hess_blocks_stacked", "metric",
-        ):
-            if name not in vars(cls):
-                setattr(cls, name, getattr(cls, name))
 
     def __init__(self, n_nodes: int, delta: float = 0.1):
         self.n_nodes = _as_count("n_nodes", n_nodes, 8)
@@ -248,13 +234,6 @@ class _RodEnergy(EnergyModel):
     def _pair(self, xs, ys):
         return _rod_stack(xs, self.n_nodes), _rod_stack(ys, self.n_nodes)
 
-    def _rows(self, x, y):
-        """Node arrays of the single segment (x, y) as a stack of one."""
-        return self._pair(np.reshape(x, (1, -1)), np.reshape(y, (1, -1)))
-
-    def w(self, x, y):
-        return float(self.w_stacked(np.reshape(x, (1, -1)), np.reshape(y, (1, -1)))[0])
-
     def w_stacked(self, xs, ys):
         # segment axis leading, so that each row sums like a lone segment
         ratio, ell, bend = (np.ascontiguousarray(a.T) for a in self._densities(*self._pair(xs, ys)))
@@ -262,36 +241,10 @@ class _RodEnergy(EnergyModel):
         tangential = 0.5 * d * np.sum((1.0 - ratio) ** 2 * ell, axis=-1)
         return h * (tangential + d**3 * np.sum(bend * ell, axis=-1))
 
-    def grads(self, x, y):
-        g1, g2 = self._grads(*self._rows(x, y))
-        return g1.reshape(-1), g2.reshape(-1)
-
-    def grad1(self, x, y):
-        return self.grads(x, y)[0]
-
-    def grad2(self, x, y):
-        return self.grads(x, y)[1]
-
     def grads_stacked(self, xs, ys):
         g1, g2 = self._grads(*self._pair(xs, ys))
         m = g1.shape[1]
         return g1.transpose(1, 0, 2).reshape(m, -1), g2.transpose(1, 0, 2).reshape(m, -1)
-
-    def hess_blocks(self, x, y):
-        blocks = self.hess_blocks_stacked(np.reshape(x, (1, -1)), np.reshape(y, (1, -1)))
-        return tuple(block[0] for block in blocks)
-
-    def hess11(self, x, y):
-        return self._slot(x, y, first=True)[0]
-
-    def hess21(self, x, y):
-        return self._slot(x, y, first=True)[1]
-
-    def hess12(self, x, y):
-        return self._slot(x, y, first=False)[0]
-
-    def hess22(self, x, y):
-        return self._slot(x, y, first=False)[1]
 
     def metric(self, x):
         """Closed-form metric h [2 delta A^T diag(1/ell) A + delta^3 B^T
@@ -361,10 +314,6 @@ class SimplifiedRodEnergy(_RodEnergy):
         dense[:, :, np.arange(n)[:, None], :, self._near, :] = band.transpose(2, 1, 0, 3, 4, 5)
         h11, h12, h22 = dense.reshape(3, m, self.dim, self.dim)
         return h11, h12, np.ascontiguousarray(h12.transpose(0, 2, 1)), h22
-
-    def _slot(self, x, y, first: bool):
-        blocks = self.hess_blocks(x, y)
-        return blocks[0::2] if first else blocks[1::2]
 
     def _grads(self, nx, ny):
         t, ell, ty, ratio, dc = self._fields(nx, ny)
@@ -477,9 +426,6 @@ class FullRodEnergy(_RodEnergy):
         h11, h21 = self._sweep(nx, ny, first=True)
         h12, h22 = self._sweep(nx, ny, first=False)
         return h11, h12, h21, h22
-
-    def _slot(self, x, y, first: bool):
-        return [jac[0] for jac in self._sweep(*self._rows(x, y), first)]
 
     def _fields(self, nx, ny):
         t, ell = _speeds(nx)

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from geocalc import circle_rod, save_rod_csv
 from geocalc.cli import main
 from geocalc.harness import read_report_csv
@@ -184,6 +186,14 @@ def test_unknown_nested_config_key_exits_3(tmp_path, capsys):
         path.write_text(json.dumps({"model": "flat", **nested}), encoding="utf-8")
         assert main(["converge", "--config", str(path), "--out", str(tmp_path)]) == 3
         assert message in capsys.readouterr().err
+
+
+def test_only_the_consistency_audit_takes_a_seed(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["converge", "--seed", "1"])
+    assert info.value.code == 3
+    assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+    assert main(["consistency", "--model", "flat", "--samples", "2", "--seed", "1"]) == 0
 
 
 def test_non_integer_max_iter_in_a_config_exits_3(tmp_path, capsys):

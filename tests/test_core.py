@@ -18,23 +18,17 @@ from geocalc.rods import circle_rod, rod_energy
 
 
 class _NanHessModel(EnergyModel):
-    def w(self, x, y):
-        return 0.0
+    def w_stacked(self, xs, ys):
+        return np.zeros(len(xs))
 
-    def grad1(self, x, y):
-        return np.zeros(2)
+    def grads_stacked(self, xs, ys):
+        return np.zeros(np.shape(xs)), np.zeros(np.shape(xs))
 
-    grad2 = grad1
-
-    def hess11(self, x, y):
-        return np.eye(2)
-
-    hess12 = hess21 = hess11
-
-    def hess22(self, x, y):
-        m = np.eye(2)
-        m[0, 1] = np.nan
-        return m
+    def hess_blocks_stacked(self, xs, ys):
+        eye = np.tile(np.eye(2), (len(xs), 1, 1))
+        h22 = eye.copy()
+        h22[:, 0, 1] = np.nan
+        return eye, eye, eye, h22
 
 
 def test_as_point_validation():
@@ -110,6 +104,16 @@ def test_rod_metric_positive_definite_on_gauge_fixed_subspace():
 def test_metric_reports_non_finite_entry():
     with pytest.raises(EvaluationError, match=r"hess22.*\(0, 1\)"):
         metric_from_energy(_NanHessModel(), np.zeros(2))
+
+
+def test_energy_model_refuses_a_per_point_only_subclass():
+    class PerPointOnly(EnergyModel):
+        def w(self, x, y):
+            return float(np.sum((np.asarray(y) - np.asarray(x)) ** 2))
+
+    with pytest.raises(TypeError, match="abstract"):
+        PerPointOnly()
+    assert EnergyModel.__abstractmethods__ == {"w_stacked", "grads_stacked", "hess_blocks_stacked"}
 
 
 def test_consistency_flat_exact():

@@ -50,8 +50,8 @@ def test_discrete_length_examples():
 
 def test_discrete_length_rejects_negative_w():
     class Broken(type(FLAT)):
-        def w(self, x, y):
-            return -1.0
+        def w_stacked(self, xs, ys):
+            return np.full(len(xs), -1.0)
 
     with pytest.raises(InvariantViolation, match="segment 1"):
         discrete_length([[0.0], [1.0]], Broken())
@@ -130,18 +130,14 @@ def test_singular_pivot_raises_solver_error():
     from geocalc.core import EnergyModel
 
     class Degenerate(EnergyModel):
-        def w(self, x, y):
-            return 0.0
+        def w_stacked(self, xs, ys):
+            return np.zeros(len(xs))
 
-        def grad1(self, x, y):
-            return np.ones(2)
+        def grads_stacked(self, xs, ys):
+            return np.ones(np.shape(xs)), np.ones(np.shape(xs))
 
-        grad2 = grad1
-
-        def hess11(self, x, y):
-            return np.zeros((2, 2))
-
-        hess12 = hess21 = hess22 = hess11
+        def hess_blocks_stacked(self, xs, ys):
+            return tuple(np.zeros((4, len(xs), 2, 2)))
 
     # K = 64: 63 rows of 2 x 2 blocks, so the singular pivots are met by the
     # first stacked solve of the cyclic reduction, not by the sequential loop
@@ -341,25 +337,19 @@ def test_iterate_outside_domain_is_solver_failure():
     class Banded(FlatEnergy):
         """Flat energy undefined on the band |x_0 - 0.5| < 0.1."""
 
-        def _check(self, *pts):
-            if any(abs(float(p[0]) - 0.5) < 0.1 for p in pts):
+        def _check(self, *stacks):
+            if any(np.any(np.abs(np.asarray(p)[:, 0] - 0.5) < 0.1) for p in stacks):
                 raise DomainError("point inside the excluded band")
 
-        def w(self, x, y):
-            self._check(x, y)
-            return super().w(x, y)
+        def w_stacked(self, xs, ys):
+            self._check(xs, ys)
+            return super().w_stacked(xs, ys)
 
-        def grad1(self, x, y):
-            self._check(x, y)
-            return super().grad1(x, y)
+        def grads_stacked(self, xs, ys):
+            self._check(xs, ys)
+            return super().grads_stacked(xs, ys)
 
-        def grad2(self, x, y):
-            self._check(x, y)
-            return super().grad2(x, y)
-
-    # the first Newton step lands on the midpoint 0.5, inside the band; at
-    # K = 4 the inner segments go through the stacked methods, which must
-    # honour the per-point overrides
+    # the first Newton step lands on the midpoint 0.5, inside the band
     for init in ([[0.0], [0.2], [1.0]], [[0.0], [0.2], [0.3], [0.8], [1.0]]):
         with pytest.raises(SolverError, match="left the model's domain") as err:
             solve_geodesic([0.0], [1.0], len(init) - 1, Banded(), init_path=init)
@@ -369,17 +359,28 @@ def test_iterate_outside_domain_is_solver_failure():
         solve_geodesic([0.0], [1.0], 2, Banded(), init_path=[[0.0], [0.45], [1.0]])
 
 
+def _each_segment(stacked, xs, ys):
+    """The arrays of ``stacked`` (a tuple-valued stacked method) called on
+    one segment at a time, concatenated."""
+    parts = [stacked(xs[i : i + 1], ys[i : i + 1]) for i in range(len(xs))]
+    return tuple(np.concatenate(part) for part in zip(*parts))
+
+
 def test_stacked_path_solve_matches_per_segment_loop():
     from geocalc.core import EnergyModel
 
-    class Looped(type(CHART)):
-        # redefining the per-point methods restores the per-segment loop
-        w = type(CHART).w
-        grads = EnergyModel.grads
-        hess_blocks = EnergyModel.hess_blocks
+    class Looped(EnergyModel):
+        """The chart, evaluated by its stacked methods one segment at a time."""
 
-    for name in ("w_stacked", "grads_stacked", "hess_blocks_stacked"):
-        assert getattr(Looped, name) is getattr(EnergyModel, name)
+        def w_stacked(self, xs, ys):
+            return _each_segment(lambda x, y: (CHART.w_stacked(x, y),), xs, ys)[0]
+
+        def grads_stacked(self, xs, ys):
+            return _each_segment(CHART.grads_stacked, xs, ys)
+
+        def hess_blocks_stacked(self, xs, ys):
+            return _each_segment(CHART.hess_blocks_stacked, xs, ys)
+
     res = solve_geodesic(XA, XB, 1024, CHART)
     ref = solve_geodesic(XA, XB, 1024, Looped())
     assert res.converged and ref.converged
@@ -450,25 +451,21 @@ def test_solve_reports_divergence_of_a_model_that_leaks_nan():
 
         symmetric = True
 
-        def _check(self, *points):
-            return np.nan if np.max(np.abs(points)) > 1.0 else 1.0
+        def _check(self, xs, ys):
+            """1 on each segment inside [-1, 1], NaN on the others, shape (n, 1)."""
+            outside = np.max(np.abs(np.hstack([xs, ys])), axis=1, keepdims=True) > 1.0
+            return np.where(outside, np.nan, 1.0)
 
-        def w(self, x, y):
-            return self._check(x, y) * float(np.sum((y - x) ** 2))
+        def w_stacked(self, xs, ys):
+            return self._check(xs, ys)[:, 0] * np.sum((ys - xs) ** 2, axis=1)
 
-        def grad1(self, x, y):
-            return self._check(x, y) * 2.0 * (x - y)
+        def grads_stacked(self, xs, ys):
+            check = self._check(xs, ys)
+            return check * 2.0 * (xs - ys), check * 2.0 * (ys - xs)
 
-        def grad2(self, x, y):
-            return self._check(x, y) * 2.0 * (y - x)
-
-        def hess11(self, x, y):
-            return np.full((1, 1), 2e-3)
-
-        def hess12(self, x, y):
-            return np.full((1, 1), -2e-3)
-
-        hess21, hess22 = hess12, hess11
+        def hess_blocks_stacked(self, xs, ys):
+            h = np.full((len(xs), 1, 1), 2e-3)
+            return h, -h, -h, h
 
     for K in (2, 64):
         init = np.zeros((K + 1, 1))

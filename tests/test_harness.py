@@ -86,7 +86,6 @@ def test_study_config_validation():
         {"xb": ("a", 1.0)},
         {"w": ()},
         {"solver": "armijo"},
-        {"seed": 1.5},
         {"output_dir": 3},
     ],
 )
@@ -98,6 +97,12 @@ def test_study_config_checks_every_construction(fields):
         dataclasses.replace(StudyConfig(), **fields)
     with pytest.raises(ConfigError):
         StudyConfig.from_dict({k: list(v) if isinstance(v, tuple) else v for k, v in fields.items()})
+
+
+def test_seed_is_no_study_config_key():
+    # the study draws nothing at random; only the consistency audit takes a seed
+    with pytest.raises(ConfigError, match=r"unknown config keys: \['seed'\]"):
+        StudyConfig.from_dict({"seed": 1})
 
 
 def test_study_config_normalizes_its_fields():

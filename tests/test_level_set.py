@@ -1,12 +1,14 @@
 """Stacked level-set evaluation and the stacked projection.
 
-``ConstraintModel`` evaluates d, grad_d and hess_d over a stack of points
-(natively for the circle and sphere, by a per-point loop otherwise), and
+A ``ConstraintModel`` implements d and grad_d over a stack of points
+(natively for the circle and sphere, by a per-row loop for the ellipsoid),
+hess_d by default as central differences of the stacked gradient, and
 ``geodesic._project_rows`` projects a whole stack by one masked Newton
-iteration.  These tests pin the stacked methods against the per-point
-ones, the fallback rule for subclasses, the projection against a per-row
-reference, its stop on points with no projection, and the sdf-sphere
-solves against a per-point constraint.
+iteration.  These tests pin the per-point views against the rows of the
+stacked methods, the finite-difference default against the per-point
+Jacobian, the projection against a per-row reference, its stop on points
+with no projection, and the sdf-sphere solves against a per-point
+constraint.
 """
 
 import warnings
@@ -27,6 +29,7 @@ from geocalc import (
 )
 from geocalc import geodesic, operators
 from geocalc.cli import main
+from geocalc.core import fd_jacobian
 from geocalc.geodesic import ConstraintModel, _constraint_view, _project_rows
 from geocalc.models import CircleSdf, EllipsoidSdf, SphereSdf
 
@@ -40,20 +43,24 @@ def _points(seed, n, d, radius=(0.5, 1.5)):
 class PerPointSphere(ConstraintModel):
     """Signed distance to the unit sphere, point by point with np.linalg.norm.
 
-    Its stacked methods are the looping defaults, so a solve with it is the
+    Its stacked methods loop over the rows, so a solve with it is the
     per-point reference for a solve with ``SphereSdf``.
     """
 
-    def d(self, x):
-        return float(np.linalg.norm(x)) - 1.0
+    def d_stacked(self, xs):
+        return np.array([float(np.linalg.norm(x)) - 1.0 for x in xs])
 
-    def grad_d(self, x):
-        return np.asarray(x, dtype=float) / np.linalg.norm(x)
+    def grad_d_stacked(self, xs):
+        return np.array([x / np.linalg.norm(x) for x in xs]).reshape(np.shape(xs))
 
-    def hess_d(self, x):
-        r = np.linalg.norm(x)
-        u = np.asarray(x, dtype=float) / r
-        return (np.eye(u.size) - np.outer(u, u)) / r
+    def hess_d_stacked(self, xs):
+        n, d = np.shape(xs)
+        out = np.empty((n, d, d))
+        for i, x in enumerate(xs):
+            r = np.linalg.norm(x)
+            u = x / r
+            out[i] = (np.eye(d) - np.outer(u, u)) / r
+        return out
 
 
 class SquaredRadius(ConstraintModel):
@@ -63,15 +70,12 @@ class SquaredRadius(ConstraintModel):
     def __init__(self):
         self.stack_sizes = []
 
-    def d(self, x):
-        return float(np.sum(np.square(x))) - 1.0
-
-    def grad_d(self, x):
-        return 2.0 * np.asarray(x, dtype=float)
-
     def d_stacked(self, xs):
         self.stack_sizes.append(len(xs))
-        return super().d_stacked(xs)
+        return np.sum(np.square(xs), axis=1) - 1.0
+
+    def grad_d_stacked(self, xs):
+        return 2.0 * np.asarray(xs, dtype=float)
 
 
 def _reference_projection(p, constraint, tol=1e-12, max_iter=50):
@@ -89,10 +93,11 @@ def _reference_projection(p, constraint, tol=1e-12, max_iter=50):
     "surface, d", [(CircleSdf(), 2), (SphereSdf(), 3), (EllipsoidSdf([1.0, 0.7, 1.3]), 3)]
 )
 def test_stacked_constraint_matches_per_point(surface, d):
+    # the per-point methods are views of a stack of one: bitwise the rows
     xs = _points(d, 9, d, radius=(0.8, 1.2))
-    np.testing.assert_allclose(surface.d_stacked(xs), [surface.d(x) for x in xs], rtol=0, atol=1e-15)
-    np.testing.assert_allclose(surface.grad_d_stacked(xs), [surface.grad_d(x) for x in xs], rtol=0, atol=1e-15)
-    np.testing.assert_allclose(surface.hess_d_stacked(xs), [surface.hess_d(x) for x in xs], rtol=0, atol=1e-15)
+    np.testing.assert_array_equal(surface.d_stacked(xs), [surface.d(x) for x in xs])
+    np.testing.assert_array_equal(surface.grad_d_stacked(xs), [surface.grad_d(x) for x in xs])
+    np.testing.assert_array_equal(surface.hess_d_stacked(xs), [surface.hess_d(x) for x in xs])
     assert surface.d_stacked(xs).shape == (9,)
     assert surface.grad_d_stacked(xs).shape == (9, d)
     assert surface.hess_d_stacked(xs).shape == (9, d, d)
@@ -101,21 +106,33 @@ def test_stacked_constraint_matches_per_point(surface, d):
 
 def test_circle_stacks_natively_and_ellipsoid_loops():
     for name in ("d_stacked", "grad_d_stacked", "hess_d_stacked"):
-        assert vars(CircleSdf)[name] is not vars(ConstraintModel)[name]
+        assert name in vars(CircleSdf)
         assert getattr(SphereSdf, name) is getattr(CircleSdf, name)
-        assert getattr(EllipsoidSdf, name) is vars(ConstraintModel)[name]
+    assert {"d_stacked", "grad_d_stacked"} <= set(vars(EllipsoidSdf))
+    assert EllipsoidSdf.hess_d_stacked is ConstraintModel.hess_d_stacked
 
 
-def test_redefined_per_point_method_gets_the_stacked_loop():
-    class Shifted(SphereSdf):
+def test_constraint_model_refuses_a_per_point_only_subclass():
+    class PerPointOnly(ConstraintModel):
         def d(self, x):
-            return super().d(x) + 0.25
+            return float(np.linalg.norm(x)) - 1.0
 
-    assert Shifted.d_stacked is vars(ConstraintModel)["d_stacked"]
-    assert Shifted.grad_d_stacked is CircleSdf.grad_d_stacked
-    assert Shifted.hess_d_stacked is CircleSdf.hess_d_stacked
-    xs = _points(1, 5, 3)
-    np.testing.assert_array_equal(Shifted().d_stacked(xs), SphereSdf().d_stacked(xs) + 0.25)
+        def grad_d(self, x):
+            return np.asarray(x, dtype=float) / np.linalg.norm(x)
+
+    with pytest.raises(TypeError, match="abstract"):
+        PerPointOnly()
+    assert ConstraintModel.__abstractmethods__ == {"d_stacked", "grad_d_stacked"}
+
+
+def test_default_hess_d_is_the_symmetrized_per_point_fd_jacobian():
+    # 2d stacked gradient calls over the whole stack give, bitwise, the
+    # central-difference Jacobian of each point alone, symmetrized
+    surface = EllipsoidSdf([1.0, 0.7, 1.3])
+    xs = _points(4, 7, 3, radius=(0.8, 1.2))
+    for x, hess in zip(xs, surface.hess_d_stacked(xs)):
+        j = fd_jacobian(surface.grad_d, x, surface.fd_step)
+        np.testing.assert_array_equal(hess, (j + j.T) / 2.0)
 
 
 def test_level_set_view_stacks_the_per_point_values():

@@ -51,19 +51,33 @@ def _per_point(model, xs, ys):
 
 
 def test_stacked_evaluation_matches_per_point():
+    from geocalc.core import fd_derivatives
+    from geocalc.rods import random_smooth_rod, rod_energy
+
     rng = np.random.default_rng(12)
-    for model, d in ((flat_energy(), 3), (sphere_chart_energy(), 2)):
+    cases = []
+    for model, d in ((flat_energy(), 3), (sphere_chart_energy(), 2), (fd_derivatives(sphere_chart_energy()), 2)):
         xs = rng.normal(size=(9, d))
-        ys = xs + 0.3 * rng.normal(size=(9, d))
+        cases.append((model, xs, xs + 0.3 * rng.normal(size=(9, d))))
+    for kind in ("simplified", "full"):
+        rods = np.array([random_smooth_rod(8, rng).coord for _ in range(6)])
+        cases.append((rod_energy(kind, 8), rods[:3], rods[3:]))
+    for model, xs, ys in cases:
+        n, d = xs.shape
         ws, grads, blocks = _per_point(model, xs, ys)
         got_w = model.w_stacked(xs, ys)
         got_g = model.grads_stacked(xs, ys)
         got_h = model.hess_blocks_stacked(xs, ys)
-        assert got_w.shape == (9,)
-        assert [g.shape for g in got_g] == [(9, d)] * 2
-        assert [h.shape for h in got_h] == [(9, d, d)] * 4
+        assert got_w.shape == (n,)
+        assert [g.shape for g in got_g] == [(n, d)] * 2
+        assert [h.shape for h in got_h] == [(n, d, d)] * 4
+        # the per-point methods are views of a stack of one: bitwise the rows
         for got, ref in zip((got_w, *got_g, *got_h), (ws, *grads, *blocks)):
-            assert np.max(np.abs(got - ref)) <= 1e-15 * max(1.0, np.max(np.abs(ref)))
+            np.testing.assert_array_equal(got, ref)
+        x, y = xs[0], ys[0]
+        singles = (model.grad1(x, y), model.grad2(x, y), *(getattr(model, f"hess{ab}")(x, y) for ab in ("11", "12", "21", "22")))
+        for got, ref in zip((*got_g, *got_h), singles):
+            np.testing.assert_array_equal(got[0], ref)
 
 
 def test_stacked_chart_validates_the_whole_stack():
@@ -84,26 +98,18 @@ def test_stacked_chart_validates_the_whole_stack():
         discrete_energy(np.zeros((3, 3)), sc)
 
 
-def test_redefined_per_point_method_gets_the_stacked_loop():
-    from geocalc.core import EnergyModel
-    from geocalc.rods import SimplifiedRodEnergy
+def test_shipped_models_implement_only_the_stacked_methods():
+    from geocalc.core import _FiniteDifferenceModel
+    from geocalc.models import FlatEnergy, SphereChartEnergy
+    from geocalc.rods import FullRodEnergy, SimplifiedRodEnergy, _RodEnergy
 
-    chart = type(sphere_chart_energy())
-
-    class Doubled(chart):
-        def w(self, x, y):
-            return 2.0 * super().w(x, y)
-
-    rng = np.random.default_rng(3)
-    xs, ys = rng.normal(size=(5, 2)), rng.normal(size=(5, 2))
-    assert np.array_equal(Doubled().w_stacked(xs, ys), 2.0 * chart().w_stacked(xs, ys))
-    assert Doubled.w_stacked is EnergyModel.w_stacked
-    # the stacked forms of the methods it keeps stay native
-    assert Doubled.grads_stacked is chart.grads_stacked is not EnergyModel.grads_stacked
-    # the rods evaluate energy, gradient and Hessian stacks natively
-    for name in ("w_stacked", "grads_stacked", "hess_blocks_stacked"):
-        assert getattr(SimplifiedRodEnergy, name) is vars(SimplifiedRodEnergy)[name]
-        assert getattr(SimplifiedRodEnergy, name) is not getattr(EnergyModel, name)
+    per_point = {"w", "grads", "grad1", "grad2", "hess_blocks", "hess11", "hess12", "hess21", "hess22", "d", "grad_d", "hess_d"}
+    classes = (
+        FlatEnergy, SphereChartEnergy, _RodEnergy, SimplifiedRodEnergy, FullRodEnergy,
+        _FiniteDifferenceModel, CircleSdf, SphereSdf, EllipsoidSdf,
+    )
+    for cls in classes:
+        assert not per_point & set(vars(cls)), cls.__name__
 
 
 def test_chart_metric_value():

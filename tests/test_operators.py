@@ -252,6 +252,24 @@ def test_operators_reject_other_constraint_types(bad):
             call()
 
 
+@pytest.mark.parametrize("bad", ["sphere", np.eye(2)], ids=["str", "matrix"])
+def test_operators_check_the_constraint_at_every_step_count(bad):
+    """The step counts that need no solve check the constraint too, and so
+    does inverse transport before it asks for a symmetric energy."""
+    zeta = np.array([0.1, 0.2])
+    calls = [
+        lambda: discrete_log(XA, XB, 1, CHART, constraint=bad),
+        lambda: discrete_exp_path(XA, zeta, 1, FLAT, constraint=bad),
+        lambda: discrete_exp(XA, zeta, 0, FLAT, constraint=bad),
+        lambda: discrete_exp(XA, zeta, 1, FLAT, constraint=bad),
+        lambda: inverse_transport(np.stack([XA, XB]), zeta, CHART, constraint=bad),
+        lambda: discrete_connection(XA, zeta, zeta, zeta, CHART, constraint=bad),
+    ]
+    for call in calls:
+        with pytest.raises(TypeError, match="constraint must be None, a LinearGauge or a ConstraintModel"):
+            call()
+
+
 def test_connection_flat_difference():
     eta0 = np.array([0.3, -0.1])
     eta1 = np.array([0.1, 0.2])

@@ -241,6 +241,23 @@ def test_coarse_ladder_falls_back_to_the_fold():
             assert np.array_equal(tr.x_c, ft.x_c) and np.array_equal(tr.x_p, ft.x_p)
 
 
+def test_a_degenerate_rung_keeps_the_whole_ladder(monkeypatch):
+    # transported along its own path, the first increment makes rung 1
+    # degenerate (p_0 = x_1): its reach |start - anchor| is about 0, which
+    # the rounding error of the exact whole ladder must not count as a root
+    # change
+    flat = flat_energy()
+    path = solve_geodesic([0.0, 0.0], [0.3, -0.7], 16, flat).path
+    zeta = path[1] - path[0]
+
+    def no_fold(*args):
+        raise AssertionError("the whole ladder was sent to the fold")
+
+    monkeypatch.setattr(op, "_transport_fold", no_fold)
+    got, _ = parallel_transport(path, zeta, flat)
+    np.testing.assert_allclose(got, zeta, rtol=0.0, atol=1e-15)
+
+
 def test_fold_errors_are_reported_when_both_fail():
     strict = SolverConfig(newton_tol=1e-30, max_iter=3)
     path = solve_geodesic(XA, XB, 4, CHART).path
