@@ -87,6 +87,7 @@ def test_study_config_validation():
         {"w": ()},
         {"solver": "armijo"},
         {"output_dir": 3},
+        {"model": "torus"},
     ],
 )
 def test_study_config_checks_every_construction(fields):
