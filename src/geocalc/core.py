@@ -162,9 +162,8 @@ class EnergyModel(ABC):
 
     Contract: ``w(x, x) == 0`` and ``w >= 0`` on the admissible domain;
     models must reject inadmissible input with :class:`DomainError` rather
-    than return NaN.  ``symmetric`` declares ``w(x, y) == w(y, x)``.
-    Instances are immutable after construction and safe to evaluate
-    concurrently.
+    than return NaN.  Instances are immutable after construction and safe
+    to evaluate concurrently.
 
     A model implements stacked evaluation only: ``w_stacked``,
     ``grads_stacked`` and ``hess_blocks_stacked`` take the starts ``xs``
@@ -175,8 +174,6 @@ class EnergyModel(ABC):
     methods (``w``, ``grads``, ``grad1`` ... ``hess22``) are views of a
     stack of one.
     """
-
-    symmetric: bool = False
 
     @abstractmethod
     def w_stacked(self, xs, ys) -> np.ndarray:
@@ -268,7 +265,6 @@ class _FiniteDifferenceModel(EnergyModel):
     def __init__(self, base, scheme: FdScheme):
         self._base = base
         self._h = scheme.step
-        self.symmetric = bool(getattr(base, "symmetric", False))
 
     def _grad(self, x, y, first: bool):
         if first:

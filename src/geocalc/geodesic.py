@@ -576,9 +576,9 @@ def _solve(x_a, x_b, K, model, constraint, cfg, init_path) -> GeodesicResult:
     _check_constraint(constraint)
     level_set = isinstance(constraint, ConstraintModel)
     if level_set:
-        for label, p in (("x_a", xa), ("x_b", xb)):
-            if abs(float(constraint.d(p))) > 1e-10:
-                raise DomainError(f"endpoint {label} is off the level set: d = {constraint.d(p)}")
+        for label, d in zip(("x_a", "x_b"), np.asarray(constraint.d_stacked(np.stack([xa, xb])), dtype=float)):
+            if abs(d) > 1e-10:
+                raise DomainError(f"endpoint {label} is off the level set: d = {float(d)}")
 
     if init_path is not None:
         pts = np.array(as_path(init_path).points)

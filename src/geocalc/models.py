@@ -54,8 +54,6 @@ def _sq(v):
 class FlatEnergy(EnergyModel):
     """w(x, y) = |y - x|^2 with exact derivatives; any dimension."""
 
-    symmetric = True
-
     @staticmethod
     def _eye(x, scale):
         """scale * I for each point of x, shape (..., d, d): one zeroed
@@ -105,10 +103,8 @@ def _conformal(x):
 class SphereChartEnergy(EnergyModel):
     """Chart-quadratic energy w(x, y) = c(x) |y - x|^2, c(x) = 4/(1+|x|^2)^2.
 
-    Not symmetric: the metric is frozen at the first argument.
+    w(x, y) and w(y, x) differ: the metric is frozen at the first argument.
     """
-
-    symmetric = False
 
     @staticmethod
     def _pair(xs, ys):

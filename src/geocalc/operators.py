@@ -15,29 +15,27 @@ grad2(x_{k-1}, x_k) + grad1(x_k, x_{k+1}) = 0, k = 1..K-1:
 On top of these sit a Schild's-ladder style parallel transport (one
 geodesic parallelogram per path segment), its inverse, and a
 finite-difference connection.  The ladder is one Newton solve over every
-rung's midpoint and corner together (``_solve_ladder``, one band).  The
-whole exp and the ladder solve their block lower triangular systems by
+rung's midpoint and corner together (``_solve_ladder``, one band), and so
+is its inverse, from the end; the connection is a one-rung inverse.  The
+whole exp and the ladders solve their block lower triangular systems by
 ``geodesic._forward_substitution``, in about log2(K) stacked levels for
 the small blocks of surfaces and charts.  They are less robust than the
 step-by-step fold on long shots and coarse ladders; when one fails, or
 lands on a root the fold would not pick (``_near``), the operator runs
-the fold (``exp2`` or ``transport_step`` one step at a time), and the
-fold's errors are the ones raised.  The public operators start the whole
-solves from the straight line; ``_shoot`` and ``_transport`` take another
-start (the convergence study's prolonged coarser level), with the same
-fold and root test.  Inverse transport without a constraint inverts one
-rung at a time.
+the fold (``exp2``, ``transport_step`` or a one-rung inverse at a time),
+and the fold's errors are the ones raised.  The public operators start
+the whole solves from the straight line; ``_shoot`` and ``_transport``
+take another start (the convergence study's prolonged coarser level),
+with the same fold and root test.
 
 Every Newton solve here runs the one Newton loop of ``geodesic``.  Every
 operator takes, as its 4th argument, the ``SolverConfig`` the path solves
 take, and each of its inner solves runs with it, damping included.
 
 All operators take the path solve's optional constraint, a level set or
-a ``LinearGauge``, seen through ``geodesic._constraint_view``.  Inverse
-transport with a constraint additionally requires a symmetric energy (it
-is then the forward transport along the reversed path, which satisfies
-the same stationarity equations).  A displacement or point whose size
-differs from the base point's is a DomainError.
+a ``LinearGauge``, seen through ``geodesic._constraint_view``.  A
+displacement or point whose size differs from the base point's is a
+DomainError.
 """
 
 from __future__ import annotations
@@ -300,40 +298,44 @@ def transport_step(
     return zeta_next, trace
 
 
-def _solve_ladder(pts, zeta_0, model, constraint, cfg: SolverConfig | None, context: str, zetas=None):
+def _solve_ladder(pts, zeta, model, constraint, cfg: SolverConfig | None, context: str, zetas=None, inverse=False):
     """Newton solve for every rung of the ladder along ``pts`` at once.
 
-    Rung k = 1..K has the midpoint c_k and the corner p_k as unknowns (with
-    p_0 = x_0 + zeta_0), and the two equations of its inner solves,
+    Rung k = 1..K has the midpoint c_k, the corners p_{k-1} and p_k, and
+    the equations of the forward transport's two inner solves,
 
         grad2(p_{k-1}, c_k) + grad1(c_k, x_k) - mu_A J(c_k) = 0,  d(c_k) = 0,
-        grad2(x_{k-1}, c_k) + grad1(c_k, p_k) - mu_B J(c_k) = 0,  d(p_k) = 0,
+        grad2(x_{k-1}, c_k) + grad1(c_k, p_k) - mu_B J(c_k) = 0,  d(p) = 0,
 
-    the multipliers and constraint rows only with a constraint (a gauge's
-    rows: G c_k = G(x_{k-1} + x_k + zeta_0)/2, G p_k = G(x_k + zeta_0)).
-    Rung k depends on the rung before only through hess21(p_{k-1}, c_k), so
-    the Jacobian is block lower bidiagonal in (2d + 2c)-blocks.  Residual
-    and Jacobian come from one stacked call each over the 4K segments
-    (p_{k-1}, c_k), (c_k, x_k), (x_{k-1}, c_k), (c_k, p_k).  The start is
-    p_k = x_k + zeta_k, c_k = (x_{k-1} + x_k) / 2 + zeta_{k-1} / 2, projected
-    onto the level set if there is one, with the guesses ``zetas`` (K, d) of
-    zeta_1 .. zeta_K, or zeta_k = zeta_0 throughout when they are None.
-    Returns (midpoints, corners, residual, iterations, converged).
+    the multipliers and constraint rows only with a constraint.  The
+    unknown corner p is p_k, with p_0 = x_0 + zeta given and the rows in
+    the order k = 1..K, or with ``inverse`` p_{k-1}, with p_K = x_K + zeta
+    given and the rows in the order k = K..1.  A row reads the row before
+    only through its given corner, so the Jacobian is block lower
+    bidiagonal in (2d + 2c)-blocks.  Residual and Jacobian come from one
+    stacked call each over the 4K segments (p_{k-1}, c_k), (c_k, x_k),
+    (x_{k-1}, c_k), (c_k, p_k).  With y the base point of p (x_k, or
+    x_{k-1} inverse), a gauge's rows are G c_k = G(x_{k-1} + x_k + zeta)/2
+    and G p = G(y + zeta).  Row i starts from p = y + zeta_i and c_k =
+    (x_{k-1} + x_k + zeta_{i-1})/2, projected onto the level set if there
+    is one, with zeta_{-1} = zeta and the guesses ``zetas`` (K, d), or zeta
+    throughout when they are None.  Returns (midpoints, unknown corners,
+    residual, iterations, converged), in the rung order k = 1..K.
     """
     K, d = len(pts) - 1, pts.shape[1]
-    starts, ends = pts[:-1], pts[1:]
-    p_0 = starts[0] + zeta_0
-    view = _constraint_view(
-        constraint, lambda g: np.vstack([(starts + ends + zeta_0) / 2.0, ends + zeta_0]) @ g.T, d
-    )
+    starts, ends = (pts[-2::-1], pts[:0:-1]) if inverse else (pts[:-1], pts[1:])
+    own, given = (starts, ends) if inverse else (ends, starts)
+    p_given = given[0] + zeta
+    view = _constraint_view(constraint, lambda g: np.vstack([(starts + ends + zeta) / 2.0, own + zeta]) @ g.T, d)
     c = view.c
     b = d + c
 
-    # row k - 1 of z holds c_k, mu_A, p_k, mu_B
+    # row i of z holds c_k, mu_A, p, mu_B of its rung
     def segments(z):
         mid, corner = z[:, :d], z[:, b : b + d]
-        prev = np.vstack([p_0, corner[:-1]])
-        return np.concatenate([prev, mid, starts, mid]), np.concatenate([mid, ends, mid, corner])
+        prev = np.vstack([p_given, corner[:-1]])
+        lo, hi = (corner, prev) if inverse else (prev, corner)
+        return np.concatenate([lo, mid, starts, mid]), np.concatenate([mid, ends, mid, hi])
 
     def residual(z):
         g1, g2 = model.grads_stacked(*segments(z))
@@ -358,9 +360,13 @@ def _solve_ladder(pts, zeta_0, model, constraint, cfg: SolverConfig | None, cont
         diag = np.zeros((K, 2 * b, 2 * b))
         diag[:, :d, :d] = h22[0] + h11[1]
         diag[:, b : b + d, :d] = h22[2] + h11[3]
-        diag[:, b : b + d, b : b + d] = h12[3]
-        below = np.zeros_like(diag[1:])
-        below[:, :d, b : b + d] = h21[0, 1:]
+        # row A reads p_{k-1}, row B p_k: the row's own corner goes on the
+        # diagonal, its given one in the band below
+        corners = np.zeros((2,) + diag.shape)
+        corners[0, :, :d, b : b + d] = h21[0]
+        corners[1, :, b : b + d, b : b + d] = h12[3]
+        own_block, given_block = corners if inverse else corners[::-1]
+        diag += own_block
         if c:
             mid, corner = z[:, :d], z[:, b : b + d]
             jac = view.jac(mid)
@@ -368,17 +374,19 @@ def _solve_ladder(pts, zeta_0, model, constraint, cfg: SolverConfig | None, cont
             diag[:, b : b + d, :d] -= view.hess(mid, z[:, b + d :])
             _border(diag[:, :b, :b], jac, jac)
             _border(diag[:, b:, b:], jac, view.jac(corner))
-        return _forward_substitution(diag, (below,), r)
+        return _forward_substitution(diag, (given_block[1:],), r)
 
     if zetas is None:
-        zetas = np.broadcast_to(zeta_0, (K, d))
-    mid = (starts + ends) / 2.0 + np.vstack([zeta_0, zetas[:-1]]) / 2.0
-    corner = ends + zetas
+        zetas = np.broadcast_to(zeta, (K, d))
+    mid = (starts + ends) / 2.0 + np.vstack([zeta, zetas[:-1]]) / 2.0
+    corner = own + zetas
     _project_rows(mid, constraint)
     _project_rows(corner, constraint)
     no_mu = np.zeros((K, c))
     z0 = np.hstack([mid, no_mu, corner, no_mu])
     z, res, iterations, converged = _newton(residual, step, z0, cfg, context)
+    if inverse:
+        z = z[::-1]
     return z[:, :d], z[:, b : b + d], res, iterations, converged
 
 
@@ -439,28 +447,6 @@ def _transport(path, zeta_0, zetas, model, cfg, constraint):
     return pts[:-1] + np.vstack([zeta_0, zetas[:-1]]), mid, corner, zetas
 
 
-def _invert_rung(x_prev, x_next, zeta_next, model, cfg, context):
-    """Recover zeta_prev from zeta_next on one rung (unconstrained).
-
-    The second ladder equation determines the midpoint alone, so the
-    coupled system is block triangular and is solved in two stages: first
-    the midpoint, then the rung start point.
-    """
-    x_c = x_prev + log2(x_prev, x_next + zeta_next, model, cfg)
-    g1_fixed = np.asarray(model.grad1(x_c, x_next))
-
-    def residual(y):
-        return np.asarray(model.grad2(y, x_c)) + g1_fixed
-
-    def step(y, r):
-        return np.linalg.solve(np.asarray(model.hess21(y, x_c)), r)
-
-    context = f"{context}: rung start"
-    y, res, _, converged = _newton(residual, step, 2.0 * x_c - x_next, cfg, context)
-    _require(converged, res, context)
-    return y - x_prev
-
-
 def inverse_transport(
     path,
     zeta_K,
@@ -470,24 +456,36 @@ def inverse_transport(
 ) -> np.ndarray:
     """Pull a displacement at the path end back to the start.
 
-    Solves the same rung equations as the forward transport, with the
-    unknowns swapped, one rung at a time from the end.  With a constraint
-    the rung inversion is carried out as forward transport along the
-    reversed path, which requires a symmetric energy.
+    Solves the rung equations of the forward transport for the other
+    unknowns, (c_k, p_{k-1}) from p_K = x_K + zeta_K, in one Newton solve
+    (the inverse window of ``_solve_ladder``).  If that solve fails or
+    lands on a root the rung-by-rung fold would not pick (``_near``), the
+    same kernel runs one rung at a time from the end instead, and the
+    fold's errors are the ones raised.
     """
     path = as_path(path)
+    pts = path.points
     zeta = _at_point(zeta_K, path[0])
-    _check_constraint(constraint)
-    if constraint is not None:
-        if not model.symmetric:
-            raise DomainError("inverse transport with a constraint needs a symmetric energy")
-        reversed_path = DiscretePath(np.array(path.points[::-1]))
-        return _transport(reversed_path, zeta, None, model, cfg, constraint)[3][-1]
-    for k in range(len(path) - 1, 0, -1):
+    try:
+        mid, corner, _, _, converged = _solve_ladder(pts, zeta, model, constraint, cfg, "inverse ladder", inverse=True)
+    except (SolverError, DomainError):
+        converged = False
+    if converged:
+        # the fold starts rung k from c_k = (x_{k-1} + p_k)/2, p_{k-1} = x_{k-1} + zeta_k
+        corner_next = np.vstack([corner[1:], pts[-1] + zeta])
+        starts = np.vstack([(pts[:-1] + corner_next) / 2.0, pts[:-1] + corner_next - pts[1:]])
+        converged = _near(np.vstack([mid, corner]), starts, np.vstack([pts[:-1], pts[:-1]]))
+    if converged:
+        return corner[0] - pts[0]
+    for k in range(len(pts) - 1, 0, -1):
         try:
-            zeta = _invert_rung(path[k - 1], path[k], zeta, model, cfg, f"inverse rung {k}")
+            _, corner, res, _, converged = _solve_ladder(
+                pts[k - 1 : k + 1], zeta, model, constraint, cfg, "inverse rung", inverse=True
+            )
+            _require(converged, res, "inverse rung")
         except SolverError as err:
             raise SolverError(f"inverse transport step {k} failed: {err}", residual=err.residual) from err
+        zeta = corner[0] - pts[k - 1]
     return zeta
 
 

@@ -211,8 +211,6 @@ class _RodEnergy(EnergyModel):
     every segment of a stack in one array pass.
     """
 
-    symmetric = False
-
     def __init__(self, n_nodes: int, delta: float = 0.1):
         self.n_nodes = _as_count("n_nodes", n_nodes, 8)
         if not 0.0 < delta < np.inf:  # NaN compares false

@@ -19,6 +19,9 @@ from geocalc import (
     flat_energy,
     log2,
     parallel_transport,
+    random_smooth_rod,
+    rod_energy,
+    rod_gauge,
     sdf_spring_model,
     solve_geodesic,
     sphere_chart_energy,
@@ -188,14 +191,15 @@ def test_structural_identities():
     xb = np.array([0.2, 0.9, 0.4])
     xb /= np.linalg.norm(xb)
     ok_sdf, sdf_checks = _structural_identities(model, sphere, np.array([1.0, 0.0, 0.0]), xb)
-    detail = (
-        "sphere-chart "
-        + ", ".join(f"{k} {v:.1e}" for k, v in chart_checks.items())
-        + "; sdf-sphere "
-        + ", ".join(f"{k} {v:.1e}" for k, v in sdf_checks.items())
-        + f"; tol {10 * NEWTON_TOL:.0e}"
+    # an asymmetric energy under a gauge: the simplified rod's morph
+    rod_a = circle_rod(16).coord
+    rod_b = random_smooth_rod(16, np.random.default_rng(5), 1.2, amplitude=0.15).coord
+    ok_rod, rod_checks = _structural_identities(rod_energy("simplified", 16), rod_gauge(16), rod_a, rod_b)
+    detail = "; ".join(
+        f"{name} " + ", ".join(f"{k} {v:.1e}" for k, v in checks.items())
+        for name, checks in (("sphere-chart", chart_checks), ("sdf-sphere", sdf_checks), ("gauged rod", rod_checks))
     )
-    _line("structural identities (K=16)", ok_chart and ok_sdf, detail)
+    _line("structural identities (K=16)", ok_chart and ok_sdf and ok_rod, detail + f"; tol {10 * NEWTON_TOL:.0e}")
 
 
 def test_second_order_local_laws():

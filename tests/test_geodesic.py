@@ -305,6 +305,21 @@ def test_constrained_requires_on_surface_endpoints():
         solve_geodesic([1.1, 0.0, 0.0], [0.0, 1.0, 0.0], 4, model, constraint=sphere)
 
 
+def test_endpoint_check_is_one_stacked_call():
+    class CountingSphere(SphereSdf):
+        stacks = []
+
+        def d_stacked(self, xs):
+            self.stacks.append(len(xs))
+            return super().d_stacked(xs)
+
+    model = sdf_spring_model(SphereSdf())[0]
+    sphere = CountingSphere()
+    with pytest.raises(DomainError, match=r"^endpoint x_b is off the level set: d = 0\.5$"):
+        solve_geodesic([1.0, 0.0, 0.0], [0.0, 1.5, 0.0], 4, model, constraint=sphere)
+    assert sphere.stacks == [2]
+
+
 def test_projection_onto_level_set():
     sphere = SphereSdf()
     p = project_onto_level_set([2.0, 1.0, -0.5], sphere)
@@ -448,8 +463,6 @@ def test_solve_reports_divergence_of_a_model_that_leaks_nan():
     class Overshooting(EnergyModel):
         """w = (y - x)^2 on [-1, 1], NaN outside instead of a DomainError,
         with Hessians 1000 times too small, so Newton steps overshoot."""
-
-        symmetric = True
 
         def _check(self, xs, ys):
             """1 on each segment inside [-1, 1], NaN on the others, shape (n, 1)."""

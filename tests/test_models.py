@@ -20,7 +20,6 @@ def test_flat_energy_values():
     flat = flat_energy()
     assert flat.w(np.zeros(2), np.array([1.0, 0.0])) == 1.0
     assert np.allclose(flat.grad2(np.zeros(2), np.array([1.0, 0.0])), [2.0, 0.0])
-    assert flat.symmetric
     report = check_consistency(flat, np.array([0.7, -2.0]), 1e-12)
     assert report.ok
 
@@ -33,7 +32,6 @@ def test_chart_energy_diagonal_and_origin():
         assert sc.w(x, x) == 0.0
     for h in (0.1, 0.02):
         assert np.isclose(sc.w(np.zeros(2), np.array([h, 0.0])), 4.0 * h * h)
-    assert not sc.symmetric
 
 
 def test_chart_energy_rejects_wrong_dimension():
@@ -271,7 +269,6 @@ def test_ellipsoid_sdf_basics():
 
 def test_sdf_spring_model_pairs_spring_with_surface():
     model, surface = sdf_spring_model(SphereSdf())
-    assert model.symmetric
     assert surface.d(np.array([1.0, 0.0, 0.0])) == 0.0
     report = check_consistency(model, np.array([1.0, 0.0, 0.0]), 1e-12)
     assert report.ok

@@ -17,6 +17,7 @@ from geocalc import (
     inverse_transport,
     log2,
     parallel_transport,
+    random_smooth_rod,
     rod_energy,
     rod_gauge,
     sdf_spring_model,
@@ -26,7 +27,8 @@ from geocalc import (
     transport_step,
     write_traces_csv,
 )
-from geocalc.models import SphereSdf
+from geocalc import operators as op
+from geocalc.models import CircleSdf, SphereSdf
 
 FLAT = flat_energy()
 CHART = sphere_chart_energy()
@@ -217,19 +219,42 @@ def test_inverse_transport_symmetric_round_trip_on_sphere():
     assert np.linalg.norm(back - zeta0) <= 1e-9
 
 
-def test_inverse_transport_constraint_needs_symmetry():
-    model, sphere, xa, xb = _sphere_pair()
-    with pytest.raises(DomainError, match="symmetric"):
-        inverse_transport(np.stack([XA, XB]), np.zeros(2), CHART, constraint=sphere)
+def test_inverse_transport_round_trip_for_an_asymmetric_energy_on_a_level_set():
+    # the chart energy w(x, y) = c(x) |y - x|^2 on the unit circle
+    circle = CircleSdf()
+    xa, xb = np.array([np.cos(0.3), np.sin(0.3)]), np.array([np.cos(1.5), np.sin(1.5)])
+    K = 16
+    res = solve_geodesic(xa, xb, K, CHART, constraint=circle)
+    assert res.converged
+    tip = np.array([np.cos(0.35), np.sin(0.35)])
+    zeta0 = tip - xa  # seed whose tip lies on the circle
+    zK, _ = parallel_transport(res.path, zeta0, CHART, constraint=circle)
+    back = inverse_transport(res.path, zK, CHART, constraint=circle)
+    assert np.linalg.norm(back - zeta0) <= 1e-9
 
 
-def test_inverse_transport_with_a_gauge_needs_symmetry_too():
-    # the rod energies are not symmetric, and a gauge, not a hypersurface,
-    # is what reaches the reversed-path transport here
-    model = rod_energy("simplified", 8)
-    path = np.stack([circle_rod(8).coord, circle_rod(8, 1.1).coord])
-    with pytest.raises(DomainError, match="inverse transport with a constraint needs a symmetric energy"):
-        inverse_transport(path, np.zeros(16), model, constraint=rod_gauge(8))
+@pytest.mark.parametrize("n", [16, 32])
+def test_inverse_transport_round_trip_on_a_gauged_rod(n, monkeypatch):
+    """The rod energies are not symmetric; the gauged round trip holds in
+    the whole inverse solve, without the rung-by-rung fallback."""
+    model, gauge, K = rod_energy("simplified", n), rod_gauge(n), 8
+    a = circle_rod(n).coord
+    b = random_smooth_rod(n, np.random.default_rng(5), 1.2, amplitude=0.15).coord
+    res = solve_geodesic(a, b, K, model, constraint=gauge)
+    assert res.converged
+    w = (random_smooth_rod(n, np.random.default_rng(7), amplitude=0.05).coord - a) / K
+    zK, _ = parallel_transport(res.path, w, model, constraint=gauge)
+    solves = []
+    kernel = op._solve_ladder
+
+    def counted(pts, *args, **kwargs):
+        solves.append(len(pts) - 1)
+        return kernel(pts, *args, **kwargs)
+
+    monkeypatch.setattr(op, "_solve_ladder", counted)
+    back = inverse_transport(res.path, zK, model, constraint=gauge)
+    assert solves == [K]
+    assert np.linalg.norm(back - w) <= 1e-9
 
 
 @pytest.mark.parametrize("bad", ["sphere", np.eye(2)], ids=["str", "matrix"])
@@ -255,7 +280,7 @@ def test_operators_reject_other_constraint_types(bad):
 @pytest.mark.parametrize("bad", ["sphere", np.eye(2)], ids=["str", "matrix"])
 def test_operators_check_the_constraint_at_every_step_count(bad):
     """The step counts that need no solve check the constraint too, and so
-    does inverse transport before it asks for a symmetric energy."""
+    do inverse transport and the connection built on it."""
     zeta = np.array([0.1, 0.2])
     calls = [
         lambda: discrete_log(XA, XB, 1, CHART, constraint=bad),

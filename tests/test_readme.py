@@ -23,3 +23,6 @@ def test_readme_block_runs(index):
     if "end" in names:
         target = names["xb"] if "xb" in names else names["b"].coord
         assert np.max(np.abs(names["end"] - target)) <= 1e-9
+    # "recovers w": inverse transport undoes the forward ladder
+    if "back" in names:
+        assert np.max(np.abs(names["back"] - names["w"])) <= 1e-9

@@ -1,9 +1,9 @@
 """The whole-path exp and whole-ladder transport against the rung-by-rung fold.
 
-``discrete_exp_path`` and ``parallel_transport`` solve all their inner
-equations in one Newton solve and fall back to the fold (one ``exp2`` or
-``transport_step`` at a time) when that solve fails or lands on a root the
-fold would not pick.  These tests pin the kernels themselves (the shot
+``discrete_exp_path``, ``parallel_transport`` and ``inverse_transport``
+solve all their inner equations in one Newton solve and fall back to the
+fold (one ``exp2``, ``transport_step`` or one-rung inverse at a time) when
+that solve fails or lands on a root the fold would not pick.  These tests pin the kernels themselves (the shot
 window of ``geodesic._solve_path`` and ``operators._solve_ladder``), their
 agreement with the fold, the fallback, and the dimension checks of every
 operator.
@@ -265,6 +265,63 @@ def test_fold_errors_are_reported_when_both_fail():
         parallel_transport(path, np.array([-0.1, 0.0]), CHART, strict)
     with pytest.raises(SolverError, match="extension step 2 failed: exp2"):
         discrete_exp_path(XA, np.array([-0.1, 0.2]), 4, CHART, strict)
+
+
+def test_whole_inverse_transport_is_accurate_on_a_fine_ladder():
+    # rung by rung, the unconstrained inverse loses K |back - w| = 2.3e-7
+    # here; the whole solve keeps it near rounding
+    K = 256
+    path = solve_geodesic(XA, XB, K, CHART).path
+    w = np.array([0.3, -0.2]) / K
+    zK, _ = parallel_transport(path, w, CHART)
+    back = inverse_transport(path, zK, CHART)
+    assert K * np.linalg.norm(back - w) <= 1e-9
+
+
+def _no_whole_inverse(monkeypatch):
+    """Make every inverse ladder of more than one rung fail, so that
+    inverse transport runs its rung-by-rung fold."""
+    kernel = op._solve_ladder
+
+    def one_rung_only(pts, *args, **kwargs):
+        if kwargs.get("inverse") and len(pts) > 2:
+            raise SolverError("whole inverse ladder switched off", residual=np.inf)
+        return kernel(pts, *args, **kwargs)
+
+    monkeypatch.setattr(op, "_solve_ladder", one_rung_only)
+
+
+@pytest.mark.parametrize("name", ["chart", "sdf-sphere"])
+def test_inverse_transport_fold_matches_the_whole_solve(name, monkeypatch):
+    model, con, xa, xb, _, w = _case(name)
+    K = 16
+    path = solve_geodesic(xa, xb, K, model, constraint=con).path
+    zK, _ = parallel_transport(path, w / K, model, TIGHT, con)
+    whole = inverse_transport(path, zK, model, TIGHT, con)
+    _no_whole_inverse(monkeypatch)
+    fold = inverse_transport(path, zK, model, TIGHT, con)
+    assert not np.array_equal(fold, whole)  # the fold ran
+    assert np.max(np.abs(fold - whole)) <= 1e-12
+
+
+def test_inverse_transport_fold_errors_name_the_step(monkeypatch):
+    path = solve_geodesic(XA, XB, 4, CHART).path
+    strict = SolverConfig(newton_tol=1e-30, max_iter=3)
+    with pytest.raises(SolverError, match="inverse transport step 4 failed: inverse rung: no convergence"):
+        inverse_transport(path, np.array([-0.1, 0.0]), CHART, strict)
+    # a rung other than the last: the fold's rung 2 on a ladder whose whole
+    # solve is switched off
+    _no_whole_inverse(monkeypatch)
+    kernel = op._solve_ladder
+
+    def fail_rung_2(pts, *args, **kwargs):
+        if np.array_equal(pts, path.points[1:3]):
+            raise SolverError("stub rung failure", residual=1.0)
+        return kernel(pts, *args, **kwargs)
+
+    monkeypatch.setattr(op, "_solve_ladder", fail_rung_2)
+    with pytest.raises(SolverError, match="inverse transport step 2 failed: stub rung failure"):
+        inverse_transport(path, np.array([-0.1, 0.0]), CHART)
 
 
 # a displacement whose size differs from the point's is a DomainError, not a
