@@ -18,12 +18,12 @@ thickness delta:
 
 Both have analytic first derivatives (the full rod's by reverse mode
 through the curvature) and a closed-form metric.  The simplified rod's
-Hessian blocks are closed-form too; the full rod's are Richardson
-differences of its gradients, perturbing columns of far-apart nodes
-together.  Energies, gradients and Hessians of a whole stack of segments
-(``w_stacked``, ``grads_stacked``, ``hess_blocks_stacked``) are one array
-evaluation; the per-point methods are the base class's views of a stack
-of one.
+Hessian blocks are closed-form too; the full rod's are complex-step
+derivatives of its gradients, exact to rounding, perturbing columns of
+far-apart nodes together.  Energies, gradients and Hessians of a whole
+stack of segments (``w_stacked``, ``grads_stacked``,
+``hess_blocks_stacked``) are one array evaluation; the per-point methods
+are the base class's views of a stack of one.
 
 Curvature follows kappa = (x_s/|x_s|)_s . (D90 x_s) / |x_s|^2 with D90 the
 counterclockwise quarter turn, so a counterclockwise unit circle has
@@ -42,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DomainError, EnergyModel, FdScheme, _as_count
+from .core import DomainError, EnergyModel, _as_count
 from .geodesic import LinearGauge
 
 __all__ = [
@@ -116,7 +116,7 @@ def random_smooth_rod(
 ) -> RodCurve:
     """Circle perturbed by a few random low-frequency Fourier modes."""
     s = np.linspace(0.0, 2.0 * np.pi, n_nodes, endpoint=False)
-    radius = np.full(n_nodes, base_radius)
+    radius = np.full(n_nodes, float(base_radius))
     for m in range(1, modes + 1):
         radius += (
             amplitude / m**2 * (rng.normal() * np.cos(m * s) + rng.normal() * np.sin(m * s))
@@ -159,7 +159,7 @@ def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _speeds(nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     t = _d1(nodes)
     ell = np.sqrt(np.einsum("...j,...j->...", t, t))
-    if np.any(ell <= _MIN_LENGTH):
+    if np.any(ell.real <= _MIN_LENGTH):
         raise DomainError("degenerate segment: vanishing parametric speed")
     return t, ell
 
@@ -222,7 +222,12 @@ class _RodEnergy(EnergyModel):
     def _grads(self, nx, ny):
         """Both slot gradients as node arrays, for one rod pair (N, 2) or a
         batch (N, ..., 2); the node axis leads so that ``_d1``/``_d2`` serve
-        both, and the two arguments broadcast against each other."""
+        both, and the two arguments broadcast against each other.
+
+        Implementations stay complex-analytic, so that the full rod's
+        complex-step sweep differentiates them exactly: no ``abs``, no
+        conjugation, no ``np.maximum`` or ``np.minimum``, and any
+        comparison is made on ``.real`` only."""
 
     @abstractmethod
     def _bending_jacobian(self, t, ell):
@@ -314,6 +319,7 @@ class SimplifiedRodEnergy(_RodEnergy):
         return h11, h12, np.ascontiguousarray(h12.transpose(0, 2, 1)), h22
 
     def _grads(self, nx, ny):
+        """Both gradients; complex-analytic, as ``_RodEnergy._grads`` says."""
         t, ell, ty, ratio, dc = self._fields(nx, ny)
         h = 1.0 / self.n_nodes
         d = self.delta
@@ -341,8 +347,11 @@ class FullRodEnergy(_RodEnergy):
     """Tangential stretching plus the squared curvature difference,
     analytic gradients.
 
-    Hessians are Richardson differences of the gradients with step
-    ``fd_step``.  Curvature at node i reads nodes i-2..i+2, so the gradient
+    Hessians are complex-step derivatives of the gradients: the imaginary
+    part of ``_grads`` at a rod moved by i h along a coordinate is h times
+    that coordinate's Jacobian column, with no subtraction, so the blocks
+    are exact to rounding for any tiny h (Squire & Trapp, SIAM Review
+    40(1), 1998).  Curvature at node i reads nodes i-2..i+2, so the gradient
     at node m reads nodes m-r..m+r, r = 4: the column of a coordinate of
     node k is zero outside the rows of nodes k-r..k+r, and columns of nodes
     at least 2r+1 apart (periodic distance) are perturbed together.  The N
@@ -355,10 +364,9 @@ class FullRodEnergy(_RodEnergy):
 
     _reach = 4
 
-    def __init__(self, n_nodes: int, delta: float = 0.1, fd_step: float = 1e-5):
+    def __init__(self, n_nodes: int, delta: float = 0.1):
         super().__init__(n_nodes, delta)
         n, d = self.n_nodes, self.dim
-        self._h = float(FdScheme(step=fd_step).step)
 
         # color of node k: its position in its arc; group of column 2k + a:
         # (color, a)
@@ -384,36 +392,25 @@ class FullRodEnergy(_RodEnergy):
         self._band_src = (rows * n_groups + group.reshape(d, 1)).reshape(-1)
 
     def _sweep(self, nx, ny, first: bool):
-        """Richardson-extrapolated FD Jacobians of both gradients w.r.t.
-        one slot, for the node arrays (N, m, 2) of m segments: two arrays
-        (m, 2N, 2N) (the second-difference stencils amplify truncation
-        error, so plain central differences would not reach the
-        consistency tolerances).
+        """Complex-step Jacobians of both gradients w.r.t. one slot, for the
+        node arrays (N, m, 2) of m segments: two real arrays (m, 2N, 2N).
 
-        Each color group is perturbed by +-h and +-h/2 at once, and the
-        4 x groups perturbed rods of every segment go through ``_grads`` as
-        one batch (node, segment, 4 x groups, 2), with the other slot
-        broadcast as (node, segment, 1, 2) so that its fields are computed
-        once per segment.  A row within r nodes of a column's node reads
-        only nodes within 2r of it, where no other column of its group is
-        perturbed, so that row sees exactly the per-column perturbation:
-        the banded entries equal the per-column stencil's, and the rest of
-        the block is zero."""
-        h = self._h
-        n, m, _ = nx.shape
-        d = self.dim
-        steps = np.array([h, -h, 0.5 * h, -0.5 * h])
-        base = nx if first else ny
-        batch = (base[:, :, None, None] + steps[:, None, None] * self._groups[:, None, None]).reshape(n, m, -1, 2)
-        if first:
-            grads = self._grads(batch, ny[:, :, None])
-        else:
-            grads = self._grads(nx[:, :, None], batch)
+        Each color group is moved by i h at once, and the groups' perturbed
+        rods of every segment go through ``_grads`` as one batch (node,
+        segment, group, 2), with the other slot broadcast as (node,
+        segment, 1, 2) so that its fields are computed once per segment.
+        A row within r nodes of a column's node reads only nodes within 2r
+        of it, where no other column of its group is perturbed, so that
+        row's imaginary part is h times exactly that column's entry: the
+        banded entries are the per-column derivatives, and the rest of the
+        block is zero."""
+        h, m, d = 1e-30, nx.shape[1], self.dim  # nothing cancels, so h can be tiny
+        batch = (nx if first else ny)[:, :, None] + 1j * h * self._groups[:, None]
+        grads = self._grads(batch, ny[:, :, None]) if first else self._grads(nx[:, :, None], batch)
         jacs = []
         for g in grads:
-            # (step, segment, row, group) with row = 2 * node + coordinate
-            gp, gm, gp2, gm2 = g.reshape(n, m, 4, -1, 2).transpose(2, 1, 0, 4, 3).reshape(4, m, d, -1)
-            deriv = (4.0 * (gp2 - gm2) / h - (gp - gm) / (2.0 * h)) / 3.0
+            # (segment, row, group) with row = 2 * node + coordinate
+            deriv = g.imag.transpose(1, 0, 3, 2).reshape(m, d, -1) / h
             jac = np.zeros((m, d * d))
             jac[:, self._band_dst] = deriv.reshape(m, -1)[:, self._band_src]
             jacs.append(jac.reshape(m, d, d))
@@ -438,6 +435,7 @@ class FullRodEnergy(_RodEnergy):
         return ratio, ell, (ky - kx) ** 2
 
     def _grads(self, nx, ny):
+        """Both gradients; complex-analytic, as ``_RodEnergy._grads`` says."""
         t, ell, ty, elly, ratio, kx, ky = self._fields(nx, ny)
         h = 1.0 / self.n_nodes
         d = self.delta
@@ -464,15 +462,12 @@ class FullRodEnergy(_RodEnergy):
         return dk.transpose(1, 0, 2).reshape(n, 1, 2 * n)
 
 
-def rod_energy(kind: str, n_nodes: int, delta: float = 0.1, fd_step: float | None = None) -> EnergyModel:
-    """Build a rod energy model; ``kind`` is 'simplified' or 'full'.  Only
-    the full rod takes ``fd_step``, its Hessian sweep's step (default 1e-5)."""
+def rod_energy(kind: str, n_nodes: int, delta: float = 0.1) -> EnergyModel:
+    """Build a rod energy model; ``kind`` is 'simplified' or 'full'."""
     if kind == "simplified":
-        if fd_step is not None:
-            raise DomainError("the simplified rod's Hessians are closed-form; it takes no fd_step")
         return SimplifiedRodEnergy(n_nodes, delta)
     if kind == "full":
-        return FullRodEnergy(n_nodes, delta, 1e-5 if fd_step is None else fd_step)
+        return FullRodEnergy(n_nodes, delta)
     raise DomainError(f"unknown rod energy kind {kind!r}")
 
 

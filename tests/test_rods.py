@@ -145,14 +145,16 @@ def test_simplified_consistency_random_rods():
         assert report.ok, report.residuals
 
 
-def test_simplified_consistency_holds_to_rounding_with_closed_form_hessians():
-    # finite-difference Hessians left residuals of ~4e-8 here
+def test_rod_consistency_holds_to_rounding_with_exact_hessians():
+    # finite-difference Hessians left residuals of ~4e-8 (simplified rod)
+    # and ~1e-11 (full rod, Richardson) here
     rng = np.random.default_rng(67)
-    for n in (16, 32):
-        model = rod_energy("simplified", n, 0.1)
-        for _ in range(5):
-            report = check_consistency(model, random_smooth_rod(n, rng).coord, 1e-10)
-            assert report.ok, report.residuals
+    for kind in ("simplified", "full"):
+        for n in (16, 32):
+            model = rod_energy(kind, n, 0.1)
+            for _ in range(5):
+                report = check_consistency(model, random_smooth_rod(n, rng).coord, 1e-10)
+                assert report.ok, report.residuals
 
 
 def test_full_energy_values_and_consistency():
@@ -180,7 +182,7 @@ def test_degenerate_rod_rejected():
     good = circle_rod(16).coord
     with pytest.raises(DomainError):
         rod_energy("cubic", 16, 0.1)
-    # valid rod whose speed at node 2 vanishes once node 3 moves by -fd_step
+    # valid rod whose speed at node 2 is 1e-5 * 16 / 2
     near = circle_rod(16).nodes.copy()
     near[3] = near[1] + [1e-5, 0.0]
     near = near.reshape(-1)
@@ -191,16 +193,14 @@ def test_degenerate_rod_rejected():
         with pytest.raises(DomainError):
             model.w(good, np.zeros(32))
         model.w(near, good)
-        if kind == "full":
-            # the finite-difference sweep steps onto the degenerate rod
-            with pytest.raises(DomainError):
-                model.hess_blocks(near, good)
-            with pytest.raises(DomainError):
-                model.hess_blocks(good, near)
-        else:
-            # closed-form blocks evaluate at the valid rod itself
-            for pair in ((near, good), (good, near)):
-                assert all(np.all(np.isfinite(block)) for block in model.hess_blocks(*pair))
+        # closed-form and complex-step blocks evaluate at the valid rod itself
+        for pair in ((near, good), (good, near)):
+            assert all(np.all(np.isfinite(block)) for block in model.hess_blocks(*pair))
+
+
+def test_integer_base_radius_gives_the_float_rod():
+    rods = [random_smooth_rod(16, np.random.default_rng(7), r, amplitude=0.05) for r in (1, 1.0)]
+    np.testing.assert_array_equal(rods[0].nodes, rods[1].nodes)
 
 
 def test_rod_csv_round_trip(tmp_path):
@@ -280,6 +280,10 @@ def test_full_colored_hessian_matches_per_column_reference():
     rng = np.random.default_rng(17)
     for n in (8, 9, 16, 18, 27, 32, 64):
         model, x, y, blocks, scale = _blocks_and_reference("full", n, rng)
+        h11, h12, h21, h22 = blocks
+        # complex-step blocks are exact to rounding, so symmetric to it
+        for asymmetry in (h21 - h12.T, h11 - h11.T, h22 - h22.T):
+            assert np.max(np.abs(asymmetry)) <= 1e-14 * scale
         n_groups = model._groups.shape[1]
         assert n_groups == 2 * n if n <= 17 else n_groups < 2 * n
         if n <= 9:
@@ -350,7 +354,7 @@ def test_rod_morph_energy_equidistributes():
 
 def test_full_rod_morph_converges_and_equidistributes():
     res, _ = run_rod_morph(circle_rod(16), circle_rod(16, 1.2), 4, kind="full")
-    assert res.converged
+    assert res.converged and res.iterations == 2
     model = rod_energy("full", 16, 0.1)
     segments = [4 * model.w(res.path[k - 1], res.path[k]) for k in range(1, 5)]
     assert max(segments) / min(segments) <= 1.1
@@ -423,18 +427,15 @@ def test_rod_energy_rejects_a_bad_delta_or_node_count():
         assert rod_energy(kind, np.int64(16), 0.1).n_nodes == 16
 
 
-def test_only_the_full_rod_takes_an_fd_step():
-    from geocalc.rods import SimplifiedRodEnergy
+def test_no_rod_takes_an_fd_step():
+    from geocalc.rods import FullRodEnergy, SimplifiedRodEnergy
 
-    with pytest.raises(DomainError, match="fd_step"):
-        rod_energy("simplified", 16, 0.1, fd_step=1e-5)
-    with pytest.raises(TypeError):
-        SimplifiedRodEnergy(16, 0.1, 1e-5)
+    for kind, cls in (("simplified", SimplifiedRodEnergy), ("full", FullRodEnergy)):
+        with pytest.raises(TypeError):
+            rod_energy(kind, 16, 0.1, fd_step=1e-5)
+        with pytest.raises(TypeError):
+            cls(16, 0.1, 1e-5)
     assert not hasattr(rod_energy("simplified", 16, 0.1), "_groups")
-    assert rod_energy("full", 16, 0.1)._h == 1e-5
-    assert rod_energy("full", 16, 0.1, fd_step=1e-4)._h == 1e-4
-    with pytest.raises(DomainError, match="fd step"):
-        rod_energy("full", 16, 0.1, fd_step=1.0)
 
 
 def test_cli_rejects_a_bad_delta(tmp_path, capsys):
