@@ -172,7 +172,8 @@ class EnergyModel(ABC):
     stacked along a leading axis: shape (n,), two arrays (n, d), and four
     arrays (n, d, d).  They check the whole stack once.  The per-point
     methods (``w``, ``grads``, ``grad1`` ... ``hess22``) are views of a
-    stack of one.
+    stack of one.  A model may also hand out banded blocks, as the rods'
+    ``hess_bands_stacked`` does, for the node-ordered geodesic solve.
     """
 
     @abstractmethod

@@ -20,21 +20,24 @@ hess21(x_{k-1}, x_k), hess22(x_{k-1}, x_k) + hess11(x_k, x_{k+1}) -
 sum_i mu_k,i hess c_i(x_k), and hess12(x_k, x_{k+1}); the band on the
 row's own unknown is bordered by the Jacobians (``_border``).
 
-For the interior window the system is block tridiagonal.
+For the interior window the system is block tridiagonal in time.
 ``_block_thomas`` solves it by block cyclic reduction for blocks of size
 at most 16, each of about log2(K) levels one stacked pivot solve, and by
-sequential block Thomas elimination, faster there, for larger blocks (the
-rods).  For the shifted window it is block lower triangular, as is the
-ladder of ``operators``; ``_forward_substitution`` scales it by the
-stacked diagonal inverse and halves the regrouped recurrence level by
-level for blocks of size at most 16, and solves it row by row otherwise.
+sequential block Thomas elimination, faster there, for larger blocks.  A
+model with banded blocks (``hess_bands_stacked``, the rods) has it solved
+in node order instead (``thomas._node_thomas``), ungauged or gauged, at a
+cost linear in the node count.  For the shifted window the system is block
+lower triangular, as is the ladder of ``operators``;
+``_forward_substitution`` scales it by the stacked diagonal inverse and
+halves the regrouped recurrence level by level for blocks of size at most
+16, and solves it row by row otherwise.
 
 Each Newton step makes one stacked ``grads_stacked`` call over all K
-segments per residual and one ``hess_blocks_stacked`` call per Jacobian,
-over the segments whose blocks the rows read: all K for the interior,
-segments 2..K for the shifted window.  Path energies and lengths come
-from one ``w_stacked`` call.  The stacked methods are the only ones a
-model implements (``core.EnergyModel``).
+segments per residual and one ``hess_blocks_stacked`` call (in node order
+``hess_bands_stacked``) per Jacobian, over the segments whose blocks the
+rows read: all K for the interior, segments 2..K for the shifted window.
+Path energies and lengths come from one ``w_stacked`` call.  The stacked
+methods are the only ones a model implements (``core.EnergyModel``).
 
 A level set is evaluated the same way: one ``d_stacked`` and one
 ``grad_d_stacked`` call per residual, one ``grad_d_stacked`` and one
@@ -62,6 +65,7 @@ from .core import (
     as_path,
     as_point,
 )
+from .thomas import _node_thomas, _thomas_loop
 
 __all__ = [
     "SolverConfig",
@@ -298,7 +302,8 @@ def _newton(residual, step, z0, cfg: SolverConfig | None, context: str):
 # largest block (after regrouping, for the lower triangular solve) that the
 # block solves reduce level by level: on the 2-core Xeon where it was
 # measured, reduction takes 0.17-0.76x the sequential loop's time for
-# 15-255 blocks of size <= 16, and 1.5-2.6x for blocks of size >= 32 (rods)
+# 15-255 blocks of size <= 16, and 1.5-2.6x for blocks of size >= 32 (the
+# time-ordered rod exp and ladder, and the runs of ``thomas._node_thomas``)
 _REDUCE_MAX_BLOCK = 16
 
 
@@ -309,34 +314,14 @@ def _block_thomas(lower, diag, upper, rhs) -> np.ndarray:
     have shape (n-1, b, b): ``lower[i]`` couples row i+1 to block i, and
     ``upper[i]`` couples row i to block i+1.  Blocks of size at most
     ``_REDUCE_MAX_BLOCK`` are solved by block cyclic reduction, in about
-    log2(n) stacked levels; larger ones by sequential block Thomas
-    elimination.
+    log2(n) stacked levels; larger ones (of models without bands) by
+    sequential block Thomas elimination.
     """
     n, b = rhs.shape
     if n <= 2 or b > _REDUCE_MAX_BLOCK:
         return _thomas_loop(lower, diag, upper, rhs)
     zero = np.zeros((1, b, b))
     return _cyclic_reduction(np.concatenate([zero, lower]), diag, np.concatenate([upper, zero]), rhs)
-
-
-def _thomas_loop(lower, diag, upper, rhs) -> np.ndarray:
-    """Block Thomas elimination, one pivot solve per row; arguments as ``_block_thomas``."""
-    n, b = rhs.shape
-    # row i of the eliminated system reads x_i + C_i x_{i+1} = d_i, and
-    # cd[i] holds [C_i | d_i]; one solve per pivot gives both
-    cd = np.zeros((n, b, b + 1))
-    cd[:-1, :, :b] = upper
-    cd[:, :, b] = rhs
-    cd[0] = np.linalg.solve(diag[0], cd[0])
-    for i in range(1, n):
-        coupled = lower[i - 1] @ cd[i - 1]
-        cd[i, :, b] -= coupled[:, b]
-        cd[i] = np.linalg.solve(diag[i] - coupled[:, :b], cd[i])
-    sol = np.empty((n, b))
-    sol[n - 1] = cd[n - 1, :, b]
-    for i in range(n - 2, -1, -1):
-        sol[i] = cd[i, :, b] - cd[i, :, :b] @ sol[i + 1]
-    return sol
 
 
 def _cyclic_reduction(lower, diag, upper, rhs) -> np.ndarray:
@@ -509,6 +494,8 @@ def _solve_path(pts, model, constraint, cfg: SolverConfig | None, context: str, 
     view = _constraint_view(constraint, lambda g: np.outer(1.0 - t, g @ pts[0]) + np.outer(t, g @ end), d)
     c = view.c
     b = d + c
+    # a model that hands out banded blocks has the interior window solved in node order
+    bands_of = None if s or isinstance(constraint, ConstraintModel) else getattr(model, "hess_bands_stacked", None)
 
     # z holds the path and the multipliers, one row per point (row k + s
     # those of row k); corrections of the given points are zero
@@ -525,6 +512,12 @@ def _solve_path(pts, model, constraint, cfg: SolverConfig | None, context: str, 
         # Segment m joins x_{m-1} and x_m; the rows read segments 1+s .. K,
         # block i of the stacked call being segment i+1+s
         x = z[:, :d]
+        delta = np.zeros_like(z)
+        if bands_of is not None:
+            h11, h12, h21, h22 = bands_of(x[:K], x[1:])
+            bands = np.stack([h21[:, :, :-1], h22[:, :, :-1] + h11[:, :, 1:], h12[:, :, 1:]])
+            delta[1:K] = _node_thomas(bands, view.jac(x[:1])[0], r)
+            return delta
         bands = np.zeros((3, K - 1, b, b))
         e = bands[:, :, :d, :d]
         h11, h12, h21, h22 = model.hess_blocks_stacked(x[s:K], x[1 + s : K + 1])
@@ -536,7 +529,6 @@ def _solve_path(pts, model, constraint, cfg: SolverConfig | None, context: str, 
             jac = view.jac(x[1 : K + s])
             e[1, s:] -= view.hess(x[1 + s : K], z[1 + 2 * s : K + s, d:])
             _border(bands[1 + s], jac[: K - 1], jac[s:])
-        delta = np.zeros_like(z)
         if s:
             delta[2:] = _forward_substitution(bands[2], (bands[1, 1:], bands[0, 2:]), r)
         else:

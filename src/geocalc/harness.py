@@ -450,7 +450,7 @@ def run_rod_morph(
     if a.n_nodes != b.n_nodes:
         raise DomainError("rod endpoints must share the node count")
     model = rod_energy(kind, a.n_nodes, delta)
-    result = solve_geodesic(a.coord, b.coord, K, model, cfg, constraint=rod_gauge(a.n_nodes))
+    result = solve_geodesic(a.coord, b.coord, K, model, cfg, constraint=rod_gauge(a.n_nodes, kind))
     if not result.converged:
         raise SolverError(
             f"rod morph did not converge (K={K}, residual {result.residual:.3e})",

@@ -22,8 +22,9 @@ Hessian blocks are closed-form too; the full rod's are complex-step
 derivatives of its gradients, exact to rounding, perturbing columns of
 far-apart nodes together.  Energies, gradients and Hessians of a whole
 stack of segments (``w_stacked``, ``grads_stacked``,
-``hess_blocks_stacked``) are one array evaluation; the per-point methods
-are the base class's views of a stack of one.
+``hess_bands_stacked``) are one array evaluation; the Hessians come as
+periodic bands, ``hess_blocks_stacked`` is their dense view, and the
+per-point methods are the base class's views of a stack of one.
 
 Curvature follows kappa = (x_s/|x_s|)_s . (D90 x_s) / |x_s|^2 with D90 the
 counterclockwise quarter turn, so a counterclockwise unit circle has
@@ -32,7 +33,9 @@ kappa = +1.
 Both energies are invariant under translating either rod on its own, so
 interior-point Hessians of path solves have a two-dimensional null space
 per point; ``rod_gauge(n)`` is the mean-position gauge that removes it,
-for any solve or operator on rods of n nodes.
+for any solve or operator on rods of n nodes.  The full rod reads the
+nodes only through D1, which at even N vanishes on the sawtooth x_i =
+(-1)^i e too, and ``rod_gauge(n, "full")`` pins that component as well.
 """
 
 from __future__ import annotations
@@ -206,9 +209,10 @@ class _RodEnergy(EnergyModel):
 
     A subclass supplies the per-node |y_s|^2/|x_s|^2, |x_s| and squared
     bending difference (``_densities``), the gradient kernel ``_grads``,
-    the Jacobian of its bending term for the metric, and its stacked
-    Hessian blocks ``hess_blocks_stacked``.  Each stacked method evaluates
-    every segment of a stack in one array pass.
+    the Jacobian of its bending term for the metric, and its Hessian blocks
+    as bands of reach ``_reach`` nodes (``hess_bands_stacked``), of which
+    ``hess_blocks_stacked`` is the dense view.  Each stacked method
+    evaluates every segment of a stack in one array pass.
     """
 
     def __init__(self, n_nodes: int, delta: float = 0.1):
@@ -217,6 +221,8 @@ class _RodEnergy(EnergyModel):
             raise DomainError(f"thickness delta must be finite and positive, got {delta!r}")
         self.delta = float(delta)
         self.dim = 2 * self.n_nodes
+        n, r = self.n_nodes, self._reach
+        self._near = (np.arange(n)[:, None] + np.arange(-r, r + 1)) % n  # nodes j-r..j+r of row j
 
     @abstractmethod
     def _grads(self, nx, ny):
@@ -228,6 +234,21 @@ class _RodEnergy(EnergyModel):
         complex-step sweep differentiates them exactly: no ``abs``, no
         conjugation, no ``np.maximum`` or ``np.minimum``, and any
         comparison is made on ``.real`` only."""
+
+    @abstractmethod
+    def hess_bands_stacked(self, xs, ys):
+        """(hess11, hess12, hess21, hess22) as periodic bands (4, 2r + 1, N,
+        m, 2, 2), r the reach: [block, o, j, i] is the 2 x 2 block of nodes j
+        and (j + o - r) mod N of segment i; the dense blocks are zero off the
+        band, and where 2r + 1 > N the offsets from N on repeat a column."""
+
+    def hess_blocks_stacked(self, xs, ys):
+        """Dense view of ``hess_bands_stacked``: four arrays (m, 2N, 2N)."""
+        n = self.n_nodes
+        band = self.hess_bands_stacked(xs, ys)[:, :n]  # each column once
+        dense = np.zeros((4, band.shape[3], n, 2, n, 2))
+        dense[:, :, np.arange(n)[:, None], :, self._near[:, :n], :] = band.transpose(2, 1, 0, 3, 4, 5)
+        return tuple(dense.reshape(4, -1, self.dim, self.dim))
 
     @abstractmethod
     def _bending_jacobian(self, t, ell):
@@ -273,6 +294,8 @@ class SimplifiedRodEnergy(_RodEnergy):
     are banded to +-2 nodes; the metric's bending Jacobian is D2 (x) I_2.
     """
 
+    _reach = 2
+
     def __init__(self, n_nodes: int, delta: float = 0.1):
         super().__init__(n_nodes, delta)
         n = self.n_nodes
@@ -281,7 +304,6 @@ class SimplifiedRodEnergy(_RodEnergy):
         stencils = np.array([[p, 0.0 * p, -q], [0.0 * p, p, q]])  # L_x, L_y
         # h L_X[a]^T L_Y[b] per block (11, 12, 22) and pair of (t, s, c)
         self._coef = np.einsum("xva,ywb->xyvwab", stencils, stencils)[[0, 0, 1], [0, 1, 1]] / n
-        self._near = (np.arange(n)[:, None] + np.arange(-2, 3)) % n  # nodes j-2..j+2 of row j
 
     def _fields(self, nx, ny):
         """Gradient ingredients of node arrays laid out as in ``_grads``."""
@@ -295,7 +317,7 @@ class SimplifiedRodEnergy(_RodEnergy):
         _, ell, _, ratio, dc = self._fields(nx, ny)
         return ratio, ell, np.einsum("...j,...j->...", dc, dc)
 
-    def hess_blocks_stacked(self, xs, ys):
+    def hess_bands_stacked(self, xs, ys):
         t, ell, s, rho, c = self._fields(*self._pair(xs, ys))
         d, eye = self.delta, np.eye(2)
         u, l, r = t / ell[..., None], ell[..., None, None], rho[..., None, None]
@@ -307,16 +329,15 @@ class SimplifiedRodEnergy(_RodEnergy):
         zero = np.zeros_like(tt)
         f = np.array([[tt, ts, tc], [ts.swapaxes(-1, -2), ss, zero], [tc.swapaxes(-1, -2), zero, 2.0 * d**3 * l * eye]])
         # (block, a, b, node, segment, 2, 2): node j - a of each product
-        # feeds entry (j, j + b - a); the band is (block, b - a, node, ...)
+        # feeds entry (j, j + b - a), at offset b - a of the band
         prods = np.tensordot(self._coef, f, axes=([1, 2], [0, 1]))
-        band = np.zeros((3, 5) + prods.shape[3:])
+        band = np.zeros((4, 5) + prods.shape[3:])
         for a in range(3):
-            band[:, 2 - a:5 - a] += np.roll(prods[:, a], a - 1, axis=2)
-        n, m = ell.shape
-        dense = np.zeros((3, m, n, 2, n, 2))
-        dense[:, :, np.arange(n)[:, None], :, self._near, :] = band.transpose(2, 1, 0, 3, 4, 5)
-        h11, h12, h22 = dense.reshape(3, m, self.dim, self.dim)
-        return h11, h12, np.ascontiguousarray(h12.transpose(0, 2, 1)), h22
+            band[(0, 1, 3), 2 - a : 5 - a] += np.roll(prods[:, a], a - 1, axis=2)
+        # h21 = h12^T: entry (j, j + o - 2) is h12's (j + o - 2, j), transposed
+        for o in range(5):
+            band[2, o] = np.roll(band[1, 4 - o], 2 - o, axis=0).swapaxes(-1, -2)
+        return band
 
     def _grads(self, nx, ny):
         """Both gradients; complex-analytic, as ``_RodEnergy._grads`` says."""
@@ -366,7 +387,7 @@ class FullRodEnergy(_RodEnergy):
 
     def __init__(self, n_nodes: int, delta: float = 0.1):
         super().__init__(n_nodes, delta)
-        n, d = self.n_nodes, self.dim
+        n = self.n_nodes
 
         # color of node k: its position in its arc; group of column 2k + a:
         # (color, a)
@@ -382,18 +403,13 @@ class FullRodEnergy(_RodEnergy):
         # of rods: (node, group, coordinate)
         self._groups = np.zeros((n, n_groups, 2))
         self._groups[node[:, None], group, np.arange(2)] = 1.0
-        # rows of column j = 2k + a: both coordinates of nodes k-r..k+r (of
-        # every node once, if that window wraps onto itself); entry
-        # (row, j) is the derivative of that row w.r.t. group[j]
-        offsets = np.arange(-r, r + 1) if span <= n else node
-        near = (node[:, None] + offsets) % n
-        rows = np.repeat((2 * near[:, :, None] + np.arange(2)).reshape(n, -1), 2, axis=0)
-        self._band_dst = (rows * d + np.arange(d)[:, None]).reshape(-1)
-        self._band_src = (rows * n_groups + group.reshape(d, 1)).reshape(-1)
+        # group of each band entry's column, (node, offset, coordinate)
+        self._band_groups = group[self._near]
 
-    def _sweep(self, nx, ny, first: bool):
+    def _sweep(self, nx, ny, first: bool, out):
         """Complex-step Jacobians of both gradients w.r.t. one slot, for the
-        node arrays (N, m, 2) of m segments: two real arrays (m, 2N, 2N).
+        node arrays (N, m, 2) of m segments, written to ``out`` as two real
+        bands (2r + 1, N, m, 2, 2), laid out as ``hess_bands_stacked``.
 
         Each color group is moved by i h at once, and the groups' perturbed
         rods of every segment go through ``_grads`` as one batch (node,
@@ -402,25 +418,22 @@ class FullRodEnergy(_RodEnergy):
         A row within r nodes of a column's node reads only nodes within 2r
         of it, where no other column of its group is perturbed, so that
         row's imaginary part is h times exactly that column's entry: the
-        banded entries are the per-column derivatives, and the rest of the
-        block is zero."""
-        h, m, d = 1e-30, nx.shape[1], self.dim  # nothing cancels, so h can be tiny
+        banded entries are the per-column derivatives."""
+        h = 1e-30  # nothing cancels, so h can be tiny
         batch = (nx if first else ny)[:, :, None] + 1j * h * self._groups[:, None]
         grads = self._grads(batch, ny[:, :, None]) if first else self._grads(nx[:, :, None], batch)
-        jacs = []
-        for g in grads:
-            # (segment, row, group) with row = 2 * node + coordinate
-            deriv = g.imag.transpose(1, 0, 3, 2).reshape(m, d, -1) / h
-            jac = np.zeros((m, d * d))
-            jac[:, self._band_dst] = deriv.reshape(m, -1)[:, self._band_src]
-            jacs.append(jac.reshape(m, d, d))
-        return jacs
+        # g is (node, segment, group, coordinate); entry [j, o, b] of the
+        # index reads the group of column node near[j, o], coordinate b
+        node = np.arange(self.n_nodes)[:, None, None]
+        for g, band in zip(grads, out):
+            np.divide(g.imag[node, :, self._band_groups].transpose(1, 0, 3, 4, 2), h, out=band)
 
-    def hess_blocks_stacked(self, xs, ys):
+    def hess_bands_stacked(self, xs, ys):
         nx, ny = self._pair(xs, ys)
-        h11, h21 = self._sweep(nx, ny, first=True)
-        h12, h22 = self._sweep(nx, ny, first=False)
-        return h11, h12, h21, h22
+        band = np.empty((4, 2 * self._reach + 1, self.n_nodes, nx.shape[1], 2, 2))
+        self._sweep(nx, ny, True, band[::2])  # hess11, hess21
+        self._sweep(nx, ny, False, band[1::2])  # hess12, hess22
+        return band
 
     def _fields(self, nx, ny):
         t, ell = _speeds(nx)
@@ -471,11 +484,15 @@ def rod_energy(kind: str, n_nodes: int, delta: float = 0.1) -> EnergyModel:
     raise DomainError(f"unknown rod energy kind {kind!r}")
 
 
-def rod_gauge(n_nodes: int) -> LinearGauge:
-    """Mean-position gauge of rods of ``n_nodes`` nodes: G x is the node
-    average of the rod x, which each solve pins where flat space puts it."""
+def rod_gauge(n_nodes: int, kind: str = "simplified") -> LinearGauge:
+    """Gauge of rods of ``n_nodes`` nodes under the energy ``kind``: G x,
+    which each solve pins where flat space puts it, is the node average of
+    the rod x, and for the full rod at even N also that of (-1)^i x_i."""
     n = _as_count("n_nodes", n_nodes, 1)
-    return LinearGauge(matrix=np.kron(np.ones((1, n)) / n, np.eye(2)))
+    if kind not in ("simplified", "full"):
+        raise DomainError(f"unknown rod energy kind {kind!r}")
+    rows = [np.ones(n)] + [(-1.0) ** np.arange(n)] * (kind == "full" and n % 2 == 0)
+    return LinearGauge(matrix=np.kron(np.array(rows) / n, np.eye(2)))
 
 
 def save_rod_csv(curve: RodCurve, path) -> None:

@@ -7,13 +7,15 @@ most ``geodesic._REDUCE_MAX_BLOCK`` and run the sequential loop otherwise.
 These tests check both on random block diagonally dominant systems on both
 sides of that threshold, against a dense solve of the assembled matrix
 where it fits in memory and against the sequential loop plus the block
-residual where it does not.
+residual where it does not.  ``thomas._node_thomas`` (the gauged path
+system of banded periodic blocks, solved in node order) is checked against
+a dense solve of its assembled matrix.
 """
 
 import numpy as np
 import pytest
 
-from geocalc import geodesic
+from geocalc import geodesic, thomas
 
 SIZES = [1, 2, 3, 4, 5, 8, 9, 33, 1023]
 BLOCKS = [1, 2, 4, 8, 16, 17, 40]
@@ -107,3 +109,60 @@ def test_large_blocks_run_the_sequential_loop_bit_for_bit(b):
     diag, bands, rhs = _system(b, 64, b, (1, -1))
     got = geodesic._block_thomas(bands[1], diag, bands[-1], rhs)
     assert np.array_equal(got, geodesic._thomas_loop(bands[1], diag, bands[-1], rhs))
+
+
+def _node_system(seed, nodes, p, c, n=5):
+    """A periodic banded path system of n times: bands (3, 2p + 1, N, n, 2,
+    2) as ``_node_thomas`` reads them, a dense gauge (c, 2N) and a rhs.
+
+    The diagonal entries lie near 4 and the other band entries of a row sum
+    to less than 3 in absolute value.  Where 2p + 1 > N, the offsets from N
+    on repeat the entries of the column they name again, as a rod's do.
+    """
+    rng = np.random.default_rng(seed)
+    bands = rng.uniform(-1.0, 1.0, size=(3, 2 * p + 1, nodes, n, 2, 2)) / (3 * (2 * p + 1))
+    bands[1, p] += 4.0 * np.eye(2)
+    bands[:, nodes:] = bands[:, : max(2 * p + 1 - nodes, 0)]
+    return bands, rng.normal(size=(c, 2 * nodes)), rng.normal(size=(n, 2 * nodes + c))
+
+
+def _node_dense(bands, gauge):
+    """The assembled matrix of ``_node_system``, unknowns in time order."""
+    _, width, nodes, n = bands.shape[:4]
+    p, c = width // 2, gauge.shape[0]
+    b = 2 * nodes + c
+    a = np.zeros((n, b, n, b))
+    for t in range(3):
+        for o in range(min(width, nodes)):
+            for j in range(nodes):
+                col = (j + o - p) % nodes
+                for i in range(max(1 - t, 0), min(n + 1 - t, n)):
+                    a[i, 2 * j : 2 * j + 2, i + t - 1, 2 * col : 2 * col + 2] = bands[t, o, j, i]
+    for i in range(n):
+        a[i, : 2 * nodes, i, 2 * nodes :] = -gauge.T
+        a[i, 2 * nodes :, i, : 2 * nodes] = gauge
+    return a.reshape(n * b, n * b)
+
+
+# N = 8 with runs of 4 leaves a single interior run; 17 is divisible by
+# neither run length
+@pytest.mark.parametrize("c", [0, 2, 4])
+@pytest.mark.parametrize("p", [2, 4])
+@pytest.mark.parametrize("nodes", [8, 17, 64])
+def test_node_ordered_solve_matches_a_dense_solve(nodes, p, c):
+    bands, gauge, rhs = _node_system(100 * nodes + 10 * p + c, nodes, p, c)
+    x = thomas._node_thomas(bands, gauge, rhs)
+    a = _node_dense(bands, gauge)
+    assert x.shape == rhs.shape
+    assert np.max(np.abs(a @ x.ravel() - rhs.ravel())) <= 1e-12 * 8.0 * np.max(np.abs(x))
+    ref = np.linalg.solve(a, rhs.ravel()).reshape(rhs.shape)
+    assert np.max(np.abs(x - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_the_thomas_loop_carries_further_right_hand_sides_column_by_column():
+    diag, bands, rhs = _system(7, 9, 17, (1, -1))
+    cols = np.random.default_rng(8).normal(size=(9, 17, 3))
+    got = thomas._thomas_loop(bands[1], diag, bands[-1], cols)
+    for k in range(3):
+        want = thomas._thomas_loop(bands[1], diag, bands[-1], cols[:, :, k])
+        assert np.max(np.abs(got[:, :, k] - want)) <= 1e-12 * np.max(np.abs(want))

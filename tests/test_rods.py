@@ -294,6 +294,112 @@ def test_full_colored_hessian_matches_per_column_reference():
                 assert np.max(np.abs(block - ref)) <= 1e-6 * scale
 
 
+def test_dense_view_is_the_band():
+    """Every entry of the dense blocks lies within the band, and each band
+    entry equals the dense entry it names; where the band wraps onto itself
+    (the full rod at N = 8), the offsets from N on repeat those entries."""
+    rng = np.random.default_rng(19)
+    for kind, reach in (("simplified", 2), ("full", 4)):
+        for n in (8, 16, 17, 64):
+            model = rod_energy(kind, n, 0.1)
+            xs, ys = _segment_stack(n, rng, m=2)
+            band = model.hess_bands_stacked(xs, ys)
+            dense = np.stack(model.hess_blocks_stacked(xs, ys)).reshape(4, 2, n, 2, n, 2)
+            assert band.shape == (4, 2 * reach + 1, n, 2, 2, 2)
+            gap = np.abs(np.arange(n)[:, None] - np.arange(n))
+            outside = np.minimum(gap, n - gap) > reach
+            assert np.all(dense.transpose(0, 1, 2, 4, 3, 5)[:, :, outside] == 0.0)
+            for o in range(2 * reach + 1):
+                for j in range(n):
+                    want = dense[:, :, j, :, (j + o - reach) % n, :]
+                    np.testing.assert_array_equal(band[:, o, j], want)
+
+
+def test_full_rod_is_invariant_under_a_sawtooth_at_even_n():
+    """D1 vanishes on x_i = (-1)^i e at even N, so the full rod does not
+    see that mode in either slot, and its gauge pins it; the simplified
+    rod's D2 sees it, and at odd N the mode is not in D1's kernel."""
+    for n in (16, 32, 33):
+        x = circle_rod(n).coord
+        y = random_smooth_rod(n, np.random.default_rng(5), 1.2, amplitude=0.15).coord
+        saw = 0.1 * np.kron((-1.0) ** np.arange(n), [0.6, -0.8])
+        full, simplified = rod_energy("full", n, 0.1), rod_energy("simplified", n, 0.1)
+        base = full.w(x, y)
+        changes = (abs(full.w(x + saw, y) - base), abs(full.w(x, y + saw) - base))
+        if n % 2:
+            assert min(changes) > 1e-4 * base
+        else:
+            assert max(changes) <= 1e-12 * base
+        assert abs(simplified.w(x, y + saw) - simplified.w(x, y)) > 1e-2 * simplified.w(x, y)
+        gauge = rod_gauge(n, "full").matrix
+        assert gauge.shape == (2 if n % 2 else 4, 2 * n)
+        np.testing.assert_array_equal(gauge[:2], rod_gauge(n).matrix)
+        if not n % 2:
+            np.testing.assert_allclose(gauge[2:] @ saw, [0.06, -0.08], rtol=0, atol=1e-15)
+    assert rod_gauge(16, "simplified").matrix.shape == (2, 32)
+    with pytest.raises(DomainError, match="unknown rod energy kind"):
+        rod_gauge(16, "elastic")
+
+
+def _path_jacobian(model, gauge, pts):
+    """Dense Jacobian of the gauged interior path system at pts, time order."""
+    K, d, c = len(pts) - 1, pts.shape[1], gauge.shape[0]
+    h11, h12, h21, h22 = model.hess_blocks_stacked(pts[:K], pts[1:])
+    b = d + c
+    jac = np.zeros((K - 1, b, K - 1, b))
+    for k in range(K - 1):
+        jac[k, :d, k, :d] = h22[k] + h11[k + 1]
+        jac[k, :d, k, d:] = -gauge.T
+        jac[k, d:, k, :d] = gauge
+        if k:
+            jac[k, :d, k - 1, :d] = h21[k]
+        if k < K - 2:
+            jac[k, :d, k + 1, :d] = h12[k + 1]
+    return jac.reshape((K - 1) * b, (K - 1) * b)
+
+
+def test_gauged_even_n_full_rod_path_jacobian_is_nonsingular():
+    n, K = 32, 8
+    model = rod_energy("full", n, 0.1)
+    a = circle_rod(n).coord
+    b = random_smooth_rod(n, np.random.default_rng(5), 1.2, amplitude=0.15).coord
+    pts = geodesic._linear_init(a, b, K)
+    # the mean gauge leaves the sawtooth: 2 (K - 1) null directions
+    sv = np.linalg.svd(_path_jacobian(model, rod_gauge(n).matrix, pts), compute_uv=False)
+    assert np.sum(sv < 1e-12 * sv[0]) == 2 * (K - 1)
+    sv = np.linalg.svd(_path_jacobian(model, rod_gauge(n, "full").matrix, pts), compute_uv=False)
+    assert sv[0] / sv[-1] <= 1e8
+
+
+def test_node_ordered_morph_matches_the_time_order():
+    """The banded rod's interior window runs in node order; a view of the
+    same rod that hands out only dense blocks runs the time-ordered
+    ``_thomas_loop``.  On the morph of perfbench's ``rod_morph`` (N = 64,
+    K = 8) both take 3 iterations and agree to 1e-12."""
+    from geocalc.core import EnergyModel
+
+    n, K = 64, 8
+    model = rod_energy("simplified", n, 0.1)
+
+    class Dense(EnergyModel):
+        def w_stacked(self, xs, ys):
+            return model.w_stacked(xs, ys)
+
+        def grads_stacked(self, xs, ys):
+            return model.grads_stacked(xs, ys)
+
+        def hess_blocks_stacked(self, xs, ys):
+            return model.hess_blocks_stacked(xs, ys)
+
+    a = circle_rod(n).coord
+    b = random_smooth_rod(n, np.random.default_rng(5), 1.2, amplitude=0.15).coord
+    node = solve_geodesic(a, b, K, model, constraint=rod_gauge(n))
+    time = solve_geodesic(a, b, K, Dense(), constraint=rod_gauge(n))
+    assert node.converged and time.converged
+    assert node.iterations == time.iterations == 3
+    assert np.max(np.abs(node.path.points - time.path.points)) <= 1e-12
+
+
 def test_rod_gauge_pins_interior_means():
     a = circle_rod(16).coord
     shift = np.array([1.0, 0.5])
