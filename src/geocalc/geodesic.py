@@ -20,17 +20,12 @@ hess21(x_{k-1}, x_k), hess22(x_{k-1}, x_k) + hess11(x_k, x_{k+1}) -
 sum_i mu_k,i hess c_i(x_k), and hess12(x_k, x_{k+1}); the band on the
 row's own unknown is bordered by the Jacobians (``_border``).
 
-For the interior window the system is block tridiagonal in time.
-``_block_thomas`` solves it by block cyclic reduction for blocks of size
-at most 16, each of about log2(K) levels one stacked pivot solve, and by
-sequential block Thomas elimination, faster there, for larger blocks.  A
-model with banded blocks (``hess_bands_stacked``, the rods) has it solved
-in node order instead (``thomas._node_thomas``), ungauged or gauged, at a
-cost linear in the node count.  For the shifted window the system is block
-lower triangular, as is the ladder of ``operators``;
-``_forward_substitution`` scales it by the stacked diagonal inverse and
-halves the regrouped recurrence level by level for blocks of size at most
-16, and solves it row by row otherwise.
+For the interior window the system is block tridiagonal in time, for the
+shifted window block lower triangular; ``thomas._block_thomas`` and
+``thomas._forward_substitution`` solve them.  A model with banded blocks
+(``hess_bands_stacked``, the rods) has the interior window solved in node
+order instead (``thomas._node_thomas``), ungauged or gauged, at a cost
+linear in the node count.
 
 Each Newton step makes one stacked ``grads_stacked`` call over all K
 segments per residual and one ``hess_blocks_stacked`` call (in node order
@@ -65,7 +60,7 @@ from .core import (
     as_path,
     as_point,
 )
-from .thomas import _node_thomas, _thomas_loop
+from .thomas import _block_thomas, _forward_substitution, _node_thomas
 
 __all__ = [
     "SolverConfig",
@@ -297,121 +292,6 @@ def _newton(residual, step, z0, cfg: SolverConfig | None, context: str):
             z, r, res = trial, r_trial, res_trial
             iterations += 1
     return z, res, iterations, res <= cfg.newton_tol
-
-
-# largest block (after regrouping, for the lower triangular solve) that the
-# block solves reduce level by level: on the 2-core Xeon where it was
-# measured, reduction takes 0.17-0.76x the sequential loop's time for
-# 15-255 blocks of size <= 16, and 1.5-2.6x for blocks of size >= 32 (the
-# time-ordered rod exp and ladder, and the runs of ``thomas._node_thomas``)
-_REDUCE_MAX_BLOCK = 16
-
-
-def _block_thomas(lower, diag, upper, rhs) -> np.ndarray:
-    """Solve a block tridiagonal system.
-
-    ``diag`` has shape (n, b, b) and ``rhs`` (n, b); ``lower`` and ``upper``
-    have shape (n-1, b, b): ``lower[i]`` couples row i+1 to block i, and
-    ``upper[i]`` couples row i to block i+1.  Blocks of size at most
-    ``_REDUCE_MAX_BLOCK`` are solved by block cyclic reduction, in about
-    log2(n) stacked levels; larger ones (of models without bands) by
-    sequential block Thomas elimination.
-    """
-    n, b = rhs.shape
-    if n <= 2 or b > _REDUCE_MAX_BLOCK:
-        return _thomas_loop(lower, diag, upper, rhs)
-    zero = np.zeros((1, b, b))
-    return _cyclic_reduction(np.concatenate([zero, lower]), diag, np.concatenate([upper, zero]), rhs)
-
-
-def _cyclic_reduction(lower, diag, upper, rhs) -> np.ndarray:
-    """Block cyclic reduction of L_i x_{i-1} + D_i x_i + U_i x_{i+1} = r_i.
-
-    Here ``lower`` and ``upper`` have n rows, with lower[0] = upper[-1] = 0.
-    One stacked solve gives every even row as x_i = y_i - alpha_i x_{i-1}
-    - beta_i x_{i+1}; substituting it into the odd rows leaves a block
-    tridiagonal system of half the rows (its own lower[0] and upper[-1]
-    again zero), solved the same way, and the even rows follow in one
-    stacked step.  The sequential loop solves the last two rows or fewer.
-    """
-    n, b = rhs.shape
-    if n <= 2:
-        return _thomas_loop(lower[1:], diag, upper[:-1], rhs)
-    # even[j] = [alpha | beta | y] of row 2j; odd row 2j+1 sits between the
-    # even rows j and j+1, and the last odd row has no right neighbour when
-    # n is even
-    even = np.linalg.solve(diag[::2], np.concatenate([lower[::2], upper[::2], rhs[::2, :, None]], axis=2))
-    m, r = n // 2, len(even) - 1
-    left = lower[1::2] @ even[:m]
-    right = upper[1 : 2 * r : 2] @ even[1:]
-    diag_odd = diag[1::2] - left[:, :, b : 2 * b]
-    diag_odd[:r] -= right[:, :, :b]
-    upper_odd = np.zeros((m, b, b))
-    upper_odd[:r] = -right[:, :, b : 2 * b]
-    rhs_odd = rhs[1::2] - left[:, :, 2 * b]
-    rhs_odd[:r] -= right[:, :, 2 * b]
-    sol = np.empty((n, b))
-    sol[1::2] = _cyclic_reduction(-left[:, :, :b], diag_odd, upper_odd, rhs_odd)
-    sol[::2] = even[:, :, 2 * b]
-    sol[2::2] -= (even[1:, :, :b] @ sol[1 : 2 * r : 2, :, None])[..., 0]
-    sol[: 2 * m : 2] -= (even[:m, :, b : 2 * b] @ sol[1::2, :, None])[..., 0]
-    return sol
-
-
-def _forward_substitution(diag, bands, rhs) -> np.ndarray:
-    """Solve a block lower triangular system.
-
-    ``diag`` has shape (n, b, b) and ``rhs`` (n, b); ``bands[m - 1]`` has
-    shape (n - m, b, b), and its block i couples row i + m to unknown i.
-    The diagonal blocks are inverted in one stacked call and the bands are
-    premultiplied by them, which leaves x_i = s_i - sum_m S_m,i x_{i-m}.
-    With M bands and M b at most ``_REDUCE_MAX_BLOCK``, that recurrence is
-    regrouped into one of (M b)-blocks X_i = (x_i, ..., x_{i-M+1}) and
-    solved in about log2(n) stacked levels (``_affine_recurrence``);
-    otherwise each of the n steps is a few small matvecs.
-    """
-    inv = np.linalg.inv(diag)
-    sol = (inv @ rhs[..., None])[..., 0]
-    scaled = [inv[m:] @ band for m, band in enumerate(bands, start=1)]
-    n, b = rhs.shape
-    w = len(bands) * b
-    if bands and n > 2 and w <= _REDUCE_MAX_BLOCK:
-        # steps[i] = [A_i | c_i] with top block row [-S_1,i ... -S_M,i | s_i]
-        # and, below it, identity blocks passing x_{i-1} .. x_{i-M+1} on
-        steps = np.zeros((n, w, w + 1))
-        steps[:, :b, w] = sol
-        for m, band in enumerate(scaled, start=1):
-            steps[m:, :b, (m - 1) * b : m * b] = -band
-        for t in range(1, len(bands)):
-            steps[:, t * b : (t + 1) * b, (t - 1) * b : t * b] = np.eye(b)
-        return _affine_recurrence(steps)[:, :b]
-    for i in range(1, n):
-        for m, band in enumerate(scaled[:i], start=1):
-            sol[i] -= band[i - m] @ sol[i - m]
-    return sol
-
-
-def _affine_recurrence(steps) -> np.ndarray:
-    """Solve X_i = A_i X_{i-1} + c_i for i = 0..n-1, with X_{-1} = 0.
-
-    ``steps[i]`` is [A_i | c_i], shape (w, w + 1).  Each level composes
-    every odd row with the row before it (one stacked matmul), solves the
-    recurrence of the odd rows so formed, and fills in the even rows from
-    them (one stacked matvec).
-    """
-    n, w = steps.shape[:2]
-    x = np.empty((n, w))
-    if n <= 2:
-        x[:] = steps[:, :, w]
-        if n == 2:
-            x[1] += steps[1, :, :w] @ x[0]
-        return x
-    pairs = steps[1::2, :, :w] @ steps[: 2 * (n // 2) : 2]
-    pairs[:, :, w] += steps[1::2, :, w]
-    x[1::2] = _affine_recurrence(pairs)
-    x[::2] = steps[::2, :, w]
-    x[2::2] += (steps[2::2, :, :w] @ x[1 : n - 1 : 2, :, None])[..., 0]
-    return x
 
 
 @dataclass(frozen=True)

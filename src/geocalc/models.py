@@ -142,7 +142,8 @@ class SphereChartEnergy(EnergyModel):
         cross = _outer(gc, diff)
         cross_t = np.swapaxes(cross, -1, -2)
         h11 = hc * _sq(diff)[..., None] - 2.0 * (cross + cross_t) + h22
-        return h11, 2.0 * cross - h22, 2.0 * cross_t - h22, h22
+        h12 = 2.0 * cross - h22
+        return h11, h12, np.swapaxes(h12, -1, -2), h22
 
     def metric(self, x):
         x = as_point(x)

@@ -15,11 +15,12 @@ grad2(x_{k-1}, x_k) + grad1(x_k, x_{k+1}) = 0, k = 1..K-1:
 On top of these sit a Schild's-ladder style parallel transport (one
 geodesic parallelogram per path segment), its inverse, and a
 finite-difference connection.  The ladder is one Newton solve over every
-rung's midpoint and corner together (``_solve_ladder``, one band), and so
-is its inverse, from the end; the connection is a one-rung inverse.  The
-whole exp and the ladders solve their block lower triangular systems by
-``geodesic._forward_substitution``, in about log2(K) stacked levels for
-the small blocks of surfaces and charts.  They are less robust than the
+rung's midpoint and corner together (``_solve_ladder``), and so is its
+inverse, from the end; the connection is a one-rung inverse.  Each rung
+is two block rows of the size of one point and its multipliers, so the
+ladder's system is block lower bidiagonal, as small as the exp's per row.
+The whole exp and the ladders solve these systems by
+``thomas._forward_substitution``.  They are less robust than the
 step-by-step fold on long shots and coarse ladders; when one fails, or
 lands on a root the fold would not pick (``_near``), the operator runs
 the fold (``exp2``, ``transport_step`` or a one-rung inverse at a time),
@@ -52,13 +53,13 @@ from .geodesic import (
     _border,
     _check_constraint,
     _constraint_view,
-    _forward_substitution,
     _multiplier_rows,
     _newton,
     _project_rows,
     _solve_path,
     solve_geodesic,
 )
+from .thomas import _forward_substitution
 
 __all__ = [
     "TransportTrace",
@@ -304,15 +305,17 @@ def _solve_ladder(pts, zeta, model, constraint, cfg: SolverConfig | None, contex
     Rung k = 1..K has the midpoint c_k, the corners p_{k-1} and p_k, and
     the equations of the forward transport's two inner solves,
 
-        grad2(p_{k-1}, c_k) + grad1(c_k, x_k) - mu_A J(c_k) = 0,  d(c_k) = 0,
-        grad2(x_{k-1}, c_k) + grad1(c_k, p_k) - mu_B J(c_k) = 0,  d(p) = 0,
+        A: grad2(p_{k-1}, c_k) + grad1(c_k, x_k) - mu J(c_k) = 0,  d(c_k) = 0,
+        B: grad2(x_{k-1}, c_k) + grad1(c_k, p_k) - mu' J(c_k) = 0,  d(p) = 0,
 
     the multipliers and constraint rows only with a constraint.  The
-    unknown corner p is p_k, with p_0 = x_0 + zeta given and the rows in
-    the order k = 1..K, or with ``inverse`` p_{k-1}, with p_K = x_K + zeta
-    given and the rows in the order k = K..1.  A row reads the row before
-    only through its given corner, so the Jacobian is block lower
-    bidiagonal in (2d + 2c)-blocks.  Residual and Jacobian come from one
+    unknown corner p is p_k, with p_0 = x_0 + zeta given, the rungs in the
+    order k = 1..K and each solving A for c_k, then B for p_k; or with
+    ``inverse`` p_{k-1}, with p_K = x_K + zeta given, the rungs in the
+    order k = K..1 and each solving B for c_k, then A for p_{k-1}.  Each
+    half rung reads only itself and the half before (c_k, or the corner
+    the rung before solved for), so the Jacobian is block lower bidiagonal
+    in 2K (d + c)-blocks.  Residual and Jacobian come from one
     stacked call each over the 4K segments (p_{k-1}, c_k), (c_k, x_k),
     (x_{k-1}, c_k), (c_k, p_k).  With y the base point of p (x_k, or
     x_{k-1} inverse), a gauge's rows are G c_k = G(x_{k-1} + x_k + zeta)/2
@@ -329,8 +332,10 @@ def _solve_ladder(pts, zeta, model, constraint, cfg: SolverConfig | None, contex
     view = _constraint_view(constraint, lambda g: np.vstack([(starts + ends + zeta) / 2.0, own + zeta]) @ g.T, d)
     c = view.c
     b = d + c
+    flip = -1 if inverse else 1  # the rung halves in solve order: A, B or B, A
 
-    # row i of z holds c_k, mu_A, p, mu_B of its rung
+    # row i of z holds c_k, mu_1, p, mu_2 of its rung, mu_1 belonging to the
+    # rung's half solved first and mu_2 to the other
     def segments(z):
         mid, corner = z[:, :d], z[:, b : b + d]
         prev = np.vstack([p_given, corner[:-1]])
@@ -340,41 +345,34 @@ def _solve_ladder(pts, zeta, model, constraint, cfg: SolverConfig | None, contex
     def residual(z):
         g1, g2 = model.grads_stacked(*segments(z))
         g1, g2 = g1.reshape(4, K, d), g2.reshape(4, K, d)
-        rows_a, rows_b = g2[0] + g1[1], g2[2] + g1[3]
+        first, second = (g2[0] + g1[1], g2[2] + g1[3])[::flip]
         if not c:
-            return np.hstack([rows_a, rows_b])
+            return np.hstack([first, second])
         mid, corner = z[:, :d], z[:, b : b + d]
         jac = view.jac(mid)
         values = view.values(np.vstack([mid, corner]))
-        return np.hstack(
-            [
-                rows_a - _multiplier_rows(z[:, d:b], jac),
-                values[:K],
-                rows_b - _multiplier_rows(z[:, b + d :], jac),
-                values[K:],
-            ]
-        )
+        first, second = first - _multiplier_rows(z[:, d:b], jac), second - _multiplier_rows(z[:, b + d :], jac)
+        return np.hstack([first, values[:K], second, values[K:]])
 
     def step(z, r):
         h11, h12, h21, h22 = (h.reshape(4, K, d, d) for h in model.hess_blocks_stacked(*segments(z)))
-        diag = np.zeros((K, 2 * b, 2 * b))
-        diag[:, :d, :d] = h22[0] + h11[1]
-        diag[:, b : b + d, :d] = h22[2] + h11[3]
-        # row A reads p_{k-1}, row B p_k: the row's own corner goes on the
-        # diagonal, its given one in the band below
-        corners = np.zeros((2,) + diag.shape)
-        corners[0, :, :d, b : b + d] = h21[0]
-        corners[1, :, b : b + d, b : b + d] = h12[3]
-        own_block, given_block = corners if inverse else corners[::-1]
-        diag += own_block
+        # A and B by c_k, and by the corner each reads (A p_{k-1}, B p_k),
+        # in solve order; blocks (K, 2 halves, b, b)
+        mids, corners = (h22[0] + h11[1], h22[2] + h11[3])[::flip], (h21[0], h12[3])[::flip]
+        diag, band = np.zeros((2, K, 2, b, b))
+        diag[:, 0, :d, :d] = mids[0]
+        diag[:, 1, :d, :d] = corners[1]
+        band[:, 0, :d, :d] = mids[1]
+        band[:-1, 1, :d, :d] = corners[0][1:]
         if c:
             mid, corner = z[:, :d], z[:, b : b + d]
             jac = view.jac(mid)
-            diag[:, :d, :d] -= view.hess(mid, z[:, d:b])
-            diag[:, b : b + d, :d] -= view.hess(mid, z[:, b + d :])
-            _border(diag[:, :b, :b], jac, jac)
-            _border(diag[:, b:, b:], jac, view.jac(corner))
-        return _forward_substitution(diag, (given_block[1:],), r)
+            diag[:, 0, :d, :d] -= view.hess(mid, z[:, d:b])
+            band[:, 0, :d, :d] -= view.hess(mid, z[:, b + d :])
+            _border(diag[:, 0], jac, jac)
+            _border(diag[:, 1], jac, view.jac(corner))
+        diag, band = diag.reshape(2 * K, b, b), band.reshape(2 * K, b, b)
+        return _forward_substitution(diag, (band[:-1],), r.reshape(2 * K, b)).reshape(z.shape)
 
     if zetas is None:
         zetas = np.broadcast_to(zeta, (K, d))

@@ -1,6 +1,15 @@
-"""Sequential block Thomas elimination: along the time steps of a path
-(``_thomas_loop``), and along a periodic curve for models with banded
-blocks (``_node_thomas``)."""
+"""Every block linear solve of the Newton steps.
+
+A path Jacobian is block tridiagonal in time (``_block_thomas``) or block
+lower triangular (``_forward_substitution``: the shifted window and the
+ladder of ``operators``).  Up to ``_DENSE_MAX`` unknowns, coarse levels
+included, a system is one dense LU.  Above it, blocks of size at most
+``_REDUCE_MAX_BLOCK`` are halved level by level, one stacked pivot solve
+each, 2 x 2 pivots by closed-form elimination (``_solve2``) and larger
+ones by LAPACK; larger blocks go through sequential block Thomas
+elimination (``_thomas_loop``).  The rods' gauged path system is solved in
+node order, along the periodic curve (``_node_thomas``).
+"""
 
 from __future__ import annotations
 
@@ -8,9 +17,165 @@ import functools
 
 import numpy as np
 
+# largest system (rows times block size) solved as one dense LU: on a 2-core
+# Xeon the chart's 30 unknowns at K = 16 took 50 us so against 270 us by cyclic
+# reduction, and 126 (K = 64) as long as one reduction level onto 62
+_DENSE_MAX = 64
+# largest block (after regrouping, for the lower triangular solve) that is
+# reduced level by level: on that host reduction takes 0.17-0.76x the
+# sequential loop's time for 15-255 blocks of size <= 16, and 1.5-2.6x for
+# blocks of size >= 32 (the rod exp and ladder, the runs of ``_node_thomas``)
+_REDUCE_MAX_BLOCK = 16
+
+
+def _dense_solve(diag, bands, rhs) -> np.ndarray:
+    """Solve a block-banded system, ``diag`` (n, b, b) and ``rhs`` (n, b), as
+    one dense LU; ``bands`` holds pairs (m, blocks), block i of ``blocks``
+    at block (i + m, i) for m > 0 and at (i, i - m) for m < 0."""
+    n, b = rhs.shape
+    a = np.zeros((n, b, n, b))
+    for m, blocks in ((0, diag), *bands):
+        i = np.arange(len(blocks))
+        a[i + max(m, 0), :, i - min(m, 0)] = blocks
+    return np.linalg.solve(a.reshape(n * b, n * b), rhs.reshape(n * b)).reshape(n, b)
+
+
+def _solve2(a, rhs) -> np.ndarray:
+    """Solve stacked 2 x 2 systems a x = rhs, ``a`` (n, 2, 2) and ``rhs``
+    (n, 2, m), by Gaussian elimination with LAPACK's row pivoting (swap
+    where |a_10| > |a_00|).  An exactly zero pivot raises LinAlgError, as
+    ``np.linalg.solve`` does; entries that are not finite propagate."""
+    swap = np.abs(a[:, 1, 0]) > np.abs(a[:, 0, 0])
+    if swap.any():
+        a = np.where(swap[:, None, None], a[:, ::-1], a)
+        rhs = np.where(swap[:, None, None], rhs[:, ::-1], rhs)
+    a00, a01, a10, a11 = a.reshape(-1, 4).T[:, :, None]
+    if not a00.all():
+        raise np.linalg.LinAlgError("Singular matrix")
+    l10 = a10 / a00
+    u11 = a11 - l10 * a01
+    if not u11.all():
+        raise np.linalg.LinAlgError("Singular matrix")
+    x = np.empty(rhs.shape)
+    x[:, 1] = (rhs[:, 1] - l10 * rhs[:, 0]) / u11
+    x[:, 0] = (rhs[:, 0] - a01 * x[:, 1]) / a00
+    return x
+
+
+def _block_thomas(lower, diag, upper, rhs) -> np.ndarray:
+    """Solve a block tridiagonal system.
+
+    ``diag`` has shape (n, b, b) and ``rhs`` (n, b); ``lower`` and ``upper``
+    have shape (n-1, b, b): ``lower[i]`` couples row i+1 to block i, and
+    ``upper[i]`` couples row i to block i+1.  Past ``_DENSE_MAX`` unknowns,
+    blocks of size at most ``_REDUCE_MAX_BLOCK`` go through block cyclic
+    reduction, in about log2(n) stacked levels, larger ones through the
+    sequential loop.
+    """
+    n, b = rhs.shape
+    if n * b <= _DENSE_MAX:
+        return _dense_solve(diag, ((1, lower), (-1, upper)), rhs)
+    if b > _REDUCE_MAX_BLOCK:
+        return _thomas_loop(lower, diag, upper, rhs)
+    zero = np.zeros((1, b, b))
+    return _cyclic_reduction(np.concatenate([zero, lower]), diag, np.concatenate([upper, zero]), rhs)
+
+
+def _cyclic_reduction(lower, diag, upper, rhs) -> np.ndarray:
+    """Block cyclic reduction of L_i x_{i-1} + D_i x_i + U_i x_{i+1} = r_i.
+
+    Here ``lower`` and ``upper`` have n rows, with lower[0] = upper[-1] = 0.
+    One stacked solve gives every even row as x_i = y_i - alpha_i x_{i-1}
+    - beta_i x_{i+1}; substituting it into the odd rows leaves a block
+    tridiagonal system of half the rows (its own lower[0] and upper[-1]
+    again zero), solved the same way, and the even rows follow in one
+    stacked step, down to a dense level of at most ``_DENSE_MAX`` unknowns.
+    """
+    n, b = rhs.shape
+    if n * b <= _DENSE_MAX:
+        return _dense_solve(diag, ((1, lower[1:]), (-1, upper[:-1])), rhs)
+    # even[j] = [alpha | beta | y] of row 2j; odd row 2j+1 sits between the
+    # even rows j and j+1, and the last odd row has no right neighbour when
+    # n is even
+    cols = np.concatenate([lower[::2], upper[::2], rhs[::2, :, None]], axis=2)
+    even = _solve2(diag[::2], cols) if b == 2 else np.linalg.solve(diag[::2], cols)
+    m, r = n // 2, len(even) - 1
+    left = lower[1::2] @ even[:m]
+    right = upper[1 : 2 * r : 2] @ even[1:]
+    diag_odd = diag[1::2] - left[:, :, b : 2 * b]
+    diag_odd[:r] -= right[:, :, :b]
+    upper_odd = np.zeros((m, b, b))
+    upper_odd[:r] = -right[:, :, b : 2 * b]
+    rhs_odd = rhs[1::2] - left[:, :, 2 * b]
+    rhs_odd[:r] -= right[:, :, 2 * b]
+    sol = np.empty((n, b))
+    sol[1::2] = _cyclic_reduction(-left[:, :, :b], diag_odd, upper_odd, rhs_odd)
+    sol[::2] = even[:, :, 2 * b]
+    sol[2::2] -= (even[1:, :, :b] @ sol[1 : 2 * r : 2, :, None])[..., 0]
+    sol[: 2 * m : 2] -= (even[:m, :, b : 2 * b] @ sol[1::2, :, None])[..., 0]
+    return sol
+
+
+def _forward_substitution(diag, bands, rhs) -> np.ndarray:
+    """Solve a block lower triangular system.
+
+    ``diag`` has shape (n, b, b) and ``rhs`` (n, b); ``bands[m - 1]`` has
+    shape (n - m, b, b), and its block i couples row i + m to unknown i.
+    Past ``_DENSE_MAX`` unknowns the diagonal blocks are inverted in one
+    stacked call and premultiply the bands: x_i = s_i - sum_m S_m,i x_{i-m}.
+    With M bands and M b at most ``_REDUCE_MAX_BLOCK``, that recurrence is
+    regrouped into one of (M b)-blocks X_i = (x_i, ..., x_{i-M+1}) and
+    solved in about log2(n) stacked levels (``_affine_recurrence``);
+    otherwise each of the n steps is a few small matvecs.
+    """
+    n, b = rhs.shape
+    if n * b <= _DENSE_MAX:
+        return _dense_solve(diag, enumerate(bands, start=1), rhs)
+    inv = _solve2(diag, np.broadcast_to(np.eye(2), diag.shape)) if b == 2 else np.linalg.inv(diag)
+    sol = (inv @ rhs[..., None])[..., 0]
+    scaled = [inv[m:] @ band for m, band in enumerate(bands, start=1)]
+    w = len(bands) * b
+    if bands and w <= _REDUCE_MAX_BLOCK:
+        # steps[i] = [A_i | c_i] with top block row [-S_1,i ... -S_M,i | s_i]
+        # and, below it, identity blocks passing x_{i-1} .. x_{i-M+1} on
+        steps = np.zeros((n, w, w + 1))
+        steps[:, :b, w] = sol
+        for m, band in enumerate(scaled, start=1):
+            steps[m:, :b, (m - 1) * b : m * b] = -band
+        for t in range(1, len(bands)):
+            steps[:, t * b : (t + 1) * b, (t - 1) * b : t * b] = np.eye(b)
+        return _affine_recurrence(steps)[:, :b]
+    for i in range(1, n):
+        for m, band in enumerate(scaled[:i], start=1):
+            sol[i] -= band[i - m] @ sol[i - m]
+    return sol
+
+
+def _affine_recurrence(steps) -> np.ndarray:
+    """Solve X_i = A_i X_{i-1} + c_i for i = 0..n-1, with X_{-1} = 0.
+
+    ``steps[i]`` is [A_i | c_i], shape (w, w + 1).  Each level composes
+    every odd row with the row before it (one stacked matmul), solves the
+    recurrence of the odd rows so formed, and fills in the even rows from
+    them (one stacked matvec).
+    """
+    n, w = steps.shape[:2]
+    x = np.empty((n, w))
+    if n <= 2:
+        x[:] = steps[:, :, w]
+        if n == 2:
+            x[1] += steps[1, :, :w] @ x[0]
+        return x
+    pairs = steps[1::2, :, :w] @ steps[: 2 * (n // 2) : 2]
+    pairs[:, :, w] += steps[1::2, :, w]
+    x[1::2] = _affine_recurrence(pairs)
+    x[::2] = steps[::2, :, w]
+    x[2::2] += (steps[2::2, :, :w] @ x[1 : n - 1 : 2, :, None])[..., 0]
+    return x
+
 
 def _thomas_loop(lower, diag, upper, rhs) -> np.ndarray:
-    """Block Thomas elimination, one pivot solve per row; arguments as ``geodesic._block_thomas``, or rhs (n, b, r)."""
+    """Block Thomas elimination, one pivot solve per row; arguments as ``_block_thomas``, or rhs (n, b, r)."""
     n, b = rhs.shape[:2]
     # row i of the eliminated system reads x_i + C_i x_{i+1} = d_i, and
     # cd[i] holds [C_i | d_i]; one solve per pivot gives both

@@ -1,23 +1,28 @@
 """The block linear solves of the Newton steps against dense references.
 
-``geodesic._block_thomas`` (block tridiagonal, the path solves) and
-``geodesic._forward_substitution`` (block lower triangular, the whole exp
-and ladder) reduce level by level when the (regrouped) block size is at
-most ``geodesic._REDUCE_MAX_BLOCK`` and run the sequential loop otherwise.
-These tests check both on random block diagonally dominant systems on both
-sides of that threshold, against a dense solve of the assembled matrix
-where it fits in memory and against the sequential loop plus the block
-residual where it does not.  ``thomas._node_thomas`` (the gauged path
-system of banded periodic blocks, solved in node order) is checked against
-a dense solve of its assembled matrix.
+``thomas._block_thomas`` (block tridiagonal, the path solves) and
+``thomas._forward_substitution`` (block lower triangular, the whole exp
+and ladder) solve a system of at most ``thomas._DENSE_MAX`` unknowns as
+one dense LU; larger ones reduce level by level when the (regrouped) block
+size is at most ``thomas._REDUCE_MAX_BLOCK`` and run the sequential loop
+otherwise.  These tests check both on random block diagonally dominant
+systems on all sides of those thresholds (n = 32 rows of 2 is the largest
+dense system, n = 33 the smallest reduced one), against a dense solve of
+the assembled matrix where it fits in memory and against the sequential
+loop plus the block residual where it does not.  ``thomas._solve2``, the
+closed-form elimination of stacked 2 x 2 pivots, is checked for its row
+swap, its singular and non-finite pivots and its backward error.
+``thomas._node_thomas`` (the gauged path system of banded periodic blocks,
+solved in node order) is checked against a dense solve of its assembled
+matrix.
 """
 
 import numpy as np
 import pytest
 
-from geocalc import geodesic, thomas
+from geocalc import thomas
 
-SIZES = [1, 2, 3, 4, 5, 8, 9, 33, 1023]
+SIZES = [1, 2, 3, 4, 5, 8, 9, 32, 33, 1023]
 BLOCKS = [1, 2, 4, 8, 16, 17, 40]
 # largest assembled system solved densely (32 MB)
 DENSE_MAX = 2048
@@ -74,7 +79,7 @@ def _check(solve, diag, bands, rhs, monkeypatch):
     if n * b <= DENSE_MAX:
         ref = np.linalg.solve(_dense(diag, bands), rhs.ravel()).reshape(n, b)
     else:
-        monkeypatch.setattr(geodesic, "_REDUCE_MAX_BLOCK", 0)
+        monkeypatch.setattr(thomas, "_REDUCE_MAX_BLOCK", 0)
         ref = solve()
         monkeypatch.undo()
     assert np.max(np.abs(x - ref)) <= 1e-12 * np.max(np.abs(ref))
@@ -86,7 +91,7 @@ def test_block_tridiagonal_solve_matches_a_dense_solve(n, b, monkeypatch):
     diag, bands, rhs = _system(10 * n + b, n, b, (1, -1))
 
     def solve():
-        return geodesic._block_thomas(bands[1], diag, bands[-1], rhs)
+        return thomas._block_thomas(bands[1], diag, bands[-1], rhs)
 
     _check(solve, diag, bands, rhs, monkeypatch)
 
@@ -99,7 +104,7 @@ def test_block_lower_triangular_solve_matches_a_dense_solve(n, b, count, monkeyp
     diag, bands, rhs = _system(20 * n + b + count, n, b, offsets)
 
     def solve():
-        return geodesic._forward_substitution(diag, [bands[m] for m in offsets], rhs)
+        return thomas._forward_substitution(diag, [bands[m] for m in offsets], rhs)
 
     _check(solve, diag, bands, rhs, monkeypatch)
 
@@ -107,8 +112,8 @@ def test_block_lower_triangular_solve_matches_a_dense_solve(n, b, count, monkeyp
 @pytest.mark.parametrize("b", [17, 40])
 def test_large_blocks_run_the_sequential_loop_bit_for_bit(b):
     diag, bands, rhs = _system(b, 64, b, (1, -1))
-    got = geodesic._block_thomas(bands[1], diag, bands[-1], rhs)
-    assert np.array_equal(got, geodesic._thomas_loop(bands[1], diag, bands[-1], rhs))
+    got = thomas._block_thomas(bands[1], diag, bands[-1], rhs)
+    assert np.array_equal(got, thomas._thomas_loop(bands[1], diag, bands[-1], rhs))
 
 
 def _node_system(seed, nodes, p, c, n=5):
@@ -166,3 +171,78 @@ def test_the_thomas_loop_carries_further_right_hand_sides_column_by_column():
     for k in range(3):
         want = thomas._thomas_loop(bands[1], diag, bands[-1], cols[:, :, k])
         assert np.max(np.abs(got[:, :, k] - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def _solve2_by_hand(a, rhs):
+    """Elimination of one 2 x 2 pivot with row 0 as the pivot row."""
+    l10 = a[1, 0] / a[0, 0]
+    x1 = (rhs[1] - l10 * rhs[0]) / (a[1, 1] - l10 * a[0, 1])
+    return np.array([(rhs[0] - a[0, 1] * x1) / a[0, 0], x1])
+
+
+def test_2x2_elimination_swaps_rows_past_a_zero_leading_entry():
+    a = np.array([[[0.0, 1.0], [2.0, 3.0]], [[1e-300, 1.0], [1.0, 1.0]]])
+    want = np.array([[[1.0, -2.0], [3.0, 0.5]], [[1.0, 0.0], [-1.0, 2.0]]])
+    x = thomas._solve2(a, a @ want)
+    np.testing.assert_allclose(x, want, rtol=0.0, atol=1e-15)
+
+
+def test_2x2_elimination_keeps_row_0_on_a_tie():
+    rng = np.random.default_rng(3)
+    a = rng.normal(size=(64, 2, 2))
+    a[:, 1, 0] = -a[:, 0, 0]
+    rhs = rng.normal(size=(64, 2, 3))
+    x = thomas._solve2(a, rhs)
+    for ai, ri, xi in zip(a, rhs, x):
+        np.testing.assert_array_equal(xi, _solve2_by_hand(ai, ri))
+
+
+def test_2x2_elimination_raises_on_an_exactly_singular_pivot():
+    good = np.array([[2.0, 1.0], [1.0, 3.0]])
+    for bad in ([[1.0, 2.0], [2.0, 4.0]], [[0.0, 1.0], [0.0, 2.0]], np.zeros((2, 2))):
+        a = np.stack([good, np.array(bad), good])
+        with pytest.raises(np.linalg.LinAlgError):
+            thomas._solve2(a, np.ones((3, 2, 1)))
+
+
+def test_2x2_elimination_lets_a_nan_propagate():
+    a = np.tile([[2.0, 1.0], [1.0, 3.0]], (3, 1, 1))
+    a[1, 0, 1] = np.nan
+    x = thomas._solve2(a, np.ones((3, 2, 2)))
+    assert np.isnan(x[1]).any()
+    # [[2, 1], [1, 3]] x = (1, 1) gives x = (0.4, 0.2)
+    np.testing.assert_allclose(x[[0, 2]], np.tile([[0.4], [0.2]], (2, 1, 2)), rtol=1e-15)
+
+
+def _conditioned_2x2(rng, n):
+    """Random 2 x 2 pivots of condition numbers log-uniform in [1, 1e12]."""
+    cond = 10.0 ** rng.uniform(0.0, 12.0, size=n)
+    scale = 10.0 ** rng.uniform(-3.0, 3.0, size=n)
+    u, _ = np.linalg.qr(rng.normal(size=(n, 2, 2)))
+    v, _ = np.linalg.qr(rng.normal(size=(n, 2, 2)))
+    sigma = np.zeros((n, 2, 2))
+    sigma[:, 0, 0], sigma[:, 1, 1] = scale, scale / cond
+    return u @ sigma @ np.swapaxes(v, 1, 2), cond
+
+
+def test_2x2_elimination_is_backward_stable():
+    rng = np.random.default_rng(4)
+    a, cond = _conditioned_2x2(rng, 4096)
+    rhs = rng.normal(size=(4096, 2, 5))
+    x = thomas._solve2(a, rhs)
+    eps = np.finfo(float).eps
+    bound = 8.0 * eps * np.linalg.norm(a, 2, axis=(1, 2)) * np.linalg.norm(x, axis=(1, 2))
+    assert np.all(np.linalg.norm(a @ x - rhs, axis=(1, 2)) <= bound)
+    ref = np.linalg.solve(a, rhs)
+    assert np.all(np.linalg.norm(x - ref, axis=(1, 2)) <= 8.0 * eps * cond * np.linalg.norm(x, axis=(1, 2)))
+
+
+def test_2x2_elimination_inverts_a_stack():
+    rng = np.random.default_rng(5)
+    a, cond = _conditioned_2x2(rng, 1024)
+    inv = thomas._solve2(a, np.broadcast_to(np.eye(2), a.shape))
+    eps = np.finfo(float).eps
+    ref = np.linalg.inv(a)
+    size = np.linalg.norm(inv, axis=(1, 2))
+    assert np.all(np.linalg.norm(inv - ref, axis=(1, 2)) <= 8.0 * eps * cond * size)
+    assert np.all(np.linalg.norm(a @ inv - np.eye(2), axis=(1, 2)) <= 8.0 * eps * cond)

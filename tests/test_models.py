@@ -110,6 +110,22 @@ def test_shipped_models_implement_only_the_stacked_methods():
         assert not per_point & set(vars(cls)), cls.__name__
 
 
+def test_chart_hess21_is_2_cross_t_minus_h22_bit_for_bit():
+    # hess21 is handed out as the transpose of hess12; written out, it is
+    # 2 grad c(x) (y - x)^T transposed minus h22 = 2 c(x) I
+    sc = sphere_chart_energy()
+    rng = np.random.default_rng(13)
+    for n in (1, 16, 1024):
+        xs = rng.normal(size=(n, 2))
+        ys = xs + 0.3 * rng.normal(size=(n, 2))
+        _, _, h21, h22 = sc.hess_blocks_stacked(xs, ys)
+        q = 1.0 + (xs * xs).sum(-1)
+        grad_c = -16.0 * xs / q[:, None] ** 3
+        cross_t = (ys - xs)[:, :, None] * grad_c[:, None, :]
+        np.testing.assert_array_equal(h22, 2.0 * (4.0 / q**2)[:, None, None] * np.eye(2))
+        np.testing.assert_array_equal(h21, 2.0 * cross_t - h22)
+
+
 def test_chart_metric_value():
     assert np.allclose(
         metric_from_energy(sphere_chart_energy(), [0.5, 0.0]), 2.56 * np.eye(2)

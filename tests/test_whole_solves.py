@@ -18,6 +18,7 @@ from geocalc import (
     LinearGauge,
     SolverConfig,
     SolverError,
+    circle_rod,
     discrete_connection,
     discrete_exp,
     discrete_exp_path,
@@ -27,13 +28,16 @@ from geocalc import (
     inverse_transport,
     log2,
     parallel_transport,
+    random_smooth_rod,
+    rod_energy,
+    rod_gauge,
     sdf_spring_model,
     solve_geodesic,
     sphere_chart_energy,
     sphere_oracles,
     transport_step,
 )
-from geocalc import geodesic
+from geocalc import geodesic, thomas
 from geocalc import operators as op
 from geocalc.cli import main
 from geocalc.models import SphereSdf
@@ -56,9 +60,19 @@ def _sphere_case():
     return model, sphere, a, b, v, w
 
 
+def _rod_case():
+    """Gauged simplified rod, N = 16: a circle-to-circle morph (no exp
+    velocity) and a shape change to transport along it."""
+    a, b = circle_rod(16).coord, circle_rod(16, 1.2).coord
+    w = random_smooth_rod(16, np.random.default_rng(0), amplitude=0.1).coord - a
+    return rod_energy("simplified", 16, 0.1), rod_gauge(16), a, b, None, w
+
+
 def _case(name):
     if name == "chart":
         return CHART, None, XA, XB, ORACLE.log(XA, XB), np.array([-0.4, 0.0])
+    if name == "gauged-rod":
+        return _rod_case()
     return _sphere_case()
 
 
@@ -73,25 +87,31 @@ def _whole_ladder(path, zeta, model, cfg, constraint=None):
     return op._solve_ladder(np.asarray(path), zeta, model, constraint, cfg, "ladder")
 
 
-@pytest.mark.parametrize("name", ["chart", "sdf-sphere"])
-@pytest.mark.parametrize("K", [8, 64, 256])
-def test_whole_solves_match_the_fold(name, K):
+# the gauged rod's ladder (c = 2, blocks of 34) runs the sequential branch of
+# the rung halves; it has no exp velocity
+@pytest.mark.parametrize(
+    "K, name", [(K, name) for K in (8, 64, 256) for name in ("chart", "sdf-sphere")] + [(8, "gauged-rod")]
+)
+def test_whole_solves_match_the_fold(K, name):
     model, con, xa, xb, v, w = _case(name)
+    # the rod's rows stop near 2e-13 (ROADMAP item 2), short of TIGHT
+    cfg = SolverConfig() if name == "gauged-rod" else TIGHT
     path = solve_geodesic(xa, xb, K, model, constraint=con).path
 
-    whole, _, _, converged = _whole_exp(xa, v / K, K, model, TIGHT, con)
-    assert converged
-    shot = discrete_exp_path(xa, v / K, K, model, TIGHT, con)
-    assert np.array_equal(shot.points, whole)  # the whole solve, no fallback
-    fold = op._exp_fold(xa, v / K, K, model, TIGHT, con)
-    assert np.max(np.abs(shot[K] - fold[K])) <= 1e-9
+    if v is not None:
+        whole, _, _, converged = _whole_exp(xa, v / K, K, model, cfg, con)
+        assert converged
+        shot = discrete_exp_path(xa, v / K, K, model, cfg, con)
+        assert np.array_equal(shot.points, whole)  # the whole solve, no fallback
+        fold = op._exp_fold(xa, v / K, K, model, cfg, con)
+        assert np.max(np.abs(shot[K] - fold[K])) <= 1e-9
 
-    mid, corner, _, _, converged = _whole_ladder(path.points, w / K, model, TIGHT, con)
+    mid, corner, _, _, converged = _whole_ladder(path.points, w / K, model, cfg, con)
     assert converged
-    zeta, traces = parallel_transport(path, w / K, model, TIGHT, con)
+    zeta, traces = parallel_transport(path, w / K, model, cfg, con)
     assert np.array_equal([tr.x_c for tr in traces], mid)
     assert np.array_equal(zeta, corner[-1] - path[K])
-    zeta_fold, _ = op._transport_fold(path, w / K, model, TIGHT, con)
+    zeta_fold, _ = op._transport_fold(path, w / K, model, cfg, con)
     assert K * np.max(np.abs(zeta - zeta_fold)) <= 1e-8
 
 
@@ -375,8 +395,9 @@ def test_cli_exp_rejects_a_short_displacement(capsys):
 
 
 def _sequential(monkeypatch):
-    """Make the block solves run their sequential loop at every block size."""
-    monkeypatch.setattr(geodesic, "_REDUCE_MAX_BLOCK", 0)
+    """Make the block solves run their sequential loop at every block size,
+    past the dense LU of small systems."""
+    monkeypatch.setattr(thomas, "_REDUCE_MAX_BLOCK", 0)
 
 
 def test_reduced_path_solve_matches_the_sequential_loop(monkeypatch):
