@@ -6,7 +6,8 @@ approximates squared geodesic distance.  From that single variational
 principle the package derives discrete logarithm and exponential maps,
 Schild's-ladder parallel transport, and a finite-difference connection,
 together with flat, sphere-chart, embedded-hypersurface, and viscous-rod
-backends plus a convergence-study harness and CLI.
+backends, a model of any complex-analytic ``w`` alone (``energy_from_w``),
+a convergence-study harness and a CLI.
 """
 
 from .core import (
@@ -15,13 +16,12 @@ from .core import (
     DomainError,
     EnergyModel,
     EvaluationError,
-    FdScheme,
     InvariantViolation,
     SolverError,
     as_path,
     as_point,
     check_consistency,
-    fd_derivatives,
+    energy_from_w,
     metric_from_energy,
 )
 from .geodesic import (

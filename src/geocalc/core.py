@@ -9,7 +9,10 @@ two-point solves, parallel transport) consumes concrete models only
 through the :class:`EnergyModel` interface defined here.  A model
 implements that interface once, over stacks of segments
 (``w_stacked``, ``grads_stacked``, ``hess_blocks_stacked``); the
-per-point methods are views of a stack of one.
+per-point methods are views of a stack of one.  A two-point energy given
+only as a stacked, complex-analytic ``w`` becomes a model through
+:func:`energy_from_w`: complex-step gradients, and Hessian blocks as
+central differences of them.
 
 Derivative layout used throughout the package:
 
@@ -41,10 +44,7 @@ __all__ = [
     "DiscretePath",
     "as_path",
     "EnergyModel",
-    "FdScheme",
-    "fd_derivatives",
-    "fd_gradient",
-    "fd_jacobian",
+    "energy_from_w",
     "metric_from_energy",
     "ConsistencyReport",
     "check_consistency",
@@ -220,129 +220,67 @@ class EnergyModel(ABC):
         return metric_from_energy(self, x)
 
 
-@dataclass(frozen=True)
-class FdScheme:
-    """Central finite-difference scheme of order 2 with step ``step``."""
-
-    step: float = 1e-5
-
-    def __post_init__(self):
-        if not (1e-8 <= self.step <= 1e-2):
-            raise DomainError(f"fd step must lie in [1e-8, 1e-2], got {self.step}")
+_CS_STEP = 1e-30  # complex step: nothing cancels, so it can be tiny
+_FD_STEP = 1e-6  # central-difference step for Jacobians of exact gradients
 
 
-def fd_gradient(func, x: np.ndarray, step: float) -> np.ndarray:
-    """Central-difference gradient of a scalar function of one vector."""
-    x = np.asarray(x, dtype=float)
-    g = np.empty_like(x)
-    for j in range(x.size):
-        e = np.zeros_like(x)
-        e[j] = step
-        g[j] = (func(x + e) - func(x - e)) / (2.0 * step)
-    return g
+def _central_columns(f, xs):
+    """Central differences of a stacked map ``f`` at the points xs, shape
+    (n, d): 2d calls of ``f`` over the whole stack, column j (along x_j)
+    stacked on a new last axis."""
+    xs = np.asarray(xs, dtype=float)
+    steps = _FD_STEP * np.eye(xs.shape[1])
+    return np.stack([(f(xs + e) - f(xs - e)) / (2.0 * _FD_STEP) for e in steps], axis=-1)
 
 
-def fd_jacobian(func, x: np.ndarray, step: float) -> np.ndarray:
-    """Central-difference Jacobian; column j differentiates along x_j."""
-    x = np.asarray(x, dtype=float)
-    cols = []
-    for j in range(x.size):
-        e = np.zeros_like(x)
-        e[j] = step
-        cols.append(
-            (np.asarray(func(x + e), dtype=float) - np.asarray(func(x - e), dtype=float))
-            / (2.0 * step)
-        )
-    return np.stack(cols, axis=1)
+class _ComplexStepModel(EnergyModel):
+    """The model of a stacked, complex-analytic ``w`` (see :func:`energy_from_w`)."""
 
-
-class _FiniteDifferenceModel(EnergyModel):
-    """Full derivative access for a model that only implements ``w``.
-
-    The base model has no stacked evaluation, so the stacked methods loop
-    over the segments, each one a set of central-difference stencils.
-    """
-
-    def __init__(self, base, scheme: FdScheme):
-        self._base = base
-        self._h = scheme.step
-
-    def _grad(self, x, y, first: bool):
-        if first:
-            return fd_gradient(lambda p: self._base.w(p, y), x, self._h)
-        return fd_gradient(lambda p: self._base.w(x, p), y, self._h)
-
-    def _hess_same(self, x, y, first: bool):
-        h = self._h
-        d = np.asarray(x if first else y).size
-        out = np.empty((d, d))
-        for i in range(d):
-            for j in range(i + 1):
-                ei = np.zeros(d)
-                ej = np.zeros(d)
-                ei[i] = h
-                ej[j] = h
-
-                def _w(p):
-                    return self._base.w(p, y) if first else self._base.w(x, p)
-
-                base = np.asarray(x if first else y, dtype=float)
-                val = (
-                    _w(base + ei + ej)
-                    - _w(base + ei - ej)
-                    - _w(base - ei + ej)
-                    + _w(base - ei - ej)
-                ) / (4.0 * h * h)
-                out[i, j] = val
-                out[j, i] = val
-        return out
-
-    def _hess12(self, x, y):
-        h = self._h
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        d = x.size
-        out = np.empty((d, d))
-        for i in range(d):
-            for j in range(d):
-                ei = np.zeros(d)
-                ej = np.zeros(d)
-                ei[i] = h
-                ej[j] = h
-                out[i, j] = (
-                    self._base.w(x + ei, y + ej)
-                    - self._base.w(x + ei, y - ej)
-                    - self._base.w(x - ei, y + ej)
-                    + self._base.w(x - ei, y - ej)
-                ) / (4.0 * h * h)
-        return out
+    def __init__(self, w):
+        self._w = w
 
     def w_stacked(self, xs, ys):
-        return np.array([float(self._base.w(x, y)) for x, y in zip(xs, ys)])
+        return np.asarray(self._w(np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)), dtype=float)
+
+    def _grads(self, xs, ys):
+        """(grad1, grad2) of each segment side by side, shape (n, 2d): a call
+        of ``w`` per slot over the d copies of the stack, the slot moved by
+        i h along one coordinate in each copy."""
+        n, d = xs.shape
+        steps = 1j * _CS_STEP * np.eye(d)[:, None]
+        w = np.concatenate([
+            self._w((xs + steps).reshape(-1, d), np.concatenate([ys] * d)),
+            self._w(np.concatenate([xs] * d), (ys + steps).reshape(-1, d)),
+        ])
+        if not np.iscomplexobj(w):
+            raise TypeError("energy_from_w needs a complex-analytic w, but w returned real values for complex input")
+        return w.imag.reshape(2 * d, n).T / _CS_STEP
 
     def grads_stacked(self, xs, ys):
-        g1, g2 = np.empty(np.shape(xs)), np.empty(np.shape(xs))
-        for i, (x, y) in enumerate(zip(xs, ys)):
-            g1[i], g2[i] = self._grad(x, y, True), self._grad(x, y, False)
-        return g1, g2
+        return tuple(np.hsplit(self._grads(np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)), 2))
 
     def hess_blocks_stacked(self, xs, ys):
-        n, d = np.shape(xs)
-        blocks = np.empty((4, n, d, d))
-        for i, (x, y) in enumerate(zip(xs, ys)):
-            # the two mixed blocks share one stencil, with the slots swapped
-            h12 = self._hess12(x, y)
-            blocks[:, i] = self._hess_same(x, y, True), h12, h12.T, self._hess_same(x, y, False)
-        return tuple(blocks)
+        xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
+        # rows (grad1, grad2), columns along x and along y
+        jx = _central_columns(lambda p: self._grads(p, ys), xs)
+        jy = _central_columns(lambda p: self._grads(xs, p), ys)
+        d = xs.shape[1]
+        return jx[:, :d], jy[:, :d], jx[:, d:], jy[:, d:]
 
 
-def fd_derivatives(model, scheme: FdScheme | None = None) -> EnergyModel:
-    """Wrap a w-only model into a full :class:`EnergyModel` via central FD.
+def energy_from_w(w) -> EnergyModel:
+    """The :class:`EnergyModel` of a two-point energy given only as ``w``.
 
-    ``model`` needs a ``w(x, y)`` method; domain errors raised by it
+    ``w(xs, ys)`` takes the starts and ends of n segments, arrays of shape
+    (n, d), and returns their n energies.  It must be complex-analytic in
+    both arguments: no ``abs``, conjugation, ``np.maximum``, casts to
+    float, and comparisons on ``.real`` only.  Gradients are complex-step
+    derivatives (Squire & Trapp 1998), exact to rounding: two calls of
+    ``w`` over d copies of the stack.  Hessian blocks are central
+    differences of them: 8d such calls.  Domain errors raised by ``w``
     propagate unchanged.
     """
-    return _FiniteDifferenceModel(model, scheme or FdScheme())
+    return _ComplexStepModel(w)
 
 
 def _require_finite_matrix(m: np.ndarray, label: str) -> np.ndarray:

@@ -55,6 +55,7 @@ from .core import (
     InvariantViolation,
     SolverError,
     _as_count,
+    _central_columns,
     _one,
     _write_csv,
     as_path,
@@ -107,12 +108,10 @@ class ConstraintModel(ABC):
     ``grad_d_stacked`` take a stack xs of n points, shape (n, d), and
     return d and its gradient at each point, stacked along a leading axis:
     shapes (n,) and (n, d).  ``hess_d_stacked``, shape (n, d, d), defaults
-    to central differences of ``grad_d_stacked`` over the whole stack with
-    step ``fd_step``, symmetrized.  The per-point methods ``d``, ``grad_d``
-    and ``hess_d`` are views of a stack of one.
+    to central differences of ``grad_d_stacked`` over the whole stack
+    (``core._central_columns``), symmetrized.  The per-point methods
+    ``d``, ``grad_d`` and ``hess_d`` are views of a stack of one.
     """
-
-    fd_step: float = 1e-6
 
     @abstractmethod
     def d_stacked(self, xs) -> np.ndarray:
@@ -125,16 +124,7 @@ class ConstraintModel(ABC):
     def hess_d_stacked(self, xs) -> np.ndarray:
         """hess_d at each point of xs, shape (n, d, d): 2d stacked calls of
         ``grad_d_stacked``, column j differentiating along x_j."""
-        xs = np.asarray(xs, dtype=float)
-        n, d = xs.shape
-        jac = np.empty((n, d, d))
-        for j in range(d):
-            e = np.zeros(d)
-            e[j] = self.fd_step
-            jac[:, :, j] = (
-                np.asarray(self.grad_d_stacked(xs + e), dtype=float)
-                - np.asarray(self.grad_d_stacked(xs - e), dtype=float)
-            ) / (2.0 * self.fd_step)
+        jac = _central_columns(self.grad_d_stacked, xs)
         return (jac + np.swapaxes(jac, 1, 2)) / 2.0
 
     def d(self, x) -> float:

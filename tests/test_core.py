@@ -1,3 +1,6 @@
+import dataclasses
+import warnings
+
 import numpy as np
 import pytest
 
@@ -5,16 +8,26 @@ from geocalc import (
     DiscretePath,
     DomainError,
     EvaluationError,
-    FdScheme,
     as_point,
     check_consistency,
-    fd_derivatives,
+    energy_from_w,
     flat_energy,
     metric_from_energy,
+    solve_geodesic,
     sphere_chart_energy,
 )
+from geocalc import harness
 from geocalc.core import EnergyModel
 from geocalc.rods import circle_rod, rod_energy
+
+
+def _chart_w(xs, ys):
+    """The sphere chart's w, complex-safe: x * x in place of |x|^2."""
+    return 4.0 / (1.0 + (xs * xs).sum(-1)) ** 2 * ((ys - xs) ** 2).sum(-1)
+
+
+def _flat_w(xs, ys):
+    return ((ys - xs) ** 2).sum(-1)
 
 
 class _NanHessModel(EnergyModel):
@@ -54,14 +67,6 @@ def test_path_points_are_read_only():
     path = DiscretePath(np.zeros((3, 2)))
     with pytest.raises(ValueError):
         path.points[0, 0] = 1.0
-
-
-def test_fd_scheme_bounds():
-    FdScheme(step=1e-5)
-    with pytest.raises(DomainError):
-        FdScheme(step=1e-9)
-    with pytest.raises(DomainError):
-        FdScheme(step=0.1)
 
 
 def test_metric_flat_is_identity():
@@ -142,8 +147,8 @@ def test_consistency_random_points_analytic_models():
 
 
 def test_consistency_report_records_failures():
-    fd = fd_derivatives(sphere_chart_energy(), FdScheme(step=1e-4))
-    report = check_consistency(fd, np.array([0.5, 0.0]), 1e-30)
+    model = energy_from_w(_chart_w)
+    report = check_consistency(model, np.array([0.5, 0.0]), 1e-30)
     assert not report.ok
     assert report.failed()
     assert set(report.failed()) <= set(report.residuals)
@@ -151,16 +156,16 @@ def test_consistency_report_records_failures():
 
 
 def test_fd_gradients_flat():
-    fd = fd_derivatives(flat_energy(), FdScheme(step=1e-5))
-    g = fd.grad2(np.zeros(2), np.array([1.0, 0.0]))
+    model = energy_from_w(_flat_w)
+    g = model.grad2(np.zeros(2), np.array([1.0, 0.0]))
     assert np.allclose(g, [2.0, 0.0], atol=1e-8)
 
 
 def test_fd_mixed_hessian_flat():
-    fd = fd_derivatives(flat_energy(), FdScheme(step=1e-4))
-    h12 = fd.hess12(np.array([0.3, -0.7]), np.array([1.1, 0.4]))
+    model = energy_from_w(_flat_w)
+    h12 = model.hess12(np.array([0.3, -0.7]), np.array([1.1, 0.4]))
     assert np.allclose(h12, -2.0 * np.eye(2), atol=1e-6)
-    h11, m12, m21, h22 = fd.hess_blocks(np.zeros(2), np.array([0.5, 0.2]))
+    h11, m12, m21, h22 = model.hess_blocks(np.zeros(2), np.array([0.5, 0.2]))
     assert np.allclose(m21, m12.T)
     assert np.allclose(h11, 2.0 * np.eye(2), atol=1e-6)
     assert np.allclose(h22, 2.0 * np.eye(2), atol=1e-6)
@@ -168,34 +173,82 @@ def test_fd_mixed_hessian_flat():
 
 def test_fd_hess22_matches_analytic_metric():
     sc = sphere_chart_energy()
-    fd = fd_derivatives(sc, FdScheme(step=1e-5))
+    model = energy_from_w(_chart_w)
     x = np.array([0.4, -0.3])
-    approx = fd.hess22(x, x)
+    approx = model.hess22(x, x)
     exact = 2.0 * sc.metric(x)
     rel = np.max(np.abs(approx - exact)) / np.max(np.abs(exact))
     assert rel < 1e-5
 
 
-def _fd_discrepancy(step):
+def test_w_only_derivatives_match_the_closed_form_chart():
+    # complex-step gradients are exact to rounding; the Hessian blocks,
+    # central differences of them, to about the step squared
     sc = sphere_chart_energy()
-    fd = fd_derivatives(sc, FdScheme(step=step))
-    x = np.array([0.3, -0.2])
-    y = np.array([0.45, 0.1])
-    worst = 0.0
-    for name in ("grad1", "grad2", "hess11", "hess12", "hess21", "hess22"):
-        diff = np.asarray(getattr(fd, name)(x, y)) - np.asarray(getattr(sc, name)(x, y))
-        worst = max(worst, float(np.max(np.abs(diff))))
-    return worst
+    model = energy_from_w(_chart_w)
+    rng = np.random.default_rng(21)
+    xs = rng.normal(size=(256, 2))
+    ys = xs + 0.3 * rng.normal(size=(256, 2))
+    np.testing.assert_allclose(model.w_stacked(xs, ys), sc.w_stacked(xs, ys), rtol=1e-15, atol=0)
+    for got, ref in zip(model.grads_stacked(xs, ys), sc.grads_stacked(xs, ys)):
+        assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref))
+    for got, ref in zip(model.hess_blocks_stacked(xs, ys), sc.hess_blocks_stacked(xs, ys)):
+        assert np.max(np.abs(got - ref)) <= 1e-9 * np.max(np.abs(ref))
 
 
-def test_fd_accuracy_is_second_order():
-    ratio = _fd_discrepancy(1e-3) / _fd_discrepancy(5e-4)
-    assert 3.5 <= ratio <= 4.5
+def test_w_only_metric_matches_the_chart_metric():
+    model = energy_from_w(_chart_w)
+    for x in ([0.4, -0.3], [0.0, 0.0], [-1.5, 2.0]):
+        exact = sphere_chart_energy().metric(x)
+        rel = np.max(np.abs(metric_from_energy(model, x) - exact)) / np.max(np.abs(exact))
+        assert rel <= 1e-9
+
+
+def test_w_only_model_needs_a_complex_analytic_w():
+    # the chart model's own w casts its input to float, which drops the
+    # imaginary part (numpy only warns): refused, not all-zero gradients
+    model = energy_from_w(sphere_chart_energy().w_stacked)
+    x, y = np.array([0.3, -0.2]), np.array([0.45, 0.1])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        with pytest.raises(TypeError, match="complex-analytic"):
+            model.grads(x, y)
+        with pytest.raises(TypeError, match="complex-analytic"):
+            model.hess_blocks(x, y)
+    assert model.w(x, y) == sphere_chart_energy().w(x, y)
 
 
 def test_fd_propagates_domain_errors():
-    model = rod_energy("simplified", 16, 0.1)
-    fd = fd_derivatives(model, FdScheme(step=1e-6))
-    degenerate = np.zeros(32)
-    with pytest.raises(DomainError):
-        fd.grad1(degenerate, circle_rod(16).coord)
+    def half_plane_w(xs, ys):
+        if np.any(xs[:, 1].real <= 0.0) or np.any(ys[:, 1].real <= 0.0):
+            raise DomainError("outside the upper half-plane")
+        return ((ys - xs) ** 2).sum(-1) / (xs[:, 1] * ys[:, 1])
+
+    model = energy_from_w(half_plane_w)
+    x, y = np.array([0.0, 1.0]), np.array([0.5, 2.0])
+    assert model.grad1(x, y).shape == (2,)
+    for method in (model.w, model.grad1, model.hess_blocks):
+        with pytest.raises(DomainError, match="upper half-plane"):
+            method(np.array([0.0, -1.0]), y)
+
+
+@pytest.mark.parametrize("K", [16, 64, 256])
+def test_w_only_chart_geodesic_is_the_native_one(K):
+    xa, xb = np.array([0.5, 0.0]), np.array([-0.5, 2.0])
+    native = solve_geodesic(xa, xb, K, sphere_chart_energy())
+    w_only = solve_geodesic(xa, xb, K, energy_from_w(_chart_w))
+    assert native.converged and w_only.converged
+    assert w_only.iterations == native.iterations
+    assert np.max(np.abs(w_only.path.points - native.path.points)) <= 1e-12
+
+
+def test_figure_study_through_the_w_only_model(monkeypatch):
+    chart = harness.build_backend("sphere-chart")
+    w_only = dataclasses.replace(chart, model=energy_from_w(_chart_w))
+    monkeypatch.setattr(harness, "build_backend", lambda name: w_only)
+    report = harness.run_convergence_study(
+        harness.StudyConfig(model="sphere-chart", xa=(0.5, 0.0), xb=(-0.5, 2.0), w=(-0.4, 0.0))
+    )
+    assert report.ks[0] == 2 and report.ks[-1] == 1024
+    for col in ("geo", "log", "exp", "pt"):
+        assert 0.8 <= report.orders[col] <= 2.2, (col, report.orders[col])

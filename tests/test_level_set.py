@@ -29,9 +29,11 @@ from geocalc import (
 )
 from geocalc import geodesic, operators
 from geocalc.cli import main
-from geocalc.core import fd_jacobian
+from geocalc.core import _FD_STEP
 from geocalc.geodesic import ConstraintModel, _constraint_view, _project_rows
 from geocalc.models import CircleSdf, EllipsoidSdf, SphereSdf
+
+from fd_reference import central_jacobian
 
 
 def _points(seed, n, d, radius=(0.5, 1.5)):
@@ -131,7 +133,7 @@ def test_default_hess_d_is_the_symmetrized_per_point_fd_jacobian():
     surface = EllipsoidSdf([1.0, 0.7, 1.3])
     xs = _points(4, 7, 3, radius=(0.8, 1.2))
     for x, hess in zip(xs, surface.hess_d_stacked(xs)):
-        j = fd_jacobian(surface.grad_d, x, surface.fd_step)
+        j = central_jacobian(surface.grad_d, x, _FD_STEP)
         np.testing.assert_array_equal(hess, (j + j.T) / 2.0)
 
 

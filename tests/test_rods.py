@@ -17,8 +17,9 @@ from geocalc import (
     solve_geodesic,
 )
 from geocalc import geodesic, operators
-from geocalc.core import FdScheme, fd_derivatives, fd_gradient
 from geocalc.harness import run_rod_morph
+
+from fd_reference import central_hess_blocks, central_jacobian
 
 
 def ellipse_rod(n, a, b):
@@ -117,8 +118,8 @@ def test_simplified_gradients_match_fd():
     x = random_smooth_rod(16, rng).coord
     y = random_smooth_rod(16, rng).coord
     g1, g2 = model.grads(x, y)
-    g1_fd = fd_gradient(lambda p: model.w(p, y), x, 1e-6)
-    g2_fd = fd_gradient(lambda p: model.w(x, p), y, 1e-6)
+    g1_fd = central_jacobian(lambda p: model.w(p, y), x, 1e-6)
+    g2_fd = central_jacobian(lambda p: model.w(x, p), y, 1e-6)
     assert np.max(np.abs(g1 - g1_fd)) <= 1e-8
     assert np.max(np.abs(g2 - g2_fd)) <= 1e-8
 
@@ -130,8 +131,8 @@ def test_full_gradients_match_fd():
         x = random_smooth_rod(n, rng).coord
         y = random_smooth_rod(n, rng, base_radius=1.2, amplitude=0.1).coord
         g1, g2 = model.grads(x, y)
-        g1_fd = fd_gradient(lambda p: model.w(p, y), x, 1e-6)
-        g2_fd = fd_gradient(lambda p: model.w(x, p), y, 1e-6)
+        g1_fd = central_jacobian(lambda p: model.w(p, y), x, 1e-6)
+        g2_fd = central_jacobian(lambda p: model.w(x, p), y, 1e-6)
         assert np.max(np.abs(g1 - g1_fd)) <= 1e-8
         assert np.max(np.abs(g2 - g2_fd)) <= 1e-8
 
@@ -289,7 +290,7 @@ def test_full_colored_hessian_matches_per_column_reference():
         if n <= 9:
             # the energy-only finite-difference scheme the full rod used to
             # be differentiated with (O(d^2) calls of w, so small N only)
-            old = fd_derivatives(model, FdScheme(step=1e-5)).hess_blocks(x, y)
+            old = central_hess_blocks(model.w, x, y, 1e-5)
             for block, ref in zip(blocks, old):
                 assert np.max(np.abs(block - ref)) <= 1e-6 * scale
 
