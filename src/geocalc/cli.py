@@ -22,7 +22,7 @@ from .harness import (
     MODEL_NAMES,
     ConfigError,
     StudyConfig,
-    build_backend,
+    _study_backend,
     run_consistency_audit,
     run_convergence_study,
     run_rod_morph,
@@ -138,17 +138,16 @@ def _steps(args) -> int:
     return K
 
 
-def _point_pair(cfg):
-    return np.asarray(cfg.xa, dtype=float), np.asarray(cfg.xb, dtype=float)
+def _setup(args):
+    """The study config, its backend, the step count and the endpoints that
+    geodesic, log, exp and transport share."""
+    cfg = _study_config(args)
+    backend = _study_backend(cfg)
+    return cfg, backend, _steps(args), np.asarray(cfg.xa, dtype=float), np.asarray(cfg.xb, dtype=float)
 
 
 def _cmd_geodesic(args) -> int:
-    cfg = _study_config(args)
-    if cfg.model.startswith("rod"):
-        raise ConfigError("rod geodesics run through the rod-morph subcommand")
-    backend = build_backend(cfg.model)
-    xa, xb = _point_pair(cfg)
-    K = _steps(args)
+    cfg, backend, K, xa, xb = _setup(args)
     res = solve_geodesic(xa, xb, K, backend.model, cfg.solver, constraint=backend.constraint)
     print(
         f"geodesic model={cfg.model} K={K} converged={res.converged} "
@@ -166,12 +165,7 @@ def _cmd_geodesic(args) -> int:
 
 
 def _cmd_log(args) -> int:
-    cfg = _study_config(args)
-    if cfg.model.startswith("rod"):
-        raise ConfigError("rod logarithms are not exposed on the CLI")
-    backend = build_backend(cfg.model)
-    xa, xb = _point_pair(cfg)
-    K = _steps(args)
+    cfg, backend, K, xa, xb = _setup(args)
     zeta = discrete_log(xa, xb, K, backend.model, cfg.solver, backend.constraint)
     print(f"log model={cfg.model} K={K}")
     print("zeta      = " + ",".join(repr(float(v)) for v in zeta))
@@ -180,36 +174,22 @@ def _cmd_log(args) -> int:
 
 
 def _cmd_exp(args) -> int:
-    cfg = _study_config(args)
-    if cfg.model.startswith("rod"):
-        raise ConfigError("rod exponentials are not exposed on the CLI")
     if args.zeta is None:
         raise ConfigError("exp requires --zeta")
-    backend = build_backend(cfg.model)
-    xa = np.asarray(cfg.xa, dtype=float)
-    K = _steps(args)
-    endpoint = discrete_exp(
-        xa, np.asarray(args.zeta, float), K, backend.model, cfg.solver, backend.constraint
-    )
+    cfg, backend, K, xa, _ = _setup(args)
+    endpoint = discrete_exp(xa, np.asarray(args.zeta, float), K, backend.model, cfg.solver, backend.constraint)
     print(f"exp model={cfg.model} K={K}")
     print("endpoint = " + ",".join(repr(float(v)) for v in endpoint))
     return 0
 
 
 def _cmd_transport(args) -> int:
-    cfg = _study_config(args)
-    if cfg.model.startswith("rod"):
-        raise ConfigError("rod transport is not exposed on the CLI")
-    backend = build_backend(cfg.model)
-    xa, xb = _point_pair(cfg)
-    K = _steps(args)
+    cfg, backend, K, xa, xb = _setup(args)
     res = solve_geodesic(xa, xb, K, backend.model, cfg.solver, constraint=backend.constraint)
     if not res.converged:
         raise SolverError("geodesic solve did not converge", residual=res.residual)
     w = np.asarray(cfg.w, dtype=float)
-    zeta, traces = parallel_transport(
-        res.path, w / K, backend.model, cfg.solver, backend.constraint
-    )
+    zeta, traces = parallel_transport(res.path, w / K, backend.model, cfg.solver, backend.constraint)
     print(f"transport model={cfg.model} K={K}")
     print("zeta_K     = " + ",".join(repr(float(v)) for v in zeta))
     print("K * zeta_K = " + ",".join(repr(float(v)) for v in K * zeta))

@@ -142,11 +142,21 @@ class LinearGauge:
     """Linear constraints G x = t on every unknown point of a solve.
 
     ``matrix`` G has shape (c, d), its rows energy-neutral directions (e.g.
-    the node-average position of a rod).  Each solve sets the targets t
-    from its given points, where a flat-space solve would put G x.
+    the node-average position of a rod); it is stored as a float array, and
+    one that is not both finite and 2-d is a DomainError.  Each solve sets the
+    targets t from its given points, where a flat-space solve would put G x.
     """
 
     matrix: np.ndarray
+
+    def __post_init__(self):
+        try:
+            g = np.array(self.matrix, dtype=float)
+        except (TypeError, ValueError) as err:
+            raise DomainError(f"a gauge matrix must be numeric ({err})") from err
+        if g.ndim != 2 or not np.all(np.isfinite(g)):
+            raise DomainError(f"a gauge matrix must be finite and 2-d, got shape {g.shape}")
+        object.__setattr__(self, "matrix", g)
 
 
 @dataclass(frozen=True)
@@ -318,7 +328,9 @@ def _constraint_view(constraint, targets: Callable, d: int) -> _Constraint:
             0, lambda x: np.zeros((len(x), 0)), lambda x: np.zeros((len(x), 0, d)), lambda x, mu: 0.0
         )
     if isinstance(constraint, LinearGauge):
-        g = np.asarray(constraint.matrix, dtype=float)
+        g = constraint.matrix
+        if g.shape[1] != d:
+            raise DomainError(f"the gauge acts on points of dimension {g.shape[1]}, got points of dimension {d}")
         t = targets(g)
         return _Constraint(
             g.shape[0],

@@ -11,12 +11,19 @@ range of exponents and measures four errors per K against a reference:
 all in the Euclidean norm of the coordinates.  Each K starts from the
 K/2 solution prolonged (old nodes kept, midpoints inserted) when K/2 is
 a level too: nested iteration.  The sphere chart and flat space have
-closed-form references; other backends are measured against the 2K
-level (successive differences, self-convergence), with v the discrete
-log of the finest level, 2 K_max.  Fitted orders are least-squares
-slopes of log(err) against log(1/K) over the errors above
-``FLOOR_FACTOR`` times the Newton tolerance; with fewer than three the
-order is undefined (None).
+closed-form references, which their backends carry; the others (level
+sets and gauged rods alike) are measured against the 2K level
+(successive differences, self-convergence), with v the discrete log of
+the finest level, 2 K_max.  Fitted orders are least-squares slopes of
+log(err) against log(1/K) over the errors above ``FLOOR_FACTOR`` times
+the Newton tolerance; with fewer than three the order is undefined
+(None).
+
+``build_backend`` is the one place that knows what a model name means: a
+model, its constraint (a level set, a rod's gauge, or None), a point
+sampler and the closed-form references, if any.  The study, the CLI and
+the rod morph all take their backend from it; a rod of a study config
+has len(xa) / 2 nodes (``_study_backend``).
 """
 
 from __future__ import annotations
@@ -157,46 +164,64 @@ class ConvergenceReport:
 class _Backend:
     name: str
     model: object
-    constraint: object
+    constraint: object  # None, a level set or a LinearGauge
     sample: object  # rng -> admissible point
     default_tol: float
+    # (xa, xb, w) -> (geo, log, exp, pt, description) closed-form references:
+    # geo(ts) maps n times in [0, 1] to the (n, d) reference points, exp is
+    # the exact exp of log; None for a backend without them
+    oracle: object = None
+
+
+def _chart_oracle(xa, xb, w):
+    orc = sphere_oracles()
+    log_ref = orc.log(xa, xb)
+    refs = log_ref, orc.exp(xa, log_ref), orc.transport(xa, xb, w), "analytic great-circle oracle"
+    return (lambda ts: orc.geodesic(xa, xb, ts), *refs)
+
+
+def _flat_oracle(xa, xb, w):
+    return lambda ts: xa + ts[:, None] * (xb - xa), xb - xa, xb, w, "closed flat-space forms"
 
 
 def build_backend(name: str, n_nodes: int = 64, delta: float = 0.1) -> _Backend:
-    """Construct a named backend with its constraint and point sampler."""
+    """Construct a named backend: its model, constraint, point sampler,
+    audit tolerance and study references.
+
+    The sdf backends are held on their level set, the rod backends (of
+    ``n_nodes`` nodes and thickness ``delta``; the others ignore both)
+    by ``rod_gauge(n_nodes, kind)``.
+    """
     if name == "flat":
-        return _Backend(name, flat_energy(), None, lambda rng: rng.normal(size=2), 1e-6)
+        return _Backend(name, flat_energy(), None, lambda rng: rng.normal(size=2), 1e-6, _flat_oracle)
     if name == "sphere-chart":
-        return _Backend(
-            name, sphere_chart_energy(), None, lambda rng: 0.8 * rng.normal(size=2), 1e-6
-        )
-    if name == "sdf-circle":
-        model, constraint = sdf_spring_model(CircleSdf())
+        return _Backend(name, sphere_chart_energy(), None, lambda rng: 0.8 * rng.normal(size=2), 1e-6, _chart_oracle)
+    if name in ("sdf-circle", "sdf-sphere"):
+        surface, dim = (CircleSdf(), 2) if name == "sdf-circle" else (SphereSdf(), 3)
 
-        def sample_circle(rng):
-            v = rng.normal(size=2)
+        def sample_unit(rng):
+            v = rng.normal(size=dim)
             return v / np.linalg.norm(v)
 
-        return _Backend(name, model, constraint, sample_circle, 1e-6)
-    if name == "sdf-sphere":
-        model, constraint = sdf_spring_model(SphereSdf())
-
-        def sample_sphere(rng):
-            v = rng.normal(size=3)
-            return v / np.linalg.norm(v)
-
-        return _Backend(name, model, constraint, sample_sphere, 1e-6)
+        return _Backend(name, *sdf_spring_model(surface), sample_unit, 1e-6)
     if name in ("rod-simplified", "rod-full"):
         kind = name.split("-", 1)[1]
         model = rod_energy(kind, n_nodes, delta)
-        return _Backend(
-            name,
-            model,
-            None,
-            lambda rng: random_smooth_rod(n_nodes, rng).coord,
-            1e-4,
-        )
+        return _Backend(name, model, rod_gauge(n_nodes, kind), lambda rng: random_smooth_rod(n_nodes, rng).coord, 1e-4)
     raise ConfigError(f"unknown model {name!r}; choose from {MODEL_NAMES}")
+
+
+def _study_backend(cfg: StudyConfig) -> _Backend:
+    """The backend of a study config, whose rod has len(xa) / 2 nodes.
+
+    For a rod, a point dimension below 16 is a DomainError here, and an
+    odd one at the first solve, where the gauge meets the points.
+    """
+    dim = len(cfg.xa)
+    try:
+        return build_backend(cfg.model, dim // 2)
+    except DomainError as err:
+        raise DomainError(f"model {cfg.model} cannot take points of dimension {dim} ({err})") from err
 
 
 # errors at most FLOOR_FACTOR * newton_tol are at the solver's floor: a solve
@@ -258,42 +283,20 @@ def _cascade(Ks, solve) -> dict:
     return out
 
 
-def _oracle(model: str, xa, xb, w):
-    """Closed-form (geo, log, exp, pt, description) references, or None for
-    a backend without one.
-
-    ``geo(ts)`` maps an array of n times in [0, 1] to the (n, d) reference
-    points; exp is the exact exp of log.
-    """
-    if model == "sphere-chart":
-        orc = sphere_oracles()
-        log_ref = orc.log(xa, xb)
-        return (
-            lambda ts: orc.geodesic(xa, xb, ts),
-            log_ref,
-            orc.exp(xa, log_ref),
-            orc.transport(xa, xb, w),
-            "analytic great-circle oracle",
-        )
-    if model == "flat":
-        return (lambda ts: xa + ts[:, None] * (xb - xa), xb - xa, xb, w, "closed flat-space forms")
-    return None
-
-
 def run_convergence_study(cfg: StudyConfig) -> ConvergenceReport:
     """Measure the four operator errors over K = 2^k and fit their orders.
 
-    The levels are solved in increasing K, each started from the
-    prolonged K/2 solution when K/2 is a level too.
+    Every backend runs the same study under its own constraint, a rod's
+    gauge included (``_study_backend``).  The levels are solved in
+    increasing K, each started from the prolonged K/2 solution when K/2
+    is a level too.
     """
-    if cfg.model.startswith("rod"):
-        raise ConfigError("rod models use the rod-morph runner, not the study")
-    backend = build_backend(cfg.model)
+    backend = _study_backend(cfg)
     model, constraint, solver = backend.model, backend.constraint, cfg.solver
     xa = as_point(cfg.xa)
     xb = as_point(cfg.xb)
     w = as_point(cfg.w)
-    oracle = _oracle(cfg.model, xa, xb, w)
+    oracle = backend.oracle(xa, xb, w) if backend.oracle else None
     ks = [2**e for e in cfg.k_exponents]
     # without an oracle each K is measured against 2K, so every 2K is solved
     levels = ks if oracle else sorted(set(ks) | {2 * K for K in ks})
@@ -442,6 +445,7 @@ def run_rod_morph(
 ):
     """Solve a rod-to-rod geodesic and optionally write the curve files.
 
+    The model and its gauge are those of ``build_backend(f"rod-{kind}")``.
     Returns (result, written_paths); writes one CSV per path curve plus a
     summary with the per-segment energies K * w(x_{k-1}, x_k).
     """
@@ -449,8 +453,9 @@ def run_rod_morph(
     b = curve_b if isinstance(curve_b, RodCurve) else load_rod_csv(curve_b)
     if a.n_nodes != b.n_nodes:
         raise DomainError("rod endpoints must share the node count")
-    model = rod_energy(kind, a.n_nodes, delta)
-    result = solve_geodesic(a.coord, b.coord, K, model, cfg, constraint=rod_gauge(a.n_nodes, kind))
+    backend = build_backend(f"rod-{kind}", a.n_nodes, delta)
+    model = backend.model
+    result = solve_geodesic(a.coord, b.coord, K, model, cfg, constraint=backend.constraint)
     if not result.converged:
         raise SolverError(
             f"rod morph did not converge (K={K}, residual {result.residual:.3e})",

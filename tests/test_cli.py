@@ -1,8 +1,9 @@
 import json
 
+import numpy as np
 import pytest
 
-from geocalc import circle_rod, save_rod_csv
+from geocalc import circle_rod, random_smooth_rod, save_rod_csv
 from geocalc.cli import main
 from geocalc.harness import read_report_csv
 
@@ -84,8 +85,48 @@ def test_converge_accepts_config_file(tmp_path):
     assert max(cols["geo"]) <= 1e-10
 
 
+def _rod_config(tmp_path):
+    """A JSON study config for the simplified rod at N = 16: circle to a
+    smooth rod of radius 1.2, w a smooth shape change."""
+    a = circle_rod(16).coord
+    b = random_smooth_rod(16, np.random.default_rng(5), 1.2, amplitude=0.15).coord
+    w = random_smooth_rod(16, np.random.default_rng(7), 1.0, amplitude=0.05).coord - a
+    cfg = {"model": "rod-simplified", "xa": list(a), "xb": list(b), "w": list(w), "k_exponents": [1, 2]}
+    path = tmp_path / "rod.json"
+    path.write_text(json.dumps(cfg), encoding="utf-8")
+    return str(path), b - a
+
+
+def test_rods_run_every_command_from_a_config(tmp_path, capsys):
+    cfg, chord = _rod_config(tmp_path)
+    assert main(["converge", "--config", cfg, "--out", str(tmp_path / "study")]) == 0
+    ks, _ = read_report_csv(tmp_path / "study" / "convergence.csv")
+    assert ks == [2, 4]
+    assert main(["geodesic", "--config", cfg, "--K", "4", "--out", str(tmp_path / "geo")]) == 0
+    assert len((tmp_path / "geo" / "path.csv").read_text().splitlines()) == 6
+    assert main(["log", "--config", cfg, "--K", "4"]) == 0
+    assert main(["exp", "--config", cfg, "--K", "4", "--zeta", ",".join(repr(float(v)) for v in chord / 4)]) == 0
+    assert main(["transport", "--config", cfg, "--K", "4", "--out", str(tmp_path / "pt")]) == 0
+    lines = (tmp_path / "pt" / "transport_traces.csv").read_text().splitlines()
+    assert lines[0].startswith("k,xc_0,") and lines[0].endswith(",zeta_31")
+    assert [line.split(",")[0] for line in lines[1:]] == ["1", "2", "3", "4"]  # one row per rung
+    out = capsys.readouterr().out
+    assert "geodesic model=rod-simplified K=4 converged=True" in out
+    assert "wrote" in out and "transport_traces.csv" in out
+
+
+def test_a_full_rod_study_that_fails_exits_2(tmp_path, capsys):
+    # the full rod's exp fold fails in exp2 at K = 2 on this morph: a solver
+    # failure, not a traceback
+    cfg, _ = _rod_config(tmp_path)
+    assert main(["converge", "--config", cfg, "--model", "rod-full", "--out", str(tmp_path)]) == 2
+    assert "solver failure: study failed at K=2" in capsys.readouterr().err
+
+
 def test_invalid_inputs_exit_3(tmp_path, capsys):
+    # a rod's node count is half the point dimension: 2-d points are no rod
     assert main(["geodesic", "--model", "rod-simplified"]) == 3
+    assert "points of dimension 2" in capsys.readouterr().err
     bad_cfg = tmp_path / "bad.json"
     bad_cfg.write_text("{not json", encoding="utf-8")
     assert main(["converge", "--config", str(bad_cfg)]) == 3

@@ -245,7 +245,7 @@ def test_w_only_chart_geodesic_is_the_native_one(K):
 def test_figure_study_through_the_w_only_model(monkeypatch):
     chart = harness.build_backend("sphere-chart")
     w_only = dataclasses.replace(chart, model=energy_from_w(_chart_w))
-    monkeypatch.setattr(harness, "build_backend", lambda name: w_only)
+    monkeypatch.setattr(harness, "build_backend", lambda name, n_nodes: w_only)
     report = harness.run_convergence_study(
         harness.StudyConfig(model="sphere-chart", xa=(0.5, 0.0), xb=(-0.5, 2.0), w=(-0.4, 0.0))
     )

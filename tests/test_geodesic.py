@@ -517,3 +517,94 @@ def test_solve_geodesic_constrained_is_an_alias_of_solve_geodesic():
 def test_other_constraint_types_are_type_errors(K, bad):
     with pytest.raises(TypeError, match="constraint must be None, a LinearGauge or a ConstraintModel, got"):
         solve_geodesic(XA, XB, K, CHART, constraint=bad)
+
+
+@pytest.mark.parametrize(
+    "matrix, message",
+    [
+        (np.ones(2), "finite and 2-d, got shape \\(2,\\)"),
+        (np.ones((1, 2, 2)), "finite and 2-d"),
+        ([[1.0, np.nan]], "finite and 2-d"),
+        ([[1.0, np.inf]], "finite and 2-d"),
+        ("ab", "must be numeric"),
+    ],
+)
+def test_a_gauge_matrix_must_be_finite_and_2d(matrix, message):
+    from geocalc import LinearGauge
+
+    with pytest.raises(DomainError, match=message):
+        LinearGauge(matrix)
+
+
+def test_a_gauge_stores_a_float_copy_of_its_matrix():
+    from geocalc import LinearGauge
+
+    rows = [[1, 0], [0, 1]]
+    gauge = LinearGauge(rows)
+    assert gauge.matrix.dtype == float and gauge.matrix.shape == (2, 2)
+    rows[0][0] = 5
+    assert gauge.matrix[0, 0] == 1.0
+
+
+def test_a_gauge_of_another_width_is_a_domain_error_naming_both():
+    from geocalc import parallel_transport
+
+    # the width is checked before the gauge's targets are formed, which
+    # used to raise numpy's matmul ValueError from inside the kernel
+    message = "gauge acts on points of dimension 128, got points of dimension 2"
+    with pytest.raises(DomainError, match=message):
+        solve_geodesic(XA, XB, 8, CHART, constraint=rod_gauge(64))
+    path = solve_geodesic(XA, XB, 8, CHART).path
+    with pytest.raises(DomainError, match=message):
+        parallel_transport(path, np.array([0.05, 0.0]), CHART, constraint=rod_gauge(64))
+
+
+def test_armijo_backtracks_where_the_full_step_ends_on_a_singular_pivot():
+    """The lobed full-rod morph (circle to r = 1 + 0.5 cos 3 theta, N = 16,
+    K = 4): undamped Newton meets a singular block pivot, Armijo's halving
+    converges.  Each halving costs one residual, one grads_stacked call."""
+    from geocalc import RodCurve, SolverError, circle_rod
+    from geocalc.rods import FullRodEnergy
+
+    class Counting(FullRodEnergy):
+        calls = 0
+
+        def grads_stacked(self, xs, ys):
+            Counting.calls += 1
+            return super().grads_stacked(xs, ys)
+
+    theta = np.linspace(0.0, 2.0 * np.pi, 16, endpoint=False)
+    r = 1.0 + 0.5 * np.cos(3.0 * theta)
+    lobed = RodCurve(np.stack([r * np.cos(theta), r * np.sin(theta)], axis=1))
+    a, gauge = circle_rod(16).coord, rod_gauge(16, "full")
+    res = solve_geodesic(a, lobed.coord, 4, Counting(16), SolverConfig(damping="armijo"), constraint=gauge)
+    assert res.converged and res.iterations == 9
+    assert Counting.calls > res.iterations + 1  # some step was halved
+    with pytest.raises(SolverError, match="singular block pivot"):
+        solve_geodesic(a, lobed.coord, 4, Counting(16), SolverConfig(damping="none"), constraint=gauge)
+
+
+@pytest.mark.parametrize("fail_at", [1, 2, 3])
+def test_a_domain_error_in_a_newton_step(fail_at):
+    """A DomainError raised while the step at iteration 0 is formed is about
+    the caller's start point and propagates; at a later iteration the
+    solver's own iterate left the domain, a SolverError."""
+    from geocalc import SolverError
+
+    class Failing(type(CHART)):
+        def __init__(self):
+            self.calls = 0
+
+        def hess_blocks_stacked(self, xs, ys):
+            self.calls += 1
+            if self.calls == fail_at:
+                raise DomainError("no Hessian here")
+            return super().hess_blocks_stacked(xs, ys)
+
+    if fail_at == 1:
+        with pytest.raises(DomainError, match="no Hessian here"):
+            solve_geodesic(XA, XB, 8, Failing())
+    else:
+        with pytest.raises(SolverError, match="left the model's domain \\(no Hessian here\\)") as err:
+            solve_geodesic(XA, XB, 8, Failing())
+        assert err.value.residual > 1e-10

@@ -6,7 +6,18 @@ import time
 import numpy as np
 import pytest
 
-from geocalc import DomainError, SolverConfig, SolverError, circle_rod, geodesic, operators, save_rod_csv
+from geocalc import (
+    DomainError,
+    SolverConfig,
+    SolverError,
+    circle_rod,
+    discrete_exp,
+    discrete_log,
+    geodesic,
+    operators,
+    random_smooth_rod,
+    save_rod_csv,
+)
 from geocalc.harness import (
     AuditReport,
     ConfigError,
@@ -135,9 +146,50 @@ def test_study_errors_decrease_over_two_doublings():
             assert vals[i + 2] < vals[i]
 
 
-def test_study_rejects_rod_models():
-    with pytest.raises(ConfigError):
-        run_convergence_study(StudyConfig(model="rod-simplified"))
+def _rod_study_inputs():
+    """Circle to a smooth rod of radius 1.2 at N = 16, and a smooth shape
+    change w: the morph the gauged rod operators are measured on."""
+    a = circle_rod(16)
+    b = random_smooth_rod(16, np.random.default_rng(5), 1.2, amplitude=0.15)
+    w = random_smooth_rod(16, np.random.default_rng(7), 1.0, amplitude=0.05).coord - a.coord
+    return a.coord, b.coord, w
+
+
+def test_study_runs_the_four_operators_on_the_gauged_rod(monkeypatch):
+    """The study's successive differences serve the simplified rod: K = 2..32
+    against 64, first order in all four columns, every exp and ladder one
+    whole solve."""
+
+    def no_fold(*args):
+        raise AssertionError("the study fell back to a fold")
+
+    monkeypatch.setattr(operators, "_exp_fold", no_fold)
+    monkeypatch.setattr(operators, "_transport_fold", no_fold)
+    xa, xb, w = _rod_study_inputs()
+    report = run_convergence_study(StudyConfig(model="rod-simplified", xa=xa, xb=xb, w=w, k_exponents=range(1, 6)))
+    assert report.ks == (2, 4, 8, 16, 32)
+    assert report.reference.startswith("successive differences")
+    for col in ("geo", "log", "exp", "pt"):
+        assert 0.8 <= report.orders[col] <= 2.2, (col, report.orders[col])
+
+
+def test_gauged_rod_exp_of_the_log_returns_to_the_morph_endpoint():
+    xa, xb, _ = _rod_study_inputs()
+    backend = build_backend("rod-simplified", 16)
+    zeta = discrete_log(xa, xb, 8, backend.model, constraint=backend.constraint)
+    end = discrete_exp(xa, zeta, 8, backend.model, constraint=backend.constraint)
+    assert np.max(np.abs(end - xb)) <= 1e-9
+
+
+def test_study_takes_a_rods_node_count_from_the_point_dimension():
+    xa, xb, w = _rod_study_inputs()
+    for dim in (2, 14):
+        cfg = StudyConfig(model="rod-simplified", xa=xa[:dim], xb=xb[:dim], w=w[:dim], k_exponents=(1, 2))
+        with pytest.raises(DomainError, match=f"points of dimension {dim} "):
+            run_convergence_study(cfg)
+    cfg = StudyConfig(model="rod-full", xa=xa[:17], xb=xb[:17], w=w[:17], k_exponents=(1, 2))
+    with pytest.raises(DomainError, match="gauge acts on points of dimension 16, got points of dimension 17"):
+        run_convergence_study(cfg)
 
 
 def test_study_aborts_on_solver_failure():
