@@ -12,7 +12,6 @@ import json
 import os
 import re
 import sys
-from dataclasses import replace
 
 import numpy as np
 
@@ -22,6 +21,7 @@ from .harness import (
     MODEL_NAMES,
     ConfigError,
     StudyConfig,
+    _list_of,
     _study_backend,
     run_consistency_audit,
     run_convergence_study,
@@ -52,87 +52,77 @@ def _vector(text: str) -> tuple:
         raise argparse.ArgumentTypeError(f"expected comma-separated reals, got {text!r}") from err
 
 
-def _add_common(sub):
-    sub.add_argument("--model", default=None, choices=MODEL_NAMES)
-    sub.add_argument("--xa", type=_vector, default=None, help="start point a,b[,...]")
-    sub.add_argument("--xb", type=_vector, default=None, help="end point")
-    sub.add_argument("--K", type=int, default=None, help="number of time steps")
-    sub.add_argument("--out", default=None, help="output directory")
-    sub.add_argument("--config", default=None, help="JSON config mirroring the study fields")
-    sub.add_argument("--tol", type=float, default=None, help="Newton / audit tolerance")
+# every option a command may take; each command offers only the ones it
+# reads (_COMMANDS)
+_OPTIONS = {
+    "--model": dict(choices=MODEL_NAMES),
+    "--xa": dict(type=_vector, help="start point a,b[,...]"),
+    "--xb": dict(type=_vector, help="end point"),
+    "--zeta": dict(type=_vector, help="displacement a,b[,...]"),
+    "--w": dict(type=_vector, help="transport seed vector"),
+    "--K": dict(type=int, help="number of time steps"),
+    "--k-min": dict(type=int),
+    "--k-max": dict(type=int),
+    "--out": dict(help="output directory"),
+    "--config": dict(help="JSON config mirroring the study fields"),
+    "--tol": dict(type=float, help="Newton / audit tolerance"),
+    "--samples": dict(type=int, default=100),
+    "--seed": dict(type=int, default=0),
+    "--n-nodes": dict(type=int, default=32),
+    "--delta": dict(type=float, default=0.1),
+    "--curve-a": dict(required=True),
+    "--curve-b": dict(required=True),
+    "--kind": dict(default="simplified", choices=("simplified", "full")),
+}
 
 
 def _build_parser():
     parser = _Parser(prog="geocalc", description=__doc__)
     subs = parser.add_subparsers(dest="command", required=True)
-
-    for name in ("geodesic", "log", "exp", "transport"):
+    for name, (_, options) in _COMMANDS.items():
         sub = subs.add_parser(name)
-        _add_common(sub)
-        if name == "exp":
-            sub.add_argument("--zeta", type=_vector, default=None, help="displacement a,b[,...]")
-        if name == "transport":
-            sub.add_argument("--w", type=_vector, default=None, help="transport seed vector")
-
-    conv = subs.add_parser("converge")
-    _add_common(conv)
-    conv.add_argument("--w", type=_vector, default=None)
-    conv.add_argument("--k-min", type=int, default=None)
-    conv.add_argument("--k-max", type=int, default=None)
-
-    cons = subs.add_parser("consistency")
-    _add_common(cons)
-    cons.add_argument("--samples", type=int, default=100)
-    cons.add_argument("--seed", type=int, default=0)
-    cons.add_argument("--n-nodes", type=int, default=32)
-    cons.add_argument("--delta", type=float, default=0.1)
-
-    morph = subs.add_parser("rod-morph")
-    morph.add_argument("--curve-a", required=True)
-    morph.add_argument("--curve-b", required=True)
-    morph.add_argument("--K", type=int, default=8)
-    morph.add_argument("--kind", default="simplified", choices=("simplified", "full"))
-    morph.add_argument("--delta", type=float, default=0.1)
-    morph.add_argument("--out", default=None)
-    morph.add_argument("--tol", type=float, default=None)
+        for option in options:
+            sub.add_argument(option, **_OPTIONS[option])
     return parser
 
 
 def _study_config(args) -> StudyConfig:
+    """The --config file with the command's options merged in, validated
+    once by ``StudyConfig.from_dict``: an option overrides its field, and a
+    field a command reads no option for keeps the file's value."""
     data = {}
-    if getattr(args, "config", None):
+    if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
             try:
                 data = json.load(fh)
             except json.JSONDecodeError as err:
                 raise ConfigError(f"config file is not valid JSON: {err}") from err
-    cfg = StudyConfig.from_dict(data)
-    updates = {}
-    if getattr(args, "model", None):
-        updates["model"] = args.model
-    if getattr(args, "xa", None):
-        updates["xa"] = args.xa
-    if getattr(args, "xb", None):
-        updates["xb"] = args.xb
-    if getattr(args, "w", None):
-        updates["w"] = args.w
-    if getattr(args, "out", None):
-        updates["output_dir"] = args.out
-    if getattr(args, "k_min", None) is not None or getattr(args, "k_max", None) is not None:
-        lo = args.k_min if args.k_min is not None else min(cfg.k_exponents)
-        hi = args.k_max if args.k_max is not None else max(cfg.k_exponents)
-        updates["k_exponents"] = tuple(range(lo, hi + 1))
-    if getattr(args, "tol", None) is not None:
-        # override the tolerance alone; the config's other settings stand
-        updates["solver"] = replace(cfg.solver, newton_tol=args.tol)
-    if updates:
-        cfg = replace(cfg, **updates)
-    return cfg
+        if not isinstance(data, dict):
+            raise ConfigError(f"config file must hold a JSON object, got {data!r}")
+    opts = vars(args)
+    for option, key in (("model", "model"), ("xa", "xa"), ("xb", "xb"), ("w", "w"), ("out", "output_dir")):
+        if opts.get(option):
+            data[key] = opts[option]
+    if "xb" not in opts and "xa" in data:
+        data.setdefault("xb", data["xa"])  # exp reads no end point
+    # --k-min, --k-max and --tol override one part of a field; a field of the
+    # file that is malformed stays, for from_dict to reject
+    if opts.get("k_min") is not None or opts.get("k_max") is not None:
+        default = StudyConfig.k_exponents
+        pair = data.get("k_exponents", (default[0], default[-1]))
+        if _list_of(pair, int) and len(pair) == 2:
+            lo, hi = pair
+            data["k_exponents"] = [lo if args.k_min is None else args.k_min, hi if args.k_max is None else args.k_max]
+    solver = data.get("solver", {})
+    if opts.get("tol") is not None and isinstance(solver, dict):
+        data["solver"] = {**solver, "newton_tol": args.tol}
+    return StudyConfig.from_dict(data)
 
 
-def _steps(args) -> int:
-    """The --K step count, 16 when it is not given; below 1 is invalid input."""
-    K = 16 if args.K is None else args.K
+def _steps(args, default: int = 16) -> int:
+    """The --K step count, ``default`` when it is not given; below 1 is
+    invalid input."""
+    K = default if args.K is None else args.K
     if K < 1:
         raise DomainError(f"K must be at least 1, got {K}")
     return K
@@ -243,7 +233,7 @@ def _cmd_consistency(args) -> int:
 
 def _cmd_rod_morph(args) -> int:
     cfg = SolverConfig(newton_tol=args.tol) if args.tol is not None else None
-    K = _steps(args)
+    K = _steps(args, 8)
     result, written = run_rod_morph(
         args.curve_a,
         args.curve_b,
@@ -262,14 +252,16 @@ def _cmd_rod_morph(args) -> int:
     return 0
 
 
+_STUDY = ("--model", "--xa", "--config", "--tol")
+# command -> (handler, the options it reads)
 _COMMANDS = {
-    "geodesic": _cmd_geodesic,
-    "log": _cmd_log,
-    "exp": _cmd_exp,
-    "transport": _cmd_transport,
-    "converge": _cmd_converge,
-    "consistency": _cmd_consistency,
-    "rod-morph": _cmd_rod_morph,
+    "geodesic": (_cmd_geodesic, (*_STUDY, "--xb", "--K", "--out")),
+    "log": (_cmd_log, (*_STUDY, "--xb", "--K")),
+    "exp": (_cmd_exp, (*_STUDY, "--zeta", "--K")),
+    "transport": (_cmd_transport, (*_STUDY, "--xb", "--w", "--K", "--out")),
+    "converge": (_cmd_converge, (*_STUDY, "--xb", "--w", "--k-min", "--k-max", "--out")),
+    "consistency": (_cmd_consistency, ("--model", "--tol", "--samples", "--seed", "--n-nodes", "--delta")),
+    "rod-morph": (_cmd_rod_morph, ("--curve-a", "--curve-b", "--K", "--kind", "--delta", "--out", "--tol")),
 }
 
 
@@ -277,7 +269,7 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        return _COMMANDS[args.command][0](args)
     except (ConfigError, DomainError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 3

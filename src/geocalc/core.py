@@ -152,6 +152,11 @@ def as_path(path) -> DiscretePath:
     return DiscretePath(np.asarray(path, dtype=float))
 
 
+def _outer(a, b) -> np.ndarray:
+    """Outer products of two stacks of vectors, shape (..., m, n)."""
+    return a[..., :, None] * b[..., None, :]
+
+
 def _one(x) -> np.ndarray:
     """The point x as a stack of one, shape (1, d)."""
     return np.reshape(np.asarray(x, dtype=float), (1, -1))

@@ -162,7 +162,6 @@ class ConvergenceReport:
 
 @dataclass(frozen=True)
 class _Backend:
-    name: str
     model: object
     constraint: object  # None, a level set or a LinearGauge
     sample: object  # rng -> admissible point
@@ -193,9 +192,9 @@ def build_backend(name: str, n_nodes: int = 64, delta: float = 0.1) -> _Backend:
     by ``rod_gauge(n_nodes, kind)``.
     """
     if name == "flat":
-        return _Backend(name, flat_energy(), None, lambda rng: rng.normal(size=2), 1e-6, _flat_oracle)
+        return _Backend(flat_energy(), None, lambda rng: rng.normal(size=2), 1e-6, _flat_oracle)
     if name == "sphere-chart":
-        return _Backend(name, sphere_chart_energy(), None, lambda rng: 0.8 * rng.normal(size=2), 1e-6, _chart_oracle)
+        return _Backend(sphere_chart_energy(), None, lambda rng: 0.8 * rng.normal(size=2), 1e-6, _chart_oracle)
     if name in ("sdf-circle", "sdf-sphere"):
         surface, dim = (CircleSdf(), 2) if name == "sdf-circle" else (SphereSdf(), 3)
 
@@ -203,11 +202,11 @@ def build_backend(name: str, n_nodes: int = 64, delta: float = 0.1) -> _Backend:
             v = rng.normal(size=dim)
             return v / np.linalg.norm(v)
 
-        return _Backend(name, *sdf_spring_model(surface), sample_unit, 1e-6)
+        return _Backend(*sdf_spring_model(surface), sample_unit, 1e-6)
     if name in ("rod-simplified", "rod-full"):
         kind = name.split("-", 1)[1]
         model = rod_energy(kind, n_nodes, delta)
-        return _Backend(name, model, rod_gauge(n_nodes, kind), lambda rng: random_smooth_rod(n_nodes, rng).coord, 1e-4)
+        return _Backend(model, rod_gauge(n_nodes, kind), lambda rng: random_smooth_rod(n_nodes, rng).coord, 1e-4)
     raise ConfigError(f"unknown model {name!r}; choose from {MODEL_NAMES}")
 
 
@@ -371,18 +370,24 @@ def write_report_csv(report: ConvergenceReport, path) -> None:
 
 
 def read_report_csv(path):
-    """Read back a convergence table; returns (ks, columns dict)."""
+    """Read back a convergence table; returns (ks, columns dict).  A row that
+    is not an integer K and four reals is a ConfigError naming its line."""
     with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    header = lines[0].split(",")
-    if header != ["K", "err_geo", "err_log", "err_exp", "err_pt"]:
-        raise ConfigError(f"unexpected convergence header: {lines[0]!r}")
+        lines = [(i, ln.strip()) for i, ln in enumerate(fh, start=1) if ln.strip()]
+    header = lines[0][1] if lines else ""
+    if header != "K,err_geo,err_log,err_exp,err_pt":
+        raise ConfigError(f"unexpected convergence header: {header!r}")
     ks, cols = [], {"geo": [], "log": [], "exp": [], "pt": []}
-    for ln in lines[1:]:
+    for i, ln in lines[1:]:
         parts = ln.split(",")
-        ks.append(int(parts[0]))
-        for name, val in zip(("geo", "log", "exp", "pt"), parts[1:]):
-            cols[name].append(float(val))
+        try:
+            if len(parts) != 5:
+                raise ValueError(f"{len(parts)} fields, expected 5")
+            ks.append(int(parts[0]))
+            for col, val in zip(cols.values(), parts[1:]):
+                col.append(float(val))
+        except ValueError as err:
+            raise ConfigError(f"malformed convergence row at line {i}: {ln!r} ({err})") from None
     return ks, cols
 
 

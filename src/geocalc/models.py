@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import DomainError, EnergyModel, as_point
+from .core import DomainError, EnergyModel, _outer, as_point
 from .geodesic import ConstraintModel
 
 __all__ = [
@@ -83,10 +83,6 @@ def flat_energy() -> FlatEnergy:
 
 
 _EYE2 = np.eye(2)
-
-
-def _outer(a, b):
-    return a[..., :, None] * b[..., None, :]
 
 
 def _conformal_factor(x):

@@ -45,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DomainError, EnergyModel, _as_count
+from .core import _CS_STEP, DomainError, EnergyModel, _as_count, _outer
 from .geodesic import LinearGauge
 
 __all__ = [
@@ -153,10 +153,6 @@ def _rot90(arr: np.ndarray) -> np.ndarray:
     out[..., 0] = -arr[..., 1]
     out[..., 1] = arr[..., 0]
     return out
-
-
-def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return a[..., :, None] * b[..., None, :]
 
 
 def _speeds(nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -419,7 +415,7 @@ class FullRodEnergy(_RodEnergy):
         of it, where no other column of its group is perturbed, so that
         row's imaginary part is h times exactly that column's entry: the
         banded entries are the per-column derivatives."""
-        h = 1e-30  # nothing cancels, so h can be tiny
+        h = _CS_STEP
         batch = (nx if first else ny)[:, :, None] + 1j * h * self._groups[:, None]
         grads = self._grads(batch, ny[:, :, None]) if first else self._grads(nx[:, :, None], batch)
         # g is (node, segment, group, coordinate); entry [j, o, b] of the
@@ -503,23 +499,21 @@ def save_rod_csv(curve: RodCurve, path) -> None:
 
 
 def load_rod_csv(path) -> RodCurve:
-    """Read a rod; a leading non-numeric row is treated as a header, and
-    every data row must have exactly two fields, x and y."""
+    """Read a rod; the first nonblank row, if non-numeric, is a header, and
+    every other row must have exactly two numeric fields, x and y."""
     rows = []
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                values = [float(part) for part in line.split(",")]
-            except ValueError:
-                if rows:
-                    raise DomainError(f"malformed rod row: {line!r}") from None
-                continue  # header
-            if len(values) != 2:
-                raise DomainError(f"rod row needs 2 fields, got {len(values)}: {line!r}")
-            rows.append(values)
+        lines = [line.strip() for line in fh if line.strip()]
+    for i, line in enumerate(lines):
+        try:
+            values = [float(part) for part in line.split(",")]
+        except ValueError:
+            if i:
+                raise DomainError(f"malformed rod row: {line!r}") from None
+            continue  # header
+        if len(values) != 2:
+            raise DomainError(f"rod row needs 2 fields, got {len(values)}: {line!r}")
+        rows.append(values)
     if not rows:
         raise DomainError("rod file contains no nodes")
     return RodCurve(np.asarray(rows))

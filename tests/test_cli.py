@@ -291,3 +291,84 @@ def test_tol_overrides_only_the_tolerance_of_a_config(tmp_path):
     assert (study.solver.newton_tol, study.solver.damping, study.solver.max_iter) == (1e-9, "armijo", 7)
     for tol in ("0", "nan", "inf"):
         assert main(["converge", "--config", str(path), "--tol", tol]) == 3
+
+
+@pytest.mark.parametrize(
+    "command, option, value",
+    [
+        ("consistency", "--xa", "1,0"),
+        ("consistency", "--xb", "1,0"),
+        ("consistency", "--K", "4"),
+        ("consistency", "--out", "out"),
+        ("consistency", "--config", "study.json"),
+        ("converge", "--K", "4"),
+        ("log", "--out", "out"),
+        ("exp", "--xb", "1,0"),
+        ("exp", "--out", "out"),
+    ],
+)
+def test_a_command_offers_only_the_options_it_reads(command, option, value, capsys):
+    with pytest.raises(SystemExit) as info:
+        main([command, option, value])
+    assert info.value.code == 3
+    assert f"unrecognized arguments: {option} {value}" in capsys.readouterr().err
+
+
+def test_exp_takes_no_end_point(capsys):
+    from geocalc import discrete_exp
+    from geocalc.harness import build_backend
+
+    # the default end point is 2-d, and exp no longer checks it against xa
+    assert main(["exp", "--model", "sdf-sphere", "--xa", "1,0,0", "--zeta", "0,0.1,0", "--K", "4"]) == 0
+    backend = build_backend("sdf-sphere")
+    end = discrete_exp([1.0, 0.0, 0.0], np.array([0.0, 0.1, 0.0]), 4, backend.model, constraint=backend.constraint)
+    out = capsys.readouterr().out
+    assert out.splitlines() == ["exp model=sdf-sphere K=4", "endpoint = " + ",".join(repr(float(v)) for v in end)]
+
+
+def test_a_config_with_only_a_start_point_serves_exp(tmp_path, capsys):
+    path = tmp_path / "start.json"
+    path.write_text(json.dumps({"model": "sdf-sphere", "xa": [1.0, 0.0, 0.0]}), encoding="utf-8")
+    assert main(["exp", "--config", str(path), "--zeta", "0,0.1,0", "--K", "4"]) == 0
+    assert capsys.readouterr().out.startswith("exp model=sdf-sphere K=4\nendpoint = ")
+
+
+def test_consistency_takes_no_config(tmp_path, capsys):
+    # it audited flat whatever the file said
+    path = tmp_path / "sphere.json"
+    path.write_text(json.dumps({"model": "sphere-chart"}), encoding="utf-8")
+    with pytest.raises(SystemExit) as info:
+        main(["consistency", "--config", str(path)])
+    assert info.value.code == 3
+
+
+def test_an_option_over_a_malformed_config_field_exits_3(tmp_path, capsys):
+    # --k-min keeps the file's hi and --tol the file's other solver settings,
+    # so the file's field is still read, and still rejected
+    for config, option, message in (
+        ({"k_exponents": 5}, ["--k-min", "2"], "k_exponents must be a pair of integers [lo, hi], got 5"),
+        ({"k_exponents": [1]}, ["--k-max", "3"], "k_exponents must be a pair of integers [lo, hi], got [1]"),
+        ({"k_exponents": [1.5, 3]}, ["--k-min", "2"], "k_exponents must be a pair of integers"),
+        ({"solver": "armijo"}, ["--tol", "1e-9"], "solver must be a SolverConfig, got 'armijo'"),
+        ({"solver": [1e-9]}, ["--tol", "1e-9"], "solver must be a SolverConfig, got [1e-09]"),
+    ):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        assert main(["converge", "--config", str(path), "--out", str(tmp_path), *option]) == 3, config
+        assert message in capsys.readouterr().err
+    for config in ([1, 2], ["model"], 5, "flat"):
+        path.write_text(json.dumps(config), encoding="utf-8")
+        assert main(["converge", "--config", str(path), "--tol", "1e-9"]) == 3, config
+        assert "config file must hold a JSON object" in capsys.readouterr().err
+
+
+def test_k_bounds_override_one_end_of_the_config_pair(tmp_path):
+    from geocalc.cli import _build_parser, _study_config
+
+    path = tmp_path / "study.json"
+    path.write_text(json.dumps({"model": "flat", "k_exponents": [2, 6]}), encoding="utf-8")
+    for flags, expected in ((["--k-min", "3"], range(3, 7)), (["--k-max", "4"], range(2, 5)), ([], range(2, 7))):
+        args = _build_parser().parse_args(["converge", "--config", str(path), *flags])
+        assert _study_config(args).k_exponents == tuple(expected), flags
+    args = _build_parser().parse_args(["converge", "--k-max", "3"])
+    assert _study_config(args).k_exponents == (1, 2, 3)

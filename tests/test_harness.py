@@ -1,6 +1,7 @@
 import collections
 import dataclasses
 import json
+import re
 import time
 
 import numpy as np
@@ -274,6 +275,25 @@ def test_report_csv_round_trip_and_determinism(tmp_path):
     write_orders_json(report, orders_path)
     data = json.loads(orders_path.read_text())
     assert set(data) == {"geo", "log", "exp", "pt"}
+
+
+@pytest.mark.parametrize(
+    "row, message",
+    [("2,1,1", "line 3: '2,1,1' (3 fields, expected 5)"), ("2,abc,1,1,1", "line 3: '2,abc,1,1,1'")],
+)
+def test_report_csv_rejects_a_malformed_row(tmp_path, row, message):
+    # a short row would leave ragged columns, a non-numeric one a bare ValueError
+    path = tmp_path / "convergence.csv"
+    path.write_text(f"K,err_geo,err_log,err_exp,err_pt\n1,1,1,1,1\n{row}\n", encoding="utf-8")
+    with pytest.raises(ConfigError, match=re.escape(f"malformed convergence row at {message}")):
+        read_report_csv(path)
+
+
+def test_report_csv_rejects_an_empty_file(tmp_path):
+    path = tmp_path / "convergence.csv"
+    path.write_text("\n", encoding="utf-8")
+    with pytest.raises(ConfigError, match="unexpected convergence header: ''"):
+        read_report_csv(path)
 
 
 def test_backend_registry():

@@ -1,6 +1,8 @@
-"""The README's ```python blocks run as written, against the current API."""
+"""The README's ```python blocks run as written, against the current API,
+and the commands of its CLI block parse with the current CLI options."""
 
 import re
+import shlex
 from pathlib import Path
 
 import numpy as np
@@ -8,6 +10,7 @@ import pytest
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
 BLOCKS = re.findall(r"^```python\n(.*?)^```", README, re.S | re.M)
+CLI_LINES = re.findall(r"^geocalc .*$", re.search(r"^## CLI\n\n```sh\n(.*?)^```", README, re.S | re.M)[1], re.M)
 
 
 def test_readme_has_python_blocks():
@@ -26,3 +29,15 @@ def test_readme_block_runs(index):
     # "recovers w": inverse transport undoes the forward ladder
     if "back" in names:
         assert np.max(np.abs(names["back"] - names["w"])) <= 1e-9
+
+
+def test_readme_has_a_cli_block():
+    assert len(CLI_LINES) >= 7
+
+
+@pytest.mark.parametrize("line", CLI_LINES)
+def test_readme_cli_line_parses(line):
+    from geocalc.cli import _build_parser
+
+    args = _build_parser().parse_args(shlex.split(line)[1:])
+    assert args.command == shlex.split(line)[1]

@@ -222,6 +222,13 @@ def test_rod_csv_round_trip(tmp_path):
         load_rod_csv(broken)
 
 
+def test_rod_csv_allows_one_header_row_only(tmp_path):
+    target = tmp_path / "noted.csv"
+    target.write_text("x,y\nsome note\n1.0,2.0\n", encoding="utf-8")
+    with pytest.raises(DomainError, match="malformed rod row: 'some note'"):
+        load_rod_csv(target)
+
+
 def test_rod_csv_rejects_wrong_field_count(tmp_path):
     for body in ("x,y\n1.0,2.0\n3.0\n", "1.0\n2.0,3.0\n", "x,y\n1.0,2.0,0.5\n"):
         target = tmp_path / "bad.csv"
