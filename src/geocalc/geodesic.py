@@ -38,7 +38,13 @@ A level set is evaluated the same way: one ``d_stacked`` and one
 ``grad_d_stacked`` call per residual, one ``grad_d_stacked`` and one
 ``hess_d_stacked`` call per Jacobian (``ConstraintModel``).  Start points
 are projected onto the level set by one masked Newton iteration over the
-whole stack (``_project_rows``), in which each row stops on its own.
+whole stack (``_project_rows``), in which each row stops on its own.  A
+level-set geodesic with no ``init_path`` starts near the discrete one,
+whose segment energies are equal: the projected straight line has its
+interior moved to K equal steps of its length (``_equal_chords``) and
+projected again.  A level set's multipliers start at the least-squares
+estimate mu_k = J_k . rows_k / |J_k|^2 from the start's Euler-Lagrange
+rows, a gauge's at 0.
 """
 
 from __future__ import annotations
@@ -247,13 +253,16 @@ def _newton(residual, step, z0, cfg: SolverConfig | None, context: str):
     ``step(z, r)`` returns the Newton correction for r = residual(z); ``cfg``
     None means the default SolverConfig.  With ``cfg.damping == "armijo"``
     the correction is halved until 0.5 |r|^2 decreases sufficiently.  The
-    residual is evaluated once per iterate.  Returns (z, sup-norm residual,
-    iterations, converged).  A singular linear system, a correction or an
-    iterate's residual that is not finite (divergence), or a DomainError at
-    an iterate the loop produced, raises SolverError with the last finite
-    residual; a DomainError at z0 (the caller's input) propagates.  The
-    loop evaluates its iterates with overflow and invalid-operation
-    warnings off, since divergence is reported as an error instead.
+    residual is evaluated once per iterate.  The tolerance is absolute, so
+    a start already within it but with a nonzero residual still takes one
+    step; only an exact start (residual 0) takes none.  Returns (z,
+    sup-norm residual, iterations, converged).  A singular linear system, a
+    correction or an iterate's residual that is not finite (divergence), or
+    a DomainError at an iterate the loop produced, raises SolverError with
+    the last finite residual; a DomainError at z0 (the caller's input)
+    propagates.  The loop evaluates its iterates with overflow and
+    invalid-operation warnings off, since divergence is reported as an
+    error instead.
     """
     cfg = cfg or SolverConfig()
     z, r = z0, residual(z0)
@@ -262,7 +271,9 @@ def _newton(residual, step, z0, cfg: SolverConfig | None, context: str):
         raise SolverError(f"{context}: the residual at the start point is not finite", residual=res)
     iterations = 0
     with np.errstate(over="ignore", invalid="ignore"):
-        while res > cfg.newton_tol and iterations < cfg.max_iter:
+        # a nonzero residual gets one step even below the tolerance, which is
+        # absolute, however small the rows are
+        while (res > cfg.newton_tol or (res > 0.0 and not iterations)) and iterations < cfg.max_iter:
             try:
                 delta = step(z, r)
             except np.linalg.LinAlgError as err:
@@ -366,7 +377,8 @@ def _solve_path(pts, model, constraint, cfg: SolverConfig | None, context: str, 
     (s = 1); row k constrains x_{k+s}.  ``constraint`` is None, a
     LinearGauge or a ConstraintModel; the given points need not satisfy
     it.  A gauge's targets lie on the line through G x_0 and G x_K, at
-    t = k/K (s = 0), or through G x_0 and G x_1, at t = k (s = 1).  Returns
+    t = k/K (s = 0), or through G x_0 and G x_1, at t = k (s = 1).  A level
+    set's multipliers start at their least-squares estimate.  Returns
     (points, multipliers of shape (K-1, c), residual, iterations,
     converged).
     """
@@ -418,12 +430,31 @@ def _solve_path(pts, model, constraint, cfg: SolverConfig | None, context: str, 
         return delta
 
     z0 = np.hstack([pts, np.zeros((K + 1, c))])
+    if isinstance(constraint, ConstraintModel):
+        # least-squares multipliers mu_k = J_k . rows_k / |J_k|^2 of the start;
+        # a gauge's do not enter its Jacobian, so they start at 0
+        jac = view.jac(pts[1:K])[:, 0]
+        jj = np.einsum("nd,nd->n", jac, jac)
+        jr = np.einsum("nd,nd->n", jac, _el_rows(model, pts))
+        np.divide(jr, jj, out=z0[1 + s : K + s, d], where=jj > 0.0)
     z, res, iterations, converged = _newton(residual, step, z0, cfg, context)
     return z[:, :d], z[1 + s : K + s, d:], res, iterations, converged
 
 
 def _linear_init(xa, xb, K):
     return np.linspace(0.0, 1.0, K + 1)[:, None] * (xb - xa)[None, :] + xa[None, :]
+
+
+def _equal_chords(pts) -> None:
+    """Move the interior of the polyline ``pts`` (K + 1 points), in place, to
+    K equal steps of its length; a zero-length segment is never divided by."""
+    K = len(pts) - 1
+    chords = np.linalg.norm(np.diff(pts, axis=0), axis=1)
+    at = np.concatenate([[0.0], np.cumsum(chords)])
+    target = at[K] * np.arange(1, K) / K
+    j = np.minimum(np.searchsorted(at, target, side="right") - 1, K - 1)
+    frac = np.divide(target - at[j], chords[j], out=np.zeros(K - 1), where=chords[j] > 0.0)
+    pts[1:K] = pts[j] + frac[:, None] * (pts[j + 1] - pts[j])
 
 
 def _result(model, pts, residual, iterations, converged, multipliers=None):
@@ -461,6 +492,9 @@ def _solve(x_a, x_b, K, model, constraint, cfg, init_path) -> GeodesicResult:
         pts[0], pts[K] = xa, xb
     else:
         pts = _linear_init(xa, xb, K)
+        if level_set:
+            _project_rows(pts[1:K], constraint)
+            _equal_chords(pts)
     _project_rows(pts[1:K], constraint)
 
     if K == 1:
@@ -485,8 +519,11 @@ def solve_geodesic(
     iteration on the stationarity system with block tridiagonal linear
     solves.  ``constraint`` is None, a LinearGauge or a level set {d = 0},
     which the endpoints must satisfy to 1e-10 and onto which the start's
-    interior (the line or ``init_path``) is projected; the result then
-    carries one multiplier per interior point.  Non-convergence is
+    interior is projected; the result then carries one multiplier per
+    interior point.  The start is ``init_path`` if given, else the
+    straight line; on a level set the projected line is re-spaced to K
+    equal chord steps and projected again, and the multipliers start at
+    their least-squares estimate.  Non-convergence is
     reported through ``converged=False`` on the result, which then carries
     the last iterate.  An iterate outside the model's domain, a singular
     pivot or divergence (an iterate whose residual or correction is not

@@ -1,4 +1,5 @@
 import io
+import warnings
 
 import numpy as np
 import pytest
@@ -293,7 +294,10 @@ def test_constrained_sphere_equidistribution():
 def test_constrained_identical_endpoints():
     model, sphere = sdf_spring_model(SphereSdf())
     xa = np.array([0.0, 0.0, 1.0])
-    res = solve_geodesic(xa, xa, 4, model, constraint=sphere)
+    # the re-spaced start divides by no zero-length chord
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = solve_geodesic(xa, xa, 4, model, constraint=sphere)
     assert res.converged
     assert np.max(np.abs(res.path.points - xa)) <= 1e-12
     assert np.max(np.abs(res.multipliers)) <= 1e-12
@@ -444,6 +448,28 @@ def test_newton_reports_a_non_finite_residual_as_divergence():
     with pytest.raises(SolverError, match="stub: diverged, the residual of iteration 1") as err:
         _newton(np.log, lambda z, r: z * r, np.array([3.0]), None, "stub")
     assert err.value.residual == pytest.approx(np.log(3.0))
+
+
+def test_newton_takes_one_step_from_a_start_within_the_tolerance():
+    from geocalc.geodesic import _newton
+
+    # the tolerance is absolute: a start already below it still gets a step,
+    # unless its residual is exactly zero
+    steps = []
+
+    def step(z, r):
+        steps.append(float(r[0]))
+        return r
+
+    z, res, iterations, converged = _newton(lambda z: z - 1.0, step, np.array([1.0 + 1e-12]), None, "stub")
+    assert (iterations, res, converged) == (1, 0.0, True)
+    assert len(steps) == 1 and 0.0 < steps[0] <= SolverConfig().newton_tol
+    z, res, iterations, converged = _newton(lambda z: z - 1.0, step, np.array([1.0]), None, "stub")
+    assert (iterations, res, converged) == (0, 0.0, True)
+    assert len(steps) == 1
+    # the flat straight line through dyadic points is exact: no step
+    res = solve_geodesic([0.0, 0.0], [1.0, 2.0], 4, FLAT)
+    assert (res.iterations, res.residual, res.converged) == (0, 0.0, True)
 
 
 def test_newton_reports_a_non_finite_correction_as_divergence():

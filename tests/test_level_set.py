@@ -8,7 +8,9 @@ iteration.  These tests pin the per-point views against the rows of the
 stacked methods, the finite-difference default against the per-point
 Jacobian, the projection against a per-row reference, its stop on points
 with no projection, and the sdf-sphere solves against a per-point
-constraint.
+constraint.  The geodesic's start (the projected line re-spaced to equal
+chords) and its least-squares multipliers are pinned by the iterations
+and start residuals they buy.
 """
 
 import warnings
@@ -257,3 +259,63 @@ def test_off_set_init_path_is_projected_before_the_solve():
     assert from_off.converged
     assert from_off.iterations == from_projected.iterations
     assert np.array_equal(from_off.path.points, from_projected.path.points)
+
+
+def _recording_starts(monkeypatch):
+    """Record (start points, start residual) of every path solve's Newton loop."""
+    starts = []
+    newton = geodesic._newton
+
+    def recording(residual, step, z0, cfg, context):
+        starts.append((z0[:, :3].copy(), geodesic._sup(residual(z0))))
+        return newton(residual, step, z0, cfg, context)
+
+    monkeypatch.setattr(geodesic, "_newton", recording)
+    return starts
+
+
+@pytest.mark.parametrize("K", [16, 128, 1024])
+def test_sdf_sphere_geodesic_starts_on_equal_chords(K, monkeypatch):
+    model, sphere = sdf_spring_model(SphereSdf())
+    a, b = np.array([1.0, 0.0, 0.0]), np.array([0.0, 0.6, 0.8])
+    starts = _recording_starts(monkeypatch)
+    res = solve_geodesic(a, b, K, model, constraint=sphere)
+    # the projected line took 3 iterations to 6e-11
+    assert res.converged and res.iterations <= 2 and res.residual <= 1e-12
+    (start, _), = starts
+    assert np.max(np.abs(np.linalg.norm(start, axis=1) - 1.0)) <= 1e-12
+    # one re-spacing leaves the chords O(1/K^2) apart, against 0.6 for the
+    # projected line, whose steps are uneven by O(1)
+    def spread(points):
+        chords = np.linalg.norm(np.diff(points, axis=0), axis=1)
+        return (chords.max() - chords.min()) / chords.mean()
+
+    line = a + np.linspace(0.0, 1.0, K + 1)[:, None] * (b - a)
+    assert spread(start) <= 0.3 / K**2
+    assert spread(line / np.linalg.norm(line, axis=1, keepdims=True)) > 0.5
+
+
+def test_least_squares_multipliers_start_a_converged_path_converged(monkeypatch):
+    model, sphere = sdf_spring_model(SphereSdf())
+    a, b, K = np.array([1.0, 0.0, 0.0]), np.array([0.0, 0.6, 0.8]), 16
+    solved = solve_geodesic(a, b, K, model, constraint=sphere)
+    starts = _recording_starts(monkeypatch)
+    solve_geodesic(a, b, K, model, constraint=sphere, init_path=solved.path)
+    (_, start_residual), = starts
+    assert start_residual <= 1e-9
+    # multipliers at 0 would start at the size of the Euler-Lagrange rows
+    assert geodesic._sup(geodesic._el_rows(model, solved.path.points)) > 1e-2
+
+
+def test_a_start_within_the_tolerance_still_takes_a_step():
+    # seed 0, pair 10 of the surface_ladder benchmark's generator: the
+    # re-spaced start meets newton_tol at once, and stopping there put the
+    # exp of the first increment 4e-8 off b
+    model, sphere = sdf_spring_model(SphereSdf())
+    a = np.array([0.4479651046637141, 0.8819813579342993, -0.14641089187624293])
+    b = np.array([0.16558491234770872, 0.9684417266554519, 0.18628542314257598])
+    K = 128
+    res = solve_geodesic(a, b, K, model, constraint=sphere)
+    assert res.converged and res.iterations >= 1
+    end = discrete_exp(a, res.path[1] - res.path[0], K, model, constraint=sphere)
+    assert np.linalg.norm(end - b) <= 1e-9
