@@ -15,19 +15,20 @@ grad2(x_{k-1}, x_k) + grad1(x_k, x_{k+1}) = 0, k = 1..K-1:
 On top of these sit a Schild's-ladder style parallel transport (one
 geodesic parallelogram per path segment), its inverse, and a
 finite-difference connection.  The ladder is one Newton solve over every
-rung's midpoint and corner together (``_solve_ladder``), and so is its
-inverse, from the end; the connection is a one-rung inverse.  Each rung
-is two block rows of the size of one point and its multipliers, so the
-ladder's system is block lower bidiagonal, as small as the exp's per row.
-The whole exp and the ladders solve these systems by
-``thomas._forward_substitution``.  They are less robust than the
+rung's midpoint and corner together (``_solve_ladder``).  The inverse is
+the same ladder along the reversed path, of the reversed energy
+w'(x, y) = w(y, x) (``_Reversed``); the connection is a one-rung inverse.
+Each rung is two block rows of the size of one point and its
+multipliers, so the ladder's system is block lower bidiagonal, as small
+as the exp's per row.  The whole exp and the ladder solve these systems
+by ``thomas._forward_substitution``.  They are less robust than the
 step-by-step fold on long shots and coarse ladders; when one fails, or
 lands on a root the fold would not pick (``_near``), the operator runs
-the fold (``exp2``, ``transport_step`` or a one-rung inverse at a time),
-and the fold's errors are the ones raised.  The public operators start
-the whole solves from the straight line; ``_shoot`` and ``_transport``
-take another start (the convergence study's prolonged coarser level),
-with the same fold and root test.
+the fold (``exp2`` or ``transport_step`` at a time), and the fold's
+errors are the ones raised.  The public operators start the whole solves
+from the straight line; ``_shoot`` and ``_transport`` take another start
+(the convergence study's prolonged coarser level), with the same fold and
+root test.
 
 Every Newton solve here runs the one Newton loop of ``geodesic``.  Every
 operator takes, as its 4th argument, the ``SolverConfig`` the path solves
@@ -45,7 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DiscretePath, DomainError, SolverError, _as_count, _write_csv, as_path, as_point
+from .core import DiscretePath, DomainError, EnergyModel, SolverError, _as_count, _write_csv, as_path, as_point
 from .geodesic import (
     ConstraintModel,
     LinearGauge,
@@ -158,14 +159,11 @@ def discrete_log(
     """First increment x_1 - x_0 of the K-step geodesic from x_a to x_b.
 
     K times this displacement approximates the Riemannian logarithm.  For
-    K = 1 it is the plain difference x_b - x_a.
+    K = 1 it is the plain difference x_b - x_a, with the endpoints checked
+    as for any K.
     """
     xa = as_point(x_a)
     xb = _at_point(x_b, xa)
-    K = _as_count("K", K, 1)
-    _check_constraint(constraint)
-    if K == 1:
-        return xb - xa
     result = solve_geodesic(xa, xb, K, model, cfg, constraint=constraint)
     if not result.converged:
         raise SolverError(
@@ -299,53 +297,44 @@ def transport_step(
     return zeta_next, trace
 
 
-def _solve_ladder(pts, zeta, model, constraint, cfg: SolverConfig | None, context: str, zetas=None, inverse=False):
+def _solve_ladder(pts, zeta, model, constraint, cfg: SolverConfig | None, context: str, zetas=None):
     """Newton solve for every rung of the ladder along ``pts`` at once.
 
     Rung k = 1..K has the midpoint c_k, the corners p_{k-1} and p_k, and
     the equations of the forward transport's two inner solves,
 
         A: grad2(p_{k-1}, c_k) + grad1(c_k, x_k) - mu J(c_k) = 0,  d(c_k) = 0,
-        B: grad2(x_{k-1}, c_k) + grad1(c_k, p_k) - mu' J(c_k) = 0,  d(p) = 0,
+        B: grad2(x_{k-1}, c_k) + grad1(c_k, p_k) - mu' J(c_k) = 0,  d(p_k) = 0,
 
-    the multipliers and constraint rows only with a constraint.  The
-    unknown corner p is p_k, with p_0 = x_0 + zeta given, the rungs in the
-    order k = 1..K and each solving A for c_k, then B for p_k; or with
-    ``inverse`` p_{k-1}, with p_K = x_K + zeta given, the rungs in the
-    order k = K..1 and each solving B for c_k, then A for p_{k-1}.  Each
-    half rung reads only itself and the half before (c_k, or the corner
-    the rung before solved for), so the Jacobian is block lower bidiagonal
-    in 2K (d + c)-blocks.  Residual and Jacobian come from one
-    stacked call each over the 4K segments (p_{k-1}, c_k), (c_k, x_k),
-    (x_{k-1}, c_k), (c_k, p_k).  With y the base point of p (x_k, or
-    x_{k-1} inverse), a gauge's rows are G c_k = G(x_{k-1} + x_k + zeta)/2
-    and G p = G(y + zeta).  Row i starts from p = y + zeta_i and c_k =
-    (x_{k-1} + x_k + zeta_{i-1})/2, projected onto the level set if there
-    is one, with zeta_{-1} = zeta and the guesses ``zetas`` (K, d), or zeta
-    throughout when they are None.  Returns (midpoints, unknown corners,
-    residual, iterations, converged), in the rung order k = 1..K.
+    the multipliers and constraint rows only with a constraint, solved for
+    c_k and p_k with p_0 = x_0 + zeta given.  Each half rung reads only
+    itself and the half before (c_k, or the corner the rung before solved
+    for), so the Jacobian is block lower bidiagonal in 2K (d + c)-blocks.
+    Residual and Jacobian come from one stacked call each over the 4K
+    segments (p_{k-1}, c_k), (c_k, x_k), (x_{k-1}, c_k), (c_k, p_k).  A
+    gauge's rows are G c_k = G(x_{k-1} + x_k + zeta)/2 and G p_k =
+    G(x_k + zeta).  Row k starts from p_k = x_k + zeta_k and c_k =
+    (x_{k-1} + x_k + zeta_{k-1})/2, projected onto the level set if there
+    is one, with zeta_0 = zeta and the guesses ``zetas`` (K, d), or zeta
+    throughout when they are None.  Returns (midpoints, corners,
+    residual, iterations, converged).
     """
     K, d = len(pts) - 1, pts.shape[1]
-    starts, ends = (pts[-2::-1], pts[:0:-1]) if inverse else (pts[:-1], pts[1:])
-    own, given = (starts, ends) if inverse else (ends, starts)
-    p_given = given[0] + zeta
-    view = _constraint_view(constraint, lambda g: np.vstack([(starts + ends + zeta) / 2.0, own + zeta]) @ g.T, d)
+    starts, ends = pts[:-1], pts[1:]
+    view = _constraint_view(constraint, lambda g: np.vstack([(starts + ends + zeta) / 2.0, ends + zeta]) @ g.T, d)
     c = view.c
     b = d + c
-    flip = -1 if inverse else 1  # the rung halves in solve order: A, B or B, A
 
-    # row i of z holds c_k, mu_1, p, mu_2 of its rung, mu_1 belonging to the
-    # rung's half solved first and mu_2 to the other
+    # row k of z holds c_k, mu_k, p_k, mu'_k
     def segments(z):
         mid, corner = z[:, :d], z[:, b : b + d]
-        prev = np.vstack([p_given, corner[:-1]])
-        lo, hi = (corner, prev) if inverse else (prev, corner)
-        return np.concatenate([lo, mid, starts, mid]), np.concatenate([mid, ends, mid, hi])
+        prev = np.vstack([starts[0] + zeta, corner[:-1]])
+        return np.concatenate([prev, mid, starts, mid]), np.concatenate([mid, ends, mid, corner])
 
     def residual(z):
         g1, g2 = model.grads_stacked(*segments(z))
         g1, g2 = g1.reshape(4, K, d), g2.reshape(4, K, d)
-        first, second = (g2[0] + g1[1], g2[2] + g1[3])[::flip]
+        first, second = g2[0] + g1[1], g2[2] + g1[3]
         if not c:
             return np.hstack([first, second])
         mid, corner = z[:, :d], z[:, b : b + d]
@@ -356,14 +345,13 @@ def _solve_ladder(pts, zeta, model, constraint, cfg: SolverConfig | None, contex
 
     def step(z, r):
         h11, h12, h21, h22 = (h.reshape(4, K, d, d) for h in model.hess_blocks_stacked(*segments(z)))
-        # A and B by c_k, and by the corner each reads (A p_{k-1}, B p_k),
-        # in solve order; blocks (K, 2 halves, b, b)
-        mids, corners = (h22[0] + h11[1], h22[2] + h11[3])[::flip], (h21[0], h12[3])[::flip]
+        # A and B by c_k, and by the corner each reads (A p_{k-1}, B p_k);
+        # blocks (K, 2 halves, b, b)
         diag, band = np.zeros((2, K, 2, b, b))
-        diag[:, 0, :d, :d] = mids[0]
-        diag[:, 1, :d, :d] = corners[1]
-        band[:, 0, :d, :d] = mids[1]
-        band[:-1, 1, :d, :d] = corners[0][1:]
+        diag[:, 0, :d, :d] = h22[0] + h11[1]
+        diag[:, 1, :d, :d] = h12[3]
+        band[:, 0, :d, :d] = h22[2] + h11[3]
+        band[:-1, 1, :d, :d] = h21[0][1:]
         if c:
             mid, corner = z[:, :d], z[:, b : b + d]
             jac = view.jac(mid)
@@ -377,14 +365,12 @@ def _solve_ladder(pts, zeta, model, constraint, cfg: SolverConfig | None, contex
     if zetas is None:
         zetas = np.broadcast_to(zeta, (K, d))
     mid = (starts + ends) / 2.0 + np.vstack([zeta, zetas[:-1]]) / 2.0
-    corner = own + zetas
+    corner = ends + zetas
     _project_rows(mid, constraint)
     _project_rows(corner, constraint)
     no_mu = np.zeros((K, c))
     z0 = np.hstack([mid, no_mu, corner, no_mu])
     z, res, iterations, converged = _newton(residual, step, z0, cfg, context)
-    if inverse:
-        z = z[::-1]
     return z[:, :d], z[:, b : b + d], res, iterations, converged
 
 
@@ -445,6 +431,22 @@ def _transport(path, zeta_0, zetas, model, cfg, constraint):
     return pts[:-1] + np.vstack([zeta_0, zetas[:-1]]), mid, corner, zetas
 
 
+class _Reversed(EnergyModel):
+    """The slot-swapped energy w'(x, y) = w(y, x) of ``model``."""
+
+    def __init__(self, model):
+        self._model = model
+
+    def w_stacked(self, xs, ys):
+        return self._model.w_stacked(ys, xs)
+
+    def grads_stacked(self, xs, ys):
+        return self._model.grads_stacked(ys, xs)[::-1]
+
+    def hess_blocks_stacked(self, xs, ys):
+        return self._model.hess_blocks_stacked(ys, xs)[::-1]
+
+
 def inverse_transport(
     path,
     zeta_K,
@@ -454,37 +456,18 @@ def inverse_transport(
 ) -> np.ndarray:
     """Pull a displacement at the path end back to the start.
 
-    Solves the rung equations of the forward transport for the other
-    unknowns, (c_k, p_{k-1}) from p_K = x_K + zeta_K, in one Newton solve
-    (the inverse window of ``_solve_ladder``).  If that solve fails or
-    lands on a root the rung-by-rung fold would not pick (``_near``), the
-    same kernel runs one rung at a time from the end instead, and the
-    fold's errors are the ones raised.
+    The inverse rung equations, solved for (c_k, p_{k-1}) from p_k, are the
+    forward rung equations of the reversed energy w'(x, y) = w(y, x) along
+    the reversed path, so this is the forward transport of zeta_K from the
+    path end with w': its whole ladder, root test and fold.  Fold errors
+    name the rung counted from the path end, the order it is solved in.
     """
     path = as_path(path)
-    pts = path.points
     zeta = _at_point(zeta_K, path[0])
     try:
-        mid, corner, _, _, converged = _solve_ladder(pts, zeta, model, constraint, cfg, "inverse ladder", inverse=True)
-    except (SolverError, DomainError):
-        converged = False
-    if converged:
-        # the fold starts rung k from c_k = (x_{k-1} + p_k)/2, p_{k-1} = x_{k-1} + zeta_k
-        corner_next = np.vstack([corner[1:], pts[-1] + zeta])
-        starts = np.vstack([(pts[:-1] + corner_next) / 2.0, pts[:-1] + corner_next - pts[1:]])
-        converged = _near(np.vstack([mid, corner]), starts, np.vstack([pts[:-1], pts[:-1]]))
-    if converged:
-        return corner[0] - pts[0]
-    for k in range(len(pts) - 1, 0, -1):
-        try:
-            _, corner, res, _, converged = _solve_ladder(
-                pts[k - 1 : k + 1], zeta, model, constraint, cfg, "inverse rung", inverse=True
-            )
-            _require(converged, res, "inverse rung")
-        except SolverError as err:
-            raise SolverError(f"inverse transport step {k} failed: {err}", residual=err.residual) from err
-        zeta = corner[0] - pts[k - 1]
-    return zeta
+        return _transport(DiscretePath(path.points[::-1]), zeta, None, _Reversed(model), cfg, constraint)[3][-1]
+    except SolverError as err:
+        raise SolverError(f"inverse {err}", residual=err.residual) from err
 
 
 def discrete_connection(
@@ -498,7 +481,8 @@ def discrete_connection(
 ) -> np.ndarray:
     """Finite-difference covariant derivative from one-rung inverse transport.
 
-    Pulls eta1 (attached at x + xi) back to x and subtracts eta0.
+    Pulls eta1 (attached at x + xi) back to x, one forward rung of the
+    reversed energy from x + xi to x, and subtracts eta0.
     """
     x = as_point(x)
     xi, eta0, eta1 = (_at_point(v, x) for v in (xi, eta0, eta1))

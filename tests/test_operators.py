@@ -94,6 +94,17 @@ def test_discrete_log_examples():
     assert np.allclose(z, [0.25, 0.0], atol=1e-12)
 
 
+def test_discrete_log_checks_the_level_set_at_every_step_count():
+    # K = 1 needs no solve, but its endpoints must lie on the level set too
+    xa, xb = [1.2, 0.0, 0.0], [0.0, 0.6, 0.8]
+    messages = []
+    for K in (1, 2):
+        with pytest.raises(DomainError, match="endpoint x_a is off the level set") as err:
+            discrete_log(xa, xb, K, FLAT, None, SphereSdf())
+        messages.append(str(err.value))
+    assert messages[0] == messages[1]
+
+
 def test_discrete_log_propagates_solver_failure():
     cfg = SolverConfig(max_iter=1)
     with pytest.raises(SolverError):
@@ -255,6 +266,42 @@ def test_inverse_transport_round_trip_on_a_gauged_rod(n, monkeypatch):
     back = inverse_transport(res.path, zK, model, constraint=gauge)
     assert solves == [K]
     assert np.linalg.norm(back - w) <= 1e-9
+
+
+def _random_segments(name):
+    """Starts and ends of 5 random segments for the two asymmetric energies."""
+    rng = np.random.default_rng(3)
+    if name == "chart":
+        return CHART, rng.normal(size=(5, 2)), rng.normal(size=(5, 2))
+    base = circle_rod(8).coord
+    return rod_energy("simplified", 8), *(base + 0.05 * rng.normal(size=(2, 5, base.size)))
+
+
+@pytest.mark.parametrize("name", ["chart", "rod"])
+def test_reversed_energy_swaps_the_slots_bitwise(name):
+    model, xs, ys = _random_segments(name)
+    rev = op._Reversed(model)
+    np.testing.assert_array_equal(rev.w_stacked(xs, ys), model.w_stacked(ys, xs))
+    g1, g2 = model.grads_stacked(ys, xs)
+    for got, want in zip(rev.grads_stacked(xs, ys), (g2, g1)):
+        np.testing.assert_array_equal(got, want)
+    h11, h12, h21, h22 = model.hess_blocks_stacked(ys, xs)
+    for got, want in zip(rev.hess_blocks_stacked(xs, ys), (h22, h21, h12, h11)):
+        np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize(
+    "a, b, w",
+    [((1.29, -0.49), (0.8, 0.46), (0.16, 0.21)), ((0.29, -1.43), (0.65, -0.43), (0.21, 0.11))],
+)
+def test_inverse_transport_undoes_a_coarse_chart_rung(a, b, w):
+    """A coarse K = 1 chart rung, where a joint one-rung inverse solve meets
+    a singular pivot; the forward rung of the reversed energy pulls w back."""
+    path = solve_geodesic(a, b, 1, CHART).path
+    w = np.array(w)
+    zK, _ = parallel_transport(path, w, CHART)
+    back = inverse_transport(path, zK, CHART)
+    assert np.linalg.norm(back - w) <= 1e-10 * np.linalg.norm(w)
 
 
 @pytest.mark.parametrize("bad", ["sphere", np.eye(2)], ids=["str", "matrix"])

@@ -2,11 +2,11 @@
 
 ``discrete_exp_path``, ``parallel_transport`` and ``inverse_transport``
 solve all their inner equations in one Newton solve and fall back to the
-fold (one ``exp2``, ``transport_step`` or one-rung inverse at a time) when
-that solve fails or lands on a root the fold would not pick.  These tests pin the kernels themselves (the shot
-window of ``geodesic._solve_path`` and ``operators._solve_ladder``), their
-agreement with the fold, the fallback, and the dimension checks of every
-operator.
+fold (one ``exp2`` or ``transport_step`` at a time, the inverse's of the
+reversed energy) when that solve fails or lands on a root the fold would
+not pick.  These tests pin the kernels themselves (the shot window of
+``geodesic._solve_path`` and ``operators._solve_ladder``), their agreement
+with the fold, the fallback, and the dimension checks of every operator.
 """
 
 import numpy as np
@@ -299,16 +299,16 @@ def test_whole_inverse_transport_is_accurate_on_a_fine_ladder():
 
 
 def _no_whole_inverse(monkeypatch):
-    """Make every inverse ladder of more than one rung fail, so that
-    inverse transport runs its rung-by-rung fold."""
+    """Make every ladder of the reversed energy fail, so that inverse
+    transport runs its rung-by-rung fold."""
     kernel = op._solve_ladder
 
-    def one_rung_only(pts, *args, **kwargs):
-        if kwargs.get("inverse") and len(pts) > 2:
+    def forward_only(pts, zeta, model, *args, **kwargs):
+        if isinstance(model, op._Reversed):
             raise SolverError("whole inverse ladder switched off", residual=np.inf)
-        return kernel(pts, *args, **kwargs)
+        return kernel(pts, zeta, model, *args, **kwargs)
 
-    monkeypatch.setattr(op, "_solve_ladder", one_rung_only)
+    monkeypatch.setattr(op, "_solve_ladder", forward_only)
 
 
 @pytest.mark.parametrize("name", ["chart", "sdf-sphere"])
@@ -325,21 +325,22 @@ def test_inverse_transport_fold_matches_the_whole_solve(name, monkeypatch):
 
 
 def test_inverse_transport_fold_errors_name_the_step(monkeypatch):
+    """Rungs are counted from the path end, the order they are solved in."""
     path = solve_geodesic(XA, XB, 4, CHART).path
     strict = SolverConfig(newton_tol=1e-30, max_iter=3)
-    with pytest.raises(SolverError, match="inverse transport step 4 failed: inverse rung: no convergence"):
+    with pytest.raises(SolverError, match="inverse transport step 1 failed: rung-midpoint solve failed: log2"):
         inverse_transport(path, np.array([-0.1, 0.0]), CHART, strict)
-    # a rung other than the last: the fold's rung 2 on a ladder whose whole
-    # solve is switched off
+    # a rung other than the first solved: rung 2 from the end, x_3 to x_2,
+    # on a ladder whose whole solve is switched off
     _no_whole_inverse(monkeypatch)
-    kernel = op._solve_ladder
+    step = op.transport_step
 
-    def fail_rung_2(pts, *args, **kwargs):
-        if np.array_equal(pts, path.points[1:3]):
+    def fail_rung_2(x_prev, x_next, *args):
+        if np.array_equal(x_prev, path[3]) and np.array_equal(x_next, path[2]):
             raise SolverError("stub rung failure", residual=1.0)
-        return kernel(pts, *args, **kwargs)
+        return step(x_prev, x_next, *args)
 
-    monkeypatch.setattr(op, "_solve_ladder", fail_rung_2)
+    monkeypatch.setattr(op, "transport_step", fail_rung_2)
     with pytest.raises(SolverError, match="inverse transport step 2 failed: stub rung failure"):
         inverse_transport(path, np.array([-0.1, 0.0]), CHART)
 
