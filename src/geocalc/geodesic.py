@@ -471,8 +471,32 @@ def _result(model, pts, residual, iterations, converged, multipliers=None):
     )
 
 
-def _solve(x_a, x_b, K, model, constraint, cfg, init_path) -> GeodesicResult:
-    """Body of ``solve_geodesic`` and its alias ``solve_geodesic_constrained``."""
+def solve_geodesic(
+    x_a,
+    x_b,
+    K: int,
+    model,
+    cfg: SolverConfig | None = None,
+    *,
+    constraint: ConstraintModel | LinearGauge | None = None,
+    init_path=None,
+) -> GeodesicResult:
+    """Solve the discrete geodesic boundary-value problem.
+
+    Endpoints are fixed; the K-1 interior points are found by Newton
+    iteration on the stationarity system with block tridiagonal linear
+    solves.  ``constraint`` is None, a LinearGauge or a level set {d = 0},
+    which the endpoints must satisfy to 1e-10 and onto which the start's
+    interior is projected; the result then carries one multiplier per
+    interior point.  The start is ``init_path`` if given, else the
+    straight line; on a level set the projected line is re-spaced to K
+    equal chord steps and projected again, and the multipliers start at
+    their least-squares estimate.  Non-convergence is
+    reported through ``converged=False`` on the result, which then carries
+    the last iterate.  An iterate outside the model's domain, a singular
+    pivot or divergence (an iterate whose residual or correction is not
+    finite) raises SolverError.
+    """
     xa = as_point(x_a)
     xb = as_point(x_b)
     if xa.size != xb.size:
@@ -503,38 +527,9 @@ def _solve(x_a, x_b, K, model, constraint, cfg, init_path) -> GeodesicResult:
     return _result(model, pts, res, iterations, converged, mu[:, 0] if level_set else None)
 
 
-def solve_geodesic(
-    x_a,
-    x_b,
-    K: int,
-    model,
-    cfg: SolverConfig | None = None,
-    *,
-    constraint: ConstraintModel | LinearGauge | None = None,
-    init_path=None,
-) -> GeodesicResult:
-    """Solve the discrete geodesic boundary-value problem.
-
-    Endpoints are fixed; the K-1 interior points are found by Newton
-    iteration on the stationarity system with block tridiagonal linear
-    solves.  ``constraint`` is None, a LinearGauge or a level set {d = 0},
-    which the endpoints must satisfy to 1e-10 and onto which the start's
-    interior is projected; the result then carries one multiplier per
-    interior point.  The start is ``init_path`` if given, else the
-    straight line; on a level set the projected line is re-spaced to K
-    equal chord steps and projected again, and the multipliers start at
-    their least-squares estimate.  Non-convergence is
-    reported through ``converged=False`` on the result, which then carries
-    the last iterate.  An iterate outside the model's domain, a singular
-    pivot or divergence (an iterate whose residual or correction is not
-    finite) raises SolverError.
-    """
-    return _solve(x_a, x_b, K, model, constraint, cfg, init_path)
-
-
 def solve_geodesic_constrained(x_a, x_b, K: int, model, constraint, cfg=None, *, init_path=None) -> GeodesicResult:
     """Deprecated alias of ``solve_geodesic(..., constraint=constraint)``."""
-    return _solve(x_a, x_b, K, model, constraint, cfg, init_path)
+    return solve_geodesic(x_a, x_b, K, model, cfg, constraint=constraint, init_path=init_path)
 
 
 def project_onto_level_set(

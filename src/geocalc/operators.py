@@ -255,14 +255,12 @@ def discrete_exp(
     constraint: ConstraintModel | LinearGauge | None = None,
 ) -> np.ndarray:
     """k-step discrete exponential of the displacement zeta at x."""
-    x = as_point(x)
-    zeta = _at_point(zeta, x)
     k = _as_count("k", k, 0)
-    _check_constraint(constraint)
     if k == 0:
+        x = as_point(x)
+        _at_point(zeta, x)
+        _check_constraint(constraint)
         return x
-    if k == 1:
-        return x + zeta
     return discrete_exp_path(x, zeta, k, model, cfg, constraint)[k]
 
 

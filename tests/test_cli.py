@@ -45,6 +45,11 @@ def test_log_exp_transport_roundtrip(capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "0.5,-0.25" in out  # flat transport is the identity
+    # the level-set geodesic, log and transport of the sdf sphere
+    sphere = ["--model", "sdf-sphere", "--xa", "1,0,0", "--xb", "0,0.6,0.8", "--K", "16"]
+    for command, extra in (("geodesic", []), ("log", []), ("transport", ["--w", "0,0.3,-0.1"])):
+        assert main([command, *sphere, *extra]) == 0
+    assert "converged=True" in capsys.readouterr().out
 
 
 def test_converge_writes_artifacts(tmp_path, capsys):
@@ -215,6 +220,12 @@ def test_rod_morph_cli(tmp_path, capsys):
     code = main(["rod-morph", "--curve-a", str(a), "--curve-b", str(b), "--K", "4", "--kind", "full"])
     assert code == 0
     assert "kind=full converged=True" in capsys.readouterr().out
+    # N = 32 and a non-circular target, both kinds at the default K
+    save_rod_csv(circle_rod(32), a)
+    save_rod_csv(random_smooth_rod(32, np.random.default_rng(5), 1.2, amplitude=0.15), b)
+    for kind in ("simplified", "full"):
+        assert main(["rod-morph", "--curve-a", str(a), "--curve-b", str(b), "--kind", kind]) == 0
+        assert f"kind={kind} converged=True" in capsys.readouterr().out
 
 
 def test_unknown_nested_config_key_exits_3(tmp_path, capsys):
