@@ -4,11 +4,18 @@ A path Jacobian is block tridiagonal in time (``_block_thomas``) or block
 lower triangular (``_forward_substitution``: the shifted window and the
 ladder of ``operators``).  Up to ``_DENSE_MAX`` unknowns, coarse levels
 included, a system is one dense LU.  Above it, blocks of size at most
-``_REDUCE_MAX_BLOCK`` are halved level by level, one stacked pivot solve
-each, 2 x 2 pivots by closed-form elimination (``_solve2``) and larger
-ones by LAPACK; larger blocks go through sequential block Thomas
-elimination (``_thomas_loop``).  The rods' gauged path system is solved in
-node order, along the periodic curve (``_node_thomas``).
+``_REDUCE_MAX_BLOCK`` are halved level by level, one stacked pivot step
+each; larger blocks go through sequential block Thomas elimination
+(``_thomas_loop``).  The rods' gauged path system is solved in node order,
+along the periodic curve (``_node_thomas``).
+
+One pivot rule serves every elimination: 2 x 2 pivots by closed-form
+elimination (``_solve2``), larger ones by their LAPACK inverse, applied to
+all of a pivot's columns by one matrix product.  For the many columns a
+pivot carries here, LAPACK's triangular solves cost more than the inverse
+and product (a 28 x 28 node-run pivot on its 71 columns: 43 us against 27
+us on a 2-core Xeon, one BLAS thread).  ``np.linalg.solve`` is left to systems of one
+right-hand side: the dense LU and the border of ``_node_thomas``.
 """
 
 from __future__ import annotations
@@ -22,9 +29,10 @@ import numpy as np
 # reduction, and 126 (K = 64) as long as one reduction level onto 62
 _DENSE_MAX = 64
 # largest block (after regrouping, for the lower triangular solve) that is
-# reduced level by level: on that host reduction takes 0.17-0.76x the
-# sequential loop's time for 15-255 blocks of size <= 16, and 1.5-2.6x for
-# blocks of size >= 32 (the rod exp and ladder, the runs of ``_node_thomas``)
+# reduced level by level: on that host, for 15, 63 and 255 blocks, reduction
+# takes 0.68-0.97x the sequential loop's time at size 16, 0.76-1.08x at 17
+# and 1.06-1.89x at 32; no shipped model reaches ``_block_thomas`` with
+# blocks of 17-31 (the rods' time-ordered windows are lower triangular)
 _REDUCE_MAX_BLOCK = 16
 
 
@@ -98,7 +106,7 @@ def _cyclic_reduction(lower, diag, upper, rhs) -> np.ndarray:
     # even rows j and j+1, and the last odd row has no right neighbour when
     # n is even
     cols = np.concatenate([lower[::2], upper[::2], rhs[::2, :, None]], axis=2)
-    even = _solve2(diag[::2], cols) if b == 2 else np.linalg.solve(diag[::2], cols)
+    even = _solve2(diag[::2], cols) if b == 2 else np.linalg.inv(diag[::2]) @ cols
     m, r = n // 2, len(even) - 1
     left = lower[1::2] @ even[:m]
     right = upper[1 : 2 * r : 2] @ even[1:]
@@ -175,18 +183,19 @@ def _affine_recurrence(steps) -> np.ndarray:
 
 
 def _thomas_loop(lower, diag, upper, rhs) -> np.ndarray:
-    """Block Thomas elimination, one pivot solve per row; arguments as ``_block_thomas``, or rhs (n, b, r)."""
+    """Block Thomas elimination, one pivot inverse per row applied to all
+    of its columns; arguments as ``_block_thomas``, or rhs (n, b, r)."""
     n, b = rhs.shape[:2]
     # row i of the eliminated system reads x_i + C_i x_{i+1} = d_i, and
-    # cd[i] holds [C_i | d_i]; one solve per pivot gives both
+    # cd[i] holds [C_i | d_i]; one inverse per pivot gives both
     cd = np.zeros((n, b, b + rhs[0, 0].size))
     cd[:-1, :, :b] = upper
     cd[:, :, b:] = rhs.reshape(n, b, -1)
-    cd[0] = np.linalg.solve(diag[0], cd[0])
+    cd[0] = np.linalg.inv(diag[0]) @ cd[0]
     for i in range(1, n):
         coupled = lower[i - 1] @ cd[i - 1]
         cd[i, :, b:] -= coupled[:, b:]
-        cd[i] = np.linalg.solve(diag[i] - coupled[:, :b], cd[i])
+        cd[i] = np.linalg.inv(diag[i] - coupled[:, :b]) @ cd[i]
     d = cd[:, :, b:].reshape(rhs.shape)
     sol = np.empty(rhs.shape)
     sol[n - 1] = d[n - 1]

@@ -1,9 +1,12 @@
+import sys
+
 import numpy as np
 import pytest
 
 from geocalc import (
     DomainError,
     RodCurve,
+    SphereSdf,
     check_consistency,
     circle_rod,
     discrete_exp_path,
@@ -14,9 +17,10 @@ from geocalc import (
     rod_energy,
     rod_gauge,
     save_rod_csv,
+    sdf_spring_model,
     solve_geodesic,
 )
-from geocalc import geodesic, operators
+from geocalc import geodesic, operators, thomas
 from geocalc.harness import run_rod_morph
 
 from fd_reference import central_hess_blocks, central_jacobian
@@ -406,6 +410,83 @@ def test_node_ordered_morph_matches_the_time_order():
     assert node.converged and time.converged
     assert node.iterations == time.iterations == 3
     assert np.max(np.abs(node.path.points - time.path.points)) <= 1e-12
+
+
+def _lu_thomas_loop(lower, diag, upper, rhs):
+    """Block Thomas elimination with one LU solve of [C_i | d_i] per pivot,
+    the form ``thomas._thomas_loop`` had before it applied inverses."""
+    n, b = rhs.shape[:2]
+    cd = np.zeros((n, b, b + rhs[0, 0].size))
+    cd[:-1, :, :b], cd[:, :, b:] = upper, rhs.reshape(n, b, -1)
+    cd[0] = np.linalg.solve(diag[0], cd[0])
+    for i in range(1, n):
+        coupled = lower[i - 1] @ cd[i - 1]
+        cd[i, :, b:] -= coupled[:, b:]
+        cd[i] = np.linalg.solve(diag[i] - coupled[:, :b], cd[i])
+    sol = cd[:, :, b:].reshape(rhs.shape).copy()
+    for i in range(n - 2, -1, -1):
+        sol[i] -= cd[i, :, :b] @ sol[i + 1]
+    return sol
+
+
+def _morph_both_ways(n, kind, monkeypatch):
+    """The morph of perfbench's ``rod_morph`` at N = n, K = 8, solved with
+    inverse-applied pivots and again with the LU loop."""
+    a = circle_rod(n)
+    b = random_smooth_rod(n, np.random.default_rng(5), 1.2, amplitude=0.15)
+    inverse, _ = run_rod_morph(a, b, 8, kind=kind)
+    monkeypatch.setattr(thomas, "_thomas_loop", _lu_thomas_loop)
+    lu, _ = run_rod_morph(a, b, 8, kind=kind)
+    return inverse, lu
+
+
+def test_inverse_applied_pivots_keep_the_simplified_morph(monkeypatch):
+    inverse, lu = _morph_both_ways(64, "simplified", monkeypatch)
+    assert inverse.iterations == lu.iterations == 3
+    # measured 4.5e-15
+    ref = lu.path.points
+    assert np.max(np.abs(inverse.path.points - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_inverse_applied_pivots_keep_the_full_morph_energies(monkeypatch):
+    # the full rod's path moves with rounding along its rotation null
+    # directions (one per interior time), so only what is invariant is compared
+    inverse, lu = _morph_both_ways(32, "full", monkeypatch)
+    assert inverse.iterations == lu.iterations == 3
+    model = rod_energy("full", 32, 0.1)
+
+    def energies(res):
+        return model.w_stacked(res.path.points[:-1], res.path.points[1:])
+
+    # measured 2.6e-14
+    np.testing.assert_allclose(energies(inverse), energies(lu), rtol=1e-12)
+
+
+def test_thomas_solves_only_one_column_systems_with_lapack(monkeypatch):
+    """Every pivot applied to several columns goes through its inverse:
+    ``np.linalg.solve`` is left to one-column dense systems, on the rod
+    morph (the node solve's border) and on a 4 x 4 level-set geodesic (the
+    reduction's last level)."""
+    from geocalc import SphereSdf, sdf_spring_model
+
+    solve = np.linalg.solve
+    shapes = []
+
+    def spy(a, b):
+        if sys._getframe(1).f_globals["__name__"] == thomas.__name__:
+            shapes.append(np.shape(b))
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", spy)
+    a = circle_rod(64)
+    b = random_smooth_rod(64, np.random.default_rng(5), 1.2, amplitude=0.15)
+    assert run_rod_morph(a, b, 8)[0].converged
+    morph = len(shapes)
+    model, sphere = sdf_spring_model(SphereSdf())
+    x_a, x_b = np.array([1.0, 0.0, 0.0]), np.array([0.0, 0.6, 0.8])
+    assert solve_geodesic(x_a, x_b, 128, model, constraint=sphere).converged
+    assert 0 < morph < len(shapes)
+    assert all(len(shape) == 1 for shape in shapes)
 
 
 def test_rod_gauge_pins_interior_means():
