@@ -14,8 +14,9 @@ elimination (``_solve2``), larger ones by their LAPACK inverse, applied to
 all of a pivot's columns by one matrix product.  For the many columns a
 pivot carries here, LAPACK's triangular solves cost more than the inverse
 and product (a 28 x 28 node-run pivot on its 71 columns: 43 us against 27
-us on a 2-core Xeon, one BLAS thread).  ``np.linalg.solve`` is left to systems of one
-right-hand side: the dense LU and the border of ``_node_thomas``.
+us on a 2-core Xeon, one BLAS thread).  ``np.linalg.solve`` is left to
+systems of one right-hand side: the dense LU and the border of
+``_node_thomas``.
 """
 
 from __future__ import annotations

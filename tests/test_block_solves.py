@@ -23,7 +23,7 @@ matrix.
 import numpy as np
 import pytest
 
-from geocalc import thomas
+from geocalc import geodesic, thomas
 
 SIZES = [1, 2, 3, 4, 5, 8, 9, 32, 33, 1023]
 BLOCKS = [1, 2, 4, 8, 16, 17, 40]
@@ -293,8 +293,6 @@ def test_inverse_applied_pivots_are_as_accurate_as_a_dense_solve(b, n):
 
 @pytest.mark.parametrize("b, n", INVERSE_PATHS)
 def test_an_exactly_singular_pivot_raises(b, n):
-    from geocalc import geodesic
-
     lower, diag, upper, rhs = _ill_conditioned_system(b + n, n, b)
     # the first pivot, and an even row whose pivot is its diagonal block:
     # no coupling reaches the loop's row k, and the reduction's first level
@@ -306,6 +304,7 @@ def test_an_exactly_singular_pivot_raises(b, n):
             uncoupled[k - 1] = 0.0
         with pytest.raises(np.linalg.LinAlgError):
             thomas._block_thomas(uncoupled, singular, upper, rhs)
+
         # which the Newton loop reports as such
         def step(z, r):
             return thomas._block_thomas(uncoupled, singular, upper, r)

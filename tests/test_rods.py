@@ -467,8 +467,6 @@ def test_thomas_solves_only_one_column_systems_with_lapack(monkeypatch):
     ``np.linalg.solve`` is left to one-column dense systems, on the rod
     morph (the node solve's border) and on a 4 x 4 level-set geodesic (the
     reduction's last level)."""
-    from geocalc import SphereSdf, sdf_spring_model
-
     solve = np.linalg.solve
     shapes = []
 
