@@ -426,7 +426,7 @@ def _solve_path(pts, model, constraint, cfg: SolverConfig | None, context: str, 
         if s:
             delta[2:] = _forward_substitution(bands[2], (bands[1, 1:], bands[0, 2:]), r)
         else:
-            delta[1:K] = _block_thomas(bands[0, 1:], bands[1], bands[2, :-1], r)
+            delta[1:K] = _block_thomas(*bands, r)
         return delta
 
     z0 = np.hstack([pts, np.zeros((K + 1, c))])

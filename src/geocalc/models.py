@@ -85,11 +85,6 @@ def flat_energy() -> FlatEnergy:
 _EYE2 = np.eye(2)
 
 
-def _conformal_factor(x):
-    """c(x) = 4 / (1 + |x|^2)^2, with an axis of length 1."""
-    return 4.0 / (1.0 + _sq(x)) ** 2
-
-
 def _conformal(x):
     """q = 1 + |x|^2, c(x) and grad c(x) = -16 x / q^3."""
     q = 1.0 + _sq(x)
@@ -119,7 +114,7 @@ class SphereChartEnergy(EnergyModel):
 
     def w_stacked(self, xs, ys):
         x, y = self._pair(xs, ys)
-        return (_conformal_factor(x) * _sq(y - x))[..., 0]
+        return (_conformal(x)[1] * _sq(y - x))[..., 0]
 
     def grads_stacked(self, xs, ys):
         x, y = self._pair(xs, ys)
@@ -143,7 +138,7 @@ class SphereChartEnergy(EnergyModel):
 
     def metric(self, x):
         x = as_point(x)
-        return float(_conformal_factor(x)[0]) * np.eye(2)
+        return float(_conformal(x)[1][0]) * np.eye(2)
 
 
 def sphere_chart_energy() -> SphereChartEnergy:

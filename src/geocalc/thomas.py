@@ -3,11 +3,11 @@
 A path Jacobian is block tridiagonal in time (``_block_thomas``) or block
 lower triangular (``_forward_substitution``: the shifted window and the
 ladder of ``operators``).  Up to ``_DENSE_MAX`` unknowns, coarse levels
-included, a system is one dense LU.  Above it, blocks of size at most
-``_REDUCE_MAX_BLOCK`` are halved level by level, one stacked pivot step
-each; larger blocks go through sequential block Thomas elimination
-(``_thomas_loop``).  The rods' gauged path system is solved in node order,
-along the periodic curve (``_node_thomas``).
+included, a system is one dense LU.  Above it, the first is halved level
+by level by block cyclic reduction, the second when its regrouped blocks
+are at most ``_REDUCE_MAX_BLOCK`` wide (row by row otherwise), one stacked
+pivot step each.  The rods' gauged path system is solved in node order
+(``_node_thomas``), its runs by block Thomas elimination (``_thomas_loop``).
 
 One pivot rule serves every elimination: 2 x 2 pivots by closed-form
 elimination (``_solve2``), larger ones by their LAPACK inverse, applied to
@@ -29,11 +29,11 @@ import numpy as np
 # Xeon the chart's 30 unknowns at K = 16 took 50 us so against 270 us by cyclic
 # reduction, and 126 (K = 64) as long as one reduction level onto 62
 _DENSE_MAX = 64
-# largest block (after regrouping, for the lower triangular solve) that is
-# reduced level by level: on that host, for 15, 63 and 255 blocks, reduction
-# takes 0.68-0.97x the sequential loop's time at size 16, 0.76-1.08x at 17
-# and 1.06-1.89x at 32; no shipped model reaches ``_block_thomas`` with
-# blocks of 17-31 (the rods' time-ordered windows are lower triangular)
+# widest regrouped block (M bands of b) whose lower triangular recurrence is
+# solved level by level, not row by row: on that host, for 63-255 rows, that
+# took 0.62-0.72x the row loop's time at M = 1, b = 8, 0.90-1.06x at 16,
+# 0.93-1.22x at 17, 1.27-1.35x at 32, and at M = 2 0.51-0.61x at b = 8,
+# 0.60-0.64x at 9, 1.38-1.66x at 17; shipped models regroup to 8 or past 32
 _REDUCE_MAX_BLOCK = 16
 
 
@@ -46,7 +46,11 @@ def _dense_solve(diag, bands, rhs) -> np.ndarray:
     for m, blocks in ((0, diag), *bands):
         i = np.arange(len(blocks))
         a[i + max(m, 0), :, i - min(m, 0)] = blocks
-    return np.linalg.solve(a.reshape(n * b, n * b), rhs.reshape(n * b)).reshape(n, b)
+    a = a.reshape(n * b, n * b)
+    if not np.isfinite(a).all():
+        # LAPACK's pivot search skips NaN and can meet an exact zero instead
+        return np.full((n, b), np.nan)
+    return np.linalg.solve(a, rhs.reshape(n * b)).reshape(n, b)
 
 
 def _solve2(a, rhs) -> np.ndarray:
@@ -72,36 +76,19 @@ def _solve2(a, rhs) -> np.ndarray:
 
 
 def _block_thomas(lower, diag, upper, rhs) -> np.ndarray:
-    """Solve a block tridiagonal system.
+    """Solve L_i x_{i-1} + D_i x_i + U_i x_{i+1} = r_i, block tridiagonal.
 
-    ``diag`` has shape (n, b, b) and ``rhs`` (n, b); ``lower`` and ``upper``
-    have shape (n-1, b, b): ``lower[i]`` couples row i+1 to block i, and
-    ``upper[i]`` couples row i to block i+1.  Past ``_DENSE_MAX`` unknowns,
-    blocks of size at most ``_REDUCE_MAX_BLOCK`` go through block cyclic
-    reduction, in about log2(n) stacked levels, larger ones through the
-    sequential loop.
-    """
-    n, b = rhs.shape
-    if n * b <= _DENSE_MAX:
-        return _dense_solve(diag, ((1, lower), (-1, upper)), rhs)
-    if b > _REDUCE_MAX_BLOCK:
-        return _thomas_loop(lower, diag, upper, rhs)
-    zero = np.zeros((1, b, b))
-    return _cyclic_reduction(np.concatenate([zero, lower]), diag, np.concatenate([upper, zero]), rhs)
-
-
-def _cyclic_reduction(lower, diag, upper, rhs) -> np.ndarray:
-    """Block cyclic reduction of L_i x_{i-1} + D_i x_i + U_i x_{i+1} = r_i.
-
-    Here ``lower`` and ``upper`` have n rows, with lower[0] = upper[-1] = 0.
-    One stacked solve gives every even row as x_i = y_i - alpha_i x_{i-1}
-    - beta_i x_{i+1}; substituting it into the odd rows leaves a block
+    ``lower``, ``diag`` and ``upper`` have shape (n, b, b), with lower[0] =
+    upper[-1] = 0, and ``rhs`` (n, b).  Up to ``_DENSE_MAX`` unknowns, and
+    for one row, it is one dense LU.  Above that, block cyclic reduction:
+    one stacked solve gives every even row as x_i = y_i - alpha_i x_{i-1} -
+    beta_i x_{i+1}; substituting it into the odd rows leaves a block
     tridiagonal system of half the rows (its own lower[0] and upper[-1]
     again zero), solved the same way, and the even rows follow in one
-    stacked step, down to a dense level of at most ``_DENSE_MAX`` unknowns.
+    stacked step.
     """
     n, b = rhs.shape
-    if n * b <= _DENSE_MAX:
+    if n * b <= _DENSE_MAX or n == 1:
         return _dense_solve(diag, ((1, lower[1:]), (-1, upper[:-1])), rhs)
     # even[j] = [alpha | beta | y] of row 2j; odd row 2j+1 sits between the
     # even rows j and j+1, and the last odd row has no right neighbour when
@@ -118,7 +105,7 @@ def _cyclic_reduction(lower, diag, upper, rhs) -> np.ndarray:
     rhs_odd = rhs[1::2] - left[:, :, 2 * b]
     rhs_odd[:r] -= right[:, :, 2 * b]
     sol = np.empty((n, b))
-    sol[1::2] = _cyclic_reduction(-left[:, :, :b], diag_odd, upper_odd, rhs_odd)
+    sol[1::2] = _block_thomas(-left[:, :, :b], diag_odd, upper_odd, rhs_odd)
     sol[::2] = even[:, :, 2 * b]
     sol[2::2] -= (even[1:, :, :b] @ sol[1 : 2 * r : 2, :, None])[..., 0]
     sol[: 2 * m : 2] -= (even[:m, :, b : 2 * b] @ sol[1::2, :, None])[..., 0]
@@ -185,23 +172,19 @@ def _affine_recurrence(steps) -> np.ndarray:
 
 def _thomas_loop(lower, diag, upper, rhs) -> np.ndarray:
     """Block Thomas elimination, one pivot inverse per row applied to all
-    of its columns; arguments as ``_block_thomas``, or rhs (n, b, r)."""
-    n, b = rhs.shape[:2]
+    of its columns; bands as ``_block_thomas``, ``rhs`` (n, b, r)."""
+    b = rhs.shape[1]
     # row i of the eliminated system reads x_i + C_i x_{i+1} = d_i, and
     # cd[i] holds [C_i | d_i]; one inverse per pivot gives both
-    cd = np.zeros((n, b, b + rhs[0, 0].size))
-    cd[:-1, :, :b] = upper
-    cd[:, :, b:] = rhs.reshape(n, b, -1)
+    cd = np.concatenate([upper, rhs], axis=2)
     cd[0] = np.linalg.inv(diag[0]) @ cd[0]
-    for i in range(1, n):
-        coupled = lower[i - 1] @ cd[i - 1]
+    for i in range(1, len(cd)):
+        coupled = lower[i] @ cd[i - 1]
         cd[i, :, b:] -= coupled[:, b:]
         cd[i] = np.linalg.inv(diag[i] - coupled[:, :b]) @ cd[i]
-    d = cd[:, :, b:].reshape(rhs.shape)
-    sol = np.empty(rhs.shape)
-    sol[n - 1] = d[n - 1]
-    for i in range(n - 2, -1, -1):
-        sol[i] = d[i] - cd[i, :, :b] @ sol[i + 1]
+    sol = cd[:, :, b:].copy()
+    for i in range(len(cd) - 2, -1, -1):
+        sol[i] -= cd[i, :, :b] @ sol[i + 1]
     return sol
 
 
@@ -230,7 +213,7 @@ def _node_thomas(bands, gauge, rhs) -> np.ndarray:
     tri, cols, rows = tri.reshape(3, m, q, q), cols.reshape(mq + nb, nb), rows.reshape(nb, mq)
     vec = np.empty(mq + nb)
     vec[order] = rhs
-    y = _thomas_loop(tri[0, 1:], tri[1], tri[2, :-1], np.hstack([vec[:mq, None], cols[:mq]]).reshape(m, q, -1))
+    y = _thomas_loop(*tri, np.hstack([vec[:mq, None], cols[:mq]]).reshape(m, q, -1))
     y = y.reshape(mq, nb + 1)
     vec[mq:] = np.linalg.solve(cols[mq:] - rows @ y[:, 1:], vec[mq:] - rows @ y[:, 0])
     vec[:mq] = y[:, 0] - y[:, 1:] @ vec[mq:]

@@ -3,21 +3,25 @@
 ``thomas._block_thomas`` (block tridiagonal, the path solves) and
 ``thomas._forward_substitution`` (block lower triangular, the whole exp
 and ladder) solve a system of at most ``thomas._DENSE_MAX`` unknowns as
-one dense LU; larger ones reduce level by level when the (regrouped) block
-size is at most ``thomas._REDUCE_MAX_BLOCK`` and run the sequential loop
+one dense LU.  Larger block tridiagonal systems go through block cyclic
+reduction at every block size, one row of any width through the dense LU;
+larger lower triangular ones reduce level by level when the regrouped block
+size is at most ``thomas._REDUCE_MAX_BLOCK`` and run the row loop
 otherwise.  These tests check both on random block diagonally dominant
 systems on all sides of those thresholds (n = 32 rows of 2 is the largest
 dense system, n = 33 the smallest reduced one), against a dense solve of
-the assembled matrix where it fits in memory and against the sequential
-loop plus the block residual where it does not.  ``thomas._solve2``, the
+the assembled matrix where it fits in memory and, where it does not,
+against the sequential block Thomas elimination (``thomas._thomas_loop``)
+or the row loop, plus the block residual.  ``thomas._solve2``, the
 closed-form elimination of stacked 2 x 2 pivots, is checked for its row
 swap, its singular and non-finite pivots and its backward error.  Every
 larger pivot is applied through its inverse; on pivots of condition
-numbers up to 1e8 the loop and the reduction are checked against a dense
-solve within 2 eps cond(A) |x|, and for their singular and NaN pivots.
+numbers up to 1e8 the reduction and the Thomas loop (on several
+right-hand-side columns) are checked against a dense solve within 2 eps
+cond(A) |x|, and for their singular and NaN pivots.
 ``thomas._node_thomas`` (the gauged path system of banded periodic blocks,
-solved in node order) is checked against a dense solve of its assembled
-matrix.
+solved in node order, its runs by ``thomas._thomas_loop``) is checked
+against a dense solve of its assembled matrix.
 """
 
 import numpy as np
@@ -27,6 +31,10 @@ from geocalc import geodesic, thomas
 
 SIZES = [1, 2, 3, 4, 5, 8, 9, 32, 33, 1023]
 BLOCKS = [1, 2, 4, 8, 16, 17, 40]
+# (n, b): besides every pair of the above, one row too wide for the dense LU,
+# still solved densely (the inverse fold's log2 of a gauged rod of N nodes
+# has n = 1, b = 2N + 2), and two rows, which reduce onto it
+TRIDIAGONAL = [(n, b) for n in SIZES for b in BLOCKS] + [(n, b) for b in (65, 130) for n in (1, 2)]
 # largest assembled system solved densely (32 MB)
 DENSE_MAX = 2048
 
@@ -72,7 +80,16 @@ def _dense(diag, bands):
     return a
 
 
-def _check(solve, diag, bands, rhs, monkeypatch):
+def _padded(bands, b):
+    """The lower and upper bands as ``thomas._block_thomas`` takes them: n
+    rows each, lower[0] = upper[-1] = 0."""
+    zero = np.zeros((1, b, b))
+    return np.concatenate([zero, bands[1]]), np.concatenate([bands[-1], zero])
+
+
+def _check(solve, diag, bands, rhs, reference):
+    """``solve()`` against a dense solve where it fits, else against
+    ``reference()``, and by its block residual."""
     x = solve()
     n, b = rhs.shape
     scale = np.max(np.abs(x))
@@ -82,21 +99,22 @@ def _check(solve, diag, bands, rhs, monkeypatch):
     if n * b <= DENSE_MAX:
         ref = np.linalg.solve(_dense(diag, bands), rhs.ravel()).reshape(n, b)
     else:
-        monkeypatch.setattr(thomas, "_REDUCE_MAX_BLOCK", 0)
-        ref = solve()
-        monkeypatch.undo()
+        ref = reference()
     assert np.max(np.abs(x - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
-@pytest.mark.parametrize("b", BLOCKS)
-@pytest.mark.parametrize("n", SIZES)
-def test_block_tridiagonal_solve_matches_a_dense_solve(n, b, monkeypatch):
+@pytest.mark.parametrize("n, b", TRIDIAGONAL)
+def test_block_tridiagonal_solve_matches_a_dense_solve(n, b):
     diag, bands, rhs = _system(10 * n + b, n, b, (1, -1))
+    lower, upper = _padded(bands, b)
 
     def solve():
-        return thomas._block_thomas(bands[1], diag, bands[-1], rhs)
+        return thomas._block_thomas(lower, diag, upper, rhs)
 
-    _check(solve, diag, bands, rhs, monkeypatch)
+    def loop():
+        return thomas._thomas_loop(lower, diag, upper, rhs[..., None])[..., 0]
+
+    _check(solve, diag, bands, rhs, loop)
 
 
 @pytest.mark.parametrize("count", [1, 2])
@@ -109,14 +127,12 @@ def test_block_lower_triangular_solve_matches_a_dense_solve(n, b, count, monkeyp
     def solve():
         return thomas._forward_substitution(diag, [bands[m] for m in offsets], rhs)
 
-    _check(solve, diag, bands, rhs, monkeypatch)
+    def row_loop():
+        with monkeypatch.context() as patch:
+            patch.setattr(thomas, "_REDUCE_MAX_BLOCK", 0)
+            return solve()
 
-
-@pytest.mark.parametrize("b", [17, 40])
-def test_large_blocks_run_the_sequential_loop_bit_for_bit(b):
-    diag, bands, rhs = _system(b, 64, b, (1, -1))
-    got = thomas._block_thomas(bands[1], diag, bands[-1], rhs)
-    assert np.array_equal(got, thomas._thomas_loop(bands[1], diag, bands[-1], rhs))
+    _check(solve, diag, bands, rhs, row_loop)
 
 
 def _node_system(seed, nodes, p, c, n=5):
@@ -169,10 +185,11 @@ def test_node_ordered_solve_matches_a_dense_solve(nodes, p, c):
 
 def test_the_thomas_loop_carries_further_right_hand_sides_column_by_column():
     diag, bands, rhs = _system(7, 9, 17, (1, -1))
+    lower, upper = _padded(bands, 17)
     cols = np.random.default_rng(8).normal(size=(9, 17, 3))
-    got = thomas._thomas_loop(bands[1], diag, bands[-1], cols)
+    got = thomas._thomas_loop(lower, diag, upper, cols)
     for k in range(3):
-        want = thomas._thomas_loop(bands[1], diag, bands[-1], cols[:, :, k])
+        want = thomas._thomas_loop(lower, diag, upper, cols[:, :, k : k + 1])[:, :, 0]
         assert np.max(np.abs(got[:, :, k] - want)) <= 1e-12 * np.max(np.abs(want))
 
 
@@ -251,14 +268,21 @@ def test_2x2_elimination_inverts_a_stack():
     assert np.all(np.linalg.norm(a @ inv - np.eye(2), axis=(1, 2)) <= 8.0 * eps * cond)
 
 
-# (b, n): blocks of 17 and 40 run the sequential loop, blocks of 4 at
-# n = 65 the reduction, with two levels of stacked pivot inverses
-INVERSE_PATHS = [(17, 33), (40, 17), (4, 65)]
+# (kernel, b, n): the reduction at blocks of 17 and 40 and, with two levels
+# of stacked pivot inverses, of 4 at n = 65; the Thomas loop at blocks of 17
+# and 40 on three right-hand-side columns
+KERNELS = [
+    pytest.param(thomas._block_thomas, 17, 33, id="17-33"),
+    pytest.param(thomas._block_thomas, 40, 17, id="40-17"),
+    pytest.param(thomas._block_thomas, 4, 65, id="4-65"),
+    pytest.param(thomas._thomas_loop, 17, 33, id="loop-17-33"),
+    pytest.param(thomas._thomas_loop, 40, 17, id="loop-40-17"),
+]
 
-
-def _ill_conditioned_system(seed, n, b):
+def _ill_conditioned_system(seed, n, b, *cols):
     """Block tridiagonal (lower, diag, upper, rhs) whose pivots have
-    condition numbers log-uniform in [1, 1e8] and norm 1.
+    condition numbers log-uniform in [1, 1e8] and norm 1; rhs has shape
+    (n, b, *cols).
 
     Each off-diagonal block is 0.1 D_i R with D_i the pivot of its row and
     |R|_2 < 1, so every Schur complement of the elimination is D_i (I - E_i)
@@ -271,54 +295,70 @@ def _ill_conditioned_system(seed, n, b):
     v, _ = np.linalg.qr(rng.normal(size=(n, b, b)))
     sigma = cond[:, None] ** -np.linspace(0.0, 1.0, b)
     diag = (u * sigma[:, None, :]) @ np.swapaxes(v, 1, 2)
-    lower = 0.1 * diag[1:] @ _blocks(rng, n - 1, b)
-    upper = 0.1 * diag[:-1] @ _blocks(rng, n - 1, b)
-    return lower, diag, upper, rng.normal(size=(n, b))
+    lower, upper = np.zeros((2, n, b, b))
+    lower[1:] = 0.1 * diag[1:] @ _blocks(rng, n - 1, b)
+    upper[:-1] = 0.1 * diag[:-1] @ _blocks(rng, n - 1, b)
+    return lower, diag, upper, rng.normal(size=(n, b, *cols))
 
 
-@pytest.mark.parametrize("b, n", INVERSE_PATHS)
-def test_inverse_applied_pivots_are_as_accurate_as_a_dense_solve(b, n):
-    lower, diag, upper, rhs = _ill_conditioned_system(b + n, n, b)
-    x = thomas._block_thomas(lower, diag, upper, rhs)
-    a = _dense(diag, {1: lower, -1: upper})
-    ref = np.linalg.solve(a, rhs.ravel())
+def _kernel_system(kernel, b, n):
+    return _ill_conditioned_system(b + n, n, b, *((3,) if kernel is thomas._thomas_loop else ()))
+
+
+@pytest.mark.parametrize("kernel, b, n", KERNELS)
+def test_inverse_applied_pivots_are_as_accurate_as_a_dense_solve(kernel, b, n):
+    lower, diag, upper, rhs = _kernel_system(kernel, b, n)
+    x = kernel(lower, diag, upper, rhs)
+    a = _dense(diag, {1: lower[1:], -1: upper[:-1]})
+    ref = np.linalg.solve(a, rhs.reshape(n * b, -1))
     # each of the two solves is within about eps cond(A) |x| of the exact
     # x (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
     # 14.1, for the inverse); so their difference is within 2 eps cond(A)
-    # |x|.  Measured: at most 0.21 eps cond(A) |x| over ten seeds, with
-    # cond(A) about 8e7
+    # |x|, column by column.  Measured: at most 0.21 eps cond(A) |x| over
+    # ten seeds, with cond(A) about 8e7
     eps = np.finfo(float).eps
-    assert np.linalg.norm(x.ravel() - ref) <= 2.0 * eps * np.linalg.cond(a) * np.linalg.norm(ref)
+    error = np.linalg.norm(x.reshape(n * b, -1) - ref, axis=0)
+    assert np.all(error <= 2.0 * eps * np.linalg.cond(a) * np.linalg.norm(ref, axis=0))
 
 
-@pytest.mark.parametrize("b, n", INVERSE_PATHS)
-def test_an_exactly_singular_pivot_raises(b, n):
-    lower, diag, upper, rhs = _ill_conditioned_system(b + n, n, b)
+@pytest.mark.parametrize("kernel, b, n", KERNELS)
+def test_an_exactly_singular_pivot_raises(kernel, b, n):
+    lower, diag, upper, rhs = _kernel_system(kernel, b, n)
     # the first pivot, and an even row whose pivot is its diagonal block:
     # no coupling reaches the loop's row k, and the reduction's first level
     # inverts the even diagonal blocks as they are
     for k in (0, 2 * (n // 4)):
         singular, uncoupled = diag.copy(), lower.copy()
         singular[k, :, 0] = 0.0
-        if k:
-            uncoupled[k - 1] = 0.0
+        uncoupled[k] = 0.0
         with pytest.raises(np.linalg.LinAlgError):
-            thomas._block_thomas(uncoupled, singular, upper, rhs)
+            kernel(uncoupled, singular, upper, rhs)
 
         # which the Newton loop reports as such
         def step(z, r):
-            return thomas._block_thomas(uncoupled, singular, upper, r)
+            return kernel(uncoupled, singular, upper, r)
 
         with pytest.raises(geodesic.SolverError, match="singular block pivot"):
             geodesic._newton(np.ones_like, step, rhs, None, "path")
 
 
-@pytest.mark.parametrize("b, n", INVERSE_PATHS)
-def test_a_nan_pivot_propagates(b, n):
-    # the first pivot, which both paths invert before any other; a NaN that
-    # reaches the reduction's last, dense level can instead meet an exact
-    # zero pivot in LAPACK's search, which skips NaN, and raise there
-    lower, diag, upper, rhs = _ill_conditioned_system(b + n, n, b)
-    diag[0, 0, 0] = np.nan
-    x = thomas._block_thomas(lower, diag, upper, rhs)
-    assert np.isnan(x).any()
+@pytest.mark.parametrize("kernel, b, n", KERNELS + [pytest.param(thomas._block_thomas, 4, 33, id="4-33")])
+def test_a_nan_pivot_propagates(kernel, b, n):
+    # in every row: a NaN that reaches the reduction's last, dense level
+    # can meet an exact zero of the assembled matrix in LAPACK's pivot
+    # search, which skips NaN, so the dense LU returns NaN for a matrix
+    # that is not finite instead of raising (as it did at b = 4, n = 33
+    # and 65, for rows in the middle)
+    lower, diag, upper, rhs = _kernel_system(kernel, b, n)
+    for k in range(n):
+        poisoned = diag.copy()
+        poisoned[k, 0, 0] = np.nan
+        x = kernel(lower, poisoned, upper, rhs)
+        assert np.isnan(x).any()
+
+        # which the Newton loop reports as a correction that is not finite
+        def step(z, r):
+            return kernel(lower, poisoned, upper, r)
+
+        with pytest.raises(geodesic.SolverError, match="diverged, the Newton correction of iteration 1 is not finite"):
+            geodesic._newton(np.ones_like, step, rhs, None, "path")

@@ -385,9 +385,10 @@ def test_gauged_even_n_full_rod_path_jacobian_is_nonsingular():
 
 def test_node_ordered_morph_matches_the_time_order():
     """The banded rod's interior window runs in node order; a view of the
-    same rod that hands out only dense blocks runs the time-ordered
-    ``_thomas_loop``.  On the morph of perfbench's ``rod_morph`` (N = 64,
-    K = 8) both take 3 iterations and agree to 1e-12."""
+    same rod that hands out only dense blocks runs the time-ordered block
+    cyclic reduction of ``_block_thomas``.  On the morph of perfbench's
+    ``rod_morph`` (N = 64, K = 8) both take 3 iterations and agree to
+    1e-12."""
     from geocalc.core import EnergyModel
 
     n, K = 64, 8
@@ -415,16 +416,15 @@ def test_node_ordered_morph_matches_the_time_order():
 def _lu_thomas_loop(lower, diag, upper, rhs):
     """Block Thomas elimination with one LU solve of [C_i | d_i] per pivot,
     the form ``thomas._thomas_loop`` had before it applied inverses."""
-    n, b = rhs.shape[:2]
-    cd = np.zeros((n, b, b + rhs[0, 0].size))
-    cd[:-1, :, :b], cd[:, :, b:] = upper, rhs.reshape(n, b, -1)
+    b = rhs.shape[1]
+    cd = np.concatenate([upper, rhs], axis=2)
     cd[0] = np.linalg.solve(diag[0], cd[0])
-    for i in range(1, n):
-        coupled = lower[i - 1] @ cd[i - 1]
+    for i in range(1, len(cd)):
+        coupled = lower[i] @ cd[i - 1]
         cd[i, :, b:] -= coupled[:, b:]
         cd[i] = np.linalg.solve(diag[i] - coupled[:, :b], cd[i])
-    sol = cd[:, :, b:].reshape(rhs.shape).copy()
-    for i in range(n - 2, -1, -1):
+    sol = cd[:, :, b:].copy()
+    for i in range(len(cd) - 2, -1, -1):
         sol[i] -= cd[i, :, :b] @ sol[i + 1]
     return sol
 

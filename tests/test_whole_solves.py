@@ -396,9 +396,15 @@ def test_cli_exp_rejects_a_short_displacement(capsys):
 
 
 def _sequential(monkeypatch):
-    """Make the block solves run their sequential loop at every block size,
-    past the dense LU of small systems."""
+    """Make the block solves run their sequential loops: the path window
+    block Thomas elimination at every size, the lower triangular solves
+    their row loop past the dense LU of small systems."""
     monkeypatch.setattr(thomas, "_REDUCE_MAX_BLOCK", 0)
+
+    def loop(lower, diag, upper, rhs):
+        return thomas._thomas_loop(lower, diag, upper, rhs[..., None])[..., 0]
+
+    monkeypatch.setattr(geodesic, "_block_thomas", loop)
 
 
 def test_reduced_path_solve_matches_the_sequential_loop(monkeypatch):
