@@ -86,9 +86,11 @@ _EYE2 = np.eye(2)
 
 
 def _conformal(x):
-    """q = 1 + |x|^2, c(x) and grad c(x) = -16 x / q^3."""
+    """q = 1 + |x|^2, c(x) = 4 / q^2 and grad c(x) = -16 x / q^3, formed
+    as -4 x c / q so that no power of q overflows where c is still finite."""
     q = 1.0 + _sq(x)
-    return q, 4.0 / q**2, -16.0 * x / q**3
+    c = 4.0 / q**2
+    return q, c, -4.0 * x * c / q
 
 
 class SphereChartEnergy(EnergyModel):
@@ -129,7 +131,7 @@ class SphereChartEnergy(EnergyModel):
         q, c, gc = _conformal(x)
         q = q[..., None]
         h22 = 2.0 * c[..., None] * _EYE2
-        hc = -16.0 * _EYE2 / q**3 + 96.0 * _outer(x, x) / q**4
+        hc = c[..., None] * (-4.0 * _EYE2 / q + 24.0 * _outer(x, x) / q**2)
         cross = _outer(gc, diff)
         cross_t = np.swapaxes(cross, -1, -2)
         h11 = hc * _sq(diff)[..., None] - 2.0 * (cross + cross_t) + h22

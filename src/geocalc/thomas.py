@@ -9,13 +9,13 @@ are at most ``_REDUCE_MAX_BLOCK`` wide (row by row otherwise), one stacked
 pivot step each.  The rods' gauged path system is solved in node order
 (``_node_thomas``), its runs by block Thomas elimination (``_thomas_loop``).
 
-One pivot rule serves every elimination: 2 x 2 pivots by closed-form
-elimination (``_solve2``), larger ones by their LAPACK inverse, applied to
-all of a pivot's columns by one matrix product.  For the many columns a
-pivot carries here, LAPACK's triangular solves cost more than the inverse
-and product (a 28 x 28 node-run pivot on its 71 columns: 43 us against 27
-us on a 2-core Xeon, one BLAS thread).  ``np.linalg.solve`` is left to
-systems of one right-hand side: the dense LU and the border of
+One pivot rule serves every elimination: a stack of pivots is inverted in
+one call (``_inv``: 2 x 2 ones in closed form, larger ones by LAPACK) and
+applied to all of a pivot's columns by one matrix product.  For the many
+columns a pivot carries here, LAPACK's triangular solves cost more than the
+inverse and product (a 28 x 28 node-run pivot on its 71 columns: 43 us
+against 27 us on a 2-core Xeon, one BLAS thread).  ``np.linalg.solve`` is
+left to systems of one right-hand side: the dense LU and the border of
 ``_node_thomas``.
 """
 
@@ -53,26 +53,19 @@ def _dense_solve(diag, bands, rhs) -> np.ndarray:
     return np.linalg.solve(a, rhs.reshape(n * b)).reshape(n, b)
 
 
-def _solve2(a, rhs) -> np.ndarray:
-    """Solve stacked 2 x 2 systems a x = rhs, ``a`` (n, 2, 2) and ``rhs``
-    (n, 2, m), by Gaussian elimination with LAPACK's row pivoting (swap
-    where |a_10| > |a_00|).  An exactly zero pivot raises LinAlgError, as
-    ``np.linalg.solve`` does; entries that are not finite propagate."""
-    swap = np.abs(a[:, 1, 0]) > np.abs(a[:, 0, 0])
-    if swap.any():
-        a = np.where(swap[:, None, None], a[:, ::-1], a)
-        rhs = np.where(swap[:, None, None], rhs[:, ::-1], rhs)
-    a00, a01, a10, a11 = a.reshape(-1, 4).T[:, :, None]
-    if not a00.all():
-        raise np.linalg.LinAlgError("Singular matrix")
-    l10 = a10 / a00
-    u11 = a11 - l10 * a01
-    if not u11.all():
-        raise np.linalg.LinAlgError("Singular matrix")
-    x = np.empty(rhs.shape)
-    x[:, 1] = (rhs[:, 1] - l10 * rhs[:, 0]) / u11
-    x[:, 0] = (rhs[:, 0] - a01 * x[:, 1]) / a00
-    return x
+def _inv(a) -> np.ndarray:
+    """Inverses of stacked pivots ``a`` (..., b, b): the adjugate over the
+    determinant at b = 2, else LAPACK's.  LAPACK also takes a 2 x 2 stack in
+    which a pivot of finite entries has a determinant that is not a normal
+    number, so an exactly singular pivot raises LinAlgError; NaN propagates."""
+    if a.shape[-1] != 2:
+        return np.linalg.inv(a)
+    a00, a01, a10, a11 = a[..., 0, 0], a[..., 0, 1], a[..., 1, 0], a[..., 1, 1]
+    det = a00 * a11 - a01 * a10
+    off = ~(np.abs(det) >= np.finfo(float).tiny) | np.isinf(det)
+    if off.any() and np.isfinite(a[off]).all(axis=(-2, -1)).any():
+        return np.linalg.inv(a)
+    return np.stack([a11, -a01, -a10, a00], axis=-1).reshape(a.shape) / det[..., None, None]
 
 
 def _block_thomas(lower, diag, upper, rhs) -> np.ndarray:
@@ -94,7 +87,7 @@ def _block_thomas(lower, diag, upper, rhs) -> np.ndarray:
     # even rows j and j+1, and the last odd row has no right neighbour when
     # n is even
     cols = np.concatenate([lower[::2], upper[::2], rhs[::2, :, None]], axis=2)
-    even = _solve2(diag[::2], cols) if b == 2 else np.linalg.inv(diag[::2]) @ cols
+    even = _inv(diag[::2]) @ cols
     m, r = n // 2, len(even) - 1
     left = lower[1::2] @ even[:m]
     right = upper[1 : 2 * r : 2] @ even[1:]
@@ -127,7 +120,7 @@ def _forward_substitution(diag, bands, rhs) -> np.ndarray:
     n, b = rhs.shape
     if n * b <= _DENSE_MAX:
         return _dense_solve(diag, enumerate(bands, start=1), rhs)
-    inv = _solve2(diag, np.broadcast_to(np.eye(2), diag.shape)) if b == 2 else np.linalg.inv(diag)
+    inv = _inv(diag)
     sol = (inv @ rhs[..., None])[..., 0]
     scaled = [inv[m:] @ band for m, band in enumerate(bands, start=1)]
     w = len(bands) * b
@@ -177,11 +170,11 @@ def _thomas_loop(lower, diag, upper, rhs) -> np.ndarray:
     # row i of the eliminated system reads x_i + C_i x_{i+1} = d_i, and
     # cd[i] holds [C_i | d_i]; one inverse per pivot gives both
     cd = np.concatenate([upper, rhs], axis=2)
-    cd[0] = np.linalg.inv(diag[0]) @ cd[0]
+    cd[0] = _inv(diag[0]) @ cd[0]
     for i in range(1, len(cd)):
         coupled = lower[i] @ cd[i - 1]
         cd[i, :, b:] -= coupled[:, b:]
-        cd[i] = np.linalg.inv(diag[i] - coupled[:, :b]) @ cd[i]
+        cd[i] = _inv(diag[i] - coupled[:, :b]) @ cd[i]
     sol = cd[:, :, b:].copy()
     for i in range(len(cd) - 2, -1, -1):
         sol[i] -= cd[i, :, :b] @ sol[i + 1]

@@ -12,13 +12,14 @@ systems on all sides of those thresholds (n = 32 rows of 2 is the largest
 dense system, n = 33 the smallest reduced one), against a dense solve of
 the assembled matrix where it fits in memory and, where it does not,
 against the sequential block Thomas elimination (``thomas._thomas_loop``)
-or the row loop, plus the block residual.  ``thomas._solve2``, the
-closed-form elimination of stacked 2 x 2 pivots, is checked for its row
-swap, its singular and non-finite pivots and its backward error.  Every
-larger pivot is applied through its inverse; on pivots of condition
-numbers up to 1e8 the reduction and the Thomas loop (on several
-right-hand-side columns) are checked against a dense solve within 2 eps
-cond(A) |x|, and for their singular and NaN pivots.
+or the row loop, plus the block residual.  Every pivot is applied through
+its inverse, ``thomas._inv``: stacked 2 x 2 pivots by their adjugate over
+their determinant, checked for a zero leading entry, singular and NaN
+pivots, determinants out of the normal range and backward error, larger
+ones by LAPACK.  On pivots of condition numbers up to 1e8 the reduction
+(at 2 x 2 blocks too) and the Thomas loop (on several right-hand-side
+columns) are checked against a dense solve within 2 eps cond(A) |x|, and
+for their singular and NaN pivots.
 ``thomas._node_thomas`` (the gauged path system of banded periodic blocks,
 solved in node order, its runs by ``thomas._thomas_loop``) is checked
 against a dense solve of its assembled matrix.
@@ -193,45 +194,51 @@ def test_the_thomas_loop_carries_further_right_hand_sides_column_by_column():
         assert np.max(np.abs(got[:, :, k] - want)) <= 1e-12 * np.max(np.abs(want))
 
 
-def _solve2_by_hand(a, rhs):
-    """Elimination of one 2 x 2 pivot with row 0 as the pivot row."""
-    l10 = a[1, 0] / a[0, 0]
-    x1 = (rhs[1] - l10 * rhs[0]) / (a[1, 1] - l10 * a[0, 1])
-    return np.array([(rhs[0] - a[0, 1] * x1) / a[0, 0], x1])
-
-
-def test_2x2_elimination_swaps_rows_past_a_zero_leading_entry():
+def test_2x2_inverse_passes_a_zero_leading_entry():
     a = np.array([[[0.0, 1.0], [2.0, 3.0]], [[1e-300, 1.0], [1.0, 1.0]]])
     want = np.array([[[1.0, -2.0], [3.0, 0.5]], [[1.0, 0.0], [-1.0, 2.0]]])
-    x = thomas._solve2(a, a @ want)
+    x = thomas._inv(a) @ (a @ want)
     np.testing.assert_allclose(x, want, rtol=0.0, atol=1e-15)
-
-
-def test_2x2_elimination_keeps_row_0_on_a_tie():
-    rng = np.random.default_rng(3)
-    a = rng.normal(size=(64, 2, 2))
-    a[:, 1, 0] = -a[:, 0, 0]
-    rhs = rng.normal(size=(64, 2, 3))
-    x = thomas._solve2(a, rhs)
-    for ai, ri, xi in zip(a, rhs, x):
-        np.testing.assert_array_equal(xi, _solve2_by_hand(ai, ri))
 
 
 def test_2x2_elimination_raises_on_an_exactly_singular_pivot():
     good = np.array([[2.0, 1.0], [1.0, 3.0]])
-    for bad in ([[1.0, 2.0], [2.0, 4.0]], [[0.0, 1.0], [0.0, 2.0]], np.zeros((2, 2))):
-        a = np.stack([good, np.array(bad), good])
-        with pytest.raises(np.linalg.LinAlgError):
-            thomas._solve2(a, np.ones((3, 2, 1)))
+    # a NaN elsewhere in the stack does not hide the singular pivot
+    for other in (good, [[np.nan, 1.0], [1.0, 3.0]]):
+        for bad in ([[1.0, 2.0], [2.0, 4.0]], [[0.0, 1.0], [0.0, 2.0]], np.zeros((2, 2))):
+            a = np.stack([good, np.array(bad), np.array(other)])
+            with pytest.raises(np.linalg.LinAlgError):
+                thomas._inv(a)
 
 
 def test_2x2_elimination_lets_a_nan_propagate():
     a = np.tile([[2.0, 1.0], [1.0, 3.0]], (3, 1, 1))
     a[1, 0, 1] = np.nan
-    x = thomas._solve2(a, np.ones((3, 2, 2)))
+    x = thomas._inv(a) @ np.ones((3, 2, 2))
     assert np.isnan(x[1]).any()
     # [[2, 1], [1, 3]] x = (1, 1) gives x = (0.4, 0.2)
     np.testing.assert_allclose(x[[0, 2]], np.tile([[0.4], [0.2]], (2, 1, 2)), rtol=1e-15)
+
+
+@pytest.mark.parametrize(
+    "pivot",
+    [
+        pytest.param(1e-200 * np.eye(2), id="det-underflows-to-0"),
+        pytest.param(1e-160 * np.eye(2), id="det-subnormal"),
+        pytest.param(1e200 * np.eye(2), id="det-overflows-to-inf"),
+        pytest.param(1e200 * np.array([[1.0, 1.0], [1.0, 2.0]]), id="det-overflows-to-nan"),
+    ],
+)
+def test_2x2_inverse_of_a_determinant_out_of_range_is_lapacks(pivot):
+    # none of these pivots is singular, but the adjugate over their
+    # determinant would be infinite (0), off by up to 1e-5 relative
+    # (subnormal), 0 (inf) or NaN (inf - inf), so LAPACK inverts them
+    a = np.stack([pivot, [[2.0, 1.0], [1.0, 3.0]]])
+    with np.errstate(over="ignore", invalid="ignore"):  # as the Newton loop runs
+        inv = thomas._inv(a)
+    ref = np.linalg.inv(a)
+    eps = np.finfo(float).eps
+    assert np.all(np.abs(inv - ref).max(axis=(1, 2)) <= 8.0 * eps * np.abs(ref).max(axis=(1, 2)))
 
 
 def _conditioned_2x2(rng, n):
@@ -249,7 +256,7 @@ def test_2x2_elimination_is_backward_stable():
     rng = np.random.default_rng(4)
     a, cond = _conditioned_2x2(rng, 4096)
     rhs = rng.normal(size=(4096, 2, 5))
-    x = thomas._solve2(a, rhs)
+    x = thomas._inv(a) @ rhs
     eps = np.finfo(float).eps
     bound = 8.0 * eps * np.linalg.norm(a, 2, axis=(1, 2)) * np.linalg.norm(x, axis=(1, 2))
     assert np.all(np.linalg.norm(a @ x - rhs, axis=(1, 2)) <= bound)
@@ -260,7 +267,7 @@ def test_2x2_elimination_is_backward_stable():
 def test_2x2_elimination_inverts_a_stack():
     rng = np.random.default_rng(5)
     a, cond = _conditioned_2x2(rng, 1024)
-    inv = thomas._solve2(a, np.broadcast_to(np.eye(2), a.shape))
+    inv = thomas._inv(a)
     eps = np.finfo(float).eps
     ref = np.linalg.inv(a)
     size = np.linalg.norm(inv, axis=(1, 2))
@@ -268,13 +275,15 @@ def test_2x2_elimination_inverts_a_stack():
     assert np.all(np.linalg.norm(a @ inv - np.eye(2), axis=(1, 2)) <= 8.0 * eps * cond)
 
 
-# (kernel, b, n): the reduction at blocks of 17 and 40 and, with two levels
-# of stacked pivot inverses, of 4 at n = 65; the Thomas loop at blocks of 17
-# and 40 on three right-hand-side columns
+# (kernel, b, n): the reduction at blocks of 17 and 40, of 4 at n = 65 (two
+# levels of stacked pivot inverses) and of 2 at n = 65 (one level of
+# closed-form inverses); the Thomas loop at blocks of 17 and 40 on three
+# right-hand-side columns
 KERNELS = [
     pytest.param(thomas._block_thomas, 17, 33, id="17-33"),
     pytest.param(thomas._block_thomas, 40, 17, id="40-17"),
     pytest.param(thomas._block_thomas, 4, 65, id="4-65"),
+    pytest.param(thomas._block_thomas, 2, 65, id="2-65"),
     pytest.param(thomas._thomas_loop, 17, 33, id="loop-17-33"),
     pytest.param(thomas._thomas_loop, 40, 17, id="loop-40-17"),
 ]

@@ -1,11 +1,11 @@
 """Every name the docs cite still exists.
 
-A ``module.name`` reference in the docstrings and comments of geocalc, or a
-`module.name` one in the README, where module is one of geocalc's modules,
-must name an attribute of that module; a ``_name`` in a module's own
-docstrings and comments must name an attribute of that module or of one of
-its classes.  So a kernel that is merged or deleted cannot stay named in
-the docs.
+A ``module.name`` reference in the docstrings and comments of geocalc or
+of these tests, or a `module.name` one in the README, where module is one
+of geocalc's modules, must name an attribute of that module; a ``_name`` in
+a module's own docstrings and comments must name an attribute of that
+module or of one of its classes.  So a kernel that is merged or deleted
+cannot stay named in the docs.
 """
 
 import ast
@@ -22,6 +22,7 @@ import geocalc
 SRC = Path(geocalc.__file__).resolve().parent
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
 FILES = sorted(SRC.glob("*.py"))
+TESTS = sorted(Path(__file__).resolve().parent.glob("*.py"))
 MODULES = {path.stem for path in FILES} - {"__init__"}
 
 
@@ -42,7 +43,7 @@ def _doc_text(path):
 def test_module_references_name_existing_attributes():
     refs = [
         (path.name, module, name)
-        for path in FILES
+        for path in FILES + TESTS
         for module, name in re.findall(r"``(\w+)\.(\w+)``", _doc_text(path))
         if module in MODULES
     ]

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -125,10 +127,23 @@ def test_chart_hess21_is_2_cross_t_minus_h22_bit_for_bit():
         ys = xs + 0.3 * rng.normal(size=(n, 2))
         _, _, h21, h22 = sc.hess_blocks_stacked(xs, ys)
         q = 1.0 + (xs * xs).sum(-1)
-        grad_c = -16.0 * xs / q[:, None] ** 3
+        grad_c = -4.0 * xs * (4.0 / q**2)[:, None] / q[:, None]
         cross_t = (ys - xs)[:, :, None] * grad_c[:, None, :]
         np.testing.assert_array_equal(h22, 2.0 * (4.0 / q**2)[:, None, None] * np.eye(2))
         np.testing.assert_array_equal(h21, 2.0 * cross_t - h22)
+
+
+def test_chart_is_warning_free_far_from_the_origin():
+    # at |x| = 1e60, q^3 = (1 + |x|^2)^3 overflows while c(x) = 4e-240 and
+    # every derivative of w is finite or underflows to 0
+    sc = sphere_chart_energy()
+    x, y = [[1e60, 0.0]], [[0.0, 0.0]]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        np.testing.assert_allclose(sc.w_stacked(x, y), [4e-120], rtol=1e-15)
+        np.testing.assert_allclose(sc.metric(x[0]), 4e-240 * np.eye(2), rtol=1e-15)
+        np.testing.assert_allclose(sc.grads_stacked(x, y), [[[-8e-180, 0.0]], [[-8e-180, 0.0]]], rtol=1e-15)
+        assert all(np.isfinite(block).all() for block in sc.hess_blocks_stacked(x, y))
 
 
 def test_chart_metric_value():
