@@ -15,7 +15,9 @@ Shipped backends:
 Each model implements only the stacked methods of ``core.EnergyModel`` or
 ``geodesic.ConstraintModel``, one array evaluation over a whole stack
 (``EllipsoidSdf`` runs its closest-point Newton row by row), and inherits
-the per-point methods as views of a stack of one.
+the per-point methods as views of a stack of one.  The sphere chart works
+on coordinate columns, and far from the origin on points scaled by a power
+of two, where its outputs stay accurate and finite without a warning.
 
 ``sphere_oracles`` exposes the closed-form great-circle geometry pulled
 back through the chart: distance, constant-speed geodesic, logarithm,
@@ -46,11 +48,6 @@ __all__ = [
 _POLE_TOL = 1e-8
 
 
-def _sq(v):
-    """|v|^2 over the last axis, kept as an axis of length 1."""
-    return (v * v).sum(-1, keepdims=True)
-
-
 class FlatEnergy(EnergyModel):
     """w(x, y) = |y - x|^2 with exact derivatives; any dimension."""
 
@@ -64,7 +61,8 @@ class FlatEnergy(EnergyModel):
         return out
 
     def w_stacked(self, xs, ys):
-        return _sq(np.asarray(ys, float) - np.asarray(xs, float))[..., 0]
+        d = np.asarray(ys, float) - np.asarray(xs, float)
+        return (d * d).sum(-1)
 
     def grads_stacked(self, xs, ys):
         g2 = 2.0 * (np.asarray(ys, float) - np.asarray(xs, float))
@@ -82,65 +80,115 @@ def flat_energy() -> FlatEnergy:
     return FlatEnergy()
 
 
-_EYE2 = np.eye(2)
+# a chart row whose largest |coordinate| is 2^61 or more is evaluated at
+# 2^-k (x, y), that coordinate then in [2^60, 2^61): 1 + |x|^2 rounds to |x|^2
+# on both sides, no term in x alone under- or overflows, and none overflows
+# while |y - x| < 2^450 |x|
+_FAR_EXPONENT = 61
 
 
-def _conformal(x):
-    """q = 1 + |x|^2, c(x) = 4 / q^2 and grad c(x) = -16 x / q^3, formed
-    as -4 x c / q so that no power of q overflows where c is still finite."""
-    q = 1.0 + _sq(x)
-    c = 4.0 / q**2
-    return q, c, -4.0 * x * c / q
+def _chart(xs, ys):
+    """Columns x0, x1 of ``xs`` and d0, d1 of ``ys - xs``, two stacks of shape
+    (n, 2) checked once, and k: None, or the power of two by which each row
+    was scaled down.  Far out every output is homogeneous in (x, y), of
+    degree -2 (w), -3 (gradients) or -4 (Hessian blocks), which
+    ``_far_field`` scales back."""
+    xs = np.asarray(xs, dtype=float)
+    ys = np.asarray(ys, dtype=float)
+    if xs.ndim != 2 or xs.shape[-1] != 2 or ys.shape != xs.shape:
+        raise DomainError("the sphere chart is two-dimensional")
+    k = None
+    if not (np.abs(xs).max(initial=0.0) < 2.0**_FAR_EXPONENT and np.isfinite(ys).all()):
+        if not (np.isfinite(xs).all() and np.isfinite(ys).all()):
+            raise DomainError("point has non-finite entries")
+        k = np.maximum(np.frexp(np.abs(xs).max(axis=1))[1] - _FAR_EXPONENT, 0)
+        xs, ys = np.ldexp(xs, -k[:, None]), np.ldexp(ys, -k[:, None])
+    d = ys - xs
+    return xs[:, 0], xs[:, 1], d[:, 0], d[:, 1], k
+
+
+def _far_field(k, degree, *outs):
+    """Outputs at ``_chart``'s scaled points, row i times 2^(degree k_i)."""
+    if k is None:
+        return outs
+    return tuple(np.ldexp(out, (degree * k).reshape(k.shape + (1,) * (out.ndim - 1))) for out in outs)
+
+
+def _conformal(xx0, xx1):
+    """q = 1 + |x|^2 and c(x) = 4 / q^2 from the columns x0^2 and x1^2."""
+    q = 1.0 + (xx0 + xx1)
+    return q, 4.0 / q**2
 
 
 class SphereChartEnergy(EnergyModel):
     """Chart-quadratic energy w(x, y) = c(x) |y - x|^2, c(x) = 4/(1+|x|^2)^2.
 
     w(x, y) and w(y, x) differ: the metric is frozen at the first argument.
+
+    Each stacked method forms every output entry from the coordinate
+    columns, a few array operations of length n, into preallocated (n, 2)
+    and (n, 2, 2) arrays.  With s = |y - x|^2, q = 1 + |x|^2, grad c(x) =
+    -4 x c / q, hc = c (-4 I / q + 24 x x^T / q^2) and cross = grad c (y -
+    x)^T: w = c s, grad2 = 2 c (y - x), grad1 = grad c s - grad2, hess22 =
+    2 c I, hess12 = 2 cross - hess22, hess21 = hess12^T (a view) and hess11
+    = hc s - 2 (cross + cross^T) + hess22.
+
+    These formulas underflow to wrong values far from the origin (from |x|
+    of about 1e52 on, hess11 can have the wrong sign), and (1 + |x|^2)^2
+    overflows from 1.2e77.  So a row whose largest coordinate is 2^61 or more is
+    evaluated at a point scaled by a power of two and scaled back
+    (``_chart``): the same values where the formulas are accurate, accurate
+    to rounding elsewhere, 0 only where they underflow, and no warning
+    while |y - x| < 2^450 |x|.
     """
 
-    @staticmethod
-    def _pair(xs, ys):
-        """xs, ys as float arrays of one shape (n, 2).
-
-        Shape and finiteness are checked once for the whole stack, without
-        copying it.
-        """
-        xs = np.asarray(xs, dtype=float)
-        ys = np.asarray(ys, dtype=float)
-        if xs.ndim != 2 or xs.shape[-1] != 2 or ys.shape != xs.shape:
-            raise DomainError("the sphere chart is two-dimensional")
-        if not (np.isfinite(xs).all() and np.isfinite(ys).all()):
-            raise DomainError("point has non-finite entries")
-        return xs, ys
-
     def w_stacked(self, xs, ys):
-        x, y = self._pair(xs, ys)
-        return (_conformal(x)[1] * _sq(y - x))[..., 0]
+        x0, x1, d0, d1, k = _chart(xs, ys)
+        (w,) = _far_field(k, -2, _conformal(x0 * x0, x1 * x1)[1] * (d0 * d0 + d1 * d1))
+        return w
 
     def grads_stacked(self, xs, ys):
-        x, y = self._pair(xs, ys)
-        diff = y - x
-        _, c, gc = _conformal(x)
-        g2 = 2.0 * c * diff
-        return gc * _sq(diff) - g2, g2
+        x0, x1, d0, d1, k = _chart(xs, ys)
+        q, c = _conformal(x0 * x0, x1 * x1)
+        s = d0 * d0 + d1 * d1
+        c2 = 2.0 * c
+        g1, g2 = np.empty((2, len(q), 2))
+        np.multiply(c2, d0, out=g2[:, 0])
+        np.multiply(c2, d1, out=g2[:, 1])
+        np.subtract(-4.0 * x0 * c / q * s, g2[:, 0], out=g1[:, 0])
+        np.subtract(-4.0 * x1 * c / q * s, g2[:, 1], out=g1[:, 1])
+        return _far_field(k, -3, g1, g2)
 
     def hess_blocks_stacked(self, xs, ys):
-        x, y = self._pair(xs, ys)
-        diff = y - x
-        q, c, gc = _conformal(x)
-        q = q[..., None]
-        h22 = 2.0 * c[..., None] * _EYE2
-        hc = c[..., None] * (-4.0 * _EYE2 / q + 24.0 * _outer(x, x) / q**2)
-        cross = _outer(gc, diff)
-        cross_t = np.swapaxes(cross, -1, -2)
-        h11 = hc * _sq(diff)[..., None] - 2.0 * (cross + cross_t) + h22
-        h12 = 2.0 * cross - h22
+        x0, x1, d0, d1, k = _chart(xs, ys)
+        xx0, xx1 = x0 * x0, x1 * x1
+        q, c = _conformal(xx0, xx1)
+        q2, m4q = q**2, -4.0 / q
+        s = d0 * d0 + d1 * d1
+        gc0, gc1 = -4.0 * x0 * c / q, -4.0 * x1 * c / q
+        h11, cross, h22 = np.zeros((3, len(q), 2, 2))
+        np.multiply(gc0, d0, out=cross[:, 0, 0])
+        np.multiply(gc0, d1, out=cross[:, 0, 1])
+        np.multiply(gc1, d0, out=cross[:, 1, 0])
+        np.multiply(gc1, d1, out=cross[:, 1, 1])
+        np.multiply(2.0, c, out=h22[:, 0, 0])
+        h22[:, 1, 1] = h22[:, 0, 0]
+        # hc s - 2 (cross + cross^T) entry by entry; 2 (a + a) is 4 a exactly
+        np.subtract(c * (m4q + 24.0 * xx0 / q2) * s, 4.0 * cross[:, 0, 0], out=h11[:, 0, 0])
+        np.subtract(c * (m4q + 24.0 * xx1 / q2) * s, 4.0 * cross[:, 1, 1], out=h11[:, 1, 1])
+        np.subtract(c * (24.0 * (x0 * x1) / q2) * s, 2.0 * (cross[:, 0, 1] + cross[:, 1, 0]), out=h11[:, 0, 1])
+        h11[:, 1, 0] = h11[:, 0, 1]
+        h11 += h22
+        cross *= 2.0
+        cross -= h22
+        h11, h12, h22 = _far_field(k, -4, h11, cross, h22)
         return h11, h12, np.swapaxes(h12, -1, -2), h22
 
     def metric(self, x):
-        x = as_point(x)
-        return float(_conformal(x)[1][0]) * np.eye(2)
+        x = as_point(x)[None]
+        x0, x1, _, _, k = _chart(x, x)
+        (c,) = _far_field(k, -4, _conformal(x0 * x0, x1 * x1)[1])
+        return float(c[0]) * np.eye(2)
 
 
 def sphere_chart_energy() -> SphereChartEnergy:

@@ -8,6 +8,8 @@ by level by block cyclic reduction, the second when its regrouped blocks
 are at most ``_REDUCE_MAX_BLOCK`` wide (row by row otherwise), one stacked
 pivot step each.  The rods' gauged path system is solved in node order
 (``_node_thomas``), its runs by block Thomas elimination (``_thomas_loop``).
+The dense LU's matrix is one scatter of all blocks through an index cached
+per (n, b, band offsets) (``_dense_index``), as ``_node_layout`` is.
 
 One pivot rule serves every elimination: a stack of pivots is inverted in
 one call (``_inv``: 2 x 2 ones in closed form, larger ones by LAPACK) and
@@ -39,18 +41,33 @@ _REDUCE_MAX_BLOCK = 16
 
 def _dense_solve(diag, bands, rhs) -> np.ndarray:
     """Solve a block-banded system, ``diag`` (n, b, b) and ``rhs`` (n, b), as
-    one dense LU; ``bands`` holds pairs (m, blocks), block i of ``blocks``
-    at block (i + m, i) for m > 0 and at (i, i - m) for m < 0."""
+    one dense LU; ``bands`` holds pairs (m, blocks), the n - |m| blocks of
+    band m, block i at block (i + m, i) for m > 0 and at (i, i - m) for
+    m < 0, all scattered in one step through ``_dense_index``."""
     n, b = rhs.shape
-    a = np.zeros((n, b, n, b))
-    for m, blocks in ((0, diag), *bands):
-        i = np.arange(len(blocks))
-        a[i + max(m, 0), :, i - min(m, 0)] = blocks
-    a = a.reshape(n * b, n * b)
-    if not np.isfinite(a).all():
+    offsets, blocks = zip((0, diag), *bands)
+    values = np.concatenate(blocks, axis=None)
+    if not np.isfinite(values).all():
         # LAPACK's pivot search skips NaN and can meet an exact zero instead
         return np.full((n, b), np.nan)
-    return np.linalg.solve(a, rhs.reshape(n * b)).reshape(n, b)
+    a = np.zeros((n * b) ** 2)
+    a[_dense_index(n, b, offsets)] = values
+    return np.linalg.solve(a.reshape(n * b, n * b), rhs.reshape(n * b)).reshape(n, b)
+
+
+@functools.lru_cache(maxsize=64)
+def _dense_index(n, b, offsets):
+    """Read-only positions, in the flattened (n b) x (n b) matrix of
+    ``_dense_solve``, of the entries of its bands at ``offsets``: band
+    after band, each as its (n - |m|, b, b) stack of blocks."""
+    at = np.arange((n * b) ** 2).reshape(n, b, n, b)
+    parts = []
+    for m in offsets:
+        i = np.arange(n - abs(m))
+        parts.append(at[i + max(m, 0), :, i - min(m, 0)])
+    index = np.concatenate(parts, axis=None)
+    index.setflags(write=False)
+    return index
 
 
 def _inv(a) -> np.ndarray:

@@ -22,7 +22,9 @@ columns) are checked against a dense solve within 2 eps cond(A) |x|, and
 for their singular and NaN pivots.
 ``thomas._node_thomas`` (the gauged path system of banded periodic blocks,
 solved in node order, its runs by ``thomas._thomas_loop``) is checked
-against a dense solve of its assembled matrix.
+against a dense solve of its assembled matrix, and the dense LU's matrix,
+one scatter through the cached index ``thomas._dense_index``, against the
+same matrix assembled block by block.
 """
 
 import numpy as np
@@ -167,6 +169,28 @@ def _node_dense(bands, gauge):
         a[i, : 2 * nodes, i, 2 * nodes :] = -gauge.T
         a[i, 2 * nodes :, i, : 2 * nodes] = gauge
     return a.reshape(n * b, n * b)
+
+
+# the band offsets the solves pass: _block_thomas's lower and upper band,
+# and _forward_substitution's one and two bands
+@pytest.mark.parametrize("offsets", [(1, -1), (1,), (1, 2)], ids=str)
+@pytest.mark.parametrize("b", [1, 2, 4])
+def test_the_dense_solve_scatters_every_block_where_it_belongs(offsets, b):
+    for n in range(1, 33):
+        diag, bands, rhs = _system(40 * n + b, n, b, offsets)
+        x = thomas._dense_solve(diag, [(m, bands[m]) for m in offsets], rhs)
+        # the same matrix assembled block by block, so the same LU
+        np.testing.assert_array_equal(x, np.linalg.solve(_dense(diag, bands), rhs.ravel()).reshape(n, b))
+        index = thomas._dense_index(n, b, (0, *offsets))
+        assert index is thomas._dense_index(n, b, (0, *offsets))
+        with pytest.raises(ValueError, match="read-only"):
+            index[0] = 0
+        # a NaN in the last block of the last band, or in the last pivot
+        # when that band is empty, still makes the whole solution NaN
+        poisoned = bands[offsets[-1]] if n > abs(offsets[-1]) else diag
+        poisoned[-1, 0, 0] = np.nan
+        x = thomas._dense_solve(diag, [(m, bands[m]) for m in offsets], rhs)
+        assert np.isnan(x).all()
 
 
 # N = 8 with runs of 4 leaves a single interior run; 17 is divisible by

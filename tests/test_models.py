@@ -133,6 +133,45 @@ def test_chart_hess21_is_2_cross_t_minus_h22_bit_for_bit():
         np.testing.assert_array_equal(h21, 2.0 * cross_t - h22)
 
 
+def _chart_by_tensors(xs, ys):
+    """w, grad1, grad2, hess11, hess12 and hess22 of the chart by its tensor
+    formulas: squared norms as (v * v).sum(-1), outer products, np.eye(2)."""
+
+    def sq(v):
+        return (v * v).sum(-1, keepdims=True)
+
+    diff = ys - xs
+    q = 1.0 + sq(xs)
+    c = 4.0 / q**2
+    grad_c = -4.0 * xs * c / q
+    g2 = 2.0 * c * diff
+    q, c = q[..., None], c[..., None]
+    h22 = 2.0 * c * np.eye(2)
+    hc = c * (-4.0 * np.eye(2) / q + 24.0 * (xs[:, :, None] * xs[:, None, :]) / q**2)
+    cross = grad_c[:, :, None] * diff[:, None, :]
+    h11 = hc * sq(diff)[..., None] - 2.0 * (cross + np.swapaxes(cross, 1, 2)) + h22
+    return (c[..., 0] * sq(diff))[:, 0], grad_c * sq(diff) - g2, g2, h11, 2.0 * cross - h22, h22
+
+
+@pytest.mark.parametrize("n", [1, 16, 1024, 4096])
+def test_chart_outputs_are_the_tensor_formulas_bit_for_bit(n):
+    # the chart forms each entry from coordinate columns; every entry,
+    # signed zeros included, is the tensor formulas' one
+    sc = sphere_chart_energy()
+    rng = np.random.default_rng(n)
+    xs = rng.normal(size=(n, 2))
+    ys = xs + 0.3 * rng.normal(size=(n, 2))
+    if n > 1:
+        # the origin, points on an axis (signed zeros in x x^T), y = x
+        special = [[[0.0, 0.0], [0.0, 0.0]], [[0.0, -0.5], [0.0, -0.5]], [[-0.0, 0.3], [0.2, 0.3]], [[0.7, -0.4], [0.7, -0.4]]]
+        xs[:4], ys[:4] = np.swapaxes(special, 0, 1)
+    w = sc.w_stacked(xs, ys)
+    (g1, g2), (h11, h12, _, h22) = sc.grads_stacked(xs, ys), sc.hess_blocks_stacked(xs, ys)
+    for got, want in zip((w, g1, g2, h11, h12, h22), _chart_by_tensors(xs, ys)):
+        assert got.shape == want.shape and got.flags.c_contiguous
+        np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+
 def test_chart_is_warning_free_far_from_the_origin():
     # at |x| = 1e60, q^3 = (1 + |x|^2)^3 overflows while c(x) = 4e-240 and
     # every derivative of w is finite or underflows to 0
@@ -144,6 +183,39 @@ def test_chart_is_warning_free_far_from_the_origin():
         np.testing.assert_allclose(sc.metric(x[0]), 4e-240 * np.eye(2), rtol=1e-15)
         np.testing.assert_allclose(sc.grads_stacked(x, y), [[[-8e-180, 0.0]], [[-8e-180, 0.0]]], rtol=1e-15)
         assert all(np.isfinite(block).all() for block in sc.hess_blocks_stacked(x, y))
+
+    # from |x| of about 1e52 the direct formulas underflow (hess11 came out
+    # with the wrong sign at 1e60), from 1.2e77 (1 + |x|^2)^2 overflows, and
+    # at 1e160 |y - x|^2 does (c |y - x|^2 was 0 inf = NaN).  At x = (r, 0),
+    # y = 0: w = 4 / r^2, both gradients (-8 / r^3, 0), hess11 = hess12 =
+    # diag(24, -8) / r^4 and hess22 = 8 I / r^4: to rounding where these are
+    # normal numbers, within 1e-322 where they are subnormal (1 / r^4 =
+    # 1e-312 at r = 1e78; the expected values are rounded too)
+    for r in (1e60, 1e78, 1e100, 1e160):
+        x = [[r, 0.0]]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            w, grads, hess, metric = sc.w_stacked(x, y), sc.grads_stacked(x, y), sc.hess_blocks_stacked(x, y), sc.metric(x[0])
+        inv2 = (1.0 / r) ** 2
+        close = {"rtol": 1e-15, "atol": 1e-322}
+        np.testing.assert_allclose(w, [4.0 * inv2], **close)
+        np.testing.assert_allclose(metric, 4.0 * inv2**2 * np.eye(2), **close)
+        np.testing.assert_allclose(grads, [[[-8.0 * (1.0 / r) ** 3, 0.0]]] * 2, **close)
+        hess11 = np.diag([24.0, -8.0]) * inv2**2
+        np.testing.assert_allclose(hess, [[hess11], [hess11], [hess11], [8.0 * inv2**2 * np.eye(2)]], **close)
+
+
+def test_a_far_row_leaves_the_other_rows_of_its_stack_alone():
+    sc = sphere_chart_energy()
+    rng = np.random.default_rng(17)
+    xs, ys = rng.normal(size=(2, 8, 2))
+    far = xs.copy()
+    far[3] = [1e100, -3e99]
+    for method in (sc.w_stacked, sc.grads_stacked, sc.hess_blocks_stacked):
+        near, mixed = method(xs, ys), method(far, ys)
+        for a, b in zip(near if isinstance(near, tuple) else (near,), mixed if isinstance(mixed, tuple) else (mixed,)):
+            np.testing.assert_array_equal(np.delete(a, 3, axis=0), np.delete(b, 3, axis=0))
+            assert np.isfinite(b[3]).all()
 
 
 def test_chart_metric_value():
