@@ -7,9 +7,10 @@ included, a system is one dense LU.  Above it, the first is halved level
 by level by block cyclic reduction, the second when its regrouped blocks
 are at most ``_REDUCE_MAX_BLOCK`` wide (row by row otherwise), one stacked
 pivot step each.  The rods' gauged path system is solved in node order
-(``_node_thomas``), its runs by block Thomas elimination (``_thomas_loop``).
-The dense LU's matrix is one scatter of all blocks through an index cached
-per (n, b, band offsets) (``_dense_index``), as ``_node_layout`` is.
+(``_node_thomas``), block Thomas elimination (``_thomas_loop``) running in
+place in one working array.  Its matrix, rhs included, and the dense LU's
+are each one scatter through an index cached per shape (``_node_layout``,
+``_dense_index``).
 
 One pivot rule serves every elimination: a stack of pivots is inverted in
 one call (``_inv``: 2 x 2 ones in closed form, larger ones by LAPACK) and
@@ -180,19 +181,19 @@ def _affine_recurrence(steps) -> np.ndarray:
     return x
 
 
-def _thomas_loop(lower, diag, upper, rhs) -> np.ndarray:
-    """Block Thomas elimination, one pivot inverse per row applied to all
-    of its columns; bands as ``_block_thomas``, ``rhs`` (n, b, r)."""
-    b = rhs.shape[1]
+def _thomas_loop(lower, diag, cd) -> np.ndarray:
+    """Block Thomas elimination, one pivot inverse per row applied to all of
+    its columns, in place on ``cd`` = [upper | rhs] (n, b, b + r); bands as
+    ``_block_thomas``.  Returns the solution (n, b, r), a view of ``cd``."""
+    b = diag.shape[1]
     # row i of the eliminated system reads x_i + C_i x_{i+1} = d_i, and
     # cd[i] holds [C_i | d_i]; one inverse per pivot gives both
-    cd = np.concatenate([upper, rhs], axis=2)
     cd[0] = _inv(diag[0]) @ cd[0]
     for i in range(1, len(cd)):
         coupled = lower[i] @ cd[i - 1]
         cd[i, :, b:] -= coupled[:, b:]
         cd[i] = _inv(diag[i] - coupled[:, :b]) @ cd[i]
-    sol = cd[:, :, b:].copy()
+    sol = cd[:, :, b:]
     for i in range(len(cd) - 2, -1, -1):
         sol[i] -= cd[i, :, :b] @ sol[i + 1]
     return sol
@@ -209,23 +210,24 @@ def _node_thomas(bands, gauge, rhs) -> np.ndarray:
     time are left out).  Runs of p nodes couple only to neighbouring runs:
     the first (p + N mod p nodes) and the multipliers form a border, the
     others, at all n times each, go through ``_thomas_loop`` along the
-    curve with the border columns as further right-hand sides, and the
-    border follows from its Schur complement, in O(N (n p)^3) in all.
+    curve with the rhs and the border columns as its right-hand sides, and
+    the border follows from its Schur complement, in O(N (n p)^3) in all.
+    All of it runs in one working array laid out by ``_node_layout``.
     """
     _, width, nodes, n = bands.shape[:4]
-    band_dst, cols_dst, rows_dst, order, (m, q, nb) = _node_layout(width // 2, nodes, n, gauge.shape[0])
-    mq = m * q
-    buf = np.zeros(3 * mq * q + (2 * mq + nb) * nb + 1)  # the last entry takes what is left out
+    band_dst, cols_dst, rows_dst, rhs_dst, order, (m, q, nb) = _node_layout(width // 2, nodes, n, gauge.shape[0])
+    mq, w = m * q, q + 1 + nb
+    ends = np.cumsum([2 * mq * q, mq * w, nb * (mq + nb + 1)])
+    buf = np.zeros(ends[-1] + 1)  # the last entry takes what is left out
     buf[band_dst] = bands.reshape(-1)
     g = np.broadcast_to(gauge, (n,) + gauge.shape).reshape(-1)
     buf[cols_dst], buf[rows_dst] = -g, g
-    tri, cols, rows = np.split(buf[:-1], np.cumsum([3 * mq * q, (mq + nb) * nb]))
-    tri, cols, rows = tri.reshape(3, m, q, q), cols.reshape(mq + nb, nb), rows.reshape(nb, mq)
+    buf[rhs_dst] = rhs.reshape(-1)
+    tri, cd, border, _ = np.split(buf, ends)
+    y = _thomas_loop(*tri.reshape(2, m, q, q), cd.reshape(m, q, w)).reshape(mq, nb + 1)
+    rows, block, end = np.split(border.reshape(nb, -1), [mq, mq + nb], axis=1)
     vec = np.empty(mq + nb)
-    vec[order] = rhs
-    y = _thomas_loop(*tri, np.hstack([vec[:mq, None], cols[:mq]]).reshape(m, q, -1))
-    y = y.reshape(mq, nb + 1)
-    vec[mq:] = np.linalg.solve(cols[mq:] - rows @ y[:, 1:], vec[mq:] - rows @ y[:, 0])
+    vec[mq:] = np.linalg.solve(block - rows @ y[:, 1:], end[:, 0] - rows @ y[:, 0])
     vec[:mq] = y[:, 0] - y[:, 1:] @ vec[mq:]
     return vec[order]
 
@@ -236,9 +238,11 @@ def _node_layout(p, nodes, n, c):
     times, c multipliers).  Run r (nodes g + r p .. g + r p + p - 1, g = p
     + N mod p) takes rows r q .. r q + q - 1, q = 2 p n, and the border
     (first g nodes, then multipliers) the last nb, time-major within each;
-    ``order[i, e]`` is the row of unknown e of time i.  One buffer holds
-    the runs' block bands (3, m, q, q), the border columns (m q + nb, nb)
-    and rows (nb, m q); the rest say where bands, -G^T and G go in it."""
+    ``order[i, e]`` is the row of unknown e of time i.  The working array
+    holds the runs' lower and diagonal blocks (2, m, q, q), ``cd`` (m, q, q +
+    1 + nb) = [upper | rhs | border columns], the border rows [rows | own
+    block | rhs] (nb, m q + nb + 1) and a last entry for left-out band terms;
+    the rest say where bands, -G^T, G and the rhs (column m q + nb) go."""
     g = p + nodes % p
     m, q = (nodes - g) // p, 2 * p * n
     mq, nb = m * q, (2 * g + c) * n
@@ -246,12 +250,13 @@ def _node_layout(p, nodes, n, c):
     inner = (j - g) // p * q + (i * p + (j - g) % p) * 2 + a
     points = np.where(j >= g, inner, mq + (i * g + j) * 2 + a).reshape(n, -1)
     order = np.hstack([points, mq + 2 * g * n + i[:, :, 0] * c + np.arange(c)])
+    w, start = q + 1 + nb, 2 * mq * q
 
     def dst(row, col):
-        band = ((col // q - row // q + 1) * m + row // q) * q * q + row % q * q + col % q
-        border_col = 3 * mq * q + row * nb + col - mq
-        border_row = 3 * mq * q + (mq + nb) * nb + (row - mq) * mq + col
-        return np.select([col >= mq, row >= mq], [border_col, border_row], band)
+        band = (col // q - row // q + 1) * mq * q + row * q + col % q
+        cd = start + row * w + np.where(col < mq, col % q, (col - mq + 1) % (nb + 1) + q)
+        border = start + mq * w + (row - mq) * (mq + nb + 1) + col
+        return np.select([row >= mq, (col >= mq) | (col // q > row // q)], [border, cd], band)
 
     t, o, j, i, a, b = np.ogrid[:3, : 2 * p + 1, :nodes, :n, :2, :2]
     at = i + t - 1
@@ -260,7 +265,7 @@ def _node_layout(p, nodes, n, c):
     left_out = (at < 0) | (at >= n) | (o >= nodes)
     i, k, e = np.ogrid[:n, :c, : 2 * nodes]
     point, multiplier = order[i, e], order[i, 2 * nodes + k]
-    layout = [np.where(left_out, 3 * mq * q + (2 * mq + nb) * nb, band), dst(point, multiplier), dst(multiplier, point)]
+    layout = [np.where(left_out, -1, band), dst(point, multiplier), dst(multiplier, point), dst(order, mq + nb)]
     layout = [arr.reshape(-1) for arr in layout] + [order]
     for arr in layout:
         arr.setflags(write=False)

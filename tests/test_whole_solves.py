@@ -402,7 +402,7 @@ def _sequential(monkeypatch):
     monkeypatch.setattr(thomas, "_REDUCE_MAX_BLOCK", 0)
 
     def loop(lower, diag, upper, rhs):
-        return thomas._thomas_loop(lower, diag, upper, rhs[..., None])[..., 0]
+        return thomas._thomas_loop(lower, diag, np.concatenate([upper, rhs[..., None]], axis=2))[..., 0]
 
     monkeypatch.setattr(geodesic, "_block_thomas", loop)
 
