@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from .core import DomainError, EvaluationError, InvariantViolation, SolverError
-from .geodesic import SolverConfig, solve_geodesic, write_result_csv
+from .geodesic import SolverConfig, _require, solve_geodesic, write_result_csv
 from .harness import (
     MODEL_NAMES,
     ConfigError,
@@ -144,8 +144,7 @@ def _cmd_geodesic(args) -> int:
         f"iterations={res.iterations} residual={res.residual:.3e} "
         f"energy={res.energy!r} length={res.length!r}"
     )
-    if not res.converged:
-        raise SolverError("geodesic solve did not converge", residual=res.residual)
+    _require(res.converged, res.residual, "geodesic solve")
     if cfg.output_dir:
         os.makedirs(cfg.output_dir, exist_ok=True)
         target = os.path.join(cfg.output_dir, "path.csv")
@@ -176,8 +175,7 @@ def _cmd_exp(args) -> int:
 def _cmd_transport(args) -> int:
     cfg, backend, K, xa, xb = _setup(args)
     res = solve_geodesic(xa, xb, K, backend.model, cfg.solver, constraint=backend.constraint)
-    if not res.converged:
-        raise SolverError("geodesic solve did not converge", residual=res.residual)
+    _require(res.converged, res.residual, "geodesic solve")
     w = np.asarray(cfg.w, dtype=float)
     zeta, traces = parallel_transport(res.path, w / K, backend.model, cfg.solver, backend.constraint)
     print(f"transport model={cfg.model} K={K}")

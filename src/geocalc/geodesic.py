@@ -1,4 +1,4 @@
-"""Discrete path energies and the bordered Newton solver behind every operator.
+"""Discrete path energies and the bordered Newton kernels behind every operator.
 
 A discrete K-path (x_0, ..., x_K) carries the energy K * sum_k w(x_{k-1}, x_k)
 and the length sum_k sqrt(w(x_{k-1}, x_k)).  The discrete geodesic (x_0
@@ -26,6 +26,17 @@ shifted window block lower triangular; ``thomas._block_thomas`` and
 (``hess_bands_stacked``, the rods) has the interior window solved in node
 order instead (``thomas._node_thomas``), ungauged or gauged, at a cost
 linear in the node count.
+
+Schild's-ladder transport (``operators.parallel_transport``) is one
+Newton solve over every rung's midpoint c_k and corner p_k together
+(``_solve_ladder``).  Each rung is two block rows of the size of one
+point and its multipliers, each reading only itself and the row before,
+so the system is block lower bidiagonal, as small per row as the exp's,
+and ``thomas._forward_substitution`` solves it.  The inverse transport is
+this ladder for the reversed energy, so the kernel has one window.
+
+Both kernels run the one Newton loop, ``_newton``; ``_require`` raises
+the one SolverError of a solve that must converge and did not.
 
 Each Newton step makes one stacked ``grads_stacked`` call over all K
 segments per residual and one ``hess_blocks_stacked`` call (in node order
@@ -235,6 +246,11 @@ def _sup(a) -> float:
     return float(np.max(np.abs(a))) if np.size(a) else 0.0
 
 
+def _require(converged: bool, res: float, context: str) -> None:
+    if not converged:
+        raise SolverError(f"{context}: no convergence, last residual {res:.3e}", residual=res)
+
+
 def _left_domain(context, err, res) -> SolverError:
     return SolverError(f"{context}: an iterate left the model's domain ({err})", residual=res)
 
@@ -439,6 +455,83 @@ def _solve_path(pts, model, constraint, cfg: SolverConfig | None, context: str, 
         np.divide(jr, jj, out=z0[1 + s : K + s, d], where=jj > 0.0)
     z, res, iterations, converged = _newton(residual, step, z0, cfg, context)
     return z[:, :d], z[1 + s : K + s, d:], res, iterations, converged
+
+
+def _solve_ladder(pts, zeta, model, constraint, cfg: SolverConfig | None, context: str, zetas=None):
+    """Newton solve for every rung of the ladder along ``pts`` at once.
+
+    Rung k = 1..K has the midpoint c_k, the corners p_{k-1} and p_k, and
+    the equations of the forward transport's two inner solves,
+
+        A: grad2(p_{k-1}, c_k) + grad1(c_k, x_k) - mu J(c_k) = 0,  d(c_k) = 0,
+        B: grad2(x_{k-1}, c_k) + grad1(c_k, p_k) - mu' J(c_k) = 0,  d(p_k) = 0,
+
+    the multipliers and constraint rows only with a constraint, solved for
+    c_k and p_k with p_0 = x_0 + zeta given.  Each half rung reads only
+    itself and the half before (c_k, or the corner the rung before solved
+    for), so the Jacobian is block lower bidiagonal in 2K (d + c)-blocks.
+    Residual and Jacobian come from one stacked call each over the 4K
+    segments (p_{k-1}, c_k), (c_k, x_k), (x_{k-1}, c_k), (c_k, p_k).  A
+    gauge's rows are G c_k = G(x_{k-1} + x_k + zeta)/2 and G p_k =
+    G(x_k + zeta).  Row k starts from p_k = x_k + zeta_k and c_k =
+    (x_{k-1} + x_k + zeta_{k-1})/2, projected onto the level set if there
+    is one, with zeta_0 = zeta and the guesses ``zetas`` (K, d), or zeta
+    throughout when they are None.  Returns (midpoints, corners,
+    residual, iterations, converged).
+    """
+    K, d = len(pts) - 1, pts.shape[1]
+    starts, ends = pts[:-1], pts[1:]
+    view = _constraint_view(constraint, lambda g: np.vstack([(starts + ends + zeta) / 2.0, ends + zeta]) @ g.T, d)
+    c = view.c
+    b = d + c
+
+    # row k of z holds c_k, mu_k, p_k, mu'_k
+    def segments(z):
+        mid, corner = z[:, :d], z[:, b : b + d]
+        prev = np.vstack([starts[0] + zeta, corner[:-1]])
+        return np.concatenate([prev, mid, starts, mid]), np.concatenate([mid, ends, mid, corner])
+
+    def residual(z):
+        g1, g2 = model.grads_stacked(*segments(z))
+        g1, g2 = g1.reshape(4, K, d), g2.reshape(4, K, d)
+        first, second = g2[0] + g1[1], g2[2] + g1[3]
+        if not c:
+            return np.hstack([first, second])
+        mid, corner = z[:, :d], z[:, b : b + d]
+        jac = view.jac(mid)
+        values = view.values(np.vstack([mid, corner]))
+        first, second = first - _multiplier_rows(z[:, d:b], jac), second - _multiplier_rows(z[:, b + d :], jac)
+        return np.hstack([first, values[:K], second, values[K:]])
+
+    def step(z, r):
+        h11, h12, h21, h22 = (h.reshape(4, K, d, d) for h in model.hess_blocks_stacked(*segments(z)))
+        # A and B by c_k, and by the corner each reads (A p_{k-1}, B p_k);
+        # blocks (K, 2 halves, b, b)
+        diag, band = np.zeros((2, K, 2, b, b))
+        diag[:, 0, :d, :d] = h22[0] + h11[1]
+        diag[:, 1, :d, :d] = h12[3]
+        band[:, 0, :d, :d] = h22[2] + h11[3]
+        band[:-1, 1, :d, :d] = h21[0][1:]
+        if c:
+            mid, corner = z[:, :d], z[:, b : b + d]
+            jac = view.jac(mid)
+            diag[:, 0, :d, :d] -= view.hess(mid, z[:, d:b])
+            band[:, 0, :d, :d] -= view.hess(mid, z[:, b + d :])
+            _border(diag[:, 0], jac, jac)
+            _border(diag[:, 1], jac, view.jac(corner))
+        diag, band = diag.reshape(2 * K, b, b), band.reshape(2 * K, b, b)
+        return _forward_substitution(diag, (band[:-1],), r.reshape(2 * K, b)).reshape(z.shape)
+
+    if zetas is None:
+        zetas = np.broadcast_to(zeta, (K, d))
+    mid = (starts + ends) / 2.0 + np.vstack([zeta, zetas[:-1]]) / 2.0
+    corner = ends + zetas
+    _project_rows(mid, constraint)
+    _project_rows(corner, constraint)
+    no_mu = np.zeros((K, c))
+    z0 = np.hstack([mid, no_mu, corner, no_mu])
+    z, res, iterations, converged = _newton(residual, step, z0, cfg, context)
+    return z[:, :d], z[:, b : b + d], res, iterations, converged
 
 
 def _linear_init(xa, xb, K):

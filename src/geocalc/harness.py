@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import DiscretePath, DomainError, SolverError, _write_csv, as_point, check_consistency
-from .geodesic import SolverConfig, solve_geodesic
+from .geodesic import SolverConfig, _require, solve_geodesic
 from .models import (
     CircleSdf,
     SphereSdf,
@@ -303,8 +303,7 @@ def run_convergence_study(cfg: StudyConfig) -> ConvergenceReport:
     def geodesic(K, coarse):
         init = None if coarse is None else _prolong(coarse)
         res = solve_geodesic(xa, xb, K, model, solver, constraint=constraint, init_path=init)
-        if not res.converged:
-            raise SolverError(f"geodesic solve did not converge (K={K})", residual=res.residual)
+        _require(res.converged, res.residual, "geodesic solve")
         return res.path.points
 
     paths = _cascade(levels, geodesic)
@@ -461,11 +460,7 @@ def run_rod_morph(
     backend = build_backend(f"rod-{kind}", a.n_nodes, delta)
     model = backend.model
     result = solve_geodesic(a.coord, b.coord, K, model, cfg, constraint=backend.constraint)
-    if not result.converged:
-        raise SolverError(
-            f"rod morph did not converge (K={K}, residual {result.residual:.3e})",
-            residual=result.residual,
-        )
+    _require(result.converged, result.residual, f"rod morph (K={K})")
     written = []
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)

@@ -15,13 +15,10 @@ grad2(x_{k-1}, x_k) + grad1(x_k, x_{k+1}) = 0, k = 1..K-1:
 On top of these sit a Schild's-ladder style parallel transport (one
 geodesic parallelogram per path segment), its inverse, and a
 finite-difference connection.  The ladder is one Newton solve over every
-rung's midpoint and corner together (``_solve_ladder``).  The inverse is
-the same ladder along the reversed path, of the reversed energy
-w'(x, y) = w(y, x) (``_Reversed``); the connection is a one-rung inverse.
-Each rung is two block rows of the size of one point and its
-multipliers, so the ladder's system is block lower bidiagonal, as small
-as the exp's per row.  The whole exp and the ladder solve these systems
-by ``thomas._forward_substitution``.  They are less robust than the
+rung's midpoint and corner together (``geodesic._solve_ladder``).  The
+inverse is the same ladder along the reversed path, of the reversed
+energy w'(x, y) = w(y, x) (``_Reversed``); the connection is a one-rung
+inverse.  The whole exp and the ladder are less robust than the
 step-by-step fold on long shots and coarse ladders; when one fails, or
 lands on a root the fold would not pick (``_near``), the operator runs
 the fold (``exp2`` or ``transport_step`` at a time), and the fold's
@@ -30,9 +27,11 @@ from the straight line; ``_shoot`` and ``_transport`` take another start
 (the convergence study's prolonged coarser level), with the same fold and
 root test.
 
-Every Newton solve here runs the one Newton loop of ``geodesic``.  Every
-operator takes, as its 4th argument, the ``SolverConfig`` the path solves
-take, and each of its inner solves runs with it, damping included.
+Every Newton solve here is one of the two kernels of ``geodesic``,
+``_solve_path`` or ``_solve_ladder``, and a solve that must converge is
+judged by ``geodesic._require``.  Every operator takes, as its 4th
+argument, the ``SolverConfig`` the path solves take, and each of its
+inner solves runs with it, damping included.
 
 All operators take the path solve's optional constraint, a level set or
 a ``LinearGauge``, seen through ``geodesic._constraint_view``.  A
@@ -51,16 +50,13 @@ from .geodesic import (
     ConstraintModel,
     LinearGauge,
     SolverConfig,
-    _border,
     _check_constraint,
-    _constraint_view,
-    _multiplier_rows,
-    _newton,
     _project_rows,
+    _require,
+    _solve_ladder,
     _solve_path,
     solve_geodesic,
 )
-from .thomas import _forward_substitution
 
 __all__ = [
     "TransportTrace",
@@ -99,11 +95,6 @@ def _at_point(v, x) -> np.ndarray:
     if v.size != x.size:
         raise DomainError(f"vector of dimension {v.size} given at a point of dimension {x.size}")
     return v
-
-
-def _require(converged: bool, res: float, context: str) -> None:
-    if not converged:
-        raise SolverError(f"{context}: no convergence, last residual {res:.3e}", residual=res)
 
 
 def log2(
@@ -165,11 +156,7 @@ def discrete_log(
     xa = as_point(x_a)
     xb = _at_point(x_b, xa)
     result = solve_geodesic(xa, xb, K, model, cfg, constraint=constraint)
-    if not result.converged:
-        raise SolverError(
-            f"geodesic solve for the K={K} logarithm did not converge",
-            residual=result.residual,
-        )
+    _require(result.converged, result.residual, f"geodesic solve for the K={K} logarithm")
     return result.path[1] - result.path[0]
 
 
@@ -293,83 +280,6 @@ def transport_step(
     zeta_next = x_p - x_next
     trace = TransportTrace(x_p_prev=x_p_prev, x_c=x_c, x_p=x_p, zeta=zeta_next)
     return zeta_next, trace
-
-
-def _solve_ladder(pts, zeta, model, constraint, cfg: SolverConfig | None, context: str, zetas=None):
-    """Newton solve for every rung of the ladder along ``pts`` at once.
-
-    Rung k = 1..K has the midpoint c_k, the corners p_{k-1} and p_k, and
-    the equations of the forward transport's two inner solves,
-
-        A: grad2(p_{k-1}, c_k) + grad1(c_k, x_k) - mu J(c_k) = 0,  d(c_k) = 0,
-        B: grad2(x_{k-1}, c_k) + grad1(c_k, p_k) - mu' J(c_k) = 0,  d(p_k) = 0,
-
-    the multipliers and constraint rows only with a constraint, solved for
-    c_k and p_k with p_0 = x_0 + zeta given.  Each half rung reads only
-    itself and the half before (c_k, or the corner the rung before solved
-    for), so the Jacobian is block lower bidiagonal in 2K (d + c)-blocks.
-    Residual and Jacobian come from one stacked call each over the 4K
-    segments (p_{k-1}, c_k), (c_k, x_k), (x_{k-1}, c_k), (c_k, p_k).  A
-    gauge's rows are G c_k = G(x_{k-1} + x_k + zeta)/2 and G p_k =
-    G(x_k + zeta).  Row k starts from p_k = x_k + zeta_k and c_k =
-    (x_{k-1} + x_k + zeta_{k-1})/2, projected onto the level set if there
-    is one, with zeta_0 = zeta and the guesses ``zetas`` (K, d), or zeta
-    throughout when they are None.  Returns (midpoints, corners,
-    residual, iterations, converged).
-    """
-    K, d = len(pts) - 1, pts.shape[1]
-    starts, ends = pts[:-1], pts[1:]
-    view = _constraint_view(constraint, lambda g: np.vstack([(starts + ends + zeta) / 2.0, ends + zeta]) @ g.T, d)
-    c = view.c
-    b = d + c
-
-    # row k of z holds c_k, mu_k, p_k, mu'_k
-    def segments(z):
-        mid, corner = z[:, :d], z[:, b : b + d]
-        prev = np.vstack([starts[0] + zeta, corner[:-1]])
-        return np.concatenate([prev, mid, starts, mid]), np.concatenate([mid, ends, mid, corner])
-
-    def residual(z):
-        g1, g2 = model.grads_stacked(*segments(z))
-        g1, g2 = g1.reshape(4, K, d), g2.reshape(4, K, d)
-        first, second = g2[0] + g1[1], g2[2] + g1[3]
-        if not c:
-            return np.hstack([first, second])
-        mid, corner = z[:, :d], z[:, b : b + d]
-        jac = view.jac(mid)
-        values = view.values(np.vstack([mid, corner]))
-        first, second = first - _multiplier_rows(z[:, d:b], jac), second - _multiplier_rows(z[:, b + d :], jac)
-        return np.hstack([first, values[:K], second, values[K:]])
-
-    def step(z, r):
-        h11, h12, h21, h22 = (h.reshape(4, K, d, d) for h in model.hess_blocks_stacked(*segments(z)))
-        # A and B by c_k, and by the corner each reads (A p_{k-1}, B p_k);
-        # blocks (K, 2 halves, b, b)
-        diag, band = np.zeros((2, K, 2, b, b))
-        diag[:, 0, :d, :d] = h22[0] + h11[1]
-        diag[:, 1, :d, :d] = h12[3]
-        band[:, 0, :d, :d] = h22[2] + h11[3]
-        band[:-1, 1, :d, :d] = h21[0][1:]
-        if c:
-            mid, corner = z[:, :d], z[:, b : b + d]
-            jac = view.jac(mid)
-            diag[:, 0, :d, :d] -= view.hess(mid, z[:, d:b])
-            band[:, 0, :d, :d] -= view.hess(mid, z[:, b + d :])
-            _border(diag[:, 0], jac, jac)
-            _border(diag[:, 1], jac, view.jac(corner))
-        diag, band = diag.reshape(2 * K, b, b), band.reshape(2 * K, b, b)
-        return _forward_substitution(diag, (band[:-1],), r.reshape(2 * K, b)).reshape(z.shape)
-
-    if zetas is None:
-        zetas = np.broadcast_to(zeta, (K, d))
-    mid = (starts + ends) / 2.0 + np.vstack([zeta, zetas[:-1]]) / 2.0
-    corner = ends + zetas
-    _project_rows(mid, constraint)
-    _project_rows(corner, constraint)
-    no_mu = np.zeros((K, c))
-    z0 = np.hstack([mid, no_mu, corner, no_mu])
-    z, res, iterations, converged = _newton(residual, step, z0, cfg, context)
-    return z[:, :d], z[:, b : b + d], res, iterations, converged
 
 
 def _transport_fold(path, zeta, model, cfg, constraint):

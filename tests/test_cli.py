@@ -146,25 +146,22 @@ def test_invalid_inputs_exit_3(tmp_path, capsys):
         assert main(["converge", "--config", str(bad), "--out", str(tmp_path / "out")]) == 3, config
     # endpoints off the constraint surface
     assert main(["geodesic", "--model", "sdf-sphere", "--xa", "1.5,0,0", "--xb", "0,1,0"]) == 3
+    capsys.readouterr()
+    # exp without its displacement, and a vector that is not numeric
+    assert main(["exp", "--model", "flat", "--xa", "0,0"]) == 3
+    assert "exp requires --zeta" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as info:
+        main(["geodesic", "--model", "flat", "--xa", "1,a"])
+    assert info.value.code == 3
+    assert "expected comma-separated reals, got '1,a'" in capsys.readouterr().err
 
 
 def test_solver_failure_exits_2(capsys):
-    code = main(
-        [
-            "geodesic",
-            "--model",
-            "sphere-chart",
-            "--xa",
-            "0.5,0",
-            "--xb",
-            "-0.5,2",
-            "--K",
-            "16",
-            "--tol",
-            "1e-30",
-        ]
-    )
-    assert code == 2
+    # the geodesic that transport carries along fails the same way
+    for command in ("geodesic", "transport"):
+        code = main([command, "--model", "sphere-chart", "--xa", "0.5,0", "--xb", "-0.5,2", "--K", "16", "--tol", "1e-30"])
+        assert code == 2
+        assert "solver failure: geodesic solve: no convergence, last residual " in capsys.readouterr().err
 
 
 def test_consistency_exit_codes(capsys):

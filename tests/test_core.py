@@ -46,6 +46,7 @@ class _NanHessModel(EnergyModel):
 
 def test_as_point_validation():
     assert np.allclose(as_point([1, 2.5]), [1.0, 2.5])
+    assert np.array_equal(as_point(np.float64(2.5)), [2.5])  # a 0-d scalar is a 1-vector
     with pytest.raises(DomainError):
         as_point([[1.0, 2.0]])
     with pytest.raises(DomainError):
@@ -109,6 +110,22 @@ def test_rod_metric_positive_definite_on_gauge_fixed_subspace():
 def test_metric_reports_non_finite_entry():
     with pytest.raises(EvaluationError, match=r"hess22.*\(0, 1\)"):
         metric_from_energy(_NanHessModel(), np.zeros(2))
+
+
+def test_consistency_reports_a_non_finite_diagonal_gradient():
+    class NanGrad(EnergyModel):
+        def w_stacked(self, xs, ys):
+            return np.zeros(len(xs))
+
+        def grads_stacked(self, xs, ys):
+            return np.zeros(np.shape(xs)), np.full(np.shape(xs), np.nan)
+
+        def hess_blocks_stacked(self, xs, ys):
+            eye = np.tile(np.eye(2), (len(xs), 1, 1))
+            return eye, -eye, -eye, eye
+
+    with pytest.raises(EvaluationError, match="grad2 is non-finite at the diagonal"):
+        check_consistency(NanGrad(), np.zeros(2), 1e-8)
 
 
 def test_energy_model_refuses_a_per_point_only_subclass():

@@ -73,6 +73,8 @@ def test_el_residual_flat():
     assert np.max(np.abs(el_residual(straight, FLAT))) < 1e-14
     r = el_residual(np.array([[0.0], [0.25], [1.0]]), FLAT)
     assert np.allclose(r, [[-1.0]])
+    with pytest.raises(DomainError, match="residual needs K >= 2"):
+        el_residual(np.array([[0.0], [1.0]]), FLAT)
 
 
 def test_el_residual_on_exact_geodesic_samples_decays():
@@ -166,6 +168,8 @@ def test_solver_config_rejects_a_non_integer_max_iter():
         with pytest.raises(DomainError, match="max_iter must be an integer of at least 1"):
             SolverConfig(max_iter=bad)
     assert SolverConfig(max_iter=np.int64(3)).max_iter == 3
+    with pytest.raises(DomainError, match="unknown damping mode 'bogus'"):
+        SolverConfig(damping="bogus")
 
 
 # every entry point taking a step count or iteration cap, called with a bad

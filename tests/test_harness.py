@@ -212,7 +212,6 @@ def _count_newton(monkeypatch):
         return out
 
     monkeypatch.setattr(geodesic, "_newton", counting)
-    monkeypatch.setattr(operators, "_newton", counting)
     return counts
 
 

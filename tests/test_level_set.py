@@ -29,7 +29,7 @@ from geocalc import (
     sdf_spring_model,
     solve_geodesic,
 )
-from geocalc import geodesic, operators
+from geocalc import geodesic
 from geocalc.cli import main
 from geocalc.core import _FD_STEP
 from geocalc.geodesic import ConstraintModel, _constraint_view, _project_rows
@@ -216,7 +216,6 @@ def _run_operators(surface, monkeypatch):
         return out
 
     monkeypatch.setattr(geodesic, "_newton", counting)
-    monkeypatch.setattr(operators, "_newton", counting)
     model = sdf_spring_model(surface)[0]
     a = np.array([0.0, 0.6, 0.8])
     b = np.array([0.8, 0.0, 0.6])

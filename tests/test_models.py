@@ -280,6 +280,9 @@ def test_oracle_log_exp_inverse():
     xa = np.array([0.5, 0.0])
     assert np.allclose(orc.exp(xa, np.zeros(2)), xa)
     assert np.allclose(orc.log(xa, xa), np.zeros(2))
+    # along a zero-length arc the transport is the identity
+    w = np.array([0.3, -0.7])
+    assert np.array_equal(orc.transport(xa, xa, w), w)
 
 
 def test_oracle_transport_is_isometric():
@@ -325,6 +328,8 @@ def test_oracle_domain_errors():
     ):
         with pytest.raises(DomainError):
             call()
+    with pytest.raises(DomainError, match="too close to the projection pole"):
+        orc.pullback([0.0, 0.0, 1.0], [1.0, 0.0, 0.0])
 
 
 def test_flat_hessian_blocks_are_fresh_scaled_identities():
@@ -359,6 +364,9 @@ def test_circle_and_sphere_sdf_are_normalized():
 
 
 def test_ellipsoid_sdf_basics():
+    for axes in ([2.0, 0.0, 1.0], [2.0, 1.0, -1.0]):
+        with pytest.raises(DomainError, match="semi axes must be positive"):
+            EllipsoidSdf(axes)
     ell = EllipsoidSdf([2.0, 1.0, 1.0])
     assert ell.d(np.array([3.0, 0.0, 0.0])) == pytest.approx(1.0, abs=1e-10)
     assert np.allclose(ell.grad_d(np.array([3.0, 0.0, 0.0])), [1.0, 0.0, 0.0], atol=1e-10)

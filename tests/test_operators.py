@@ -416,6 +416,11 @@ def test_solver_error_labels_stage():
     with pytest.raises(SolverError, match="rung-midpoint") as err:
         transport_step(XA, XB, np.array([-0.1, 0.2]), CHART, strict)
     assert err.value.residual is not None
+    # a rung whose corner x_prev + zeta_prev is x_next: its midpoint solve
+    # starts at the root and takes no step, and the completion fails
+    with pytest.raises(SolverError, match="^rung-completion solve failed: exp2: no convergence") as err:
+        transport_step(XA, XB, XB - XA, CHART, strict)
+    assert err.value.residual > strict.newton_tol
 
 
 def test_flat_operators_are_exact():

@@ -7,9 +7,11 @@ from geocalc import (
     DomainError,
     RodCurve,
     SolverConfig,
+    SolverError,
     SphereSdf,
     check_consistency,
     circle_rod,
+    discrete_exp,
     discrete_exp_path,
     load_rod_csv,
     parallel_transport,
@@ -44,12 +46,18 @@ def test_rod_curve_validation():
     curve = circle_rod(16)
     assert curve.n_nodes == 16
     assert np.array_equal(RodCurve.from_coord(curve.coord).nodes, curve.nodes)
+    with pytest.raises(DomainError, match="flattened rod coordinates must have even length"):
+        RodCurve(curve.coord[:-1])
+    with pytest.raises(DomainError, match=r"rod nodes must have shape \(N, 2\), got \(16, 2, 1\)"):
+        RodCurve(curve.nodes[:, :, None])
 
 
 def test_circle_curvature_values():
     for radius in (1.0, 2.0):
         kappa = rod_curvature(circle_rod(256, radius))
         assert np.max(np.abs(kappa - 1.0 / radius)) <= 1e-3
+    # plain (N, 2) nodes are taken as a rod
+    assert np.array_equal(rod_curvature(circle_rod(16).nodes), rod_curvature(circle_rod(16)))
 
 
 def test_flattened_ellipse_curvature_grows():
@@ -108,24 +116,39 @@ def test_the_simplified_morph_converges_in_space_at_second_order():
     2j at 2N.  Checked on the path's nodes, its energy and its discrete
     log K (x_1 - x_0).  Measured: fitted orders 1.93, 1.93 and 1.93, two
     Newton iterations per solve.  The tolerance is 1e-8, since at N >= 128
-    the residual stalls near 1e-10 (ROADMAP item 2a)."""
+    the residual stalls near 1e-10 (ROADMAP item 2a).
+
+    The exp shot with w/K from the circle, and K times the transport of
+    w/K along the morph, converge the same way, w a smooth shape change
+    drawn independently of N.  Measured: errors 5.15e-4, 1.51e-4, 3.94e-5
+    (exp) and 2.52e-3, 7.25e-4, 1.88e-4 (transport), fitted orders 1.85
+    and 1.87.  They stop at N = 128, since the time-ordered rod exp and
+    ladder take about 1.4 s at N = 256 (ROADMAP item 8)."""
     ns = [16, 32, 64, 128, 256]
-    paths, energies = [], []
+    cfg = SolverConfig(newton_tol=1e-8)
+    paths, energies, shots, carried = [], [], [], []
     for n in ns:
         a = circle_rod(n)
         b = random_smooth_rod(n, np.random.default_rng(5), 1.2, amplitude=0.15)
-        res, _ = run_rod_morph(a, b, 8, cfg=SolverConfig(newton_tol=1e-8))
+        res, _ = run_rod_morph(a, b, 8, cfg=cfg)
         paths.append(res.path.points.reshape(9, n, 2))
         energies.append(res.energy)
+        if n <= 128:
+            model, gauge = rod_energy("simplified", n), rod_gauge(n)
+            w = random_smooth_rod(n, np.random.default_rng(7), 1.0, amplitude=0.05).coord - a.coord
+            shots.append(discrete_exp(a.coord, w / 8, 8, model, cfg, gauge).reshape(n, 2))
+            carried.append(8.0 * parallel_transport(res.path, w / 8, model, cfg, gauge)[0].reshape(n, 2))
     errors = {"nodes": [], "energy": [], "log": []}
     for coarse, fine, e_coarse, e_fine in zip(paths, paths[1:], energies, energies[1:]):
         fine = fine[:, ::2]
         errors["nodes"].append(np.max(np.abs(coarse - fine)))
         errors["energy"].append(abs(e_coarse - e_fine))
         errors["log"].append(8.0 * np.max(np.abs(coarse[1] - coarse[0] - fine[1] + fine[0])))
+    for name, nodes in (("exp", shots), ("transport", carried)):
+        errors[name] = [np.max(np.abs(coarse - fine[::2])) for coarse, fine in zip(nodes, nodes[1:])]
     for name, errs in errors.items():
-        assert 1.7 <= fit_order(errs, ns[:-1]) <= 2.3, (name, errs)
-        # and at every doubling (measured 3.55-3.97): a first-order error
+        assert 1.7 <= fit_order(errs, ns[: len(errs)]) <= 2.3, (name, errs)
+        # and at every doubling (measured 3.40-3.97): a first-order error
         # of the opposite sign can cancel into a fitted order near 2
         ratios = np.divide(errs[:-1], errs[1:])
         assert np.all((3.0 <= ratios) & (ratios <= 5.0)), (name, errs)
@@ -147,6 +170,32 @@ def test_euclidean_motion_invariance():
             (x.nodes @ rot.T + shift).reshape(-1), (y.nodes @ rot.T + shift).reshape(-1)
         )
         assert abs(wx - wr) <= 1e-10
+
+
+def test_only_the_full_rod_is_invariant_under_rotating_one_argument():
+    """The full rod reads a rod only through its speeds |x_s| and its
+    curvature, so rotating either argument alone leaves w unchanged: an
+    ungauged null direction at every interior point of a full-rod path
+    (ROADMAP item 11).  The simplified rod compares D2 y with D2 x as
+    vectors, so it is invariant only under rotating both.  Measured: the
+    full rod's four values agree to 4e-18 (w = 3.5e-3); the simplified
+    rod's are 0.445, 4.61, 5.17 and 0.445."""
+    angle = 0.7
+    rot = np.array([[np.cos(angle), -np.sin(angle)], [np.sin(angle), np.cos(angle)]])
+    rng = np.random.default_rng(41)
+    x, y = random_smooth_rod(16, rng), random_smooth_rod(16, rng)
+    rx, ry = ((c.nodes @ rot.T).reshape(-1) for c in (x, y))
+    pairs = ((x.coord, ry), (rx, y.coord), (rx, ry))
+    full = rod_energy("full", 16, 0.1)
+    w = full.w(x.coord, y.coord)
+    assert w > 1e-3
+    for a, b in pairs:
+        assert full.w(a, b) == pytest.approx(w, rel=1e-12, abs=0.0)
+    simplified = rod_energy("simplified", 16, 0.1)
+    w = simplified.w(x.coord, y.coord)
+    one, other, both = (simplified.w(a, b) for a, b in pairs)
+    assert both == pytest.approx(w, rel=1e-12, abs=0.0)
+    assert min(one, other) > 2.0 * w
 
 
 def test_simplified_gradients_match_fd():
@@ -263,6 +312,9 @@ def test_rod_csv_allows_one_header_row_only(tmp_path):
     target = tmp_path / "noted.csv"
     target.write_text("x,y\nsome note\n1.0,2.0\n", encoding="utf-8")
     with pytest.raises(DomainError, match="malformed rod row: 'some note'"):
+        load_rod_csv(target)
+    target.write_text("x,y\n\n", encoding="utf-8")
+    with pytest.raises(DomainError, match="rod file contains no nodes"):
         load_rod_csv(target)
 
 
@@ -562,12 +614,12 @@ def test_gauged_rod_exp_and_ladder_are_whole_solves():
     shot = discrete_exp_path(path[0], zeta, K, model, constraint=gauge)
     np.testing.assert_array_equal(shot.points, pts)  # the whole solve, no fold
 
-    _, _, _, _, converged = operators._solve_ladder(path, zeta, model, gauge, None, "ladder")
+    _, _, _, _, converged = geodesic._solve_ladder(path, zeta, model, gauge, None, "ladder")
     assert converged
     # a shape change (not the path's own increment, whose degenerate rungs
     # the root test sends to the fold) goes through the public transport whole
     w = (random_smooth_rod(16, np.random.default_rng(0), amplitude=0.1).coord - path[0]) / K
-    mid, corner, _, _, converged = operators._solve_ladder(path, w, model, gauge, None, "ladder")
+    mid, corner, _, _, converged = geodesic._solve_ladder(path, w, model, gauge, None, "ladder")
     assert converged
     w_K, traces = parallel_transport(res.path, w, model, constraint=gauge)
     np.testing.assert_array_equal([tr.x_c for tr in traces], mid)
@@ -584,6 +636,14 @@ def test_rod_morph_energy_equidistributes():
     assert res.converged
     segments = [4 * model.w(res.path[k - 1], res.path[k]) for k in range(1, 5)]
     assert max(segments) / min(segments) <= 1.1
+
+
+def test_rod_morph_refuses_mismatched_endpoints_and_an_unconverged_solve():
+    with pytest.raises(DomainError, match="rod endpoints must share the node count"):
+        run_rod_morph(circle_rod(16), circle_rod(18, 1.2), 4)
+    with pytest.raises(SolverError, match=r"^rod morph \(K=4\): no convergence, last residual \d") as err:
+        run_rod_morph(circle_rod(16), circle_rod(16, 1.2), 4, cfg=SolverConfig(max_iter=1))
+    assert err.value.residual > SolverConfig().newton_tol
 
 
 def test_full_rod_morph_converges_and_equidistributes():

@@ -5,7 +5,7 @@ solve all their inner equations in one Newton solve and fall back to the
 fold (one ``exp2`` or ``transport_step`` at a time, the inverse's of the
 reversed energy) when that solve fails or lands on a root the fold would
 not pick.  These tests pin the kernels themselves (the shot window of
-``geodesic._solve_path`` and ``operators._solve_ladder``), their agreement
+``geodesic._solve_path`` and ``geodesic._solve_ladder``), their agreement
 with the fold, the fallback, and the dimension checks of every operator.
 """
 
@@ -84,7 +84,7 @@ def _whole_exp(x, zeta, K, model, cfg, constraint=None):
 
 
 def _whole_ladder(path, zeta, model, cfg, constraint=None):
-    return op._solve_ladder(np.asarray(path), zeta, model, constraint, cfg, "ladder")
+    return geodesic._solve_ladder(np.asarray(path), zeta, model, constraint, cfg, "ladder")
 
 
 # the gauged rod's ladder (c = 2, blocks of 34) runs the sequential branch of
@@ -191,7 +191,7 @@ def test_a_gauge_keeps_the_flat_operators_exact():
 
     path = rng.normal(size=(K + 1, 4))
     guesses = zeta + 0.1 * rng.normal(size=(K, 4))
-    mid, corner, _, iterations, converged = op._solve_ladder(path, zeta, flat, gauge, cfg, "ladder", guesses)
+    mid, corner, _, iterations, converged = geodesic._solve_ladder(path, zeta, flat, gauge, cfg, "ladder", guesses)
     assert converged and iterations >= 1
     np.testing.assert_allclose(corner - path[1:], np.tile(zeta, (K, 1)), rtol=0.0, atol=1e-14)
     np.testing.assert_allclose(mid, (path[:-1] + path[1:] + zeta) / 2.0, rtol=0.0, atol=1e-14)
