@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import io
 from abc import ABC, abstractmethod
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,6 +70,16 @@ class SolverError(RuntimeError):
     def __init__(self, message: str, residual: float | None = None):
         super().__init__(message)
         self.residual = residual
+
+
+@contextmanager
+def _labelled(prefix: str):
+    """Re-raise a SolverError of the block as one whose message starts with
+    ``prefix``, with the same residual and the original as its cause."""
+    try:
+        yield
+    except SolverError as err:
+        raise SolverError(f"{prefix}{err}", residual=err.residual) from err
 
 
 def _as_count(name: str, n, least: int) -> int:

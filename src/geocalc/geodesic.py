@@ -47,15 +47,15 @@ methods are the only ones a model implements (``core.EnergyModel``).
 
 A level set is evaluated the same way: one ``d_stacked`` and one
 ``grad_d_stacked`` call per residual, one ``grad_d_stacked`` and one
-``hess_d_stacked`` call per Jacobian (``ConstraintModel``).  Start points
-are projected onto the level set by one masked Newton iteration over the
-whole stack (``_project_rows``), in which each row stops on its own.  A
-level-set geodesic with no ``init_path`` starts near the discrete one,
-whose segment energies are equal: the projected straight line has its
-interior moved to K equal steps of its length (``_equal_chords``) and
-projected again.  A level set's multipliers start at the least-squares
-estimate mu_k = J_k . rows_k / |J_k|^2 from the start's Euler-Lagrange
-rows, a gauge's at 0.
+``hess_d_stacked`` call per Jacobian (``ConstraintModel``).  Each kernel
+projects the unknowns of its start onto the level set itself, by one
+masked Newton iteration over the whole stack (``_project_rows``) in which
+each row stops on its own.  A level-set geodesic with no ``init_path``
+starts near the discrete one, whose segment energies are equal: the
+projected straight line has its interior moved to K equal steps of its
+length (``_equal_chords``), which the kernel projects again.  A level
+set's multipliers start at the least-squares estimate mu_k = J_k .
+rows_k / |J_k|^2 from the start's Euler-Lagrange rows, a gauge's at 0.
 """
 
 from __future__ import annotations
@@ -392,14 +392,17 @@ def _solve_path(pts, model, constraint, cfg: SolverConfig | None, context: str, 
     The unknowns are x_1 .. x_{K-1} (s = 0), or x_2 .. x_K with ``shot``
     (s = 1); row k constrains x_{k+s}.  ``constraint`` is None, a
     LinearGauge or a ConstraintModel; the given points need not satisfy
-    it.  A gauge's targets lie on the line through G x_0 and G x_K, at
-    t = k/K (s = 0), or through G x_0 and G x_1, at t = k (s = 1).  A level
-    set's multipliers start at their least-squares estimate.  Returns
+    it, and a level set's unknowns start projected onto it (in a copy of
+    ``pts``).  A gauge's targets lie on the line through G x_0 and G x_K,
+    at t = k/K (s = 0), or through G x_0 and G x_1, at t = k (s = 1).  A
+    level set's multipliers start at their least-squares estimate.  Returns
     (points, multipliers of shape (K-1, c), residual, iterations,
     converged).
     """
     K, d = len(pts) - 1, pts.shape[1]
     s = int(shot)
+    pts = np.array(pts, dtype=float)
+    _project_rows(pts[1 + s : K + s], constraint)
     t, end = (np.arange(2.0, K + 1), pts[1]) if s else (np.linspace(0.0, 1.0, K + 1)[1:K], pts[K])
     view = _constraint_view(constraint, lambda g: np.outer(1.0 - t, g @ pts[0]) + np.outer(t, g @ end), d)
     c = view.c
@@ -579,9 +582,9 @@ def solve_geodesic(
     Endpoints are fixed; the K-1 interior points are found by Newton
     iteration on the stationarity system with block tridiagonal linear
     solves.  ``constraint`` is None, a LinearGauge or a level set {d = 0},
-    which the endpoints must satisfy to 1e-10 and onto which the start's
-    interior is projected; the result then carries one multiplier per
-    interior point.  The start is ``init_path`` if given, else the
+    which the endpoints must satisfy to 1e-10 and onto which the path
+    kernel projects the start's interior; the result then carries one
+    multiplier per interior point.  The start is ``init_path`` if given, else the
     straight line; on a level set the projected line is re-spaced to K
     equal chord steps and projected again, and the multipliers start at
     their least-squares estimate.  Non-convergence is
@@ -612,7 +615,6 @@ def solve_geodesic(
         if level_set:
             _project_rows(pts[1:K], constraint)
             _equal_chords(pts)
-    _project_rows(pts[1:K], constraint)
 
     if K == 1:
         return _result(model, pts, 0.0, 0, True, np.zeros(0) if level_set else None)

@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import DiscretePath, DomainError, SolverError, _write_csv, as_point, check_consistency
+from .core import DiscretePath, DomainError, _labelled, _write_csv, as_point, check_consistency
 from .geodesic import SolverConfig, _require, solve_geodesic
 from .models import (
     CircleSdf,
@@ -275,10 +275,8 @@ def _cascade(Ks, solve) -> dict:
     """
     out = {}
     for K in Ks:
-        try:
+        with _labelled(f"study failed at K={K}: "):
             out[K] = solve(K, out.get(K // 2))
-        except SolverError as err:
-            raise SolverError(f"study failed at K={K}: {err}", residual=err.residual) from err
     return out
 
 

@@ -28,8 +28,10 @@ from the straight line; ``_shoot`` and ``_transport`` take another start
 root test.
 
 Every Newton solve here is one of the two kernels of ``geodesic``,
-``_solve_path`` or ``_solve_ladder``, and a solve that must converge is
-judged by ``geodesic._require``.  Every operator takes, as its 4th
+``_solve_path`` or ``_solve_ladder``, which project the unknowns of their
+start onto the level set themselves.  A solve that must converge is
+judged by ``geodesic._require``; a fold's SolverError names the failed
+stage (``core._labelled``).  Every operator takes, as its 4th
 argument, the ``SolverConfig`` the path solves take, and each of its
 inner solves runs with it, damping included.
 
@@ -45,13 +47,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DiscretePath, DomainError, EnergyModel, SolverError, _as_count, _write_csv, as_path, as_point
+from .core import DiscretePath, DomainError, EnergyModel, SolverError, _as_count, _labelled, _write_csv, as_path, as_point
 from .geodesic import (
     ConstraintModel,
     LinearGauge,
     SolverConfig,
     _check_constraint,
-    _project_rows,
     _require,
     _solve_ladder,
     _solve_path,
@@ -105,22 +106,19 @@ def log2(
     This is the K = 2 path solve: grad2(x0, x1) + grad1(x1, x2) = 0 for the
     interior point x1 (tangentially, with a multiplier, when a constraint is
     given; the endpoints themselves are data and need not satisfy it),
-    started from the midpoint, projected onto the level set if there is one.
+    started from the midpoint (which the kernel projects onto a level set).
     """
     x0 = as_point(x0)
     x2 = _at_point(x2, x0)
     pts = np.stack([x0, (x0 + x2) / 2.0, x2])
-    _project_rows(pts[1:2], constraint)
     pts, _, res, _, converged = _solve_path(pts, model, constraint, cfg, "log2")
     _require(converged, res, "log2")
     return pts[1] - x0
 
 
-def _exp_start(x, zeta, K, constraint):
-    """Start x_j = x + j zeta (j = 0..K) of the exp solve; x_2.. projected."""
-    pts = x + np.arange(K + 1)[:, None] * zeta
-    _project_rows(pts[2:], constraint)
-    return pts
+def _exp_start(x, zeta, K):
+    """Start x_j = x + j zeta (j = 0..K) of the exp solve."""
+    return x + np.arange(K + 1)[:, None] * zeta
 
 
 def exp2(
@@ -129,11 +127,11 @@ def exp2(
     """Endpoint x2 of the 2-geodesic whose midpoint displacement is zeta.
 
     This is the K = 2 shot of the path kernel, solved for x2 from
-    x + 2 zeta (projected onto the level set if there is one).
+    x + 2 zeta (which the kernel projects onto a level set).
     """
     x = as_point(x)
     zeta = _at_point(zeta, x)
-    pts = _exp_start(x, zeta, 2, constraint)
+    pts = _exp_start(x, zeta, 2)
     pts, _, res, _, converged = _solve_path(pts, model, constraint, cfg, "exp2", shot=True)
     _require(converged, res, "exp2")
     return pts[2]
@@ -181,10 +179,8 @@ def _exp_fold(x, zeta, k, model, cfg, constraint) -> DiscretePath:
     """The exp path one exp2 step at a time, each seeded with the last increment."""
     pts = [x, x + zeta]
     for j in range(2, k + 1):
-        try:
+        with _labelled(f"extension step {j} failed: "):
             pts.append(exp2(pts[j - 2], pts[j - 1] - pts[j - 2], model, cfg, constraint))
-        except SolverError as err:
-            raise SolverError(f"extension step {j} failed: {err}", residual=err.residual) from err
     return DiscretePath(np.stack(pts))
 
 
@@ -211,21 +207,19 @@ def discrete_exp_path(
     _check_constraint(constraint)
     if k == 1:
         return DiscretePath(np.stack([x, x + zeta]))
-    return _shoot(x, zeta, _exp_start(x, zeta, k, None), model, cfg, constraint)
+    return _shoot(x, zeta, _exp_start(x, zeta, k), model, cfg, constraint)
 
 
 def _shoot(x, zeta, start, model, cfg, constraint) -> DiscretePath:
     """The whole exp solve of ``discrete_exp_path`` from the path ``start``.
 
     ``start`` has shape (k + 1, d), k >= 2, with start[0] = x and start[1]
-    = x + zeta; its points x_2 .. x_k are projected onto the level set if
-    there is one.  The fold and the ``_near`` root test are those of
+    = x + zeta; the kernel projects its points x_2 .. x_k onto the level
+    set if there is one.  The fold and the ``_near`` root test are those of
     ``discrete_exp_path``, whatever the start.
     """
     try:
-        pts = np.array(start, dtype=float)
-        _project_rows(pts[2:], constraint)
-        pts, _, _, _, converged = _solve_path(pts, model, constraint, cfg, "exp path", shot=True)
+        pts, _, _, _, converged = _solve_path(start, model, constraint, cfg, "exp path", shot=True)
     except (SolverError, DomainError):
         converged = False
     if not (converged and _near(pts[2:], 2.0 * pts[1:-1] - pts[:-2], pts[1:-1])):
@@ -269,14 +263,10 @@ def transport_step(
     x_next = _at_point(x_next, x_prev)
     zeta_prev = _at_point(zeta_prev, x_prev)
     x_p_prev = x_prev + zeta_prev
-    try:
+    with _labelled("rung-midpoint solve failed: "):
         x_c = x_p_prev + log2(x_p_prev, x_next, model, cfg, constraint)
-    except SolverError as err:
-        raise SolverError(f"rung-midpoint solve failed: {err}", residual=err.residual) from err
-    try:
+    with _labelled("rung-completion solve failed: "):
         x_p = exp2(x_prev, x_c - x_prev, model, cfg, constraint)
-    except SolverError as err:
-        raise SolverError(f"rung-completion solve failed: {err}", residual=err.residual) from err
     zeta_next = x_p - x_next
     trace = TransportTrace(x_p_prev=x_p_prev, x_c=x_c, x_p=x_p, zeta=zeta_next)
     return zeta_next, trace
@@ -286,10 +276,8 @@ def _transport_fold(path, zeta, model, cfg, constraint):
     """The ladder one transport_step rung at a time."""
     traces = []
     for k in range(1, len(path)):
-        try:
+        with _labelled(f"transport step {k} failed: "):
             zeta, trace = transport_step(path[k - 1], path[k], zeta, model, cfg, constraint)
-        except SolverError as err:
-            raise SolverError(f"transport step {k} failed: {err}", residual=err.residual) from err
         traces.append(trace)
     return zeta, traces
 
@@ -372,10 +360,8 @@ def inverse_transport(
     """
     path = as_path(path)
     zeta = _at_point(zeta_K, path[0])
-    try:
+    with _labelled("inverse "):
         return _transport(DiscretePath(path.points[::-1]), zeta, None, _Reversed(model), cfg, constraint)[3][-1]
-    except SolverError as err:
-        raise SolverError(f"inverse {err}", residual=err.residual) from err
 
 
 def discrete_connection(

@@ -2,7 +2,7 @@
 
 A path Jacobian is block tridiagonal in time (``_block_thomas``) or block
 lower triangular (``_forward_substitution``: the shifted window and the
-ladder of ``operators``).  Up to ``_DENSE_MAX`` unknowns, coarse levels
+ladder, ``geodesic._solve_ladder``).  Up to ``_DENSE_MAX`` unknowns, coarse levels
 included, a system is one dense LU.  Above it, the first is halved level
 by level by block cyclic reduction, the second when its regrouped blocks
 are at most ``_REDUCE_MAX_BLOCK`` wide (row by row otherwise), one stacked

@@ -17,7 +17,7 @@ from geocalc import (
     sphere_chart_energy,
 )
 from geocalc import harness
-from geocalc.core import EnergyModel
+from geocalc.core import EnergyModel, SolverError, _labelled
 from geocalc.rods import circle_rod, rod_energy
 
 
@@ -269,3 +269,18 @@ def test_figure_study_through_the_w_only_model(monkeypatch):
     assert report.ks[0] == 2 and report.ks[-1] == 1024
     for col in ("geo", "log", "exp", "pt"):
         assert 0.8 <= report.orders[col] <= 2.2, (col, report.orders[col])
+
+
+def test_labelled_prefixes_only_a_solver_error():
+    inner = SolverError("inner", residual=0.5)
+    with pytest.raises(SolverError) as err:
+        with _labelled("stage failed: "):
+            raise inner
+    assert str(err.value) == "stage failed: inner"
+    assert err.value.residual == 0.5 and err.value.__cause__ is inner
+    with pytest.raises(DomainError, match="^bad$"):
+        with _labelled("stage failed: "):
+            raise DomainError("bad")
+    with _labelled("stage failed: "):
+        done = True
+    assert done

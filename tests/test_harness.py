@@ -33,6 +33,8 @@ from geocalc.harness import (
     write_report_csv,
 )
 
+from labelled import assert_labelled
+
 
 def test_fit_order_exact_rates():
     assert fit_order([0.1, 0.05, 0.025], [2, 4, 8]) == pytest.approx(1.0)
@@ -197,8 +199,10 @@ def test_study_aborts_on_solver_failure():
     cfg = StudyConfig(
         k_exponents=(1, 2), solver=SolverConfig(newton_tol=1e-30, max_iter=2)
     )
-    with pytest.raises(SolverError, match="K="):
+    with pytest.raises(SolverError, match="K=") as err:
         run_convergence_study(cfg)
+    inner = assert_labelled(err.value, "study failed at K=2: ")
+    assert str(inner).startswith("geodesic solve: no convergence")
 
 
 def _count_newton(monkeypatch):

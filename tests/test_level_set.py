@@ -260,6 +260,31 @@ def test_off_set_init_path_is_projected_before_the_solve():
     assert np.array_equal(from_off.path.points, from_projected.path.points)
 
 
+@pytest.mark.parametrize("shot", [False, True], ids=["interior", "shot"])
+def test_the_path_kernel_projects_its_own_start(shot):
+    """``_solve_path`` puts its unknown rows on the level set before Newton
+    starts, on a copy: from a start off the sphere it returns the bytes it
+    returns from that start projected, and the given start is untouched."""
+    model, sphere = sdf_spring_model(SphereSdf())
+    a, b, K = np.array([1.0, 0.0, 0.0]), np.array([0.0, 0.6, 0.8]), 8
+    if shot:
+        off = a + np.arange(K + 1)[:, None] * (b - a) / (2 * K)
+    else:
+        off = 1.3 * (a + np.linspace(0.0, 1.0, K + 1)[:, None] * (b - a))
+        off[[0, K]] = a, b
+    unknown = slice(2, K + 1) if shot else slice(1, K)
+    assert np.min(np.abs(np.linalg.norm(off[unknown], axis=1) - 1.0)) > 1e-3
+    given = off.copy()
+    projected = off.copy()
+    _project_rows(projected[unknown], sphere)
+    from_off = geodesic._solve_path(off, model, sphere, None, "path", shot=shot)
+    from_projected = geodesic._solve_path(projected, model, sphere, None, "path", shot=shot)
+    assert from_off[4]
+    assert np.array_equal(off, given)
+    for got, want in zip(from_off, from_projected):
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
 def _recording_starts(monkeypatch):
     """Record (start points, start residual) of every path solve's Newton loop."""
     starts = []

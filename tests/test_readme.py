@@ -41,3 +41,18 @@ def test_readme_cli_line_parses(line):
 
     args = _build_parser().parse_args(shlex.split(line)[1:])
     assert args.command == shlex.split(line)[1]
+
+
+# the table below the CLI block: one row per command, its options in backticks
+OPTION_ROWS = re.findall(r"^\| `([a-z-]+)` \| `(--[^`]*)` \|$", README, re.M)
+
+
+def test_readme_option_table_matches_the_cli():
+    from geocalc.cli import _COMMANDS
+
+    table = {command: options.split() for command, options in OPTION_ROWS}
+    assert len(OPTION_ROWS) == len(table)  # no command listed twice
+    assert table.keys() == _COMMANDS.keys()
+    for command, (_, options) in _COMMANDS.items():
+        assert len(table[command]) == len(set(table[command])), command
+        assert set(table[command]) == set(options), command

@@ -46,6 +46,8 @@ def test_rod_curve_validation():
     curve = circle_rod(16)
     assert curve.n_nodes == 16
     assert np.array_equal(RodCurve.from_coord(curve.coord).nodes, curve.nodes)
+    # an even-length flat vector is taken as the flattened nodes
+    assert np.array_equal(RodCurve(circle_rod(8).coord).nodes, circle_rod(8).nodes)
     with pytest.raises(DomainError, match="flattened rod coordinates must have even length"):
         RodCurve(curve.coord[:-1])
     with pytest.raises(DomainError, match=r"rod nodes must have shape \(N, 2\), got \(16, 2, 1\)"):
@@ -607,7 +609,7 @@ def test_gauged_rod_exp_and_ladder_are_whole_solves():
     model, gauge = rod_energy("simplified", 16, 0.1), rod_gauge(16)
     zeta = path[1] - path[0]
 
-    start = operators._exp_start(path[0], zeta, K, None)
+    start = operators._exp_start(path[0], zeta, K)
     pts, _, _, _, converged = geodesic._solve_path(start, model, gauge, None, "exp path", shot=True)
     assert converged
     assert np.max(np.abs(pts[K] - path[K])) <= 1e-10

@@ -42,6 +42,8 @@ from geocalc import operators as op
 from geocalc.cli import main
 from geocalc.models import SphereSdf
 
+from labelled import assert_labelled
+
 CHART = sphere_chart_energy()
 ORACLE = sphere_oracles()
 XA = np.array([0.5, 0.0])
@@ -78,7 +80,7 @@ def _case(name):
 
 def _whole_exp(x, zeta, K, model, cfg, constraint=None):
     """The whole exp solve: (points, residual, iterations, converged)."""
-    pts = op._exp_start(x, zeta, K, constraint)
+    pts = op._exp_start(x, zeta, K)
     pts, _, res, iterations, converged = geodesic._solve_path(pts, model, constraint, cfg, "exp path", shot=True)
     return pts, res, iterations, converged
 
@@ -281,10 +283,12 @@ def test_a_degenerate_rung_keeps_the_whole_ladder(monkeypatch):
 def test_fold_errors_are_reported_when_both_fail():
     strict = SolverConfig(newton_tol=1e-30, max_iter=3)
     path = solve_geodesic(XA, XB, 4, CHART).path
-    with pytest.raises(SolverError, match="transport step 1 failed: rung-midpoint"):
+    with pytest.raises(SolverError, match="transport step 1 failed: rung-midpoint") as err:
         parallel_transport(path, np.array([-0.1, 0.0]), CHART, strict)
-    with pytest.raises(SolverError, match="extension step 2 failed: exp2"):
+    assert_labelled(err.value, "transport step 1 failed: ", "rung-midpoint solve failed: ")
+    with pytest.raises(SolverError, match="extension step 2 failed: exp2") as err:
         discrete_exp_path(XA, np.array([-0.1, 0.2]), 4, CHART, strict)
+    assert_labelled(err.value, "extension step 2 failed: ")
 
 
 def test_whole_inverse_transport_is_accurate_on_a_fine_ladder():
@@ -328,8 +332,9 @@ def test_inverse_transport_fold_errors_name_the_step(monkeypatch):
     """Rungs are counted from the path end, the order they are solved in."""
     path = solve_geodesic(XA, XB, 4, CHART).path
     strict = SolverConfig(newton_tol=1e-30, max_iter=3)
-    with pytest.raises(SolverError, match="inverse transport step 1 failed: rung-midpoint solve failed: log2"):
+    with pytest.raises(SolverError, match="inverse transport step 1 failed: rung-midpoint solve failed: log2") as err:
         inverse_transport(path, np.array([-0.1, 0.0]), CHART, strict)
+    assert_labelled(err.value, "inverse ", "transport step 1 failed: ", "rung-midpoint solve failed: ")
     # a rung other than the first solved: rung 2 from the end, x_3 to x_2,
     # on a ladder whose whole solve is switched off
     _no_whole_inverse(monkeypatch)
@@ -341,8 +346,10 @@ def test_inverse_transport_fold_errors_name_the_step(monkeypatch):
         return step(x_prev, x_next, *args)
 
     monkeypatch.setattr(op, "transport_step", fail_rung_2)
-    with pytest.raises(SolverError, match="inverse transport step 2 failed: stub rung failure"):
+    with pytest.raises(SolverError, match="inverse transport step 2 failed: stub rung failure") as err:
         inverse_transport(path, np.array([-0.1, 0.0]), CHART)
+    assert str(assert_labelled(err.value, "inverse ", "transport step 2 failed: ")) == "stub rung failure"
+    assert err.value.residual == 1.0
 
 
 # a displacement whose size differs from the point's is a DomainError, not a
@@ -453,10 +460,9 @@ def test_path_kernel_contracts_quadratically(name, steps, shot):
     model, con, xa, xb, v, _ = _case(name)
     K = 8
     if shot:
-        pts = op._exp_start(xa, v / K, K, con)
+        pts = op._exp_start(xa, v / K, K)
     else:
         pts = geodesic._linear_init(xa, xb, K)
-        geodesic._project_rows(pts[1:K], con)
     tight = SolverConfig(newton_tol=1e-14)
     pts, _, _, _, converged = geodesic._solve_path(pts, model, con, tight, "path", shot=shot)
     assert converged
