@@ -189,7 +189,8 @@ class EnergyModel(ABC):
     arrays (n, d, d).  They check the whole stack once.  The per-point
     methods (``w``, ``grads``, ``grad1`` ... ``hess22``) are views of a
     stack of one.  A model may also hand out banded blocks, as the rods'
-    ``hess_bands_stacked`` does, for the node-ordered geodesic solve.
+    ``hess_bands_stacked`` does (with their ``reach`` and ``n_nodes``),
+    for the node-ordered geodesic solve.
     """
 
     @abstractmethod

@@ -25,7 +25,8 @@ shifted window block lower triangular; ``thomas._block_thomas`` and
 ``thomas._forward_substitution`` solve them.  A model with banded blocks
 (``hess_bands_stacked``, the rods) has the interior window solved in node
 order instead (``thomas._node_thomas``), ungauged or gauged, at a cost
-linear in the node count.
+linear in the node count N, while K times its band half-width ``reach``
+is at most N; past that, time order is the faster one.
 
 Schild's-ladder transport (``operators.parallel_transport``) is one
 Newton solve over every rung's midpoint c_k and corner p_k together
@@ -338,18 +339,13 @@ class _Constraint:
     hess: Callable
 
 
-def _check_constraint(constraint) -> None:
-    if constraint is not None and not isinstance(constraint, (LinearGauge, ConstraintModel)):
-        raise TypeError(f"constraint must be None, a LinearGauge or a ConstraintModel, got {type(constraint).__name__}")
-
-
 def _constraint_view(constraint, targets: Callable, d: int) -> _Constraint:
     """View of no constraint (c = 0), a LinearGauge, or a level set (c = 1).
 
     ``targets(g)`` gives a gauge's targets G x = t from its matrix g, one
-    row per point of the stacks the view will see.
+    row per point of the stacks the view will see.  Any other constraint
+    is a TypeError, and a gauge of another width than d a DomainError.
     """
-    _check_constraint(constraint)
     if constraint is None:
         return _Constraint(
             0, lambda x: np.zeros((len(x), 0)), lambda x: np.zeros((len(x), 0, d)), lambda x, mu: 0.0
@@ -365,6 +361,8 @@ def _constraint_view(constraint, targets: Callable, d: int) -> _Constraint:
             lambda x: np.broadcast_to(g, (len(x),) + g.shape),
             lambda x, mu: 0.0,
         )
+    if not isinstance(constraint, ConstraintModel):
+        raise TypeError(f"constraint must be None, a LinearGauge or a ConstraintModel, got {type(constraint).__name__}")
     return _Constraint(
         1,
         lambda x: np.reshape(constraint.d_stacked(x), (len(x), 1)),
@@ -387,13 +385,14 @@ def _border(blocks, jac_rows, jac_values) -> None:
 
 
 def _solve_path(pts, model, constraint, cfg: SolverConfig | None, context: str, shot: bool = False):
-    """Newton solve of the rows k = 1..K-1 of ``pts`` (shape (K+1, d), K >= 2).
+    """Newton solve of the rows k = 1..K-1 of ``pts`` (shape (K+1, d), K >= 1).
 
     The unknowns are x_1 .. x_{K-1} (s = 0), or x_2 .. x_K with ``shot``
-    (s = 1); row k constrains x_{k+s}.  ``constraint`` is None, a
-    LinearGauge or a ConstraintModel; the given points need not satisfy
-    it, and a level set's unknowns start projected onto it (in a copy of
-    ``pts``).  A gauge's targets lie on the line through G x_0 and G x_K,
+    (s = 1); row k constrains x_{k+s}; at K = 1 there are none, so the
+    Newton loop stops at iteration 0 with residual 0.  ``constraint`` is
+    None, a LinearGauge or a ConstraintModel; the given points need not
+    satisfy it, and a level set's unknowns start projected onto it (in a
+    copy of ``pts``).  A gauge's targets lie on the line through G x_0 and G x_K,
     at t = k/K (s = 0), or through G x_0 and G x_1, at t = k (s = 1).  A
     level set's multipliers start at their least-squares estimate.  Returns
     (points, multipliers of shape (K-1, c), residual, iterations,
@@ -407,8 +406,10 @@ def _solve_path(pts, model, constraint, cfg: SolverConfig | None, context: str, 
     view = _constraint_view(constraint, lambda g: np.outer(1.0 - t, g @ pts[0]) + np.outer(t, g @ end), d)
     c = view.c
     b = d + c
-    # a model that hands out banded blocks has the interior window solved in node order
-    bands_of = None if s or isinstance(constraint, ConstraintModel) else getattr(model, "hess_bands_stacked", None)
+    # a model that hands out banded blocks has the interior window solved in
+    # node order while its runs, K times its reach, stay within its nodes
+    banded = not s and not isinstance(constraint, ConstraintModel) and hasattr(model, "hess_bands_stacked")
+    bands_of = model.hess_bands_stacked if banded and K * model.reach <= model.n_nodes else None
 
     # z holds the path and the multipliers, one row per point (row k + s
     # those of row k); corrections of the given points are zero
@@ -598,7 +599,6 @@ def solve_geodesic(
     if xa.size != xb.size:
         raise DomainError("endpoint dimensions differ")
     K = _as_count("K", K, 1)
-    _check_constraint(constraint)
     level_set = isinstance(constraint, ConstraintModel)
     if level_set:
         for label, d in zip(("x_a", "x_b"), np.asarray(constraint.d_stacked(np.stack([xa, xb])), dtype=float)):
@@ -616,8 +616,6 @@ def solve_geodesic(
             _project_rows(pts[1:K], constraint)
             _equal_chords(pts)
 
-    if K == 1:
-        return _result(model, pts, 0.0, 0, True, np.zeros(0) if level_set else None)
     pts, mu, res, iterations, converged = _solve_path(pts, model, constraint, cfg, "geodesic solve")
     return _result(model, pts, res, iterations, converged, mu[:, 0] if level_set else None)
 

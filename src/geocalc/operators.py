@@ -52,7 +52,6 @@ from .geodesic import (
     ConstraintModel,
     LinearGauge,
     SolverConfig,
-    _check_constraint,
     _require,
     _solve_ladder,
     _solve_path,
@@ -203,17 +202,13 @@ def discrete_exp_path(
     """
     x = as_point(x)
     zeta = _at_point(zeta, x)
-    k = _as_count("k", k, 1)
-    _check_constraint(constraint)
-    if k == 1:
-        return DiscretePath(np.stack([x, x + zeta]))
-    return _shoot(x, zeta, _exp_start(x, zeta, k), model, cfg, constraint)
+    return _shoot(x, zeta, _exp_start(x, zeta, _as_count("k", k, 1)), model, cfg, constraint)
 
 
 def _shoot(x, zeta, start, model, cfg, constraint) -> DiscretePath:
     """The whole exp solve of ``discrete_exp_path`` from the path ``start``.
 
-    ``start`` has shape (k + 1, d), k >= 2, with start[0] = x and start[1]
+    ``start`` has shape (k + 1, d), k >= 1, with start[0] = x and start[1]
     = x + zeta; the kernel projects its points x_2 .. x_k onto the level
     set if there is one.  The fold and the ``_near`` root test are those of
     ``discrete_exp_path``, whatever the start.
@@ -235,14 +230,9 @@ def discrete_exp(
     cfg: SolverConfig | None = None,
     constraint: ConstraintModel | LinearGauge | None = None,
 ) -> np.ndarray:
-    """k-step discrete exponential of the displacement zeta at x."""
+    """k-step discrete exponential of the displacement zeta at x (x itself at k = 0)."""
     k = _as_count("k", k, 0)
-    if k == 0:
-        x = as_point(x)
-        _at_point(zeta, x)
-        _check_constraint(constraint)
-        return x
-    return discrete_exp_path(x, zeta, k, model, cfg, constraint)[k]
+    return discrete_exp_path(x, zeta, max(k, 1), model, cfg, constraint)[k]
 
 
 def transport_step(

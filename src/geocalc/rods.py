@@ -206,9 +206,11 @@ class _RodEnergy(EnergyModel):
     A subclass supplies the per-node |y_s|^2/|x_s|^2, |x_s| and squared
     bending difference (``_densities``), the gradient kernel ``_grads``,
     the Jacobian of its bending term for the metric, and its Hessian blocks
-    as bands of reach ``_reach`` nodes (``hess_bands_stacked``), of which
-    ``hess_blocks_stacked`` is the dense view.  Each stacked method
-    evaluates every segment of a stack in one array pass.
+    as bands (``hess_bands_stacked``), of which ``hess_blocks_stacked`` is
+    the dense view.  Each stacked method evaluates every segment of a stack
+    in one array pass.  The attribute ``reach`` is the bands' half-width in
+    nodes; ``geodesic`` solves a K-step path in node order only while
+    K * reach <= ``n_nodes``.
     """
 
     def __init__(self, n_nodes: int, delta: float = 0.1):
@@ -217,7 +219,7 @@ class _RodEnergy(EnergyModel):
             raise DomainError(f"thickness delta must be finite and positive, got {delta!r}")
         self.delta = float(delta)
         self.dim = 2 * self.n_nodes
-        n, r = self.n_nodes, self._reach
+        n, r = self.n_nodes, self.reach
         self._near = (np.arange(n)[:, None] + np.arange(-r, r + 1)) % n  # nodes j-r..j+r of row j
 
     @abstractmethod
@@ -290,7 +292,7 @@ class SimplifiedRodEnergy(_RodEnergy):
     are banded to +-2 nodes; the metric's bending Jacobian is D2 (x) I_2.
     """
 
-    _reach = 2
+    reach = 2
 
     def __init__(self, n_nodes: int, delta: float = 0.1):
         super().__init__(n_nodes, delta)
@@ -379,7 +381,7 @@ class FullRodEnergy(_RodEnergy):
     D kappa, from one reverse sweep per node.
     """
 
-    _reach = 4
+    reach = 4
 
     def __init__(self, n_nodes: int, delta: float = 0.1):
         super().__init__(n_nodes, delta)
@@ -387,7 +389,7 @@ class FullRodEnergy(_RodEnergy):
 
         # color of node k: its position in its arc; group of column 2k + a:
         # (color, a)
-        r = self._reach
+        r = self.reach
         span = 2 * r + 1
         node = np.arange(n)
         arcs = max(n // span, 1)
@@ -426,7 +428,7 @@ class FullRodEnergy(_RodEnergy):
 
     def hess_bands_stacked(self, xs, ys):
         nx, ny = self._pair(xs, ys)
-        band = np.empty((4, 2 * self._reach + 1, self.n_nodes, nx.shape[1], 2, 2))
+        band = np.empty((4, 2 * self.reach + 1, self.n_nodes, nx.shape[1], 2, 2))
         self._sweep(nx, ny, True, band[::2])  # hess11, hess21
         self._sweep(nx, ny, False, band[1::2])  # hess12, hess22
         return band

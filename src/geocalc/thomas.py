@@ -4,8 +4,8 @@ A path Jacobian is block tridiagonal in time (``_block_thomas``) or block
 lower triangular (``_forward_substitution``: the shifted window and the
 ladder, ``geodesic._solve_ladder``).  Up to ``_DENSE_MAX`` unknowns, coarse levels
 included, a system is one dense LU.  Above it, the first is halved level
-by level by block cyclic reduction, the second when its regrouped blocks
-are at most ``_REDUCE_MAX_BLOCK`` wide (row by row otherwise), one stacked
+by level by block cyclic reduction, the second when its blocks are at
+most ``_REDUCE_MAX_BLOCK`` wide (row by row otherwise), one stacked
 pivot step each.  The rods' gauged path system is solved in node order
 (``_node_thomas``), block Thomas elimination (``_thomas_loop``) running in
 place in one working array.  Its matrix, rhs included, and the dense LU's
@@ -32,11 +32,12 @@ import numpy as np
 # Xeon the chart's 30 unknowns at K = 16 took 50 us so against 270 us by cyclic
 # reduction, and 126 (K = 64) as long as one reduction level onto 62
 _DENSE_MAX = 64
-# widest regrouped block (M bands of b) whose lower triangular recurrence is
-# solved level by level, not row by row: on that host, for 63-255 rows, that
-# took 0.62-0.72x the row loop's time at M = 1, b = 8, 0.90-1.06x at 16,
-# 0.93-1.22x at 17, 1.27-1.35x at 32, and at M = 2 0.51-0.61x at b = 8,
-# 0.60-0.64x at 9, 1.38-1.66x at 17; shipped models regroup to 8 or past 32
+# widest block b whose lower triangular recurrence (M bands) is solved level
+# by level, not row by row: on that host, for 63-255 rows, that took
+# 0.59-0.75x the row loop's time at M = 1, b = 8, 0.91-1.07x at 16,
+# 0.93-1.09x at 17, 1.11-1.24x at 32, and at M = 2 0.49-0.61x at b = 9,
+# 0.82-1.45x at 16, 0.92-1.38x at 17, 1.31-2.08x at 32: both break even
+# near b = 16.  Shipped models have b of 2 to 4, the rods 2N plus the gauge
 _REDUCE_MAX_BLOCK = 16
 
 
@@ -130,10 +131,11 @@ def _forward_substitution(diag, bands, rhs) -> np.ndarray:
     shape (n - m, b, b), and its block i couples row i + m to unknown i.
     Past ``_DENSE_MAX`` unknowns the diagonal blocks are inverted in one
     stacked call and premultiply the bands: x_i = s_i - sum_m S_m,i x_{i-m}.
-    With M bands and M b at most ``_REDUCE_MAX_BLOCK``, that recurrence is
-    regrouped into one of (M b)-blocks X_i = (x_i, ..., x_{i-M+1}) and
-    solved in about log2(n) stacked levels (``_affine_recurrence``);
-    otherwise each of the n steps is a few small matvecs.
+    With M bands of blocks at most ``_REDUCE_MAX_BLOCK`` wide, that
+    recurrence is regrouped into one of (M b)-blocks X_i = (x_i, ...,
+    x_{i-M+1}) and solved in about log2(n) stacked levels
+    (``_affine_recurrence``); otherwise each of the n steps is a few small
+    matvecs.
     """
     n, b = rhs.shape
     if n * b <= _DENSE_MAX:
@@ -141,8 +143,8 @@ def _forward_substitution(diag, bands, rhs) -> np.ndarray:
     inv = _inv(diag)
     sol = (inv @ rhs[..., None])[..., 0]
     scaled = [inv[m:] @ band for m, band in enumerate(bands, start=1)]
-    w = len(bands) * b
-    if bands and w <= _REDUCE_MAX_BLOCK:
+    if bands and b <= _REDUCE_MAX_BLOCK:
+        w = len(bands) * b
         # steps[i] = [A_i | c_i] with top block row [-S_1,i ... -S_M,i | s_i]
         # and, below it, identity blocks passing x_{i-1} .. x_{i-M+1} on
         steps = np.zeros((n, w, w + 1))

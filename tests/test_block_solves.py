@@ -5,8 +5,9 @@
 and ladder) solve a system of at most ``thomas._DENSE_MAX`` unknowns as
 one dense LU.  Larger block tridiagonal systems go through block cyclic
 reduction at every block size, one row of any width through the dense LU;
-larger lower triangular ones reduce level by level when the regrouped block
-size is at most ``thomas._REDUCE_MAX_BLOCK`` and run the row loop
+larger lower triangular ones reduce level by level when the block size b
+is at most ``thomas._REDUCE_MAX_BLOCK``, whatever the number of bands, and
+run the row loop
 otherwise.  These tests check both on random block diagonally dominant
 systems on all sides of those thresholds (n = 32 rows of 2 is the largest
 dense system, n = 33 the smallest reduced one), against a dense solve of
@@ -145,6 +146,26 @@ def test_block_lower_triangular_solve_matches_a_dense_solve(n, b, count, monkeyp
             return solve()
 
     _check(solve, diag, bands, rhs, row_loop)
+
+
+def test_two_bands_of_nine_wide_blocks_take_the_recurrence(monkeypatch):
+    """The recurrence is chosen by the block width b, not by the regrouped
+    width M b: two bands of 9 x 9 blocks (M b = 18) are solved level by
+    level, where the row loop is about twice as slow."""
+    n, b = 63, 9
+    diag, bands, rhs = _system(11, n, b, (1, 2))
+    calls = []
+    recurrence = thomas._affine_recurrence
+
+    def counting(steps):
+        calls.append(steps.shape)
+        return recurrence(steps)
+
+    monkeypatch.setattr(thomas, "_affine_recurrence", counting)
+    x = thomas._forward_substitution(diag, [bands[1], bands[2]], rhs)
+    assert calls[0] == (n, 2 * b, 2 * b + 1)
+    ref = np.linalg.solve(_dense(diag, bands), rhs.ravel()).reshape(n, b)
+    assert np.max(np.abs(x - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 def _node_system(seed, nodes, p, c, n=5):

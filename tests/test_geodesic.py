@@ -96,12 +96,44 @@ def test_solve_flat_straight_line():
     assert res.length == pytest.approx(1.0)
 
 
-def test_solve_k1_is_trivial():
+def test_solve_k1_is_trivial(monkeypatch):
+    """K = 1 and the exp's k <= 1 go through the path kernel like any step
+    count.  Their window is empty, so each makes one Newton call, which
+    stops at iteration 0 with residual 0, and returns the straight line's
+    points bit for bit."""
+    from geocalc import geodesic
+
+    calls = []
+    newton = geodesic._newton
+
+    def counting(*args):
+        out = newton(*args)
+        calls.append(out[1:])
+        return out
+
+    monkeypatch.setattr(geodesic, "_newton", counting)
     res = solve_geodesic(XA, XB, 1, CHART)
+    assert calls == [(0.0, 0, True)]
     assert res.converged
-    assert res.iterations == 0
+    assert res.iterations == 0 and res.residual == 0.0 and res.multipliers is None
     assert np.allclose(res.path.points, [XA, XB])
+    line = geodesic._linear_init(XA, XB, 1)
+    assert np.array_equal(res.path.points, line)
+    assert res.energy == float(CHART.w_stacked(line[:1], line[1:])[0])
     assert res.energy == pytest.approx(CHART.w(XA, XB))
+
+    sphere, p, q = SphereSdf(), np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0])
+    calls.clear()
+    on = solve_geodesic(p, q, 1, FLAT, constraint=sphere)
+    assert calls == [(0.0, 0, True)]
+    assert on.multipliers.shape == (0,) and np.array_equal(on.path.points, geodesic._linear_init(p, q, 1))
+
+    zeta = np.array([0.1, -0.2])
+    calls.clear()
+    assert np.array_equal(discrete_exp_path(XA, zeta, 1, CHART).points, np.stack([XA, XA + zeta]))
+    assert np.array_equal(discrete_exp(XA, zeta, 1, CHART), XA + zeta)
+    assert np.array_equal(discrete_exp(XA, zeta, 0, CHART), XA)
+    assert calls == [(0.0, 0, True)] * 3
 
 
 def test_solve_sphere_chart_converges_to_oracle():
@@ -583,8 +615,12 @@ def test_a_gauge_of_another_width_is_a_domain_error_naming_both():
     # the width is checked before the gauge's targets are formed, which
     # used to raise numpy's matmul ValueError from inside the kernel
     message = "gauge acts on points of dimension 128, got points of dimension 2"
+    # K = 1 is checked in the path kernel's view too
+    for K in (1, 8):
+        with pytest.raises(DomainError, match=message):
+            solve_geodesic(XA, XB, K, CHART, constraint=rod_gauge(64))
     with pytest.raises(DomainError, match=message):
-        solve_geodesic(XA, XB, 8, CHART, constraint=rod_gauge(64))
+        discrete_log(XA, XB, 1, CHART, constraint=rod_gauge(64))
     path = solve_geodesic(XA, XB, 8, CHART).path
     with pytest.raises(DomainError, match=message):
         parallel_transport(path, np.array([0.05, 0.0]), CHART, constraint=rod_gauge(64))

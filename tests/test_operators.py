@@ -328,10 +328,12 @@ def test_operators_reject_other_constraint_types(bad):
 
 @pytest.mark.parametrize("bad", ["sphere", np.eye(2)], ids=["str", "matrix"])
 def test_operators_check_the_constraint_at_every_step_count(bad):
-    """The step counts that need no solve check the constraint too, and so
-    do inverse transport and the connection built on it."""
+    """The step counts with an empty window check the constraint too, in
+    the path kernel's view like every other, and so do inverse transport
+    and the connection built on it."""
     zeta = np.array([0.1, 0.2])
     calls = [
+        lambda: solve_geodesic(XA, XB, 1, CHART, constraint=bad),
         lambda: discrete_log(XA, XB, 1, CHART, constraint=bad),
         lambda: discrete_exp_path(XA, zeta, 1, FLAT, constraint=bad),
         lambda: discrete_exp(XA, zeta, 0, FLAT, constraint=bad),

@@ -24,6 +24,7 @@ from geocalc import (
     solve_geodesic,
 )
 from geocalc import geodesic, operators, thomas
+from geocalc.core import EnergyModel
 from geocalc.harness import fit_order, run_rod_morph
 
 from fd_reference import central_hess_blocks, central_jacobian
@@ -470,34 +471,68 @@ def test_gauged_even_n_full_rod_path_jacobian_is_nonsingular():
     assert sv[0] / sv[-1] <= 1e8
 
 
-def test_node_ordered_morph_matches_the_time_order():
-    """The banded rod's interior window runs in node order; a view of the
-    same rod that hands out only dense blocks runs the time-ordered block
-    cyclic reduction of ``_block_thomas``.  On the morph of perfbench's
-    ``rod_morph`` (N = 64, K = 8) both take 3 iterations and agree to
-    1e-12."""
-    from geocalc.core import EnergyModel
+class _Dense(EnergyModel):
+    """A view of a banded rod that hands out only dense blocks, so that its
+    interior window runs the time-ordered block cyclic reduction of
+    ``_block_thomas``."""
 
+    def __init__(self, model):
+        self._model = model
+
+    def w_stacked(self, xs, ys):
+        return self._model.w_stacked(xs, ys)
+
+    def grads_stacked(self, xs, ys):
+        return self._model.grads_stacked(xs, ys)
+
+    def hess_blocks_stacked(self, xs, ys):
+        return self._model.hess_blocks_stacked(xs, ys)
+
+
+def test_node_ordered_morph_matches_the_time_order():
+    """The banded rod's interior window runs in node order, its dense view
+    in time order.  On the morph of perfbench's ``rod_morph`` (N = 64,
+    K = 8) both take 3 iterations and agree to 1e-12."""
     n, K = 64, 8
     model = rod_energy("simplified", n, 0.1)
-
-    class Dense(EnergyModel):
-        def w_stacked(self, xs, ys):
-            return model.w_stacked(xs, ys)
-
-        def grads_stacked(self, xs, ys):
-            return model.grads_stacked(xs, ys)
-
-        def hess_blocks_stacked(self, xs, ys):
-            return model.hess_blocks_stacked(xs, ys)
-
     a = circle_rod(n).coord
     b = random_smooth_rod(n, np.random.default_rng(5), 1.2, amplitude=0.15).coord
     node = solve_geodesic(a, b, K, model, constraint=rod_gauge(n))
-    time = solve_geodesic(a, b, K, Dense(), constraint=rod_gauge(n))
+    time = solve_geodesic(a, b, K, _Dense(model), constraint=rod_gauge(n))
     assert node.converged and time.converged
     assert node.iterations == time.iterations == 3
     assert np.max(np.abs(node.path.points - time.path.points)) <= 1e-12
+
+
+@pytest.mark.parametrize("K, node_order", [(8, True), (16, False)])
+def test_node_order_is_taken_while_k_times_the_reach_is_within_n(K, node_order, monkeypatch):
+    """Node order costs more than time order once K * reach > N (ROADMAP
+    item 8), so at simplified N = 16 (reach 2) K = 8 runs in node order and
+    K = 16 in time order.  A rod whose reach reads 0 is always solved in
+    node order, its dense view always in time order; the rod gives the
+    bytes of the one order the rule picks, and the two orders agree."""
+    n = 16
+    model, forced = rod_energy("simplified", n, 0.1), rod_energy("simplified", n, 0.1)
+    forced.reach = 0
+    calls = []
+    node_thomas = geodesic._node_thomas
+
+    def counting(*args):
+        calls.append(len(args[2]))
+        return node_thomas(*args)
+
+    monkeypatch.setattr(geodesic, "_node_thomas", counting)
+    a = circle_rod(n).coord
+    b = random_smooth_rod(n, np.random.default_rng(5), 1.2, amplitude=0.15).coord
+    res = solve_geodesic(a, b, K, model, constraint=rod_gauge(n))
+    assert len(calls) == (res.iterations if node_order else 0)
+    node = solve_geodesic(a, b, K, forced, constraint=rod_gauge(n))
+    time = solve_geodesic(a, b, K, _Dense(model), constraint=rod_gauge(n))
+    assert res.converged and node.converged and time.converged
+    assert res.iterations == node.iterations == time.iterations
+    assert np.array_equal(res.path.points, (node if node_order else time).path.points)
+    ref = time.path.points
+    assert np.max(np.abs(node.path.points - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 def _lu_thomas_loop(lower, diag, cd):
