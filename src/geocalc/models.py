@@ -13,11 +13,10 @@ Shipped backends:
   geodesics with the spring energy.
 
 Each model implements only the stacked methods of ``core.EnergyModel`` or
-``geodesic.ConstraintModel``, one array evaluation over a whole stack
-(``EllipsoidSdf`` runs its closest-point Newton row by row), and inherits
-the per-point methods as views of a stack of one.  The sphere chart works
-on coordinate columns, and far from the origin on points scaled by a power
-of two, where its outputs stay accurate and finite without a warning.
+``geodesic.ConstraintModel``, one array evaluation over a whole stack, and
+inherits the per-point methods as views of a stack of one.  The sphere chart
+works on coordinate columns, and far from the origin on points scaled by a
+power of two, where its outputs stay accurate and finite without a warning.
 
 ``sphere_oracles`` exposes the closed-form great-circle geometry pulled
 back through the chart: distance, constant-speed geodesic, logarithm,
@@ -367,12 +366,13 @@ class SphereSdf(CircleSdf):
 
 
 class EllipsoidSdf(ConstraintModel):
-    """Local signed distance to an axis-aligned ellipsoid.
+    """Local signed distance to an axis-aligned ellipsoid with semi-axes a.
 
-    The closest point p(x) is found by damped Newton on the standard
-    one-parameter projection equation, one point of a stack at a time; the
-    gradient is the unit outward normal at p.  Intended for points near
-    the surface.
+    The closest point p = x a^2 / (a^2 + t) solves phi(t) = sum x^2 a^2 /
+    (a^2 + t)^2 - 1 = 0, by damped Newton on all rows of a stack at once,
+    each stopping on its own; grad_d is the unit outward normal at p.  For
+    points near the surface.  The centre has no unique closest point: there
+    d is -min a, its signed distance, and grad_d is NaN.
     """
 
     def __init__(self, semi_axes):
@@ -381,42 +381,36 @@ class EllipsoidSdf(ConstraintModel):
             raise DomainError("semi axes must be positive")
         self.semi_axes = axes
 
-    def _closest_point(self, x):
-        a2 = self.semi_axes**2
-        x = np.asarray(x, dtype=float)
-        t = 0.0
-        lo = -float(np.min(a2)) * 0.999
-        for _ in range(100):
-            denom = a2 + t
-            phi = float(np.sum(x**2 * a2 / denom**2)) - 1.0
-            if abs(phi) < 1e-14:
-                break
-            dphi = float(np.sum(-2.0 * x**2 * a2 / denom**3))
-            step = phi / dphi
-            t_new = t - step
-            while t_new <= lo:  # keep the pivot inside the admissible branch
-                step *= 0.5
-                t_new = t - step
-            t = t_new
-        return x * a2 / (a2 + t)
-
-    def _level(self, x):
-        return float(np.sum(np.asarray(x, float) ** 2 / self.semi_axes**2)) - 1.0
-
-    def _distance(self, x):
-        return np.sign(self._level(x)) * np.linalg.norm(x - self._closest_point(x))
-
-    def _normal(self, x):
-        n = 2.0 * self._closest_point(x) / self.semi_axes**2
-        return n / np.linalg.norm(n)
+    def _sdf(self, xs):
+        """d and grad_d at each row of the stack xs, from its closest point p,
+        by damped Newton on phi over the rows still off phi = 0.  A row whose
+        Newton step is infinite, at or next to the centre, has none: t = -inf."""
+        xs, a2 = np.asarray(xs, dtype=float), self.semi_axes**2
+        t, rows = np.zeros(len(xs)), np.arange(len(xs))
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            x2a2, lo = xs**2 * a2, -float(np.min(a2)) * 0.999
+            for _ in range(100):
+                denom = a2 + t[rows, None]
+                phi = (x2a2[rows] / denom**2).sum(-1) - 1.0
+                step = phi / (-2.0 * x2a2[rows] / denom**3).sum(-1)
+                t[rows[np.isinf(step)]] = -np.inf
+                on = ~np.isinf(step) & ~(np.abs(phi) < 1e-14)
+                rows, step = rows[on], step[on]
+                if not rows.size:
+                    break
+                while (low := t[rows] - step <= lo).any():  # keep the pivot inside the admissible branch
+                    step[low] *= 0.5
+                t[rows] -= step
+            p = xs * a2 / (a2 + t[:, None])
+            d = np.sign((xs**2 / a2).sum(-1) - 1.0) * np.sqrt(((xs - p) ** 2).sum(-1))
+            n = p / a2
+            return np.where(t == -np.inf, -np.min(self.semi_axes), d), n / np.sqrt((n * n).sum(-1))[:, None]
 
     def d_stacked(self, xs):
-        xs = np.asarray(xs, dtype=float)
-        return np.array([self._distance(x) for x in xs])
+        return self._sdf(xs)[0]
 
     def grad_d_stacked(self, xs):
-        xs = np.asarray(xs, dtype=float)
-        return np.array([self._normal(x) for x in xs]).reshape(xs.shape)
+        return self._sdf(xs)[1]
 
 
 def sdf_spring_model(surface: ConstraintModel):

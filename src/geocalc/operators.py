@@ -195,10 +195,10 @@ def discrete_exp_path(
 
     x_0 = x, x_1 = x + zeta, and x_2 .. x_k solve the Euler-Lagrange rows
     of the path energy together, in one Newton solve started from the
-    straight line x + j zeta.  If that solve fails (it is less robust than
-    the step-by-step extension on long or coarse shots), the path is
-    extended one exp2 step at a time instead, and that extension's errors
-    are the ones raised.
+    straight line x + j zeta.  If that solve fails at k >= 2 (it is less
+    robust than the step-by-step extension on long or coarse shots), the
+    path is extended one exp2 step at a time, whose errors are raised; at
+    k = 1 there is no extension, and the solve's own error is raised.
     """
     x = as_point(x)
     zeta = _at_point(zeta, x)
@@ -211,11 +211,13 @@ def _shoot(x, zeta, start, model, cfg, constraint) -> DiscretePath:
     ``start`` has shape (k + 1, d), k >= 1, with start[0] = x and start[1]
     = x + zeta; the kernel projects its points x_2 .. x_k onto the level
     set if there is one.  The fold and the ``_near`` root test are those of
-    ``discrete_exp_path``, whatever the start.
+    ``discrete_exp_path``, whatever the start; at k = 1 there is no fold.
     """
     try:
         pts, _, _, _, converged = _solve_path(start, model, constraint, cfg, "exp path", shot=True)
     except (SolverError, DomainError):
+        if len(start) == 2:  # no fold to hand the failure to
+            raise
         converged = False
     if not (converged and _near(pts[2:], 2.0 * pts[1:-1] - pts[:-2], pts[1:-1])):
         return _exp_fold(x, zeta, len(start) - 1, model, cfg, constraint)

@@ -621,6 +621,13 @@ def test_a_gauge_of_another_width_is_a_domain_error_naming_both():
             solve_geodesic(XA, XB, K, CHART, constraint=rod_gauge(64))
     with pytest.raises(DomainError, match=message):
         discrete_log(XA, XB, 1, CHART, constraint=rod_gauge(64))
+    # k <= 1 has no exp2 fold to raise it, so the whole solve does
+    zeta = np.array([0.05, 0.0])
+    for k in (0, 1, 2):
+        with pytest.raises(DomainError, match=message):
+            discrete_exp(XA, zeta, k, CHART, constraint=rod_gauge(64))
+    with pytest.raises(DomainError, match=message):
+        discrete_exp_path(XA, zeta, 1, CHART, constraint=rod_gauge(64))
     path = solve_geodesic(XA, XB, 8, CHART).path
     with pytest.raises(DomainError, match=message):
         parallel_transport(path, np.array([0.05, 0.0]), CHART, constraint=rod_gauge(64))

@@ -1,16 +1,16 @@
 """Stacked level-set evaluation and the stacked projection.
 
 A ``ConstraintModel`` implements d and grad_d over a stack of points
-(natively for the circle and sphere, by a per-row loop for the ellipsoid),
-hess_d by default as central differences of the stacked gradient, and
-``geodesic._project_rows`` projects a whole stack by one masked Newton
-iteration.  These tests pin the per-point views against the rows of the
-stacked methods, the finite-difference default against the per-point
-Jacobian, the projection against a per-row reference, its stop on points
-with no projection, and the sdf-sphere solves against a per-point
-constraint.  The geodesic's start (the projected line re-spaced to equal
-chords) and its least-squares multipliers are pinned by the iterations
-and start residuals they buy.
+(each shipped level set in one array pass, the ellipsoid's closest-point
+Newton on all rows at once), hess_d by default as central differences of
+the stacked gradient, and ``geodesic._project_rows`` projects a whole
+stack by one masked Newton iteration.  These tests pin the per-point views
+against the rows of the stacked methods, the finite-difference default
+against the per-point Jacobian, the projection against a per-row
+reference, its stop on points with no projection, and the sdf-sphere and
+ellipsoid solves against a per-point constraint.  The geodesic's start
+(the projected line re-spaced to equal chords) and its least-squares
+multipliers are pinned by the iterations and start residuals they buy.
 """
 
 import warnings
@@ -65,6 +65,44 @@ class PerPointSphere(ConstraintModel):
             u = x / r
             out[i] = (np.eye(d) - np.outer(u, u)) / r
         return out
+
+
+class PerPointEllipsoid(ConstraintModel):
+    """Signed distance to an axis-aligned ellipsoid, point by point: damped
+    Newton on phi(t) = sum x^2 a^2 / (a^2 + t)^2 - 1 in Python floats.
+
+    Its stacked methods loop over the rows, so a solve with it is the
+    per-point reference for a solve with ``EllipsoidSdf``, which runs the
+    same Newton on a whole stack at once.
+    """
+
+    def __init__(self, semi_axes):
+        self.semi_axes = np.asarray(semi_axes, dtype=float)
+
+    def _closest_point(self, x):
+        a2 = self.semi_axes**2
+        t = 0.0
+        lo = -float(np.min(a2)) * 0.999
+        for _ in range(100):
+            denom = a2 + t
+            phi = float(np.sum(x**2 * a2 / denom**2)) - 1.0
+            if abs(phi) < 1e-14:
+                break
+            step = phi / float(np.sum(-2.0 * x**2 * a2 / denom**3))
+            t_new = t - step
+            while t_new <= lo:
+                step *= 0.5
+                t_new = t - step
+            t = t_new
+        return x * a2 / (a2 + t)
+
+    def d_stacked(self, xs):
+        level = [float(np.sum(x**2 / self.semi_axes**2)) - 1.0 for x in xs]
+        return np.array([np.sign(v) * np.linalg.norm(x - self._closest_point(x)) for v, x in zip(level, xs)])
+
+    def grad_d_stacked(self, xs):
+        normals = [2.0 * self._closest_point(x) / self.semi_axes**2 for x in xs]
+        return np.array([n / np.linalg.norm(n) for n in normals]).reshape(np.shape(xs))
 
 
 class SquaredRadius(ConstraintModel):
@@ -187,6 +225,15 @@ def test_projection_stops_on_a_point_with_no_projection():
         with pytest.raises(SolverError, match=r"row 0 .*grad_d is zero or not finite") as info:
             project_onto_level_set([0.0, 0.0, 0.0], SphereSdf())
         assert info.value.residual == 1.0
+        # the ellipsoid's centre, and a point so near it that the Newton step
+        # on phi overflows, have no closest point: d is -min a there
+        ellipsoid = EllipsoidSdf([1.0, 0.7, 1.3])
+        for centre in ([0.0, 0.0, 0.0], [1e-160, 0.0, 0.0]):
+            assert ellipsoid.d(centre) == -0.7
+            assert not np.isfinite(ellipsoid.grad_d(centre)).any()
+            with pytest.raises(SolverError, match=r"row 0 .*grad_d is zero or not finite") as info:
+                project_onto_level_set(centre, ellipsoid)
+            assert info.value.residual == 0.7
         stack = np.array([[2.0, 0.0, 0.0], [1e200, 0.0, 0.0]])
         with pytest.raises(SolverError, match=r"row 1 .*d is not finite"):
             _project_rows(stack, SquaredRadius())
@@ -197,16 +244,19 @@ def test_antipodal_constrained_solve_fails_at_the_projection(capsys):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         # the straight start puts x_2 (row 1 of the interior stack) at the centre
-        with pytest.raises(SolverError, match=r"row 1 at \[0\. 0\. 0\.\]: grad_d is zero"):
-            solve_geodesic([1.0, 0.0, 0.0], [-1.0, 0.0, 0.0], 4, model, constraint=sphere)
+        for surface in (sphere, EllipsoidSdf([1.0, 0.7, 1.3])):
+            with pytest.raises(SolverError, match=r"row 1 at \[0\. 0\. 0\.\]: grad_d is zero") as info:
+                solve_geodesic([1.0, 0.0, 0.0], [-1.0, 0.0, 0.0], 4, model, constraint=surface)
+            assert info.value.residual == -surface.d([0.0, 0.0, 0.0])
         code = main(["geodesic", "--model", "sdf-sphere", "--xa", "1,0,0", "--xb", "-1,0,0", "--K", "4"])
     assert code == 2
     assert "grad_d is zero" in capsys.readouterr().err
 
 
 def _run_operators(surface, monkeypatch):
-    """Solve, log, exp, transport and inverse transport on the sdf sphere,
-    with the Newton iteration count of every inner solve."""
+    """Solve, log, exp, transport and inverse transport on the level set
+    ``surface``, between two points projected onto it, with the Newton
+    iteration count of every inner solve."""
     iterations = []
     newton = geodesic._newton
 
@@ -217,8 +267,8 @@ def _run_operators(surface, monkeypatch):
 
     monkeypatch.setattr(geodesic, "_newton", counting)
     model = sdf_spring_model(surface)[0]
-    a = np.array([0.0, 0.6, 0.8])
-    b = np.array([0.8, 0.0, 0.6])
+    a = project_onto_level_set([0.0, 0.6, 0.8], surface)
+    b = project_onto_level_set([0.8, 0.0, 0.6], surface)
     K = 16
     res = solve_geodesic(a, b, K, model, constraint=surface)
     zeta = res.path[1] - res.path[0]
@@ -245,6 +295,26 @@ def test_sdf_sphere_operators_match_the_per_point_constraint(monkeypatch):
     assert len(stacked_iterations) == 6
     for name, value in stacked.items():
         np.testing.assert_allclose(value, looped[name], rtol=0, atol=1e-12, err_msg=name)
+
+
+@pytest.mark.parametrize("axes", [(1.0, 0.8, 0.6), (1.2, 0.9, 1.0)])
+def test_ellipsoid_operators_match_the_per_point_constraint(axes, monkeypatch):
+    stacked, stacked_iterations = _run_operators(EllipsoidSdf(axes), monkeypatch)
+    looped, looped_iterations = _run_operators(PerPointEllipsoid(axes), monkeypatch)
+    assert stacked_iterations == looped_iterations
+    assert len(stacked_iterations) == 6
+    for name, value in stacked.items():
+        np.testing.assert_allclose(value, looped[name], rtol=0, atol=1e-12, err_msg=name)
+
+
+@pytest.mark.parametrize("axes", [(1.0, 0.7, 1.3), (2.0, 1.0, 1.0), (1.0, 0.8, 0.6), (3.0, 0.5, 1.0)])
+def test_ellipsoid_matches_the_per_point_newton(axes):
+    # the same Newton, each row stopping on its own; the norms are summed
+    # by rows rather than by np.linalg.norm, so up to rounding
+    xs = _points(3, 2000, 3, radius=(0.3, 2.5))
+    stacked, looped = EllipsoidSdf(axes), PerPointEllipsoid(axes)
+    np.testing.assert_allclose(stacked.d_stacked(xs), looped.d_stacked(xs), rtol=0, atol=1e-15)
+    np.testing.assert_allclose(stacked.grad_d_stacked(xs), looped.grad_d_stacked(xs), rtol=0, atol=1e-15)
 
 
 def test_off_set_init_path_is_projected_before_the_solve():

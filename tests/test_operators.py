@@ -120,6 +120,10 @@ def test_discrete_exp_examples():
     assert np.allclose(discrete_exp(XA, z, 0, CHART), XA)
     with pytest.raises(DomainError):
         discrete_exp(XA, z, -1, CHART)
+    # a point outside the model's domain is an error at every k, k <= 1 too
+    for k in (0, 1, 2):
+        with pytest.raises(DomainError, match="the sphere chart is two-dimensional"):
+            discrete_exp([0.1, 0.2, 0.3], [0.1, 0.0, 0.0], k, CHART)
 
 
 def test_exp_log_round_trip_on_chart():

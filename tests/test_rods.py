@@ -283,6 +283,10 @@ def test_degenerate_rod_rejected():
         with pytest.raises(DomainError):
             model.w(good, np.zeros(32))
         model.w(near, good)
+        # a shot to the degenerate rod x + zeta = 0 is rejected at every k
+        for k in (0, 1, 2):
+            with pytest.raises(DomainError, match="degenerate segment"):
+                discrete_exp(good, -good, k, model)
         # closed-form and complex-step blocks evaluate at the valid rod itself
         for pair in ((near, good), (good, near)):
             assert all(np.all(np.isfinite(block)) for block in model.hess_blocks(*pair))
