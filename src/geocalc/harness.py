@@ -9,15 +9,16 @@ range of exponents and measures four errors per K against a reference:
 * err_pt:  |K * P(w/K) - transport_ref| along the solved path,
 
 all in the Euclidean norm of the coordinates.  Each K starts from the
-K/2 solution prolonged (old nodes kept, midpoints inserted) when K/2 is
-a level too: nested iteration.  The sphere chart and flat space have
-closed-form references, which their backends carry; the others (level
-sets and gauged rods alike) are measured against the 2K level
-(successive differences, self-convergence), with v the discrete log of
-the finest level, 2 K_max.  Fitted orders are least-squares slopes of
-log(err) against log(1/K) over the errors above ``FLOOR_FACTOR`` times
-the Newton tolerance; with fewer than three the order is undefined
-(None).
+K/2 solution prolonged (old nodes kept, cubic midpoints inserted) when
+K/2 is a level too: nested iteration.  The exp path starts from the
+Richardson extrapolation of the K/2 and K/4 exp paths when both are
+levels.  The sphere chart and flat space have closed-form references,
+which their backends carry; the others (level sets and gauged rods
+alike) are measured against the 2K level (successive differences,
+self-convergence), with v the discrete log of the finest level, 2 K_max.
+Fitted orders are least-squares slopes of log(err) against log(1/K) over
+the errors above ``FLOOR_FACTOR`` times the Newton tolerance; with fewer
+than three the order is undefined (None).
 
 ``build_backend`` is the one place that knows what a model name means: a
 model, its constraint (a level set, a rod's gauge, or None), a point
@@ -256,27 +257,37 @@ def fit_order(errors, ks, floor: float = 0.0) -> float:
 
 def _prolong(rows) -> np.ndarray:
     """Rows (n + 1, ...) of a level refined to 2n + 1: the old rows at the
-    even indices and the midpoints of neighbours at the odd ones.
+    even indices and interpolated midpoints at the odd ones.
 
-    The solves the prolonged rows start project them onto the level set,
-    if there is one.
+    From four rows up, an interior midpoint is the cubic through its four
+    nearest rows, (-r_{j-1} + 9 r_j + 9 r_{j+1} - r_{j+2}) / 16, and each end
+    midpoint the quadratic through the three end rows, (3 r_0 + 6 r_1 -
+    r_2) / 8; with two or three rows the midpoints are linear.  The solves
+    the prolonged rows start project them onto the level set, if there is
+    one.
     """
     out = np.empty((2 * len(rows) - 1,) + rows.shape[1:])
     out[::2] = rows
-    out[1::2] = (rows[:-1] + rows[1:]) / 2.0
+    if len(rows) < 4:
+        out[1::2] = (rows[:-1] + rows[1:]) / 2.0
+        return out
+    out[3:-3:2] = (9.0 * (rows[1:-2] + rows[2:-1]) - rows[:-3] - rows[3:]) / 16.0
+    out[1] = (3.0 * rows[0] + 6.0 * rows[1] - rows[2]) / 8.0
+    out[-2] = (3.0 * rows[-1] + 6.0 * rows[-2] - rows[-3]) / 8.0
     return out
 
 
 def _cascade(Ks, solve) -> dict:
-    """``solve(K, coarse)`` for each K in turn, as a dict K -> result.
+    """``solve(K, half, quarter)`` for each K in turn, as a dict K -> result.
 
-    ``coarse`` is the result at K / 2 when that is one of the Ks (they
-    increase), else None.  A SolverError names the K it failed at.
+    ``half`` and ``quarter`` are the results at K / 2 and K / 4 when those
+    are among the Ks (they increase), else None.  A SolverError names the K
+    it failed at.
     """
     out = {}
     for K in Ks:
         with _labelled(f"study failed at K={K}: "):
-            out[K] = solve(K, out.get(K // 2))
+            out[K] = solve(K, out.get(K // 2), out.get(K // 4))
     return out
 
 
@@ -286,7 +297,10 @@ def run_convergence_study(cfg: StudyConfig) -> ConvergenceReport:
     Every backend runs the same study under its own constraint, a rod's
     gauge included (``_study_backend``).  The levels are solved in
     increasing K, each started from the prolonged K/2 solution when K/2
-    is a level too.
+    is a level too.  The exp path of v / K approaches exp(t v) at first
+    order in 1 / K, so when K/4 is a level too it starts from 3/2 P(e_{K/2})
+    - 1/2 P(P(e_{K/4})), P the prolongation and e_K the exp path of level K,
+    with x_0 and x_1 = x_0 + v/K kept.
     """
     backend = _study_backend(cfg)
     model, constraint, solver = backend.model, backend.constraint, cfg.solver
@@ -298,8 +312,8 @@ def run_convergence_study(cfg: StudyConfig) -> ConvergenceReport:
     # without an oracle each K is measured against 2K, so every 2K is solved
     levels = ks if oracle else sorted(set(ks) | {2 * K for K in ks})
 
-    def geodesic(K, coarse):
-        init = None if coarse is None else _prolong(coarse)
+    def geodesic(K, half, quarter):
+        init = None if half is None else _prolong(half)
         res = solve_geodesic(xa, xb, K, model, solver, constraint=constraint, init_path=init)
         _require(res.converged, res.residual, "geodesic solve")
         return res.path.points
@@ -308,17 +322,19 @@ def run_convergence_study(cfg: StudyConfig) -> ConvergenceReport:
     # the reference log: the closed form, or the finest level's discrete log
     v = oracle[1] if oracle else levels[-1] * (paths[levels[-1]][1] - xa)
 
-    def shoot(K, coarse):
-        if coarse is None:
+    def shoot(K, half, quarter):
+        if half is None:
             return discrete_exp_path(xa, v / K, K, model, solver, constraint).points
-        start = _prolong(coarse)
-        start[1] = xa + v / K
+        start = _prolong(half)
+        if quarter is not None:
+            start = 1.5 * start - 0.5 * _prolong(_prolong(quarter))
+        start[:2] = xa, xa + v / K
         return _shoot(xa, v / K, start, model, solver, constraint).points
 
-    def transport(K, coarse):
+    def transport(K, half, quarter):
         # transported displacements at nodes 0..K; the coarse ones, for the
         # doubled step, are halved
-        zetas = None if coarse is None else _prolong(coarse)[1:] / 2.0
+        zetas = None if half is None else _prolong(half)[1:] / 2.0
         return np.vstack([w / K, _transport(DiscretePath(paths[K]), w / K, zetas, model, solver, constraint)[3]])
 
     exps = _cascade(levels, shoot)

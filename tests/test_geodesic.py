@@ -195,6 +195,16 @@ def test_solver_reports_non_convergence():
     assert res.path.step_count == 32
 
 
+def test_newton_verdict_at_the_tolerance_edge():
+    # two steps stop at r ~ 9.7e-3 whatever the tolerance; the verdict is
+    # res <= newton_tol, so r is converged at newton_tol r and not at r / 5
+    r = solve_geodesic(XA, XB, 16, CHART, SolverConfig(max_iter=2)).residual
+    assert 9e-3 < r < 1e-2
+    for tol, converged in ((r / 5.0, False), (r, True)):
+        res = solve_geodesic(XA, XB, 16, CHART, SolverConfig(newton_tol=tol, max_iter=2))
+        assert (res.converged, res.residual, res.iterations) == (converged, r, 2)
+
+
 def test_solver_config_rejects_a_non_integer_max_iter():
     for bad in (float("nan"), 2.5, True, 0, -3, "7"):
         with pytest.raises(DomainError, match="max_iter must be an integer of at least 1"):

@@ -15,9 +15,11 @@ from geocalc import (
     discrete_exp,
     discrete_log,
     geodesic,
+    harness,
     operators,
     random_smooth_rod,
     save_rod_csv,
+    sphere_oracles,
 )
 from geocalc.harness import (
     AuditReport,
@@ -238,6 +240,75 @@ def test_nested_study_matches_a_study_from_scratch(monkeypatch):
         assert nested.orders[col] == pytest.approx(fit_order(scratch, ks), abs=1e-6)
 
 
+def test_figure_study_newton_iterations(monkeypatch):
+    # the default K = 2..1024 chart study from cubic midpoints, the exp from
+    # the extrapolated start: 28, 26 and 25 iterations (33, 32 and 25 from
+    # linear midpoints)
+    counts = _count_newton(monkeypatch)
+    run_convergence_study(StudyConfig())
+    assert counts["geodesic solve"] <= 29
+    assert counts["exp path"] <= 27
+    assert counts["ladder"] <= 25
+
+
+def test_prolong_is_cubic_inside_and_quadratic_at_the_ends():
+    j = np.arange(9.0)[:, None]
+    coeffs = np.array([[0.3, -1.0], [0.5, 2.0], [-0.25, 0.1], [0.125, -0.05]])
+
+    def poly(t, degree):
+        return sum(c * t**p for p, c in enumerate(coeffs[: degree + 1]))
+
+    # a quadratic's midpoints are all exact, a cubic's all but the two ends
+    for degree, exact in ((2, slice(None)), (3, slice(1, -1))):
+        rows = poly(j, degree)
+        fine = harness._prolong(rows)
+        assert fine.shape == (17, 2)
+        np.testing.assert_array_equal(fine[::2], rows)
+        np.testing.assert_allclose(fine[1::2][exact], poly(j[:-1] + 0.5, degree)[exact], rtol=0.0, atol=1e-13)
+    assert not np.allclose(fine[1], poly(0.5, 3))
+    for n in (2, 3):
+        rows = poly(j[:n], 3)
+        fine = harness._prolong(rows)
+        np.testing.assert_array_equal(fine[::2], rows)
+        np.testing.assert_array_equal(fine[1::2], (rows[:-1] + rows[1:]) / 2.0)
+
+
+def test_the_exp_starts_from_the_extrapolated_coarse_paths(monkeypatch):
+    """Level K's exp path starts from 3/2 P(e_{K/2}) - 1/2 P(P(e_{K/4})), P
+    the prolongation and e_K the exp path of level K, with x_0 and x_1 =
+    x_0 + v/K; flat space's exp paths are linear in j, and so is the start."""
+    starts, results = {}, []
+    shoot, cascade = harness._shoot, harness._cascade
+
+    def recording_shoot(x, zeta, start, *args):
+        starts[len(start) - 1] = np.array(start)
+        return shoot(x, zeta, start, *args)
+
+    def recording_cascade(Ks, solve):
+        results.append(cascade(Ks, solve))
+        return results[-1]
+
+    monkeypatch.setattr(harness, "_shoot", recording_shoot)
+    monkeypatch.setattr(harness, "_cascade", recording_cascade)
+    xa, xb = np.array([0.5, 0.0]), np.array([-0.5, 2.0])
+    run_convergence_study(StudyConfig(k_exponents=range(1, 6)))
+    exps = results[1]
+    v = sphere_oracles().log(xa, xb)
+    assert sorted(starts) == [4, 8, 16, 32]
+    for K in (8, 16, 32):
+        expected = 1.5 * harness._prolong(exps[K // 2]) - 0.5 * harness._prolong(harness._prolong(exps[K // 4]))
+        expected[:2] = xa, xa + v / K
+        np.testing.assert_allclose(starts[K], expected, rtol=0.0, atol=1e-15)
+
+    starts.clear()
+    results.clear()
+    run_convergence_study(StudyConfig(model="flat", k_exponents=range(1, 6)))
+    for K in (8, 16, 32):
+        line = xa + np.arange(K + 1)[:, None] * (xb - xa) / K
+        np.testing.assert_allclose(results[1][K], line, rtol=0.0, atol=1e-14)
+        np.testing.assert_allclose(starts[K], line, rtol=0.0, atol=1e-14)
+
+
 def test_successive_differences_converge_at_first_order_on_sdf_sphere():
     cfg = StudyConfig(
         model="sdf-sphere", xa=(1, 0, 0), xb=(0, 0.6, 0.8), w=(0, 0.3, -0.1), k_exponents=tuple(range(1, 7))
@@ -371,11 +442,9 @@ def test_err_geo_is_the_max_node_error_against_the_oracle():
     orc = sphere_oracles()
     init = None
     for K, err in zip(report.ks, report.err_geo):
-        # the study starts each K from the K/2 path with midpoints inserted
+        # the study starts each K from the prolonged K/2 path
         path = solve_geodesic(cfg.xa, cfg.xb, K, sphere_chart_energy(), init_path=init).path
-        init = np.empty((2 * K + 1, 2))
-        init[::2] = path.points
-        init[1::2] = (path.points[:-1] + path.points[1:]) / 2.0
+        init = harness._prolong(path.points)
         per_node = max(
             float(np.linalg.norm(path[k] - orc.geodesic(cfg.xa, cfg.xb, k / K))) for k in range(K + 1)
         )
