@@ -15,10 +15,10 @@ x_{K-1} (the geodesic, and ``operators.log2`` at K = 2) or x_2 .. x_K
 removing exact null directions of translation-invariant energies (the
 rods), or a level set d(x) = 0 holding the points on an embedded
 hypersurface (c = 1), with (c, d) Jacobians ``J_k`` and multipliers
-``mu_k``.  Row k has three (d + c)-block bands,
+``mu_k``.  Row k reads x_{k-1}, x_k, x_{k+1} by the d x d blocks
 hess21(x_{k-1}, x_k), hess22(x_{k-1}, x_k) + hess11(x_k, x_{k+1}) -
-sum_i mu_k,i hess c_i(x_k), and hess12(x_k, x_{k+1}); the band on the
-row's own unknown is bordered by the Jacobians (``_border``).
+sum_i mu_k,i hess c_i(x_k), and hess12(x_k, x_{k+1}); the one by the
+row's own unknown, bordered by the Jacobians, is its pivot (``_bordered``).
 
 For the interior window the system is block tridiagonal in time, for the
 shifted window block lower triangular; ``thomas._block_thomas`` and
@@ -47,11 +47,12 @@ Path energies and lengths come from one ``w_stacked`` call.  The stacked
 methods are the only ones a model implements (``core.EnergyModel``).
 
 A level set is evaluated the same way: one ``d_stacked`` and one
-``grad_d_stacked`` call per residual, one ``grad_d_stacked`` and one
-``hess_d_stacked`` call per Jacobian (``ConstraintModel``).  Each kernel
-projects the unknowns of its start onto the level set itself, by one
-masked Newton iteration over the whole stack (``_project_rows``) in which
-each row stops on its own.  A level-set geodesic with no ``init_path``
+``grad_d_stacked`` call per residual (the ladder's over midpoints and
+corners together), and one ``hess_d_stacked`` call per Jacobian, which
+reuses the gradients, and the ladder's segments, of the residual at its
+iterate (``ConstraintModel``).  Each kernel projects all unknowns of its
+start onto the level set itself, by one masked Newton iteration
+(``_project_rows``) in which each row stops on its own.  A level-set geodesic with no ``init_path``
 starts near the discrete one, whose segment energies are equal: the
 projected straight line has its interior moved to K equal steps of its
 length (``_equal_chords``), which the kernel projects again.  A level
@@ -267,7 +268,8 @@ def _diverged(context, what, iteration, res) -> SolverError:
 def _newton(residual, step, z0, cfg: SolverConfig | None, context: str):
     """Newton iteration for residual(z) = 0 from z0.
 
-    ``step(z, r)`` returns the Newton correction for r = residual(z); ``cfg``
+    ``step(z, r)`` returns the Newton correction for r = residual(z), and is
+    called only at the iterate of the last residual evaluation; ``cfg``
     None means the default SolverConfig.  With ``cfg.damping == "armijo"``
     the correction is halved until 0.5 |r|^2 decreases sufficiently.  The
     residual is evaluated once per iterate.  The tolerance is absolute, so
@@ -326,17 +328,17 @@ def _newton(residual, step, z0, cfg: SolverConfig | None, context: str):
 class _Constraint:
     """A constraint as the kernels see it on a stack x of n points, shape (n, d).
 
-    ``values(x)`` has shape (n, c), ``jac(x)`` shape (n, c, d), and
-    ``hess(x, mu)`` is sum_i mu[:, i] hess c_i(x), shape (n, d, d), or 0.0
-    where it vanishes.  A LinearGauge reads the stack as the points its
-    targets belong to; a level set is evaluated by one stacked call of its
-    ``d_stacked``, ``grad_d_stacked`` or ``hess_d_stacked``.
+    ``values(x)`` has shape (n, c), ``jac(x)`` shape (n, c, d), and ``hess(x)``
+    (n, c, d, d), the Hessians of c, is None for a linear constraint.  A
+    LinearGauge reads the stack as the points its targets belong to; a level
+    set is evaluated by one stacked call of its ``d_stacked``,
+    ``grad_d_stacked`` or ``hess_d_stacked``.
     """
 
     c: int
     values: Callable
     jac: Callable
-    hess: Callable
+    hess: Callable | None
 
 
 def _constraint_view(constraint, targets: Callable, d: int) -> _Constraint:
@@ -347,9 +349,7 @@ def _constraint_view(constraint, targets: Callable, d: int) -> _Constraint:
     is a TypeError, and a gauge of another width than d a DomainError.
     """
     if constraint is None:
-        return _Constraint(
-            0, lambda x: np.zeros((len(x), 0)), lambda x: np.zeros((len(x), 0, d)), lambda x, mu: 0.0
-        )
+        return _Constraint(0, lambda x: np.zeros((len(x), 0)), lambda x: np.zeros((len(x), 0, d)), None)
     if isinstance(constraint, LinearGauge):
         g = constraint.matrix
         if g.shape[1] != d:
@@ -359,7 +359,7 @@ def _constraint_view(constraint, targets: Callable, d: int) -> _Constraint:
             g.shape[0],
             lambda x: x @ g.T - t,
             lambda x: np.broadcast_to(g, (len(x),) + g.shape),
-            lambda x, mu: 0.0,
+            None,
         )
     if not isinstance(constraint, ConstraintModel):
         raise TypeError(f"constraint must be None, a LinearGauge or a ConstraintModel, got {type(constraint).__name__}")
@@ -367,21 +367,23 @@ def _constraint_view(constraint, targets: Callable, d: int) -> _Constraint:
         1,
         lambda x: np.reshape(constraint.d_stacked(x), (len(x), 1)),
         lambda x: np.reshape(constraint.grad_d_stacked(x), (len(x), 1, d)),
-        lambda x, mu: mu[:, 0, None, None] * constraint.hess_d_stacked(x),
+        lambda x: np.reshape(constraint.hess_d_stacked(x), (len(x), 1, d, d)),
     )
 
 
-def _multiplier_rows(mu, jac) -> np.ndarray:
-    """Rows mu_k^T J_k of a stack of multipliers (n, c) and Jacobians (n, c, d)."""
-    return np.einsum("nc,ncd->nd", mu, jac)
+def _weighted(mu, stack) -> np.ndarray:
+    """sum_i mu[:, i] stack[:, i], multipliers (n, c), Jacobians or Hessians (n, c, ...)."""
+    return np.einsum("nc,nc...->n...", mu, stack)
 
 
-def _border(blocks, jac_rows, jac_values) -> None:
-    """Border stacked (d + c)-blocks in place: -J^T of ``jac_rows`` (n, c, d)
-    in the multiplier columns, ``jac_values`` (n, c, d) in the constraint rows."""
-    d = jac_rows.shape[2]
-    blocks[:, :d, d:] = -np.swapaxes(jac_rows, 1, 2)
-    blocks[:, d:, :d] = jac_values
+def _bordered(blocks, jac_rows, jac_values) -> np.ndarray:
+    """Stacked d-blocks (n, d, d) bordered to (d + c)-blocks: -J^T of
+    ``jac_rows`` (n, c, d) in the multiplier columns, ``jac_values`` (n, c,
+    d) in the constraint rows, zero in the corner."""
+    n, c, d = jac_rows.shape
+    out = np.zeros((n, d + c, d + c))
+    out[:, :d, :d], out[:, :d, d:], out[:, d:, :d] = blocks, -np.swapaxes(jac_rows, 1, 2), jac_values
+    return out
 
 
 def _solve_path(pts, model, constraint, cfg: SolverConfig | None, context: str, shot: bool = False):
@@ -413,17 +415,19 @@ def _solve_path(pts, model, constraint, cfg: SolverConfig | None, context: str, 
 
     # z holds the path and the multipliers, one row per point (row k + s
     # those of row k); corrections of the given points are zero
+    at_iterate = {}  # J(x_1) .. J(x_{K-1+s}) of the last residual, at the step's z
+
     def residual(z):
         x = z[:, :d]
         rows = _el_rows(model, x)
         if not c:
             return rows
+        jac = at_iterate["jac"] = view.jac(x[1 : K + s])
         mu = z[1 + s : K + s, d:]
-        return np.hstack([rows - _multiplier_rows(mu, view.jac(x[1:K])), view.values(x[1 + s : K + s])])
+        return np.hstack([rows - _weighted(mu, jac[: K - 1]), view.values(x[1 + s : K + s])])
 
     def step(z, r):
-        # bands[j, k - 1] couples row k to x_{k-1+j}, in its top left d x d.
-        # Segment m joins x_{m-1} and x_m; the rows read segments 1+s .. K,
+        # segment m joins x_{m-1} and x_m; the rows read segments 1+s .. K,
         # block i of the stacked call being segment i+1+s
         x = z[:, :d]
         delta = np.zeros_like(z)
@@ -432,21 +436,19 @@ def _solve_path(pts, model, constraint, cfg: SolverConfig | None, context: str, 
             bands = np.stack([h21[:, :, :-1], h22[:, :, :-1] + h11[:, :, 1:], h12[:, :, 1:]])
             delta[1:K] = _node_thomas(bands, view.jac(x[:1])[0], r)
             return delta
-        bands = np.zeros((3, K - 1, b, b))
-        e = bands[:, :, :d, :d]
         h11, h12, h21, h22 = model.hess_blocks_stacked(x[s:K], x[1 + s : K + 1])
-        e[0, 1:] = h21[1 - s : K - 1 - s]
-        e[1, s:] = h22[: K - 1 - s]
-        e[1] += h11[1 - s : K - s]
-        e[2, : K - 2 + s] = h12[1 - s : K - 1]
+        own = h22[: K - 1 - s] + h11[1 : K - s]  # rows 1+s .. K-1 by x_k
+        if view.hess is not None:
+            own -= _weighted(z[1 + 2 * s : K + s, d:], view.hess(x[1 + s : K]))
+        pivots = h12[: K - 1] if s else own
         if c:
-            jac = view.jac(x[1 : K + s])
-            e[1, s:] -= view.hess(x[1 + s : K], z[1 + 2 * s : K + s, d:])
-            _border(bands[1 + s], jac[: K - 1], jac[s:])
+            pivots = _bordered(pivots, at_iterate["jac"][: K - 1], at_iterate["jac"][s:])
         if s:
-            delta[2:] = _forward_substitution(bands[2], (bands[1, 1:], bands[0, 2:]), r)
+            delta[2:] = _forward_substitution(pivots, (own, h21[1 : K - 2]), r)
         else:
-            delta[1:K] = _block_thomas(*bands, r)
+            lower, upper = np.zeros((2, K - 1, d, d))
+            lower[1:], upper[:-1] = h21[1 : K - 1], h12[1 : K - 1]
+            delta[1:K] = _block_thomas(lower, pivots, upper, r)
         return delta
 
     z0 = np.hstack([pts, np.zeros((K + 1, c))])
@@ -490,50 +492,46 @@ def _solve_ladder(pts, zeta, model, constraint, cfg: SolverConfig | None, contex
     b = d + c
 
     # row k of z holds c_k, mu_k, p_k, mu'_k
-    def segments(z):
-        mid, corner = z[:, :d], z[:, b : b + d]
-        prev = np.vstack([starts[0] + zeta, corner[:-1]])
-        return np.concatenate([prev, mid, starts, mid]), np.concatenate([mid, ends, mid, corner])
+    at_iterate = {}  # segments, J(c_k) and J(p_k) of the last residual, at the step's z
 
     def residual(z):
-        g1, g2 = model.grads_stacked(*segments(z))
+        mid, corner = z[:, :d], z[:, b : b + d]
+        prev = np.vstack([starts[0] + zeta, corner[:-1]])
+        segments = np.concatenate([prev, mid, starts, mid]), np.concatenate([mid, ends, mid, corner])
+        g1, g2 = model.grads_stacked(*segments)
+        at_iterate["segments"] = segments
         g1, g2 = g1.reshape(4, K, d), g2.reshape(4, K, d)
         first, second = g2[0] + g1[1], g2[2] + g1[3]
         if not c:
             return np.hstack([first, second])
-        mid, corner = z[:, :d], z[:, b : b + d]
-        jac = view.jac(mid)
-        values = view.values(np.vstack([mid, corner]))
-        first, second = first - _multiplier_rows(z[:, d:b], jac), second - _multiplier_rows(z[:, b + d :], jac)
+        points = np.vstack([mid, corner])
+        jac = at_iterate["jac"] = view.jac(points)
+        values = view.values(points)
+        first, second = first - _weighted(z[:, d:b], jac[:K]), second - _weighted(z[:, b + d :], jac[:K])
         return np.hstack([first, values[:K], second, values[K:]])
 
     def step(z, r):
-        h11, h12, h21, h22 = (h.reshape(4, K, d, d) for h in model.hess_blocks_stacked(*segments(z)))
-        # A and B by c_k, and by the corner each reads (A p_{k-1}, B p_k);
-        # blocks (K, 2 halves, b, b)
-        diag, band = np.zeros((2, K, 2, b, b))
-        diag[:, 0, :d, :d] = h22[0] + h11[1]
-        diag[:, 1, :d, :d] = h12[3]
-        band[:, 0, :d, :d] = h22[2] + h11[3]
-        band[:-1, 1, :d, :d] = h21[0][1:]
+        h11, h12, h21, h22 = (h.reshape(4, K, d, d) for h in model.hess_blocks_stacked(*at_iterate["segments"]))
+        # the pivots are A by c_k and B by p_k, bordered, in rung halves; the
+        # band couples B to c_k and A to the corner p_{k-1} it reads
+        own, corner, by_mid = h22[0] + h11[1], h12[3], h22[2] + h11[3]
+        if view.hess is not None:
+            hess = view.hess(z[:, :d])
+            own, by_mid = own - _weighted(z[:, d:b], hess), by_mid - _weighted(z[:, b + d :], hess)
         if c:
-            mid, corner = z[:, :d], z[:, b : b + d]
-            jac = view.jac(mid)
-            diag[:, 0, :d, :d] -= view.hess(mid, z[:, d:b])
-            band[:, 0, :d, :d] -= view.hess(mid, z[:, b + d :])
-            _border(diag[:, 0], jac, jac)
-            _border(diag[:, 1], jac, view.jac(corner))
-        diag, band = diag.reshape(2 * K, b, b), band.reshape(2 * K, b, b)
-        return _forward_substitution(diag, (band[:-1],), r.reshape(2 * K, b)).reshape(z.shape)
+            jac = at_iterate["jac"]
+            own, corner = _bordered(own, jac[:K], jac[:K]), _bordered(corner, jac[:K], jac[K:])
+        band = np.zeros((K, 2, d, d))
+        band[:, 0], band[:-1, 1] = by_mid, h21[0][1:]
+        diag = np.stack([own, corner], axis=1).reshape(2 * K, b, b)
+        return _forward_substitution(diag, (band.reshape(2 * K, d, d)[:-1],), r.reshape(2 * K, b)).reshape(z.shape)
 
     if zetas is None:
         zetas = np.broadcast_to(zeta, (K, d))
-    mid = (starts + ends) / 2.0 + np.vstack([zeta, zetas[:-1]]) / 2.0
-    corner = ends + zetas
-    _project_rows(mid, constraint)
-    _project_rows(corner, constraint)
+    points = np.vstack([(starts + ends) / 2.0 + np.vstack([zeta, zetas[:-1]]) / 2.0, ends + zetas])
+    _project_rows(points, constraint)
     no_mu = np.zeros((K, c))
-    z0 = np.hstack([mid, no_mu, corner, no_mu])
+    z0 = np.hstack([points[:K], no_mu, points[K:], no_mu])
     z, res, iterations, converged = _newton(residual, step, z0, cfg, context)
     return z[:, :d], z[:, b : b + d], res, iterations, converged
 

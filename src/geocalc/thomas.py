@@ -2,11 +2,13 @@
 
 A path Jacobian is block tridiagonal in time (``_block_thomas``) or block
 lower triangular (``_forward_substitution``: the shifted window and the
-ladder, ``geodesic._solve_ladder``).  Up to ``_DENSE_MAX`` unknowns, coarse levels
-included, a system is one dense LU.  Above it, the first is halved level
-by level by block cyclic reduction, the second when its blocks are at
-most ``_REDUCE_MAX_BLOCK`` wide (row by row otherwise), one stacked
-pivot step each.  The rods' gauged path system is solved in node order
+ladder, ``geodesic._solve_ladder``), its off-diagonal blocks p <= b wide:
+a level set's are zero outside their top left d x d, and only the first p
+components of each unknown are eliminated.  Up to ``_DENSE_MAX`` unknowns,
+coarse levels included, a system is one dense LU.  Above it, the first is
+halved level by level by block cyclic reduction, the second when its
+blocks are at most ``_REDUCE_MAX_BLOCK`` wide (row by row otherwise), one
+stacked pivot step each.  The rods' gauged path system is solved in node order
 (``_node_thomas``), block Thomas elimination (``_thomas_loop``) running in
 place in one working array.  Its matrix, rhs included, and the dense LU's
 are each one scatter through an index cached per shape (``_node_layout``,
@@ -43,9 +45,9 @@ _REDUCE_MAX_BLOCK = 16
 
 def _dense_solve(diag, bands, rhs) -> np.ndarray:
     """Solve a block-banded system, ``diag`` (n, b, b) and ``rhs`` (n, b), as
-    one dense LU; ``bands`` holds pairs (m, blocks), the n - |m| blocks of
-    band m, block i at block (i + m, i) for m > 0 and at (i, i - m) for
-    m < 0, all scattered in one step through ``_dense_index``."""
+    one dense LU; ``bands`` holds pairs (m, blocks), the n - |m| blocks (p, p)
+    of band m, block i the top left of block (i + m, i) for m > 0 and of
+    (i, i - m) for m < 0, all scattered in one step through ``_dense_index``."""
     n, b = rhs.shape
     offsets, blocks = zip((0, diag), *bands)
     values = np.concatenate(blocks, axis=None)
@@ -53,20 +55,21 @@ def _dense_solve(diag, bands, rhs) -> np.ndarray:
         # LAPACK's pivot search skips NaN and can meet an exact zero instead
         return np.full((n, b), np.nan)
     a = np.zeros((n * b) ** 2)
-    a[_dense_index(n, b, offsets)] = values
+    a[_dense_index(n, b, offsets, blocks[-1].shape[-1])] = values
     return np.linalg.solve(a.reshape(n * b, n * b), rhs.reshape(n * b)).reshape(n, b)
 
 
 @functools.lru_cache(maxsize=64)
-def _dense_index(n, b, offsets):
+def _dense_index(n, b, offsets, p):
     """Read-only positions, in the flattened (n b) x (n b) matrix of
     ``_dense_solve``, of the entries of its bands at ``offsets``: band
-    after band, each as its (n - |m|, b, b) stack of blocks."""
+    after band, each as its (n - |m|, q, q) stack of top left blocks, q = b
+    on the diagonal and p off it."""
     at = np.arange((n * b) ** 2).reshape(n, b, n, b)
     parts = []
     for m in offsets:
-        i = np.arange(n - abs(m))
-        parts.append(at[i + max(m, 0), :, i - min(m, 0)])
+        i, q = np.arange(n - abs(m)), p if m else b
+        parts.append(at[i + max(m, 0), :q, i - min(m, 0), :q])
     index = np.concatenate(parts, axis=None)
     index.setflags(write=False)
     return index
@@ -90,73 +93,81 @@ def _inv(a) -> np.ndarray:
 def _block_thomas(lower, diag, upper, rhs) -> np.ndarray:
     """Solve L_i x_{i-1} + D_i x_i + U_i x_{i+1} = r_i, block tridiagonal.
 
-    ``lower``, ``diag`` and ``upper`` have shape (n, b, b), with lower[0] =
-    upper[-1] = 0, and ``rhs`` (n, b).  Up to ``_DENSE_MAX`` unknowns, and
-    for one row, it is one dense LU.  Above that, block cyclic reduction:
-    one stacked solve gives every even row as x_i = y_i - alpha_i x_{i-1} -
-    beta_i x_{i+1}; substituting it into the odd rows leaves a block
-    tridiagonal system of half the rows (its own lower[0] and upper[-1]
-    again zero), solved the same way, and the even rows follow in one
-    stacked step.
+    ``diag`` has shape (n, b, b) and ``rhs`` (n, b); ``lower`` and ``upper``
+    (n, p, p), p <= b, are the top left blocks of bands zero elsewhere, with
+    lower[0] = upper[-1] = 0.  Up to ``_DENSE_MAX`` unknowns, and for one
+    row, it is one dense LU.  Above that, block cyclic reduction: one
+    stacked solve gives every even row as x_i = y_i - alpha_i x_{i-1} -
+    beta_i x_{i+1} (of their first p components); substituting it into the
+    odd rows leaves a system of half the rows, alike in shape, solved the
+    same way, and the even rows follow in one stacked step.
     """
     n, b = rhs.shape
+    p = lower.shape[-1]
     if n * b <= _DENSE_MAX or n == 1:
         return _dense_solve(diag, ((1, lower[1:]), (-1, upper[:-1])), rhs)
     # even[j] = [alpha | beta | y] of row 2j; odd row 2j+1 sits between the
     # even rows j and j+1, and the last odd row has no right neighbour when
     # n is even
-    cols = np.concatenate([lower[::2], upper[::2], rhs[::2, :, None]], axis=2)
+    cols = np.zeros((len(diag[::2]), b, 2 * p + 1))
+    cols[:, :p, :p], cols[:, :p, p : 2 * p], cols[:, :, 2 * p] = lower[::2], upper[::2], rhs[::2]
     even = _inv(diag[::2]) @ cols
     m, r = n // 2, len(even) - 1
-    left = lower[1::2] @ even[:m]
-    right = upper[1 : 2 * r : 2] @ even[1:]
-    diag_odd = diag[1::2] - left[:, :, b : 2 * b]
-    diag_odd[:r] -= right[:, :, :b]
-    upper_odd = np.zeros((m, b, b))
-    upper_odd[:r] = -right[:, :, b : 2 * b]
-    rhs_odd = rhs[1::2] - left[:, :, 2 * b]
-    rhs_odd[:r] -= right[:, :, 2 * b]
+    left = lower[1::2] @ even[:m, :p]
+    right = upper[1 : 2 * r : 2] @ even[1:, :p]
+    diag_odd, rhs_odd = diag[1::2].copy(), rhs[1::2].copy()
+    diag_odd[:, :p, :p] -= left[:, :, p : 2 * p]
+    diag_odd[:r, :p, :p] -= right[:, :, :p]
+    upper_odd = np.zeros((m, p, p))
+    upper_odd[:r] = -right[:, :, p : 2 * p]
+    rhs_odd[:, :p] -= left[:, :, 2 * p]
+    rhs_odd[:r, :p] -= right[:, :, 2 * p]
     sol = np.empty((n, b))
-    sol[1::2] = _block_thomas(-left[:, :, :b], diag_odd, upper_odd, rhs_odd)
-    sol[::2] = even[:, :, 2 * b]
-    sol[2::2] -= (even[1:, :, :b] @ sol[1 : 2 * r : 2, :, None])[..., 0]
-    sol[: 2 * m : 2] -= (even[:m, :, b : 2 * b] @ sol[1::2, :, None])[..., 0]
+    sol[1::2] = _block_thomas(-left[:, :, :p], diag_odd, upper_odd, rhs_odd)
+    sol[::2] = even[:, :, 2 * p]
+    sol[2::2] -= (even[1:, :, :p] @ sol[1 : 2 * r : 2, :p, None])[..., 0]
+    sol[: 2 * m : 2] -= (even[:m, :, p : 2 * p] @ sol[1::2, :p, None])[..., 0]
     return sol
 
 
 def _forward_substitution(diag, bands, rhs) -> np.ndarray:
     """Solve a block lower triangular system.
 
-    ``diag`` has shape (n, b, b) and ``rhs`` (n, b); ``bands[m - 1]`` has
-    shape (n - m, b, b), and its block i couples row i + m to unknown i.
-    Past ``_DENSE_MAX`` unknowns the diagonal blocks are inverted in one
-    stacked call and premultiply the bands: x_i = s_i - sum_m S_m,i x_{i-m}.
-    With M bands of blocks at most ``_REDUCE_MAX_BLOCK`` wide, that
-    recurrence is regrouped into one of (M b)-blocks X_i = (x_i, ...,
-    x_{i-M+1}) and solved in about log2(n) stacked levels
-    (``_affine_recurrence``); otherwise each of the n steps is a few small
-    matvecs.
+    ``diag`` has shape (n, b, b) and ``rhs`` (n, b); ``bands[m - 1]``, shape
+    (n - m, p, p), p <= b, holds the top left blocks (zero elsewhere) that
+    couple row i + m to unknown i.  Past ``_DENSE_MAX`` unknowns the
+    diagonal blocks are inverted in one stacked call and premultiply the
+    bands: x_i = s_i - sum_m S_m,i y_{i-m}, y_i the first p components of
+    x_i.  With M bands of blocks at most ``_REDUCE_MAX_BLOCK`` wide, the
+    recurrence of y is regrouped into one of (M p)-blocks (y_i, ...,
+    y_{i-M+1}) and solved in about log2(n) stacked levels
+    (``_affine_recurrence``), the other b - p components following in one
+    product per band; otherwise each of the n steps is a few small matvecs.
     """
     n, b = rhs.shape
     if n * b <= _DENSE_MAX:
         return _dense_solve(diag, enumerate(bands, start=1), rhs)
+    p = bands[0].shape[-1] if bands else b
     inv = _inv(diag)
     sol = (inv @ rhs[..., None])[..., 0]
-    scaled = [inv[m:] @ band for m, band in enumerate(bands, start=1)]
+    scaled = [inv[m:, :, :p] @ band for m, band in enumerate(bands, start=1)]
     if bands and b <= _REDUCE_MAX_BLOCK:
-        w = len(bands) * b
-        # steps[i] = [A_i | c_i] with top block row [-S_1,i ... -S_M,i | s_i]
-        # and, below it, identity blocks passing x_{i-1} .. x_{i-M+1} on
+        w = len(bands) * p
+        # steps[i] = [A_i | c_i] with top block row [-S_1,i .. -S_M,i | s_i] in
+        # p rows and, below it, identity blocks passing y_{i-1} .. y_{i-M+1} on
         steps = np.zeros((n, w, w + 1))
-        steps[:, :b, w] = sol
+        steps[:, :p, w] = sol[:, :p]
         for m, band in enumerate(scaled, start=1):
-            steps[m:, :b, (m - 1) * b : m * b] = -band
+            steps[m:, :p, (m - 1) * p : m * p] = -band[:, :p]
         for t in range(1, len(bands)):
-            steps[:, t * b : (t + 1) * b, (t - 1) * b : t * b] = np.eye(b)
-        return _affine_recurrence(steps)[:, :b]
+            steps[:, t * p : (t + 1) * p, (t - 1) * p : t * p] = np.eye(p)
+        sol[:, :p] = _affine_recurrence(steps)[:, :p]
+        for m, band in enumerate(scaled if p < b else (), start=1):
+            sol[m:, p:] -= (band[:, p:] @ sol[:-m, :p, None])[..., 0]
+        return sol
     for i in range(1, n):
         for m, band in enumerate(scaled[:i], start=1):
-            sol[i] -= band[i - m] @ sol[i - m]
+            sol[i] -= band[i - m] @ sol[i - m, :p]
     return sol
 
 

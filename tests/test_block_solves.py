@@ -13,7 +13,11 @@ systems on all sides of those thresholds (n = 32 rows of 2 is the largest
 dense system, n = 33 the smallest reduced one), against a dense solve of
 the assembled matrix where it fits in memory and, where it does not,
 against the sequential block Thomas elimination (``thomas._thomas_loop``)
-or the row loop, plus the block residual.  Every pivot is applied through
+or the row loop, plus the block residual.  Both also take off-diagonal
+bands p < b wide, zero outside their top left p x p as in the level-set
+windows: those are checked against a dense solve below and above
+``thomas._DENSE_MAX``, the recurrence seen to run on the first p
+components of each unknown.  Every pivot is applied through
 its inverse, ``thomas._inv``: stacked 2 x 2 pivots by their adjugate over
 their determinant, checked for a zero leading entry, singular and NaN
 pivots, determinants out of the normal range and backward error, larger
@@ -51,27 +55,30 @@ def _blocks(rng, count, b):
     return rng.uniform(-1.0, 1.0, size=(count, b, b)) / b
 
 
-def _system(seed, n, b, offsets):
+def _system(seed, n, b, offsets, p=None):
     """Diagonal blocks, off-diagonal blocks at the given row offsets, and rhs.
 
     The diagonal entries lie within 1/b of 4 and the other entries of a row
     sum to less than 3 in absolute value, so the system is strictly
-    diagonally dominant.
+    diagonally dominant.  With ``p``, the off-diagonal blocks are the top
+    left p x p of the blocks drawn, zero elsewhere.
     """
     rng = np.random.default_rng(seed)
     diag = _blocks(rng, n, b) + 4.0 * np.eye(b)
-    bands = {m: _blocks(rng, max(n - abs(m), 0), b) for m in offsets}
+    bands = {m: _blocks(rng, max(n - abs(m), 0), b)[:, :p, :p] for m in offsets}
     return diag, bands, rng.normal(size=(n, b))
 
 
 def _block_product(diag, bands, x):
-    """A x for the block matrix with ``bands[m][i]`` at block (i + max(m, 0), i - min(m, 0))."""
+    """A x for the block matrix with ``bands[m][i]`` at the top left of block
+    (i + max(m, 0), i - min(m, 0))."""
     out = (diag @ x[..., None])[..., 0]
     for m, band in bands.items():
+        p = band.shape[-1]
         if m > 0:
-            out[m:] += (band @ x[:-m, :, None])[..., 0]
+            out[m:, :p] += (band @ x[:-m, :p, None])[..., 0]
         else:
-            out[:m] += (band @ x[-m:, :, None])[..., 0]
+            out[:m, :p] += (band @ x[-m:, :p, None])[..., 0]
     return out
 
 
@@ -81,9 +88,10 @@ def _dense(diag, bands):
     for i in range(n):
         a[i * b : (i + 1) * b, i * b : (i + 1) * b] = diag[i]
     for m, band in bands.items():
+        p = band.shape[-1]
         for i, block in enumerate(band):
             row, col = i + max(m, 0), i - min(m, 0)
-            a[row * b : (row + 1) * b, col * b : (col + 1) * b] = block
+            a[row * b : row * b + p, col * b : col * b + p] = block
     return a
 
 
@@ -95,8 +103,9 @@ def _loop(lower, diag, upper, rhs):
 
 def _padded(bands, b):
     """The lower and upper bands as ``thomas._block_thomas`` takes them: n
-    rows each, lower[0] = upper[-1] = 0."""
-    zero = np.zeros((1, b, b))
+    rows each, lower[0] = upper[-1] = 0 (b x b, or the bands' p x p)."""
+    p = bands[1].shape[-1]
+    zero = np.zeros((1, p, p))
     return np.concatenate([zero, bands[1]]), np.concatenate([bands[-1], zero])
 
 
@@ -146,6 +155,44 @@ def test_block_lower_triangular_solve_matches_a_dense_solve(n, b, count, monkeyp
             return solve()
 
     _check(solve, diag, bands, rhs, row_loop)
+
+
+# (n, b, p): off-diagonal blocks of width p < b, zero outside their top left
+# p x p, as in the level-set windows (b = 4, p = 3); each below and above
+# _DENSE_MAX (n b = 64), and at b = 17, past _REDUCE_MAX_BLOCK, where the
+# lower triangular solve runs its row loop
+POINT_WIDTH = [
+    (n, b, p)
+    for b, p, sizes in ((4, 3, (1, 2, 16, 17, 33, 255)), (6, 2, (10, 11, 64)), (17, 15, (3, 4, 9)))
+    for n in sizes
+]
+
+
+@pytest.mark.parametrize("n, b, p", POINT_WIDTH)
+def test_point_width_block_tridiagonal_solve_matches_a_dense_solve(n, b, p):
+    diag, bands, rhs = _system(30 * n + b + p, n, b, (1, -1), p)
+    lower, upper = _padded(bands, b)
+    assert lower.shape == upper.shape == (n, p, p)
+    _check(lambda: thomas._block_thomas(lower, diag, upper, rhs), diag, bands, rhs, None)
+
+
+@pytest.mark.parametrize("count", [1, 2])
+@pytest.mark.parametrize("n, b, p", POINT_WIDTH)
+def test_point_width_block_lower_triangular_solve_matches_a_dense_solve(n, b, p, count, monkeypatch):
+    offsets = tuple(range(1, count + 1))
+    diag, bands, rhs = _system(50 * n + b + p + count, n, b, offsets, p)
+    calls = []
+    recurrence = thomas._affine_recurrence
+
+    def recording(steps):
+        calls.append(steps.shape)
+        return recurrence(steps)
+
+    monkeypatch.setattr(thomas, "_affine_recurrence", recording)
+    _check(lambda: thomas._forward_substitution(diag, [bands[m] for m in offsets], rhs), diag, bands, rhs, None)
+    # the recurrence runs on the first p components of each unknown alone
+    reduced = n * b > thomas._DENSE_MAX and b <= thomas._REDUCE_MAX_BLOCK
+    assert calls[:1] == ([(n, count * p, count * p + 1)] if reduced else [])
 
 
 def test_two_bands_of_nine_wide_blocks_take_the_recurrence(monkeypatch):
@@ -211,8 +258,8 @@ def test_the_dense_solve_scatters_every_block_where_it_belongs(offsets, b):
         x = thomas._dense_solve(diag, [(m, bands[m]) for m in offsets], rhs)
         # the same matrix assembled block by block, so the same LU
         np.testing.assert_array_equal(x, np.linalg.solve(_dense(diag, bands), rhs.ravel()).reshape(n, b))
-        index = thomas._dense_index(n, b, (0, *offsets))
-        assert index is thomas._dense_index(n, b, (0, *offsets))
+        index = thomas._dense_index(n, b, (0, *offsets), b)
+        assert index is thomas._dense_index(n, b, (0, *offsets), b)
         with pytest.raises(ValueError, match="read-only"):
             index[0] = 0
         # a NaN in the last block of the last band, or in the last pivot

@@ -265,6 +265,37 @@ def test_armijo_damping_still_converges():
     assert res.converged
 
 
+def _tabled(values):
+    """A stub residual looked up by its scalar iterate, for ``_newton`` with
+    the correction 1 from z = 1: the trials of steps 1, 1/2, 1/4, 1/8 are z =
+    0, 0.5, 0.75, 0.875."""
+    return lambda z: np.array([values[float(z[0])]])
+
+
+ARMIJO_ONE_STEP = SolverConfig(max_iter=1, damping="armijo")
+
+
+def test_armijo_rejects_a_step_that_lowers_the_residual_too_little():
+    from geocalc.geodesic import _newton
+
+    # the full step lowers |r|^2 by 2e-5 of itself, less than the 2e-4 that
+    # 2 c t asks at c = 1e-4, so the half step is taken; at c = 0 any
+    # decrease would pass
+    residual = _tabled({1.0: 1.0, 0.0: 0.99999, 0.5: 0.5})
+    z, res, iterations, _ = _newton(residual, lambda z, r: np.ones(1), np.ones(1), ARMIJO_ONE_STEP, "stub")
+    assert (z[0], res, iterations) == (0.5, 0.5, 1)
+
+
+def test_armijo_halves_on_until_the_residual_falls():
+    from geocalc.geodesic import _newton
+
+    # steps 1, 1/2 and 1/4 raise the residual and 1/8 lowers it: the search
+    # halves three times, not giving up after two
+    residual = _tabled({1.0: 1.0, 0.0: 2.0, 0.5: 2.0, 0.75: 2.0, 0.875: 0.5})
+    z, res, iterations, _ = _newton(residual, lambda z, r: np.ones(1), np.ones(1), ARMIJO_ONE_STEP, "stub")
+    assert (z[0], res, iterations) == (0.875, 0.5, 1)
+
+
 def test_cauchy_schwarz_and_constant_speed():
     rng = np.random.default_rng(4)
     for _ in range(10):

@@ -10,7 +10,9 @@ against the per-point Jacobian, the projection against a per-row
 reference, its stop on points with no projection, and the sdf-sphere and
 ellipsoid solves against a per-point constraint.  The geodesic's start
 (the projected line re-spaced to equal chords) and its least-squares
-multipliers are pinned by the iterations and start residuals they buy.
+multipliers are pinned by the iterations and start residuals they buy,
+and each Newton kernel's level-set calls per residual and per step, and
+its one projection of its start, by a logging sphere.
 """
 
 import warnings
@@ -186,9 +188,12 @@ def test_level_set_view_stacks_the_per_point_values():
     assert view.c == 1
     np.testing.assert_allclose(view.values(xs), [[sphere.d(x)] for x in xs], rtol=0, atol=1e-15)
     np.testing.assert_allclose(view.jac(xs), [[sphere.grad_d(x)] for x in xs], rtol=0, atol=1e-15)
+    np.testing.assert_allclose(view.hess(xs), [[sphere.hess_d(x)] for x in xs], rtol=0, atol=1e-15)
     np.testing.assert_allclose(
-        view.hess(xs, mu), [m[0] * sphere.hess_d(x) for x, m in zip(xs, mu)], rtol=0, atol=1e-15
+        geodesic._weighted(mu, view.hess(xs)), [m[0] * sphere.hess_d(x) for x, m in zip(xs, mu)], rtol=0, atol=1e-15
     )
+    # a linear constraint has no Hessians to weigh
+    assert _constraint_view(None, None, 3).hess is None
 
 
 def test_stacked_projection_matches_per_row_projection():
@@ -353,6 +358,91 @@ def test_the_path_kernel_projects_its_own_start(shot):
     assert np.array_equal(off, given)
     for got, want in zip(from_off, from_projected):
         assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+class LoggedSphere(SphereSdf):
+    """The unit sphere's signed distance, logging each stacked call as
+    (method, rows) into ``log``."""
+
+    def __init__(self, log):
+        self.log = log
+
+    def d_stacked(self, xs):
+        self.log.append(("d", len(xs)))
+        return super().d_stacked(xs)
+
+    def grad_d_stacked(self, xs):
+        self.log.append(("grad_d", len(xs)))
+        return super().grad_d_stacked(xs)
+
+    def hess_d_stacked(self, xs):
+        self.log.append(("hess_d", len(xs)))
+        return super().hess_d_stacked(xs)
+
+
+def _kernel_log(solve, monkeypatch):
+    """The level-set calls of ``solve(sphere)`` on a LoggedSphere, grouped by
+    the last ``_project_rows`` call, residual or step of the Newton loop
+    before them: a list of (marker, [(method, rows), ...])."""
+    log = []
+    newton, project = geodesic._newton, geodesic._project_rows
+
+    def marked(name, f):
+        def call(*args):
+            log.append(name)
+            return f(*args)
+
+        return call
+
+    def marked_newton(residual, step, z0, cfg, context):
+        return newton(marked("residual", residual), marked("step", step), z0, cfg, context)
+
+    monkeypatch.setattr(geodesic, "_newton", marked_newton)
+    monkeypatch.setattr(geodesic, "_project_rows", marked("project", project))
+    assert solve(LoggedSphere(log))[-1]
+    monkeypatch.undo()
+    groups = []
+    for entry in log:
+        if isinstance(entry, str):
+            groups.append((entry, []))
+        else:
+            groups[-1][1].append(entry)
+    return groups
+
+
+# (window, residual's calls, step's calls) at K = 8: the interior window
+# reads J at x_1 .. x_7, the shifted one at x_1 .. x_8 and d at x_2 .. x_8;
+# the ladder at all 8 midpoints and 8 corners in one call each
+KERNEL_CALLS = [
+    ("geodesic", [("grad_d", 7), ("d", 7)], [("hess_d", 7)]),
+    ("exp", [("grad_d", 8), ("d", 7)], [("hess_d", 6)]),
+    ("ladder", [("grad_d", 16), ("d", 16)], [("hess_d", 8)]),
+]
+
+
+@pytest.mark.parametrize("window, residual_calls, step_calls", KERNEL_CALLS, ids=[k[0] for k in KERNEL_CALLS])
+def test_level_set_kernels_evaluate_each_iterate_once(window, residual_calls, step_calls, monkeypatch):
+    """A kernel projects its start in one ``_project_rows`` call; each
+    residual makes one ``grad_d_stacked`` and one ``d_stacked`` call, and
+    each step only one ``hess_d_stacked`` call: it reuses the constraint
+    gradients of the residual at its iterate."""
+    model = sdf_spring_model(SphereSdf())[0]
+    a, b, K = np.array([1.0, 0.0, 0.0]), np.array([0.0, 0.6, 0.8]), 8
+    line = a + np.linspace(0.0, 1.0, K + 1)[:, None] * (b - a)
+    ray = a + np.arange(K + 1.0)[:, None] * (b - a) / K
+    path = solve_geodesic(a, b, K, model, constraint=SphereSdf()).path.points
+    zeta = 0.4 * np.cross(a, b) / np.linalg.norm(np.cross(a, b)) / K
+    solves = {
+        "geodesic": lambda sphere: geodesic._solve_path(line, model, sphere, None, "path"),
+        "exp": lambda sphere: geodesic._solve_path(ray, model, sphere, None, "exp", shot=True),
+        "ladder": lambda sphere: geodesic._solve_ladder(path, zeta, model, sphere, None, "ladder"),
+    }
+    groups = _kernel_log(solves[window], monkeypatch)
+    markers = [marker for marker, _ in groups]
+    assert markers[0] == "project" and markers.count("project") == 1
+    assert markers.count("step") >= 2
+    for marker, calls in groups[1:]:
+        assert calls == (residual_calls if marker == "residual" else step_calls), marker
 
 
 def _recording_starts(monkeypatch):

@@ -228,6 +228,14 @@ def test_long_shot_falls_back_to_the_fold():
         assert np.linalg.norm(shot[K] - ORACLE.exp(x, v)) <= 0.1
 
 
+def test_the_root_test_floor_admits_rounding_only():
+    # a degenerate rung, whose start is its anchor (reach 0): a solved point
+    # rounding away from it passes, one 1e-4 off is another root
+    anchor = np.array([[0.3, -0.2]])
+    assert op._near(anchor + 1e-15, anchor, anchor)
+    assert not op._near(anchor + [[1e-4, 0.0]], anchor, anchor)
+
+
 # coarse two-rung ladders along sphere-chart geodesics: the whole solve
 # diverges on the first and lands on another root on the second
 COARSE_LADDERS = [
