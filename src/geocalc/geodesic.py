@@ -74,7 +74,6 @@ from .core import (
     InvariantViolation,
     SolverError,
     _as_count,
-    _central_columns,
     _one,
     _write_csv,
     as_path,
@@ -123,13 +122,12 @@ class ConstraintModel(ABC):
     ``d`` should be (close to) a signed distance near the zero set, so that
     ``grad_d`` has norm about 1 there.
 
-    A model implements stacked evaluation only: ``d_stacked`` and
-    ``grad_d_stacked`` take a stack xs of n points, shape (n, d), and
-    return d and its gradient at each point, stacked along a leading axis:
-    shapes (n,) and (n, d).  ``hess_d_stacked``, shape (n, d, d), defaults
-    to central differences of ``grad_d_stacked`` over the whole stack
-    (``core._central_columns``), symmetrized.  The per-point methods
-    ``d``, ``grad_d`` and ``hess_d`` are views of a stack of one.
+    A model implements stacked evaluation only: ``d_stacked``,
+    ``grad_d_stacked`` and ``hess_d_stacked`` take a stack xs of n points,
+    shape (n, d), and return d, its gradient and its Hessian at each point,
+    stacked along a leading axis: shapes (n,), (n, d) and (n, d, d).  The
+    per-point methods ``d``, ``grad_d`` and ``hess_d`` are views of a stack
+    of one.
     """
 
     @abstractmethod
@@ -140,11 +138,9 @@ class ConstraintModel(ABC):
     def grad_d_stacked(self, xs) -> np.ndarray:
         """grad_d at each point of xs, shape (n, d)."""
 
+    @abstractmethod
     def hess_d_stacked(self, xs) -> np.ndarray:
-        """hess_d at each point of xs, shape (n, d, d): 2d stacked calls of
-        ``grad_d_stacked``, column j differentiating along x_j."""
-        jac = _central_columns(self.grad_d_stacked, xs)
-        return (jac + np.swapaxes(jac, 1, 2)) / 2.0
+        """hess_d at each point of xs, shape (n, d, d)."""
 
     def d(self, x) -> float:
         return float(self.d_stacked(_one(x))[0])

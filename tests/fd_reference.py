@@ -1,9 +1,9 @@
 """Per-point central differences, the independent reference of the tests.
 
-The package differentiates a w-only energy by complex step and a level set
-by stacked central differences (``core._central_columns``); these loops
-differentiate one point at a time, so the tests can check those against
-them.
+The package differentiates a w-only energy by complex step and stacked
+central differences (``core._central_columns``), and every level set states
+its Hessian in closed form; these loops differentiate one point at a time,
+so the tests can check both against them.
 """
 
 import numpy as np

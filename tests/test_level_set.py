@@ -1,14 +1,15 @@
 """Stacked level-set evaluation and the stacked projection.
 
-A ``ConstraintModel`` implements d and grad_d over a stack of points
-(each shipped level set in one array pass, the ellipsoid's closest-point
-Newton on all rows at once), hess_d by default as central differences of
-the stacked gradient, and ``geodesic._project_rows`` projects a whole
-stack by one masked Newton iteration.  These tests pin the per-point views
-against the rows of the stacked methods, the finite-difference default
-against the per-point Jacobian, the projection against a per-row
-reference, its stop on points with no projection, and the sdf-sphere and
-ellipsoid solves against a per-point constraint.  The geodesic's start
+A ``ConstraintModel`` implements d, grad_d and hess_d over a stack of
+points (each shipped level set in one array pass, the ellipsoid's
+closest-point Newton on all rows at once), and ``geodesic._project_rows``
+projects a whole stack by one masked Newton iteration.  These tests pin
+the per-point views against the rows of the stacked methods, the
+ellipsoid's closed-form Hessian against the per-point central-difference
+Jacobian, its distance deep inside and on its medial axis against closed
+forms and a surface grid, the projection against a per-row reference, its
+stop on points with no projection, and the sdf-sphere and ellipsoid solves
+against a per-point constraint.  The geodesic's start
 (the projected line re-spaced to equal chords) and its least-squares
 multipliers are pinned by the iterations and start residuals they buy,
 and each Newton kernel's level-set calls per residual and per step, and
@@ -70,8 +71,12 @@ class PerPointSphere(ConstraintModel):
 
 
 class PerPointEllipsoid(ConstraintModel):
-    """Signed distance to an axis-aligned ellipsoid, point by point: damped
-    Newton on phi(t) = sum x^2 a^2 / (a^2 + t)^2 - 1 in Python floats.
+    """Signed distance to an axis-aligned ellipsoid, point by point: Newton
+    on phi(s) = sum x^2 a^2 / (b + s)^2 - 1, b = a^2 - min a^2, in Python
+    floats over the terms of the nonzero x, clamped at s0 = max a |x| - b
+    over the nonzero x, the medial axis's closest point in closed form, and
+    hess_d = (I + d W)^-1 W from the closest point, NaN where I + d W is
+    singular.
 
     Its stacked methods loop over the rows, so a solve with it is the
     per-point reference for a solve with ``EllipsoidSdf``, which runs the
@@ -82,29 +87,47 @@ class PerPointEllipsoid(ConstraintModel):
         self.semi_axes = np.asarray(semi_axes, dtype=float)
 
     def _closest_point(self, x):
-        a2 = self.semi_axes**2
-        t = 0.0
-        lo = -float(np.min(a2)) * 0.999
+        a, a2 = self.semi_axes, self.semi_axes**2
+        m, b = int(np.argmin(a)), a2 - a2.min()
+        s0 = max(float(ai * abs(xi) - bi) for ai, bi, xi in zip(a, b, x) if xi != 0)
+        s = float(a2[m])
+        x2a2 = x**2 * a2
+        live = x2a2 != 0
         for _ in range(100):
-            denom = a2 + t
-            phi = float(np.sum(x**2 * a2 / denom**2)) - 1.0
+            denom = b[live] + s
+            phi = float(np.sum(x2a2[live] / denom**2)) - 1.0
             if abs(phi) < 1e-14:
                 break
-            step = phi / float(np.sum(-2.0 * x**2 * a2 / denom**3))
-            t_new = t - step
-            while t_new <= lo:
-                step *= 0.5
-                t_new = t - step
-            t = t_new
-        return x * a2 / (a2 + t)
+            s = max(s - phi / float(np.sum(-2.0 * x2a2[live] / denom**3)), s0)
+        if s > 0:
+            return x * a2 / (b + s)
+        # the medial axis: x_m = 0 and s = 0; the closest point with p_m >= 0
+        p = np.array([xi * a2i / bi if xi != 0 else 0.0 for xi, a2i, bi in zip(x, a2, b)])
+        p[m] = a[m] * np.sqrt(max(1.0 - float(np.sum(p**2 / a2)), 0.0))
+        return p
+
+    def _normal(self, x):
+        """The closest point's outward normal p / a^2, and its norm."""
+        g = self._closest_point(x) / self.semi_axes**2
+        return g, np.sqrt(float(np.sum(g**2)))
 
     def d_stacked(self, xs):
         level = [float(np.sum(x**2 / self.semi_axes**2)) - 1.0 for x in xs]
-        return np.array([np.sign(v) * np.linalg.norm(x - self._closest_point(x)) for v, x in zip(level, xs)])
+        return np.array([np.sign(v) * np.sqrt(np.sum((x - self._closest_point(x)) ** 2)) for v, x in zip(level, xs)])
 
     def grad_d_stacked(self, xs):
-        normals = [2.0 * self._closest_point(x) / self.semi_axes**2 for x in xs]
-        return np.array([n / np.linalg.norm(n) for n in normals]).reshape(np.shape(xs))
+        return np.array([g / norm for g, norm in map(self._normal, xs)]).reshape(np.shape(xs))
+
+    def hess_d_stacked(self, xs):
+        n, d = np.shape(xs)
+        out = np.empty((n, d, d))
+        for i, (x, dist) in enumerate(zip(xs, self.d_stacked(xs))):
+            g, norm = self._normal(x)
+            proj = np.eye(d) - np.outer(g / norm, g / norm)
+            w = proj / self.semi_axes**2 @ proj / norm
+            mat = np.eye(d) + dist * w
+            out[i] = np.linalg.solve(mat, w) if np.linalg.det(mat) != 0 else np.nan
+        return out
 
 
 class SquaredRadius(ConstraintModel):
@@ -120,6 +143,10 @@ class SquaredRadius(ConstraintModel):
 
     def grad_d_stacked(self, xs):
         return 2.0 * np.asarray(xs, dtype=float)
+
+    def hess_d_stacked(self, xs):
+        n, d = np.shape(xs)
+        return np.broadcast_to(2.0 * np.eye(d), (n, d, d))
 
 
 def _reference_projection(p, constraint, tol=1e-12, max_iter=50):
@@ -148,12 +175,11 @@ def test_stacked_constraint_matches_per_point(surface, d):
     assert surface.hess_d_stacked(xs[:0]).shape == (0, d, d)
 
 
-def test_circle_stacks_natively_and_ellipsoid_loops():
+def test_every_level_set_defines_its_three_stacked_methods():
     for name in ("d_stacked", "grad_d_stacked", "hess_d_stacked"):
         assert name in vars(CircleSdf)
+        assert name in vars(EllipsoidSdf)
         assert getattr(SphereSdf, name) is getattr(CircleSdf, name)
-    assert {"d_stacked", "grad_d_stacked"} <= set(vars(EllipsoidSdf))
-    assert EllipsoidSdf.hess_d_stacked is ConstraintModel.hess_d_stacked
 
 
 def test_constraint_model_refuses_a_per_point_only_subclass():
@@ -164,19 +190,109 @@ def test_constraint_model_refuses_a_per_point_only_subclass():
         def grad_d(self, x):
             return np.asarray(x, dtype=float) / np.linalg.norm(x)
 
-    with pytest.raises(TypeError, match="abstract"):
-        PerPointOnly()
-    assert ConstraintModel.__abstractmethods__ == {"d_stacked", "grad_d_stacked"}
+    class NoHessian(ConstraintModel):
+        def d_stacked(self, xs):
+            return np.linalg.norm(xs, axis=1) - 1.0
+
+        def grad_d_stacked(self, xs):
+            return np.asarray(xs, dtype=float) / np.linalg.norm(xs, axis=1, keepdims=True)
+
+    for subclass in (PerPointOnly, NoHessian):
+        with pytest.raises(TypeError, match="abstract"):
+            subclass()
+    assert ConstraintModel.__abstractmethods__ == {"d_stacked", "grad_d_stacked", "hess_d_stacked"}
 
 
-def test_default_hess_d_is_the_symmetrized_per_point_fd_jacobian():
-    # 2d stacked gradient calls over the whole stack give, bitwise, the
-    # central-difference Jacobian of each point alone, symmetrized
-    surface = EllipsoidSdf([1.0, 0.7, 1.3])
-    xs = _points(4, 7, 3, radius=(0.8, 1.2))
-    for x, hess in zip(xs, surface.hess_d_stacked(xs)):
-        j = central_jacobian(surface.grad_d, x, _FD_STEP)
-        np.testing.assert_array_equal(hess, (j + j.T) / 2.0)
+def _ellipsoid_probe(axes):
+    """2,000 points at offsets -0.15..0.3 along the outward normal from
+    points of the ellipsoid's surface."""
+    rng = np.random.default_rng(17)
+    u = rng.normal(size=(2000, 3))
+    p = u / np.linalg.norm(u, axis=1, keepdims=True) * axes
+    normal = p / np.square(axes)
+    offset = rng.uniform(-0.15, 0.3, size=(2000, 1))
+    return p + offset * normal / np.linalg.norm(normal, axis=1, keepdims=True)
+
+
+def test_ellipsoid_hess_d_matches_the_per_point_fd_jacobian():
+    # the closed form against central differences of the gradient, point by
+    # point; it annihilates the normal
+    surface = EllipsoidSdf([1.0, 0.8, 0.6])
+    xs = _ellipsoid_probe(surface.semi_axes)
+    hess, grad = surface.hess_d_stacked(xs), surface.grad_d_stacked(xs)
+    for x, h in zip(xs, hess):
+        np.testing.assert_allclose(h, central_jacobian(surface.grad_d, x, _FD_STEP), rtol=0, atol=1e-8)
+    assert np.abs(np.einsum("nij,nj->ni", hess, grad)).max() <= 1e-14
+
+
+def _medial_closest_point(x, axes):
+    """The closest point, with p_m >= 0, of a point x with x_m = 0 on the
+    ellipsoid's medial axis, m its smallest semi-axis (Eberly 2013)."""
+    a2 = np.square(axes)
+    m = int(np.argmin(axes))
+    p = np.array([xi * ai / (ai - a2[m]) if i != m else 0.0 for i, (xi, ai) in enumerate(zip(x, a2))])
+    p[m] = axes[m] * np.sqrt(1.0 - np.sum(p**2 / a2))
+    return p
+
+
+def _surface_grid(axes, n=200):
+    """Points of the ellipsoid's surface on a coarse latitude-longitude grid."""
+    theta, phi = np.meshgrid(np.linspace(0.0, np.pi, n), np.linspace(0.0, 2.0 * np.pi, 2 * n))
+    u = np.stack([np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)], axis=-1)
+    return u.reshape(-1, 3) * axes
+
+
+@pytest.mark.parametrize("axes", [(1.0, 0.7, 1.3), (1.0, 0.8, 0.6), (3.0, 0.5, 1.0)])
+def test_ellipsoid_distance_is_exact_deep_inside(axes):
+    axes = np.array(axes)
+    surface = EllipsoidSdf(axes)
+    # (0.1, 0, 0) lies on the medial axis: its closest point leaves the plane
+    x = np.array([0.1, 0.0, 0.0])
+    p = _medial_closest_point(x, axes)
+    assert abs(surface.d(x) + np.linalg.norm(x - p)) <= 1e-12
+    np.testing.assert_allclose(surface.grad_d(x), (p - x) / np.linalg.norm(x - p), rtol=0, atol=1e-12)
+    # points of every principal plane near the centre, and farther out
+    rng = np.random.default_rng(5)
+    xs = []
+    for k in range(3):
+        for radius in (1e-3, 0.5):
+            plane = rng.uniform(-radius, radius, size=(10, 3))
+            plane[:, k] = 0.0
+            xs.append(plane)
+    xs = np.concatenate(xs)
+    d, grad = surface.d_stacked(xs), surface.grad_d_stacked(xs)
+    p = xs - d[:, None] * grad
+    np.testing.assert_allclose(np.sum(p**2 / axes**2, axis=1), 1.0, rtol=0, atol=1e-14)
+    normal = p / axes**2
+    np.testing.assert_allclose(grad, normal / np.linalg.norm(normal, axis=1, keepdims=True), rtol=0, atol=1e-12)
+    grid = _surface_grid(axes)
+    for x, dist in zip(xs, d):
+        assert abs(dist) <= np.linalg.norm(grid - x, axis=1).min() + 1e-12
+
+
+def test_ellipsoid_distance_where_a_zero_coordinate_meets_its_pole():
+    # the clamp can put s exactly at b_i + s = 0 for a zero x_i, whose term
+    # of phi must then stay out rather than turn 0 / 0
+    x = np.array([0.5, 0.75, 0.0])
+    axes = np.array([2.0, 1.0, 0.5])
+    surface = EllipsoidSdf(axes)
+    d, grad = surface.d(x), surface.grad_d(x)
+    p = x - d * grad
+    assert d < 0 and abs(np.sum(p**2 / axes**2) - 1.0) <= 1e-14 and p[2] == 0.0
+    np.testing.assert_allclose(grad, p / axes**2 / np.linalg.norm(p / axes**2), rtol=0, atol=1e-12)
+    assert abs(d) <= np.linalg.norm(_surface_grid(axes) - x, axis=1).min() + 1e-12
+    # (1.5, 0, 0) on (2, 1, 1): the closest point is the pole (2, 0, 0), and
+    # x is its centre of curvature, where hess_d is unbounded: NaN in its row
+    # alone, as in the per-point reference
+    surface, looped = EllipsoidSdf([2.0, 1.0, 1.0]), PerPointEllipsoid([2.0, 1.0, 1.0])
+    xs = np.array([[1.5, 0.0, 0.0], [1.2, 0.3, 0.1]])
+    assert surface.d_stacked(xs)[0] == -0.5
+    assert np.array_equal(surface.grad_d_stacked(xs)[0], [1.0, 0.0, 0.0])
+    hess = surface.hess_d_stacked(xs)
+    assert np.isnan(hess[0]).all()
+    np.testing.assert_allclose(hess[1], central_jacobian(surface.grad_d, xs[1], _FD_STEP), rtol=0, atol=1e-8)
+    np.testing.assert_allclose(hess, looped.hess_d_stacked(xs), rtol=0, atol=1e-15)
+    np.testing.assert_allclose(surface.d_stacked(xs), looped.d_stacked(xs), rtol=0, atol=1e-15)
 
 
 def test_level_set_view_stacks_the_per_point_values():
@@ -314,12 +430,17 @@ def test_ellipsoid_operators_match_the_per_point_constraint(axes, monkeypatch):
 
 @pytest.mark.parametrize("axes", [(1.0, 0.7, 1.3), (2.0, 1.0, 1.0), (1.0, 0.8, 0.6), (3.0, 0.5, 1.0)])
 def test_ellipsoid_matches_the_per_point_newton(axes):
-    # the same Newton, each row stopping on its own; the norms are summed
-    # by rows rather than by np.linalg.norm, so up to rounding
+    # the same Newton, medial-axis branch and closed-form Hessian, each row
+    # stopping on its own, so up to rounding
     xs = _points(3, 2000, 3, radius=(0.3, 2.5))
+    # and points of the medial axis, zero on the smallest semi-axis
+    medial = _points(4, 50, 3, radius=(0.01, 0.3))
+    medial[:, np.argmin(axes)] = 0.0
+    xs = np.concatenate([xs, medial])
     stacked, looped = EllipsoidSdf(axes), PerPointEllipsoid(axes)
     np.testing.assert_allclose(stacked.d_stacked(xs), looped.d_stacked(xs), rtol=0, atol=1e-15)
     np.testing.assert_allclose(stacked.grad_d_stacked(xs), looped.grad_d_stacked(xs), rtol=0, atol=1e-15)
+    np.testing.assert_allclose(stacked.hess_d_stacked(xs), looped.hess_d_stacked(xs), rtol=0, atol=1e-15)
 
 
 def test_off_set_init_path_is_projected_before_the_solve():

@@ -14,6 +14,7 @@ from geocalc import (
     flat_energy,
     metric_from_energy,
     sdf_spring_model,
+    solve_geodesic,
     sphere_chart_energy,
     sphere_oracles,
 )
@@ -364,13 +365,18 @@ def test_circle_and_sphere_sdf_are_normalized():
 
 
 def test_ellipsoid_sdf_basics():
-    for axes in ([2.0, 0.0, 1.0], [2.0, 1.0, -1.0]):
+    for axes in ([2.0, 0.0, 1.0], [2.0, 1.0, -1.0], [1.0, np.nan, 1.0], [1.0, np.inf, 1.0], [[1.0, 2.0, 3.0]], 2.0, []):
         with pytest.raises(DomainError, match="semi axes must be positive"):
             EllipsoidSdf(axes)
+    # points of another dimension are a DomainError naming both
+    with pytest.raises(DomainError, match=r"3 coordinates, got a stack of shape \(2, 2\)"):
+        solve_geodesic([1.0, 0.0], [0.0, 1.0], 4, flat_energy(), constraint=EllipsoidSdf([1.0, 2.0, 3.0]))
     ell = EllipsoidSdf([2.0, 1.0, 1.0])
     assert ell.d(np.array([3.0, 0.0, 0.0])) == pytest.approx(1.0, abs=1e-10)
     assert np.allclose(ell.grad_d(np.array([3.0, 0.0, 0.0])), [1.0, 0.0, 0.0], atol=1e-10)
     assert ell.d(np.array([0.0, 1.0, 0.0])) == pytest.approx(0.0, abs=1e-12)
+    # a point whose square overflows has no finite distance
+    assert np.isnan(ell.d(np.array([1e200, 0.0, 0.0])))
     # near-surface normalization
     rng = np.random.default_rng(23)
     for _ in range(10):

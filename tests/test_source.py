@@ -2,10 +2,11 @@
 
 For every module of ``geocalc`` but ``__init__``, the source is parsed with
 ``ast``; the suite fails on an import whose bound name is never used again
-in its module, and on a private (``_x``, not dunder) function or class,
-defined at module or class level, whose name is used nowhere in the
-package.  A use is a name or an attribute in the parsed code, so a mention
-in a docstring or a comment does not count.
+in its module, on a private (``_x``, not dunder) function or class, defined
+at module or class level, whose name is used nowhere in the package, and on
+a private constant, a name bound by a module-level assignment, that no
+module of the package reads.  A use is a name read or an attribute in the
+parsed code, so a mention in a docstring or a comment does not count.
 """
 
 import ast
@@ -21,10 +22,14 @@ MODULES = sorted(set(TREES) - {"__init__.py"})
 
 
 def _uses(tree):
-    """The names and attribute names a parsed module reads or writes."""
-    return {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)} | {
+    """The names a parsed module reads, and its attribute names."""
+    return {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)} | {
         node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
     }
+
+
+def _private(name):
+    return name.startswith("_") and not name.endswith("__")
 
 
 def _private_definitions(tree):
@@ -33,8 +38,16 @@ def _private_definitions(tree):
     for body in scopes:
         for node in body:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                if node.name.startswith("_") and not node.name.endswith("__"):
+                if _private(node.name):
                     yield node.name
+
+
+def _private_constants(tree):
+    """Private names bound by a module-level assignment."""
+    for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                yield from (name.id for name in ast.walk(target) if isinstance(name, ast.Name) and _private(name.id))
 
 
 @pytest.mark.parametrize("module", MODULES)
@@ -53,3 +66,9 @@ def test_every_import_is_used(module):
 def test_every_private_helper_is_used(module):
     used = set().union(*(_uses(tree) for tree in TREES.values()))
     assert not sorted(set(_private_definitions(TREES[module])) - used), f"unused private helpers in {module}"
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_every_private_constant_is_read(module):
+    read = set().union(*(_uses(tree) for tree in TREES.values()))
+    assert not sorted(set(_private_constants(TREES[module])) - read), f"unread private constants in {module}"
