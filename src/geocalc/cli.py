@@ -177,14 +177,14 @@ def _cmd_transport(args) -> int:
     res = solve_geodesic(xa, xb, K, backend.model, cfg.solver, constraint=backend.constraint)
     _require(res.converged, res.residual, "geodesic solve")
     w = np.asarray(cfg.w, dtype=float)
-    zeta, traces = parallel_transport(res.path, w / K, backend.model, cfg.solver, backend.constraint)
+    zeta, trace = parallel_transport(res.path, w / K, backend.model, cfg.solver, backend.constraint)
     print(f"transport model={cfg.model} K={K}")
     print("zeta_K     = " + ",".join(repr(float(v)) for v in zeta))
     print("K * zeta_K = " + ",".join(repr(float(v)) for v in K * zeta))
     if cfg.output_dir:
         os.makedirs(cfg.output_dir, exist_ok=True)
         target = os.path.join(cfg.output_dir, "transport_traces.csv")
-        write_traces_csv(traces, target)
+        write_traces_csv(trace, target)
         print(f"wrote {target}")
     return 0
 

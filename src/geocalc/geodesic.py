@@ -57,11 +57,14 @@ starts near the discrete one, whose segment energies are equal: the
 projected straight line has its interior moved to K equal steps of its
 length (``_equal_chords``), which the kernel projects again.  A level
 set's multipliers start at the least-squares estimate mu_k = J_k .
-rows_k / |J_k|^2 from the start's Euler-Lagrange rows, a gauge's at 0.
+rows_k / |J_k|^2 from the start's Euler-Lagrange rows, a gauge's at 0;
+the first residual sets them from its own rows and gradients, so a start
+is evaluated once.
 """
 
 from __future__ import annotations
 
+import numbers
 from abc import ABC, abstractmethod
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -109,8 +112,9 @@ class SolverConfig:
     damping: str = "none"  # "none" | "armijo"
 
     def __post_init__(self):
-        if not 0 < self.newton_tol < np.inf:
-            raise DomainError(f"newton_tol must be positive and finite, got {self.newton_tol}")
+        tol = self.newton_tol  # a bool is an int; a string compares with no number
+        if isinstance(tol, bool) or not isinstance(tol, numbers.Real) or not 0 < tol < np.inf:
+            raise DomainError(f"newton_tol must be positive and finite, got {tol!r}")
         _as_count("max_iter", self.max_iter, 1)
         if self.damping not in ("none", "armijo"):
             raise DomainError(f"unknown damping mode {self.damping!r}")
@@ -420,6 +424,12 @@ def _solve_path(pts, model, constraint, cfg: SolverConfig | None, context: str, 
             return rows
         jac = at_iterate["jac"] = view.jac(x[1 : K + s])
         mu = z[1 + s : K + s, d:]
+        if z is z0 and isinstance(constraint, ConstraintModel):
+            # z0's multipliers, a gauge's 0 as they enter no Jacobian, a level
+            # set's the least-squares mu_k = J_k . rows_k / |J_k|^2 of its rows
+            j = jac[: K - 1, 0]
+            jj = np.einsum("nd,nd->n", j, j)
+            np.divide(np.einsum("nd,nd->n", j, rows), jj, out=mu[:, 0], where=jj > 0.0)
         return np.hstack([rows - _weighted(mu, jac[: K - 1]), view.values(x[1 + s : K + s])])
 
     def step(z, r):
@@ -448,13 +458,6 @@ def _solve_path(pts, model, constraint, cfg: SolverConfig | None, context: str, 
         return delta
 
     z0 = np.hstack([pts, np.zeros((K + 1, c))])
-    if isinstance(constraint, ConstraintModel):
-        # least-squares multipliers mu_k = J_k . rows_k / |J_k|^2 of the start;
-        # a gauge's do not enter its Jacobian, so they start at 0
-        jac = view.jac(pts[1:K])[:, 0]
-        jj = np.einsum("nd,nd->n", jac, jac)
-        jr = np.einsum("nd,nd->n", jac, _el_rows(model, pts))
-        np.divide(jr, jj, out=z0[1 + s : K + s, d], where=jj > 0.0)
     z, res, iterations, converged = _newton(residual, step, z0, cfg, context)
     return z[:, :d], z[1 + s : K + s, d:], res, iterations, converged
 

@@ -335,7 +335,7 @@ def run_convergence_study(cfg: StudyConfig) -> ConvergenceReport:
         # transported displacements at nodes 0..K; the coarse ones, for the
         # doubled step, are halved
         zetas = None if half is None else _prolong(half)[1:] / 2.0
-        return np.vstack([w / K, _transport(DiscretePath(paths[K]), w / K, zetas, model, solver, constraint)[3]])
+        return np.vstack([w / K, _transport(DiscretePath(paths[K]), w / K, zetas, model, solver, constraint).zeta])
 
     exps = _cascade(levels, shoot)
     zetas = _cascade(levels, transport)

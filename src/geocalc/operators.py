@@ -15,7 +15,8 @@ grad2(x_{k-1}, x_k) + grad1(x_k, x_{k+1}) = 0, k = 1..K-1:
 On top of these sit a Schild's-ladder style parallel transport (one
 geodesic parallelogram per path segment), its inverse, and a
 finite-difference connection.  The ladder is one Newton solve over every
-rung's midpoint and corner together (``geodesic._solve_ladder``).  The
+rung's midpoint and corner together (``geodesic._solve_ladder``), and one
+``TransportTrace`` records it, a (K, d) row stack per field.  The
 inverse is the same ladder along the reversed path, of the reversed
 energy w'(x, y) = w(y, x) (``_Reversed``); the connection is a one-rung
 inverse.  The whole exp and the ladder are less robust than the
@@ -75,11 +76,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class TransportTrace:
-    """One rung of the transport ladder: x_p_prev = x_{k-1} + zeta_{k-1},
-    the parallelogram midpoint x_c, the completed corner x_p, and the
-    transported displacement zeta = x_p - x_k."""
+    """The K rungs of a transport ladder along x_0 .. x_K, rung k in row k - 1
+    of each (K, d) field: the parallelogram midpoint x_c, the completed
+    corner x_p, and the transported displacement zeta = x_p - x_k.  Rung k
+    starts from the corner before it, row k - 2 of x_p (x_0 + zeta_0 for k = 1)."""
 
-    x_p_prev: np.ndarray
     x_c: np.ndarray
     x_p: np.ndarray
     zeta: np.ndarray
@@ -247,31 +248,30 @@ def transport_step(
 ):
     """One geodesic-parallelogram rung carrying zeta from x_prev to x_next.
 
-    Returns the transported displacement and the rung trace.  The two inner
-    solves are labeled rung-midpoint (the parallelogram center) and
-    rung-completion (the opposite corner).
+    Returns the transported displacement and the TransportTrace of this
+    one-rung ladder, fields of shape (1, d).  The two inner solves are
+    labeled rung-midpoint (the parallelogram center) and rung-completion
+    (the opposite corner).
     """
     x_prev = as_point(x_prev)
     x_next = _at_point(x_next, x_prev)
-    zeta_prev = _at_point(zeta_prev, x_prev)
-    x_p_prev = x_prev + zeta_prev
+    x_p_prev = x_prev + _at_point(zeta_prev, x_prev)
     with _labelled("rung-midpoint solve failed: "):
         x_c = x_p_prev + log2(x_p_prev, x_next, model, cfg, constraint)
     with _labelled("rung-completion solve failed: "):
         x_p = exp2(x_prev, x_c - x_prev, model, cfg, constraint)
-    zeta_next = x_p - x_next
-    trace = TransportTrace(x_p_prev=x_p_prev, x_c=x_c, x_p=x_p, zeta=zeta_next)
-    return zeta_next, trace
+    trace = TransportTrace(x_c[None], x_p[None], (x_p - x_next)[None])
+    return trace.zeta[0], trace
 
 
 def _transport_fold(path, zeta, model, cfg, constraint):
-    """The ladder one transport_step rung at a time."""
-    traces = []
+    """The ladder one transport_step rung at a time: its midpoints and corners, (K, d) each."""
+    mid, corner = np.empty((2, len(path) - 1, zeta.size))
     for k in range(1, len(path)):
         with _labelled(f"transport step {k} failed: "):
-            zeta, trace = transport_step(path[k - 1], path[k], zeta, model, cfg, constraint)
-        traces.append(trace)
-    return zeta, traces
+            zeta, rung = transport_step(path[k - 1], path[k], zeta, model, cfg, constraint)
+        mid[k - 1], corner[k - 1] = rung.x_c[0], rung.x_p[0]
+    return mid, corner
 
 
 def parallel_transport(
@@ -286,21 +286,21 @@ def parallel_transport(
     All rungs are solved together in one Newton solve.  If that solve
     fails (it is less robust than the rung-by-rung fold on coarse ladders),
     the rungs are solved one ``transport_step`` at a time instead, and the
-    fold's errors are the ones raised.  Returns (zeta_K, traces);
-    traces[k-1] documents the k-th rung.
+    fold's errors are the ones raised.  Returns (zeta_K, trace), trace the
+    ladder's TransportTrace, whose row k - 1 documents the k-th rung.
     """
     path = as_path(path)
-    rungs = _transport(path, _at_point(zeta_0, path[0]), None, model, cfg, constraint)
-    return rungs[3][-1], [TransportTrace(*rung) for rung in zip(*rungs)]
+    trace = _transport(path, _at_point(zeta_0, path[0]), None, model, cfg, constraint)
+    return trace.zeta[-1], trace
 
 
-def _transport(path, zeta_0, zetas, model, cfg, constraint):
+def _transport(path, zeta_0, zetas, model, cfg, constraint) -> TransportTrace:
     """``parallel_transport`` of zeta_0 along the DiscretePath ``path``, its
     whole ladder started from the guesses ``zetas`` of ``_solve_ladder``.
 
-    Returns the fields of the K traces as four (K, d) arrays, in the order
-    of ``TransportTrace``.  The fold and the ``_near`` root test are those
-    of ``parallel_transport``, whatever the start.
+    Returns the ladder's TransportTrace, its zeta the corners less x_1 ..
+    x_K whether the whole solve or the fold found them.  The fold and the
+    ``_near`` root test are those of ``parallel_transport``, whatever the start.
     """
     pts = path.points
     try:
@@ -313,10 +313,8 @@ def _transport(path, zeta_0, zetas, model, cfg, constraint):
         starts = np.vstack([(corner_prev + pts[1:]) / 2.0, 2.0 * mid - pts[:-1]])
         converged = _near(solved, starts, np.vstack([pts[1:], mid]))
     if not converged:
-        _, traces = _transport_fold(path, zeta_0, model, cfg, constraint)
-        return np.array([[t.x_p_prev, t.x_c, t.x_p, t.zeta] for t in traces]).transpose(1, 0, 2)
-    zetas = corner - pts[1:]
-    return pts[:-1] + np.vstack([zeta_0, zetas[:-1]]), mid, corner, zetas
+        mid, corner = _transport_fold(path, zeta_0, model, cfg, constraint)
+    return TransportTrace(mid, corner, corner - pts[1:])
 
 
 class _Reversed(EnergyModel):
@@ -353,7 +351,7 @@ def inverse_transport(
     path = as_path(path)
     zeta = _at_point(zeta_K, path[0])
     with _labelled("inverse "):
-        return _transport(DiscretePath(path.points[::-1]), zeta, None, _Reversed(model), cfg, constraint)[3][-1]
+        return _transport(DiscretePath(path.points[::-1]), zeta, None, _Reversed(model), cfg, constraint).zeta[-1]
 
 
 def discrete_connection(
@@ -376,12 +374,9 @@ def discrete_connection(
     return inverse_transport(rung, eta1, model, cfg, constraint) - eta0
 
 
-def write_traces_csv(traces, target) -> None:
-    """Write ladder rungs as CSV rows ``k, x_c, x_p, zeta`` (one coordinate
-    per column)."""
-    if not traces:
-        raise DomainError("no traces to write")
-    d = traces[0].x_c.size
+def write_traces_csv(trace: TransportTrace, target) -> None:
+    """Write a ladder's rungs as CSV rows ``k, x_c, x_p, zeta`` (one
+    coordinate per column)."""
+    d = trace.x_c.shape[1]
     header = ["k"] + [f"{name}_{i}" for name in ("xc", "xp", "zeta") for i in range(d)]
-    rows = ((k, [*tr.x_c, *tr.x_p, *tr.zeta]) for k, tr in enumerate(traces, start=1))
-    _write_csv(target, header, rows)
+    _write_csv(target, header, enumerate(np.hstack([trace.x_c, trace.x_p, trace.zeta]), start=1))

@@ -254,6 +254,15 @@ def test_non_integer_max_iter_in_a_config_exits_3(tmp_path, capsys):
         assert "max_iter must be an integer of at least 1" in capsys.readouterr().err
 
 
+def test_non_number_newton_tol_in_a_config_exits_3(tmp_path, capsys):
+    # true would otherwise be a tolerance of 1.0, and a string fail to compare
+    for tol in ("true", '"1e-9"'):
+        path = tmp_path / "study.json"
+        path.write_text(f'{{"model": "sphere-chart", "solver": {{"newton_tol": {tol}}}}}', encoding="utf-8")
+        assert main(["geodesic", "--config", str(path), "--K", "4"]) == 3, tol
+        assert "newton_tol must be positive and finite" in capsys.readouterr().err
+
+
 def test_step_count_below_one_exits_3(tmp_path, capsys):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     save_rod_csv(circle_rod(8), a)

@@ -87,7 +87,8 @@ def test_study_config_validation():
         StudyConfig.from_dict({"modle": "flat"})
     nested = StudyConfig.from_dict({"solver": {"newton_tol": 1e-9, "damping": "armijo"}})
     assert (nested.solver.newton_tol, nested.solver.damping) == (1e-9, "armijo")
-    for tol in (0.0, -1.0, float("nan"), float("inf")):
+    # a bool is not read as 1 or 0, nor a string as its number
+    for tol in (0.0, -1.0, float("nan"), float("inf"), True, "1e-9"):
         with pytest.raises(DomainError, match="newton_tol must be positive and finite"):
             StudyConfig.from_dict({"solver": {"newton_tol": tol}})
 

@@ -394,14 +394,14 @@ def _run_operators(surface, monkeypatch):
     res = solve_geodesic(a, b, K, model, constraint=surface)
     zeta = res.path[1] - res.path[0]
     w = 0.4 * np.cross(a, b) / np.linalg.norm(np.cross(a, b)) / K
-    zt, traces = parallel_transport(res.path, w, model, constraint=surface)
+    zt, trace = parallel_transport(res.path, w, model, constraint=surface)
     outputs = {
         "path": res.path.points,
         "multipliers": res.multipliers,
         "log2": log2(res.path[0], res.path[2], model, constraint=surface),
         "exp": discrete_exp(a, zeta, K, model, constraint=surface),
         "transport": zt,
-        "corners": np.array([t.x_p for t in traces]),
+        "corners": trace.x_p,
         "inverse": inverse_transport(res.path, zt, model, constraint=surface),
         "inverse_rung": inverse_transport(DiscretePath(res.path.points[:2]), zeta, model, constraint=surface),
     }
@@ -503,8 +503,9 @@ class LoggedSphere(SphereSdf):
 
 def _kernel_log(solve, monkeypatch):
     """The level-set calls of ``solve(sphere)`` on a LoggedSphere, grouped by
-    the last ``_project_rows`` call, residual or step of the Newton loop
-    before them: a list of (marker, [(method, rows), ...])."""
+    the last start ("project") or end ("projected") of a ``_project_rows``
+    call, residual or step of the Newton loop before them: a list of
+    (marker, [(method, rows), ...])."""
     log = []
     newton, project = geodesic._newton, geodesic._project_rows
 
@@ -518,8 +519,12 @@ def _kernel_log(solve, monkeypatch):
     def marked_newton(residual, step, z0, cfg, context):
         return newton(marked("residual", residual), marked("step", step), z0, cfg, context)
 
+    def marked_project(*args):
+        marked("project", project)(*args)
+        log.append("projected")
+
     monkeypatch.setattr(geodesic, "_newton", marked_newton)
-    monkeypatch.setattr(geodesic, "_project_rows", marked("project", project))
+    monkeypatch.setattr(geodesic, "_project_rows", marked_project)
     assert solve(LoggedSphere(log))[-1]
     monkeypatch.undo()
     groups = []
@@ -543,10 +548,13 @@ KERNEL_CALLS = [
 
 @pytest.mark.parametrize("window, residual_calls, step_calls", KERNEL_CALLS, ids=[k[0] for k in KERNEL_CALLS])
 def test_level_set_kernels_evaluate_each_iterate_once(window, residual_calls, step_calls, monkeypatch):
-    """A kernel projects its start in one ``_project_rows`` call; each
-    residual makes one ``grad_d_stacked`` and one ``d_stacked`` call, and
-    each step only one ``hess_d_stacked`` call: it reuses the constraint
-    gradients of the residual at its iterate."""
+    """A kernel projects its start in one ``_project_rows`` call, and
+    nothing else evaluates the level set before the first residual: the
+    least-squares multipliers of a path solve's start come from that
+    residual's rows and gradients.  Each residual makes one
+    ``grad_d_stacked`` and one ``d_stacked`` call, and each step only one
+    ``hess_d_stacked`` call: it reuses the constraint gradients of the
+    residual at its iterate."""
     model = sdf_spring_model(SphereSdf())[0]
     a, b, K = np.array([1.0, 0.0, 0.0]), np.array([0.0, 0.6, 0.8]), 8
     line = a + np.linspace(0.0, 1.0, K + 1)[:, None] * (b - a)
@@ -560,9 +568,10 @@ def test_level_set_kernels_evaluate_each_iterate_once(window, residual_calls, st
     }
     groups = _kernel_log(solves[window], monkeypatch)
     markers = [marker for marker, _ in groups]
-    assert markers[0] == "project" and markers.count("project") == 1
+    assert markers[:3] == ["project", "projected", "residual"] and markers.count("project") == 1
+    assert groups[1][1] == []
     assert markers.count("step") >= 2
-    for marker, calls in groups[1:]:
+    for marker, calls in groups[2:]:
         assert calls == (residual_calls if marker == "residual" else step_calls), marker
 
 

@@ -142,8 +142,12 @@ def test_transport_step_flat_closes_parallelogram():
     z = np.array([0.07, -0.02])
     z_next, trace = transport_step([0.0, 0.0], [0.3, 0.1], z, FLAT)
     assert np.allclose(z_next, z, atol=1e-12)
-    assert np.allclose(trace.x_p_prev, [0.07, -0.02])
+    # the rung starts from x_prev + z; in flat space its midpoint halves the
+    # diagonal from there to x_next
+    assert np.allclose(2.0 * trace.x_c, [[0.07 + 0.3, -0.02 + 0.1]])
+    assert trace.x_p.shape == trace.zeta.shape == (1, 2)
     assert np.allclose(trace.x_p - np.array([0.3, 0.1]), trace.zeta)
+    assert np.array_equal(z_next, trace.zeta[0])
 
 
 def test_transport_step_degenerate_seed():
@@ -154,13 +158,14 @@ def test_transport_step_degenerate_seed():
 def test_transport_construction_identities():
     res = solve_geodesic(XA, XB, 8, CHART)
     zeta0 = np.array([-0.05, 0.0])
-    zeta, traces = parallel_transport(res.path, zeta0, CHART)
-    current = zeta0
-    for k, tr in enumerate(traces, start=1):
-        assert np.array_equal(tr.x_p_prev, res.path[k - 1] + current)
-        assert np.array_equal(tr.zeta, tr.x_p - res.path[k])
-        current = tr.zeta
-    assert np.array_equal(zeta, traces[-1].zeta)
+    zeta, trace = parallel_transport(res.path, zeta0, CHART)
+    assert np.array_equal(trace.zeta, trace.x_p - res.path.points[1:])
+    # rung k starts from the corner before it, row k - 2 of x_p (x_0 +
+    # zeta_0 for rung 1): its midpoint equation holds from there
+    corner_prev = np.vstack([res.path[0] + zeta0, trace.x_p[:-1]])
+    mid = CHART.grads_stacked(corner_prev, trace.x_c)[1] + CHART.grads_stacked(trace.x_c, res.path.points[1:])[0]
+    assert np.max(np.abs(mid)) <= SolverConfig().newton_tol
+    assert np.array_equal(zeta, trace.zeta[-1])
 
 
 def test_transport_norm_drift_is_high_order():
@@ -182,9 +187,9 @@ def test_parallel_transport_flat_is_identity():
     rng = np.random.default_rng(12)
     pts = rng.normal(size=(6, 3))
     z0 = rng.normal(size=3)
-    zK, traces = parallel_transport(pts, z0, flat_energy())
+    zK, trace = parallel_transport(pts, z0, flat_energy())
     assert np.allclose(zK, z0, atol=1e-10)
-    assert len(traces) == 5
+    assert trace.x_c.shape == trace.x_p.shape == trace.zeta.shape == (5, 3)
 
 
 def test_transport_identity_along_geodesic():
@@ -451,16 +456,14 @@ def test_flat_operators_are_exact():
 
 def test_traces_csv_layout():
     res = solve_geodesic(XA, XB, 4, CHART)
-    _, traces = parallel_transport(res.path, np.array([-0.1, 0.0]), CHART)
+    _, trace = parallel_transport(res.path, np.array([-0.1, 0.0]), CHART)
     buf = io.StringIO()
-    write_traces_csv(traces, buf)
+    write_traces_csv(trace, buf)
     lines = buf.getvalue().strip().splitlines()
     assert lines[0] == "k,xc_0,xc_1,xp_0,xp_1,zeta_0,zeta_1"
     assert len(lines) == 5
     first = [float(v) for v in lines[1].split(",")[1:]]
-    assert np.allclose(first[:2], traces[0].x_c)
-    with pytest.raises(DomainError):
-        write_traces_csv([], buf)
+    assert np.allclose(first[:2], trace.x_c[0])
 
 
 def test_log2_is_the_two_step_path_solve():

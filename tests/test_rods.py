@@ -662,8 +662,8 @@ def test_gauged_rod_exp_and_ladder_are_whole_solves():
     w = (random_smooth_rod(16, np.random.default_rng(0), amplitude=0.1).coord - path[0]) / K
     mid, corner, _, _, converged = geodesic._solve_ladder(path, w, model, gauge, None, "ladder")
     assert converged
-    w_K, traces = parallel_transport(res.path, w, model, constraint=gauge)
-    np.testing.assert_array_equal([tr.x_c for tr in traces], mid)
+    w_K, trace = parallel_transport(res.path, w, model, constraint=gauge)
+    np.testing.assert_array_equal(trace.x_c, mid)
     np.testing.assert_array_equal(w_K, corner[-1] - path[K])
     # each corner's node average sits where flat space puts it, x_k + w
     np.testing.assert_allclose(corner @ gauge.matrix.T, (path[1:] + w) @ gauge.matrix.T, rtol=0, atol=1e-12)

@@ -9,6 +9,8 @@ not pick.  These tests pin the kernels themselves (the shot window of
 with the fold, the fallback, and the dimension checks of every operator.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -110,10 +112,10 @@ def test_whole_solves_match_the_fold(K, name):
 
     mid, corner, _, _, converged = _whole_ladder(path.points, w / K, model, cfg, con)
     assert converged
-    zeta, traces = parallel_transport(path, w / K, model, cfg, con)
-    assert np.array_equal([tr.x_c for tr in traces], mid)
+    zeta, trace = parallel_transport(path, w / K, model, cfg, con)
+    assert np.array_equal(trace.x_c, mid)
     assert np.array_equal(zeta, corner[-1] - path[K])
-    zeta_fold, _ = op._transport_fold(path, w / K, model, cfg, con)
+    zeta_fold = op._transport_fold(path, w / K, model, cfg, con)[1][-1] - path[K]
     assert K * np.max(np.abs(zeta - zeta_fold)) <= 1e-8
 
 
@@ -128,14 +130,16 @@ def test_results_satisfy_the_inner_equations(name):
     K = 64
     tol = SolverConfig().newton_tol
     path = solve_geodesic(xa, xb, K, model, constraint=con).path
-    _, traces = parallel_transport(path, w / K, model, constraint=con)
-    for k, tr in enumerate(traces, start=1):
-        mid = model.grad2(tr.x_p_prev, tr.x_c) + model.grad1(tr.x_c, path[k])
-        completion = model.grad2(path[k - 1], tr.x_c) + model.grad1(tr.x_c, tr.x_p)
+    _, trace = parallel_transport(path, w / K, model, constraint=con)
+    # rung k starts from the corner before it (x_0 + zeta_0 for rung 1)
+    corner_prev = np.vstack([path[0] + w / K, trace.x_p[:-1]])
+    for k, (x_c, x_p) in enumerate(zip(trace.x_c, trace.x_p), start=1):
+        mid = model.grad2(corner_prev[k - 1], x_c) + model.grad1(x_c, path[k])
+        completion = model.grad2(path[k - 1], x_c) + model.grad1(x_c, x_p)
         if con is not None:
-            normal = con.grad_d(tr.x_c)
+            normal = con.grad_d(x_c)
             mid, completion = _tangential(mid, normal), _tangential(completion, normal)
-            assert max(abs(con.d(tr.x_c)), abs(con.d(tr.x_p))) <= tol
+            assert max(abs(con.d(x_c)), abs(con.d(x_p))) <= tol
         assert np.max(np.abs(mid)) <= tol
         assert np.max(np.abs(completion)) <= tol
 
@@ -260,15 +264,34 @@ def test_coarse_ladder_falls_back_to_the_fold():
     path, zeta = (np.array(a) for a in COARSE_LADDERS[1])
     mid, corner, _, _, converged = _whole_ladder(path, zeta, CHART, cfg)
     assert converged
-    zeta_fold, _ = op._transport_fold(DiscretePath(path), zeta, CHART, cfg, None)
-    assert np.linalg.norm(corner[-1] - path[-1] - zeta_fold) > 0.1
+    fold_corner = op._transport_fold(DiscretePath(path), zeta, CHART, cfg, None)[1]
+    assert np.linalg.norm(corner[-1] - fold_corner[-1]) > 0.1
     for path, zeta in COARSE_LADDERS:
         path, zeta = np.array(path), np.array(zeta)
-        got, traces = parallel_transport(path, zeta, CHART, cfg)
-        want, fold_traces = op._transport_fold(DiscretePath(path), zeta, CHART, cfg, None)
-        assert np.array_equal(got, want)
-        for tr, ft in zip(traces, fold_traces):
-            assert np.array_equal(tr.x_c, ft.x_c) and np.array_equal(tr.x_p, ft.x_p)
+        got, trace = parallel_transport(path, zeta, CHART, cfg)
+        fold_mid, fold_corner = op._transport_fold(DiscretePath(path), zeta, CHART, cfg, None)
+        assert np.array_equal(got, fold_corner[-1] - path[-1])
+        assert np.array_equal(trace.x_c, fold_mid) and np.array_equal(trace.x_p, fold_corner)
+
+
+def test_whole_and_fold_ladders_return_one_record(monkeypatch):
+    """Either way a ladder of K rungs is one TransportTrace of (K, d) fields."""
+    assert [f.name for f in dataclasses.fields(op.TransportTrace)] == ["x_c", "x_p", "zeta"]
+    folds = []
+    fold = op._transport_fold
+
+    def counted(*args):
+        folds.append(len(args[0]) - 1)
+        return fold(*args)
+
+    monkeypatch.setattr(op, "_transport_fold", counted)
+    coarse, zeta = (np.array(a) for a in COARSE_LADDERS[0])
+    whole = solve_geodesic(XA, XB, 8, CHART).path.points
+    for path, w in ((coarse, zeta), (whole, np.array([-0.05, 0.0]))):
+        _, trace = parallel_transport(path, w, CHART)
+        assert isinstance(trace, op.TransportTrace)
+        assert trace.x_c.shape == trace.x_p.shape == trace.zeta.shape == (len(path) - 1, 2)
+    assert folds == [2]  # the coarse ladder went to the fold, the fine one did not
 
 
 def test_a_degenerate_rung_keeps_the_whole_ladder(monkeypatch):
