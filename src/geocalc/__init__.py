@@ -6,8 +6,9 @@ approximates squared geodesic distance.  From that single variational
 principle the package derives discrete logarithm and exponential maps,
 Schild's-ladder parallel transport, and a finite-difference connection,
 together with flat, sphere-chart, embedded-hypersurface, and viscous-rod
-backends, a model of any complex-analytic ``w`` alone (``energy_from_w``),
-a convergence-study harness and a CLI.
+backends, each evaluated over whole stacks of segments or points, a model
+of any complex-analytic ``w`` alone (``energy_from_w``), a
+convergence-study harness and a CLI.
 """
 
 from .core import (
@@ -39,7 +40,6 @@ from .geodesic import (
 )
 from .models import (
     CircleSdf,
-    EllipsoidSdf,
     FlatEnergy,
     SphereChartEnergy,
     SphereSdf,
@@ -68,7 +68,6 @@ from .rods import (
     circle_rod,
     load_rod_csv,
     random_smooth_rod,
-    rod_curvature,
     rod_energy,
     rod_gauge,
     save_rod_csv,

@@ -8,13 +8,14 @@ the second derivative in the second slot defines a Riemannian metric,
 two-point solves, parallel transport) consumes concrete models only
 through the :class:`EnergyModel` interface defined here.  A model
 implements that interface once, over stacks of segments
-(``w_stacked``, ``grads_stacked``, ``hess_blocks_stacked``); the
-per-point methods are views of a stack of one.  A two-point energy given
-only as a stacked, complex-analytic ``w`` becomes a model through
-:func:`energy_from_w`: complex-step gradients, and Hessian blocks as
-central differences of them.
+(``w_stacked``, ``grads_stacked``, ``hess_blocks_stacked``); ``w`` of
+one segment, the metric and the consistency check read them on a stack of
+one.  A two-point energy given only as a stacked, complex-analytic ``w``
+becomes a model through :func:`energy_from_w`: complex-step gradients,
+and Hessian blocks as central differences of them.
 
-Derivative layout used throughout the package:
+Derivative layout used throughout the package, the positions of the
+tuples that ``grads_stacked`` and ``hess_blocks_stacked`` return:
 
 * ``grad1`` / ``grad2``: gradient of ``w`` in the first / second argument,
 * ``hess11``: Jacobian of ``grad1`` with respect to the first argument,
@@ -186,11 +187,10 @@ class EnergyModel(ABC):
     and ends ``ys`` of n segments, arrays of shape (n, d), and return the
     energy, both gradients and the four Hessian blocks of each segment,
     stacked along a leading axis: shape (n,), two arrays (n, d), and four
-    arrays (n, d, d).  They check the whole stack once.  The per-point
-    methods (``w``, ``grads``, ``grad1`` ... ``hess22``) are views of a
-    stack of one.  A model may also hand out banded blocks, as the rods'
-    ``hess_bands_stacked`` does (with their ``reach`` and ``n_nodes``),
-    for the node-ordered geodesic solve.
+    arrays (n, d, d).  They check the whole stack once.  ``w`` is the
+    energy of one segment, read on a stack of one.  A model may also hand
+    out banded blocks, as the rods' ``hess_bands_stacked`` does (with
+    their ``reach`` and ``n_nodes``), for the node-ordered geodesic solve.
     """
 
     @abstractmethod
@@ -207,30 +207,6 @@ class EnergyModel(ABC):
 
     def w(self, x, y) -> float:
         return float(self.w_stacked(_one(x), _one(y))[0])
-
-    def grads(self, x, y):
-        return tuple(g[0] for g in self.grads_stacked(_one(x), _one(y)))
-
-    def grad1(self, x, y) -> np.ndarray:
-        return self.grads(x, y)[0]
-
-    def grad2(self, x, y) -> np.ndarray:
-        return self.grads(x, y)[1]
-
-    def hess_blocks(self, x, y):
-        return tuple(h[0] for h in self.hess_blocks_stacked(_one(x), _one(y)))
-
-    def hess11(self, x, y) -> np.ndarray:
-        return self.hess_blocks(x, y)[0]
-
-    def hess12(self, x, y) -> np.ndarray:
-        return self.hess_blocks(x, y)[1]
-
-    def hess21(self, x, y) -> np.ndarray:
-        return self.hess_blocks(x, y)[2]
-
-    def hess22(self, x, y) -> np.ndarray:
-        return self.hess_blocks(x, y)[3]
 
     def metric(self, x) -> np.ndarray:
         """Induced metric g_x; overridden by models with a closed form."""
@@ -312,8 +288,8 @@ def _require_finite_matrix(m: np.ndarray, label: str) -> np.ndarray:
 
 def metric_from_energy(model: EnergyModel, x) -> np.ndarray:
     """Metric g_x = 1/2 hess22(x, x), symmetrized as (M + M^T)/2."""
-    x = as_point(x)
-    h22 = _require_finite_matrix(model.hess22(x, x), "hess22")
+    xs = _one(as_point(x))
+    h22 = _require_finite_matrix(model.hess_blocks_stacked(xs, xs)[3][0], "hess22")
     return (h22 + h22.T) / 4.0
 
 
@@ -348,8 +324,9 @@ def check_consistency(model: EnergyModel, x, tol: float) -> ConsistencyReport:
     """
     x = as_point(x)
     w0 = float(model.w(x, x))
-    g1, g2 = model.grads(x, x)
-    h11, h12, h21, h22 = model.hess_blocks(x, x)
+    xs = _one(x)
+    g1, g2 = (g[0] for g in model.grads_stacked(xs, xs))
+    h11, h12, h21, h22 = (h[0] for h in model.hess_blocks_stacked(xs, xs))
     two_g = 2.0 * np.asarray(model.metric(x), dtype=float)
 
     for label, val in (("grad1", g1), ("grad2", g2)):

@@ -77,7 +77,6 @@ from .core import (
     InvariantViolation,
     SolverError,
     _as_count,
-    _one,
     _write_csv,
     as_path,
     as_point,
@@ -129,9 +128,7 @@ class ConstraintModel(ABC):
     A model implements stacked evaluation only: ``d_stacked``,
     ``grad_d_stacked`` and ``hess_d_stacked`` take a stack xs of n points,
     shape (n, d), and return d, its gradient and its Hessian at each point,
-    stacked along a leading axis: shapes (n,), (n, d) and (n, d, d).  The
-    per-point methods ``d``, ``grad_d`` and ``hess_d`` are views of a stack
-    of one.
+    stacked along a leading axis: shapes (n,), (n, d) and (n, d, d).
     """
 
     @abstractmethod
@@ -145,15 +142,6 @@ class ConstraintModel(ABC):
     @abstractmethod
     def hess_d_stacked(self, xs) -> np.ndarray:
         """hess_d at each point of xs, shape (n, d, d)."""
-
-    def d(self, x) -> float:
-        return float(self.d_stacked(_one(x))[0])
-
-    def grad_d(self, x) -> np.ndarray:
-        return self.grad_d_stacked(_one(x))[0]
-
-    def hess_d(self, x) -> np.ndarray:
-        return self.hess_d_stacked(_one(x))[0]
 
 
 @dataclass(frozen=True)

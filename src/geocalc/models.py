@@ -9,15 +9,14 @@ Shipped backends:
   w(x, y) = g_x(y - x, y - x) on the stereographic chart of the unit
   sphere (projection from the north pole onto the equatorial plane), with
   the conformal metric g_x = 4 I / (1 + |x|^2)^2.
-* signed-distance surfaces (circle, sphere, ellipsoid) for constrained
-  geodesics with the spring energy, each with its closed-form Hessian; the
-  ellipsoid's distance is exact everywhere but at its centre.
+* the signed distances to the unit circle and the unit sphere, for
+  constrained geodesics with the spring energy, with closed-form Hessians.
 
 Each model implements only the stacked methods of ``core.EnergyModel`` or
-``geodesic.ConstraintModel``, one array evaluation over a whole stack, and
-inherits the per-point methods as views of a stack of one.  The sphere chart
-works on coordinate columns, and far from the origin on points scaled by a
-power of two, where its outputs stay accurate and finite without a warning.
+``geodesic.ConstraintModel``, one array evaluation over a whole stack.  The
+sphere chart works on coordinate columns, and far from the origin on points
+scaled by a power of two, where its outputs stay accurate and finite
+without a warning.
 
 ``sphere_oracles`` exposes the closed-form great-circle geometry pulled
 back through the chart: distance, constant-speed geodesic, logarithm,
@@ -41,7 +40,6 @@ __all__ = [
     "sphere_oracles",
     "CircleSdf",
     "SphereSdf",
-    "EllipsoidSdf",
     "sdf_spring_model",
 ]
 
@@ -310,19 +308,12 @@ class SphereOracles:
         return self.pullback(B, transported)
 
     def christoffel(self, x) -> np.ndarray:
-        """Christoffel symbols Gamma[k, i, j] of the conformal chart metric."""
+        """Christoffel symbols Gamma[k, i, j] of the conformal chart metric
+        g = e^(2 phi) I: delta_ik phi_j + delta_jk phi_i - delta_ij phi_k."""
         x = self._chart_vector(x)
-        phi_grad = -2.0 * x / (1.0 + float(x @ x))
-        gamma = np.zeros((2, 2, 2))
-        for k in range(2):
-            for i in range(2):
-                for j in range(2):
-                    gamma[k, i, j] = (
-                        (i == k) * phi_grad[j]
-                        + (j == k) * phi_grad[i]
-                        - (i == j) * phi_grad[k]
-                    )
-        return gamma
+        phi = -2.0 * x / (1.0 + float(x @ x))
+        eye = np.eye(2)
+        return eye[:, :, None] * phi + eye[:, None, :] * phi[:, None] - eye * phi[:, None, None]
 
     def covariant_derivative(self, x, theta, eta_value, eta_jacobian) -> np.ndarray:
         """Covariant derivative of a vector field along theta at x.
@@ -364,73 +355,6 @@ class CircleSdf(ConstraintModel):
 
 class SphereSdf(CircleSdf):
     """Signed distance to the unit sphere in R^3 (same formulas as the circle)."""
-
-
-class EllipsoidSdf(ConstraintModel):
-    """Signed distance to an axis-aligned ellipsoid with semi-axes a.
-
-    With a_m the smallest semi-axis and b = a^2 - a_m^2, the closest point
-    p = x a^2 / (b + s) solves phi(s) = sum x^2 a^2 / (b + s)^2 - 1 = 0,
-    convex and decreasing for s > 0: Newton on all rows of a stack at once,
-    each stopping on its own, each step clamped at s0 = max a |x| - b over
-    the nonzero x, where one term alone is 1, left of the root.  A root at
-    or below 0 puts x on the medial axis (x_m = 0): s = 0 and p_m >= 0
-    (Eberly 2013).  grad_d is the unit outward normal n at p, and hess_d =
-    (I + d W)^-1 W, W = P diag(1/a^2) P / |p / a^2|, P = I - n n^T
-    (Gilbarg & Trudinger, Lemma 14.17), NaN on the focal set.  The centre
-    has no unique closest point: d is -min a there and grad_d is NaN.
-    """
-
-    def __init__(self, semi_axes):
-        axes = np.asarray(semi_axes, dtype=float)
-        if axes.ndim != 1 or not axes.size or not np.all((axes > 0) & np.isfinite(axes)):
-            raise DomainError(f"semi axes must be positive and finite, a nonempty 1-d array, got {semi_axes!r}")
-        self.semi_axes = axes
-
-    def _sdf(self, xs):
-        """d, n and |p / a^2| at each row of xs; a zero x^2 has no term in phi
-        (its b is inf).  An infinite Newton step (at or next to the centre)
-        leaves s = inf and p = 0, a NaN one (x or x^2 not finite) s = NaN."""
-        xs, a, a2 = np.asarray(xs, dtype=float), self.semi_axes, self.semi_axes**2
-        if xs.ndim != 2 or xs.shape[1] != a.size:
-            raise DomainError(f"the ellipsoid's points have {a.size} coordinates, got a stack of shape {xs.shape}")
-        m, b = np.argmin(a), a2 - a2.min()
-        s, rows = np.full(len(xs), a2[m]), np.arange(len(xs))
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            x2a2 = xs**2 * a2
-            s0 = np.where(xs != 0, a * np.abs(xs) - b, -np.inf).max(1, initial=-np.inf)
-            b_live = np.where(x2a2 != 0, b, np.inf)
-            for _ in range(100):
-                denom = b_live[rows] + s[rows, None]
-                phi = (x2a2[rows] / denom**2).sum(-1) - 1.0
-                step = phi / (-2.0 * x2a2[rows] / denom**3).sum(-1)
-                s[rows] = np.where(np.isfinite(step), s[rows], np.abs(step))
-                on = np.isfinite(step) & ~(np.abs(phi) < 1e-14)
-                rows, step = rows[on], step[on]
-                if not rows.size:
-                    break
-                s[rows] = np.maximum(s[rows] - step, s0[rows])
-            s = np.maximum(s, 0.0)
-            p = np.divide(xs * a2, b + s[:, None], out=np.zeros_like(xs), where=xs != 0)
-            p[s == 0, m] = a[m] * np.sqrt(np.maximum(1.0 - (p[s == 0] ** 2 / a2).sum(-1), 0.0))
-            d = np.sign((xs**2 / a2).sum(-1) - 1.0) * np.sqrt(((xs - p) ** 2).sum(-1))
-            g_norm = np.sqrt(((p / a2) ** 2).sum(-1))
-            return np.where(s == np.inf, -a[m], d), p / a2 / g_norm[:, None], g_norm
-
-    def d_stacked(self, xs):
-        return self._sdf(xs)[0]
-
-    def grad_d_stacked(self, xs):
-        return self._sdf(xs)[1]
-
-    def hess_d_stacked(self, xs):
-        d, n, g_norm = self._sdf(xs)
-        eye = np.eye(n.shape[1])
-        proj = eye - _outer(n, n)
-        w = proj / self.semi_axes**2 @ proj / g_norm[:, None, None]
-        mat = eye + d[:, None, None] * w
-        mat[np.linalg.det(np.nan_to_num(mat)) == 0] = np.nan  # focal set: 1 + d kappa = 0
-        return np.linalg.solve(mat, w)
 
 
 def sdf_spring_model(surface: ConstraintModel):

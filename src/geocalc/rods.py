@@ -23,8 +23,7 @@ derivatives of its gradients, exact to rounding, perturbing columns of
 far-apart nodes together.  Energies, gradients and Hessians of a whole
 stack of segments (``w_stacked``, ``grads_stacked``,
 ``hess_bands_stacked``) are one array evaluation; the Hessians come as
-periodic bands, ``hess_blocks_stacked`` is their dense view, and the
-per-point methods are the base class's views of a stack of one.
+periodic bands, and ``hess_blocks_stacked`` is their dense view.
 
 Curvature follows kappa = (x_s/|x_s|)_s . (D90 x_s) / |x_s|^2 with D90 the
 counterclockwise quarter turn, so a counterclockwise unit circle has
@@ -52,7 +51,6 @@ __all__ = [
     "RodCurve",
     "circle_rod",
     "random_smooth_rod",
-    "rod_curvature",
     "SimplifiedRodEnergy",
     "FullRodEnergy",
     "rod_energy",
@@ -180,13 +178,6 @@ def _curvature_pullback(t: np.ndarray, ell: np.ndarray, kappa: np.ndarray, c: np
     g_unit = -_d1(scaled * _rot90(t))
     tangential = g_unit - np.einsum("...j,...j->...", g_unit, unit)[..., None] * unit
     return tangential / ell[..., None] - scaled * (_rot90(_d1(unit)) + 2.0 * kappa[..., None] * t)
-
-
-def rod_curvature(curve: RodCurve) -> np.ndarray:
-    """Discrete signed curvature at every node (ccw circle: +1/radius)."""
-    if not isinstance(curve, RodCurve):
-        curve = RodCurve(_as_nodes(curve))
-    return _curvature_from_speeds(*_speeds(curve.nodes))
 
 
 def _rod_stack(xs, n_nodes: int) -> np.ndarray:

@@ -1,9 +1,8 @@
 """Per-point central differences, the independent reference of the tests.
 
-The package differentiates a w-only energy by complex step and stacked
-central differences (``core._central_columns``), and every level set states
-its Hessian in closed form; these loops differentiate one point at a time,
-so the tests can check both against them.
+The rods differentiate their energies in closed form and by complex step;
+these loops differentiate one point at a time, from ``w`` alone, so the
+tests can check the rods' gradients and Hessian blocks against them.
 """
 
 import numpy as np

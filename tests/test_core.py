@@ -20,6 +20,8 @@ from geocalc import harness
 from geocalc.core import EnergyModel, SolverError, _labelled
 from geocalc.rods import circle_rod, rod_energy
 
+from stack_of_one import at_one
+
 
 def _chart_w(xs, ys):
     """The sphere chart's w, complex-safe: x * x in place of |x|^2."""
@@ -174,15 +176,15 @@ def test_consistency_report_records_failures():
 
 def test_fd_gradients_flat():
     model = energy_from_w(_flat_w)
-    g = model.grad2(np.zeros(2), np.array([1.0, 0.0]))
+    g = at_one(model.grads_stacked, np.zeros(2), [1.0, 0.0])[1]
     assert np.allclose(g, [2.0, 0.0], atol=1e-8)
 
 
 def test_fd_mixed_hessian_flat():
     model = energy_from_w(_flat_w)
-    h12 = model.hess12(np.array([0.3, -0.7]), np.array([1.1, 0.4]))
+    h12 = at_one(model.hess_blocks_stacked, [0.3, -0.7], [1.1, 0.4])[1]
     assert np.allclose(h12, -2.0 * np.eye(2), atol=1e-6)
-    h11, m12, m21, h22 = model.hess_blocks(np.zeros(2), np.array([0.5, 0.2]))
+    h11, m12, m21, h22 = at_one(model.hess_blocks_stacked, np.zeros(2), [0.5, 0.2])
     assert np.allclose(m21, m12.T)
     assert np.allclose(h11, 2.0 * np.eye(2), atol=1e-6)
     assert np.allclose(h22, 2.0 * np.eye(2), atol=1e-6)
@@ -192,7 +194,7 @@ def test_fd_hess22_matches_analytic_metric():
     sc = sphere_chart_energy()
     model = energy_from_w(_chart_w)
     x = np.array([0.4, -0.3])
-    approx = model.hess22(x, x)
+    approx = at_one(model.hess_blocks_stacked, x, x)[3]
     exact = 2.0 * sc.metric(x)
     rel = np.max(np.abs(approx - exact)) / np.max(np.abs(exact))
     assert rel < 1e-5
@@ -229,9 +231,9 @@ def test_w_only_model_needs_a_complex_analytic_w():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         with pytest.raises(TypeError, match="complex-analytic"):
-            model.grads(x, y)
+            at_one(model.grads_stacked, x, y)
         with pytest.raises(TypeError, match="complex-analytic"):
-            model.hess_blocks(x, y)
+            at_one(model.hess_blocks_stacked, x, y)
     assert model.w(x, y) == sphere_chart_energy().w(x, y)
 
 
@@ -243,10 +245,10 @@ def test_fd_propagates_domain_errors():
 
     model = energy_from_w(half_plane_w)
     x, y = np.array([0.0, 1.0]), np.array([0.5, 2.0])
-    assert model.grad1(x, y).shape == (2,)
-    for method in (model.w, model.grad1, model.hess_blocks):
+    assert at_one(model.grads_stacked, x, y)[0].shape == (2,)
+    for method in (model.w_stacked, model.grads_stacked, model.hess_blocks_stacked):
         with pytest.raises(DomainError, match="upper half-plane"):
-            method(np.array([0.0, -1.0]), y)
+            at_one(method, [0.0, -1.0], y)
 
 
 @pytest.mark.parametrize("K", [16, 64, 256])

@@ -6,7 +6,6 @@ import pytest
 from geocalc import (
     CircleSdf,
     DomainError,
-    EllipsoidSdf,
     SphereSdf,
     check_consistency,
     discrete_energy,
@@ -19,11 +18,13 @@ from geocalc import (
     sphere_oracles,
 )
 
+from stack_of_one import at_one
+
 
 def test_flat_energy_values():
     flat = flat_energy()
     assert flat.w(np.zeros(2), np.array([1.0, 0.0])) == 1.0
-    assert np.allclose(flat.grad2(np.zeros(2), np.array([1.0, 0.0])), [2.0, 0.0])
+    assert np.allclose(at_one(flat.grads_stacked, np.zeros(2), [1.0, 0.0])[1], [2.0, 0.0])
     report = check_consistency(flat, np.array([0.7, -2.0]), 1e-12)
     assert report.ok
 
@@ -45,10 +46,11 @@ def test_chart_energy_rejects_wrong_dimension():
 
 
 def _per_point(model, xs, ys):
-    """Per-point values of every segment, stacked like the stacked methods'."""
+    """The values of every segment on a stack of one, stacked like the
+    stacked methods'."""
     ws = np.array([model.w(x, y) for x, y in zip(xs, ys)])
-    grads = [np.array(g) for g in zip(*(model.grads(x, y) for x, y in zip(xs, ys)))]
-    blocks = [np.array(h) for h in zip(*(model.hess_blocks(x, y) for x, y in zip(xs, ys)))]
+    grads = [np.array(g) for g in zip(*(at_one(model.grads_stacked, x, y) for x, y in zip(xs, ys)))]
+    blocks = [np.array(h) for h in zip(*(at_one(model.hess_blocks_stacked, x, y) for x, y in zip(xs, ys)))]
     return ws, grads, blocks
 
 
@@ -77,13 +79,9 @@ def test_stacked_evaluation_matches_per_point():
         assert got_w.shape == (n,)
         assert [g.shape for g in got_g] == [(n, d)] * 2
         assert [h.shape for h in got_h] == [(n, d, d)] * 4
-        # the per-point methods are views of a stack of one: bitwise the rows
+        # each row is its segment's stack of one, bit for bit
         for got, ref in zip((got_w, *got_g, *got_h), (ws, *grads, *blocks)):
             np.testing.assert_array_equal(got, ref)
-        x, y = xs[0], ys[0]
-        singles = (model.grad1(x, y), model.grad2(x, y), *(getattr(model, f"hess{ab}")(x, y) for ab in ("11", "12", "21", "22")))
-        for got, ref in zip((*got_g, *got_h), singles):
-            np.testing.assert_array_equal(got[0], ref)
 
 
 def test_stacked_chart_validates_the_whole_stack():
@@ -105,6 +103,7 @@ def test_stacked_chart_validates_the_whole_stack():
 
 
 def test_shipped_models_implement_only_the_stacked_methods():
+    from geocalc import ConstraintModel, EnergyModel
     from geocalc.core import _ComplexStepModel
     from geocalc.models import FlatEnergy, SphereChartEnergy
     from geocalc.rods import FullRodEnergy, SimplifiedRodEnergy, _RodEnergy
@@ -112,10 +111,13 @@ def test_shipped_models_implement_only_the_stacked_methods():
     per_point = {"w", "grads", "grad1", "grad2", "hess_blocks", "hess11", "hess12", "hess21", "hess22", "d", "grad_d", "hess_d"}
     classes = (
         FlatEnergy, SphereChartEnergy, _RodEnergy, SimplifiedRodEnergy, FullRodEnergy,
-        _ComplexStepModel, CircleSdf, SphereSdf, EllipsoidSdf,
+        _ComplexStepModel, CircleSdf, SphereSdf,
     )
     for cls in classes:
         assert not per_point & set(vars(cls)), cls.__name__
+    # nor do the base classes: an energy's one per-point method is w
+    assert per_point & set(dir(EnergyModel)) == {"w"}
+    assert not per_point & set(dir(ConstraintModel))
 
 
 def test_chart_hess21_is_2_cross_t_minus_h22_bit_for_bit():
@@ -336,8 +338,9 @@ def test_oracle_domain_errors():
 def test_flat_hessian_blocks_are_fresh_scaled_identities():
     flat = flat_energy()
     x, y = np.zeros(3), np.ones(3)
-    assert np.array_equal(flat.hess11(x, y), 2.0 * np.eye(3))
-    assert np.array_equal(flat.hess12(x, y), -2.0 * np.eye(3))
+    h11, h12, _, _ = at_one(flat.hess_blocks_stacked, x, y)
+    assert np.array_equal(h11, 2.0 * np.eye(3))
+    assert np.array_equal(h12, -2.0 * np.eye(3))
     xs = np.zeros((4, 3))
     blocks = flat.hess_blocks_stacked(xs, xs + 1.0)
     for block, scale in zip(blocks, (2.0, -2.0, -2.0, 2.0)):
@@ -357,41 +360,16 @@ def test_circle_and_sphere_sdf_are_normalized():
         p2 = rng.normal(size=2)
         p3 = rng.normal(size=3)
         if np.linalg.norm(p2) > 0.2:
-            assert abs(np.linalg.norm(circle.grad_d(p2)) - 1.0) <= 0.1
+            assert abs(np.linalg.norm(at_one(circle.grad_d_stacked, p2)) - 1.0) <= 0.1
         if np.linalg.norm(p3) > 0.2:
-            assert abs(np.linalg.norm(sphere.grad_d(p3)) - 1.0) <= 0.1
-    assert circle.d(np.array([2.0, 0.0])) == pytest.approx(1.0)
-    assert sphere.d(np.array([0.0, 0.5, 0.0])) == pytest.approx(-0.5)
-
-
-def test_ellipsoid_sdf_basics():
-    for axes in ([2.0, 0.0, 1.0], [2.0, 1.0, -1.0], [1.0, np.nan, 1.0], [1.0, np.inf, 1.0], [[1.0, 2.0, 3.0]], 2.0, []):
-        with pytest.raises(DomainError, match="semi axes must be positive"):
-            EllipsoidSdf(axes)
-    # points of another dimension are a DomainError naming both
-    with pytest.raises(DomainError, match=r"3 coordinates, got a stack of shape \(2, 2\)"):
-        solve_geodesic([1.0, 0.0], [0.0, 1.0], 4, flat_energy(), constraint=EllipsoidSdf([1.0, 2.0, 3.0]))
-    ell = EllipsoidSdf([2.0, 1.0, 1.0])
-    assert ell.d(np.array([3.0, 0.0, 0.0])) == pytest.approx(1.0, abs=1e-10)
-    assert np.allclose(ell.grad_d(np.array([3.0, 0.0, 0.0])), [1.0, 0.0, 0.0], atol=1e-10)
-    assert ell.d(np.array([0.0, 1.0, 0.0])) == pytest.approx(0.0, abs=1e-12)
-    # a point whose square overflows has no finite distance
-    assert np.isnan(ell.d(np.array([1e200, 0.0, 0.0])))
-    # near-surface normalization
-    rng = np.random.default_rng(23)
-    for _ in range(10):
-        u = rng.normal(size=3)
-        u /= np.linalg.norm(u)
-        p = np.array([2.0, 1.0, 1.0]) * u / np.linalg.norm(u / np.array([1.0, 1.0, 1.0]))
-        p = p / np.sqrt(np.sum(p**2 / np.array([4.0, 1.0, 1.0])))  # exact surface point
-        q = p + 0.01 * ell.grad_d(p)
-        assert abs(np.linalg.norm(ell.grad_d(q)) - 1.0) <= 0.1
-        assert ell.d(q) == pytest.approx(0.01, abs=1e-6)
+            assert abs(np.linalg.norm(at_one(sphere.grad_d_stacked, p3)) - 1.0) <= 0.1
+    assert at_one(circle.d_stacked, [2.0, 0.0]) == pytest.approx(1.0)
+    assert at_one(sphere.d_stacked, [0.0, 0.5, 0.0]) == pytest.approx(-0.5)
 
 
 def test_sdf_spring_model_pairs_spring_with_surface():
     model, surface = sdf_spring_model(SphereSdf())
-    assert surface.d(np.array([1.0, 0.0, 0.0])) == 0.0
+    assert at_one(surface.d_stacked, [1.0, 0.0, 0.0]) == 0.0
     report = check_consistency(model, np.array([1.0, 0.0, 0.0]), 1e-12)
     assert report.ok
 

@@ -31,6 +31,7 @@ from geocalc import operators as op
 from geocalc.models import CircleSdf, SphereSdf
 
 from labelled import assert_labelled
+from stack_of_one import at_one
 
 FLAT = flat_energy()
 CHART = sphere_chart_energy()
@@ -399,9 +400,9 @@ def test_log2_orthogonality_on_sphere():
     model, sphere, xa, xb = _sphere_pair()
     mid = (xa + xb) / np.linalg.norm(xa + xb)
     z = log2(xa, xb, model, constraint=sphere)
-    assert abs(sphere.d(xa + z)) <= 1e-9
+    assert abs(at_one(sphere.d_stacked, xa + z)) <= 1e-9
     resid = z - (xb - xa) / 2.0
-    normal = sphere.grad_d(xa + z)
+    normal = at_one(sphere.grad_d_stacked, xa + z)
     tangential = resid - (resid @ normal) * normal
     assert np.linalg.norm(tangential) <= 1e-9
     assert np.linalg.norm((xa + z) - mid) <= 0.05  # near the arc midpoint
@@ -421,7 +422,7 @@ def test_exp2_on_a_level_set_matches_the_closed_form():
         c = p @ n - np.sqrt((p @ n) ** 2 - p @ p + 1.0)
         x2 = exp2(xa, z, model, constraint=sphere)
         assert np.linalg.norm(x2 - (p - c * n)) <= 1e-9
-        assert abs(sphere.d(x2)) <= 1e-9
+        assert abs(at_one(sphere.d_stacked, x2)) <= 1e-9
 
 
 def test_solver_error_labels_stage():

@@ -16,7 +16,6 @@ from geocalc import (
     load_rod_csv,
     parallel_transport,
     random_smooth_rod,
-    rod_curvature,
     rod_energy,
     rod_gauge,
     save_rod_csv,
@@ -25,14 +24,21 @@ from geocalc import (
 )
 from geocalc import geodesic, operators, thomas
 from geocalc.core import EnergyModel
+from geocalc.rods import _curvature_from_speeds, _speeds
 from geocalc.harness import fit_order, run_rod_morph
 
 from fd_reference import central_hess_blocks, central_jacobian
+from stack_of_one import at_one
 
 
 def ellipse_rod(n, a, b):
     s = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
     return RodCurve(np.stack([a * np.cos(s), b * np.sin(s)], axis=1))
+
+
+def _curvature(curve):
+    """Discrete signed curvature at every node of a rod."""
+    return _curvature_from_speeds(*_speeds(curve.nodes))
 
 
 def test_rod_curve_validation():
@@ -57,16 +63,14 @@ def test_rod_curve_validation():
 
 def test_circle_curvature_values():
     for radius in (1.0, 2.0):
-        kappa = rod_curvature(circle_rod(256, radius))
+        kappa = _curvature(circle_rod(256, radius))
         assert np.max(np.abs(kappa - 1.0 / radius)) <= 1e-3
-    # plain (N, 2) nodes are taken as a rod
-    assert np.array_equal(rod_curvature(circle_rod(16).nodes), rod_curvature(circle_rod(16)))
 
 
 def test_flattened_ellipse_curvature_grows():
     peaks = []
     for minor in (0.8, 0.4, 0.2):
-        peaks.append(np.max(np.abs(rod_curvature(ellipse_rod(512, 1.0, minor)))))
+        peaks.append(np.max(np.abs(_curvature(ellipse_rod(512, 1.0, minor)))))
     assert peaks[0] < peaks[1] < peaks[2]
     # analytic peak curvature of an ellipse is a / b^2 at the co-vertex
     assert peaks[2] == pytest.approx(1.0 / 0.2**2, rel=0.02)
@@ -206,7 +210,7 @@ def test_simplified_gradients_match_fd():
     rng = np.random.default_rng(51)
     x = random_smooth_rod(16, rng).coord
     y = random_smooth_rod(16, rng).coord
-    g1, g2 = model.grads(x, y)
+    g1, g2 = at_one(model.grads_stacked, x, y)
     g1_fd = central_jacobian(lambda p: model.w(p, y), x, 1e-6)
     g2_fd = central_jacobian(lambda p: model.w(x, p), y, 1e-6)
     assert np.max(np.abs(g1 - g1_fd)) <= 1e-8
@@ -219,7 +223,7 @@ def test_full_gradients_match_fd():
         model = rod_energy("full", n, 0.1)
         x = random_smooth_rod(n, rng).coord
         y = random_smooth_rod(n, rng, base_radius=1.2, amplitude=0.1).coord
-        g1, g2 = model.grads(x, y)
+        g1, g2 = at_one(model.grads_stacked, x, y)
         g1_fd = central_jacobian(lambda p: model.w(p, y), x, 1e-6)
         g2_fd = central_jacobian(lambda p: model.w(x, p), y, 1e-6)
         assert np.max(np.abs(g1 - g1_fd)) <= 1e-8
@@ -289,7 +293,7 @@ def test_degenerate_rod_rejected():
                 discrete_exp(good, -good, k, model)
         # closed-form and complex-step blocks evaluate at the valid rod itself
         for pair in ((near, good), (good, near)):
-            assert all(np.all(np.isfinite(block)) for block in model.hess_blocks(*pair))
+            assert all(np.all(np.isfinite(block)) for block in at_one(model.hess_blocks_stacked, *pair))
 
 
 def test_integer_base_radius_gives_the_float_rod():
@@ -346,7 +350,7 @@ def _per_column_hessians(model, x, y, h):
             for step in (h, -h, 0.5 * h, -0.5 * h):
                 p = base.copy()
                 p[j] += step
-                g.append(np.concatenate(model.grads(p, y) if slot == 1 else model.grads(x, p)))
+                g.append(np.concatenate(at_one(model.grads_stacked, *((p, y) if slot == 1 else (x, p)))))
             gp, gm, gp2, gm2 = g
             cols.append((4.0 * (gp2 - gm2) / h - (gp - gm) / (2.0 * h)) / 3.0)
         jac = np.stack(cols, axis=1)
@@ -361,7 +365,7 @@ def _blocks_and_reference(kind, n, rng):
     model = rod_energy(kind, n, 0.1)
     x = random_smooth_rod(n, rng).coord
     y = random_smooth_rod(n, rng, base_radius=1.2, amplitude=0.1).coord
-    blocks = model.hess_blocks(x, y)
+    blocks = at_one(model.hess_blocks_stacked, x, y)
     reference = _per_column_hessians(model, x, y, 1e-5)
     scale = max(np.max(np.abs(r)) for r in reference)
     node = np.arange(2 * n) // 2
@@ -715,12 +719,10 @@ def test_stacked_blocks_and_grads_equal_the_per_point_ones():
             assert g1.shape == g2.shape == xs.shape
             for i, (x, y) in enumerate(zip(xs, ys)):
                 assert ws[i] == model.w(x, y)
-                for got, want in zip((g1[i], g2[i]), model.grads(x, y)):
+                for got, want in zip((g1[i], g2[i]), at_one(model.grads_stacked, x, y)):
                     np.testing.assert_array_equal(got, want)
-                for got, want in zip(blocks, model.hess_blocks(x, y)):
+                for got, want in zip(blocks, at_one(model.hess_blocks_stacked, x, y)):
                     np.testing.assert_array_equal(got[i], want)
-                for got, name in zip(blocks, ("hess11", "hess12", "hess21", "hess22")):
-                    np.testing.assert_array_equal(got[i], getattr(model, name)(x, y))
 
 
 def test_closed_form_metrics_match_half_the_symmetrized_hess22():
@@ -730,7 +732,7 @@ def test_closed_form_metrics_match_half_the_symmetrized_hess22():
             model = rod_energy(kind, n, 0.1)
             x = random_smooth_rod(n, rng).coord
             g = model.metric(x)
-            h22 = model.hess22(x, x)
+            h22 = at_one(model.hess_blocks_stacked, x, x)[3]
             assert np.max(np.abs(g - (h22 + h22.T) / 4.0)) <= 1e-9 * np.max(np.abs(g))
 
 

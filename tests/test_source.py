@@ -3,10 +3,12 @@
 For every module of ``geocalc`` but ``__init__``, the source is parsed with
 ``ast``; the suite fails on an import whose bound name is never used again
 in its module, on a private (``_x``, not dunder) function or class, defined
-at module or class level, whose name is used nowhere in the package, and on
-a private constant, a name bound by a module-level assignment, that no
-module of the package reads.  A use is a name read or an attribute in the
-parsed code, so a mention in a docstring or a comment does not count.
+at module or class level, whose name is used nowhere in the package, on a
+private constant, a name bound by a module-level assignment, that no
+module of the package reads, and on a public method of the model contracts
+(``EnergyModel``, ``ConstraintModel``) that no module of the package reads.
+A use is a name read or an attribute in the parsed code, so a mention in a
+docstring or a comment does not count.
 """
 
 import ast
@@ -15,6 +17,7 @@ from pathlib import Path
 import pytest
 
 import geocalc
+from geocalc import ConstraintModel, EnergyModel
 
 PACKAGE = Path(geocalc.__file__).parent
 TREES = {path.name: ast.parse(path.read_text(), path.name) for path in sorted(PACKAGE.glob("*.py"))}
@@ -72,3 +75,10 @@ def test_every_private_helper_is_used(module):
 def test_every_private_constant_is_read(module):
     read = set().union(*(_uses(tree) for tree in TREES.values()))
     assert not sorted(set(_private_constants(TREES[module])) - read), f"unread private constants in {module}"
+
+
+@pytest.mark.parametrize("contract", [EnergyModel, ConstraintModel], ids=lambda cls: cls.__name__)
+def test_every_public_model_method_is_read(contract):
+    read = set().union(*(_uses(tree) for tree in TREES.values()))
+    methods = {name for name, value in vars(contract).items() if callable(value) and not name.startswith("_")}
+    assert methods and not sorted(methods - read), f"unread methods of {contract.__name__}"

@@ -45,6 +45,7 @@ from geocalc.cli import main
 from geocalc.models import SphereSdf
 
 from labelled import assert_labelled
+from stack_of_one import at_one
 
 CHART = sphere_chart_energy()
 ORACLE = sphere_oracles()
@@ -134,20 +135,20 @@ def test_results_satisfy_the_inner_equations(name):
     # rung k starts from the corner before it (x_0 + zeta_0 for rung 1)
     corner_prev = np.vstack([path[0] + w / K, trace.x_p[:-1]])
     for k, (x_c, x_p) in enumerate(zip(trace.x_c, trace.x_p), start=1):
-        mid = model.grad2(corner_prev[k - 1], x_c) + model.grad1(x_c, path[k])
-        completion = model.grad2(path[k - 1], x_c) + model.grad1(x_c, x_p)
+        mid = at_one(model.grads_stacked, corner_prev[k - 1], x_c)[1] + at_one(model.grads_stacked, x_c, path[k])[0]
+        completion = at_one(model.grads_stacked, path[k - 1], x_c)[1] + at_one(model.grads_stacked, x_c, x_p)[0]
         if con is not None:
-            normal = con.grad_d(x_c)
+            normal = at_one(con.grad_d_stacked, x_c)
             mid, completion = _tangential(mid, normal), _tangential(completion, normal)
-            assert max(abs(con.d(x_c)), abs(con.d(x_p))) <= tol
+            assert np.max(np.abs(con.d_stacked(np.array([x_c, x_p])))) <= tol
         assert np.max(np.abs(mid)) <= tol
         assert np.max(np.abs(completion)) <= tol
 
     shot = discrete_exp_path(xa, v / K, K, model, constraint=con)
     rows = el_residual(shot, model)
     if con is not None:
-        rows = np.array([_tangential(r, con.grad_d(p)) for r, p in zip(rows, shot.points[1:-1])])
-        assert max(abs(con.d(p)) for p in shot.points[2:]) <= tol
+        rows = np.array([_tangential(r, n) for r, n in zip(rows, con.grad_d_stacked(shot.points[1:-1]))])
+        assert np.max(np.abs(con.d_stacked(shot.points[2:]))) <= tol
     assert np.max(np.abs(rows)) <= tol
 
 
